@@ -9,8 +9,6 @@
 //!                                     (+ the tab_summary fidelity gate)
 //! emca check --lint                   run the workspace lint (emca-lint)
 //!                                     and refresh results/lint_report.json
-//! emca legacy <binary> [args]         run a retired per-figure binary
-//!                                     by its old name
 //! emca help                           this text
 //! ```
 //!
@@ -59,8 +57,6 @@ commands:
                                      the check to that scenario's CSVs;
                                      --lint runs the workspace static analysis
                                      (emca-lint, see docs/LINTS.md) instead
-  legacy <binary> [args]             run a retired per-figure binary by its
-                                     old name (fig04_q6_users, probe, ...)
   help                               show this text
 
 flags (override the EMCA_* environment fallbacks):
@@ -179,68 +175,6 @@ fn base_spec() -> ExperimentSpec {
         Ok(spec) => spec,
         Err(e) => fail(&e.to_string()),
     }
-}
-
-/// The retired per-figure binaries, by their old `--bin` names, mapped
-/// to the scenario each one wrapped. `emca legacy <name>` keeps muscle
-/// memory and old scripts working through the one remaining binary.
-const LEGACY: &[(&str, &str)] = &[
-    ("ablation", "ablation"),
-    ("csv_check", "csv_check"),
-    ("fig04_q6_users", "fig04"),
-    ("fig05_migration_os", "fig05"),
-    ("fig06_tomograph", "fig06"),
-    ("fig07_transitions", "fig07"),
-    ("fig13_sched_metrics", "fig13"),
-    ("fig14_memory_metrics", "fig14"),
-    ("fig15_selectivity", "fig15"),
-    ("fig16_migration_modes", "fig16"),
-    ("fig17_strategies", "fig17"),
-    ("fig18_stable_phases", "fig18"),
-    ("fig19_mixed_phases", "fig19"),
-    ("fig20_energy", "fig20"),
-    ("probe", "probe"),
-    ("tab_overhead", "tab_overhead"),
-    ("tab_summary", "tab_summary"),
-];
-
-/// `emca legacy <binary> [args]` — the shim-binary surface folded into
-/// the dispatcher: EMCA_* fallbacks apply as before, and `probe` keeps
-/// its historical positional `[sf] [clients] [iters]` arguments.
-fn run_legacy(registry: &emca_harness::ScenarioRegistry, args: &[String]) {
-    let Some(binary) = args.first() else {
-        fail("legacy requires a retired binary name (e.g. fig04_q6_users)");
-    };
-    let Some((_, scenario)) = LEGACY.iter().find(|(old, _)| old == binary) else {
-        let known: Vec<&str> = LEGACY.iter().map(|(old, _)| *old).collect();
-        fail(&format!(
-            "unknown legacy binary {binary:?} (known: {})",
-            known.join(", ")
-        ));
-    };
-    let mut spec = base_spec();
-    spec.scenario = scenario.to_string();
-    let rest = &args[1..];
-    if *scenario == "probe" {
-        for (i, key) in [(0usize, "sf"), (1, "users"), (2, "iters")] {
-            if let Some(v) = rest.get(i) {
-                if let Err(e) = spec.set(key, v) {
-                    fail(&format!("legacy probe argument {}: {e}", i + 1));
-                }
-            }
-        }
-    } else if let Some(extra) = rest.first() {
-        fail(&format!(
-            "legacy {binary} takes no arguments (got {extra:?}); \
-             use `emca run {scenario}` for flags"
-        ));
-    }
-    eprintln!("note: the {binary} binary is retired; this ran `emca run {scenario}`");
-    // The retired binaries read the EMCA_* env and silently ignored
-    // what they didn't use; the compatibility path keeps that shape by
-    // pruning (with a note) rather than hard-erroring.
-    prune_spec(registry, scenario, &mut spec);
-    run_one(registry, scenario, &spec);
 }
 
 /// Removes `switch` from `rest` if present; returns whether it was.
@@ -452,7 +386,6 @@ fn main() {
                 }
             }
         }
-        Some("legacy") => run_legacy(&registry, &args[1..]),
         Some("help") | Some("--help") | Some("-h") => println!("{USAGE}"),
         Some(other) => fail(&format!("unknown command {other:?}")),
         None => fail("missing command"),

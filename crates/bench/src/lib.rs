@@ -12,9 +12,7 @@
 //!
 //! The documented `EMCA_*` environment variables remain as fallbacks,
 //! parsed once by `emca_harness::config::from_env()`; CLI flags override
-//! them. The former one-binary-per-figure entry points are retired:
-//! `emca legacy <old-binary-name>` dispatches the old names (see the
-//! README migration table).
+//! them.
 
 pub mod scenarios;
 

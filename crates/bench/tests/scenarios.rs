@@ -52,6 +52,21 @@ fn registry_lists_all_former_binaries() {
 }
 
 #[test]
+fn architecture_doc_states_the_registry_size() {
+    // docs/ARCHITECTURE.md's crate map quotes the registry size; it
+    // rotted once (22 stated, 26 registered), so it is checked now.
+    let doc = concat!(env!("CARGO_MANIFEST_DIR"), "/../../docs/ARCHITECTURE.md");
+    let text = std::fs::read_to_string(doc).expect("docs/ARCHITECTURE.md is readable");
+    let stated: usize = text
+        .split(" registered scenarios")
+        .next()
+        .and_then(|before| before.rsplit(' ').next())
+        .and_then(|n| n.parse().ok())
+        .expect("ARCHITECTURE.md states `<n> registered scenarios`");
+    assert_eq!(stated, scenarios::registry().names().len());
+}
+
+#[test]
 fn registry_declares_the_full_results_schema_set() {
     // The committed results/ dir carries one CSV per declared schema;
     // 34 files across the 24 CSV-writing scenarios (probe and csv_check

@@ -10,8 +10,10 @@
 //!   pages (§IV-B2);
 //! - allocation modes [`DenseMode`], [`SparseMode`] and [`AdaptiveMode`]
 //!   deciding *where* cores are allocated/released (§IV-B);
-//! - [`ElasticMechanism`]: the rule-condition-action pipeline driving the
-//!   PetriNet PrT model and actuating cpuset masks (§III);
+//! - [`ControlCore`]: the rule-condition-action decision pipeline over
+//!   the PetriNet PrT model (§III), shared by its two faces —
+//!   [`ElasticMechanism`] actuating simulated cpuset masks and
+//!   [`PoolController`] parking real OS workers;
 //! - [`lonc`]: the Local Optimum Number of Cores analysis (§IV-A).
 //!
 //! ```no_run
@@ -31,6 +33,7 @@
 //! println!("LONC so far: {} cores", mech.nalloc());
 //! ```
 
+pub mod control;
 pub mod lonc;
 pub mod mechanism;
 pub mod modes;
@@ -41,6 +44,7 @@ pub mod priority_queue;
 pub mod sla;
 pub mod tenant;
 
+pub use control::ControlCore;
 pub use mechanism::{ElasticMechanism, MechanismConfig, TransitionEvent};
 pub use modes::{AdaptiveMode, AllocationMode, DenseMode, ModeCtx, SparseMode};
 pub use monitor::{MetricKind, Monitor, MonitorSample};

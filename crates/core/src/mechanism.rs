@@ -5,9 +5,12 @@
 //!
 //! 1. **rule** — samples resource usage through the [`Monitor`]
 //!    (mpstat/likwid analogues) and refreshes the page statistics;
-//! 2. **condition** — injects the measured `u` into the PetriNet
-//!    ([`ElasticNet::step`]), which classifies the performance state and
-//!    decides whether a core must be allocated or released;
+//! 2. **condition** — hands the measured `u` to the shared
+//!    [`ControlCore`] (queue-depth boost → Eq. 1 guard → release
+//!    hysteresis → [`Policy::shape`] → [`ElasticNet::step`] → AIMD
+//!    cadence; the guard and the shaping are this module's hooks into
+//!    that pipeline), which classifies the performance state and decides
+//!    whether a core must be allocated or released;
 //! 3. **action** — asks the [`Policy`] *where*, and applies the
 //!    new cpuset mask to the DBMS group after the mode's actuation
 //!    latency (the paper's measured token-flow times: dense 17 ms,
@@ -15,8 +18,9 @@
 //!
 //! A single mechanism instance supports all DBMS clients (§V).
 
+use crate::control::ControlCore;
 use crate::modes::ModeCtx;
-use crate::monitor::{MetricKind, Monitor, MonitorSample};
+use crate::monitor::{MetricKind, Monitor};
 use crate::policy::{Decision, Observation, Policy, PolicyCtx};
 use crate::tenant::TenantBinding;
 use emca_metrics::{SimDuration, SimTime};
@@ -128,14 +132,13 @@ pub struct TransitionEvent {
 /// The assembled mechanism.
 pub struct ElasticMechanism {
     cfg: MechanismConfig,
-    net: ElasticNet,
+    /// The shared decision pipeline (net, hysteresis, queue demand,
+    /// AIMD cadence between `min_interval` and `interval`).
+    core: ControlCore,
     policy: Box<dyn Policy>,
     monitor: Monitor,
     group: GroupId,
     next_control: SimTime,
-    /// Live control interval (AIMD between `min_interval` and
-    /// `interval`).
-    cur_interval: SimDuration,
     /// Smoothed observed query response time (seconds), fed by the
     /// harness through [`ElasticMechanism::note_response`].
     service_ewma: Option<f64>,
@@ -146,11 +149,6 @@ pub struct ElasticMechanism {
     last_control_at: SimTime,
     /// Machine-wide link-byte count at the previous control step.
     prev_link_bytes: u64,
-    /// Consecutive Idle classifications (release hysteresis state).
-    idle_streak: u32,
-    /// Requests queued in front of the engine (serving layer); 0 in
-    /// closed-loop runs. Fed by [`ElasticMechanism::note_queue_depth`].
-    queue_depth: u64,
     /// A decided-but-not-yet-applied mask (actuation latency), plus the
     /// core whose arbiter ownership is released once the mask lands (a
     /// tenant shrink must not free the core for peers before it has
@@ -232,13 +230,17 @@ impl ElasticMechanism {
             mask.insert(core);
         }
         kernel.set_group_mask(group, mask);
-        let net = ElasticNet::new(cfg.thresholds, ntotal, cfg.initial_cores);
         let monitor = Monitor::new(kernel, group, space, cfg.metric);
         // Cold start reacts at the floor interval: the allocation is one
         // core and almost certainly wrong, so the first control steps
         // must come quickly relative to the workload.
-        let cur_interval = cfg.min_interval.min(cfg.interval);
-        let next_control = kernel.now() + cur_interval;
+        let core = ControlCore::new(
+            ElasticNet::new(cfg.thresholds, ntotal, cfg.initial_cores),
+            cfg.release_hysteresis,
+            cfg.interval,
+            cfg.min_interval.min(cfg.interval),
+        );
+        let next_control = kernel.now() + core.interval();
         let prev_link_bytes = kernel
             .machine()
             .counters()
@@ -248,18 +250,15 @@ impl ElasticMechanism {
             .sum();
         ElasticMechanism {
             cfg,
-            net,
+            core,
             policy,
             monitor,
             group,
             next_control,
-            cur_interval,
             service_ewma: None,
             completions_since: 0,
             last_control_at: kernel.now(),
             prev_link_bytes,
-            idle_streak: 0,
-            queue_depth: 0,
             pending: None,
             tenancy,
             events: Vec::new(),
@@ -292,7 +291,7 @@ impl ElasticMechanism {
     /// without a front door never call this and behave exactly as
     /// before.
     pub fn note_queue_depth(&mut self, depth: u64) {
-        self.queue_depth = depth;
+        self.core.note_queue_depth(depth);
     }
 
     /// The live floor of the control interval (service-time scaled).
@@ -306,7 +305,7 @@ impl ElasticMechanism {
 
     /// The live control interval (diagnostics and tests).
     pub fn interval(&self) -> SimDuration {
-        self.cur_interval
+        self.core.interval()
     }
 
     /// The controlled group.
@@ -316,12 +315,12 @@ impl ElasticMechanism {
 
     /// Currently allocated cores (the `Provision` token).
     pub fn nalloc(&self) -> u32 {
-        self.net.nalloc()
+        self.core.nalloc()
     }
 
     /// The underlying PrT net (incidence matrix export etc.).
     pub fn net(&self) -> &ElasticNet {
-        &self.net
+        self.core.net()
     }
 
     /// The allocation policy's name.
@@ -345,7 +344,7 @@ impl ElasticMechanism {
         }
         if now >= self.next_control && self.pending.is_none() {
             self.control(kernel);
-            self.next_control = now + self.cur_interval;
+            self.next_control = now + self.core.interval();
         }
     }
 
@@ -372,9 +371,9 @@ impl ElasticMechanism {
             sample: &sample,
             completions: self.completions_since,
             interval: window,
-            nalloc: self.net.nalloc(),
+            nalloc: self.core.nalloc(),
             ht_rate,
-            queue_depth: self.queue_depth,
+            queue_depth: self.core.queue_depth(),
         });
         self.completions_since = 0;
         self.last_control_at = kernel.now();
@@ -388,21 +387,13 @@ impl ElasticMechanism {
         // scatter anything, though: growth is never damped while the
         // page-hottest node still has free cores (reaching them adds
         // local compute and cache without new interconnect traffic).
-        let mut u = sample.u;
-        // Queue pressure: requests waiting at the front door are demand
-        // the load metric cannot see (they occupy no core yet). Each
-        // queued request per allocated core pushes the signal up toward
-        // Overload, so backlog grows the allocation even while the few
-        // admitted queries leave it under-utilised.
-        if self.queue_depth > 0 {
-            let boost = (100 * self.queue_depth) / self.net.nalloc().max(1) as u64;
-            u = (u + boost as i64).min(100);
-        }
-        if let Some(guard) = self.cfg.saturation_guard {
-            let th = self.cfg.thresholds;
-            if u >= th.thmax && sample.mc_pressure >= guard {
-                let topo = kernel.machine().topology();
-                let current = kernel.group_mask(self.group);
+        let th = self.cfg.thresholds;
+        let saturation_guard = self.cfg.saturation_guard;
+        let floor = self.effective_min();
+        let current = kernel.group_mask(self.group);
+        let topo = kernel.machine().topology();
+        let guard = |u: i64| match saturation_guard {
+            Some(guard) if u >= th.thmax && sample.mc_pressure >= guard => {
                 let hottest_full = sample
                     .pages_per_node
                     .iter()
@@ -414,47 +405,39 @@ impl ElasticMechanism {
                     })
                     .unwrap_or(true);
                 if hottest_full {
-                    u = (th.thmin + th.thmax) / 2;
+                    (th.thmin + th.thmax) / 2
+                } else {
+                    u
                 }
             }
-        }
-        // Release hysteresis (LONC damping): one below-thmin window is
-        // scheduling noise, not a shrunken workload.
-        {
-            let th = self.cfg.thresholds;
-            if u <= th.thmin {
-                self.idle_streak += 1;
-                if self.idle_streak < self.cfg.release_hysteresis {
-                    u = (th.thmin + th.thmax) / 2;
-                }
-            } else {
-                self.idle_streak = 0;
-            }
-        }
-        // Policy signal shaping (SLA damping, hill-climb probe holds):
-        // runs last so a policy-forced release is not re-damped by the
-        // hysteresis above. Identity for the plain placement modes.
-        u = self.policy.shape(
-            u,
-            kernel.group_mask(self.group).count() as u32,
-            self.cfg.thresholds,
+            _ => u,
+        };
+        // Policy signal shaping (SLA damping, hill-climb probe holds);
+        // identity for the plain placement modes.
+        let policy = &mut self.policy;
+        let shape = |u: i64| policy.shape(u, current.count() as u32, th);
+        let mut event = self.core.step(
+            sample.at,
+            sample.cpu_load_pct,
+            sample.u,
+            floor,
+            guard,
+            shape,
         );
-        let report = self.net.step(u);
-        let current = kernel.group_mask(self.group);
-        let topo = kernel.machine().topology().clone();
+        let verdict = event.action;
         let barred = match &self.tenancy {
             Some(t) => t.arbiter.borrow().foreign_mask(t.tenant),
             None => CoreMask::EMPTY,
         };
         let ctx = PolicyCtx {
             mode: ModeCtx {
-                topology: &topo,
+                topology: topo,
                 current,
                 barred,
                 pages_per_node: &sample.pages_per_node,
                 mc_util_per_node: &sample.mc_util_per_node,
             },
-            action: report.action,
+            action: verdict,
         };
         let mut decision = self.policy.decide(&ctx);
         // Tenant arbitration: record this step's demand, yield a core
@@ -469,7 +452,7 @@ impl ElasticMechanism {
         let mut deferred_release = None;
         if let Some(t) = self.tenancy.clone() {
             let mut arb = t.arbiter.borrow_mut();
-            arb.note(t.tenant, report.action == AllocAction::Allocate);
+            arb.note(t.tenant, verdict == AllocAction::Allocate);
             if !matches!(decision, Decision::Shrink(_)) && arb.must_yield(t.tenant) {
                 // Route the forced release through the policy's own
                 // Release path (not bare release_core) so stateful
@@ -520,54 +503,29 @@ impl ElasticMechanism {
         // the net's verdict — the placement found no core, or the policy
         // vetoed/overrode the move (SLA cap, hill-climb revert).
         let in_sync = matches!(
-            (report.action, decision),
+            (verdict, decision),
             (AllocAction::Allocate, Decision::Grow(_))
                 | (AllocAction::Release, Decision::Shrink(_))
                 | (AllocAction::Hold, Decision::Hold)
         );
         let nalloc_after = new_mask.unwrap_or(current).count() as u32;
         if !in_sync {
-            self.net.set_nalloc(nalloc_after);
+            self.core.resync(nalloc_after);
         }
-        // AIMD interval adaptation: hunt fast, hold cheap. Keyed on the
-        // net's verdict (not the final decision) so a saturated Allocate
-        // keeps reacting at the floor, exactly as before the Policy API.
-        self.cur_interval = match report.action {
-            AllocAction::Allocate | AllocAction::Release => self.effective_min(),
-            AllocAction::Hold => {
-                (self.cur_interval * 2).clamp(self.effective_min(), self.cfg.interval)
-            }
-        };
         if let Some(mask) = new_mask {
-            debug_assert_eq!(mask.count() as u32, self.net.nalloc());
+            debug_assert_eq!(mask.count() as u32, self.core.nalloc());
             // Actuation never blocks more than half a control period.
-            let latency = self.cfg.actuation_latency.min(self.cur_interval / 2);
+            let latency = self.cfg.actuation_latency.min(self.core.interval() / 2);
             self.pending = Some((kernel.now() + latency, mask, deferred_release));
         }
-        let effective = match decision {
+        // The log records what was actually applied, not the verdict.
+        event.action = match decision {
             Decision::Grow(_) => AllocAction::Allocate,
             Decision::Shrink(_) => AllocAction::Release,
             Decision::Hold => AllocAction::Hold,
         };
-        self.record(&sample, &report, effective, nalloc_after);
-    }
-
-    fn record(
-        &mut self,
-        sample: &MonitorSample,
-        report: &prt_petrinet::StepReport,
-        action: AllocAction,
-        nalloc: u32,
-    ) {
-        self.events.push(TransitionEvent {
-            at: sample.at,
-            label: report.label.clone(),
-            state: report.state,
-            action,
-            u: report.u,
-            cpu_load_pct: sample.cpu_load_pct,
-            nalloc,
-        });
+        event.nalloc = nalloc_after;
+        self.events.push(event);
     }
 
     /// Runs the kernel to `deadline`, polling the mechanism every tick —
@@ -739,6 +697,101 @@ mod tests {
         let first = k.group_mask(g).first().expect("one core");
         assert_eq!(k.machine().topology().node_of(first), numa_sim::NodeId(2));
         assert_eq!(mech.policy_name(), "adaptive");
+    }
+
+    /// Dense placement plus a `shape` hook that logs every `u` it is
+    /// handed and, when `force` is set, overrides it.
+    struct ShapeProbe {
+        seen: std::rc::Rc<std::cell::RefCell<Vec<i64>>>,
+        force: Option<i64>,
+    }
+
+    impl Policy for ShapeProbe {
+        fn name(&self) -> &str {
+            "probe"
+        }
+        fn next_core(&mut self, ctx: &ModeCtx<'_>) -> Option<CoreId> {
+            Policy::next_core(&mut DenseMode, ctx)
+        }
+        fn release_core(&mut self, ctx: &ModeCtx<'_>) -> Option<CoreId> {
+            Policy::release_core(&mut DenseMode, ctx)
+        }
+        fn shape(&mut self, u: i64, _nalloc: u32, _th: Thresholds) -> i64 {
+            self.seen.borrow_mut().push(u);
+            self.force.unwrap_or(u)
+        }
+    }
+
+    /// Installs a [`ShapeProbe`] on an idle machine (every raw sample
+    /// reads `u = 0`) and runs `steps` control steps.
+    fn probe_idle_machine(
+        cfg: MechanismConfig,
+        queue_depth: u64,
+        force: Option<i64>,
+        steps: u64,
+    ) -> (Vec<i64>, Vec<TransitionEvent>) {
+        let (mut k, g, space) = setup();
+        let seen = std::rc::Rc::new(std::cell::RefCell::new(Vec::new()));
+        let probe = ShapeProbe {
+            seen: seen.clone(),
+            force,
+        };
+        let mut mech = ElasticMechanism::install(&mut k, g, space, Box::new(probe), cfg);
+        mech.note_queue_depth(queue_depth);
+        while mech.steps < steps {
+            k.run_tick();
+            mech.poll(&mut k);
+        }
+        let seen = seen.borrow().clone();
+        (seen, mech.events)
+    }
+
+    #[test]
+    fn hooks_sit_in_the_documented_order() {
+        let th = Thresholds::cpu_load_default();
+        let mid = (th.thmin + th.thmax) / 2;
+        let pinned = MechanismConfig {
+            min_interval: SimDuration::from_millis(5),
+            saturation_guard: None,
+            ..fast_cfg()
+        };
+
+        // boost → shape: an idle machine behind a deep queue reads as
+        // saturated by the time the policy shapes it.
+        let (seen, _) = probe_idle_machine(pinned.clone(), 100, None, 1);
+        assert_eq!(seen, [100], "the queue boost runs before Policy::shape");
+
+        // boost → guard → shape: the Eq. 1 guard only fires on an
+        // Overload reading, which on an idle machine exists only after
+        // the boost. A zero threshold with every core allocated (so the
+        // page-hottest node is full) makes it fire at once; shape sees
+        // the damped value.
+        let guarded = MechanismConfig {
+            saturation_guard: Some(0.0),
+            initial_cores: 16,
+            ..pinned.clone()
+        };
+        let (seen, _) = probe_idle_machine(guarded, 100, None, 1);
+        assert_eq!(seen, [mid], "the guard damps the boosted signal");
+
+        // hysteresis → shape: the first idle reading is replaced by the
+        // mid-band value before the policy sees it; the second matures
+        // the streak and passes through.
+        let (seen, _) = probe_idle_machine(pinned.clone(), 0, None, 2);
+        assert_eq!(seen, [mid, 0], "hysteresis runs before Policy::shape");
+
+        // shape → net: what the policy returns is what the net
+        // classifies, un-damped — a forced idle reading releases on the
+        // very first step even though the hysteresis would have held it.
+        let four = MechanismConfig {
+            initial_cores: 4,
+            ..pinned
+        };
+        let (_, events) = probe_idle_machine(four, 100, Some(0), 1);
+        assert_eq!(events[0].u, 0);
+        assert_eq!(events[0].state, StateKind::Idle);
+        assert_eq!(events[0].action, AllocAction::Release);
+        assert_eq!(events[0].nalloc, 3);
     }
 
     #[test]

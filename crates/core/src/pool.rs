@@ -1,27 +1,22 @@
 //! Pool-level elastic control for the real-thread backend.
 //!
-//! [`PoolController`] is the mechanism's rule–condition–action pipeline
-//! re-targeted at an OS thread pool: the same PrT net
-//! ([`ElasticNet`]) consumes a measured CPU
-//! load and emits allocate/release/hold actions, but the actuation is
-//! *park/unpark workers* instead of editing a simulated cpuset. The
-//! simulated mechanism's saturation guard (HT/IMC memory-traffic ratio)
-//! has no real-hardware counterpart in this workspace — there are no
-//! performance-counter syscalls available — so the controller runs on
-//! CPU load alone; `docs/ARCHITECTURE.md` discusses the gap.
+//! [`PoolController`] is the mechanism's face toward an OS thread pool:
+//! the shared [`ControlCore`] (queue-depth demand, release hysteresis,
+//! the PrT net, AIMD cadence — see [`crate::control`]) consumes a
+//! measured CPU load and emits allocate/release/hold actions, and the
+//! actuation is *park/unpark workers* instead of editing a simulated
+//! cpuset. What [`ElasticMechanism`](crate::mechanism) adds around the
+//! same core has no real-hardware counterpart in this workspace — there
+//! are no performance-counter syscalls, so no HT/IMC metric and no
+//! saturation guard, and no placement for a [`Policy`](crate::Policy)
+//! to decide — so the controller runs the core on CPU load alone with
+//! identity shaping; `docs/ARCHITECTURE.md` discusses the gap.
 //!
-//! Two behaviors carry over from [`ElasticMechanism`](crate::mechanism):
-//!
-//! - **AIMD cadence**: after an allocate/release the controller asks to
-//!   be polled again at `min_interval`; every hold doubles the interval
-//!   back up to the configured maximum, so a stable system is probed
-//!   rarely and a shifting one tracked closely.
-//! - **Release hysteresis**: a single under-threshold sample does not
-//!   release a core — the load must stay under `thmin` for
-//!   `release_hysteresis` consecutive observations. Real thread pools
-//!   see much noisier load than the simulator (a sample can land between
-//!   task completions), and one noisy dip must not trigger a shrink.
+//! Real thread pools see much noisier load than the simulator (a sample
+//! can land between task completions), which is why the core's release
+//! hysteresis matters here: one noisy dip must not trigger a shrink.
 
+use crate::control::ControlCore;
 use crate::mechanism::TransitionEvent;
 use emca_metrics::{SimDuration, SimTime};
 use prt_petrinet::{AllocAction, ElasticNet, StateKind, Thresholds};
@@ -71,14 +66,9 @@ pub struct PoolDecision {
 /// Elastic controller for a real worker pool.
 #[derive(Clone, Debug)]
 pub struct PoolController {
-    cfg: PoolConfig,
-    net: ElasticNet,
-    idle_streak: u32,
-    cur_interval: SimDuration,
-    /// Requests queued in front of the engine (serving layer); 0 in
-    /// closed-loop runs. Fed by [`PoolController::note_queue_depth`].
-    queue_depth: u64,
-    /// Every fired transition, for the harness's `transitions` output.
+    core: ControlCore,
+    min_interval: SimDuration,
+    /// Every control step, for the harness's `transitions` output.
     pub events: Vec<TransitionEvent>,
 }
 
@@ -88,12 +78,14 @@ impl PoolController {
         cfg.thresholds.validate();
         let initial = cfg.initial.clamp(1, cfg.ntotal);
         PoolController {
-            net: ElasticNet::new(cfg.thresholds, cfg.ntotal, initial),
-            idle_streak: 0,
-            cur_interval: cfg.min_interval,
-            queue_depth: 0,
+            core: ControlCore::new(
+                ElasticNet::new(cfg.thresholds, cfg.ntotal, initial),
+                cfg.release_hysteresis,
+                cfg.interval,
+                cfg.min_interval,
+            ),
+            min_interval: cfg.min_interval,
             events: Vec::new(),
-            cfg,
         }
     }
 
@@ -103,57 +95,30 @@ impl PoolController {
     /// demand even while the admitted queries leave workers idle.
     /// Closed-loop runs never call this.
     pub fn note_queue_depth(&mut self, depth: u64) {
-        self.queue_depth = depth;
+        self.core.note_queue_depth(depth);
     }
 
     /// Feeds one CPU-load observation (percent of the *active* workers'
     /// capacity) and returns the new target allocation.
     pub fn observe(&mut self, now: SimTime, u_pct: f64) -> PoolDecision {
-        let mut u = u_pct.round().clamp(0.0, 100.0) as i64;
-        if self.queue_depth > 0 {
-            let boost = (100 * self.queue_depth) / self.net.nalloc().max(1) as u64;
-            u = (u + boost as i64).min(100);
-        }
-        if u <= self.cfg.thresholds.thmin {
-            self.idle_streak += 1;
-            if self.idle_streak < self.cfg.release_hysteresis {
-                // Suppress the release: report a mid-band load so the
-                // net holds instead.
-                u = (self.cfg.thresholds.thmin + self.cfg.thresholds.thmax) / 2;
-            }
-        } else {
-            self.idle_streak = 0;
-        }
-        let report = self.net.step(u);
-        self.cur_interval = match report.action {
-            AllocAction::Allocate | AllocAction::Release => self.cfg.min_interval,
-            AllocAction::Hold => (self.cur_interval + self.cur_interval)
-                .min(self.cfg.interval)
-                .max(self.cfg.min_interval),
+        let u = u_pct.round().clamp(0.0, 100.0) as i64;
+        let event = self
+            .core
+            .step(now, u_pct, u, self.min_interval, |u| u, |u| u);
+        let decision = PoolDecision {
+            nalloc: event.nalloc,
+            action: event.action,
+            state: event.state,
         };
-        if !report.fired.is_empty() {
-            self.events.push(TransitionEvent {
-                at: now,
-                label: report.label.clone(),
-                state: report.state,
-                action: report.action,
-                u,
-                cpu_load_pct: u_pct,
-                nalloc: report.nalloc,
-            });
-        }
-        PoolDecision {
-            nalloc: report.nalloc,
-            action: report.action,
-            state: report.state,
-        }
+        self.events.push(event);
+        decision
     }
 
     /// Forces the net's allocation to `nalloc` — used when the actuation
     /// could not follow a decision (e.g. a multi-tenant arbiter denied
     /// the claim), so net state and real pool state stay in step.
     pub fn resync(&mut self, nalloc: u32) {
-        self.net.set_nalloc(nalloc.clamp(1, self.cfg.ntotal));
+        self.core.resync(nalloc);
     }
 
     /// Reports how many workers are actually allocatable right now
@@ -162,15 +127,12 @@ impl PoolController {
     /// never point the actuation at a dead worker; recovery raises
     /// `live` again and the controller is free to re-grow.
     pub fn note_capacity(&mut self, live: u32) {
-        let cap = live.clamp(1, self.cfg.ntotal);
-        if self.net.nalloc() > cap {
-            self.net.set_nalloc(cap);
-        }
+        self.core.note_capacity(live);
     }
 
     /// Current target allocation.
     pub fn nalloc(&self) -> u32 {
-        self.net.nalloc()
+        self.core.nalloc()
     }
 
     /// How long the caller should wait before the next [`observe`]
@@ -178,7 +140,7 @@ impl PoolController {
     ///
     /// [`observe`]: PoolController::observe
     pub fn interval(&self) -> SimDuration {
-        self.cur_interval
+        self.core.interval()
     }
 }
 
@@ -268,6 +230,119 @@ mod tests {
         // controller cannot target zero workers).
         c.note_capacity(0);
         assert_eq!(c.nalloc(), 1);
+    }
+
+    /// The fixed input sequence of the golden decision trace: seven
+    /// phases (ramp, idle, mid-band, backlog, noise, fault, recovery)
+    /// with LCG noise on the load — `(load %, queue depth, live
+    /// capacity note)` per step.
+    fn golden_inputs() -> Vec<(f64, u64, Option<u32>)> {
+        let mut x: u64 = 0x9E37_79B9_7F4A_7C15;
+        let mut noise = move |span: u64| {
+            x = x
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1_442_695_040_888_963_407);
+            (x >> 33) % span
+        };
+        let mut inputs = Vec::new();
+        for step in 0..84u64 {
+            let n = noise(20) as f64;
+            let (load, depth, cap) = match step / 12 {
+                0 => (75.0 + n, 0, None),
+                1 => (n / 2.0, 0, None),
+                2 => (30.0 + n, 0, None),
+                3 => (5.0 + n / 4.0, noise(9), None),
+                4 => (noise(101) as f64 + 0.5, 0, None),
+                5 => (80.0 + n, 0, (step % 4 == 0).then_some(4 + noise(8) as u32)),
+                _ => (60.0 + 2.0 * n, noise(3), Some(16)),
+            };
+            inputs.push((load, depth, cap));
+        }
+        inputs
+    }
+
+    /// `(nalloc, action, state, next interval µs)` per step of
+    /// [`golden_inputs`], recorded from the pre-fold `PoolController`
+    /// (PR 11): the fold onto [`ControlCore`] must not move a decision.
+    #[rustfmt::skip]
+    const GOLDEN: [(u32, char, char, u64); 84] = [
+        (2, 'A', 'O', 200), (3, 'A', 'O', 200), (4, 'A', 'O', 200), (5, 'A', 'O', 200),
+        (6, 'A', 'O', 200), (7, 'A', 'O', 200), (8, 'A', 'O', 200), (9, 'A', 'O', 200),
+        (10, 'A', 'O', 200), (11, 'A', 'O', 200), (12, 'A', 'O', 200), (13, 'A', 'O', 200),
+        (13, 'H', 'S', 400), (12, 'R', 'I', 200), (11, 'R', 'I', 200), (10, 'R', 'I', 200),
+        (9, 'R', 'I', 200), (8, 'R', 'I', 200), (7, 'R', 'I', 200), (6, 'R', 'I', 200),
+        (5, 'R', 'I', 200), (4, 'R', 'I', 200), (3, 'R', 'I', 200), (2, 'R', 'I', 200),
+        (2, 'H', 'S', 400), (2, 'H', 'S', 800), (2, 'H', 'S', 1600), (2, 'H', 'S', 3200),
+        (2, 'H', 'S', 6400), (2, 'H', 'S', 12800), (2, 'H', 'S', 25600), (2, 'H', 'S', 50000),
+        (2, 'H', 'S', 50000), (2, 'H', 'S', 50000), (2, 'H', 'S', 50000), (2, 'H', 'S', 50000),
+        (3, 'A', 'O', 200), (3, 'H', 'S', 400), (3, 'H', 'S', 800), (4, 'A', 'O', 200),
+        (5, 'A', 'O', 200), (5, 'H', 'S', 400), (6, 'A', 'O', 200), (6, 'H', 'S', 400),
+        (7, 'A', 'O', 200), (8, 'A', 'O', 200), (8, 'H', 'S', 400), (9, 'A', 'O', 200),
+        (9, 'H', 'S', 400), (9, 'H', 'S', 800), (10, 'A', 'O', 200), (11, 'A', 'O', 200),
+        (11, 'H', 'S', 400), (12, 'A', 'O', 200), (13, 'A', 'O', 200), (14, 'A', 'O', 200),
+        (14, 'H', 'S', 400), (14, 'H', 'S', 800), (15, 'A', 'O', 200), (15, 'H', 'S', 400),
+        (7, 'A', 'O', 200), (8, 'A', 'O', 200), (9, 'A', 'O', 200), (10, 'A', 'O', 200),
+        (10, 'A', 'O', 200), (11, 'A', 'O', 200), (12, 'A', 'O', 200), (13, 'A', 'O', 200),
+        (6, 'A', 'O', 200), (7, 'A', 'O', 200), (8, 'A', 'O', 200), (9, 'A', 'O', 200),
+        (10, 'A', 'O', 200), (11, 'A', 'O', 200), (12, 'A', 'O', 200), (13, 'A', 'O', 200),
+        (13, 'H', 'S', 400), (14, 'A', 'O', 200), (15, 'A', 'O', 200), (16, 'A', 'O', 200),
+        (16, 'H', 'O', 400), (16, 'H', 'S', 800), (16, 'H', 'O', 1600), (16, 'H', 'S', 3200),
+    ];
+
+    fn digest(event: &TransitionEvent, interval: SimDuration) -> (u32, char, char, u64) {
+        let initial = |name: String| name.chars().next().unwrap_or('?');
+        (
+            event.nalloc,
+            initial(format!("{:?}", event.action)),
+            initial(format!("{:?}", event.state)),
+            interval.as_nanos() / 1_000,
+        )
+    }
+
+    #[test]
+    fn golden_decision_trace_is_unchanged() {
+        let mut c = controller();
+        let mut trace = Vec::new();
+        for (i, (load, depth, cap)) in golden_inputs().into_iter().enumerate() {
+            if let Some(live) = cap {
+                c.note_capacity(live);
+            }
+            c.note_queue_depth(depth);
+            let d = c.observe(SimTime::from_millis(i as u64), load);
+            let logged = c.events.last().unwrap();
+            assert_eq!(
+                (d.nalloc, d.action, d.state),
+                (logged.nalloc, logged.action, logged.state)
+            );
+            trace.push(digest(logged, c.interval()));
+        }
+        assert_eq!(trace, GOLDEN);
+    }
+
+    #[test]
+    fn core_with_identity_shaping_matches_the_golden_trace() {
+        // The same inputs through the shared core directly, configured
+        // as `PoolConfig::cpu_load(16)` and with both hooks the identity:
+        // the controller adds nothing but rounding on top of the core.
+        let cfg = PoolConfig::cpu_load(16);
+        let mut core = ControlCore::new(
+            ElasticNet::new(cfg.thresholds, cfg.ntotal, cfg.initial),
+            cfg.release_hysteresis,
+            cfg.interval,
+            cfg.min_interval,
+        );
+        let mut trace = Vec::new();
+        for (i, (load, depth, cap)) in golden_inputs().into_iter().enumerate() {
+            if let Some(live) = cap {
+                core.note_capacity(live);
+            }
+            core.note_queue_depth(depth);
+            let u = load.round() as i64;
+            let at = SimTime::from_millis(i as u64);
+            let event = core.step(at, load, u, cfg.min_interval, |u| u, |u| u);
+            trace.push(digest(&event, core.interval()));
+        }
+        assert_eq!(trace, GOLDEN);
     }
 
     #[test]

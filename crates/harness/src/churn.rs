@@ -1,39 +1,46 @@
-//! Serverless tenant churn: the `churn=` axis of
+//! The tenant lifecycle — one driver for resident and churned
+//! populations — and the `churn=` axis of
 //! [`ExperimentSpec`](crate::ExperimentSpec) (`--churn` / `EMCA_CHURN`)
-//! and the runner that executes it.
+//! that describes the latter.
 //!
-//! The classic `mt_*` runner installs every tenant up front and keeps
-//! them resident for the whole run. The DBaaS shape the ROADMAP targets
-//! is different: dozens–hundreds of tenants *churn* through a machine
-//! that can only hold a few at a time. [`ChurnSpec`] describes that
-//! population (`64:resident=12:skew=0.8:spread=6`), [`ChurnPlan`]
-//! expands it — deterministically, from the experiment seed — into
-//! per-tenant demand drawn from a Zipf distribution over a shuffled
-//! rank order, and [`run_tenants_churn`] executes the lifecycle:
+//! A multi-tenant run is a set of tenants moving through one lifecycle
+//! ([`run_tenants_churn`] on sim, its mirror in
+//! [`crate::runner_threads`] on real threads, the residency rules of
+//! `Admissions` shared between them): *admitted* (a cold start — its
+//! own engine built, data loaded, workers started, mechanism installed
+//! and first core claimed at admit time), *clients started*, *finished*,
+//! *retired* (results drained, [`TenantArbiter`] registration dropped).
+//! The two population shapes differ only in when those steps happen:
 //!
-//! - **arrive**: a tenant is admitted when its arrival time has passed
-//!   *and* a resident slot plus a seed core are available; admission is
-//!   a cold start (its own engine is built, data loaded, workers
-//!   started and the first core claimed at admit time, so first-query
-//!   latency includes the cold-start cost);
-//! - **depart**: when a tenant's clients finish, its results are
-//!   drained, its [`TenantArbiter`] registration is dropped
-//!   ([`TenantArbiter::deregister`]) and its cores return to the free
-//!   pool for redistribution — the arbiter slot itself is reused by a
-//!   later arrival;
-//! - **queue**: arrivals beyond the resident cap wait, serverless
-//!   style; queue time is observable as `started_at - start_after`.
+//! - **resident** (the classic `mt_*` shape, `resident_cap: None`):
+//!   every tenant is admitted at t=0 in configuration order, its
+//!   clients start at its `start_after`, and it stays installed — its
+//!   mechanism still polling, so post-completion core release stays
+//!   observable — until the drain ends;
+//! - **churn** (the DBaaS shape the ROADMAP targets: dozens–hundreds of
+//!   tenants through a machine that can only hold a few at a time): a
+//!   tenant is admitted when its arrival time has passed *and* a
+//!   resident slot plus a seed core are available, its clients start
+//!   with it (first-query latency includes the cold start), and it
+//!   departs the moment they finish — its cores return to the free pool
+//!   for redistribution and its arbiter slot is reused by a later
+//!   arrival. Arrivals beyond the resident cap wait, serverless style;
+//!   queue time is observable as `started_at - start_after`.
 //!
-//! With [`MultiTenantConfig::static_partition`] the same lifecycle runs
-//! against a *static partitioner* — each resident slot owns a fixed
-//! 1/cap slice of the machine and no elastic mechanism runs. That is
-//! the baseline the `mt_churn` `--check` gate compares adaptive
+//! [`ChurnSpec`] describes a churn population
+//! (`64:resident=12:skew=0.8:spread=6`) and [`ChurnPlan`] expands it —
+//! deterministically, from the experiment seed — into per-tenant demand
+//! drawn from a Zipf distribution over a shuffled rank order.
+//!
+//! With [`MultiTenantConfig::static_partition`] the churn lifecycle
+//! runs against a *static partitioner* — each resident slot owns a
+//! fixed 1/cap slice of the machine and no elastic mechanism runs. That
+//! is the baseline the `mt_churn` `--check` gate compares adaptive
 //! arbitration against.
 //!
-//! Per-tenant SLA core budgets still reach the arbiter (BudgetCapped
-//! ceilings hold); the power/traffic SLA governor wrap of the resident
-//! runner is not applied here — churn tenants are generated
-//! unconstrained.
+//! A tenant carrying SLA budgets runs under its governor wrap
+//! ([`TenantRunConfig::with_sla`]) in either shape; core budgets also
+//! reach the arbiter (BudgetCapped ceilings hold).
 //!
 //! Arbitration cost is measured for real: every control tick executed
 //! by a resident mechanism is timed on the host clock and accumulated
@@ -42,21 +49,24 @@
 //! stay a pure function of the seed.
 
 use crate::backend::Backend;
-use crate::config::Warmup;
+use crate::runner::{mechanism_parts, sim_kernel, start_engine};
 use crate::spec::SpecError;
 use crate::tenants::{MultiTenantConfig, MultiTenantOutput, TenantOutput, TenantRunConfig};
-use elastic_core::{ElasticMechanism, MechanismConfig, PolicyId, TenantArbiter, TenantBinding};
-use emca_metrics::{SimDuration, SimTime, TimeSeries};
-use numa_sim::{CoreId, Machine, MachineConfig};
-use os_sim::{CoreMask, Kernel, KernelConfig, ThreadState, Tid};
+use elastic_core::{ElasticMechanism, TenantArbiter, TenantBinding};
+use emca_metrics::{SimDuration, SimTime};
+use numa_sim::CoreId;
+use os_sim::{CoreMask, Kernel, ThreadState, Tid};
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
+use std::cell::Cell;
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 use std::fmt;
 use std::rc::Rc;
 // emca-lint: allow(determinism) — host-clock probe for arbitration overhead; measurement-only, never feeds a sim decision
 use std::time::Instant;
 use volcano_db::client::{spawn_clients, SharedLog, Workload};
-use volcano_db::exec::engine::{Engine, EngineConfig};
+use volcano_db::exec::engine::Engine;
 use volcano_db::tpch::{QuerySpec, TpchData};
 
 /// Default cap on simultaneously resident tenants.
@@ -280,57 +290,184 @@ impl ChurnPlan {
     }
 }
 
-/// Per-tenant live state while resident.
-struct ChurnLive {
+/// The residency rules of the tenant lifecycle — who is admitted next,
+/// when, and onto which slot — shared by both backends' drivers.
+pub(crate) struct Admissions<'a> {
+    config: &'a MultiTenantConfig,
+    /// Whether the population churns (admit on arrival, depart on
+    /// completion) instead of staying resident for the whole run.
+    pub churn: bool,
+    /// Tenant indices in admission order: by `(arrival, index)` under
+    /// churn, configuration order otherwise.
+    order: Vec<usize>,
+    next: usize,
+    /// Unoccupied resident slots, handed out lowest-first.
+    free_slots: BinaryHeap<Reverse<usize>>,
+    n_slots: usize,
+    width: usize,
+}
+
+impl<'a> Admissions<'a> {
+    /// Residency over a `width`-core machine: the configured cap of
+    /// slots under churn, one per tenant otherwise.
+    pub(crate) fn new(config: &'a MultiTenantConfig, width: usize) -> Self {
+        let n = config.tenants.len();
+        let churn = config.resident_cap.is_some() || config.static_partition;
+        let mut order: Vec<usize> = (0..n).collect();
+        let mut n_slots = n;
+        if churn {
+            order.sort_by_key(|&i| (config.tenants[i].start_after, i));
+            n_slots = config.resident_cap.unwrap_or(n).clamp(1, width);
+        }
+        Admissions {
+            config,
+            churn,
+            order,
+            next: 0,
+            free_slots: (0..n_slots).map(Reverse).collect(),
+            n_slots,
+            width,
+        }
+    }
+
+    /// Admits the next tenant in line as `(tenant index, slot)` if a
+    /// resident slot is free and — under churn — its arrival time has
+    /// passed and (on the elastic path) a core is free for its initial
+    /// claim; otherwise the arrival queues until a departure.
+    pub(crate) fn admit(
+        &mut self,
+        elapsed: SimDuration,
+        free_cores: u32,
+    ) -> Option<(usize, usize)> {
+        let &i = self.order.get(self.next)?;
+        let late = elapsed >= self.config.tenants[i].start_after;
+        let seedable = self.config.static_partition || free_cores > 0;
+        if self.churn && !(late && seedable) {
+            return None;
+        }
+        let Reverse(slot) = self.free_slots.pop()?;
+        self.next += 1;
+        Some((i, slot))
+    }
+
+    /// Frees a departed tenant's slot.
+    pub(crate) fn depart(&mut self, slot: usize) {
+        self.free_slots.push(Reverse(slot));
+    }
+
+    /// Whether tenants are still waiting to be admitted.
+    pub(crate) fn pending(&self) -> bool {
+        self.next < self.order.len()
+    }
+
+    /// The fixed slice of the machine `slot` owns on the
+    /// static-partition baseline (the last slot takes the remainder).
+    pub(crate) fn static_slice(&self, slot: usize) -> std::ops::Range<usize> {
+        let slice = self.width / self.n_slots;
+        let hi = if slot + 1 == self.n_slots {
+            self.width
+        } else {
+            (slot + 1) * slice
+        };
+        slot * slice..hi
+    }
+}
+
+/// One resident tenant on the sim backend: its instance of the stack
+/// plus the cursors the loop keeps while it is installed.
+struct Resident {
     group: os_sim::GroupId,
-    /// Never read after construction, but owns the tenant's address
-    /// space — dropped at departure with the rest of the record.
-    #[allow(dead_code)]
     engine: Engine,
     /// `None` on the static-partition baseline.
     mechanism: Option<ElasticMechanism>,
     /// Arbiter registration (elastic only).
     tid: Option<elastic_core::TenantId>,
-    /// Fixed machine slice (static baseline only).
-    static_slot: Option<usize>,
+    /// Resident slot (its fixed machine slice on the static baseline).
+    slot: usize,
     logs: Vec<SharedLog>,
     client_tids: Vec<Tid>,
     load_sampler: os_sim::LoadSampler,
-    cores_series: TimeSeries,
-    load_series: TimeSeries,
-    qps_series: TimeSeries,
+    /// The record being written (series so far; closed by `retire`).
+    out: TenantOutput,
+    /// Per-log cursors for `note_response` feeding.
     seen: Vec<usize>,
+    /// Completions counted since the last sample window.
     window_completions: u64,
-    started_at: SimTime,
+    violations: Rc<Cell<u64>>,
+    /// When the clients arrived (`None` while a resident tenant waits
+    /// out its `start_after`).
+    started_at: Option<SimTime>,
+    finished_at: Option<SimTime>,
 }
 
-/// Runs a churn experiment on the sim backend (dispatching to the
-/// threads mirror when [`MultiTenantConfig::backend`] says so). Reached
-/// from [`crate::tenants::run_tenants`] whenever `resident_cap` or
-/// `static_partition` is set.
+impl Resident {
+    fn start_clients(&mut self, kernel: &mut Kernel, tcfg: &TenantRunConfig, now: SimTime) {
+        let before = kernel.n_threads();
+        self.logs = spawn_clients(
+            kernel,
+            &self.engine,
+            self.group,
+            tcfg.clients,
+            tcfg.workload.clone(),
+        );
+        self.client_tids = (before as u32..kernel.n_threads() as u32)
+            .map(Tid)
+            .collect();
+        self.seen = vec![0; self.logs.len()];
+        self.started_at = Some(now);
+    }
+
+    /// Closes the tenant's record: results and errors drained, its
+    /// arbiter registration dropped so its cores return to the free
+    /// pool. The departed group keeps its (now inert) workers; they are
+    /// blocked with no submitters, so they never contend for the
+    /// reclaimed cores.
+    fn retire(
+        self,
+        arbiter: &elastic_core::SharedArbiter,
+        errors: &mut Vec<String>,
+        now: SimTime,
+    ) -> TenantOutput {
+        errors.extend(
+            volcano_db::client::drain_errors(&self.logs)
+                .into_iter()
+                .map(|e| format!("{}: {e}", self.out.config.name)),
+        );
+        if let Some(tid) = self.tid {
+            arbiter.borrow_mut().deregister(tid);
+        }
+        TenantOutput {
+            results: volcano_db::client::drain_results(&self.logs),
+            started_at: self.started_at.unwrap_or(now),
+            finished_at: self.finished_at.unwrap_or(now),
+            sla_violations: self.violations.get(),
+            control_steps: self.mechanism.as_ref().map_or(0, |m| m.steps),
+            ..self.out
+        }
+    }
+}
+
+/// Runs a multi-tenant experiment on the sim backend (dispatching to
+/// the threads mirror when [`MultiTenantConfig::backend`] says so);
+/// [`crate::tenants::run_tenants`] is the same entry point. With
+/// `resident_cap` or `static_partition` set the population churns;
+/// otherwise every tenant is resident from the start (see the module
+/// docs).
 pub fn run_tenants_churn(config: MultiTenantConfig, data: &TpchData) -> MultiTenantOutput {
     if config.backend == Backend::Threads {
-        return crate::runner_threads::run_tenants_churn_threads(config, data);
+        return crate::runner_threads::run_tenants_threads(config, data);
     }
-    let kernel_cfg = KernelConfig::default();
-    let machine = Machine::new(MachineConfig::opteron_4x4(), kernel_cfg.tick);
-    let mut kernel = Kernel::new(machine, kernel_cfg);
+    let mut kernel = sim_kernel();
     let topo = kernel.machine().topology().clone();
     let ntotal = topo.n_cores() as u32;
     let n = config.tenants.len();
-    let resident_cap = config.resident_cap.unwrap_or(n).clamp(1, ntotal as usize);
-    let slice = ntotal as usize / resident_cap;
     let arbiter = TenantArbiter::shared(config.arbiter, ntotal);
+    let mut admissions = Admissions::new(&config, ntotal as usize);
+    let churn = admissions.churn;
 
-    // Admission queue: tenant indices by (arrival, index).
-    let mut order: Vec<usize> = (0..n).collect();
-    order.sort_by_key(|&i| (config.tenants[i].start_after, i));
-    let mut next_pending = 0usize;
-
-    let mut lives: Vec<Option<ChurnLive>> = (0..n).map(|_| None).collect();
+    let mut lives: Vec<Option<Resident>> = (0..n).map(|_| None).collect();
     let mut outputs: Vec<Option<TenantOutput>> = (0..n).map(|_| None).collect();
-    let mut static_free: Vec<bool> = vec![true; resident_cap];
-    let mut n_live = 0usize;
+    let mut n_finished = 0usize;
     let mut errors: Vec<String> = Vec::new();
     let mut arbiter_ticks = 0u64;
     let mut arbiter_ns = 0u64;
@@ -347,163 +484,94 @@ pub fn run_tenants_churn(config: MultiTenantConfig, data: &TpchData) -> MultiTen
             break;
         }
 
-        // Departures: a resident tenant whose clients all finished
-        // leaves — results drained, arbiter slot deregistered, cores
-        // freed for redistribution. The departed group keeps its (now
-        // inert) workers; they are blocked with no submitters, so they
-        // never contend for the reclaimed cores.
+        // Completions: a tenant whose clients all finished is done;
+        // under churn it departs at once, freeing its slot and cores for
+        // redistribution.
         for i in 0..n {
-            let done = lives[i].as_ref().is_some_and(|l| {
-                l.client_tids
+            let Some(l) = lives[i].as_mut() else { continue };
+            if l.finished_at.is_none()
+                && l.started_at.is_some()
+                && l.client_tids
                     .iter()
                     .all(|&tid| kernel.thread_state(tid) == ThreadState::Finished)
-            });
-            if !done {
-                continue;
-            }
-            if let Some(l) = lives[i].take() {
-                let tcfg = &config.tenants[i];
-                let results = volcano_db::client::drain_results(&l.logs);
-                errors.extend(
-                    volcano_db::client::drain_errors(&l.logs)
-                        .into_iter()
-                        .map(|e| format!("{}: {e}", tcfg.name)),
-                );
-                if let Some(tid) = l.tid {
-                    arbiter.borrow_mut().deregister(tid);
-                }
-                if let Some(k) = l.static_slot {
-                    static_free[k] = true;
-                }
-                outputs[i] = Some(TenantOutput {
-                    config: tcfg.clone(),
-                    results,
-                    cores_series: l.cores_series,
-                    load_series: l.load_series,
-                    qps_series: l.qps_series,
-                    started_at: l.started_at,
-                    finished_at: now,
-                    sla_violations: 0,
-                    control_steps: l.mechanism.as_ref().map_or(0, |m| m.steps),
-                });
-                n_live -= 1;
+            {
+                l.finished_at = Some(now);
                 last_finish = Some(now);
+                n_finished += 1;
+            }
+            if churn && l.finished_at.is_some() {
+                if let Some(l) = lives[i].take() {
+                    admissions.depart(l.slot);
+                    outputs[i] = Some(l.retire(&arbiter, &mut errors, now));
+                }
             }
         }
 
-        // Admissions, in arrival order: need a resident slot and (on
-        // the elastic path) at least one free core for the initial
-        // claim — otherwise the arrival queues until a departure.
-        while next_pending < n && n_live < resident_cap {
-            let i = order[next_pending];
+        // Admissions, while the residency rules allow the next in line
+        // (`free_cores` is a closure so its `Ref` is gone before the body
+        // borrows the arbiter mutably).
+        let free_cores = |arbiter: &elastic_core::SharedArbiter| arbiter.borrow().free_cores();
+        while let Some((i, slot)) = admissions.admit(now.since(start), free_cores(&arbiter)) {
             let tcfg = &config.tenants[i];
-            if now.since(start) < tcfg.start_after {
-                break;
-            }
-            if !config.static_partition && arbiter.borrow().free_cores() == 0 {
-                break;
-            }
             // Cold start: build the tenant's engine, load its data and
             // start workers at admit time.
-            let group = kernel.create_group(CoreMask::all(&topo));
-            let engine = Engine::new(
-                EngineConfig {
-                    flavor: config.flavor,
-                    memo_capacity: 4096,
-                    faults: config.faults.clone(),
-                    fault_seed: config.scale.seed,
-                    ..EngineConfig::default()
-                },
-                topo.n_nodes(),
-            );
-            let loader = match config.warmup {
-                Warmup::Loader => Some(CoreId(0)),
-                Warmup::Interleave | Warmup::None => None,
-            };
-            engine.load(kernel.machine_mut(), data, loader);
-            if config.warmup == Warmup::Interleave {
-                engine.interleave_base(kernel.machine_mut());
-            }
-            engine.start_workers(&mut kernel, group);
-
-            let (mechanism, tid, static_slot) = if config.static_partition {
-                let k = static_free
-                    .iter()
-                    .position(|&f| f)
-                    .expect("n_live < resident_cap guarantees a free slot");
-                static_free[k] = false;
-                let lo = k * slice;
-                let hi = if k + 1 == resident_cap {
-                    ntotal as usize
-                } else {
-                    lo + slice
-                };
-                let mask = CoreMask::from_cores((lo..hi).map(|c| CoreId(c as u16)));
-                kernel.set_group_mask(group, mask);
-                (None, None, Some(k))
+            let instance = config.instance(tcfg);
+            let (group, engine) = start_engine(&mut kernel, &instance, data);
+            let violations = Rc::new(Cell::new(0u64));
+            let (mechanism, tid) = if config.static_partition {
+                let cores = admissions.static_slice(slot).map(|c| CoreId(c as u16));
+                kernel.set_group_mask(group, CoreMask::from_cores(cores));
+                (None, None)
             } else {
                 let tid = arbiter.borrow_mut().register(
                     tcfg.name.clone(),
                     tcfg.weight,
                     tcfg.sla.max_cores,
                 );
-                let mut mech_cfg =
-                    MechanismConfig::cpu_load().with_mode_latency(tcfg.policy.name());
-                if let Some(interval) = config.mech_interval {
-                    mech_cfg.interval = interval;
-                    mech_cfg.min_interval = interval;
-                    mech_cfg.actuation_latency = mech_cfg.actuation_latency.min(interval / 2);
-                }
-                if tcfg.policy == PolicyId::HillClimb {
-                    mech_cfg.saturation_guard = None;
-                }
-                let binding = TenantBinding::new(Rc::clone(&arbiter), tid);
+                let (placement, mech_cfg) =
+                    mechanism_parts(&instance).expect("tenant policies always install");
                 let mech = ElasticMechanism::install_tenant(
                     &mut kernel,
                     group,
                     engine.space(),
-                    tcfg.policy.build(),
+                    tcfg.governed(placement, &topo, Rc::clone(&violations)),
                     mech_cfg,
-                    binding,
+                    TenantBinding::new(Rc::clone(&arbiter), tid),
                 );
-                (Some(mech), Some(tid), None)
+                (Some(mech), Some(tid))
             };
-
-            let before = kernel.n_threads();
-            let logs = spawn_clients(
-                &mut kernel,
-                &engine,
-                group,
-                tcfg.clients,
-                tcfg.workload.clone(),
-            );
-            let client_tids: Vec<Tid> = (before as u32..kernel.n_threads() as u32)
-                .map(Tid)
-                .collect();
-            let seen = vec![0; logs.len()];
-            let load_sampler = os_sim::LoadSampler::new(&kernel, group);
-            lives[i] = Some(ChurnLive {
+            let mut resident = Resident {
                 group,
                 engine,
                 mechanism,
                 tid,
-                static_slot,
-                logs,
-                client_tids,
-                load_sampler,
-                cores_series: TimeSeries::new(format!("{}_cores", tcfg.name)),
-                load_series: TimeSeries::new(format!("{}_load", tcfg.name)),
-                qps_series: TimeSeries::new(format!("{}_qps", tcfg.name)),
-                seen,
+                slot,
+                logs: Vec::new(),
+                client_tids: Vec::new(),
+                load_sampler: os_sim::LoadSampler::new(&kernel, group),
+                out: TenantOutput::begin(tcfg, now),
+                seen: Vec::new(),
                 window_completions: 0,
-                started_at: now,
-            });
-            next_pending += 1;
-            n_live += 1;
+                violations,
+                started_at: None,
+                finished_at: None,
+            };
+            // A churned tenant arrives whole: its clients come with it.
+            if churn {
+                resident.start_clients(&mut kernel, tcfg, now);
+            }
+            lives[i] = Some(resident);
+        }
+        // A resident tenant's `start_after` delays only its clients.
+        for (tcfg, l) in config.tenants.iter().zip(&mut lives) {
+            if let Some(l) = l {
+                if l.started_at.is_none() && now.since(start) >= tcfg.start_after {
+                    l.start_clients(&mut kernel, tcfg, now);
+                }
+            }
         }
 
-        let all_done = outputs.iter().all(|o| o.is_some());
-        if all_done {
+        if n_finished == n {
             let from = *drained_from.get_or_insert(now);
             if now.since(from) >= config.drain {
                 break;
@@ -541,11 +609,12 @@ pub fn run_tenants_churn(config: MultiTenantConfig, data: &TpchData) -> MultiTen
             let now = kernel.now();
             let dt = config.sample_every.as_secs_f64();
             for l in lives.iter_mut().flatten() {
-                l.cores_series
+                l.out
+                    .cores_series
                     .push(now, kernel.group_mask(l.group).count() as f64);
                 let sample = l.load_sampler.sample(&kernel);
-                l.load_series.push(now, sample.group_load_pct());
-                l.qps_series.push(now, l.window_completions as f64 / dt);
+                l.out.load_series.push(now, sample.group_load_pct());
+                l.out.qps_series.push(now, l.window_completions as f64 / dt);
                 l.window_completions = 0;
             }
             next_sample = now + config.sample_every;
@@ -553,19 +622,26 @@ pub fn run_tenants_churn(config: MultiTenantConfig, data: &TpchData) -> MultiTen
     }
     let end = kernel.now();
     assert!(
-        outputs.iter().all(|o| o.is_some()),
-        "churn run hit the deadline ({:?}) with tenants unfinished — raise \
+        n_finished == n,
+        "multi-tenant run hit the deadline ({:?}) with tenants unfinished — raise \
          MultiTenantConfig::deadline",
         config.deadline
     );
+    // Resident tenants close their records here, in configuration order.
+    for (i, l) in lives.into_iter().enumerate() {
+        if let Some(l) = l {
+            outputs[i] = Some(l.retire(&arbiter, &mut errors, end));
+        }
+    }
 
     let (denials, yields) = {
         let arb = arbiter.borrow();
         (arb.denials, arb.yields)
     };
-    let tenants: Vec<TenantOutput> = outputs.into_iter().flatten().collect();
     MultiTenantOutput {
-        tenants,
+        tenants: outputs.into_iter().flatten().collect(),
+        // Start → last completion; the drain window is measurement-only
+        // time and does not count.
         wall: last_finish.unwrap_or(end).since(start),
         ntotal,
         arbiter_denials: denials,
@@ -680,6 +756,52 @@ mod tests {
         assert_eq!(total, plan.expected_completions(), "zero lost queries");
         assert!(out.arbiter_ticks > 0, "control ticks must be measured");
         assert!(out.errors.is_empty());
+    }
+
+    #[test]
+    fn sla_governor_holds_under_churn() {
+        // The follow-on gate of the lifecycle fold: a churned tenant's
+        // SLA budgets are enforced by the same governor wrap as a
+        // resident tenant's. Under FairShare nothing but the governor
+        // caps `noisy`, and only the governor counts violations — both
+        // were silently absent on the churn path before.
+        use elastic_core::SlaPolicy;
+        let data = TpchData::generate(TpchScale::test_tiny());
+        let q6 = |iterations| Workload::Repeat {
+            spec: QuerySpec::Q6 { variant: 0 },
+            iterations,
+        };
+        let cap = 2u32;
+        let sla = SlaPolicy {
+            // Just above the 100 W idle floor: any busy core violates.
+            max_power_w: Some(101.0),
+            ..SlaPolicy::cores(cap)
+        };
+        let cfg = MultiTenantConfig::new(
+            ArbiterMode::FairShare,
+            vec![
+                TenantRunConfig::new("noisy", q6(6), 8).with_sla(sla),
+                TenantRunConfig::new("quiet", q6(2), 1)
+                    .with_start_after(SimDuration::from_millis(2)),
+            ],
+        )
+        .with_scale(data.scale)
+        .with_mech_interval(SimDuration::from_millis(1))
+        .with_sample_every(SimDuration::from_millis(1))
+        .with_resident_cap(2);
+        let out = run_tenants_churn(cfg, &data);
+        let noisy = out.tenant("noisy").unwrap();
+        assert_eq!(noisy.results.len(), 6 * 8, "the cap must not starve it");
+        assert!(
+            noisy.cores_max() <= cap as f64,
+            "capped tenant exceeded its budget under churn: {} cores",
+            noisy.cores_max()
+        );
+        assert!(
+            noisy.sla_violations > 0,
+            "the power budget must be seen violating under churn"
+        );
+        assert_eq!(out.tenant("quiet").unwrap().sla_violations, 0);
     }
 
     #[test]

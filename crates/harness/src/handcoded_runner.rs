@@ -1,8 +1,8 @@
 //! Runner for the hand-coded C Q6 baseline of §II-B (Fig. 4).
 
 use emca_metrics::{SimDuration, SimTime};
-use numa_sim::{CoreId, HwSnapshot, Machine, MachineConfig};
-use os_sim::{CoreMask, Kernel, KernelConfig, ThreadState, Tid};
+use numa_sim::{CoreId, HwSnapshot};
+use os_sim::{CoreMask, ThreadState, Tid};
 use std::rc::Rc;
 use volcano_db::handcoded::{pump_spawns, CAffinity, HandcodedClient, HandcodedData, Spawner};
 use volcano_db::tpch::TpchData;
@@ -68,9 +68,7 @@ pub fn run_handcoded(
     iterations: u32,
     deadline: SimDuration,
 ) -> HandcodedOutput {
-    let kernel_cfg = KernelConfig::default();
-    let machine = Machine::new(MachineConfig::opteron_4x4(), kernel_cfg.tick);
-    let mut kernel = Kernel::new(machine, kernel_cfg);
+    let mut kernel = crate::runner::sim_kernel();
     let group = kernel.create_group(CoreMask::all(kernel.machine().topology()));
 
     let hc_data = Rc::new(HandcodedData::load(kernel.machine_mut(), data, CoreId(0)));

@@ -3,7 +3,7 @@
 //! paper's figures need.
 
 use crate::config::{Alloc, RunConfig};
-use elastic_core::{ElasticMechanism, MechanismConfig, PolicyId, TransitionEvent};
+use elastic_core::{ElasticMechanism, MechanismConfig, Policy, PolicyId, TransitionEvent};
 use emca_metrics::{SimDuration, TimeSeries};
 use numa_sim::{HwSnapshot, Machine, MachineConfig};
 use os_sim::{CoreMask, Kernel, KernelConfig, SchedStats, SchedTrace, ThreadState, Tid};
@@ -120,22 +120,29 @@ fn delta(after: &[u64], before: &[u64]) -> Vec<u64> {
 /// The simulated stack one run executes on: kernel, DBMS thread group,
 /// and a loaded engine with its workers started. Shared between the
 /// closed-loop runner ([`run`]) and the serving layer
-/// ([`crate::serve`]).
+/// ([`crate::serve`]); the tenant lifecycle ([`crate::churn`]) builds
+/// the same pieces per tenant on one shared kernel.
 pub(crate) struct SimStack {
     pub kernel: Kernel,
     pub group: os_sim::GroupId,
     pub engine: Engine,
 }
 
-/// Builds the simulated machine, engine, and worker group for `config`.
-pub(crate) fn build_sim_stack(config: &RunConfig, data: &TpchData) -> SimStack {
+/// The simulated Opteron under a fresh kernel.
+pub(crate) fn sim_kernel() -> Kernel {
     let kernel_cfg = KernelConfig::default();
     let machine = Machine::new(MachineConfig::opteron_4x4(), kernel_cfg.tick);
-    let mut kernel = Kernel::new(machine, kernel_cfg);
-    if config.trace_sched {
-        kernel.enable_trace();
-    }
+    Kernel::new(machine, kernel_cfg)
+}
 
+/// Adds one DBMS instance to `kernel`: a thread group over every core
+/// and an engine with `data` loaded into its own address space and its
+/// workers started.
+pub(crate) fn start_engine(
+    kernel: &mut Kernel,
+    config: &RunConfig,
+    data: &TpchData,
+) -> (os_sim::GroupId, Engine) {
     let group = kernel.create_group(CoreMask::all(kernel.machine().topology()));
     let engine = Engine::new(
         EngineConfig {
@@ -160,7 +167,17 @@ pub(crate) fn build_sim_stack(config: &RunConfig, data: &TpchData) -> SimStack {
     if config.warmup == crate::config::Warmup::Interleave {
         engine.interleave_base(kernel.machine_mut());
     }
-    engine.start_workers(&mut kernel, group);
+    engine.start_workers(kernel, group);
+    (group, engine)
+}
+
+/// Builds the simulated machine, engine, and worker group for `config`.
+pub(crate) fn build_sim_stack(config: &RunConfig, data: &TpchData) -> SimStack {
+    let mut kernel = sim_kernel();
+    if config.trace_sched {
+        kernel.enable_trace();
+    }
+    let (group, engine) = start_engine(&mut kernel, config, data);
     SimStack {
         kernel,
         group,
@@ -168,49 +185,54 @@ pub(crate) fn build_sim_stack(config: &RunConfig, data: &TpchData) -> SimStack {
     }
 }
 
+/// The policy and mechanism configuration `config` asks for (`None`
+/// for the OS baseline), with the guard/interval/mode-latency overrides
+/// applied.
+pub(crate) fn mechanism_parts(config: &RunConfig) -> Option<(Box<dyn Policy>, MechanismConfig)> {
+    let (name, id, policy) = match &config.custom_policy {
+        Some(factory) => (factory.name(), None, factory.build()),
+        None => {
+            let id = config.alloc.policy_id()?;
+            (id.name(), Some(id), id.build())
+        }
+    };
+    let mut mech_cfg = match config.metric {
+        elastic_core::MetricKind::HtImcRatio => MechanismConfig::ht_imc(),
+        metric => MechanismConfig {
+            metric,
+            ..MechanismConfig::cpu_load()
+        },
+    }
+    .with_mode_latency(name);
+    if let Some(interval) = config.mech_interval {
+        // Pinned interval: disables both the AIMD adaptation and the
+        // service-time scaling (min == max == the override).
+        mech_cfg.interval = interval;
+        mech_cfg.min_interval = interval;
+        mech_cfg.actuation_latency = mech_cfg.actuation_latency.min(interval / 2);
+    }
+    // The hill climber finds the LONC knee from throughput feedback;
+    // running it under the tuned Eq. 1 guard would mask exactly the
+    // behaviour it exists to replace, so the guard defaults off for
+    // it (an explicit `mech_guard` still wins).
+    if id == Some(PolicyId::HillClimb) {
+        mech_cfg.saturation_guard = None;
+    }
+    if let Some(guard) = config.mech_guard {
+        mech_cfg.saturation_guard = guard;
+    }
+    Some((policy, mech_cfg))
+}
+
 /// Installs the elastic mechanism `config` asks for (none for the OS
-/// baseline), with the guard/interval/mode-latency overrides applied.
+/// baseline).
 pub(crate) fn build_mechanism(
     config: &RunConfig,
     kernel: &mut Kernel,
     group: os_sim::GroupId,
     engine: &Engine,
 ) -> Option<ElasticMechanism> {
-    let policy_spec: Option<(&'static str, Option<PolicyId>)> = match &config.custom_policy {
-        Some(factory) => Some((factory.name(), None)),
-        None => config.alloc.policy_id().map(|id| (id.name(), Some(id))),
-    };
-    policy_spec.map(|(name, id)| {
-        let mut mech_cfg = match config.metric {
-            elastic_core::MetricKind::HtImcRatio => MechanismConfig::ht_imc(),
-            metric => MechanismConfig {
-                metric,
-                ..MechanismConfig::cpu_load()
-            },
-        }
-        .with_mode_latency(name);
-        if let Some(interval) = config.mech_interval {
-            // Pinned interval: disables both the AIMD adaptation and the
-            // service-time scaling (min == max == the override).
-            mech_cfg.interval = interval;
-            mech_cfg.min_interval = interval;
-            mech_cfg.actuation_latency = mech_cfg.actuation_latency.min(interval / 2);
-        }
-        // The hill climber finds the LONC knee from throughput feedback;
-        // running it under the tuned Eq. 1 guard would mask exactly the
-        // behaviour it exists to replace, so the guard defaults off for
-        // it (an explicit `mech_guard` still wins).
-        if id == Some(PolicyId::HillClimb) {
-            mech_cfg.saturation_guard = None;
-        }
-        if let Some(guard) = config.mech_guard {
-            mech_cfg.saturation_guard = guard;
-        }
-        let policy = match (&config.custom_policy, id) {
-            (Some(factory), _) => factory.build(),
-            (None, Some(id)) => id.build(),
-            (None, None) => unreachable!("policy_spec guarantees a source"),
-        };
+    mechanism_parts(config).map(|(policy, mech_cfg)| {
         ElasticMechanism::install(kernel, group, engine.space(), policy, mech_cfg)
     })
 }

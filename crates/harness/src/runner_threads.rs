@@ -1,7 +1,12 @@
-//! The real-thread experiment runner: executes a [`RunConfig`] on
+//! The real-thread backend's drivers: [`run_threads`] executes a
+//! [`RunConfig`] and [`run_tenants_threads`] a [`MultiTenantConfig`] on
 //! [`ParEngine`] — dedicated OS threads doing the actual work — with the
 //! elastic mechanism actuating the worker pool instead of a simulated
-//! cpuset.
+//! cpuset. Both (and [`crate::serve`]'s threads dispatcher) carry their
+//! engines as `Pool`s: `Pool::control` is the one measured-load →
+//! decision → park/unpark tick, `Pool::sample` the one load window, and
+//! `arbitrate` the one place a tenant's decision meets the
+//! [`TenantArbiter`].
 //!
 //! What maps where, relative to [`crate::runner::run`]:
 //!
@@ -33,13 +38,14 @@
 //! unset `EMCA_WALL_BUDGET_S` doubles as the deadline (the pre-split
 //! behaviour — see [`crate::timing`] for the distinction).
 
+use crate::churn::Admissions;
 use crate::config::{Alloc, RunConfig};
 use crate::runner::RunOutput;
 use crate::tenants::{MultiTenantConfig, MultiTenantOutput, TenantOutput};
-use elastic_core::{PoolConfig, PoolController, TenantArbiter};
+use elastic_core::{PoolConfig, PoolController, TenantArbiter, TenantId};
 use emca_metrics::{SimDuration, SimTime, TimeSeries};
 use numa_sim::{CoreId, HwCounters, MachineConfig};
-use os_sim::{SchedStats, SchedTrace, Tid};
+use os_sim::{CoreMask, SchedStats, SchedTrace, Tid};
 use prt_petrinet::AllocAction;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Barrier, Mutex, MutexGuard, PoisonError};
@@ -79,7 +85,7 @@ pub(crate) fn capacity() -> usize {
 /// `EMCA_WALL_BUDGET_S` (the fidelity budget doubling as the deadline,
 /// which keeps pre-split CI jobs working), else the config's deadline
 /// read as wall time.
-pub(crate) fn wall_deadline(configured: SimDuration) -> SimDuration {
+fn wall_deadline(configured: SimDuration) -> SimDuration {
     match crate::run_deadline_from_env() {
         Ok(Some(secs)) => return SimDuration::from_secs_f64(secs),
         Ok(None) => {}
@@ -117,7 +123,7 @@ pub(crate) fn sparse_order(width: usize) -> Vec<usize> {
 }
 
 /// Pool-controller configuration matching a run's control cadence.
-pub(crate) fn pool_cfg(ntotal: u32, interval: Option<SimDuration>) -> PoolConfig {
+fn pool_cfg(ntotal: u32, interval: Option<SimDuration>) -> PoolConfig {
     let mut cfg = PoolConfig::cpu_load(ntotal);
     if let Some(iv) = interval {
         cfg.interval = iv;
@@ -128,11 +134,172 @@ pub(crate) fn pool_cfg(ntotal: u32, interval: Option<SimDuration>) -> PoolConfig
 
 /// CPU load (%) of the active workers over a wall window: busy worker
 /// nanoseconds against the capacity `active * dt`.
-pub(crate) fn load_pct(busy_delta: u64, active: usize, dt_ns: u64) -> f64 {
+fn load_pct(busy_delta: u64, active: usize, dt_ns: u64) -> f64 {
     if dt_ns == 0 || active == 0 {
         return 0.0;
     }
     (busy_delta as f64 / (active as f64 * dt_ns as f64) * 100.0).clamp(0.0, 100.0)
+}
+
+/// One worker pool under elastic control — what every threads driver
+/// (closed loop, tenants, serve) carries per engine: the controller's
+/// cadence and the busy-time cursors its load windows are measured
+/// from.
+pub(crate) struct Pool {
+    pub engine: Arc<ParEngine>,
+    /// `None` = unmanaged (the OS baseline, a static partition).
+    pub controller: Option<PoolController>,
+    next_control: SimTime,
+    ctl_busy: u64,
+    ctl_at: SimTime,
+    sample_busy: u64,
+    sample_at: SimTime,
+}
+
+impl Pool {
+    /// An `n_workers`-wide engine over `base` with the run's fault plan
+    /// armed. `elastic` pools start at one active worker under a
+    /// [`PoolController`]; unmanaged ones start fully active. Control
+    /// and load windows open at `since`.
+    pub(crate) fn start(
+        n_workers: usize,
+        elastic: bool,
+        base: Arc<BaseData>,
+        run: &RunConfig,
+        since: SimTime,
+    ) -> Self {
+        let engine = Arc::new(ParEngine::new(
+            ParEngineConfig {
+                n_workers,
+                initial_active: if elastic { 1 } else { n_workers },
+                ..ParEngineConfig::default()
+            },
+            base,
+        ));
+        if let Some(plan) = &run.faults {
+            engine.arm_faults(plan, run.scale.seed);
+        }
+        Pool {
+            engine,
+            controller: elastic
+                .then(|| PoolController::new(pool_cfg(n_workers as u32, run.mech_interval))),
+            next_control: since,
+            ctl_busy: 0,
+            ctl_at: since,
+            sample_busy: 0,
+            sample_at: since,
+        }
+    }
+
+    /// Runs one control step if the controller's cadence says one is
+    /// due: measured load since the previous step → decision → actuation
+    /// (through the arbiter for a tenant's pool). Returns whether a step
+    /// ran.
+    pub(crate) fn control(
+        &mut self,
+        now: SimTime,
+        queue_depth: u64,
+        tenancy: Option<(&mut TenantArbiter, TenantId)>,
+    ) -> bool {
+        let Some(c) = self.controller.as_mut() else {
+            return false;
+        };
+        if now < self.next_control {
+            return false;
+        }
+        let busy = self.engine.busy_ns();
+        let u = load_pct(
+            busy - self.ctl_busy,
+            self.engine.active(),
+            now.since(self.ctl_at).as_nanos(),
+        );
+        self.ctl_busy = busy;
+        self.ctl_at = now;
+        // Dead (fault-killed, not-yet-recovered) workers are
+        // non-allocatable: clamp the controller's view first so a grow
+        // decision never targets a corpse.
+        c.note_capacity(self.engine.live_workers() as u32);
+        c.note_queue_depth(queue_depth);
+        let d = c.observe(now, u);
+        let active = match tenancy {
+            Some((arbiter, tid)) => {
+                arbitrate(arbiter, tid, c, d.action, self.engine.n_workers() as u32)
+            }
+            None => d.nalloc as usize,
+        };
+        self.engine.set_active(active);
+        self.next_control = now + c.interval();
+        true
+    }
+
+    /// CPU load (%) over the window since the previous sample, and that
+    /// window's length.
+    pub(crate) fn sample(&mut self, now: SimTime) -> (f64, SimDuration) {
+        let busy = self.engine.busy_ns();
+        let window = now.since(self.sample_at);
+        let u = load_pct(
+            busy - self.sample_busy,
+            self.engine.active(),
+            window.as_nanos(),
+        );
+        self.sample_busy = busy;
+        self.sample_at = now;
+        (u, window)
+    }
+}
+
+/// The lowest core neither `tid` nor any other tenant owns.
+fn free_core(arbiter: &TenantArbiter, tid: TenantId, ntotal: u32) -> Option<CoreId> {
+    let (owned, foreign) = (arbiter.owned(tid), arbiter.foreign_mask(tid));
+    (0..ntotal)
+        .map(|c| CoreId(c as u16))
+        .find(|&c| !owned.contains(c) && !foreign.contains(c))
+}
+
+/// Carries one pool decision through the arbiter — the tenant's active
+/// worker count is exactly the cores it owns. A grow claims the lowest
+/// free core, a shrink releases the highest owned one (never the last);
+/// whenever the arbiter or the machine cannot follow, the controller is
+/// resynced to what the tenant really holds. An over-share tenant then
+/// yields a core toward a starved peer. Returns the owned-core count.
+fn arbitrate(
+    arbiter: &mut TenantArbiter,
+    tid: TenantId,
+    controller: &mut PoolController,
+    action: AllocAction,
+    ntotal: u32,
+) -> usize {
+    arbiter.note(tid, action == AllocAction::Allocate);
+    let owned = arbiter.owned(tid);
+    let victim = |owned: CoreMask| {
+        (owned.count() > 1)
+            .then(|| owned.iter().max_by_key(|c| c.idx()))
+            .flatten()
+    };
+    match action {
+        AllocAction::Allocate => {
+            let candidate = free_core(arbiter, tid, ntotal);
+            if candidate.is_none() {
+                arbiter.denials += 1;
+            }
+            if !candidate.is_some_and(|c| arbiter.try_claim(tid, c)) {
+                controller.resync(owned.count() as u32);
+            }
+        }
+        AllocAction::Release => match victim(owned) {
+            Some(v) => arbiter.release(tid, v),
+            None => controller.resync(1),
+        },
+        AllocAction::Hold => {}
+    }
+    if arbiter.must_yield(tid) {
+        if let Some(v) = victim(arbiter.owned(tid)) {
+            arbiter.release(tid, v);
+            arbiter.yields += 1;
+            controller.resync(arbiter.owned(tid).count() as u32);
+        }
+    }
+    arbiter.owned(tid).count()
 }
 
 /// Trace sampling cadence — coarser than the driver poll: a sample is
@@ -248,9 +415,8 @@ fn spawn_client_threads(
     workload: &volcano_db::client::Workload,
     clients: usize,
     start_after: std::time::Duration,
-    results: &Arc<Mutex<Vec<QueryResult>>>,
+    sinks: &ClientSinks,
     remaining: &Arc<AtomicUsize>,
-    finished_at: &Arc<Mutex<SimTime>>,
     errors: &Arc<Mutex<Vec<String>>>,
     t0: Instant,
 ) -> Vec<std::thread::JoinHandle<()>> {
@@ -260,9 +426,9 @@ fn spawn_client_threads(
             let engine = Arc::clone(engine);
             let phases = materialize_phases(workload, idx);
             let barrier = Arc::clone(&barrier);
-            let results = Arc::clone(results);
+            let results = Arc::clone(&sinks.results);
             let remaining = Arc::clone(remaining);
-            let finished_at = Arc::clone(finished_at);
+            let finished_at = Arc::clone(&sinks.finished_at);
             let errors = Arc::clone(errors);
             std::thread::Builder::new()
                 .name(format!("emca-client{idx}"))
@@ -307,6 +473,49 @@ fn spawn_client_threads(
         .collect()
 }
 
+/// Client-side sinks shared between a pool's client threads and the
+/// driver.
+#[derive(Default)]
+struct ClientSinks {
+    results: Arc<Mutex<Vec<QueryResult>>>,
+    finished_at: Arc<Mutex<SimTime>>,
+}
+
+impl ClientSinks {
+    /// Every result the (joined) clients produced.
+    fn into_results(self) -> Vec<QueryResult> {
+        match Arc::try_unwrap(self.results) {
+            Ok(m) => m.into_inner().unwrap_or_else(PoisonError::into_inner),
+            // Clients have all joined; a straggler Arc clone would be a
+            // driver bug, but drain the data rather than unwind.
+            Err(arc) => std::mem::take(&mut *lock(&arc)),
+        }
+    }
+}
+
+/// Joins client threads; a panicked client is a driver-thread tripwire.
+fn join_clients(handles: Vec<std::thread::JoinHandle<()>>) {
+    let panicked = handles
+        .into_iter()
+        .map(|h| h.join())
+        .filter(Result::is_err)
+        .count();
+    assert!(panicked == 0, "{panicked} client thread(s) panicked");
+}
+
+/// Drains the shared error sink. With a fault plan armed, failed
+/// queries are an expected outcome and surface in the run's `errors`;
+/// without one, any engine error is a real defect and trips the
+/// tripwire.
+fn take_client_errors(errors: &Mutex<Vec<String>>, faults_armed: bool) -> Vec<String> {
+    let client_errors = std::mem::take(&mut *lock(errors));
+    assert!(
+        faults_armed || client_errors.is_empty(),
+        "client queries failed in the engine: {client_errors:?}"
+    );
+    client_errors
+}
+
 /// Runs one experiment on the threads backend. Same contract as
 /// [`crate::runner::run`]; called from there when
 /// [`RunConfig::backend`] is [`Backend::Threads`](crate::Backend).
@@ -315,42 +524,28 @@ pub fn run_threads(config: RunConfig, data: &TpchData) -> RunOutput {
     let os_baseline = config.alloc == Alloc::OsAll;
     // The OS baseline hands every client a worker (thread-per-client,
     // no elasticity); the mechanism runs a machine-width pool.
-    let pool = if os_baseline {
+    let n_workers = if os_baseline {
         width.max(config.clients)
     } else {
         width
     };
     let base = Arc::new(BaseData::from_tpch(data));
-    let engine = Arc::new(ParEngine::new(
-        ParEngineConfig {
-            n_workers: pool,
-            initial_active: if os_baseline { pool } else { 1 },
-            ..ParEngineConfig::default()
-        },
-        base,
-    ));
-    if let Some(plan) = &config.faults {
-        engine.arm_faults(plan, config.scale.seed);
-    }
+    let mut pool = Pool::start(n_workers, !os_baseline, base, &config, SimTime::ZERO);
     if config.alloc == Alloc::Sparse {
-        engine.set_wake_order(&sparse_order(pool));
+        pool.engine.set_wake_order(&sparse_order(n_workers));
     }
-    let mut controller =
-        (!os_baseline).then(|| PoolController::new(pool_cfg(pool as u32, config.mech_interval)));
 
     let t0 = Instant::now();
-    let results = Arc::new(Mutex::new(Vec::new()));
+    let sinks = ClientSinks::default();
     let remaining = Arc::new(AtomicUsize::new(config.clients));
-    let finished_at = Arc::new(Mutex::new(SimTime::ZERO));
     let errors = Arc::new(Mutex::new(Vec::new()));
     let handles = spawn_client_threads(
-        &engine,
+        &pool.engine,
         &config.workload,
         config.clients,
         std::time::Duration::ZERO,
-        &results,
+        &sinks,
         &remaining,
-        &finished_at,
         &errors,
         t0,
     );
@@ -359,12 +554,11 @@ pub fn run_threads(config: RunConfig, data: &TpchData) -> RunOutput {
     let mut tracer = config.trace_sched.then(ProcTracer::new);
     let mut load_series = TimeSeries::new("cpu_load");
     let mut cores_series = TimeSeries::new("cores");
-    let mut next_control = SimTime::ZERO;
     let mut next_sample = SimTime::ZERO;
-    let mut ctl_busy = 0u64;
-    let mut ctl_at = SimTime::ZERO;
-    let mut sample_busy = 0u64;
-    let mut sample_at = SimTime::ZERO;
+    let mut sample = |pool: &mut Pool, now: SimTime| {
+        load_series.push(now, pool.sample(now).0);
+        cores_series.push(now, pool.engine.active() as f64);
+    };
     while remaining.load(Ordering::SeqCst) > 0 {
         std::thread::sleep(POLL);
         let now = wall_now(t0);
@@ -377,36 +571,9 @@ pub fn run_threads(config: RunConfig, data: &TpchData) -> RunOutput {
                 hint: "RunConfig::deadline or EMCA_RUN_DEADLINE_S",
             }
         );
-        if let Some(c) = controller.as_mut() {
-            if now >= next_control {
-                let busy = engine.busy_ns();
-                let u = load_pct(
-                    busy - ctl_busy,
-                    engine.active(),
-                    now.since(ctl_at).as_nanos(),
-                );
-                ctl_busy = busy;
-                ctl_at = now;
-                // Dead (fault-killed, not-yet-recovered) workers are
-                // non-allocatable: clamp the controller's view first so
-                // a grow decision never targets a corpse.
-                c.note_capacity(engine.live_workers() as u32);
-                let d = c.observe(now, u);
-                engine.set_active(d.nalloc as usize);
-                next_control = now + c.interval();
-            }
-        }
+        pool.control(now, 0, None);
         if now >= next_sample {
-            let busy = engine.busy_ns();
-            let u = load_pct(
-                busy - sample_busy,
-                engine.active(),
-                now.since(sample_at).as_nanos(),
-            );
-            sample_busy = busy;
-            sample_at = now;
-            load_series.push(now, u);
-            cores_series.push(now, engine.active() as f64);
+            sample(&mut pool, now);
             next_sample = now + config.sample_every;
         }
         if let Some(tr) = tracer.as_mut() {
@@ -418,149 +585,92 @@ pub fn run_threads(config: RunConfig, data: &TpchData) -> RunOutput {
     }
     // Final sample so even a run shorter than the first poll tick
     // leaves non-empty load/cores series.
-    {
-        let now = wall_now(t0);
-        let u = load_pct(
-            engine.busy_ns() - sample_busy,
-            engine.active(),
-            now.since(sample_at).as_nanos(),
-        );
-        load_series.push(now, u);
-        cores_series.push(now, engine.active() as f64);
-    }
-    let panicked = handles
-        .into_iter()
-        .map(|h| h.join())
-        .filter(Result::is_err)
-        .count();
-    assert!(panicked == 0, "{panicked} client thread(s) panicked");
-    let client_errors = std::mem::take(&mut *lock(&errors));
-    // With a fault plan armed, failed queries are an expected outcome
-    // and surface in [`RunOutput::errors`]; without one, any engine
-    // error is a real defect and trips the tripwire as before.
-    assert!(
-        config.faults.is_some() || client_errors.is_empty(),
-        "client queries failed in the engine: {client_errors:?}"
-    );
+    sample(&mut pool, wall_now(t0));
+    join_clients(handles);
+    let client_errors = take_client_errors(&errors, config.faults.is_some());
 
-    let results = match Arc::try_unwrap(results) {
-        Ok(m) => m.into_inner().unwrap_or_else(PoisonError::into_inner),
-        // Clients have all joined; a straggler Arc clone would be a
-        // driver bug, but drain the data rather than unwind.
-        Err(arc) => std::mem::take(&mut *lock(&arc)),
-    };
-    let wall = lock(&finished_at).since(SimTime::ZERO);
+    let wall = lock(&sinks.finished_at).since(SimTime::ZERO);
     let zero_hw = HwCounters::new(0, 0, 0);
     RunOutput {
-        results,
+        results: sinks.into_results(),
         wall,
         hw_before: zero_hw.snapshot(),
         hw_after: zero_hw.snapshot(),
         sched: SchedStats::default(),
-        engine: engine.stats(),
+        engine: pool.engine.stats(),
         imc_series: (0..4).map(|s| TimeSeries::new(format!("S{s}"))).collect(),
         ht_series: TimeSeries::new("HT"),
         load_series,
         cores_series,
-        transitions: controller.map(|c| c.events).unwrap_or_default(),
+        transitions: pool.controller.map(|c| c.events).unwrap_or_default(),
         trace: tracer.map(|t| t.finish(wall_now(t0))),
-        tomograph: engine.tomograph(),
+        tomograph: pool.engine.tomograph(),
         errors: client_errors,
         config,
     }
 }
 
-/// Per-tenant live state for [`run_tenants_threads`].
-struct TenantLive {
-    engine: Arc<ParEngine>,
-    controller: PoolController,
-    tid: elastic_core::TenantId,
-    results: Arc<Mutex<Vec<QueryResult>>>,
+/// One resident tenant on the threads backend: its pool, its client
+/// threads and the series the driver keeps while it is installed.
+struct PoolSlot {
+    pool: Pool,
+    /// Arbiter registration (elastic only).
+    tid: Option<TenantId>,
+    /// Resident slot (its fixed machine slice on the static baseline).
+    slot: usize,
+    sinks: ClientSinks,
     remaining: Arc<AtomicUsize>,
-    finished_at: Arc<Mutex<SimTime>>,
-    cores_series: TimeSeries,
-    load_series: TimeSeries,
-    qps_series: TimeSeries,
-    next_control: SimTime,
-    ctl_busy: u64,
-    ctl_at: SimTime,
-    sample_busy: u64,
-    sample_at: SimTime,
+    handles: Vec<std::thread::JoinHandle<()>>,
+    /// The record being written (series and control steps so far;
+    /// closed by `retire`).
+    out: TenantOutput,
     sample_completed: u64,
-    control_steps: u64,
 }
 
-/// Runs a multi-tenant experiment on the threads backend: one real
-/// worker pool per tenant, all machine-width, with a [`TenantArbiter`]
-/// splitting the core budget — a tenant's active worker count is
-/// exactly the cores it owns. SLA power/traffic budgets are not
-/// measurable on real threads (violations report as zero); the core
-/// ceiling is enforced through the arbiter's budget mode as in the
-/// simulation.
+impl PoolSlot {
+    /// Closes the tenant's record: clients joined, arbiter registration
+    /// dropped (its cores redistribute exactly as on sim), and — with
+    /// the slot's last pool `Arc` going out of scope — its workers shut
+    /// down.
+    fn retire(self, arbiter: &mut TenantArbiter) -> TenantOutput {
+        join_clients(self.handles);
+        if let Some(tid) = self.tid {
+            arbiter.deregister(tid);
+        }
+        let finished = *lock(&self.sinks.finished_at);
+        TenantOutput {
+            results: self.sinks.into_results(),
+            finished_at: finished.max(self.out.started_at),
+            ..self.out
+        }
+    }
+}
+
+/// The threads mirror of [`crate::churn::run_tenants_churn`]: the same
+/// tenant lifecycle — resident from the start, or admitted on arrival
+/// and departing on completion under churn — against one real
+/// machine-width worker pool per tenant, with a [`TenantArbiter`]
+/// splitting the core budget (a tenant's active worker count is exactly
+/// the cores it owns). SLA power/traffic budgets are not measurable on
+/// real threads (violations report as zero); the core ceiling is
+/// enforced through the arbiter's budget mode as in the simulation.
+/// Arbitration cost is the wall-clock duration of each executed control
+/// step.
 pub fn run_tenants_threads(config: MultiTenantConfig, data: &TpchData) -> MultiTenantOutput {
     let width = capacity();
     let ntotal = width as u32;
+    let n = config.tenants.len();
     let base = Arc::new(BaseData::from_tpch(data));
     let mut arbiter = TenantArbiter::new(config.arbiter, ntotal);
+    let mut admissions = Admissions::new(&config, width);
+    let churn = admissions.churn;
     let t0 = Instant::now();
-    let mut handles = Vec::new();
     let errors = Arc::new(Mutex::new(Vec::new()));
-    let mut live: Vec<TenantLive> = config
-        .tenants
-        .iter()
-        .map(|t| {
-            let tid = arbiter.register(t.name.clone(), t.weight, t.sla.max_cores);
-            let engine = Arc::new(ParEngine::new(
-                ParEngineConfig {
-                    n_workers: width,
-                    initial_active: 1,
-                    ..ParEngineConfig::default()
-                },
-                Arc::clone(&base),
-            ));
-            if let Some(plan) = &config.faults {
-                engine.arm_faults(plan, config.scale.seed);
-            }
-            let seed_core = (0..ntotal)
-                .map(|c| CoreId(c as u16))
-                .find(|&c| !arbiter.foreign_mask(tid).contains(c))
-                // emca-lint: allow(panic-freedom) — register() rejects configs with more tenants than cores, so a free seed core always exists; tripwire on the driver thread before clients start
-                .expect("register() guarantees a free core per tenant");
-            arbiter.claim_initial(tid, seed_core);
-            let results = Arc::new(Mutex::new(Vec::new()));
-            let remaining = Arc::new(AtomicUsize::new(t.clients));
-            let finished_at = Arc::new(Mutex::new(SimTime::ZERO));
-            handles.extend(spawn_client_threads(
-                &engine,
-                &t.workload,
-                t.clients,
-                std::time::Duration::from_nanos(t.start_after.as_nanos()),
-                &results,
-                &remaining,
-                &finished_at,
-                &errors,
-                t0,
-            ));
-            TenantLive {
-                engine,
-                controller: PoolController::new(pool_cfg(ntotal, config.mech_interval)),
-                tid,
-                results,
-                remaining,
-                finished_at,
-                cores_series: TimeSeries::new(format!("{}_cores", t.name)),
-                load_series: TimeSeries::new(format!("{}_load", t.name)),
-                qps_series: TimeSeries::new(format!("{}_qps", t.name)),
-                next_control: SimTime::ZERO + t.start_after,
-                ctl_busy: 0,
-                ctl_at: SimTime::ZERO,
-                sample_busy: 0,
-                sample_at: SimTime::ZERO,
-                sample_completed: 0,
-                control_steps: 0,
-            }
-        })
-        .collect();
+
+    let mut lives: Vec<Option<PoolSlot>> = (0..n).map(|_| None).collect();
+    let mut outputs: Vec<Option<TenantOutput>> = (0..n).map(|_| None).collect();
+    let mut arbiter_ticks = 0u64;
+    let mut arbiter_ns = 0u64;
 
     let deadline = wall_deadline(config.deadline);
     let mut next_sample = SimTime::ZERO;
@@ -568,477 +678,126 @@ pub fn run_tenants_threads(config: MultiTenantConfig, data: &TpchData) -> MultiT
     loop {
         std::thread::sleep(POLL);
         let now = wall_now(t0);
-        let unfinished = live.iter().any(|l| l.remaining.load(Ordering::SeqCst) > 0);
-        if unfinished {
-            assert!(
-                now.since(SimTime::ZERO) <= deadline,
-                "{}",
-                crate::timing::RunAborted {
-                    label: "multi-tenant run".to_string(),
-                    deadline_s: deadline.as_secs_f64(),
-                    hint: "MultiTenantConfig::deadline or EMCA_RUN_DEADLINE_S",
-                }
-            );
-        } else {
-            let until = *drain_until.get_or_insert(now + config.drain);
-            if now >= until {
-                break;
+
+        // Departures (churn only): all clients done → close the record
+        // and free the slot.
+        for (i, live) in lives.iter_mut().enumerate() {
+            let done = |l: &mut PoolSlot| churn && l.remaining.load(Ordering::SeqCst) == 0;
+            if let Some(l) = live.take_if(done) {
+                admissions.depart(l.slot);
+                outputs[i] = Some(l.retire(&mut arbiter));
             }
         }
 
-        for l in live.iter_mut() {
-            if now < l.next_control {
-                continue;
-            }
-            let busy = l.engine.busy_ns();
-            let u = load_pct(
-                busy - l.ctl_busy,
-                l.engine.active(),
-                now.since(l.ctl_at).as_nanos(),
-            );
-            l.ctl_busy = busy;
-            l.ctl_at = now;
-            // Fault-killed, not-yet-recovered workers are not
-            // allocatable; keep the controller's target inside the
-            // live width.
-            l.controller.note_capacity(l.engine.live_workers() as u32);
-            let d = l.controller.observe(now, u);
-            l.control_steps += 1;
-            arbiter.note(l.tid, d.action == AllocAction::Allocate);
-            let owned = arbiter.owned(l.tid);
-            match d.action {
-                AllocAction::Allocate => {
-                    let candidate = (0..ntotal)
-                        .map(|c| CoreId(c as u16))
-                        .find(|&c| !owned.contains(c) && !arbiter.foreign_mask(l.tid).contains(c));
-                    let granted = candidate.is_some_and(|c| arbiter.try_claim(l.tid, c));
-                    if !granted {
-                        if candidate.is_none() {
-                            arbiter.denials += 1;
-                        }
-                        l.controller.resync(owned.count() as u32);
-                    }
-                }
-                AllocAction::Release => {
-                    let victim = (owned.count() > 1)
-                        .then(|| owned.iter().max_by_key(|c| c.idx()))
-                        .flatten();
-                    match victim {
-                        Some(v) => arbiter.release(l.tid, v),
-                        None => l.controller.resync(1),
-                    }
-                }
-                AllocAction::Hold => {}
-            }
-            if arbiter.must_yield(l.tid) && arbiter.owned(l.tid).count() > 1 {
-                if let Some(victim) = arbiter.owned(l.tid).iter().max_by_key(|c| c.idx()) {
-                    arbiter.release(l.tid, victim);
-                    arbiter.yields += 1;
-                    l.controller.resync(arbiter.owned(l.tid).count() as u32);
-                }
-            }
-            l.engine.set_active(arbiter.owned(l.tid).count());
-            l.next_control = now + l.controller.interval();
-        }
-
-        if now >= next_sample {
-            for l in live.iter_mut() {
-                let busy = l.engine.busy_ns();
-                let u = load_pct(
-                    busy - l.sample_busy,
-                    l.engine.active(),
-                    now.since(l.sample_at).as_nanos(),
-                );
-                let completed = l.engine.stats().queries_completed;
-                let dt = now.since(l.sample_at).as_secs_f64();
-                let qps = if dt > 0.0 {
-                    (completed - l.sample_completed) as f64 / dt
-                } else {
-                    0.0
-                };
-                l.sample_busy = busy;
-                l.sample_at = now;
-                l.sample_completed = completed;
-                l.load_series.push(now, u);
-                l.cores_series
-                    .push(now, arbiter.owned(l.tid).count() as f64);
-                l.qps_series.push(now, qps);
-            }
-            next_sample = now + config.sample_every;
-        }
-    }
-    // Close every tenant's record with one last control decision and
-    // sample — a run shorter than the first poll tick must still show
-    // the controller ran and leave non-empty series.
-    let now = wall_now(t0);
-    for l in live.iter_mut() {
-        let busy = l.engine.busy_ns();
-        let u = load_pct(
-            busy - l.ctl_busy,
-            l.engine.active(),
-            now.since(l.ctl_at).as_nanos(),
-        );
-        l.controller.observe(now, u);
-        l.control_steps += 1;
-        l.load_series.push(now, u);
-        l.cores_series
-            .push(now, arbiter.owned(l.tid).count() as f64);
-    }
-    let panicked = handles
-        .into_iter()
-        .map(|h| h.join())
-        .filter(Result::is_err)
-        .count();
-    assert!(panicked == 0, "{panicked} client thread(s) panicked");
-    let client_errors = std::mem::take(&mut *lock(&errors));
-    // Same policy as [`run_threads`]: expected under a fault plan,
-    // tripwire without one.
-    assert!(
-        config.faults.is_some() || client_errors.is_empty(),
-        "client queries failed in the engine: {client_errors:?}"
-    );
-
-    let tenants: Vec<TenantOutput> = config
-        .tenants
-        .iter()
-        .zip(live)
-        .map(|(t, l)| {
-            let started_at = SimTime::ZERO + t.start_after;
-            let finished = *lock(&l.finished_at);
-            TenantOutput {
-                config: t.clone(),
-                results: match Arc::try_unwrap(l.results) {
-                    Ok(m) => m.into_inner().unwrap_or_else(PoisonError::into_inner),
-                    Err(arc) => std::mem::take(&mut *lock(&arc)),
-                },
-                cores_series: l.cores_series,
-                load_series: l.load_series,
-                qps_series: l.qps_series,
-                started_at,
-                finished_at: finished.max(started_at),
-                sla_violations: 0,
-                control_steps: l.control_steps,
-            }
-        })
-        .collect();
-    let wall = tenants
-        .iter()
-        .map(|t| t.finished_at)
-        .max()
-        .unwrap_or(SimTime::ZERO)
-        .since(SimTime::ZERO);
-    MultiTenantOutput {
-        tenants,
-        wall,
-        ntotal,
-        arbiter_denials: arbiter.denials,
-        arbiter_yields: arbiter.yields,
-        arbiter_ticks: 0,
-        arbiter_ns: 0,
-        errors: client_errors,
-    }
-}
-
-/// Per-tenant live state for [`run_tenants_churn_threads`].
-struct ChurnThreadLive {
-    engine: Arc<ParEngine>,
-    /// `None` on the static-partition baseline.
-    controller: Option<PoolController>,
-    /// Arbiter registration (elastic only).
-    tid: Option<elastic_core::TenantId>,
-    /// Fixed machine slice (static baseline only).
-    static_slot: Option<usize>,
-    results: Arc<Mutex<Vec<QueryResult>>>,
-    remaining: Arc<AtomicUsize>,
-    finished_at: Arc<Mutex<SimTime>>,
-    handles: Vec<std::thread::JoinHandle<()>>,
-    cores_series: TimeSeries,
-    load_series: TimeSeries,
-    qps_series: TimeSeries,
-    next_control: SimTime,
-    ctl_busy: u64,
-    ctl_at: SimTime,
-    sample_busy: u64,
-    sample_at: SimTime,
-    sample_completed: u64,
-    control_steps: u64,
-    started_at: SimTime,
-}
-
-/// The threads mirror of [`crate::churn::run_tenants_churn`]: the same
-/// admit-on-arrival / depart-on-completion lifecycle against real
-/// worker pools. A departing tenant's client threads are joined, its
-/// pool is dropped (shutting its workers down) and its arbiter slot is
-/// deregistered, so cores redistribute exactly as on sim. Arbitration
-/// cost is the wall-clock duration of each executed control block.
-pub fn run_tenants_churn_threads(config: MultiTenantConfig, data: &TpchData) -> MultiTenantOutput {
-    let width = capacity();
-    let ntotal = width as u32;
-    let n = config.tenants.len();
-    let resident_cap = config.resident_cap.unwrap_or(n).clamp(1, width);
-    let slice = width / resident_cap;
-    let base = Arc::new(BaseData::from_tpch(data));
-    let mut arbiter = TenantArbiter::new(config.arbiter, ntotal);
-    let t0 = Instant::now();
-    let errors = Arc::new(Mutex::new(Vec::new()));
-
-    let mut order: Vec<usize> = (0..n).collect();
-    order.sort_by_key(|&i| (config.tenants[i].start_after, i));
-    let mut next_pending = 0usize;
-
-    let mut lives: Vec<Option<ChurnThreadLive>> = (0..n).map(|_| None).collect();
-    let mut outputs: Vec<Option<TenantOutput>> = (0..n).map(|_| None).collect();
-    let mut static_free: Vec<bool> = vec![true; resident_cap];
-    let mut n_live = 0usize;
-    let mut arbiter_ticks = 0u64;
-    let mut arbiter_ns = 0u64;
-
-    let deadline = wall_deadline(config.deadline);
-    let mut next_sample = SimTime::ZERO;
-    loop {
-        std::thread::sleep(POLL);
-        let now = wall_now(t0);
-
-        // Departures: all clients done → join them, close the record,
-        // drop the pool (workers shut down) and free the slot.
-        for i in 0..n {
-            let done = lives[i]
-                .as_ref()
-                .is_some_and(|l| l.remaining.load(Ordering::SeqCst) == 0);
-            if !done {
-                continue;
-            }
-            if let Some(l) = lives[i].take() {
-                let panicked = l
-                    .handles
-                    .into_iter()
-                    .map(|h| h.join())
-                    .filter(Result::is_err)
-                    .count();
-                assert!(panicked == 0, "{panicked} client thread(s) panicked");
-                if let Some(tid) = l.tid {
-                    arbiter.deregister(tid);
-                }
-                if let Some(k) = l.static_slot {
-                    static_free[k] = true;
-                }
-                let finished = *lock(&l.finished_at);
-                outputs[i] = Some(TenantOutput {
-                    config: config.tenants[i].clone(),
-                    results: match Arc::try_unwrap(l.results) {
-                        Ok(m) => m.into_inner().unwrap_or_else(PoisonError::into_inner),
-                        Err(arc) => std::mem::take(&mut *lock(&arc)),
-                    },
-                    cores_series: l.cores_series,
-                    load_series: l.load_series,
-                    qps_series: l.qps_series,
-                    started_at: l.started_at,
-                    finished_at: finished.max(l.started_at),
-                    sla_violations: 0,
-                    control_steps: l.control_steps,
-                });
-                n_live -= 1;
-                // `l.engine` drops here: the last pool Arc (clients
-                // joined above), so its workers shut down.
-            }
-        }
-
-        // Admissions, in arrival order, gated on a resident slot and —
-        // on the elastic path — a free core for the initial claim.
-        while next_pending < n && n_live < resident_cap {
-            let i = order[next_pending];
+        // Admissions, while the residency rules allow the next in line.
+        while let Some((i, slot)) = admissions.admit(now.since(SimTime::ZERO), arbiter.free_cores())
+        {
             let tcfg = &config.tenants[i];
-            if now.since(SimTime::ZERO) < tcfg.start_after {
-                break;
-            }
-            if !config.static_partition && arbiter.free_cores() == 0 {
-                break;
-            }
-            let engine = Arc::new(ParEngine::new(
-                ParEngineConfig {
-                    n_workers: width,
-                    initial_active: 1,
-                    ..ParEngineConfig::default()
-                },
+            let arrival = SimTime::ZERO + tcfg.start_after;
+            let elastic = !config.static_partition;
+            let started_at = now.max(arrival);
+            let pool = Pool::start(
+                width,
+                elastic,
                 Arc::clone(&base),
-            ));
-            if let Some(plan) = &config.faults {
-                engine.arm_faults(plan, config.scale.seed);
-            }
-            let (controller, tid, static_slot) = if config.static_partition {
-                let Some(k) = static_free.iter().position(|&f| f) else {
-                    // Unreachable: n_live < resident_cap means a slot
-                    // is free; bail out of admissions defensively.
-                    break;
-                };
-                static_free[k] = false;
-                let hi = if k + 1 == resident_cap {
-                    width
-                } else {
-                    (k + 1) * slice
-                };
-                engine.set_active(hi - k * slice);
-                (None, None, Some(k))
-            } else {
+                &config.instance(tcfg),
+                started_at,
+            );
+            let tid = elastic.then(|| {
                 let tid = arbiter.register(tcfg.name.clone(), tcfg.weight, tcfg.sla.max_cores);
-                let seed_core = (0..ntotal)
-                    .map(|c| CoreId(c as u16))
-                    .find(|&c| !arbiter.foreign_mask(tid).contains(c))
-                    // emca-lint: allow(panic-freedom) — admission is gated on free_cores() > 0 above, so a free seed core exists; tripwire on the driver thread
-                    .expect("admission gate guarantees a free core");
+                let seed_core = free_core(&arbiter, tid, ntotal)
+                    // emca-lint: allow(panic-freedom) — register() rejects more residents than cores and churn admission is gated on free_cores() > 0, so a free seed core exists; tripwire on the driver thread
+                    .expect("a resident slot guarantees a free core");
                 arbiter.claim_initial(tid, seed_core);
-                (
-                    Some(PoolController::new(pool_cfg(ntotal, config.mech_interval))),
-                    Some(tid),
-                    None,
-                )
-            };
-            let results = Arc::new(Mutex::new(Vec::new()));
+                tid
+            });
+            if !elastic {
+                pool.engine.set_active(admissions.static_slice(slot).len());
+            }
+            let sinks = ClientSinks::default();
             let remaining = Arc::new(AtomicUsize::new(tcfg.clients));
-            let finished_at = Arc::new(Mutex::new(SimTime::ZERO));
+            // A resident tenant's `start_after` delays only its clients.
             let handles = spawn_client_threads(
-                &engine,
+                &pool.engine,
                 &tcfg.workload,
                 tcfg.clients,
-                std::time::Duration::ZERO,
-                &results,
+                std::time::Duration::from_nanos(started_at.since(now).as_nanos()),
+                &sinks,
                 &remaining,
-                &finished_at,
                 &errors,
                 t0,
             );
-            lives[i] = Some(ChurnThreadLive {
-                engine,
-                controller,
+            lives[i] = Some(PoolSlot {
+                pool,
                 tid,
-                static_slot,
-                results,
+                slot,
+                sinks,
                 remaining,
-                finished_at,
                 handles,
-                cores_series: TimeSeries::new(format!("{}_cores", tcfg.name)),
-                load_series: TimeSeries::new(format!("{}_load", tcfg.name)),
-                qps_series: TimeSeries::new(format!("{}_qps", tcfg.name)),
-                next_control: now,
-                ctl_busy: 0,
-                ctl_at: now,
-                sample_busy: 0,
-                sample_at: now,
+                out: TenantOutput::begin(tcfg, started_at),
                 sample_completed: 0,
-                control_steps: 0,
-                started_at: now,
             });
-            next_pending += 1;
-            n_live += 1;
         }
 
-        if outputs.iter().all(|o| o.is_some()) {
-            break;
-        }
+        let unfinished = admissions.pending()
+            || lives
+                .iter()
+                .flatten()
+                .any(|l| l.remaining.load(Ordering::SeqCst) > 0);
         assert!(
-            now.since(SimTime::ZERO) <= deadline,
+            !unfinished || now.since(SimTime::ZERO) <= deadline,
             "{}",
             crate::timing::RunAborted {
-                label: "churn run".to_string(),
+                label: "multi-tenant run".to_string(),
                 deadline_s: deadline.as_secs_f64(),
                 hint: "MultiTenantConfig::deadline or EMCA_RUN_DEADLINE_S",
             }
         );
 
-        // Control blocks, timed per executed tick: the measured span is
+        // Control steps, timed per executed step: the measured span is
         // the full arbitration path (observe + claim/release/yield).
         for l in lives.iter_mut().flatten() {
-            let Some(controller) = l.controller.as_mut() else {
-                continue;
-            };
-            let Some(tid) = l.tid else { continue };
-            if now < l.next_control {
-                continue;
-            }
             let t_tick = Instant::now();
-            let busy = l.engine.busy_ns();
-            let u = load_pct(
-                busy - l.ctl_busy,
-                l.engine.active(),
-                now.since(l.ctl_at).as_nanos(),
-            );
-            l.ctl_busy = busy;
-            l.ctl_at = now;
-            controller.note_capacity(l.engine.live_workers() as u32);
-            let d = controller.observe(now, u);
-            l.control_steps += 1;
-            arbiter.note(tid, d.action == AllocAction::Allocate);
-            let owned = arbiter.owned(tid);
-            match d.action {
-                AllocAction::Allocate => {
-                    let candidate = (0..ntotal)
-                        .map(|c| CoreId(c as u16))
-                        .find(|&c| !owned.contains(c) && !arbiter.foreign_mask(tid).contains(c));
-                    let granted = candidate.is_some_and(|c| arbiter.try_claim(tid, c));
-                    if !granted {
-                        if candidate.is_none() {
-                            arbiter.denials += 1;
-                        }
-                        controller.resync(owned.count() as u32);
-                    }
-                }
-                AllocAction::Release => {
-                    let victim = (owned.count() > 1)
-                        .then(|| owned.iter().max_by_key(|c| c.idx()))
-                        .flatten();
-                    match victim {
-                        Some(v) => arbiter.release(tid, v),
-                        None => controller.resync(1),
-                    }
-                }
-                AllocAction::Hold => {}
+            if l.pool.control(now, 0, l.tid.map(|tid| (&mut arbiter, tid))) {
+                arbiter_ns += t_tick.elapsed().as_nanos() as u64;
+                arbiter_ticks += 1;
+                l.out.control_steps += 1;
             }
-            if arbiter.must_yield(tid) && arbiter.owned(tid).count() > 1 {
-                if let Some(victim) = arbiter.owned(tid).iter().max_by_key(|c| c.idx()) {
-                    arbiter.release(tid, victim);
-                    arbiter.yields += 1;
-                    controller.resync(arbiter.owned(tid).count() as u32);
-                }
-            }
-            l.engine.set_active(arbiter.owned(tid).count());
-            l.next_control = now + controller.interval();
-            arbiter_ns += t_tick.elapsed().as_nanos() as u64;
-            arbiter_ticks += 1;
         }
 
         if now >= next_sample {
             for l in lives.iter_mut().flatten() {
-                let busy = l.engine.busy_ns();
-                let u = load_pct(
-                    busy - l.sample_busy,
-                    l.engine.active(),
-                    now.since(l.sample_at).as_nanos(),
-                );
-                let completed = l.engine.stats().queries_completed;
-                let dt = now.since(l.sample_at).as_secs_f64();
+                let (u, window) = l.pool.sample(now);
+                let completed = l.pool.engine.stats().queries_completed;
+                let dt = window.as_secs_f64();
                 let qps = if dt > 0.0 {
                     (completed - l.sample_completed) as f64 / dt
                 } else {
                     0.0
                 };
-                l.sample_busy = busy;
-                l.sample_at = now;
                 l.sample_completed = completed;
-                l.load_series.push(now, u);
-                l.cores_series.push(now, l.engine.active() as f64);
-                l.qps_series.push(now, qps);
+                l.out.load_series.push(now, u);
+                l.out.cores_series.push(now, l.pool.engine.active() as f64);
+                l.out.qps_series.push(now, qps);
             }
             next_sample = now + config.sample_every;
         }
+
+        // The exit check comes last, so even a run shorter than one
+        // poll tick shows a control step and a sample per tenant. The
+        // mechanisms keep running through the drain.
+        if !unfinished && now >= *drain_until.get_or_insert(now + config.drain) {
+            break;
+        }
+    }
+    // Resident tenants close their records here, in configuration order.
+    for (i, l) in lives.into_iter().enumerate() {
+        if let Some(l) = l {
+            outputs[i] = Some(l.retire(&mut arbiter));
+        }
     }
 
-    let client_errors = std::mem::take(&mut *lock(&errors));
-    // Same policy as [`run_threads`]: expected under a fault plan,
-    // tripwire without one.
-    assert!(
-        config.faults.is_some() || client_errors.is_empty(),
-        "client queries failed in the engine: {client_errors:?}"
-    );
+    let client_errors = take_client_errors(&errors, config.faults.is_some());
     let tenants: Vec<TenantOutput> = outputs.into_iter().flatten().collect();
     let wall = tenants
         .iter()

@@ -10,11 +10,17 @@
 //! trace-driven replay, materialised up front from a pinned seed
 //! ([`ArrivalSchedule`]) — an [`AdmissionPolicy`] rules accept / queue /
 //! shed per arrival, and the dispatcher runs admitted queries on the
-//! simulated or real-thread engine. The elastic mechanism sees the
-//! admission backlog as demand
+//! simulated or real-thread engine. The whole request state machine —
+//! arrive, admit, time out, dispatch, complete / fail / retry, deadline,
+//! window close — is one private struct, `FrontDoor`, that both
+//! backends drive through a two-operation seam (submit request *i*;
+//! poll an attempt); `serve_sim` and `serve_threads` add only their
+//! clock, their engine handle and their control/sample tick. The
+//! elastic mechanism sees the admission backlog as demand
 //! ([`ElasticMechanism::note_queue_depth`] /
-//! [`PoolController::note_queue_depth`]), so cores move between keeping
-//! the queue drained and executing admitted queries.
+//! [`PoolController::note_queue_depth`](elastic_core::PoolController::note_queue_depth)),
+//! so cores move between keeping the queue drained and executing
+//! admitted queries.
 //!
 //! Latency accounting is open-loop standard: a request's latency runs
 //! from its *scheduled arrival* to completion, so waiting — in the
@@ -36,14 +42,16 @@
 //! to a shed or an unfinished request). The per-request deadline runs
 //! from *scheduled arrival* and covers every attempt, so a drain at
 //! least as long as the deadline guarantees every dispatched request
-//! resolves inside the window.
+//! resolves inside the window. An attempt abandoned by the deadline is
+//! still polled until it finishes, so the engine's result slot for it
+//! is reaped instead of leaking for the rest of the run.
 
 use crate::backend::Backend;
 use crate::config::{Alloc, RunConfig};
 use crate::runner::{build_mechanism, build_sim_stack, SimStack};
-use crate::runner_threads::{capacity, load_pct, pool_cfg, sparse_order, wall_now, POLL};
+use crate::runner_threads::{capacity, sparse_order, wall_now, Pool, POLL};
 use crate::spec::{AdmissionSpec, ArrivalSpec};
-use elastic_core::{ElasticMechanism, PoolController, TransitionEvent};
+use elastic_core::{ElasticMechanism, TransitionEvent};
 use emca_metrics::{stats, SimDuration, SimTime, TimeSeries};
 use os_sim::{GroupId, Kernel};
 use rand::rngs::StdRng;
@@ -54,7 +62,8 @@ use std::sync::Arc;
 use std::time::Instant;
 use volcano_db::client::{ClientBody, SharedLog, Workload};
 use volcano_db::exec::engine::Engine;
-use volcano_db::exec::{BaseData, EngineStats, ParEngine, ParEngineConfig};
+use volcano_db::exec::task::QueryId;
+use volcano_db::exec::{BaseData, EngineStats, ParEngine};
 use volcano_db::tpch::{build_query, QuerySpec, TpchData};
 
 // ---------------------------------------------------------------------------
@@ -522,7 +531,7 @@ impl ServeOutput {
 }
 
 // ---------------------------------------------------------------------------
-// Dispatchers
+// The front door
 // ---------------------------------------------------------------------------
 
 /// Runs one serving experiment on the backend `cfg.base` names.
@@ -533,80 +542,346 @@ pub fn run_serve(cfg: &ServeConfig, data: &TpchData) -> ServeOutput {
     }
 }
 
-fn new_records(cfg: &ServeConfig, start: SimTime) -> Vec<RequestRecord> {
-    cfg.schedule
-        .arrivals
-        .iter()
-        .map(|a| RequestRecord {
-            arrival: start + a.at,
-            spec: a.spec,
-            dispatched: None,
-            finished: None,
-            outcome: RequestOutcome::Pending,
-            attempts: 0,
-            error: None,
-        })
-        .collect()
+/// How an engine failed an attempt.
+struct AttemptError {
+    message: String,
+    /// A worker death: resubmitting can land on a survivor or a
+    /// watchdog respawn.
+    retryable: bool,
 }
 
-/// Terminal sweep after the window closes: queued requests can no
-/// longer meet anything (the horizon is over), in-flight ones did not
-/// make the drain, and requests still waiting out a retry backoff
-/// never got their next attempt.
-fn close_window(
-    records: &mut [RequestRecord],
-    queue: &VecDeque<usize>,
-    inflight_idx: impl Iterator<Item = usize>,
-    retrying_idx: impl Iterator<Item = usize>,
-) {
-    for &i in queue {
-        records[i].outcome = RequestOutcome::ShedTimeout;
-    }
-    for i in inflight_idx {
-        records[i].outcome = RequestOutcome::Unfinished;
-    }
-    for i in retrying_idx {
-        records[i].outcome = RequestOutcome::Failed;
-        if records[i].error.is_none() {
-            records[i].error = Some("window closed mid-backoff".into());
+/// A finished attempt as its backend saw it.
+struct Completion {
+    /// The completion stamp the request record carries.
+    at: SimTime,
+    /// Engine-side response time (the sim mechanism's interval scaler
+    /// feeds on it).
+    response: SimDuration,
+}
+
+/// The backend half of the front door: everything the request state
+/// machine needs from an engine.
+trait Attempts {
+    /// Starts one attempt of request `i`; returns the attempt's id.
+    fn submit(&mut self, i: usize, spec: QuerySpec) -> u64;
+    /// `None` while the attempt is still running. A finished attempt is
+    /// reported once; the backend keeps nothing for it afterwards.
+    fn poll(&mut self, attempt: u64, now: SimTime) -> Option<Result<Completion, AttemptError>>;
+}
+
+/// The request state machine both dispatchers drive: due arrivals meet
+/// the [`AdmissionPolicy`], the FIFO queue sheds on timeout and feeds
+/// freed slots, finished attempts complete / fail / retry their
+/// request, and the per-request deadline abandons what can no longer
+/// answer in time. The backend supplies a clock and an [`Attempts`]
+/// implementation; everything else about a request lives here.
+struct FrontDoor {
+    admission: Box<dyn AdmissionPolicy>,
+    retry: Option<RetryPolicy>,
+    /// Backoff jitter, seeded from the run seed: the *choice* of delays
+    /// is reproducible even where thread timing is not.
+    retry_rng: StdRng,
+    request_deadline: Option<SimDuration>,
+    records: Vec<RequestRecord>,
+    next_arrival: usize,
+    queue: VecDeque<usize>,
+    /// Dispatched and unresolved: `(request, attempt id)`.
+    inflight: Vec<(usize, u64)>,
+    /// Waiting out a retry backoff: `(resubmit at, request)`.
+    retry_at: Vec<(SimTime, usize)>,
+    /// Attempts whose request was failed by its deadline while they
+    /// ran. The answer has no taker, but the backend still holds the
+    /// attempt's result slot until it is polled — so they keep being
+    /// polled until they finish.
+    abandoned: Vec<u64>,
+    /// Response times of the attempts that completed in the last
+    /// [`tick`](FrontDoor::tick).
+    responses: Vec<SimDuration>,
+}
+
+impl FrontDoor {
+    fn new(cfg: &ServeConfig, start: SimTime) -> Self {
+        FrontDoor {
+            admission: build_admission(&cfg.admission, cfg.sla),
+            retry: cfg.retry,
+            retry_rng: StdRng::seed_from_u64(cfg.base.scale.seed ^ 0x7E7A_11CE),
+            request_deadline: cfg.request_deadline,
+            records: cfg
+                .schedule
+                .arrivals
+                .iter()
+                .map(|a| RequestRecord {
+                    arrival: start + a.at,
+                    spec: a.spec,
+                    dispatched: None,
+                    finished: None,
+                    outcome: RequestOutcome::Pending,
+                    attempts: 0,
+                    error: None,
+                })
+                .collect(),
+            next_arrival: 0,
+            queue: VecDeque::new(),
+            inflight: Vec::new(),
+            retry_at: Vec::new(),
+            abandoned: Vec::new(),
+            responses: Vec::new(),
         }
     }
-    for r in records.iter_mut() {
-        if r.outcome == RequestOutcome::Pending {
-            r.outcome = RequestOutcome::ShedGate;
+
+    /// Admission-queue depth (the controller's extra demand signal).
+    fn queue_depth(&self) -> usize {
+        self.queue.len()
+    }
+
+    fn submit(&mut self, i: usize, engine: &mut impl Attempts) {
+        let attempt = engine.submit(i, self.records[i].spec);
+        self.records[i].attempts += 1;
+        self.inflight.push((i, attempt));
+    }
+
+    fn fail(&mut self, i: usize, now: SimTime, error: String) {
+        self.records[i].finished = Some(now);
+        self.records[i].outcome = RequestOutcome::Failed;
+        self.records[i].error = Some(error);
+    }
+
+    /// One pass over the request state machine at `now`. Returns true
+    /// once every scheduled request is resolved.
+    fn tick(&mut self, now: SimTime, engine: &mut impl Attempts) -> bool {
+        // Due retries resubmit first: they were admitted already and
+        // re-enter ahead of the gate.
+        let due: Vec<usize> = (0..self.retry_at.len())
+            .filter(|&pos| self.retry_at[pos].0 <= now)
+            .collect();
+        for pos in due.into_iter().rev() {
+            let (_, i) = self.retry_at.swap_remove(pos);
+            self.submit(i, engine);
         }
+        // Due arrivals meet the front door.
+        while self.next_arrival < self.records.len()
+            && self.records[self.next_arrival].arrival <= now
+        {
+            let i = self.next_arrival;
+            self.next_arrival += 1;
+            match self
+                .admission
+                .on_arrival(self.inflight.len(), self.queue.len())
+            {
+                AdmissionDecision::Accept => {
+                    self.records[i].dispatched = Some(now);
+                    self.submit(i, engine);
+                }
+                AdmissionDecision::Queue => self.queue.push_back(i),
+                AdmissionDecision::Shed => self.records[i].outcome = RequestOutcome::ShedGate,
+            }
+        }
+        // Deadline-aware queue: a head that waited past its timeout
+        // sheds.
+        if let Some(timeout) = self.admission.queue_timeout() {
+            while let Some(&i) = self.queue.front() {
+                if now.since(self.records[i].arrival) <= timeout {
+                    break;
+                }
+                self.queue.pop_front();
+                self.records[i].outcome = RequestOutcome::ShedTimeout;
+            }
+        }
+        // Freed slots pull from the queue head.
+        while self.admission.may_dispatch(self.inflight.len()) {
+            let Some(i) = self.queue.pop_front() else {
+                break;
+            };
+            self.records[i].dispatched = Some(now);
+            self.submit(i, engine);
+        }
+        // Finished attempts. A degraded pool fails the request, not the
+        // run: retryable deaths go back through the engine after a
+        // backoff (bypassing admission — the request keeps its slot);
+        // anything else fails the request here and now, explicitly, so
+        // it can never masquerade as shed or unfinished.
+        self.responses.clear();
+        let mut done: Vec<usize> = Vec::new();
+        for pos in 0..self.inflight.len() {
+            let (i, attempt) = self.inflight[pos];
+            match engine.poll(attempt, now) {
+                None => continue,
+                Some(Ok(c)) => {
+                    self.records[i].finished = Some(c.at);
+                    self.records[i].outcome = RequestOutcome::Completed;
+                    self.responses.push(c.response);
+                }
+                Some(Err(e)) => match self.retry {
+                    Some(p) if e.retryable && self.records[i].attempts < p.max_attempts => {
+                        let wait = p.delay(self.records[i].attempts + 1, &mut self.retry_rng);
+                        self.retry_at.push((now + wait, i));
+                    }
+                    _ => self.fail(i, now, e.message),
+                },
+            }
+            done.push(pos);
+        }
+        for pos in done.into_iter().rev() {
+            self.inflight.swap_remove(pos);
+        }
+        self.abandoned
+            .retain(|&attempt| engine.poll(attempt, now).is_none());
+        // Per-request deadline: fail requests (in flight or waiting out
+        // a backoff) that can no longer answer in time. An abandoned
+        // attempt keeps running — the answer just has no taker.
+        if let Some(dl) = self.request_deadline {
+            let expired = |records: &[RequestRecord], i: usize| now.since(records[i].arrival) >= dl;
+            let error = |during: &str| {
+                let ms = dl.as_millis_f64();
+                format!("request deadline ({ms:.0}ms) expired{during}")
+            };
+            for pos in (0..self.inflight.len()).rev() {
+                let (i, attempt) = self.inflight[pos];
+                if expired(&self.records, i) {
+                    self.fail(i, now, error(""));
+                    self.abandoned.push(attempt);
+                    self.inflight.swap_remove(pos);
+                }
+            }
+            for pos in (0..self.retry_at.len()).rev() {
+                let (_, i) = self.retry_at[pos];
+                if expired(&self.records, i) {
+                    self.fail(i, now, error(" mid-backoff"));
+                    self.retry_at.remove(pos);
+                }
+            }
+        }
+        self.next_arrival == self.records.len()
+            && self.queue.is_empty()
+            && self.inflight.is_empty()
+            && self.retry_at.is_empty()
+    }
+
+    /// Terminal sweep after the window closes: queued requests can no
+    /// longer meet anything (the horizon is over), in-flight ones did
+    /// not make the drain, requests still waiting out a retry backoff
+    /// never got their next attempt, and arrivals past the close never
+    /// reached the gate.
+    fn close_window(mut self) -> Vec<RequestRecord> {
+        for &i in &self.queue {
+            self.records[i].outcome = RequestOutcome::ShedTimeout;
+        }
+        for &(i, _) in &self.inflight {
+            self.records[i].outcome = RequestOutcome::Unfinished;
+        }
+        for &(_, i) in &self.retry_at {
+            self.records[i].outcome = RequestOutcome::Failed;
+            self.records[i]
+                .error
+                .get_or_insert_with(|| "window closed mid-backoff".into());
+        }
+        for r in self.records.iter_mut() {
+            if r.outcome == RequestOutcome::Pending {
+                r.outcome = RequestOutcome::ShedGate;
+            }
+        }
+        self.records
     }
 }
 
-/// Spawns request `i` as a one-shot client session in the simulation.
-fn dispatch_sim(
-    i: usize,
-    now: SimTime,
-    records: &mut [RequestRecord],
-    inflight: &mut Vec<(usize, SharedLog)>,
-    kernel: &mut Kernel,
-    engine: &Engine,
+/// The simulated stack as an [`Attempts`] backend: each attempt is a
+/// one-query client session spawned into the DBMS group mid-run.
+struct SimSessions {
+    kernel: Kernel,
     group: GroupId,
-) {
-    let (body, log) = ClientBody::new(
-        engine.clone(),
-        Workload::Repeat {
-            spec: records[i].spec,
-            iterations: 1,
-        },
-        i,
-        None,
-    );
-    kernel.spawn(format!("serve{i}"), group, None, Box::new(body));
-    records[i].dispatched = Some(now);
-    records[i].attempts += 1;
-    inflight.push((i, log));
+    engine: Engine,
+    /// Session logs by attempt id; `None` once reported.
+    sessions: Vec<Option<SharedLog>>,
 }
 
-/// The simulated dispatcher: each admitted request becomes a one-query
-/// client session spawned into the DBMS group mid-run; the mechanism
-/// polls as in the closed-loop runner, with the admission-queue depth
-/// fed in as extra demand.
+impl Attempts for SimSessions {
+    fn submit(&mut self, i: usize, spec: QuerySpec) -> u64 {
+        let (body, log) = ClientBody::new(
+            self.engine.clone(),
+            Workload::Repeat {
+                spec,
+                iterations: 1,
+            },
+            i,
+            None,
+        );
+        self.kernel
+            .spawn(format!("serve{i}"), self.group, None, Box::new(body));
+        self.sessions.push(Some(log));
+        self.sessions.len() as u64 - 1
+    }
+
+    /// One result or one error per one-shot session. The sim engine's
+    /// worker kills requeue the parked work internally — no query is
+    /// lost to them — so the only error a session can surface is a
+    /// deterministically poisoned query, which fails outright (retrying
+    /// would poison it again).
+    fn poll(&mut self, attempt: u64, _now: SimTime) -> Option<Result<Completion, AttemptError>> {
+        let slot = self.sessions.get_mut(attempt as usize)?;
+        let outcome = {
+            let log = slot.as_ref()?.borrow();
+            if let Some(r) = log.results.first() {
+                Ok(Completion {
+                    at: r.finished,
+                    response: r.response(),
+                })
+            } else {
+                Err(AttemptError {
+                    message: log.errors.first()?.clone(),
+                    retryable: false,
+                })
+            }
+        };
+        *slot = None;
+        Some(outcome)
+    }
+}
+
+impl Attempts for Arc<ParEngine> {
+    fn submit(&mut self, _i: usize, spec: QuerySpec) -> u64 {
+        ParEngine::submit(self, Arc::new(build_query(&spec)), spec.tag()).0
+    }
+
+    fn poll(&mut self, attempt: u64, now: SimTime) -> Option<Result<Completion, AttemptError>> {
+        Some(match self.try_result(QueryId(attempt))? {
+            Ok(r) => Ok(Completion {
+                at: now,
+                response: r.response(),
+            }),
+            Err(e) => Err(AttemptError {
+                message: e.to_string(),
+                retryable: e.is_retryable(),
+            }),
+        })
+    }
+}
+
+impl ServeOutput {
+    /// The output of a run about to start: empty series, no records.
+    fn begin(cfg: &ServeConfig) -> Self {
+        ServeOutput {
+            records: Vec::new(),
+            offered: cfg.schedule.arrivals.len(),
+            horizon: cfg.schedule.horizon,
+            sla: cfg.sla,
+            wall: SimDuration::ZERO,
+            load_series: TimeSeries::new("cpu_load"),
+            cores_series: TimeSeries::new("cores"),
+            queue_series: TimeSeries::new("queue"),
+            transitions: Vec::new(),
+            engine: EngineStats::default(),
+        }
+    }
+
+    fn sample(&mut self, now: SimTime, load_pct: f64, cores: usize, queued: usize) {
+        self.load_series.push(now, load_pct);
+        self.cores_series.push(now, cores as f64);
+        self.queue_series.push(now, queued as f64);
+    }
+}
+
+/// The simulated dispatcher: the mechanism polls as in the closed-loop
+/// runner, with the admission-queue depth fed in as extra demand.
 fn serve_sim(cfg: &ServeConfig, data: &TpchData) -> ServeOutput {
     let SimStack {
         mut kernel,
@@ -615,383 +890,105 @@ fn serve_sim(cfg: &ServeConfig, data: &TpchData) -> ServeOutput {
     } = build_sim_stack(&cfg.base, data);
     let mut mechanism: Option<ElasticMechanism> =
         build_mechanism(&cfg.base, &mut kernel, group, &engine);
-    let mut admission = build_admission(&cfg.admission, cfg.sla);
-
-    let start = kernel.now();
-    let cutoff = start + cfg.schedule.horizon + cfg.drain;
-    let mut records = new_records(cfg, start);
-    let n = records.len();
-    let mut queue: VecDeque<usize> = VecDeque::new();
-    let mut inflight: Vec<(usize, SharedLog)> = Vec::new();
-    let mut next_arrival = 0usize;
-
     let mut load_sampler = os_sim::LoadSampler::new(&kernel, group);
-    let mut load_series = TimeSeries::new("cpu_load");
-    let mut cores_series = TimeSeries::new("cores");
-    let mut queue_series = TimeSeries::new("queue");
+    let mut sim = SimSessions {
+        kernel,
+        group,
+        engine,
+        sessions: Vec::new(),
+    };
+
+    let start = sim.kernel.now();
+    let cutoff = start + cfg.schedule.horizon + cfg.drain;
+    let mut door = FrontDoor::new(cfg, start);
+    let mut out = ServeOutput::begin(cfg);
     let mut next_sample = start + cfg.base.sample_every;
 
-    let mut finished_at = None;
-    while kernel.now() < cutoff {
-        let now = kernel.now();
-        // Due arrivals meet the front door.
-        while next_arrival < n && records[next_arrival].arrival <= now {
-            let i = next_arrival;
-            next_arrival += 1;
-            match admission.on_arrival(inflight.len(), queue.len()) {
-                AdmissionDecision::Accept => dispatch_sim(
-                    i,
-                    now,
-                    &mut records,
-                    &mut inflight,
-                    &mut kernel,
-                    &engine,
-                    group,
-                ),
-                AdmissionDecision::Queue => queue.push_back(i),
-                AdmissionDecision::Shed => records[i].outcome = RequestOutcome::ShedGate,
+    let mut finished_at = cutoff;
+    while sim.kernel.now() < cutoff {
+        let now = sim.kernel.now();
+        let all_resolved = door.tick(now, &mut sim);
+        if let Some(m) = mechanism.as_mut() {
+            for &r in &door.responses {
+                m.note_response(r);
             }
         }
-        // Deadline-aware queue: a head that waited past the SLA sheds.
-        if let Some(timeout) = admission.queue_timeout() {
-            while let Some(&i) = queue.front() {
-                if now.since(records[i].arrival) > timeout {
-                    queue.pop_front();
-                    records[i].outcome = RequestOutcome::ShedTimeout;
-                } else {
-                    break;
-                }
-            }
-        }
-        // Freed slots pull from the queue head.
-        while admission.may_dispatch(inflight.len()) {
-            let Some(i) = queue.pop_front() else { break };
-            dispatch_sim(
-                i,
-                now,
-                &mut records,
-                &mut inflight,
-                &mut kernel,
-                &engine,
-                group,
-            );
-        }
-        // Completions (one result or one error per one-shot session).
-        // The sim engine's worker kills requeue the parked work
-        // internally — no query is lost to them — so the only error a
-        // session can surface is a deterministically poisoned query,
-        // which fails outright (retrying would poison it again).
-        let mut done: Vec<usize> = Vec::new();
-        for (pos, (i, log)) in inflight.iter().enumerate() {
-            let lb = log.borrow();
-            if let Some(r) = lb.results.first() {
-                records[*i].finished = Some(r.finished);
-                records[*i].outcome = RequestOutcome::Completed;
-                if let Some(m) = mechanism.as_mut() {
-                    m.note_response(r.response());
-                }
-                done.push(pos);
-            } else if let Some(e) = lb.errors.first() {
-                records[*i].finished = Some(now);
-                records[*i].outcome = RequestOutcome::Failed;
-                records[*i].error = Some(e.clone());
-                done.push(pos);
-            }
-        }
-        for pos in done.into_iter().rev() {
-            inflight.swap_remove(pos);
-        }
-        // Per-request deadline: abandon attempts that can no longer
-        // answer in time (the session still burns simulated cycles —
-        // the answer just has no taker).
-        if let Some(dl) = cfg.request_deadline {
-            let mut expired: Vec<usize> = Vec::new();
-            for (pos, (i, _)) in inflight.iter().enumerate() {
-                if now.since(records[*i].arrival) >= dl {
-                    records[*i].finished = Some(now);
-                    records[*i].outcome = RequestOutcome::Failed;
-                    records[*i].error = Some(format!(
-                        "request deadline ({:.0}ms) expired",
-                        dl.as_millis_f64()
-                    ));
-                    expired.push(pos);
-                }
-            }
-            for pos in expired.into_iter().rev() {
-                inflight.swap_remove(pos);
-            }
-        }
-        if next_arrival == n && queue.is_empty() && inflight.is_empty() {
-            finished_at = Some(now);
+        if all_resolved {
+            finished_at = now;
             break;
         }
-        kernel.run_tick();
+        sim.kernel.run_tick();
         if let Some(m) = mechanism.as_mut() {
-            m.note_queue_depth(queue.len() as u64);
-            m.poll(&mut kernel);
+            m.note_queue_depth(door.queue_depth() as u64);
+            m.poll(&mut sim.kernel);
         }
-        if kernel.now() >= next_sample {
-            let now = kernel.now();
-            load_series.push(now, load_sampler.sample(&kernel).group_load_pct());
-            cores_series.push(now, kernel.group_mask(group).count() as f64);
-            queue_series.push(now, queue.len() as f64);
+        if sim.kernel.now() >= next_sample {
+            let now = sim.kernel.now();
+            out.sample(
+                now,
+                load_sampler.sample(&sim.kernel).group_load_pct(),
+                sim.kernel.group_mask(group).count(),
+                door.queue_depth(),
+            );
             next_sample = now + cfg.base.sample_every;
         }
     }
-    close_window(
-        &mut records,
-        &queue,
-        inflight.iter().map(|(i, _)| *i),
-        std::iter::empty(),
-    );
-
-    ServeOutput {
-        offered: n,
-        horizon: cfg.schedule.horizon,
-        sla: cfg.sla,
-        wall: finished_at.unwrap_or(cutoff).since(start),
-        records,
-        load_series,
-        cores_series,
-        queue_series,
-        transitions: mechanism.map(|m| m.events).unwrap_or_default(),
-        engine: engine.stats(),
-    }
+    out.records = door.close_window();
+    out.wall = finished_at.since(start);
+    out.transitions = mechanism.map(|m| m.events).unwrap_or_default();
+    out.engine = sim.engine.stats();
+    out
 }
 
-/// The real-thread dispatcher: admitted requests are submitted to the
-/// [`ParEngine`] task queue and polled for completion; the
-/// [`PoolController`] parks/unparks workers, with the admission-queue
-/// depth fed in as extra demand. [`Alloc::OsAll`] is the unmanaged
-/// baseline — every worker always active, no controller.
+/// The real-thread dispatcher: attempts are submitted to the
+/// [`ParEngine`] task queue and polled for completion; the pool's
+/// [`PoolController`](elastic_core::PoolController) parks/unparks
+/// workers, with the admission-queue depth fed in as extra demand.
+/// [`Alloc::OsAll`] is the unmanaged baseline — every worker always
+/// active, no controller.
 fn serve_threads(cfg: &ServeConfig, data: &TpchData) -> ServeOutput {
     let width = capacity();
-    let os_baseline = cfg.base.alloc == Alloc::OsAll;
-    let engine = Arc::new(ParEngine::new(
-        ParEngineConfig {
-            n_workers: width,
-            initial_active: if os_baseline { width } else { 1 },
-            ..ParEngineConfig::default()
-        },
+    let start = SimTime::ZERO;
+    let mut pool = Pool::start(
+        width,
+        cfg.base.alloc != Alloc::OsAll,
         Arc::new(BaseData::from_tpch(data)),
-    ));
+        &cfg.base,
+        start,
+    );
     if cfg.base.alloc == Alloc::Sparse {
-        engine.set_wake_order(&sparse_order(width));
+        pool.engine.set_wake_order(&sparse_order(width));
     }
-    if let Some(plan) = &cfg.base.faults {
-        engine.arm_faults(plan, cfg.base.scale.seed);
-    }
-    let mut controller =
-        (!os_baseline).then(|| PoolController::new(pool_cfg(width as u32, cfg.base.mech_interval)));
-    let mut admission = build_admission(&cfg.admission, cfg.sla);
-    // The backoff jitter rng is seeded from the run seed: the *choice*
-    // of delays is reproducible even though thread timing is not.
-    let mut retry_rng = StdRng::seed_from_u64(cfg.base.scale.seed ^ 0x7E7A_11CE);
 
     let t0 = Instant::now();
-    let start = SimTime::ZERO;
     let cutoff = start + cfg.schedule.horizon + cfg.drain;
-    let mut records = new_records(cfg, start);
-    let n = records.len();
-    let mut queue: VecDeque<usize> = VecDeque::new();
-    let mut inflight: Vec<(usize, volcano_db::exec::task::QueryId)> = Vec::new();
-    // Requests waiting out a retry backoff: (resubmit at, index).
-    let mut retry_at: Vec<(SimTime, usize)> = Vec::new();
-    let mut next_arrival = 0usize;
+    let mut door = FrontDoor::new(cfg, start);
+    let mut out = ServeOutput::begin(cfg);
+    let mut next_sample = start;
 
-    let mut load_series = TimeSeries::new("cpu_load");
-    let mut cores_series = TimeSeries::new("cores");
-    let mut queue_series = TimeSeries::new("queue");
-    let mut next_control = SimTime::ZERO;
-    let mut next_sample = SimTime::ZERO;
-    let mut ctl_busy = 0u64;
-    let mut ctl_at = SimTime::ZERO;
-    let mut sample_busy = 0u64;
-    let mut sample_at = SimTime::ZERO;
-
-    let mut finished_at = None;
+    let mut finished_at = cutoff;
     loop {
         std::thread::sleep(POLL);
         let now = wall_now(t0);
         if now >= cutoff {
             break;
         }
-        // Due retries resubmit first: they were admitted already and
-        // re-enter ahead of the gate.
-        let mut due: Vec<usize> = Vec::new();
-        for (pos, (at, _)) in retry_at.iter().enumerate() {
-            if *at <= now {
-                due.push(pos);
-            }
-        }
-        for pos in due.into_iter().rev() {
-            let (_, i) = retry_at.swap_remove(pos);
-            let qid = engine.submit(
-                Arc::new(build_query(&records[i].spec)),
-                records[i].spec.tag(),
-            );
-            records[i].attempts += 1;
-            inflight.push((i, qid));
-        }
-        while next_arrival < n && records[next_arrival].arrival <= now {
-            let i = next_arrival;
-            next_arrival += 1;
-            match admission.on_arrival(inflight.len(), queue.len()) {
-                AdmissionDecision::Accept => {
-                    let qid = engine.submit(
-                        Arc::new(build_query(&records[i].spec)),
-                        records[i].spec.tag(),
-                    );
-                    records[i].dispatched = Some(now);
-                    records[i].attempts += 1;
-                    inflight.push((i, qid));
-                }
-                AdmissionDecision::Queue => queue.push_back(i),
-                AdmissionDecision::Shed => records[i].outcome = RequestOutcome::ShedGate,
-            }
-        }
-        if let Some(timeout) = admission.queue_timeout() {
-            while let Some(&i) = queue.front() {
-                if now.since(records[i].arrival) > timeout {
-                    queue.pop_front();
-                    records[i].outcome = RequestOutcome::ShedTimeout;
-                } else {
-                    break;
-                }
-            }
-        }
-        while admission.may_dispatch(inflight.len()) {
-            let Some(i) = queue.pop_front() else { break };
-            let qid = engine.submit(
-                Arc::new(build_query(&records[i].spec)),
-                records[i].spec.tag(),
-            );
-            records[i].dispatched = Some(now);
-            records[i].attempts += 1;
-            inflight.push((i, qid));
-        }
-        let mut done: Vec<usize> = Vec::new();
-        for (pos, (i, qid)) in inflight.iter().enumerate() {
-            match engine.try_result(*qid) {
-                Some(Ok(_)) => {
-                    records[*i].finished = Some(now);
-                    records[*i].outcome = RequestOutcome::Completed;
-                    done.push(pos);
-                }
-                Some(Err(e)) => {
-                    // A degraded pool fails the request, not the run.
-                    // Retryable deaths go back through the engine after
-                    // a backoff (another worker — possibly a watchdog
-                    // respawn — can run them); anything else fails the
-                    // request here and now, explicitly, so it can never
-                    // masquerade as shed or unfinished.
-                    done.push(pos);
-                    match cfg.retry {
-                        Some(p) if e.is_retryable() && records[*i].attempts < p.max_attempts => {
-                            let wait = p.delay(records[*i].attempts + 1, &mut retry_rng);
-                            retry_at.push((now + wait, *i));
-                        }
-                        _ => {
-                            records[*i].finished = Some(now);
-                            records[*i].outcome = RequestOutcome::Failed;
-                            records[*i].error = Some(e.to_string());
-                        }
-                    }
-                }
-                None => {}
-            }
-        }
-        for pos in done.into_iter().rev() {
-            inflight.swap_remove(pos);
-        }
-        // Per-request deadline: fail attempts (in flight or waiting out
-        // a backoff) that can no longer answer in time.
-        if let Some(dl) = cfg.request_deadline {
-            let mut expired: Vec<usize> = Vec::new();
-            for (pos, (i, _)) in inflight.iter().enumerate() {
-                if now.since(records[*i].arrival) >= dl {
-                    records[*i].finished = Some(now);
-                    records[*i].outcome = RequestOutcome::Failed;
-                    records[*i].error = Some(format!(
-                        "request deadline ({:.0}ms) expired",
-                        dl.as_millis_f64()
-                    ));
-                    expired.push(pos);
-                }
-            }
-            for pos in expired.into_iter().rev() {
-                inflight.swap_remove(pos);
-            }
-            retry_at.retain(|(_, i)| {
-                if now.since(records[*i].arrival) >= dl {
-                    records[*i].finished = Some(now);
-                    records[*i].outcome = RequestOutcome::Failed;
-                    records[*i].error = Some(format!(
-                        "request deadline ({:.0}ms) expired mid-backoff",
-                        dl.as_millis_f64()
-                    ));
-                    false
-                } else {
-                    true
-                }
-            });
-        }
-        if next_arrival == n && queue.is_empty() && inflight.is_empty() && retry_at.is_empty() {
-            finished_at = Some(now);
+        if door.tick(now, &mut pool.engine) {
+            finished_at = now;
             break;
         }
-        if let Some(c) = controller.as_mut() {
-            if now >= next_control {
-                let busy = engine.busy_ns();
-                let u = load_pct(
-                    busy - ctl_busy,
-                    engine.active(),
-                    now.since(ctl_at).as_nanos(),
-                );
-                ctl_busy = busy;
-                ctl_at = now;
-                // Dead, not-yet-recovered workers are not allocatable.
-                c.note_capacity(engine.live_workers() as u32);
-                c.note_queue_depth(queue.len() as u64);
-                let d = c.observe(now, u);
-                engine.set_active(d.nalloc as usize);
-                next_control = now + c.interval();
-            }
-        }
+        pool.control(now, door.queue_depth() as u64, None);
         if now >= next_sample {
-            let busy = engine.busy_ns();
-            let u = load_pct(
-                busy - sample_busy,
-                engine.active(),
-                now.since(sample_at).as_nanos(),
-            );
-            sample_busy = busy;
-            sample_at = now;
-            load_series.push(now, u);
-            cores_series.push(now, engine.active() as f64);
-            queue_series.push(now, queue.len() as f64);
+            let (load, _) = pool.sample(now);
+            out.sample(now, load, pool.engine.active(), door.queue_depth());
             next_sample = now + cfg.base.sample_every;
         }
     }
-    close_window(
-        &mut records,
-        &queue,
-        inflight.iter().map(|(i, _)| *i),
-        retry_at.iter().map(|(_, i)| *i),
-    );
-
-    ServeOutput {
-        offered: n,
-        horizon: cfg.schedule.horizon,
-        sla: cfg.sla,
-        wall: finished_at.unwrap_or(cutoff).since(start),
-        records,
-        load_series,
-        cores_series,
-        queue_series,
-        transitions: controller.map(|c| c.events).unwrap_or_default(),
-        engine: engine.stats(),
-    }
+    out.records = door.close_window();
+    out.wall = finished_at.since(start);
+    out.transitions = pool.controller.map(|c| c.events).unwrap_or_default();
+    out.engine = pool.engine.stats();
+    out
 }
 
 #[cfg(test)]
@@ -1241,6 +1238,100 @@ mod tests {
                 .collect::<Vec<_>>()
         };
         assert_eq!(digest(&a), digest(&b), "recovery must stay deterministic");
+    }
+
+    /// A fake engine: every attempt takes `service` and then reports
+    /// success exactly once; `outstanding` is what a real engine would
+    /// still be holding a result slot for.
+    struct FakeEngine {
+        now: SimTime,
+        service: SimDuration,
+        outstanding: Vec<(u64, SimTime)>,
+        submitted: u64,
+    }
+
+    impl Attempts for FakeEngine {
+        fn submit(&mut self, _i: usize, _spec: QuerySpec) -> u64 {
+            self.submitted += 1;
+            self.outstanding
+                .push((self.submitted, self.now + self.service));
+            self.submitted
+        }
+
+        fn poll(&mut self, attempt: u64, now: SimTime) -> Option<Result<Completion, AttemptError>> {
+            let pos = self
+                .outstanding
+                .iter()
+                .position(|&(id, ready)| id == attempt && ready <= now)?;
+            self.outstanding.swap_remove(pos);
+            Some(Ok(Completion {
+                at: now,
+                response: self.service,
+            }))
+        }
+    }
+
+    #[test]
+    fn abandoned_attempts_are_reaped_by_the_completion_poll() {
+        // Regression: a request failed by its deadline used to drop its
+        // in-flight attempt id on the floor, so the engine's eventual
+        // result for it was never consumed. Deadline (5 ms) < service
+        // time (20 ms): every attempt is abandoned mid-flight, and each
+        // must still be polled to completion before the window closes.
+        let ms = SimDuration::from_millis;
+        let at = |t: u64| Arrival {
+            at: ms(t),
+            spec: QuerySpec::Q6 { variant: 0 },
+        };
+        let cfg = ServeConfig {
+            base: RunConfig::new(
+                Alloc::Adaptive,
+                0,
+                Workload::Repeat {
+                    spec: QuerySpec::Q6 { variant: 0 },
+                    iterations: 0,
+                },
+            ),
+            schedule: ArrivalSchedule {
+                arrivals: vec![at(0), at(1), at(2), at(30), at(31), at(60)],
+                horizon: ms(61),
+            },
+            admission: AdmissionSpec::None,
+            sla: ms(200),
+            drain: ms(40),
+            retry: None,
+            request_deadline: Some(ms(5)),
+        };
+        let mut engine = FakeEngine {
+            now: SimTime::ZERO,
+            service: ms(20),
+            outstanding: Vec::new(),
+            submitted: 0,
+        };
+        let mut door = FrontDoor::new(&cfg, SimTime::ZERO);
+        let cutoff = SimTime::ZERO + cfg.schedule.horizon + cfg.drain;
+        let mut resolved_at = None;
+        while engine.now < cutoff {
+            let now = engine.now;
+            if door.tick(now, &mut engine) {
+                resolved_at.get_or_insert(now);
+            }
+            engine.now = now + ms(1);
+        }
+        // Every request resolved (failed) at its deadline, long before
+        // its abandoned attempt finished…
+        assert_eq!(resolved_at, Some(SimTime::ZERO + ms(65)));
+        assert!(door.abandoned.is_empty(), "abandoned ids must drain");
+        let records = door.close_window();
+        assert!(records.iter().all(|r| r.outcome == RequestOutcome::Failed
+            && r.error.as_deref().is_some_and(|e| e.contains("deadline"))));
+        // …and every submitted attempt was nevertheless consumed.
+        assert_eq!(engine.submitted, 6);
+        assert!(
+            engine.outstanding.is_empty(),
+            "attempts never polled to completion: {:?}",
+            engine.outstanding
+        );
     }
 
     #[test]

@@ -1,7 +1,9 @@
-//! The multi-tenant experiment runner: N DBMS tenants — each with its
-//! own engine, cpuset group, workload and elastic mechanism — co-located
-//! on one simulated machine, arbitrated by a shared
-//! [`TenantArbiter`].
+//! Multi-tenant experiments: N DBMS tenants — each with its own engine,
+//! cpuset group, workload and elastic mechanism — co-located on one
+//! machine, arbitrated by a shared
+//! [`TenantArbiter`](elastic_core::TenantArbiter). This module holds
+//! the configuration and the per-tenant output; the lifecycle that runs
+//! them (resident or churned, sim or threads) lives in [`crate::churn`].
 //!
 //! This is the harness half of the ROADMAP's *SAM* / *OLTP on Hardware
 //! Islands* direction: every tenant runs the paper's control loop
@@ -12,18 +14,13 @@
 //! latency are measurable (the `mt_*` scenarios in `emca-bench`).
 
 use crate::backend::Backend;
-use crate::config::Warmup;
-use elastic_core::{
-    ArbiterMode, ElasticMechanism, MechanismConfig, Policy, PolicyId, SlaCappedPolicy, SlaPolicy,
-    TenantArbiter, TenantBinding,
-};
+use crate::config::{RunConfig, Warmup};
+use elastic_core::{ArbiterMode, Policy, PolicyId, SlaCappedPolicy, SlaPolicy};
 use emca_metrics::{SimDuration, SimTime, TimeSeries};
-use numa_sim::{Machine, MachineConfig};
-use os_sim::{CoreMask, Kernel, KernelConfig, ThreadState, Tid};
 use std::cell::Cell;
 use std::rc::Rc;
-use volcano_db::client::{spawn_clients, SharedLog, Workload};
-use volcano_db::exec::engine::{Engine, EngineConfig, Flavor, QueryResult};
+use volcano_db::client::Workload;
+use volcano_db::exec::engine::{Flavor, QueryResult};
 use volcano_db::exec::FaultPlan;
 use volcano_db::tpch::TpchData;
 
@@ -43,8 +40,9 @@ pub struct TenantRunConfig {
     /// Fair-share weight / priority rank for the arbiter.
     pub weight: u32,
     /// Simulated delay before this tenant's clients arrive (burst
-    /// scenarios); the engine and mechanism are installed at start
-    /// regardless.
+    /// scenarios). A resident tenant's engine and mechanism are
+    /// installed at start regardless; under churn this is the arrival
+    /// time the whole tenant is admitted at.
     pub start_after: SimDuration,
 }
 
@@ -124,16 +122,17 @@ pub struct MultiTenantConfig {
     /// inert.
     pub faults: Option<FaultPlan>,
     /// Serverless churn: cap on *simultaneously resident* tenants.
-    /// `Some(_)` switches to the churn runner — tenants are admitted at
-    /// their `start_after` arrival (queueing when the machine is full),
-    /// installed cold (data load + first allocation at admit time), and
-    /// depart when their clients finish (cores reclaimed and
-    /// redistributed). `None` installs every tenant up front (the
-    /// classic `mt_*` shape).
+    /// `Some(_)` switches the lifecycle to churn — tenants are admitted
+    /// at their `start_after` arrival (queueing when the machine is
+    /// full), installed cold (data load + first allocation at admit
+    /// time), and depart when their clients finish (cores reclaimed and
+    /// redistributed). `None` installs every tenant up front and keeps
+    /// it resident to the end of the drain (the classic `mt_*` shape).
     pub resident_cap: Option<usize>,
-    /// Static-partitioner baseline for the churn runner: each resident
-    /// slot owns a fixed slice of the machine and no elastic mechanism
-    /// runs — the strawman the adaptive arbiter is gated against.
+    /// Static-partitioner baseline (implies the churn lifecycle): each
+    /// resident slot owns a fixed slice of the machine and no elastic
+    /// mechanism runs — the strawman the adaptive arbiter is gated
+    /// against.
     pub static_partition: bool,
 }
 
@@ -159,7 +158,7 @@ impl MultiTenantConfig {
     }
 
     /// Caps simultaneously resident tenants, switching to the churn
-    /// runner (admit-on-arrival / depart-on-completion lifecycle).
+    /// lifecycle (admit on arrival, depart on completion).
     pub fn with_resident_cap(mut self, cap: usize) -> Self {
         assert!(cap >= 1, "resident cap must admit at least one tenant");
         self.resident_cap = Some(cap);
@@ -167,7 +166,7 @@ impl MultiTenantConfig {
     }
 
     /// Runs the static-partitioner baseline instead of elastic
-    /// arbitration (churn runner only).
+    /// arbitration.
     pub fn with_static_partition(mut self) -> Self {
         self.static_partition = true;
         self
@@ -386,8 +385,8 @@ pub struct MultiTenantOutput {
     /// Arbiter forced yields (cores actually shed toward a starved
     /// peer) over the run.
     pub arbiter_yields: u64,
-    /// Control ticks whose arbitration cost was measured (churn runner
-    /// only; zero elsewhere).
+    /// Control ticks executed by the tenants' mechanisms, each timed on
+    /// the host clock (zero on the static-partition baseline).
     pub arbiter_ticks: u64,
     /// Total host-clock nanoseconds spent inside measured control
     /// ticks — `arbiter_ns / arbiter_ticks` is the mean decision cost
@@ -446,253 +445,73 @@ impl Policy for SlaProbePolicy {
     }
 }
 
-/// Per-tenant live state inside the run loop.
-struct TenantLive {
-    group: os_sim::GroupId,
-    engine: Engine,
-    mechanism: ElasticMechanism,
-    logs: Vec<SharedLog>,
-    client_tids: Vec<Tid>,
-    load_sampler: os_sim::LoadSampler,
-    cores_series: TimeSeries,
-    load_series: TimeSeries,
-    qps_series: TimeSeries,
-    /// Per-log cursors for `note_response` feeding.
-    seen: Vec<usize>,
-    /// Completions counted since the last sample window.
-    window_completions: u64,
-    violations: Rc<Cell<u64>>,
-    started_at: Option<SimTime>,
-    finished_at: Option<SimTime>,
+impl TenantRunConfig {
+    /// Wraps `placement` in this tenant's SLA governor when it carries
+    /// any budget (the bare policy otherwise); the governor's violation
+    /// count is mirrored into `violations`.
+    pub(crate) fn governed(
+        &self,
+        placement: Box<dyn Policy>,
+        topology: &numa_sim::Topology,
+        violations: Rc<Cell<u64>>,
+    ) -> Box<dyn Policy> {
+        if !self.constrained() {
+            return placement;
+        }
+        let ntotal = topology.n_cores() as u32;
+        let cores_per_socket = (ntotal / topology.n_nodes() as u32).max(1);
+        Box::new(SlaProbePolicy {
+            inner: SlaCappedPolicy::new(placement, self.sla, ntotal, cores_per_socket),
+            violations,
+        })
+    }
 }
 
-/// Runs a multi-tenant experiment. `data` is shared across tenants and
-/// runs; each tenant loads its own copy into its own address space (the
-/// *OLTP on Hardware Islands* co-location shape: instances share the
-/// machine, not the buffer pool).
+impl TenantOutput {
+    /// The record of a tenant admitted at `started_at`: named empty
+    /// series, nothing completed yet.
+    pub(crate) fn begin(config: &TenantRunConfig, started_at: SimTime) -> Self {
+        let series = |what: &str| TimeSeries::new(format!("{}_{what}", config.name));
+        TenantOutput {
+            config: config.clone(),
+            results: Vec::new(),
+            cores_series: series("cores"),
+            load_series: series("load"),
+            qps_series: series("qps"),
+            started_at,
+            finished_at: started_at,
+            sla_violations: 0,
+            control_steps: 0,
+        }
+    }
+}
+
+impl MultiTenantConfig {
+    /// One tenant's slice of this run as the single-instance
+    /// [`RunConfig`] the shared engine/mechanism builders take.
+    pub(crate) fn instance(&self, tenant: &TenantRunConfig) -> RunConfig {
+        let mut rc = RunConfig::new(
+            tenant.policy.into(),
+            tenant.clients,
+            tenant.workload.clone(),
+        )
+        .with_flavor(self.flavor)
+        .with_scale(self.scale)
+        .with_warmup(self.warmup);
+        rc.mech_interval = self.mech_interval;
+        rc.faults = self.faults.clone();
+        rc
+    }
+}
+
+/// Runs a multi-tenant experiment on the configured backend. `data` is
+/// shared across tenants and runs; each tenant loads its own copy into
+/// its own address space (the *OLTP on Hardware Islands* co-location
+/// shape: instances share the machine, not the buffer pool). Resident
+/// and churned populations run the same lifecycle — see
+/// [`crate::churn`].
 pub fn run_tenants(config: MultiTenantConfig, data: &TpchData) -> MultiTenantOutput {
-    if config.resident_cap.is_some() || config.static_partition {
-        return crate::churn::run_tenants_churn(config, data);
-    }
-    if config.backend == Backend::Threads {
-        return crate::runner_threads::run_tenants_threads(config, data);
-    }
-    let kernel_cfg = KernelConfig::default();
-    let machine = Machine::new(MachineConfig::opteron_4x4(), kernel_cfg.tick);
-    let mut kernel = Kernel::new(machine, kernel_cfg);
-    let topo = kernel.machine().topology().clone();
-    let ntotal = topo.n_cores() as u32;
-    let cores_per_socket = (ntotal / topo.n_nodes() as u32).max(1);
-
-    let arbiter = TenantArbiter::shared(config.arbiter, ntotal);
-    for t in &config.tenants {
-        let budget = t.sla.max_cores;
-        arbiter
-            .borrow_mut()
-            .register(t.name.clone(), t.weight, budget);
-    }
-
-    let mut live: Vec<TenantLive> = Vec::with_capacity(config.tenants.len());
-    for (i, tcfg) in config.tenants.iter().enumerate() {
-        let group = kernel.create_group(CoreMask::all(&topo));
-        let engine = Engine::new(
-            EngineConfig {
-                flavor: config.flavor,
-                memo_capacity: 4096,
-                faults: config.faults.clone(),
-                fault_seed: config.scale.seed,
-                ..EngineConfig::default()
-            },
-            topo.n_nodes(),
-        );
-        let loader = match config.warmup {
-            Warmup::Loader => Some(numa_sim::CoreId(0)),
-            Warmup::Interleave | Warmup::None => None,
-        };
-        engine.load(kernel.machine_mut(), data, loader);
-        if config.warmup == Warmup::Interleave {
-            engine.interleave_base(kernel.machine_mut());
-        }
-        engine.start_workers(&mut kernel, group);
-
-        let violations = Rc::new(Cell::new(0u64));
-        let placement = tcfg.policy.build();
-        let policy: Box<dyn Policy> = if tcfg.constrained() {
-            Box::new(SlaProbePolicy {
-                inner: SlaCappedPolicy::new(placement, tcfg.sla, ntotal, cores_per_socket),
-                violations: Rc::clone(&violations),
-            })
-        } else {
-            placement
-        };
-        let mut mech_cfg = MechanismConfig::cpu_load().with_mode_latency(tcfg.policy.name());
-        if let Some(interval) = config.mech_interval {
-            mech_cfg.interval = interval;
-            mech_cfg.min_interval = interval;
-            mech_cfg.actuation_latency = mech_cfg.actuation_latency.min(interval / 2);
-        }
-        if tcfg.policy == PolicyId::HillClimb {
-            mech_cfg.saturation_guard = None;
-        }
-        let binding = TenantBinding::new(Rc::clone(&arbiter), elastic_core::TenantId(i as u32));
-        let mechanism = ElasticMechanism::install_tenant(
-            &mut kernel,
-            group,
-            engine.space(),
-            policy,
-            mech_cfg,
-            binding,
-        );
-        let load_sampler = os_sim::LoadSampler::new(&kernel, group);
-        live.push(TenantLive {
-            group,
-            engine,
-            mechanism,
-            logs: Vec::new(),
-            client_tids: Vec::new(),
-            load_sampler,
-            cores_series: TimeSeries::new(format!("{}_cores", tcfg.name)),
-            load_series: TimeSeries::new(format!("{}_load", tcfg.name)),
-            qps_series: TimeSeries::new(format!("{}_qps", tcfg.name)),
-            seen: Vec::new(),
-            window_completions: 0,
-            violations,
-            started_at: None,
-            finished_at: None,
-        });
-    }
-
-    let start = kernel.now();
-    let deadline = start + config.deadline;
-    let mut next_sample = start + config.sample_every;
-    let mut drained_from: Option<SimTime> = None;
-
-    loop {
-        let now = kernel.now();
-        if now >= deadline {
-            break;
-        }
-        // Late arrivals: spawn a tenant's clients once its delay passed.
-        for (tcfg, t) in config.tenants.iter().zip(&mut live) {
-            if t.started_at.is_none() && now.since(start) >= tcfg.start_after {
-                let before = kernel.n_threads();
-                t.logs = spawn_clients(
-                    &mut kernel,
-                    &t.engine,
-                    t.group,
-                    tcfg.clients,
-                    tcfg.workload.clone(),
-                );
-                t.client_tids = (before as u32..kernel.n_threads() as u32)
-                    .map(Tid)
-                    .collect();
-                t.seen = vec![0; t.logs.len()];
-                t.started_at = Some(now);
-            }
-        }
-        // Finish detection per tenant, and overall.
-        let mut all_done = true;
-        for t in &mut live {
-            match t.started_at {
-                None => all_done = false,
-                Some(_) => {
-                    if t.finished_at.is_none() {
-                        let done = t
-                            .client_tids
-                            .iter()
-                            .all(|&tid| kernel.thread_state(tid) == ThreadState::Finished);
-                        if done {
-                            t.finished_at = Some(now);
-                        } else {
-                            all_done = false;
-                        }
-                    }
-                }
-            }
-        }
-        if all_done {
-            let from = *drained_from.get_or_insert(now);
-            if now.since(from) >= config.drain {
-                break;
-            }
-        }
-        kernel.run_tick();
-        for t in &mut live {
-            t.mechanism.poll(&mut kernel);
-            for (log, cursor) in t.logs.iter().zip(&mut t.seen) {
-                let log = log.borrow();
-                for r in &log.results[*cursor..] {
-                    t.mechanism.note_response(r.response());
-                    t.window_completions += 1;
-                }
-                *cursor = log.results.len();
-            }
-        }
-        if kernel.now() >= next_sample {
-            let now = kernel.now();
-            let dt = config.sample_every.as_secs_f64();
-            for t in &mut live {
-                t.cores_series
-                    .push(now, kernel.group_mask(t.group).count() as f64);
-                let sample = t.load_sampler.sample(&kernel);
-                t.load_series.push(now, sample.group_load_pct());
-                t.qps_series.push(now, t.window_completions as f64 / dt);
-                t.window_completions = 0;
-            }
-            next_sample = now + config.sample_every;
-        }
-    }
-    let end = kernel.now();
-    assert!(
-        live.iter().all(|t| t.finished_at.is_some()),
-        "multi-tenant run hit the deadline ({:?}) with clients unfinished — raise \
-         MultiTenantConfig::deadline",
-        config.deadline
-    );
-
-    let (denials, yields) = {
-        let arb = arbiter.borrow();
-        (arb.denials, arb.yields)
-    };
-    let mut errors = Vec::new();
-    let tenants = config
-        .tenants
-        .iter()
-        .zip(live)
-        .map(|(tcfg, t)| {
-            let results = volcano_db::client::drain_results(&t.logs);
-            errors.extend(
-                volcano_db::client::drain_errors(&t.logs)
-                    .into_iter()
-                    .map(|e| format!("{}: {e}", tcfg.name)),
-            );
-            TenantOutput {
-                config: tcfg.clone(),
-                results,
-                cores_series: t.cores_series,
-                load_series: t.load_series,
-                qps_series: t.qps_series,
-                started_at: t.started_at.unwrap_or(start),
-                finished_at: t.finished_at.unwrap_or(end),
-                sla_violations: t.violations.get(),
-                control_steps: t.mechanism.steps,
-            }
-        })
-        .collect();
-
-    // Wall is start → last completion; the drain window is
-    // measurement-only time and does not count.
-    let last_finish = drained_from.unwrap_or(end);
-    MultiTenantOutput {
-        tenants,
-        wall: last_finish.since(start),
-        ntotal,
-        arbiter_denials: denials,
-        arbiter_yields: yields,
-        arbiter_ticks: 0,
-        arbiter_ns: 0,
-        errors,
-    }
+    crate::churn::run_tenants_churn(config, data)
 }
 
 #[cfg(test)]
