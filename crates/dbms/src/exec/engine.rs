@@ -1,5 +1,10 @@
-//! The execution engine: worker pool, dataflow scheduling and the two
-//! engine flavors the paper evaluates.
+//! The simulated execution engine: the worker pool on `os-sim` threads
+//! and the two engine flavors the paper evaluates. *What* runs next —
+//! partition counts, slice preferences, commit, readiness, completion —
+//! is `exec::dataflow`'s decision; this module prepares a task
+//! (evaluates it, allocates its simulated output, builds its charge
+//! items), meters it against simulated time, and keeps the
+//! simulator-only per-node state (`SimNode`).
 //!
 //! - **MonetDB flavor**: one worker thread per hardware core, *unpinned* —
 //!   "MonetDB let to the OS the thread scheduling responsibility". Tasks
@@ -17,13 +22,14 @@
 //! regardless; see DESIGN.md §4).
 
 use crate::exec::cost;
+use crate::exec::dataflow::{Commit, Deques, Flow};
 use crate::exec::eval;
 use crate::exec::eval::GroupAcc;
 use crate::exec::fault::{FaultPlan, WorkerFaultKind};
 use crate::exec::mat::{FlatJoinMap, JoinTable, Mat, NodeStorage, PairsMat, PosMat, ValMat};
 use crate::exec::par::QueryError;
 use crate::exec::plan::{ColRef, NodeId, PhysOp, Plan, Side};
-use crate::exec::task::{n_parts_for, part_range, ChargeItem, Partial, QueryId, Task, TaskCursor};
+use crate::exec::task::{part_range, ChargeItem, Partial, QueryId, Task, TaskCursor};
 use crate::exec::tomograph::Tomograph;
 use crate::storage::bat::{Bat, BatStore, ColData};
 use crate::storage::catalog::Catalog;
@@ -84,7 +90,9 @@ pub struct EngineStats {
     pub tasks_created: u64,
     /// Tasks fully executed.
     pub tasks_executed: u64,
-    /// Cross-node queue steals (SQL Server flavor only).
+    /// Tasks a worker took from a queue that was not its own: peer-deque
+    /// steals (MonetDB flavor and the threads backend) or cross-node
+    /// queue steals (SQL Server flavor).
     pub engine_steals: u64,
     /// Queries completed.
     pub queries_completed: u64,
@@ -138,16 +146,10 @@ impl QueryResult {
     }
 }
 
-struct NodeRun {
-    n_parts: u32,
-    remaining: u32,
-    waiting_inputs: u32,
-    partials: Vec<Option<Partial>>,
-    mat: Option<Mat>,
+/// What the simulator keeps per node beside the [`Flow`]'s record: where
+/// the output lives in simulated memory, and the memo shortcut.
+struct SimNode {
     storage: NodeStorage,
-    /// Which worker executed each partition (slice-affinity lineage for
-    /// the MonetDB flavor's dataflow dispatch).
-    part_worker: Vec<Option<u32>>,
     /// Out-of-order completed regions, committed sorted at finalize.
     pending_regions: Vec<(u32, usize, numa_sim::Region)>,
     /// Memo snapshot pinned at schedule time, so every partition of the
@@ -161,17 +163,12 @@ struct NodeRun {
 }
 
 struct QueryRun {
+    flow: Flow<Rc<Plan>>,
+    /// `side[i]` belongs to plan node `i`.
+    side: Vec<SimNode>,
     stream: StreamId,
     client: Tid,
-    label: String,
-    spec_tag: u32,
-    plan: Rc<Plan>,
-    dependents: Vec<Vec<NodeId>>,
     fingerprints: Vec<u64>,
-    nodes: Vec<NodeRun>,
-    pending_nodes: usize,
-    submitted: SimTime,
-    busy: SimDuration,
 }
 
 struct MemoEntry {
@@ -179,32 +176,32 @@ struct MemoEntry {
     part_rows: Vec<usize>,
 }
 
-/// Task queues per flavor.
+/// Task queues per flavor: the MonetDB flavor uses the worker deques,
+/// the SQL Server flavor their global queue plus one queue per NUMA
+/// node.
 struct TaskQueues {
-    global: VecDeque<Task>,
+    deques: Deques,
     per_node: Vec<VecDeque<Task>>,
-    /// MonetDB-flavor dataflow queues: one per worker, fed by slice
-    /// affinity, drained by the owner first and stolen from otherwise.
-    per_worker: Vec<VecDeque<Task>>,
 }
 
 impl TaskQueues {
     fn new(n_nodes: usize) -> Self {
         TaskQueues {
-            global: VecDeque::new(),
+            deques: Deques::new(0),
             per_node: (0..n_nodes).map(|_| VecDeque::new()).collect(),
-            per_worker: Vec::new(),
         }
     }
 
     fn len(&self) -> usize {
-        self.global.len()
-            + self.per_node.iter().map(|q| q.len()).sum::<usize>()
-            + self.per_worker.iter().map(|q| q.len()).sum::<usize>()
+        self.deques.len() + self.per_node.iter().map(|q| q.len()).sum::<usize>()
     }
 
-    fn is_empty(&self) -> bool {
-        self.len() == 0
+    fn push(&mut self, flavor: Flavor, task: Task) {
+        match (flavor, task.pref_node) {
+            (Flavor::MonetDb, _) => self.deques.push(task, &[]),
+            (Flavor::SqlServer, Some(n)) => self.per_node[n.idx()].push_back(task),
+            (Flavor::SqlServer, None) => self.deques.global.push_back(task),
+        }
     }
 }
 
@@ -382,7 +379,7 @@ impl Engine {
             };
             (core.cfg.flavor, n)
         };
-        self.core().queues.per_worker.resize_with(n, VecDeque::new);
+        self.core().queues.deques.resize(n);
         for i in 0..n {
             let affinity = match flavor {
                 Flavor::MonetDb => None,
@@ -481,158 +478,63 @@ impl EngineCore {
             }
         }
 
-        let dependents = plan.dependents();
         let fingerprints = fingerprint_plan(&plan);
-        let nodes: Vec<NodeRun> = plan
+        let side = plan
             .nodes()
             .iter()
-            .map(|op| NodeRun {
-                n_parts: 0,
-                remaining: 0,
-                waiting_inputs: op.inputs().len() as u32,
-                partials: Vec::new(),
-                mat: None,
+            .map(|op| SimNode {
                 storage: NodeStorage::new(out_row_bytes(op).max(4)),
-                part_worker: Vec::new(),
                 pending_regions: Vec::new(),
                 memo_hit: None,
                 out_vals: None,
             })
             .collect();
-        let pending = nodes.len();
+        let (flow, sources) = Flow::new(qid, plan, spec_tag, now);
         let run = QueryRun {
+            flow,
+            side,
             stream,
             client,
-            label: plan.label.clone(),
-            spec_tag,
-            plan,
-            dependents,
             fingerprints,
-            nodes,
-            pending_nodes: pending,
-            submitted: now,
-            busy: SimDuration::ZERO,
         };
         self.queries.insert(qid.0, run);
-        // Schedule source nodes.
-        let run = &self.queries[&qid.0];
-        let ready: Vec<NodeId> = run
-            .plan
-            .nodes()
-            .iter()
-            .enumerate()
-            .filter(|(_, op)| op.inputs().is_empty())
-            .map(|(i, _)| NodeId(i as u16))
-            .collect();
-        for node in ready {
+        for node in sources {
             self.schedule_node(qid, node);
         }
         qid
     }
 
-    /// Splits a ready node into tasks and enqueues them.
+    /// Splits a ready node into tasks and enqueues them, pinning the
+    /// node's memo snapshot first.
     fn schedule_node(&mut self, qid: QueryId, node: NodeId) {
-        let workers = self.worker_tids.len().max(1);
+        let workers = self.worker_tids.len();
         let run = self.queries.get_mut(&qid.0).expect("scheduling dead query");
-        let fp = run.fingerprints[node.idx()];
-        let memo_hit = self
+        run.side[node.idx()].memo_hit = self
             .memo
-            .get(&fp)
+            .get(&run.fingerprints[node.idx()])
             .map(|e| (e.mat.clone(), e.part_rows.clone()));
-        let primary_len =
-            primary_input_len(&run.plan, node, &run.nodes, &self.catalog, &self.store);
-        let n_parts = match run.plan.node(node) {
-            PhysOp::TopN { .. } => 1,
-            _ => n_parts_for(primary_len, workers),
-        };
-        // Slice affinity: partition p inherits the worker that executed
-        // the matching slice of the *primary* input — the one the
-        // operator partitions over (mitosis chains a slice through the
-        // operator pipeline on one dataflow thread). Source scans are
-        // dealt round-robin like fresh mitosis slices.
-        let lineage: Option<&[Option<u32>]> =
-            primary_input(&run.plan, node).map(|i| run.nodes[i.idx()].part_worker.as_slice());
-        let prefs: Vec<Option<u32>> = (0..n_parts)
-            .map(|part| match lineage {
-                Some(pw) if !pw.is_empty() => pw[(part as usize * pw.len()) / n_parts as usize],
-                _ => Some(((qid.0 as u32).wrapping_add(part)) % workers as u32),
-            })
-            .collect();
-        let nr = &mut run.nodes[node.idx()];
-        nr.memo_hit = memo_hit;
-        nr.n_parts = n_parts;
-        nr.remaining = n_parts;
-        nr.partials = (0..n_parts).map(|_| None).collect();
-        nr.part_worker = vec![None; n_parts as usize];
-        let stream_tasks: Vec<Task> = (0..n_parts)
-            .map(|part| Task {
-                qid,
-                node,
-                part,
-                n_parts,
-                pref_node: None,
-                pref_worker: prefs[part as usize],
-            })
-            .collect();
-        for task in stream_tasks {
+        let primary_len = run.flow.primary_len(node, |t| self.catalog.rows(t));
+        for task in run.flow.schedule(node, primary_len, workers) {
             self.stats.tasks_created += 1;
-            self.push_task(task);
-        }
-    }
-
-    fn push_task(&mut self, task: Task) {
-        match self.cfg.flavor {
-            Flavor::SqlServer => match task.pref_node {
-                Some(n) => self.queues.per_node[n.idx()].push_back(task),
-                None => self.queues.global.push_back(task),
-            },
-            Flavor::MonetDb => match task.pref_worker {
-                Some(w) if (w as usize) < self.queues.per_worker.len() => {
-                    self.queues.per_worker[w as usize].push_back(task)
-                }
-                _ => self.queues.global.push_back(task),
-            },
+            self.queues.push(self.cfg.flavor, task);
         }
     }
 
     /// Pops the next task for worker `worker_idx` running on NUMA node
     /// `worker_node`. SQL Server flavor prefers the local node queue and
-    /// steals across nodes; MonetDB prefers the worker's own dataflow
-    /// queue (slice affinity) and steals from other workers when idle.
+    /// steals across nodes; MonetDB pops its worker deques (own slice
+    /// first, then global, then a steal).
     pub fn pop_task(&mut self, worker_node: numa_sim::NodeId, worker_idx: usize) -> Option<Task> {
         match self.cfg.flavor {
-            Flavor::MonetDb => {
-                // Own queue drains LIFO (depth-first): a consumer task
-                // enqueued by the slice this worker just finished runs
-                // next, while its output is still cache-hot. Steals drain
-                // FIFO below — the classic work-stealing deque.
-                if let Some(q) = self.queues.per_worker.get_mut(worker_idx) {
-                    if let Some(t) = q.pop_back() {
-                        return Some(t);
-                    }
-                }
-                if let Some(t) = self.queues.global.pop_front() {
-                    return Some(t);
-                }
-                // DFLOW-style stealing: scan the other workers' queues,
-                // longest first would need a pass anyway, so take the
-                // first non-empty one in a stable order.
-                for i in 0..self.queues.per_worker.len() {
-                    if i == worker_idx {
-                        continue;
-                    }
-                    if let Some(t) = self.queues.per_worker[i].pop_front() {
-                        self.stats.engine_steals += 1;
-                        return Some(t);
-                    }
-                }
-                None
-            }
+            Flavor::MonetDb => self
+                .queues
+                .deques
+                .pop(worker_idx, &mut self.stats.engine_steals),
             Flavor::SqlServer => {
                 if let Some(t) = self.queues.per_node[worker_node.idx()].pop_front() {
                     return Some(t);
                 }
-                if let Some(t) = self.queues.global.pop_front() {
+                if let Some(t) = self.queues.deques.global.pop_front() {
                     return Some(t);
                 }
                 for i in 0..self.queues.per_node.len() {
@@ -649,31 +551,21 @@ impl EngineCore {
         }
     }
 
-    /// Assigns a locality preference to SQL Server tasks at dispatch time
-    /// (home node of the partition's first input segment).
-    fn locality_of(&self, task: &Task, machine: &Machine) -> Option<numa_sim::NodeId> {
-        let run = self.queries.get(&task.qid.0)?;
-        let first_seg =
-            first_input_segment(&run.plan, task, &run.nodes, &self.catalog, &self.store)?;
-        machine.mem().home_of(first_seg)
-    }
-
     /// Re-dispatches tasks from the global queue to per-node queues once
-    /// locality is known (SQL Server flavor). Called by workers before
-    /// popping.
+    /// locality — the home node of the partition's first input segment —
+    /// is known (SQL Server flavor). Called by workers before popping.
     pub fn localize_tasks(&mut self, machine: &Machine) {
-        if self.cfg.flavor != Flavor::SqlServer || self.queues.global.is_empty() {
+        if self.cfg.flavor != Flavor::SqlServer || self.queues.deques.global.is_empty() {
             return;
         }
-        let mut pending: Vec<Task> = self.queues.global.drain(..).collect();
-        for task in pending.drain(..) {
-            let pref = self.locality_of(&task, machine);
-            let mut task = task;
-            task.pref_node = pref;
-            match pref {
-                Some(n) => self.queues.per_node[n.idx()].push_back(task),
-                None => self.queues.global.push_back(task),
-            }
+        let pending: Vec<Task> = self.queues.deques.global.drain(..).collect();
+        for mut task in pending {
+            task.pref_node = self
+                .queries
+                .get(&task.qid.0)
+                .and_then(|run| first_input_segment(run, &task, &self.catalog, &self.store))
+                .and_then(|seg| machine.mem().home_of(seg));
+            self.queues.push(Flavor::SqlServer, task);
         }
     }
 
@@ -681,20 +573,21 @@ impl EngineCore {
     /// memo), allocates its output region and builds the charge items.
     pub fn prepare_task(&mut self, task: Task, machine: &mut Machine) -> TaskCursor {
         let space = self.space.expect("engine not loaded");
-        // The gather buffer is taken out of the pool up front so the rest
-        // of the preparation can hold immutable borrows of the query run
-        // (the operator is *borrowed*, not cloned — an `InSet` predicate
-        // clone per task was a hot-path allocation).
         let mut reads: Vec<SegId> = std::mem::take(&mut self.seg_scratch);
         reads.clear();
-        let run = self.queries.get(&task.qid.0).expect("task for dead query");
-        let op = run.plan.node(task.node);
+        let (catalog, store) = (&self.catalog, &self.store);
+        let col_bat = |c: &ColRef| store.get(catalog.column(c.table, c.column));
+        let run = self
+            .queries
+            .get_mut(&task.qid.0)
+            .expect("task for dead query");
+        // The operator is *borrowed*, not cloned — an `InSet` predicate
+        // clone per task was a hot-path allocation.
+        let op = run.flow.plan().node(task.node);
         let stream = run.stream;
-        let memo_hit = run.nodes[task.node.idx()].memo_hit.is_some();
 
-        let primary_len =
-            primary_input_len(&run.plan, task.node, &run.nodes, &self.catalog, &self.store);
-        let (start, end) = part_range(primary_len, task.part, task.n_parts);
+        let primary_len = run.flow.scheduled_len(task.node);
+        let (start, end) = run.flow.range(&task);
         let rows_in = end - start;
 
         // ---- gather read segments -------------------------------------
@@ -702,25 +595,22 @@ impl EngineCore {
         // per-input vectors are allocated and the emitted sequence is
         // unchanged.
         {
-            let nodes = &run.nodes;
+            let side = &run.side;
             let read_node_rows = |node: NodeId, s: usize, e: usize, reads: &mut Vec<SegId>| {
-                nodes[node.idx()]
-                    .storage
-                    .segments_for_rows_into(s, e, reads);
+                side[node.idx()].storage.segments_for_rows_into(s, e, reads);
             };
+            let mat_of = |node: NodeId| run.flow.mat(node).expect("input ready");
             match &op {
                 PhysOp::ScanSelect { col, .. } => {
-                    self.col_bat(col)
-                        .segments_for_rows_into(start, end, &mut reads);
+                    col_bat(col).segments_for_rows_into(start, end, &mut reads);
                 }
                 PhysOp::SelectAnd {
                     candidates, col, ..
                 } => {
                     read_node_rows(*candidates, start, end, &mut reads);
-                    let cands = nodes[candidates.idx()].mat.as_ref().expect("input ready");
+                    let cands = mat_of(*candidates);
                     let slice = &cands.as_pos().pos[start..end];
-                    self.col_bat(col)
-                        .segments_for_positions_into(slice, &mut reads);
+                    col_bat(col).segments_for_positions_into(slice, &mut reads);
                 }
                 PhysOp::SelectColCmp {
                     candidates,
@@ -730,37 +620,30 @@ impl EngineCore {
                 } => match candidates {
                     Some(c) => {
                         read_node_rows(*c, start, end, &mut reads);
-                        let cands = nodes[c.idx()].mat.as_ref().expect("input ready");
+                        let cands = mat_of(*c);
                         let slice = &cands.as_pos().pos[start..end];
-                        self.col_bat(left)
-                            .segments_for_positions_into(slice, &mut reads);
-                        self.col_bat(right)
-                            .segments_for_positions_into(slice, &mut reads);
+                        col_bat(left).segments_for_positions_into(slice, &mut reads);
+                        col_bat(right).segments_for_positions_into(slice, &mut reads);
                     }
                     None => {
-                        self.col_bat(left)
-                            .segments_for_rows_into(start, end, &mut reads);
-                        self.col_bat(right)
-                            .segments_for_rows_into(start, end, &mut reads);
+                        col_bat(left).segments_for_rows_into(start, end, &mut reads);
+                        col_bat(right).segments_for_rows_into(start, end, &mut reads);
                     }
                 },
                 PhysOp::Project { positions, col } => {
                     read_node_rows(*positions, start, end, &mut reads);
-                    let pos = nodes[positions.idx()].mat.as_ref().expect("input ready");
+                    let pos = mat_of(*positions);
                     let slice = &pos.as_pos().pos[start..end];
-                    self.col_bat(col)
-                        .segments_for_positions_into(slice, &mut reads);
+                    col_bat(col).segments_for_positions_into(slice, &mut reads);
                 }
                 PhysOp::ProjectSide { pairs, side, col } => {
                     read_node_rows(*pairs, start, end, &mut reads);
-                    let pm = nodes[pairs.idx()].mat.as_ref().expect("input ready");
-                    let pm = pm.as_pairs();
+                    let pm = mat_of(*pairs).as_pairs();
                     let slice = match side {
                         Side::Probe => &pm.probe.pos[start..end],
                         Side::Build => &pm.build.pos[start..end],
                     };
-                    self.col_bat(col)
-                        .segments_for_positions_unsorted_into(slice, &mut reads);
+                    col_bat(col).segments_for_positions_unsorted_into(slice, &mut reads);
                 }
                 PhysOp::BinOp { left, right, .. } => {
                     read_node_rows(*left, start, end, &mut reads);
@@ -780,7 +663,7 @@ impl EngineCore {
                 }
                 PhysOp::JoinProbe { build, probe } => {
                     read_node_rows(*probe, start, end, &mut reads);
-                    let build_storage = &nodes[build.idx()].storage;
+                    let build_storage = &side[build.idx()].storage;
                     build_storage.segments_for_rows_into(
                         0,
                         build_storage.rows().max(1),
@@ -791,51 +674,43 @@ impl EngineCore {
             }
         }
 
-        // Fixed-width value operators write their partition's slice into
-        // a node-level shared buffer (no finalize concat); the buffer's
-        // type and size are known before evaluation.
-        let val_buf_ty = if memo_hit {
-            None
-        } else {
-            match &op {
-                PhysOp::Project { col, .. } | PhysOp::ProjectSide { col, .. } => {
-                    Some(self.col_bat(col).data.col_type())
-                }
-                PhysOp::BinOp { .. } => Some(crate::storage::bat::ColType::F64),
-                _ => None,
-            }
-        };
         let row_bytes = out_row_bytes(op);
         let mal_name = op.mal_name();
         let cycles_each = op_cycles(op);
 
         // ---- evaluate (or reuse) ---------------------------------------
-        let (partial, out_rows) = if memo_hit {
-            let (_, part_rows) = run.nodes[task.node.idx()]
-                .memo_hit
-                .as_ref()
-                .expect("memo pinned at schedule");
+        let i = task.node.idx();
+        let (partial, out_rows) = if let Some((_, part_rows)) = &run.side[i].memo_hit {
             let rows = memo_part_rows(part_rows, task.part, task.n_parts);
             (Partial::Reuse, rows)
-        } else if let Some(ty) = val_buf_ty {
-            let run_mut = self.queries.get_mut(&task.qid.0).expect("dead query");
-            let mut buf = run_mut.nodes[task.node.idx()]
-                .out_vals
-                .take()
-                .unwrap_or_else(|| eval::ValsBuf::new(ty, primary_len));
-            evaluate_val_into(
-                run_mut.plan.node(task.node),
-                run_mut,
-                start,
-                end,
-                &self.catalog,
-                &self.store,
-                &mut buf,
-            );
-            run_mut.nodes[task.node.idx()].out_vals = Some(buf);
-            (Partial::Written(end - start), end - start)
         } else {
-            let partial = evaluate_partition(op, run, start, end, &self.catalog, &self.store);
+            // Fixed-width value operators write their partition's slice
+            // into a node-level shared buffer (no finalize concat); the
+            // buffer's type and size are known before evaluation.
+            let val_ty = match op {
+                PhysOp::Project { col, .. } | PhysOp::ProjectSide { col, .. } => {
+                    Some(col_bat(col).data.col_type())
+                }
+                PhysOp::BinOp { .. } => Some(crate::storage::bat::ColType::F64),
+                _ => None,
+            };
+            let mut buf = val_ty.map(|ty| {
+                let shared = run.side[i].out_vals.take();
+                shared.unwrap_or_else(|| eval::ValsBuf::new(ty, primary_len))
+            });
+            let inputs = RunInputs {
+                run,
+                catalog,
+                store,
+            };
+            let partial = match &mut buf {
+                Some(buf) => {
+                    evaluate_val_into(op, &inputs, start, end, buf);
+                    Partial::Written(end - start)
+                }
+                None => evaluate_partition_on(op, &inputs, start, end),
+            };
+            run.side[i].out_vals = buf;
             let rows = partial_rows(&partial);
             (partial, rows)
         };
@@ -881,27 +756,28 @@ impl EngineCore {
         step_offset: SimDuration,
         worker_idx: usize,
     ) {
-        self.stats.tasks_executed += 1;
         self.tomograph.record(cursor.mal_name, cursor.charged);
-        let qid = cursor.task.qid;
-        let node = cursor.task.node;
-        let run = self.queries.get_mut(&qid.0).expect("completing dead query");
-        run.busy += cursor.charged;
-        let nr = &mut run.nodes[node.idx()];
-        nr.part_worker[cursor.task.part as usize] = Some(worker_idx as u32);
-        nr.partials[cursor.task.part as usize] =
-            Some(cursor.partial.take().expect("partial already taken"));
+        let task = cursor.task;
+        let run = self
+            .queries
+            .get_mut(&task.qid.0)
+            .expect("completing dead query");
+        run.flow.charge(cursor.charged);
         if let Some(region) = cursor.out_region.take() {
-            // Buffered as (part, rows, region); ordered insert happens at
-            // finalize through partials order.
-            nr.storage_push_pending(cursor.task.part, cursor.out_rows, region);
+            // Tasks finish out of order but `NodeStorage` wants row
+            // order: stash, and commit sorted at finalize.
+            run.side[task.node.idx()]
+                .pending_regions
+                .push((task.part, cursor.out_rows, region));
         }
-        nr.remaining -= 1;
+        let partial = cursor.partial.take().expect("partial already taken");
+        let outcome = run.flow.commit(&task, worker_idx as u32, partial);
+        self.stats.tasks_executed += u64::from(outcome.counts());
         if self.item_pool.len() < POOL_CAP {
             self.item_pool.push(cursor.take_items());
         }
-        if nr.remaining == 0 {
-            self.finalize_node(qid, node, ctx, step_offset);
+        if let Commit::NodeDone(partials) = outcome {
+            self.finalize_node(task.qid, task.node, partials, ctx, step_offset);
         }
     }
 
@@ -911,106 +787,78 @@ impl EngineCore {
         &mut self,
         qid: QueryId,
         node: NodeId,
+        partials: Vec<Option<Partial>>,
         ctx: &mut WorkCtx<'_>,
         step_offset: SimDuration,
     ) {
-        let fp;
-        let mat;
-        {
-            let run = self.queries.get_mut(&qid.0).expect("dead query");
-            fp = run.fingerprints[node.idx()];
-            let op = run.plan.node(node).clone();
-            // Partials are handed to assembly by value: single-partition
-            // nodes move their buffers straight into the Mat instead of
-            // copying, and group/hash partials merge without clones.
-            let nr = &mut run.nodes[node.idx()];
-            let partials = std::mem::take(&mut nr.partials);
-            let out_vals = nr.out_vals.take();
-            let assembled = assemble_mat(
-                &op,
-                run,
-                node,
+        let run = self.queries.get_mut(&qid.0).expect("dead query");
+        let sn = &mut run.side[node.idx()];
+        let out_vals = sn.out_vals.take();
+        let memo_hit = sn.memo_hit.take();
+        sn.pending_regions.sort_by_key(|&(p, _, _)| p);
+        for (_, rows, region) in sn.pending_regions.drain(..) {
+            sn.storage.push_part(rows, region);
+        }
+        let rows = sn.storage.rows();
+        // Partials are handed to assembly by value: single-partition
+        // nodes move their buffers straight into the Mat instead of
+        // copying, and group/hash partials merge without clones.
+        let mat = match memo_hit {
+            Some((mat, _)) => {
+                debug_assert!(
+                    partials.iter().all(|p| matches!(p, Some(Partial::Reuse))),
+                    "memo-pinned node produced real partials"
+                );
+                mat
+            }
+            None => assemble_parts(
+                run.flow.plan().node(node),
+                &RunInputs {
+                    run,
+                    catalog: &self.catalog,
+                    store: &self.store,
+                },
                 partials,
                 out_vals,
-                &self.catalog,
-                &self.store,
-            );
-            let nr = &mut run.nodes[node.idx()];
-            nr.storage_commit();
-            nr.memo_hit = None;
-            nr.mat = Some(assembled.clone());
-            run.pending_nodes -= 1;
-            mat = assembled;
-        }
+            ),
+        };
         // Fill the memo (bounded by epoch flush).
+        let fp = run.fingerprints[node.idx()];
         if !self.memo.contains_key(&fp) {
             if self.memo.len() >= self.cfg.memo_capacity {
                 self.memo.clear();
             }
-            let run = &self.queries[&qid.0];
-            let nr = &run.nodes[node.idx()];
-            let part_rows = nr.committed_part_rows();
-            self.memo.insert(fp, MemoEntry { mat, part_rows });
+            let entry = MemoEntry {
+                mat: mat.clone(),
+                part_rows: vec![rows],
+            };
+            self.memo.insert(fp, entry);
         }
 
-        // Unblock dependents.
-        let ready: Vec<NodeId> = {
-            let run = self.queries.get_mut(&qid.0).expect("dead query");
-            let deps = run.dependents[node.idx()].clone();
-            deps.into_iter()
-                .filter(|d| {
-                    let nr = &mut run.nodes[d.idx()];
-                    nr.waiting_inputs -= 1;
-                    nr.waiting_inputs == 0
-                })
-                .collect()
-        };
+        let (ready, done) = run.flow.finalize(node, mat);
         for d in ready {
             self.schedule_node(qid, d);
         }
-        if !self.queues.is_empty() {
+        if self.queues.len() > 0 {
             for i in 0..self.worker_tids.len() {
                 ctx.wake(self.worker_tids[i]);
             }
         }
 
-        // Query completion.
-        let done = self.queries[&qid.0].pending_nodes == 0;
         if done {
             let run = self.queries.remove(&qid.0).expect("dead query");
             // Free all intermediate regions.
-            for nr in &run.nodes {
-                for region in nr.storage.regions() {
+            for sn in &run.side {
+                for region in sn.storage.regions() {
                     ctx.machine.free(region);
                 }
             }
             let traffic = ctx.machine.counters_mut().retire_stream(run.stream);
-            let root = run.plan.root();
-            let result = run.nodes[root.idx()].mat.clone().expect("root mat missing");
-            self.stats.queries_completed += 1;
-            // Steps within one tick share ctx.now, so a sub-tick query
-            // could appear to finish before its submission stamp; clamp
-            // to keep responses positive (skew is bounded by one tick).
-            let finished = (ctx.now + step_offset).max(run.submitted + SimDuration::from_nanos(1));
-            self.results.insert(
-                qid.0,
-                Ok(QueryResult {
-                    qid,
-                    label: run.label,
-                    spec_tag: run.spec_tag,
-                    submitted: run.submitted,
-                    finished,
-                    traffic,
-                    busy: run.busy,
-                    result,
-                }),
-            );
+            let outcome = run.flow.into_result(ctx.now + step_offset, traffic);
+            self.stats.queries_completed += u64::from(outcome.is_ok());
+            self.results.insert(qid.0, outcome);
             ctx.wake(run.client);
         }
-    }
-
-    fn col_bat(&self, col: &ColRef) -> &Bat {
-        self.store.get(self.catalog.column(col.table, col.column))
     }
 
     /// The simulated fault plane, checked at the top of every worker
@@ -1085,15 +933,12 @@ impl EngineCore {
             if let Some(region) = cursor.out_region.take() {
                 ctx.machine.free(&region);
             }
-            self.queues.global.push_back(cursor.task);
+            self.queues.deques.global.push_back(cursor.task);
             if self.item_pool.len() < POOL_CAP {
                 self.item_pool.push(cursor.take_items());
             }
         }
-        if let Some(q) = self.queues.per_worker.get_mut(idx) {
-            let orphans: Vec<Task> = q.drain(..).collect();
-            self.queues.global.extend(orphans);
-        }
+        self.queues.deques.rehome(idx);
         // Survivors may now have work they were never woken for.
         for tid in self.worker_tids.clone() {
             ctx.wake(tid);
@@ -1101,35 +946,10 @@ impl EngineCore {
     }
 }
 
-// Pending-region buffering on NodeRun: tasks finish out of order, but
-// NodeStorage wants row order. We stash (part, rows, region) and commit
-// sorted at finalize.
-impl NodeRun {
-    fn storage_push_pending(&mut self, part: u32, rows: usize, region: numa_sim::Region) {
-        self.pending_regions.push((part, rows, region));
-    }
-
-    fn storage_commit(&mut self) {
-        self.pending_regions.sort_by_key(|&(p, _, _)| p);
-        let parts: Vec<(u32, usize, numa_sim::Region)> = self.pending_regions.drain(..).collect();
-        for (_, rows, region) in parts {
-            self.storage.push_part(rows, region);
-        }
-    }
-
-    fn committed_part_rows(&self) -> Vec<usize> {
-        // Reconstructed from storage parts at memo time; when the op has
-        // no storage (scalar), a single zero entry.
-        vec![self.storage.rows()]
-    }
-}
-
 /// Input resolution for operator evaluation/assembly, abstracted over
 /// the executor: the simulated engine resolves against its `QueryRun`
 /// and `BatStore`, the threads backend ([`crate::exec::par`]) against a
-/// lock-free snapshot of input mats and shared base columns. Keeping
-/// both backends on these exact functions is what makes their query
-/// results bitwise identical.
+/// lock-free snapshot of input mats and shared base columns.
 pub(crate) trait ExecInputs {
     /// A base column's data.
     fn col_data(&self, c: &ColRef) -> &ColData;
@@ -1150,36 +970,12 @@ impl ExecInputs for RunInputs<'_> {
     }
 
     fn node_mat(&self, n: NodeId) -> &Mat {
-        self.run.nodes[n.idx()]
-            .mat
-            .as_ref()
-            .expect("input mat ready")
+        self.run.flow.mat(n).expect("input mat ready")
     }
 }
 
-/// Evaluates one partition of an operator for real.
-fn evaluate_partition(
-    op: &PhysOp,
-    run: &QueryRun,
-    start: usize,
-    end: usize,
-    catalog: &Catalog,
-    store: &BatStore,
-) -> Partial {
-    evaluate_partition_on(
-        op,
-        &RunInputs {
-            run,
-            catalog,
-            store,
-        },
-        start,
-        end,
-    )
-}
-
-/// [`evaluate_partition`] over any [`ExecInputs`] source (shared by the
-/// simulated and threads backends).
+/// Evaluates rows `start..end` of an operator's primary input, over any
+/// [`ExecInputs`] source — the one kernel entry point of both executors.
 pub(crate) fn evaluate_partition_on(
     op: &PhysOp,
     inputs: &impl ExecInputs,
@@ -1292,43 +1088,12 @@ pub(crate) fn evaluate_partition_on(
     }
 }
 
-/// Assembles the node's final [`Mat`] from partials (or the pinned memo
-/// snapshot). Partials arrive by value: the single-partition case moves
-/// its buffer into the Mat without a copy, and multi-partition concats
-/// reserve exactly once from the partial sizes.
-fn assemble_mat(
-    op: &PhysOp,
-    run: &QueryRun,
-    node: NodeId,
-    partials: Vec<Option<Partial>>,
-    out_vals: Option<eval::ValsBuf>,
-    catalog: &Catalog,
-    store: &BatStore,
-) -> Mat {
-    let nr = &run.nodes[node.idx()];
-    if let Some((mat, _)) = &nr.memo_hit {
-        debug_assert!(
-            partials.iter().all(|p| matches!(p, Some(Partial::Reuse))),
-            "memo-pinned node produced real partials"
-        );
-        return mat.clone();
-    }
-    assemble_parts(
-        op,
-        &RunInputs {
-            run,
-            catalog,
-            store,
-        },
-        partials,
-        out_vals,
-    )
-}
-
-/// [`assemble_mat`] over any [`ExecInputs`] source, without the memo
-/// path (the threads backend does not memoise — its timing is real).
-/// Partials are concatenated/merged strictly in partition order, so both
-/// backends produce the same float results bit for bit.
+/// Assembles a node's final [`Mat`] from its partials, over any
+/// [`ExecInputs`] source. Partials arrive by value: the single-partition
+/// case moves its buffer into the Mat without a copy, and
+/// multi-partition concats reserve exactly once from the partial sizes.
+/// They are concatenated/merged strictly in partition order, so both
+/// executors produce the same float results bit for bit.
 pub(crate) fn assemble_parts(
     op: &PhysOp,
     inputs: &impl ExecInputs,
@@ -1572,16 +1337,13 @@ fn vals_data(out_vals: Option<eval::ValsBuf>, partials: Vec<Option<Partial>>) ->
 /// the node's shared output buffer.
 fn evaluate_val_into(
     op: &PhysOp,
-    run: &QueryRun,
+    inputs: &impl ExecInputs,
     start: usize,
     end: usize,
-    catalog: &Catalog,
-    store: &BatStore,
     buf: &mut eval::ValsBuf,
 ) {
-    let col_data = |c: &ColRef| -> &ColData { &store.get(catalog.column(c.table, c.column)).data };
-    let node_mat =
-        |n: NodeId| -> &Mat { run.nodes[n.idx()].mat.as_ref().expect("input mat ready") };
+    let col_data = |c: &ColRef| inputs.col_data(c);
+    let node_mat = |n: NodeId| inputs.node_mat(n);
     match op {
         PhysOp::Project { positions, col } => {
             let pos = node_mat(*positions).as_pos();
@@ -1651,76 +1413,25 @@ fn op_cycles(op: &PhysOp) -> u64 {
     }
 }
 
-/// The plan node an operator partitions over (the slice-affinity
-/// lineage source). Mirrors [`primary_input_len`]: for a join probe the
-/// partitioning follows the *probe* side, not `inputs().first()` (which
-/// is the build). `None` for operators partitioned over base tables.
-pub(crate) fn primary_input(plan: &Plan, node: NodeId) -> Option<NodeId> {
-    match plan.node(node) {
-        PhysOp::ScanSelect { .. } => None,
-        PhysOp::SelectAnd { candidates, .. } => Some(*candidates),
-        PhysOp::SelectColCmp { candidates, .. } => *candidates,
-        PhysOp::Project { positions, .. } => Some(*positions),
-        PhysOp::ProjectSide { pairs, .. } => Some(*pairs),
-        PhysOp::BinOp { left, .. } => Some(*left),
-        PhysOp::AggrSum { values } => Some(*values),
-        PhysOp::GroupAgg { keys, .. } => Some(*keys),
-        PhysOp::JoinBuild { keys } => Some(*keys),
-        PhysOp::JoinProbe { probe, .. } => Some(*probe),
-        PhysOp::TopN { input, .. } => Some(*input),
-    }
-}
-
-/// Length of the primary input an operator partitions over.
-fn primary_input_len(
-    plan: &Plan,
-    node: NodeId,
-    nodes: &[NodeRun],
-    catalog: &Catalog,
-    _store: &BatStore,
-) -> usize {
-    let mat_len = |n: NodeId| nodes[n.idx()].mat.as_ref().map_or(0, |m| m.len());
-    match plan.node(node) {
-        PhysOp::ScanSelect { col, .. } => catalog.rows(col.table),
-        PhysOp::SelectAnd { candidates, .. } => mat_len(*candidates),
-        PhysOp::SelectColCmp {
-            candidates, left, ..
-        } => match candidates {
-            Some(c) => mat_len(*c),
-            None => catalog.rows(left.table),
-        },
-        PhysOp::Project { positions, .. } => mat_len(*positions),
-        PhysOp::ProjectSide { pairs, .. } => mat_len(*pairs),
-        PhysOp::BinOp { left, .. } => mat_len(*left),
-        PhysOp::AggrSum { values } => mat_len(*values),
-        PhysOp::GroupAgg { keys, .. } => mat_len(*keys),
-        PhysOp::JoinBuild { keys } => mat_len(*keys),
-        PhysOp::JoinProbe { probe, .. } => mat_len(*probe),
-        PhysOp::TopN { input, .. } => mat_len(*input),
-    }
-}
-
 /// The first input segment of a task's partition (locality dispatch).
 fn first_input_segment(
-    plan: &Plan,
+    run: &QueryRun,
     task: &Task,
-    nodes: &[NodeRun],
     catalog: &Catalog,
     store: &BatStore,
 ) -> Option<SegId> {
-    let len = primary_input_len(plan, task.node, nodes, catalog, store);
-    let (start, end) = part_range(len, task.part, task.n_parts);
+    let (start, end) = run.flow.range(task);
     if start >= end {
         return None;
     }
-    match plan.node(task.node) {
+    match run.flow.plan().node(task.node) {
         PhysOp::ScanSelect { col, .. } => {
             let bat = store.get(catalog.column(col.table, col.column));
             bat.segments_for_rows(start, start + 1).first().copied()
         }
         op => {
             let input = op.inputs().first().copied()?;
-            nodes[input.idx()]
+            run.side[input.idx()]
                 .storage
                 .segments_for_rows(start, start + 1)
                 .first()

@@ -2,6 +2,7 @@
 //! and the two engine flavors.
 
 pub mod cost;
+pub(crate) mod dataflow;
 pub mod engine;
 pub mod eval;
 pub mod fault;

@@ -1,24 +1,20 @@
-//! Real-parallel execution backend: dedicated OS-thread workers over the
-//! same dataflow the simulated engine runs.
+//! Real-parallel execution backend: dedicated OS-thread workers driving
+//! the `exec::dataflow` state machine.
 //!
-//! [`ParEngine`] spawns `n_workers` OS threads up front. Each worker owns
-//! a deque fed by slice-affinity lineage (mitosis chains a slice through
-//! the operator pipeline on one dataflow thread) and steals from its
-//! peers when idle — the same MonetDB-style discipline as
-//! [`EngineCore::pop_task`](super::engine::EngineCore::pop_task). The
-//! elastic mechanism actuates the pool for real: *grow/shrink* park and
-//! unpark workers ([`ParEngine::set_active`]), *placement* is the unpark
-//! order ([`ParEngine::set_wake_order`] — advisory, since the workspace
-//! has no affinity syscalls; see `docs/ARCHITECTURE.md`).
+//! [`ParEngine`] spawns `n_workers` OS threads up front. The pool mutex
+//! guards one `Flow` per in-flight query and the worker `Deques`;
+//! this module adds what real threads need around them — the lock and
+//! condvars, parking, generations, heartbeats, `catch_unwind` and the
+//! watchdog. The elastic mechanism actuates the pool for real:
+//! *grow/shrink* park and unpark workers ([`ParEngine::set_active`]),
+//! *placement* is the unpark order ([`ParEngine::set_wake_order`] —
+//! advisory, since the workspace has no affinity syscalls; see
+//! `docs/ARCHITECTURE.md`).
 //!
-//! Scheduling width (partition counts, lineage preferences) depends only
-//! on `n_workers`, never on the active count, and partials are merged in
-//! strict partition order by the same `assemble_parts` the simulator
-//! uses (`super::engine::assemble_parts`) —
-//! so with `n_workers` equal to the simulated machine's core count both
-//! backends produce bitwise-identical query results, and shrinking the
-//! pool changes timing, not answers. There is no memo cache here: every
-//! execution is real work, which is the point of this backend.
+//! Tasks are scheduled at width `n_workers`, never the active count, so
+//! shrinking the pool changes timing, not answers. There is no memo
+//! cache here: every execution is real work, which is the point of this
+//! backend.
 //!
 //! ## Failure model
 //!
@@ -43,29 +39,28 @@
 //! and a **watchdog** thread sweeps the counters. A heartbeat frozen
 //! for [`ParEngineConfig::stall_after`] gets recovered: the watchdog
 //! bumps the worker's *generation*, requeues the one task the worker
-//! was holding (`running[idx]`) **exactly once** — only if its partial
-//! was never committed — drains the worker's deque back to the global
-//! queue, respawns a replacement thread under the new generation, and
-//! counts the repair in [`EngineStats::engine_recoveries`] /
+//! was holding (`running[idx]`) only while `Flow::uncommitted` holds
+//! for it, drains the worker's deque back to the global queue, respawns
+//! a replacement thread under the new generation, and counts the repair
+//! in [`EngineStats::engine_recoveries`] /
 //! [`EngineStats::recovery_ms`]. A superseded worker that turns out to
 //! be merely slow discovers the generation bump at its next lock
-//! acquisition and exits without committing, and partial commits are
-//! additionally gated on "this partition is still empty", so a
-//! watchdog false positive can duplicate *work* but never a *result* —
-//! the backend-equivalence invariant survives recovery.
+//! acquisition and exits without committing, and `Flow::commit`
+//! drops every copy of a partition after the first, so a watchdog false
+//! positive can duplicate *work* but never a *result*.
 
+use crate::exec::dataflow::{Commit, Deques, Flow};
 use crate::exec::engine::{
-    assemble_parts, evaluate_partition_on, primary_input, EngineStats, ExecInputs, QueryResult,
+    assemble_parts, evaluate_partition_on, EngineStats, ExecInputs, QueryResult,
 };
 use crate::exec::fault::{FaultPlan, WorkerFaultKind};
 use crate::exec::mat::Mat;
-use crate::exec::plan::{ColRef, NodeId, PhysOp, Plan};
-use crate::exec::task::{n_parts_for, part_range, Partial, QueryId};
+use crate::exec::plan::{ColRef, NodeId, Plan};
+use crate::exec::task::{QueryId, Task};
 use crate::exec::tomograph::Tomograph;
 use crate::storage::bat::ColData;
 use crate::tpch::gen::TpchData;
 use emca_metrics::{FxHashMap, SimDuration, SimTime};
-use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
@@ -177,44 +172,11 @@ impl ExecInputs for Snapshot<'_> {
     }
 }
 
-/// One partition of one plan node (the threads-backend task descriptor;
-/// no simulated placement fields).
-#[derive(Clone, Copy, Debug)]
-struct ParTask {
-    qid: u64,
-    node: NodeId,
-    part: u32,
-    n_parts: u32,
-    pref_worker: Option<u32>,
-}
-
-struct ParNode {
-    n_parts: u32,
-    remaining: u32,
-    waiting_inputs: u32,
-    partials: Vec<Option<Partial>>,
-    mat: Option<Mat>,
-    /// Which worker executed each partition (slice-affinity lineage).
-    part_worker: Vec<Option<u32>>,
-}
-
-struct ParQuery {
-    label: String,
-    spec_tag: u32,
-    plan: Arc<Plan>,
-    dependents: Vec<Vec<NodeId>>,
-    nodes: Vec<ParNode>,
-    pending_nodes: usize,
-    submitted: SimTime,
-    busy: SimDuration,
-}
-
 /// Everything behind the pool mutex.
 struct State {
-    queries: FxHashMap<u64, ParQuery>,
+    queries: FxHashMap<u64, Flow<Arc<Plan>>>,
     next_qid: u64,
-    global: VecDeque<ParTask>,
-    per_worker: Vec<VecDeque<ParTask>>,
+    deques: Deques,
     /// `rank_of[worker]` — a worker runs while its rank (among live
     /// workers) is below `active`; the mechanism's placement preference
     /// is expressed by permuting ranks ([`ParEngine::set_wake_order`]).
@@ -228,7 +190,7 @@ struct State {
     /// The one task each worker popped and is evaluating right now.
     /// Set at pop, cleared at commit (both under this mutex): if the
     /// worker dies in between, the watchdog requeues it exactly once.
-    running: Vec<Option<ParTask>>,
+    running: Vec<Option<Task>>,
     /// Incarnation counter per worker slot. The watchdog bumps it when
     /// it recovers a worker; a thread whose generation no longer
     /// matches has been superseded and must exit without committing.
@@ -292,6 +254,11 @@ impl Shared {
     /// under it), so a poisoned guard's data is still consistent.
     fn lock_state(&self) -> MutexGuard<'_, State> {
         self.state.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Wall-clock time since pool start, as simulation time.
+    fn now(&self) -> SimTime {
+        SimTime::ZERO + SimDuration::from_nanos(self.epoch.elapsed().as_nanos() as u64)
     }
 
     /// Waits for work with a bounded park so the worker keeps
@@ -415,8 +382,7 @@ impl ParEngine {
             state: Mutex::new(State {
                 queries: FxHashMap::default(),
                 next_qid: 0,
-                global: VecDeque::new(),
-                per_worker: (0..n).map(|_| VecDeque::new()).collect(),
+                deques: Deques::new(n),
                 rank_of: (0..n).collect(),
                 active: cfg.initial_active.clamp(1, n),
                 shutdown: false,
@@ -508,7 +474,7 @@ impl ParEngine {
     /// Wall-clock time since pool start, as simulation time (both
     /// backends report [`QueryResult`] stamps on the same axis).
     pub fn now(&self) -> SimTime {
-        SimTime::ZERO + SimDuration::from_nanos(self.shared.epoch.elapsed().as_nanos() as u64)
+        self.shared.now()
     }
 
     /// Submits a query; workers are notified immediately. The result is
@@ -522,69 +488,33 @@ impl ParEngine {
         let qid = st.next_qid;
         st.next_qid += 1;
         st.stats.queries_submitted += 1;
-        if st.n_dead == self.shared.n_workers {
-            st.results.insert(qid, Err(QueryError::PoolDead));
+        let pool_dead =
+            |st: &State| (st.n_dead == self.shared.n_workers).then_some(QueryError::PoolDead);
+        let mut refused = pool_dead(&st);
+        if refused.is_none() && self.shared.faults_armed.load(Ordering::Relaxed) {
+            // The poison draw locks the fault plan; take it outside the
+            // state lock (the qid is already allocated, so the draw is
+            // deterministic regardless of the interleaving). The pool may
+            // have fully died by the time the lock is back.
+            drop(st);
+            let poisoned = self.shared.query_poisoned(qid);
+            st = self.shared.lock_state();
+            refused = if poisoned {
+                Some(QueryError::BadQuery)
+            } else {
+                pool_dead(&st)
+            };
+        }
+        if let Some(error) = refused {
+            st.results.insert(qid, Err(error));
             drop(st);
             self.shared.done.notify_all();
             return QueryId(qid);
         }
-        if self.shared.faults_armed.load(Ordering::Relaxed) {
-            // The poison draw locks the fault plan; take it outside the
-            // state lock (the qid is already allocated, so the draw is
-            // deterministic regardless of the interleaving).
-            drop(st);
-            if self.shared.query_poisoned(qid) {
-                let mut st = self.shared.lock_state();
-                st.results.insert(qid, Err(QueryError::BadQuery));
-                drop(st);
-                self.shared.done.notify_all();
-                return QueryId(qid);
-            }
-            st = self.shared.lock_state();
-            // The pool may have fully died while the lock was released.
-            if st.n_dead == self.shared.n_workers {
-                st.results.insert(qid, Err(QueryError::PoolDead));
-                drop(st);
-                self.shared.done.notify_all();
-                return QueryId(qid);
-            }
-        }
-        let dependents = plan.dependents();
-        let nodes: Vec<ParNode> = plan
-            .nodes()
-            .iter()
-            .map(|op| ParNode {
-                n_parts: 0,
-                remaining: 0,
-                waiting_inputs: op.inputs().len() as u32,
-                partials: Vec::new(),
-                mat: None,
-                part_worker: Vec::new(),
-            })
-            .collect();
-        let pending = nodes.len();
-        let ready: Vec<NodeId> = plan
-            .nodes()
-            .iter()
-            .enumerate()
-            .filter(|(_, op)| op.inputs().is_empty())
-            .map(|(i, _)| NodeId(i as u16))
-            .collect();
-        st.queries.insert(
-            qid,
-            ParQuery {
-                label: plan.label.clone(),
-                spec_tag,
-                plan,
-                dependents,
-                nodes,
-                pending_nodes: pending,
-                submitted,
-                busy: SimDuration::ZERO,
-            },
-        );
-        for node in ready {
-            schedule_node(&mut st, &self.shared.base, self.shared.n_workers, qid, node);
+        let (flow, sources) = Flow::new(QueryId(qid), plan, spec_tag, submitted);
+        st.queries.insert(qid, flow);
+        for node in sources {
+            schedule_node(&mut st, &self.shared, qid, node);
         }
         drop(st);
         self.shared.work.notify_all();
@@ -662,8 +592,7 @@ impl ParEngine {
 
     /// Outstanding (queued) task count.
     pub fn queued_tasks(&self) -> usize {
-        let st = self.shared.lock_state();
-        st.global.len() + st.per_worker.iter().map(|q| q.len()).sum::<usize>()
+        self.shared.lock_state().deques.len()
     }
 
     /// Number of in-flight queries.
@@ -720,106 +649,17 @@ impl Drop for ParEngine {
     }
 }
 
-/// Length of the primary input an operator partitions over (mirrors the
-/// simulated engine's `primary_input_len`).
-fn primary_len_of(
-    plan: &Plan,
-    node: NodeId,
-    mat_len: impl Fn(NodeId) -> usize,
-    base: &BaseData,
-) -> usize {
-    match plan.node(node) {
-        PhysOp::ScanSelect { col, .. } => base.rows(col.table),
-        PhysOp::SelectAnd { candidates, .. } => mat_len(*candidates),
-        PhysOp::SelectColCmp {
-            candidates, left, ..
-        } => match candidates {
-            Some(c) => mat_len(*c),
-            None => base.rows(left.table),
-        },
-        PhysOp::Project { positions, .. } => mat_len(*positions),
-        PhysOp::ProjectSide { pairs, .. } => mat_len(*pairs),
-        PhysOp::BinOp { left, .. } => mat_len(*left),
-        PhysOp::AggrSum { values } => mat_len(*values),
-        PhysOp::GroupAgg { keys, .. } => mat_len(*keys),
-        PhysOp::JoinBuild { keys } => mat_len(*keys),
-        PhysOp::JoinProbe { probe, .. } => mat_len(*probe),
-        PhysOp::TopN { input, .. } => mat_len(*input),
-    }
-}
-
-/// Splits a ready node into partition tasks and enqueues them, with the
-/// same partition-count and lineage rules as the simulated engine
-/// (`workers` here is the pool's scheduling width, not the active
-/// count — results must not depend on the current allocation). Tasks
-/// preferring a dead worker fall through to the global queue.
-fn schedule_node(st: &mut State, base: &BaseData, workers: usize, qid: u64, node: NodeId) {
+/// Splits a ready node into its partition tasks and enqueues them.
+/// Tasks preferring a dead worker go to the global queue.
+fn schedule_node(st: &mut State, shared: &Shared, qid: u64, node: NodeId) {
     let Some(q) = st.queries.get_mut(&qid) else {
         return; // query failed by a dying peer; nothing to schedule
     };
-    let primary_len = {
-        let nodes = &q.nodes;
-        primary_len_of(
-            &q.plan,
-            node,
-            |n| nodes[n.idx()].mat.as_ref().map_or(0, |m| m.len()),
-            base,
-        )
-    };
-    let n_parts = match q.plan.node(node) {
-        PhysOp::TopN { .. } => 1,
-        _ => n_parts_for(primary_len, workers),
-    };
-    let lineage: Option<&[Option<u32>]> =
-        primary_input(&q.plan, node).map(|i| q.nodes[i.idx()].part_worker.as_slice());
-    let prefs: Vec<Option<u32>> = (0..n_parts)
-        .map(|part| match lineage {
-            Some(pw) if !pw.is_empty() => pw[(part as usize * pw.len()) / n_parts as usize],
-            _ => Some(((qid as u32).wrapping_add(part)) % workers as u32),
-        })
-        .collect();
-    let nr = &mut q.nodes[node.idx()];
-    nr.n_parts = n_parts;
-    nr.remaining = n_parts;
-    nr.partials = (0..n_parts).map(|_| None).collect();
-    nr.part_worker = vec![None; n_parts as usize];
-    for part in 0..n_parts {
-        let task = ParTask {
-            qid,
-            node,
-            part,
-            n_parts,
-            pref_worker: prefs[part as usize],
-        };
+    let primary_len = q.primary_len(node, |t| shared.base.rows(t));
+    for task in q.schedule(node, primary_len, shared.n_workers) {
         st.stats.tasks_created += 1;
-        match task.pref_worker {
-            Some(w) if (w as usize) < st.per_worker.len() && !st.dead[w as usize] => {
-                st.per_worker[w as usize].push_back(task)
-            }
-            _ => st.global.push_back(task),
-        }
+        st.deques.push(task, &st.dead);
     }
-}
-
-/// Worker-deque pop: own deque LIFO (depth-first, cache-hot consumer
-/// first), then the global queue, then FIFO steals from peers.
-fn pop_task(st: &mut State, idx: usize) -> Option<ParTask> {
-    if let Some(t) = st.per_worker[idx].pop_back() {
-        return Some(t);
-    }
-    if let Some(t) = st.global.pop_front() {
-        return Some(t);
-    }
-    for i in 0..st.per_worker.len() {
-        if i == idx {
-            continue;
-        }
-        if let Some(t) = st.per_worker[i].pop_front() {
-            st.stats.engine_steals += 1;
-            return Some(t);
-        }
-    }
-    None
 }
 
 /// Renders a `catch_unwind` payload for the [`QueryError`].
@@ -847,10 +687,7 @@ fn collapse_pool(st: &mut State) {
         st.queries.remove(&q);
         st.results.insert(q, Err(QueryError::PoolDead));
     }
-    st.global.clear();
-    for dq in &mut st.per_worker {
-        dq.clear();
-    }
+    st.deques.clear();
 }
 
 /// The dead-worker path: marks `idx` dead, rehomes its queued tasks,
@@ -869,8 +706,7 @@ fn worker_dies(shared: &Shared, st: &mut State, idx: usize, qid: u64, error: Que
     st.n_dead += 1;
     // Rehome tasks routed to this worker so lineage preferences cannot
     // strand them.
-    let orphans = std::mem::take(&mut st.per_worker[idx]);
-    st.global.extend(orphans);
+    st.deques.rehome(idx);
     fail_query(shared, st, qid, error);
     if st.n_dead == shared.n_workers {
         collapse_pool(st);
@@ -892,17 +728,15 @@ fn recover_worker(shared: &Arc<Shared>, idx: usize, downtime: Duration) {
         st.worker_gen[idx] += 1;
         let gen = st.worker_gen[idx];
         if let Some(task) = st.running[idx].take() {
-            let requeue = st.queries.get(&task.qid).is_some_and(|q| {
-                let nr = &q.nodes[task.node.idx()];
-                nr.partials.len() == task.n_parts as usize
-                    && nr.partials[task.part as usize].is_none()
-            });
-            if requeue {
-                st.global.push_back(task);
+            let open = st
+                .queries
+                .get(&task.qid.0)
+                .is_some_and(|q| q.uncommitted(&task));
+            if open {
+                st.deques.global.push_back(task);
             }
         }
-        let orphans = std::mem::take(&mut st.per_worker[idx]);
-        st.global.extend(orphans);
+        st.deques.rehome(idx);
         st.stats.engine_recoveries += 1;
         st.stats.recovery_ms += downtime.as_secs_f64() * 1e3;
         gen
@@ -1016,19 +850,21 @@ fn worker_loop(shared: Arc<Shared>, idx: usize, my_gen: u64) {
             drop(shared.wait_work_timeout(st, poll));
             continue;
         }
-        let Some(task) = pop_task(&mut st, idx) else {
+        let State { deques, stats, .. } = &mut *st;
+        let Some(task) = deques.pop(idx, &mut stats.engine_steals) else {
             drop(shared.wait_work_timeout(st, poll));
             continue;
         };
-        st.running[idx] = Some(task);
+        let qid = task.qid.0;
 
         // ---- snapshot inputs under the lock ---------------------------
-        let Some(q) = st.queries.get(&task.qid) else {
-            st.running[idx] = None;
+        let Some(q) = st.queries.get(&qid) else {
             continue; // query failed by a dying peer; drop its task
         };
-        let plan = Arc::clone(&q.plan);
-        let mats: Vec<Option<Mat>> = q.nodes.iter().map(|n| n.mat.clone()).collect();
+        let plan = Arc::clone(q.plan());
+        let (start, end) = q.range(&task);
+        let mats = q.mats();
+        st.running[idx] = Some(task);
         drop(st);
 
         // Post-pop fault window: a kill here strands the popped task in
@@ -1044,19 +880,12 @@ fn worker_loop(shared: Arc<Shared>, idx: usize, my_gen: u64) {
 
         // ---- evaluate outside the lock --------------------------------
         let op = plan.node(task.node);
+        let inputs = Snapshot {
+            base: &shared.base,
+            mats: &mats,
+        };
         let t0 = Instant::now();
         let outcome = catch_unwind(AssertUnwindSafe(|| {
-            let inputs = Snapshot {
-                base: &shared.base,
-                mats: &mats,
-            };
-            let primary_len = primary_len_of(
-                &plan,
-                task.node,
-                |n| mats[n.idx()].as_ref().map_or(0, |m| m.len()),
-                &shared.base,
-            );
-            let (start, end) = part_range(primary_len, task.part, task.n_parts);
             evaluate_partition_on(op, &inputs, start, end)
         }));
         let mut elapsed = SimDuration::from_nanos(t0.elapsed().as_nanos() as u64);
@@ -1074,7 +903,7 @@ fn worker_loop(shared: Arc<Shared>, idx: usize, my_gen: u64) {
                     &shared,
                     &mut st,
                     idx,
-                    task.qid,
+                    qid,
                     QueryError::WorkerPanicked {
                         op: op.mal_name(),
                         message: panic_message(payload),
@@ -1094,74 +923,64 @@ fn worker_loop(shared: Arc<Shared>, idx: usize, my_gen: u64) {
             return;
         }
         st.running[idx] = None;
-        st.stats.tasks_executed += 1;
-        let Some(q) = st.queries.get_mut(&task.qid) else {
-            // Query failed while this valid partition was in flight;
-            // count the work and move on.
-            st.busy_ns += elapsed.as_nanos();
-            continue;
+        // A query failed while this partition was in flight has nothing
+        // left to commit to, like a duplicate.
+        let outcome = match st.queries.get_mut(&qid) {
+            Some(q) => q.commit(&task, idx as u32, partial),
+            None => Commit::Duplicate,
         };
-        let nr = &mut q.nodes[task.node.idx()];
-        if nr.partials.len() != task.n_parts as usize || nr.partials[task.part as usize].is_some() {
-            // A requeued duplicate raced the original commit (or the
-            // node is already assembling): first commit won, this copy
-            // is dropped without touching `remaining`.
-            st.busy_ns += elapsed.as_nanos();
-            continue;
-        }
-        nr.part_worker[task.part as usize] = Some(idx as u32);
-        nr.partials[task.part as usize] = Some(partial);
-        nr.remaining -= 1;
-        let node_done = nr.remaining == 0;
-        let mat = if node_done {
-            // Assemble outside the lock too: only the last completer of a
-            // node reaches here, so the taken partials race with nobody.
-            let partials = std::mem::take(&mut nr.partials);
-            drop(st);
-            let t1 = Instant::now();
-            let assembled = catch_unwind(AssertUnwindSafe(|| {
-                let inputs = Snapshot {
-                    base: &shared.base,
-                    mats: &mats,
-                };
-                assemble_parts(op, &inputs, partials, None)
-            }));
-            elapsed += SimDuration::from_nanos(t1.elapsed().as_nanos() as u64);
-            st = shared.lock_state();
-            match assembled {
-                Ok(m) => Some(m),
-                Err(payload) => {
-                    let error = QueryError::WorkerPanicked {
-                        op: op.mal_name(),
-                        message: panic_message(payload),
-                    };
-                    if st.worker_gen[idx] != my_gen {
-                        // The partials are consumed — nobody else can
-                        // finish this node — so even a superseded worker
-                        // must fail the query before exiting, or its
-                        // client hangs.
-                        fail_query(&shared, &mut st, task.qid, error);
+        st.stats.tasks_executed += u64::from(outcome.counts());
+        let mat = match outcome {
+            Commit::Duplicate => {
+                // A requeued copy raced the original commit: the first
+                // one won and this one is dropped, its time still spent.
+                st.busy_ns += elapsed.as_nanos();
+                continue;
+            }
+            Commit::Pending => None,
+            Commit::NodeDone(partials) => {
+                // Assemble outside the lock too: only the last committer
+                // of a node gets its partials, so they race with nobody.
+                drop(st);
+                let t1 = Instant::now();
+                let assembled = catch_unwind(AssertUnwindSafe(|| {
+                    assemble_parts(op, &inputs, partials, None)
+                }));
+                elapsed += SimDuration::from_nanos(t1.elapsed().as_nanos() as u64);
+                st = shared.lock_state();
+                match assembled {
+                    Ok(m) => Some(m),
+                    Err(payload) => {
+                        let error = QueryError::WorkerPanicked {
+                            op: op.mal_name(),
+                            message: panic_message(payload),
+                        };
+                        if st.worker_gen[idx] != my_gen {
+                            // The partials are consumed — nobody else can
+                            // finish this node — so even a superseded worker
+                            // must fail the query before exiting, or its
+                            // client hangs.
+                            fail_query(&shared, &mut st, qid, error);
+                            return;
+                        }
+                        worker_dies(&shared, &mut st, idx, qid, error);
                         return;
                     }
-                    worker_dies(&shared, &mut st, idx, task.qid, error);
-                    return;
                 }
             }
-        } else {
-            None
         };
         st.busy_ns += elapsed.as_nanos();
         st.tomograph.record(op.mal_name(), elapsed);
-        let Some(q) = st.queries.get_mut(&task.qid) else {
+        let Some(q) = st.queries.get_mut(&qid) else {
             continue;
         };
-        q.busy += elapsed;
+        q.charge(elapsed);
         if let Some(mat) = mat {
             // The one-finalizer exception: this worker took the node's
             // partials, so it must commit the mat and schedule the
             // dependents even if a watchdog supersession landed during
             // assembly — then exit.
-            finalize_node(&mut st, &shared, task.qid, task.node, mat);
+            finalize_node(&mut st, &shared, qid, task.node, mat);
             if st.worker_gen[idx] != my_gen {
                 return;
             }
@@ -1175,51 +994,19 @@ fn finalize_node(st: &mut State, shared: &Shared, qid: u64, node: NodeId, mat: M
     let Some(q) = st.queries.get_mut(&qid) else {
         return;
     };
-    q.nodes[node.idx()].mat = Some(mat);
-    q.pending_nodes -= 1;
-    let deps = q.dependents[node.idx()].clone();
-    let ready: Vec<NodeId> = deps
-        .into_iter()
-        .filter(|d| {
-            let nr = &mut q.nodes[d.idx()];
-            nr.waiting_inputs -= 1;
-            nr.waiting_inputs == 0
-        })
-        .collect();
-    let scheduled = !ready.is_empty();
-    for d in ready {
-        schedule_node(st, &shared.base, shared.n_workers, qid, d);
-    }
-    if scheduled {
+    let (ready, done) = q.finalize(node, mat);
+    if !ready.is_empty() {
+        for d in ready {
+            schedule_node(st, shared, qid, d);
+        }
         shared.work.notify_all();
     }
-
-    let done = st.queries.get(&qid).is_some_and(|q| q.pending_nodes == 0);
     if done {
         let Some(q) = st.queries.remove(&qid) else {
             return;
         };
-        let root = q.plan.root();
-        let outcome = match q.nodes[root.idx()].mat.clone() {
-            Some(result) => {
-                st.stats.queries_completed += 1;
-                let now = SimTime::ZERO
-                    + SimDuration::from_nanos(shared.epoch.elapsed().as_nanos() as u64);
-                // Keep responses strictly positive, like the simulated engine.
-                let finished = now.max(q.submitted + SimDuration::from_nanos(1));
-                Ok(QueryResult {
-                    qid: QueryId(qid),
-                    label: q.label,
-                    spec_tag: q.spec_tag,
-                    submitted: q.submitted,
-                    finished,
-                    traffic: Default::default(),
-                    busy: q.busy,
-                    result,
-                })
-            }
-            None => Err(QueryError::Internal("root mat missing at completion")),
-        };
+        let outcome = q.into_result(shared.now(), Default::default());
+        st.stats.queries_completed += u64::from(outcome.is_ok());
         st.results.insert(qid, outcome);
         shared.done.notify_all();
     }
@@ -1281,6 +1068,78 @@ mod tests {
         assert_eq!(stats.queries_submitted, 3);
         assert_eq!(stats.queries_completed, 3);
         assert!(stats.tasks_executed >= stats.queries_completed);
+    }
+
+    /// The dataflow driven on one thread: pop, evaluate, commit,
+    /// assemble, finalize — `worker_loop` without the pool around it.
+    /// Workers take turns popping, so slices get stolen and the lineage
+    /// differs from any real run; the result may not.
+    fn serial_reference(base: &BaseData, plan: Arc<Plan>, width: usize) -> String {
+        let (mut flow, sources) = Flow::new(QueryId(0), plan, 0, SimTime::ZERO);
+        let mut deques = Deques::new(width);
+        let schedule = |flow: &mut Flow<Arc<Plan>>, deques: &mut Deques, node: NodeId| {
+            let len = flow.primary_len(node, |t| base.rows(t));
+            for task in flow.schedule(node, len, width) {
+                deques.push(task, &[]);
+            }
+        };
+        for node in sources {
+            schedule(&mut flow, &mut deques, node);
+        }
+        let (mut turn, mut steals) = (0, 0);
+        while let Some(task) = deques.pop(turn % width, &mut steals) {
+            let worker = (turn % width) as u32;
+            turn += 1;
+            let plan = Arc::clone(flow.plan());
+            let op = plan.node(task.node);
+            let mats = flow.mats();
+            let inputs = Snapshot { base, mats: &mats };
+            let (start, end) = flow.range(&task);
+            let partial = evaluate_partition_on(op, &inputs, start, end);
+            if let Commit::NodeDone(partials) = flow.commit(&task, worker, partial) {
+                let mat = assemble_parts(op, &inputs, partials, None);
+                let (ready, done) = flow.finalize(task.node, mat);
+                for node in ready {
+                    schedule(&mut flow, &mut deques, node);
+                }
+                if done {
+                    let r = flow.into_result(SimTime::ZERO, Default::default());
+                    return digest(&r.expect("root finalized"));
+                }
+            }
+        }
+        panic!("queues ran dry before the query completed");
+    }
+
+    /// All 88 TPC-H specs at pool widths 1, 4 and 16: the pool must
+    /// return, bit for bit, what the serial reference computes at the
+    /// same width. Reads no environment, so it runs on every runner
+    /// whatever its core count.
+    #[test]
+    fn pool_matches_the_serial_reference() {
+        // lineitem ≈ 72 k rows: scans split 16 ways at width 16.
+        let scale = TpchScale {
+            sf: 0.012,
+            seed: 42,
+        };
+        let base = Arc::new(BaseData::from_tpch(&TpchData::generate(scale)));
+        let specs: Vec<QuerySpec> = (1..=22u8)
+            .flat_map(|number| (0..4u8).map(move |variant| QuerySpec::Tpch { number, variant }))
+            .collect();
+        for width in [1, 4, 16] {
+            let engine = ParEngine::new(
+                ParEngineConfig {
+                    n_workers: width,
+                    initial_active: width,
+                    ..ParEngineConfig::default()
+                },
+                Arc::clone(&base),
+            );
+            for (spec, got) in specs.iter().zip(run_specs(&engine, &specs)) {
+                let want = serial_reference(&base, Arc::new(build_query(spec)), width);
+                assert_eq!(got, want, "{spec:?} at width {width}");
+            }
+        }
     }
 
     #[test]

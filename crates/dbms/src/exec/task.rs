@@ -20,7 +20,8 @@ pub struct QueryId(pub u64);
 /// Minimum rows per partition before an operator is split less wide.
 pub const MIN_ROWS_PER_PART: usize = 4096;
 
-/// A schedulable unit: one partition of one plan node.
+/// A schedulable unit: one partition of one plan node, as emitted by the
+/// dataflow's `Flow::schedule` for both executors.
 #[derive(Clone, Copy, Debug)]
 pub struct Task {
     /// Owning query.
@@ -31,8 +32,8 @@ pub struct Task {
     pub part: u32,
     /// Total partitions of the node.
     pub n_parts: u32,
-    /// Preferred NUMA node (SQL Server flavor dispatch), derived from the
-    /// home of the partition's first input segment.
+    /// Preferred NUMA node (the simulated SQL Server flavor's dispatch),
+    /// derived from the home of the partition's first input segment.
     pub pref_node: Option<numa_sim::NodeId>,
     /// Preferred worker (MonetDB flavor dispatch): the worker that
     /// executed the same slice of the producing operator. Mitosis chains
@@ -52,7 +53,8 @@ pub enum Partial {
     /// Projected i64 values.
     ValsI64(Vec<i64>),
     /// Rows written in place into the node's shared output buffer
-    /// (fixed-width value operators; see `NodeRun::out_vals`).
+    /// (fixed-width value operators; see the engine's
+    /// `SimNode::out_vals`).
     Written(usize),
     /// Join matches `(probe base positions, build base positions)`.
     PairParts(Vec<u32>, Vec<u32>),

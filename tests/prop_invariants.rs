@@ -1,7 +1,7 @@
 //! Property-based tests (proptest) over the core invariants of every
 //! layer: PrT net safety, cache model bounds, mask algebra, allocation
-//! mode orderings, operator correctness vs naive references, and
-//! scheduler confinement.
+//! mode orderings, operator correctness vs naive references,
+//! scheduler confinement, and the query dataflow's result purity.
 
 use proptest::prelude::*;
 
@@ -242,5 +242,53 @@ proptest! {
             }
         }
         prop_assert_eq!(kernel.n_live_threads(), 0);
+    }
+}
+
+// ---------- Dataflow: allocation never reaches results -----------------------
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// A query's result on the thread pool is a function of the plan, the
+    /// data and the pool width only. The query id (it seeds the slice
+    /// round-robin), the active count and the wake order (they decide who
+    /// runs and steals what, hence every commit order and every lineage
+    /// preference downstream) change timing, never a bit of the answer.
+    #[test]
+    fn pool_result_ignores_qid_allocation_and_wake_order(number in 1u8..23,
+                                                         variant in 0u8..4,
+                                                         width in 1usize..17,
+                                                         earlier in 0usize..4,
+                                                         active in 1usize..17,
+                                                         rotate in 0usize..16) {
+        use std::sync::{Arc, OnceLock};
+        use volcano_db::exec::{BaseData, ParEngine, ParEngineConfig};
+        use volcano_db::tpch::queries::build_query;
+        use volcano_db::tpch::{QuerySpec, TpchData, TpchScale};
+        static BASE: OnceLock<Arc<BaseData>> = OnceLock::new();
+        let base = BASE.get_or_init(|| {
+            Arc::new(BaseData::from_tpch(&TpchData::generate(TpchScale::test_tiny())))
+        });
+        let pool = |initial_active: usize| {
+            let cfg = ParEngineConfig { n_workers: width, initial_active, ..ParEngineConfig::default() };
+            ParEngine::new(cfg, Arc::clone(base))
+        };
+        let spec = QuerySpec::Tpch { number, variant };
+        let run = |engine: &ParEngine| {
+            let qid = engine.submit(Arc::new(build_query(&spec)), spec.tag());
+            let r = engine.wait_result(qid).expect("query completes");
+            format!("{:?}", r.result)
+        };
+        let plain = pool(width);
+        let want = run(&plain);
+
+        let shaped = pool(active.min(width));
+        let order: Vec<usize> = (0..width).map(|w| (w + rotate) % width).collect();
+        shaped.set_wake_order(&order);
+        for _ in 0..earlier {
+            run(&shaped);
+        }
+        prop_assert_eq!(run(&shaped), want);
     }
 }
