@@ -12,20 +12,10 @@
 //! emca help                           this text
 //! ```
 //!
-//! Flags mirror the [`ExperimentSpec`] fields; the documented `EMCA_*`
-//! environment variables remain as fallbacks and flags override them:
-//!
-//! ```text
-//! --sf <f>  --seed <n>  --users <n>  --iters <n>
-//! --policy dense|sparse|adaptive|hillclimb
-//! --flavor monetdb|sqlserver
-//! --warmup loader|interleave|none
-//! --guard off|<threshold>  --interval-ms <ms>
-//! --out-dir <dir>  --check  --backend sim|threads
-//! --tenants name[:policy=..][:users=..][:weight=..][:cap=..],...
-//! --arrival poisson:<qps>|trace:<path>  --duration <s>
-//! --admission none|limit:<n>[:queue=<cap>]  --sla-ms <ms>
-//! ```
+//! Flags mirror the [`ExperimentSpec`] fields, one per row of the key
+//! table ([`SPEC_KEYS`]); the documented `EMCA_*` environment variables
+//! remain as fallbacks and flags override them. `emca help` lists every
+//! flag with its variable, value grammar and an example.
 //!
 //! `run` and `sweep` also take `--prune-unsupported`: instead of
 //! rejecting a spec that pins a key the scenario ignores, drop the key
@@ -42,7 +32,7 @@
 //! ```
 
 use emca_bench::scenarios;
-use emca_harness::ExperimentSpec;
+use emca_harness::{ExperimentSpec, Scenario, ScenarioRegistry, SpecKey, Surface, SPEC_KEYS};
 
 const USAGE: &str = "\
 usage: emca <command> [...]
@@ -60,28 +50,34 @@ commands:
   help                               show this text
 
 flags (override the EMCA_* environment fallbacks):
-  --sf <f> --seed <n> --users <n> --iters <n>
-  --policy dense|sparse|adaptive|hillclimb
-  --flavor monetdb|sqlserver --warmup loader|interleave|none
-  --guard off|<threshold> --interval-ms <ms> --out-dir <dir> --check
-  --backend sim|threads              execute on simulated workers or real OS threads
-  --tenants name[:policy=..][:users=..][:weight=..][:cap=..],...
-                                     per-tenant overrides (mt_* scenarios)
-  --arrival poisson:<qps>|trace:<path>  open-loop schedule (serve_* scenarios)
-  --duration <s> --sla-ms <ms>       offered-load window and latency SLA
-  --admission none|limit:<n>[:queue=<cap>]
-                                     front-door policy of the admitted series
-  --faults panic:worker=<n>@<t>,stall:worker=<n>@<t>:dur=<d>,badquery:rate=<p>
-                                     deterministic fault plan (chaos_* scenarios,
-                                     or any run; unset = fault plane inert)
-  --churn <n>[:resident=<r>][:skew=<s>][:spread=<secs>]
-                                     generated churn population (mt_churn/mt_zipf)
-  --prune-unsupported                drop (with a note) spec keys the scenario
-                                     does not honour instead of erroring";
+";
 
+/// `emca help`: the commands above, then one entry per [`SPEC_KEYS`]
+/// row — flag, value grammar, meaning, variable and an example.
+fn usage() -> String {
+    let mut out = String::from(USAGE);
+    for key in SPEC_KEYS {
+        let (Some(flag), Some(var)) = (key.flag(), key.env()) else {
+            continue;
+        };
+        let help = key.help;
+        out += &match key.surface {
+            Surface::Value(grammar) => {
+                let example = key.example;
+                format!("  {flag} {grammar}\n      {help} [{var}; e.g. {example}]\n")
+            }
+            _ => format!("  {flag}\n      {help} [{var}=1]\n"),
+        };
+    }
+    out + "  --prune-unsupported\n      \
+        drop (with a note) spec keys the scenario does not honour instead of erroring"
+}
+
+/// A usage error: exit 2, the diagnostic last so the flag list above it
+/// cannot scroll it away.
 fn fail(msg: &str) -> ! {
+    eprintln!("{}\n", usage());
     eprintln!("emca: {msg}");
-    eprintln!("{USAGE}");
     std::process::exit(2);
 }
 
@@ -130,40 +126,20 @@ fn run_lint() {
 /// are not spec flags (command-specific switches).
 fn parse_flags(spec: &mut ExperimentSpec, args: &[String]) -> Vec<String> {
     let mut rest = Vec::new();
-    let mut it = args.iter().peekable();
+    let mut it = args.iter();
     while let Some(arg) = it.next() {
-        let key = match arg.as_str() {
-            "--sf" => "sf",
-            "--seed" => "seed",
-            "--users" => "users",
-            "--iters" => "iters",
-            "--policy" => "policy",
-            "--flavor" => "flavor",
-            "--warmup" => "warmup",
-            "--guard" => "guard",
-            "--interval-ms" => "interval_ms",
-            "--out-dir" => "out_dir",
-            "--tenants" => "tenants",
-            "--backend" => "backend",
-            "--arrival" => "arrival",
-            "--duration" => "duration",
-            "--admission" => "admission",
-            "--sla-ms" => "sla_ms",
-            "--faults" => "faults",
-            "--churn" => "churn",
-            "--check" => {
-                spec.check = true;
-                continue;
-            }
-            _ => {
-                rest.push(arg.clone());
-                continue;
-            }
+        let Some(key) = SpecKey::for_flag(arg) else {
+            rest.push(arg.clone());
+            continue;
         };
-        let Some(value) = it.next() else {
-            fail(&format!("{arg} requires a value"));
+        let value = match key.surface {
+            Surface::Switch => "1",
+            _ => match it.next() {
+                Some(value) => value,
+                None => fail(&format!("{arg} requires a value")),
+            },
         };
-        if let Err(e) = spec.set(key, value) {
+        if let Err(e) = spec.set(key.name, value) {
             fail(&e.to_string());
         }
     }
@@ -177,29 +153,44 @@ fn base_spec() -> ExperimentSpec {
     }
 }
 
-/// Removes `switch` from `rest` if present; returns whether it was.
-fn take_switch(rest: &mut Vec<String>, switch: &str) -> bool {
-    let before = rest.len();
-    rest.retain(|a| a != switch);
-    before != rest.len()
+/// Takes `--over key=v1,v2,...` out of `rest`: the swept key and its
+/// values.
+fn take_over(rest: &mut Vec<String>) -> (String, Vec<String>) {
+    let Some(at) = rest.iter().position(|a| a == "--over") else {
+        fail("sweep requires --over key=v1,v2,...");
+    };
+    let Some((key, values)) = rest.get(at + 1).and_then(|kv| kv.split_once('=')) else {
+        fail("--over requires key=v1,v2,...");
+    };
+    let over = (
+        key.to_string(),
+        values.split(',').map(str::to_string).collect(),
+    );
+    rest.drain(at..at + 2);
+    over
 }
 
 /// Drops (with a note) every pinned key `name` does not honour — the
 /// `--prune-unsupported` path for generic loops that pass one flag set
 /// to every scenario.
-fn prune_spec(
-    registry: &emca_harness::ScenarioRegistry,
-    name: &str,
-    spec: &mut emca_harness::ExperimentSpec,
-) {
+fn prune_spec(registry: &ScenarioRegistry, name: &str, spec: &mut ExperimentSpec) {
     for (key, value) in registry.prune_unsupported(name, spec) {
         eprintln!("emca: {name} does not honour {key}={value}; dropped (--prune-unsupported)");
     }
 }
 
+/// The registered scenario `name`, or the usage error listing the
+/// valid names.
+fn known<'r>(registry: &'r ScenarioRegistry, name: &str) -> &'r dyn Scenario {
+    registry.get(name).unwrap_or_else(|| {
+        let valid = registry.names().join(", ");
+        fail(&format!("unknown scenario {name:?} (valid: {valid})"))
+    })
+}
+
 /// Runs one scenario with the wall clock stamped (`[wall] <name>=..s`);
 /// returns the elapsed seconds so gates can budget them.
-fn run_one(registry: &emca_harness::ScenarioRegistry, name: &str, spec: &ExperimentSpec) -> f64 {
+fn run_one(registry: &ScenarioRegistry, name: &str, spec: &ExperimentSpec) -> f64 {
     // Spec problems (a pinned key the scenario ignores) are usage
     // errors — one-line diagnostic, exit 2 — distinct from a scenario
     // that started and then failed (exit 1).
@@ -233,74 +224,38 @@ fn main() {
                 }
             }
         }
-        Some("run") => {
+        Some(cmd @ ("run" | "sweep")) => {
             let Some(name) = args.get(1).filter(|a| !a.starts_with("--")) else {
-                fail("run requires a scenario name (see `emca list`)");
+                fail(&format!("{cmd} requires a scenario name (see `emca list`)"));
             };
             let mut spec = base_spec();
             spec.scenario = name.clone();
             let mut rest = parse_flags(&mut spec, &args[2..]);
-            let prune = take_switch(&mut rest, "--prune-unsupported");
+            let n_args = rest.len();
+            rest.retain(|a| a != "--prune-unsupported");
+            let prune = rest.len() != n_args;
+            let over = (cmd == "sweep").then(|| take_over(&mut rest));
             if let Some(extra) = rest.first() {
                 fail(&format!("unknown flag {extra:?}"));
             }
-            if registry.get(name).is_none() {
-                eprintln!(
-                    "emca: unknown scenario {name:?} (valid: {})",
-                    registry.names().join(", ")
-                );
-                std::process::exit(2);
-            }
-            if prune {
-                prune_spec(&registry, name, &mut spec);
-            }
-            run_one(&registry, name, &spec);
-        }
-        Some("sweep") => {
-            let Some(name) = args.get(1).filter(|a| !a.starts_with("--")) else {
-                fail("sweep requires a scenario name (see `emca list`)");
-            };
-            let mut spec = base_spec();
-            spec.scenario = name.clone();
-            let mut rest = parse_flags(&mut spec, &args[2..]);
-            let prune = take_switch(&mut rest, "--prune-unsupported");
-            let mut over: Option<(String, Vec<String>)> = None;
-            let mut it = rest.iter();
-            while let Some(arg) = it.next() {
-                if arg == "--over" {
-                    let Some(kv) = it.next() else {
-                        fail("--over requires key=v1,v2,...");
-                    };
-                    let Some((key, values)) = kv.split_once('=') else {
-                        fail("--over requires key=v1,v2,...");
-                    };
-                    over = Some((
-                        key.to_string(),
-                        values.split(',').map(str::to_string).collect(),
-                    ));
-                } else {
-                    fail(&format!("unknown flag {arg:?}"));
+            known(&registry, name);
+            let run_step = |mut step: ExperimentSpec| {
+                if prune {
+                    prune_spec(&registry, name, &mut step);
                 }
-            }
-            let Some((key, values)) = over else {
-                fail("sweep requires --over key=v1,v2,...");
+                run_one(&registry, name, &step);
             };
-            if registry.get(name).is_none() {
-                fail(&format!(
-                    "unknown scenario {name:?} (valid: {})",
-                    registry.names().join(", ")
-                ));
-            }
+            // `run` is one step; `sweep` is one per `--over` value.
+            let Some((key, values)) = over else {
+                return run_step(spec);
+            };
             for value in &values {
                 let mut step = spec.clone();
                 if let Err(e) = step.set(&key, value) {
                     fail(&e.to_string());
                 }
-                if prune {
-                    prune_spec(&registry, name, &mut step);
-                }
                 eprintln!("== sweep {key}={value} ==");
-                run_one(&registry, name, &step);
+                run_step(step);
             }
         }
         Some("check") => {
@@ -331,13 +286,7 @@ fn main() {
                 let mut checked = 0usize;
                 let mut problems = 0usize;
                 for name in &only {
-                    let Some(s) = registry.get(name) else {
-                        fail(&format!(
-                            "unknown scenario {name:?} (valid: {})",
-                            registry.names().join(", ")
-                        ));
-                    };
-                    for (file, header) in s.csv_schemas() {
+                    for (file, header) in known(&registry, name).csv_schemas() {
                         checked += 1;
                         if let Err(e) = emca_harness::validate_csv(&spec.csv_path(file), header) {
                             eprintln!("emca check: {e}");
@@ -386,7 +335,7 @@ fn main() {
                 }
             }
         }
-        Some("help") | Some("--help") | Some("-h") => println!("{USAGE}"),
+        Some("help") | Some("--help") | Some("-h") => println!("{}", usage()),
         Some(other) => fail(&format!("unknown command {other:?}")),
         None => fail("missing command"),
     }

@@ -15,24 +15,10 @@ use emca_harness::ExperimentSpec;
 pub const SCHEMAS: &[(&str, &str)] = &[];
 
 /// Runs the scenario: validates the spec's output directory (the
-/// committed `results/` by default), plus the repo-root
-/// `BENCH_operators.json` perf trajectory when present.
+/// committed `results/` by default).
 pub fn run(spec: &ExperimentSpec) -> ScenarioResult {
     let dir = spec.csv_path("");
     let mut problems = super::check_results(&dir);
-    let bench_json = emca_harness::results_path("")
-        .parent()
-        .map(|root| root.join("BENCH_operators.json"));
-    if let Some(path) = bench_json.filter(|p| p.exists()) {
-        match std::fs::read_to_string(&path) {
-            Ok(body) => problems.extend(
-                check_bench_json(&body)
-                    .into_iter()
-                    .map(|p| format!("BENCH_operators.json: {p}")),
-            ),
-            Err(e) => problems.push(format!("BENCH_operators.json: unreadable: {e}")),
-        }
-    }
     let lint_report = dir.join("lint_report.json");
     if lint_report.exists() {
         match std::fs::read_to_string(&lint_report) {
@@ -58,49 +44,11 @@ pub fn run(spec: &ExperimentSpec) -> ScenarioResult {
     }
 }
 
-/// Validates the bench-JSON trajectory: a (possibly empty) array of
-/// records carrying `id` and the four numeric measurement fields. The
-/// vendored shim writes one record per line, so validation is
-/// line-oriented — no JSON parser dependency needed.
-pub fn check_bench_json(body: &str) -> Vec<String> {
-    let trimmed = body.trim();
-    let mut problems = Vec::new();
-    if !(trimmed.starts_with('[') && trimmed.ends_with(']')) {
-        problems.push("not a JSON array".to_string());
-        return problems;
-    }
-    let inner = &trimmed[1..trimmed.len() - 1];
-    for (i, line) in inner
-        .lines()
-        .map(str::trim)
-        .filter(|l| !l.is_empty())
-        .enumerate()
-    {
-        let rec = line.trim_end_matches(',');
-        if !(rec.starts_with('{') && rec.ends_with('}')) {
-            problems.push(format!("record {i}: not an object: {rec:.40}"));
-            continue;
-        }
-        for field in [
-            "\"id\"",
-            "\"mean_ns\"",
-            "\"median_ns\"",
-            "\"min_ns\"",
-            "\"samples\"",
-        ] {
-            if !rec.contains(field) {
-                problems.push(format!("record {i}: missing field {field}"));
-            }
-        }
-    }
-    problems
-}
-
 /// Validates the committed lint report (`emca-lint`'s output): the
 /// scalar fields must be present, `violations` must be `0` (a report
 /// recording violations must never be committed), and every waiver
-/// entry must carry file/line/rule/justification. Line-oriented like
-/// [`check_bench_json`] — the report writer emits one waiver per line.
+/// entry must carry file/line/rule/justification. Line-oriented — the
+/// report writer emits one waiver per line, so no JSON parser is needed.
 pub fn check_lint_report(body: &str) -> Vec<String> {
     let mut problems = Vec::new();
     for field in [
@@ -140,28 +88,7 @@ pub fn check_lint_report(body: &str) -> Vec<String> {
 
 #[cfg(test)]
 mod tests {
-    use super::{check_bench_json, check_lint_report};
-
-    #[test]
-    fn bench_json_accepts_shim_output() {
-        let good = r#"[
-  {"id": "operators/scan_select/16384", "mean_ns": 1.0, "median_ns": 1.0, "min_ns": 0.9, "samples": 10, "elems_per_iter": 16384},
-  {"id": "x", "mean_ns": 2.0, "median_ns": 2.0, "min_ns": 1.9, "samples": 3, "elems_per_iter": null}
-]"#;
-        assert!(check_bench_json(good).is_empty());
-        assert!(check_bench_json("[]").is_empty());
-        assert!(check_bench_json("[\n]").is_empty());
-    }
-
-    #[test]
-    fn bench_json_rejects_malformed() {
-        assert!(!check_bench_json("{}").is_empty());
-        let missing = r#"[
-  {"id": "x", "mean_ns": 2.0, "samples": 3}
-]"#;
-        let problems = check_bench_json(missing);
-        assert_eq!(problems.len(), 2); // median_ns and min_ns missing
-    }
+    use super::check_lint_report;
 
     #[test]
     fn lint_report_accepts_clean_report() {

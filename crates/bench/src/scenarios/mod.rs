@@ -1,7 +1,7 @@
 //! The built-in scenarios: every former figure/table binary, registered
 //! by name. Each module holds one scenario's declared CSV schemas and
 //! its `run(&ExperimentSpec)` body; [`registry`] assembles them for the
-//! `emca` CLI, the deprecated shims, and the tests.
+//! `emca` CLI and the tests.
 
 pub mod ablation;
 pub mod chaos_recovery;

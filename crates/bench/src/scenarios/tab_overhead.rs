@@ -3,7 +3,8 @@
 //! tokens through the 5×8 net (dense 0.017 s, sparse 0.021 s, adaptive
 //! 0.031 s) and a CPU load below 1 %. We report (a) the real time of one
 //! PrT rule-condition-action step of *our* implementation (measured
-//! here; precise distributions in `cargo bench petrinet_step`), and
+//! here; the repo benchmark reports the same step as
+//! `petrinet.step_ns`), and
 //! (b) the actuation latencies the simulation charges, which are set
 //! from the paper's measurements.
 //!

@@ -7,7 +7,7 @@
 //! apart.
 
 use emca_bench::scenarios;
-use emca_harness::ExperimentSpec;
+use emca_harness::{ExperimentSpec, ALL_SCENARIO_KEYS, SPEC_KEYS};
 use std::path::PathBuf;
 
 /// Every name reachable through `emca run <name>`: the retired
@@ -64,6 +64,50 @@ fn architecture_doc_states_the_registry_size() {
         .and_then(|n| n.parse().ok())
         .expect("ARCHITECTURE.md states `<n> registered scenarios`");
     assert_eq!(stated, scenarios::registry().names().len());
+}
+
+#[test]
+fn readme_environment_knobs_table_is_the_key_table() {
+    // README "Environment knobs" carries one row per spec key — its
+    // variable and its flag, in table order. The rows whose flag cell is
+    // a dash are the non-spec variables (`EMCA_THREADS`, …).
+    let readme = concat!(env!("CARGO_MANIFEST_DIR"), "/../../README.md");
+    let text = std::fs::read_to_string(readme).expect("README.md is readable");
+    let section = text
+        .split("\n## Environment knobs\n")
+        .nth(1)
+        .and_then(|rest| rest.split("\n## ").next())
+        .expect("README has an `## Environment knobs` section");
+    let documented: Vec<(String, String)> = section
+        .lines()
+        .filter(|l| l.starts_with("| `EMCA_"))
+        .map(|l| {
+            let mut cells = l.split('|').map(|c| c.trim().trim_matches('`').to_string());
+            (cells.nth(1).unwrap(), cells.next().unwrap())
+        })
+        .filter(|(_, flag)| flag.starts_with("--"))
+        .collect();
+    let table: Vec<(String, String)> = SPEC_KEYS
+        .iter()
+        .filter_map(|k| Some((k.env()?, k.flag()?)))
+        .collect();
+    assert_eq!(documented, table);
+}
+
+#[test]
+fn scenarios_declare_only_non_universal_table_keys() {
+    // Covers every `KEYS_*` constant of `scenarios/mod.rs`: a typo or a
+    // universal key there would make the scenario reject (or pointlessly
+    // list) a key no spec can pin.
+    for s in scenarios::registry().iter() {
+        for key in s.supported_keys() {
+            assert!(
+                ALL_SCENARIO_KEYS.contains(key),
+                "{} declares {key:?}, which is not a non-universal spec key",
+                s.name()
+            );
+        }
+    }
 }
 
 #[test]

@@ -871,8 +871,8 @@ pub fn top_n(groups: &[(i64, f64)], n: usize) -> Vec<(i64, f64)> {
 ///
 /// Retained as the *reference semantics*: the property tests assert the
 /// kernels agree with these on every predicate form and column type, and
-/// the operator benches run both so `BENCH_operators.json` tracks the
-/// before/after spread.
+/// the repo benchmark times both so its `eval.*_ref_ratio` metrics track
+/// the before/after spread.
 pub mod reference {
     use super::*;
 

@@ -45,7 +45,9 @@ pub use serve::{
     ArrivalSchedule, ConcurrencyLimit, RequestOutcome, RequestRecord, RetryPolicy, ServeConfig,
     ServeOutput,
 };
-pub use spec::{AdmissionSpec, ArrivalSpec, ExperimentSpec, SpecError, TenantSpec};
+pub use spec::{
+    AdmissionSpec, ArrivalSpec, ExperimentSpec, SpecError, SpecKey, Surface, TenantSpec, SPEC_KEYS,
+};
 pub use tenants::{
     run_tenants, MultiTenantConfig, MultiTenantOutput, TenantOutput, TenantRunConfig,
 };

@@ -8,28 +8,14 @@
 //! its own (see `examples/custom_policy.rs`). Declared schemas double as
 //! the validation source for `emca check`, via [`validate_csv`].
 
-use crate::spec::{ExperimentSpec, SpecError};
+use crate::spec::{count_keys, key_names, ExperimentSpec, SpecError};
 use std::collections::BTreeMap;
 use std::path::Path;
 
 /// Every non-universal spec key a scenario may declare support for —
-/// the default for scenarios that do not narrow their surface.
-pub const ALL_SCENARIO_KEYS: &[&str] = &[
-    "flavor",
-    "policy",
-    "users",
-    "iters",
-    "sf",
-    "warmup",
-    "guard",
-    "interval_ms",
-    "tenants",
-    "backend",
-    "arrival",
-    "duration",
-    "admission",
-    "sla_ms",
-];
+/// the default for scenarios that do not narrow their surface. Derived
+/// from the key table ([`crate::spec::SPEC_KEYS`]).
+pub const ALL_SCENARIO_KEYS: &[&str] = &key_names::<{ count_keys(Some(false)) }>(Some(false));
 
 /// A scenario failure (fidelity violation, missing data, bad config).
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -383,6 +369,29 @@ mod tests {
 
         // Unknown scenario names pass validation; `run` reports them.
         assert_eq!(r.validate_spec("ghost", &spec), Ok(()));
+    }
+
+    #[test]
+    fn default_keys_accept_every_non_universal_key() {
+        use crate::spec::SPEC_KEYS;
+        let scenario_keys: Vec<&str> = SPEC_KEYS
+            .iter()
+            .filter(|k| !k.universal)
+            .map(|k| k.name)
+            .collect();
+        assert_eq!(ALL_SCENARIO_KEYS, scenario_keys);
+
+        // A scenario that does not narrow its surface honours whatever
+        // a spec can pin — `faults=`/`churn=` were once rejected here.
+        let mut r = ScenarioRegistry::new();
+        r.register(noop("wide")).unwrap();
+        let mut spec = ExperimentSpec::for_scenario("wide");
+        for key in SPEC_KEYS {
+            spec.set(key.name, key.example).unwrap();
+        }
+        assert_eq!(spec.set_keys().len(), scenario_keys.len());
+        assert_eq!(r.validate_spec("wide", &spec), Ok(()));
+        assert!(r.prune_unsupported("wide", &mut spec).is_empty());
     }
 
     #[test]

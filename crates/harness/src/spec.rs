@@ -3,10 +3,14 @@
 //!
 //! [`ExperimentSpec`] replaces the per-binary `EMCA_*` parsing: the env
 //! vars remain as documented fallbacks, but they are read in exactly one
-//! place ([`from_env`]) and everything downstream (the `emca` CLI, the
-//! deprecated per-figure shims, library callers) works on the typed
-//! spec. Fields a scenario does not override fall back to that
-//! scenario's own defaults, so the spec only pins what the caller set.
+//! place ([`from_env`]) and everything downstream (the `emca` CLI,
+//! library callers) works on the typed spec. Fields a scenario does not
+//! override fall back to that scenario's own defaults, so the spec only
+//! pins what the caller set.
+//!
+//! Each key is spelled once, in its [`SPEC_KEYS`] row: the spec line,
+//! the `EMCA_*` variable, the CLI flag and the `emca help` text are all
+//! derived from that table.
 //!
 //! The spec is serde-able without a serde dependency (the build is
 //! offline): [`std::fmt::Display`] renders a stable `key=value` line and
@@ -97,22 +101,16 @@ impl SpecError {
 
     /// Rewrites the offending key — [`from_vars`] maps spec keys back
     /// to the `EMCA_*` variable the value actually came from.
-    fn for_key(self, key: &str) -> Self {
-        let key = key.to_string();
-        match self {
-            SpecError::UnknownKey { value, .. } => SpecError::UnknownKey { key, value },
-            SpecError::Malformed { value, reason, .. } => {
-                SpecError::Malformed { key, value, reason }
-            }
-            SpecError::UnknownPolicy { value, valid, .. } => {
-                SpecError::UnknownPolicy { key, value, valid }
-            }
-            SpecError::UnknownTenant { value, valid, .. } => {
-                SpecError::UnknownTenant { key, value, valid }
-            }
-            SpecError::UnknownBackend { value, .. } => SpecError::UnknownBackend { key, value },
-            unsupported @ SpecError::Unsupported { .. } => unsupported,
+    fn for_key(mut self, key: &str) -> Self {
+        match &mut self {
+            SpecError::UnknownKey { key: k, .. }
+            | SpecError::Malformed { key: k, .. }
+            | SpecError::UnknownPolicy { key: k, .. }
+            | SpecError::UnknownTenant { key: k, .. }
+            | SpecError::UnknownBackend { key: k, .. } => *k = key.to_string(),
+            SpecError::Unsupported { .. } => {}
         }
+        self
     }
 }
 
@@ -197,38 +195,9 @@ impl TenantSpec {
                 )
             })?;
             match key {
-                "policy" => {
-                    spec.policy =
-                        Some(
-                            PolicyId::try_from(value).map_err(|_| SpecError::UnknownPolicy {
-                                key: "tenants".into(),
-                                value: value.into(),
-                                valid: policy_names(),
-                            })?,
-                        )
-                }
-                "users" => {
-                    let users: usize = parse_num("tenants", value)?;
-                    if users == 0 {
-                        return Err(SpecError::malformed(
-                            "tenants",
-                            s,
-                            "tenant users must be >= 1",
-                        ));
-                    }
-                    spec.users = Some(users);
-                }
-                "weight" => {
-                    let weight: u32 = parse_num("tenants", value)?;
-                    if weight == 0 {
-                        return Err(SpecError::malformed(
-                            "tenants",
-                            s,
-                            "tenant weight must be >= 1",
-                        ));
-                    }
-                    spec.weight = Some(weight);
-                }
+                "policy" => spec.policy = Some(parse_policy("tenants", value)?),
+                "users" => spec.users = Some(parse_count(s, key, value)?),
+                "weight" => spec.weight = Some(parse_count(s, key, value)?),
                 "cap" => spec.max_cores = Some(parse_num("tenants", value)?),
                 other => {
                     return Err(SpecError::malformed(
@@ -260,6 +229,21 @@ impl std::fmt::Display for TenantSpec {
         }
         Ok(())
     }
+}
+
+/// A tenant's `users`/`weight`: zero would panic deep in the
+/// arbiter/runner, so it is a spec error naming the tenant spec `s`.
+fn parse_count<T: std::str::FromStr + Default + PartialEq>(
+    s: &str,
+    field: &str,
+    value: &str,
+) -> Result<T, SpecError> {
+    let n: T = parse_num("tenants", value)?;
+    if n == T::default() {
+        let reason = format!("tenant {field} must be >= 1");
+        return Err(SpecError::malformed("tenants", s, reason));
+    }
+    Ok(n)
 }
 
 /// Comma-joined valid policy names, for error messages.
@@ -589,127 +573,328 @@ impl ExperimentSpec {
     }
 }
 
-fn flavor_name(f: Flavor) -> &'static str {
+fn show_flavor(f: &Flavor) -> String {
     match f {
         Flavor::MonetDb => "monetdb",
         Flavor::SqlServer => "sqlserver",
     }
+    .to_string()
 }
 
-fn parse_flavor(s: &str) -> Result<Flavor, SpecError> {
+fn parse_flavor(key: &str, s: &str) -> Result<Flavor, SpecError> {
     match s {
         "monetdb" => Ok(Flavor::MonetDb),
         "sqlserver" => Ok(Flavor::SqlServer),
-        other => Err(SpecError::malformed(
-            "flavor",
-            other,
-            "must be monetdb|sqlserver",
-        )),
+        _ => Err(SpecError::malformed(key, s, "must be monetdb|sqlserver")),
     }
 }
 
-fn warmup_name(w: Warmup) -> &'static str {
+fn show_warmup(w: &Warmup) -> String {
     match w {
         Warmup::Loader => "loader",
         Warmup::Interleave => "interleave",
         Warmup::None => "none",
     }
+    .to_string()
 }
 
-fn parse_warmup(s: &str) -> Result<Warmup, SpecError> {
+fn parse_warmup(key: &str, s: &str) -> Result<Warmup, SpecError> {
     match s {
         "loader" => Ok(Warmup::Loader),
         "interleave" => Ok(Warmup::Interleave),
         "none" => Ok(Warmup::None),
-        other => Err(SpecError::malformed(
-            "warmup",
-            other,
+        _ => Err(SpecError::malformed(
+            key,
+            s,
             "must be loader|interleave|none",
         )),
     }
 }
 
+fn parse_num<T: std::str::FromStr>(key: &str, value: &str) -> Result<T, SpecError> {
+    value
+        .parse()
+        .map_err(|_| SpecError::malformed(key, value, "must be a number"))
+}
+
+/// A finite number > 0, measured in `unit` (for the diagnostic).
+fn parse_positive(key: &str, value: &str, unit: &str) -> Result<f64, SpecError> {
+    let x: f64 = parse_num(key, value)?;
+    if !(x > 0.0 && x.is_finite()) {
+        let reason = format!("must be finite {unit} > 0");
+        return Err(SpecError::malformed(key, value, reason));
+    }
+    Ok(x)
+}
+
+fn parse_policy(key: &str, value: &str) -> Result<PolicyId, SpecError> {
+    PolicyId::try_from(value).map_err(|_| SpecError::UnknownPolicy {
+        key: key.into(),
+        value: value.into(),
+        valid: policy_names(),
+    })
+}
+
+/// `off` disables the guard, a number pins its threshold.
+fn parse_guard(key: &str, value: &str) -> Result<Option<f64>, SpecError> {
+    if value == "off" {
+        return Ok(None);
+    }
+    parse_num(key, value).map(Some)
+}
+
+/// A gate must never be disarmed by a typo: anything but the four
+/// spellings is an error, not "off".
+fn parse_switch(key: &str, value: &str) -> Result<bool, SpecError> {
+    match value {
+        "1" | "true" => Ok(true),
+        "0" | "false" => Ok(false),
+        _ => Err(SpecError::malformed(key, value, "must be 1|true|0|false")),
+    }
+}
+
+/// An explicitly empty plan is the same as no plan: the fault plane
+/// stays inert and the spec line unchanged.
+fn parse_faults(key: &str, value: &str) -> Result<Option<FaultPlan>, SpecError> {
+    let plan = FaultPlan::parse(value).map_err(|e| SpecError::malformed(key, value, e))?;
+    Ok((!plan.is_empty()).then_some(plan))
+}
+
+fn parse_backend(key: &str, value: &str) -> Result<Backend, SpecError> {
+    value
+        .parse()
+        .map_err(|_: String| SpecError::UnknownBackend {
+            key: key.into(),
+            value: value.into(),
+        })
+}
+
+/// How a spec key is reached from the command line and the environment.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Surface {
+    /// `--flag <value>` and `EMCA_NAME=<value>`; carries the value
+    /// grammar `emca help` shows.
+    Value(&'static str),
+    /// A value-less `--flag` (it sets `1`); the variable and the spec
+    /// line take `1|true|0|false`.
+    Switch,
+    /// Filled in by the command itself (`emca run <scenario>`): no flag
+    /// and no variable.
+    Positional,
+}
+
+/// One row of [`SPEC_KEYS`]: everything the experiment surface knows
+/// about one spec key besides its typed [`ExperimentSpec`] field.
+pub struct SpecKey {
+    /// The key as spelled in a spec line — the struct field's name.
+    pub name: &'static str,
+    /// Its CLI/environment shape.
+    pub surface: Surface,
+    /// One-line meaning, as `emca help` prints it.
+    pub help: &'static str,
+    /// A valid value (`emca help` shows it; the tests round-trip it).
+    pub example: &'static str,
+    /// Every scenario honours the key (or it configures the harness
+    /// around the scenario), so supported-keys validation skips it.
+    pub universal: bool,
+    /// Variable-name stem where it is not the upper-cased key.
+    env_stem: Option<&'static str>,
+    /// Parses a value into the field.
+    set: fn(&mut ExperimentSpec, &str) -> Result<(), SpecError>,
+    /// The rendered value, `None` while the field is at its default (so
+    /// a spec line only carries what was pinned).
+    get: fn(&ExperimentSpec) -> Option<String>,
+    /// Resets the field to its default.
+    clear: fn(&mut ExperimentSpec),
+}
+
+impl SpecKey {
+    const fn universal(mut self) -> Self {
+        self.universal = true;
+        self
+    }
+
+    const fn env_stem(mut self, stem: &'static str) -> Self {
+        self.env_stem = Some(stem);
+        self
+    }
+
+    /// The row a spec-line key names.
+    pub fn named(name: &str) -> Option<&'static SpecKey> {
+        SPEC_KEYS.iter().find(|k| k.name == name)
+    }
+
+    /// The row a CLI flag names.
+    pub fn for_flag(flag: &str) -> Option<&'static SpecKey> {
+        SPEC_KEYS.iter().find(|k| k.flag().as_deref() == Some(flag))
+    }
+
+    /// The CLI flag: `--` + the key with `_` as `-`.
+    pub fn flag(&self) -> Option<String> {
+        (self.surface != Surface::Positional).then(|| format!("--{}", self.name.replace('_', "-")))
+    }
+
+    /// The environment fallback: `EMCA_` + the upper-cased key.
+    pub fn env(&self) -> Option<String> {
+        (self.surface != Surface::Positional).then(|| match self.env_stem {
+            Some(stem) => format!("EMCA_{stem}"),
+            None => format!("EMCA_{}", self.name.to_uppercase()),
+        })
+    }
+}
+
+/// Builds one [`SPEC_KEYS`] row from the struct field's name, so a key
+/// is spelled once. `opt` rows are `Option` fields (`None` = unset)
+/// parsed to and shown from the inner value; `raw` rows parse to and
+/// show the whole field.
+macro_rules! key {
+    (opt $f:ident, $surface:expr, $help:expr, $example:expr, $parse:expr, $show:expr) => {
+        key!(@row $f, $surface, $help, $example, |s, v| {
+            s.$f = Some($parse(stringify!($f), v)?);
+            Ok(())
+        }, |s| s.$f.as_ref().map($show))
+    };
+    (raw $f:ident, $surface:expr, $help:expr, $example:expr, $parse:expr, $show:expr) => {
+        key!(@row $f, $surface, $help, $example, |s, v| {
+            s.$f = $parse(stringify!($f), v)?;
+            Ok(())
+        }, |s| $show(&s.$f))
+    };
+    (@row $f:ident, $surface:expr, $help:expr, $example:expr, $set:expr, $get:expr) => {
+        SpecKey {
+            name: stringify!($f),
+            surface: $surface,
+            help: $help,
+            example: $example,
+            universal: false,
+            env_stem: None,
+            set: $set,
+            get: $get,
+            clear: |s| s.$f = ExperimentSpec::default().$f,
+        }
+    };
+}
+
+use Surface::{Positional, Switch, Value};
+
+/// The key table: one row per spec key, in `Display` order. The only
+/// place a key is spelled besides its [`ExperimentSpec`] field —
+/// rendering, parsing, the `EMCA_*` fallbacks, the CLI flags and
+/// `emca help` are all loops over it.
+pub const SPEC_KEYS: &[SpecKey] = &[
+    key!(raw scenario, Positional, "scenario name (see `emca list`)", "fig19",
+        |_, v: &str| Ok::<_, SpecError>(v.to_string()),
+        |s: &String| (!s.is_empty()).then(|| s.clone()))
+    .universal(),
+    key!(opt flavor, Value("monetdb|sqlserver"), "engine flavor override", "sqlserver",
+        parse_flavor, show_flavor),
+    key!(opt policy, Value("dense|sparse|adaptive|hillclimb"),
+        "mechanism policy (fills the adaptive slot)", "hillclimb",
+        parse_policy, ToString::to_string),
+    key!(opt users, Value("<n>"), "concurrent clients / cap on user sweeps", "64",
+        parse_num, ToString::to_string)
+    .env_stem("CLIENTS"),
+    key!(opt iters, Value("<n>"), "per-client query iterations", "6",
+        parse_num, ToString::to_string),
+    key!(opt sf, Value("<f>"), "TPC-H scale factor (scenario default 0.25)", "0.25",
+        parse_num, ToString::to_string),
+    // Always rendered, so a logged spec line pins its data.
+    key!(raw seed, Value("<n>"), "data-generation seed (default 42)", "7",
+        parse_num, |n: &u64| Some(n.to_string()))
+    .universal(),
+    key!(opt warmup, Value("loader|interleave|none"), "base-data homing", "interleave",
+        parse_warmup, show_warmup),
+    key!(opt guard, Value("off|<threshold>"), "Eq. 1 saturation guard", "0.85",
+        parse_guard, |g| g.map_or("off".to_string(), |g| g.to_string())),
+    key!(opt interval_ms, Value("<ms>"), "pinned control interval (disables adaptation)", "2.5",
+        parse_num, ToString::to_string),
+    key!(raw check, Switch, "arm the scenario's claim checks (fidelity gates)", "1",
+        parse_switch, |on: &bool| on.then(|| "1".to_string()))
+    .universal(),
+    key!(opt out_dir, Value("<dir>"), "CSV output directory (default results/)", "/tmp/emca-out",
+        |_, v: &str| Ok::<_, SpecError>(PathBuf::from(v)), |d| d.display().to_string())
+    .universal(),
+    key!(opt tenants, Value("name[:policy=..][:users=..][:weight=..][:cap=..],..."),
+        "per-tenant overrides (mt_* scenarios)", "olap:users=24:cap=6,steady",
+        |_, v: &str| v.split(',').map(TenantSpec::parse).collect::<Result<Vec<_>, _>>(),
+        |t| t.iter().map(ToString::to_string).collect::<Vec<_>>().join(",")),
+    key!(opt arrival, Value("poisson:<qps>|trace:<path>"),
+        "open-loop schedule (serve_* scenarios)", "poisson:12.5",
+        |_, v| ArrivalSpec::parse(v), ToString::to_string),
+    key!(opt duration, Value("<s>"), "offered-load window in seconds", "3",
+        |k, v| parse_positive(k, v, "seconds"), ToString::to_string),
+    key!(opt admission, Value("none|limit:<n>[:queue=<cap>]"),
+        "front-door policy of the admitted series", "limit:8:queue=64",
+        |_, v| AdmissionSpec::parse(v), ToString::to_string),
+    key!(opt sla_ms, Value("<ms>"), "per-request latency SLA (goodput + queue deadline)", "250",
+        |k, v| parse_positive(k, v, "milliseconds"), ToString::to_string),
+    key!(raw faults,
+        Value("panic:worker=<n>@<t>,stall:worker=<n>@<t>:dur=<d>,badquery:rate=<p>"),
+        "deterministic fault plan (chaos_* scenarios; unset = fault plane inert)",
+        "panic:worker=3@2s,badquery:rate=0.01",
+        parse_faults, |p: &Option<FaultPlan>| p.as_ref().map(ToString::to_string)),
+    key!(opt churn, Value("<n>[:resident=<r>][:skew=<s>][:spread=<secs>]"),
+        "generated churn population (mt_churn/mt_zipf)", "64:resident=12:skew=0.8",
+        |_, v| crate::churn::ChurnSpec::parse(v), ToString::to_string),
+    // Rendered only off the default, so sim spec lines stay as short
+    // as they were before there was a second backend.
+    key!(raw backend, Value("sim|threads"),
+        "execute on simulated workers or real OS threads", "threads",
+        parse_backend, |b: &Backend| (*b != Backend::default()).then(|| b.to_string())),
+];
+
+/// Whether row `i` is in the selection: the universal rows
+/// (`Some(true)`), the others (`Some(false)`), or every row (`None`).
+const fn picked(i: usize, universal: Option<bool>) -> bool {
+    match universal {
+        Some(u) => u == SPEC_KEYS[i].universal,
+        None => true,
+    }
+}
+
+/// How many [`SPEC_KEYS`] rows a selection holds.
+pub(crate) const fn count_keys(universal: Option<bool>) -> usize {
+    let (mut i, mut n) = (0, 0);
+    while i < SPEC_KEYS.len() {
+        n += picked(i, universal) as usize;
+        i += 1;
+    }
+    n
+}
+
+/// The names of a selection's rows, in table order; `N` is its
+/// [`count_keys`].
+pub(crate) const fn key_names<const N: usize>(universal: Option<bool>) -> [&'static str; N] {
+    let mut names = [""; N];
+    let (mut i, mut n) = (0, 0);
+    while i < SPEC_KEYS.len() {
+        if picked(i, universal) {
+            names[n] = SPEC_KEYS[i].name;
+            n += 1;
+        }
+        i += 1;
+    }
+    names
+}
+
 impl std::fmt::Display for ExperimentSpec {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let mut pairs: Vec<String> = Vec::new();
-        if !self.scenario.is_empty() {
-            pairs.push(format!("scenario={}", self.scenario));
-        }
-        if let Some(fl) = self.flavor {
-            pairs.push(format!("flavor={}", flavor_name(fl)));
-        }
-        if let Some(p) = self.policy {
-            pairs.push(format!("policy={p}"));
-        }
-        if let Some(u) = self.users {
-            pairs.push(format!("users={u}"));
-        }
-        if let Some(i) = self.iters {
-            pairs.push(format!("iters={i}"));
-        }
-        if let Some(sf) = self.sf {
-            pairs.push(format!("sf={sf}"));
-        }
-        pairs.push(format!("seed={}", self.seed));
-        if let Some(w) = self.warmup {
-            pairs.push(format!("warmup={}", warmup_name(w)));
-        }
-        match self.guard {
-            None => {}
-            Some(None) => pairs.push("guard=off".into()),
-            Some(Some(g)) => pairs.push(format!("guard={g}")),
-        }
-        if let Some(ms) = self.interval_ms {
-            pairs.push(format!("interval_ms={ms}"));
-        }
-        if self.check {
-            pairs.push("check=1".into());
-        }
-        if let Some(dir) = &self.out_dir {
-            let dir = dir.display().to_string();
+        let mut sep = "";
+        for key in SPEC_KEYS {
+            let Some(value) = (key.get)(self) else {
+                continue;
+            };
             // Values with whitespace are quoted so the line stays
             // `FromStr`-parseable (the round-trip contract).
-            if dir.chars().any(char::is_whitespace) {
-                pairs.push(format!("out_dir=\"{dir}\""));
+            let quote = if value.chars().any(char::is_whitespace) {
+                "\""
             } else {
-                pairs.push(format!("out_dir={dir}"));
-            }
+                ""
+            };
+            write!(f, "{sep}{}={quote}{value}{quote}", key.name)?;
+            sep = " ";
         }
-        if let Some(tenants) = &self.tenants {
-            let rendered: Vec<String> = tenants.iter().map(|t| t.to_string()).collect();
-            pairs.push(format!("tenants={}", rendered.join(",")));
-        }
-        // Serve fields render only when set, so pre-serve spec lines
-        // stay byte-identical.
-        if let Some(a) = &self.arrival {
-            pairs.push(format!("arrival={a}"));
-        }
-        if let Some(d) = self.duration {
-            pairs.push(format!("duration={d}"));
-        }
-        if let Some(a) = self.admission {
-            pairs.push(format!("admission={a}"));
-        }
-        if let Some(s) = self.sla_ms {
-            pairs.push(format!("sla_ms={s}"));
-        }
-        // The canonical FaultPlan rendering contains no whitespace, so
-        // the line stays tokenizable; rendered only when set, keeping
-        // pre-fault spec lines byte-identical.
-        if let Some(p) = &self.faults {
-            pairs.push(format!("faults={p}"));
-        }
-        // Rendered only when set (no whitespace in the canonical form),
-        // keeping pre-churn spec lines byte-identical.
-        if let Some(c) = &self.churn {
-            pairs.push(format!("churn={c}"));
-        }
-        // Emitted only off the default, so pre-backend spec lines stay
-        // byte-identical.
-        if self.backend != Backend::default() {
-            pairs.push(format!("backend={}", self.backend));
-        }
-        f.write_str(&pairs.join(" "))
+        Ok(())
     }
 }
 
@@ -754,128 +939,25 @@ impl std::str::FromStr for ExperimentSpec {
     }
 }
 
-fn parse_num<T: std::str::FromStr>(key: &str, value: &str) -> Result<T, SpecError> {
-    value
-        .parse()
-        .map_err(|_| SpecError::malformed(key, value, "must be a number"))
-}
-
 impl ExperimentSpec {
     /// Every spec key, in `Display` rendering order.
-    pub const KEYS: &'static [&'static str] = &[
-        "scenario",
-        "flavor",
-        "policy",
-        "users",
-        "iters",
-        "sf",
-        "seed",
-        "warmup",
-        "guard",
-        "interval_ms",
-        "check",
-        "out_dir",
-        "tenants",
-        "arrival",
-        "duration",
-        "admission",
-        "sla_ms",
-        "faults",
-        "churn",
-        "backend",
-    ];
+    pub const KEYS: &'static [&'static str] = &key_names::<{ count_keys(None) }>(None);
 
     /// Keys that are *universal* — every scenario honours them (or they
     /// configure the harness around the scenario), so the supported-keys
     /// validation never checks them.
-    pub const UNIVERSAL_KEYS: &'static [&'static str] = &["scenario", "seed", "check", "out_dir"];
+    pub const UNIVERSAL_KEYS: &'static [&'static str] =
+        &key_names::<{ count_keys(Some(true)) }>(Some(true));
 
     /// Sets one `key=value` field (the `FromStr`/CLI/env shared path).
     pub fn set(&mut self, key: &str, value: &str) -> Result<(), SpecError> {
-        match key {
-            "scenario" => self.scenario = value.to_string(),
-            "flavor" => self.flavor = Some(parse_flavor(value)?),
-            "policy" => {
-                self.policy =
-                    Some(
-                        PolicyId::try_from(value).map_err(|_| SpecError::UnknownPolicy {
-                            key: key.into(),
-                            value: value.into(),
-                            valid: policy_names(),
-                        })?,
-                    )
-            }
-            "users" => self.users = Some(parse_num(key, value)?),
-            "iters" => self.iters = Some(parse_num(key, value)?),
-            "sf" => self.sf = Some(parse_num(key, value)?),
-            "seed" => self.seed = parse_num(key, value)?,
-            "warmup" => self.warmup = Some(parse_warmup(value)?),
-            "guard" => {
-                self.guard = Some(if value == "off" {
-                    None
-                } else {
-                    Some(parse_num(key, value)?)
-                })
-            }
-            "interval_ms" => self.interval_ms = Some(parse_num(key, value)?),
-            "check" => self.check = value == "1" || value == "true",
-            "out_dir" => self.out_dir = Some(PathBuf::from(value)),
-            "tenants" => {
-                self.tenants = Some(
-                    value
-                        .split(',')
-                        .map(TenantSpec::parse)
-                        .collect::<Result<Vec<_>, _>>()?,
-                )
-            }
-            "arrival" => self.arrival = Some(ArrivalSpec::parse(value)?),
-            "duration" => {
-                let d: f64 = parse_num(key, value)?;
-                if !(d > 0.0 && d.is_finite()) {
-                    return Err(SpecError::malformed(
-                        key,
-                        value,
-                        "must be finite seconds > 0",
-                    ));
-                }
-                self.duration = Some(d);
-            }
-            "admission" => self.admission = Some(AdmissionSpec::parse(value)?),
-            "faults" => {
-                let plan =
-                    FaultPlan::parse(value).map_err(|e| SpecError::malformed(key, value, e))?;
-                // An explicitly empty plan is the same as no plan: the
-                // fault plane stays inert and the spec line unchanged.
-                self.faults = (!plan.is_empty()).then_some(plan);
-            }
-            "churn" => self.churn = Some(crate::churn::ChurnSpec::parse(value)?),
-            "sla_ms" => {
-                let s: f64 = parse_num(key, value)?;
-                if !(s > 0.0 && s.is_finite()) {
-                    return Err(SpecError::malformed(
-                        key,
-                        value,
-                        "must be finite milliseconds > 0",
-                    ));
-                }
-                self.sla_ms = Some(s);
-            }
-            "backend" => {
-                self.backend = value
-                    .parse()
-                    .map_err(|_: String| SpecError::UnknownBackend {
-                        key: key.into(),
-                        value: value.into(),
-                    })?
-            }
-            other => {
-                return Err(SpecError::UnknownKey {
-                    key: other.into(),
-                    value: value.into(),
-                })
-            }
+        match SpecKey::named(key) {
+            Some(k) => (k.set)(self, value),
+            None => Err(SpecError::UnknownKey {
+                key: key.into(),
+                value: value.into(),
+            }),
         }
-        Ok(())
     }
 
     /// The non-universal keys this spec has pinned, as `(key, value)`
@@ -883,83 +965,18 @@ impl ExperimentSpec {
     /// scenario's declared support, and what `--prune-unsupported`
     /// clears. `backend` counts as set only off its default.
     pub fn set_keys(&self) -> Vec<(&'static str, String)> {
-        let mut keys = Vec::new();
-        if let Some(fl) = self.flavor {
-            keys.push(("flavor", flavor_name(fl).to_string()));
-        }
-        if let Some(p) = self.policy {
-            keys.push(("policy", p.to_string()));
-        }
-        if let Some(u) = self.users {
-            keys.push(("users", u.to_string()));
-        }
-        if let Some(i) = self.iters {
-            keys.push(("iters", i.to_string()));
-        }
-        if let Some(sf) = self.sf {
-            keys.push(("sf", sf.to_string()));
-        }
-        if let Some(w) = self.warmup {
-            keys.push(("warmup", warmup_name(w).to_string()));
-        }
-        match self.guard {
-            None => {}
-            Some(None) => keys.push(("guard", "off".to_string())),
-            Some(Some(g)) => keys.push(("guard", g.to_string())),
-        }
-        if let Some(ms) = self.interval_ms {
-            keys.push(("interval_ms", ms.to_string()));
-        }
-        if let Some(tenants) = &self.tenants {
-            let rendered: Vec<String> = tenants.iter().map(|t| t.to_string()).collect();
-            keys.push(("tenants", rendered.join(",")));
-        }
-        if let Some(a) = &self.arrival {
-            keys.push(("arrival", a.to_string()));
-        }
-        if let Some(d) = self.duration {
-            keys.push(("duration", d.to_string()));
-        }
-        if let Some(a) = self.admission {
-            keys.push(("admission", a.to_string()));
-        }
-        if let Some(s) = self.sla_ms {
-            keys.push(("sla_ms", s.to_string()));
-        }
-        if let Some(p) = &self.faults {
-            keys.push(("faults", p.to_string()));
-        }
-        if let Some(c) = &self.churn {
-            keys.push(("churn", c.to_string()));
-        }
-        if self.backend != Backend::default() {
-            keys.push(("backend", self.backend.to_string()));
-        }
-        keys
+        SPEC_KEYS
+            .iter()
+            .filter(|k| !k.universal)
+            .filter_map(|k| Some((k.name, (k.get)(self)?)))
+            .collect()
     }
 
-    /// Clears one non-universal field by key name (the
-    /// `--prune-unsupported` path). Unknown or universal keys are left
-    /// untouched.
+    /// Resets one field to its default by key name (the
+    /// `--prune-unsupported` path). Unknown keys are ignored.
     pub fn clear(&mut self, key: &str) {
-        match key {
-            "flavor" => self.flavor = None,
-            "policy" => self.policy = None,
-            "users" => self.users = None,
-            "iters" => self.iters = None,
-            "sf" => self.sf = None,
-            "warmup" => self.warmup = None,
-            "guard" => self.guard = None,
-            "interval_ms" => self.interval_ms = None,
-            "tenants" => self.tenants = None,
-            "arrival" => self.arrival = None,
-            "duration" => self.duration = None,
-            "admission" => self.admission = None,
-            "sla_ms" => self.sla_ms = None,
-            "faults" => self.faults = None,
-            "churn" => self.churn = None,
-            "backend" => self.backend = Backend::default(),
-            _ => {}
+        if let Some(k) = SpecKey::named(key) {
+            (k.clear)(self);
         }
     }
 }
@@ -970,27 +987,9 @@ impl ExperimentSpec {
 /// made `EMCA_SF=O.25` run at 0.25× the intended scale without a
 /// word).
 ///
-/// | Variable           | Spec field    |
-/// |--------------------|---------------|
-/// | `EMCA_SF`          | `sf`          |
-/// | `EMCA_SEED`        | `seed`        |
-/// | `EMCA_CLIENTS`     | `users`       |
-/// | `EMCA_ITERS`       | `iters`       |
-/// | `EMCA_FLAVOR`      | `flavor`      |
-/// | `EMCA_POLICY`      | `policy`      |
-/// | `EMCA_WARMUP`      | `warmup`      |
-/// | `EMCA_GUARD`       | `guard`       |
-/// | `EMCA_INTERVAL_MS` | `interval_ms` |
-/// | `EMCA_CHECK`       | `check`       |
-/// | `EMCA_OUT_DIR`     | `out_dir`     |
-/// | `EMCA_TENANTS`     | `tenants`     |
-/// | `EMCA_BACKEND`     | `backend`     |
-/// | `EMCA_ARRIVAL`     | `arrival`     |
-/// | `EMCA_DURATION`    | `duration`    |
-/// | `EMCA_ADMISSION`   | `admission`   |
-/// | `EMCA_SLA_MS`      | `sla_ms`      |
-/// | `EMCA_FAULTS`      | `faults`      |
-/// | `EMCA_CHURN`       | `churn`       |
+/// The variable of a key is [`SpecKey::env`]: `EMCA_` + the upper-cased
+/// key (`sf` ↔ `EMCA_SF`, `sla_ms` ↔ `EMCA_SLA_MS`), except `users` ↔
+/// `EMCA_CLIENTS`; `scenario` has none. `emca help` lists them all.
 ///
 /// `PROPTEST_CASES` is consumed by the vendored proptest shim with the
 /// same strict parsing; it is not a spec field.
@@ -1002,31 +1001,12 @@ pub fn from_env() -> Result<ExperimentSpec, SpecError> {
 /// mutating the process environment).
 pub fn from_vars(get: impl Fn(&str) -> Option<String>) -> Result<ExperimentSpec, SpecError> {
     let mut spec = ExperimentSpec::default();
-    for (var, key) in [
-        ("EMCA_SF", "sf"),
-        ("EMCA_SEED", "seed"),
-        ("EMCA_CLIENTS", "users"),
-        ("EMCA_ITERS", "iters"),
-        ("EMCA_FLAVOR", "flavor"),
-        ("EMCA_POLICY", "policy"),
-        ("EMCA_WARMUP", "warmup"),
-        ("EMCA_GUARD", "guard"),
-        ("EMCA_INTERVAL_MS", "interval_ms"),
-        ("EMCA_CHECK", "check"),
-        ("EMCA_OUT_DIR", "out_dir"),
-        ("EMCA_TENANTS", "tenants"),
-        ("EMCA_BACKEND", "backend"),
-        ("EMCA_ARRIVAL", "arrival"),
-        ("EMCA_DURATION", "duration"),
-        ("EMCA_ADMISSION", "admission"),
-        ("EMCA_SLA_MS", "sla_ms"),
-        ("EMCA_FAULTS", "faults"),
-        ("EMCA_CHURN", "churn"),
-    ] {
-        if let Some(value) = get(var) {
+    for key in SPEC_KEYS {
+        let Some(var) = key.env() else { continue };
+        if let Some(value) = get(&var) {
             // Re-key the error to the variable it came from: the user
             // set `EMCA_SF`, not `sf`.
-            spec.set(key, &value).map_err(|e| e.for_key(var))?;
+            (key.set)(&mut spec, &value).map_err(|e| e.for_key(&var))?;
         }
     }
     Ok(spec)
@@ -1035,6 +1015,14 @@ pub fn from_vars(get: impl Fn(&str) -> Option<String>) -> Result<ExperimentSpec,
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The default spec with `key` pinned to its row's example.
+    fn pinned(key: &SpecKey) -> ExperimentSpec {
+        let mut spec = ExperimentSpec::default();
+        spec.set(key.name, key.example)
+            .unwrap_or_else(|e| panic!("{}: example rejected: {e}", key.name));
+        spec
+    }
 
     #[test]
     fn default_spec_round_trips() {
@@ -1045,43 +1033,123 @@ mod tests {
 
     #[test]
     fn full_spec_round_trips() {
-        let spec = ExperimentSpec {
-            scenario: "fig19".into(),
-            flavor: Some(Flavor::SqlServer),
-            policy: Some(PolicyId::HillClimb),
-            users: Some(64),
-            iters: Some(6),
-            sf: Some(0.25),
-            seed: 7,
-            warmup: Some(Warmup::Interleave),
-            guard: Some(Some(0.85)),
-            interval_ms: Some(2.5),
-            check: true,
-            out_dir: Some(PathBuf::from("/tmp/emca-out")),
-            tenants: Some(vec![TenantSpec::named("olap"), TenantSpec::named("steady")]),
-            backend: Backend::Threads,
-            arrival: Some(ArrivalSpec::Poisson { lambda: 12.5 }),
-            duration: Some(3.0),
-            admission: Some(AdmissionSpec::Limit {
-                max_inflight: 8,
-                queue: Some(64),
-            }),
-            sla_ms: Some(250.0),
-            faults: Some(
-                FaultPlan::default()
-                    .with_kill(3, emca_metrics::SimDuration::from_secs(2))
-                    .with_badquery(0.01),
-            ),
-            churn: Some(crate::churn::ChurnSpec {
-                n: 64,
-                resident: Some(12),
-                skew: Some(0.8),
-                spread: Some(6.0),
-            }),
+        let mut full = ExperimentSpec::default();
+        for key in SPEC_KEYS {
+            let name = key.name;
+            let spec = pinned(key);
+            assert_ne!(
+                spec,
+                ExperimentSpec::default(),
+                "{name}: the example must move the field"
+            );
+            let line = spec.to_string();
+            assert!(line.contains(&format!("{name}=")), "{name}: {line}");
+            let back: ExperimentSpec = line.parse().unwrap();
+            assert_eq!(spec, back, "{name}: serialised as {line:?}");
+            full.set(name, key.example).unwrap();
+        }
+        // Every key at once: rendered in table order, parsed back equal.
+        let line = full.to_string();
+        let rendered: Vec<&str> = line
+            .split(' ')
+            .map(|pair| pair.split_once('=').unwrap().0)
+            .collect();
+        assert_eq!(rendered, ExperimentSpec::KEYS);
+        assert_eq!(line.parse::<ExperimentSpec>().unwrap(), full, "{line}");
+    }
+
+    #[test]
+    fn set_keys_tracks_pinned_fields_and_clear_unpins() {
+        for key in SPEC_KEYS {
+            let name = key.name;
+            let mut spec = pinned(key);
+            let reported = spec.set_keys();
+            if key.universal {
+                assert_eq!(reported, [], "{name}: universal keys are never reported");
+            } else {
+                let value = (key.get)(&spec).expect("a pinned key renders its value");
+                assert_eq!(reported, [(name, value)]);
+            }
+            spec.clear("nonsense");
+            assert_eq!(spec, pinned(key), "unknown keys are ignored");
+            spec.clear(name);
+            assert_eq!(spec, ExperimentSpec::default(), "{name}: clear unpins");
+        }
+    }
+
+    #[test]
+    fn from_vars_reads_every_fallback() {
+        for key in SPEC_KEYS {
+            let Some(var) = key.env() else {
+                assert_eq!(key.surface, Surface::Positional, "{}", key.name);
+                continue;
+            };
+            // Only this variable set: only this row moves.
+            let spec = from_vars(|n| (n == var).then(|| key.example.to_string())).unwrap();
+            assert_eq!(spec, pinned(key), "{var}");
+        }
+    }
+
+    #[test]
+    fn every_flag_and_variable_names_one_row() {
+        for key in SPEC_KEYS {
+            let name = key.name;
+            if key.surface == Surface::Positional {
+                assert_eq!((key.env(), key.flag()), (None, None), "{name}");
+                continue;
+            }
+            let (var, flag) = (key.env().unwrap(), key.flag().unwrap());
+            assert_eq!(SpecKey::for_flag(&flag).map(|k| k.name), Some(name));
+            let sharing = |of: fn(&SpecKey) -> Option<String>, want: &str| {
+                SPEC_KEYS
+                    .iter()
+                    .filter(|k| of(k).as_deref() == Some(want))
+                    .count()
+            };
+            assert_eq!(sharing(SpecKey::env, &var), 1, "{var} names one row");
+            assert_eq!(sharing(SpecKey::flag, &flag), 1, "{flag} names one row");
+        }
+        // The naming rule, and its one exception.
+        let names = |key: &str| {
+            let key = SpecKey::named(key).unwrap();
+            (key.env().unwrap(), key.flag().unwrap())
         };
-        let line = spec.to_string();
-        let back: ExperimentSpec = line.parse().unwrap();
-        assert_eq!(spec, back, "serialised as {line:?}");
+        assert_eq!(names("sf"), ("EMCA_SF".into(), "--sf".into()));
+        assert_eq!(names("sla_ms"), ("EMCA_SLA_MS".into(), "--sla-ms".into()));
+        assert_eq!(names("users"), ("EMCA_CLIENTS".into(), "--users".into()));
+        assert_eq!(SpecKey::for_flag("--scenario").map(|k| k.name), None);
+        assert_eq!(SpecKey::for_flag("--clients").map(|k| k.name), None);
+    }
+
+    #[test]
+    fn key_lists_are_the_table() {
+        let names: Vec<&str> = SPEC_KEYS.iter().map(|k| k.name).collect();
+        assert_eq!(ExperimentSpec::KEYS, names);
+        assert_eq!(
+            ExperimentSpec::UNIVERSAL_KEYS,
+            ["scenario", "seed", "check", "out_dir"]
+        );
+        for key in SPEC_KEYS {
+            assert!(!key.help.is_empty(), "{}: emca help needs a line", key.name);
+        }
+    }
+
+    #[test]
+    fn check_takes_only_its_four_spellings() {
+        for (value, on) in [("1", true), ("true", true), ("0", false), ("false", false)] {
+            let spec: ExperimentSpec = format!("check={value}").parse().unwrap();
+            assert_eq!(spec.check, on, "check={value}");
+        }
+        // A typo must not silently disarm the gate.
+        for value in ["yes", "True", "on", ""] {
+            let err = format!("check={value}")
+                .parse::<ExperimentSpec>()
+                .unwrap_err();
+            assert_eq!(
+                err,
+                SpecError::malformed("check", value, "must be 1|true|0|false")
+            );
+        }
     }
 
     #[test]
@@ -1148,27 +1216,6 @@ mod tests {
                 "{line:?} must report its key=value, got: {msg}"
             );
         }
-    }
-
-    #[test]
-    fn set_keys_tracks_pinned_fields_and_clear_unpins() {
-        let mut spec: ExperimentSpec =
-            "scenario=fig04 sf=0.1 users=4 arrival=poisson:10 backend=threads"
-                .parse()
-                .unwrap();
-        let keys: Vec<&str> = spec.set_keys().iter().map(|(k, _)| *k).collect();
-        assert_eq!(keys, ["users", "sf", "arrival", "backend"]);
-        assert!(
-            !keys.contains(&"scenario"),
-            "universal keys are never reported"
-        );
-        for (k, v) in spec.set_keys() {
-            assert!(!v.is_empty(), "{k} renders its value");
-        }
-        spec.clear("arrival");
-        spec.clear("backend");
-        let keys: Vec<&str> = spec.set_keys().iter().map(|(k, _)| *k).collect();
-        assert_eq!(keys, ["users", "sf"]);
     }
 
     #[test]
@@ -1239,45 +1286,18 @@ mod tests {
     }
 
     #[test]
-    fn from_vars_reads_every_fallback() {
-        let vars = [
-            ("EMCA_SF", "0.002"),
-            ("EMCA_SEED", "9"),
-            ("EMCA_CLIENTS", "16"),
-            ("EMCA_ITERS", "2"),
-            ("EMCA_FLAVOR", "monetdb"),
-            ("EMCA_POLICY", "hillclimb"),
-            ("EMCA_WARMUP", "none"),
-            ("EMCA_GUARD", "off"),
-            ("EMCA_INTERVAL_MS", "5"),
-            ("EMCA_CHECK", "1"),
-            ("EMCA_OUT_DIR", "/tmp/x"),
-            ("EMCA_BACKEND", "threads"),
-        ];
-        let spec = from_vars(|n| {
-            vars.iter()
-                .find(|(k, _)| *k == n)
-                .map(|(_, v)| v.to_string())
-        })
-        .unwrap();
-        assert_eq!(spec.sf, Some(0.002));
-        assert_eq!(spec.seed, 9);
-        assert_eq!(spec.users, Some(16));
-        assert_eq!(spec.iters, Some(2));
-        assert_eq!(spec.flavor, Some(Flavor::MonetDb));
-        assert_eq!(spec.policy, Some(PolicyId::HillClimb));
-        assert_eq!(spec.warmup, Some(Warmup::None));
-        assert_eq!(spec.guard, Some(None));
-        assert_eq!(spec.interval_ms, Some(5.0));
-        assert!(spec.check);
-        assert_eq!(spec.out_dir, Some(PathBuf::from("/tmp/x")));
-        assert_eq!(spec.backend, Backend::Threads);
-    }
-
-    #[test]
     fn from_vars_rejects_malformed_values() {
         let err = from_vars(|n| (n == "EMCA_SF").then(|| "O.25".to_string())).unwrap_err();
         assert!(err.to_string().contains("EMCA_SF"), "{err}");
+        // Also for the value types that parse themselves.
+        let err =
+            from_vars(|n| (n == "EMCA_ARRIVAL").then(|| "uniform:3".to_string())).unwrap_err();
+        assert!(err.to_string().contains("EMCA_ARRIVAL=uniform:3"), "{err}");
+        let err = from_vars(|n| (n == "EMCA_CHECK").then(|| "True".to_string())).unwrap_err();
+        assert_eq!(
+            err,
+            SpecError::malformed("EMCA_CHECK", "True", "must be 1|true|0|false")
+        );
     }
 
     #[test]
