@@ -4,7 +4,11 @@
 //! *baseline*, then a *faulted* run with a kill/stall plan injected
 //! mid-flight (by default two worker kills and one stall, timed off
 //! the baseline's wall clock so the plan lands mid-run at any scale; a
-//! pinned `faults=` spec overrides it). One CSV row per phase reports
+//! pinned `faults=` spec overrides it). On the threads backend a repair
+//! takes the watchdog's detection window of *wall* time however fast
+//! the host drains the queries, so unless `iters` is pinned the
+//! baseline is rerun with more iterations until it spans several such
+//! windows. One CSV row per phase reports
 //! the accounting — expected, completed, surfaced errors, lost — next
 //! to the engine's recovery counters and a before/after goodput split
 //! of the faulted run.
@@ -30,7 +34,7 @@ use emca_harness::{run as run_config, ExperimentSpec, RunConfig, RunOutput};
 use emca_metrics::table::Table;
 use emca_metrics::SimDuration;
 use volcano_db::client::Workload;
-use volcano_db::exec::{FaultPlan, WorkerFaultKind};
+use volcano_db::exec::{FaultPlan, ParEngineConfig, WorkerFaultKind};
 use volcano_db::tpch::{QuerySpec, TpchData};
 
 /// Column list of the chaos CSV.
@@ -65,6 +69,12 @@ pub const DEFAULT_USERS: usize = 8;
 /// after the last repair (stall end + watchdog MTTR ≈ 1.1 s into the
 /// run), so the recovery-ratio gate has a window to judge.
 pub const DEFAULT_ITERS: u32 = 30;
+
+/// Watchdog detection windows a threads baseline must span before the
+/// default plan is timed off it: the kills at 25 % and 50 % each need
+/// one window to be noticed and repaired, and the recovery-ratio gate
+/// wants healthy running time on both sides of them.
+const THREADS_MIN_WINDOWS: u32 = 8;
 
 /// The default chaos plan, timed off the baseline wall `w`: two kills
 /// land at 25% and 50% of the healthy run, with a stall in between
@@ -146,14 +156,14 @@ struct Phase {
     last_fault: SimDuration,
 }
 
-fn base_config(spec: &ExperimentSpec, data: &TpchData) -> RunConfig {
+fn base_config(spec: &ExperimentSpec, data: &TpchData, iters: u32) -> RunConfig {
     let mut cfg = spec.apply(
         RunConfig::new(
             spec.mech_alloc(),
             spec.users_or(DEFAULT_USERS),
             Workload::Repeat {
                 spec: QuerySpec::Q6 { variant: 0 },
-                iterations: spec.iters_or(DEFAULT_ITERS),
+                iterations: iters,
             },
         )
         .with_scale(data.scale),
@@ -170,9 +180,27 @@ fn base_config(spec: &ExperimentSpec, data: &TpchData) -> RunConfig {
 /// Runs the scenario.
 pub fn run(spec: &ExperimentSpec) -> ScenarioResult {
     let data = TpchData::generate(spec.scale(DEFAULT_SF));
-    let expected = spec.users_or(DEFAULT_USERS) * spec.iters_or(DEFAULT_ITERS) as usize;
-
-    let baseline = run_config(base_config(spec, &data), &data);
+    let mut iters = spec.iters_or(DEFAULT_ITERS);
+    let mut baseline = run_config(base_config(spec, &data, iters), &data);
+    if spec.backend == emca_harness::Backend::Threads && spec.iters.is_none() {
+        // A fast host drains the default run inside one detection
+        // window: the kills fire but the loop ends before the watchdog
+        // repairs them, and the gate below sees no recovery. Scale the
+        // work (never the watchdog) until the run is long enough.
+        let floor =
+            ParEngineConfig::default().stall_after.as_secs_f64() * f64::from(THREADS_MIN_WINDOWS);
+        while baseline.wall.as_secs_f64() < floor {
+            let short_by = floor / baseline.wall.as_secs_f64().max(1e-3);
+            iters = (f64::from(iters) * short_by * 1.25).ceil() as u32;
+            eprintln!(
+                "[chaos] baseline wall {:.3}s is under {floor:.1}s of watchdog windows; \
+                 rerunning with iters={iters}",
+                baseline.wall.as_secs_f64()
+            );
+            baseline = run_config(base_config(spec, &data, iters), &data);
+        }
+    }
+    let expected = spec.users_or(DEFAULT_USERS) * iters as usize;
     let plan = match &spec.faults {
         Some(p) => p.clone(),
         None => default_plan(baseline.wall),
@@ -204,7 +232,10 @@ pub fn run(spec: &ExperimentSpec) -> ScenarioResult {
         baseline.wall.as_secs_f64()
     );
 
-    let faulted = run_config(base_config(spec, &data).with_faults(plan.clone()), &data);
+    let faulted = run_config(
+        base_config(spec, &data, iters).with_faults(plan.clone()),
+        &data,
+    );
     eprintln!(
         "[chaos] faulted wall {:.3}s: {}/{} completed, {} errors, {} recoveries, mttr {:.1} ms",
         faulted.wall.as_secs_f64(),
@@ -325,7 +356,7 @@ pub fn run(spec: &ExperimentSpec) -> ScenarioResult {
     // Replay gate: on the deterministic backend a faulted run must be
     // reproducible down to the clock.
     if spec.check && phases[1].out.config.backend == emca_harness::Backend::Sim {
-        let again = run_config(base_config(spec, &data).with_faults(plan), &data);
+        let again = run_config(base_config(spec, &data, iters).with_faults(plan), &data);
         if digest(&again) != digest(&phases[1].out) || again.errors != phases[1].out.errors {
             problems.push("faulted sim run did not replay byte-identically".to_string());
         }

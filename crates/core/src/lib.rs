@@ -10,10 +10,11 @@
 //!   pages (§IV-B2);
 //! - allocation modes [`DenseMode`], [`SparseMode`] and [`AdaptiveMode`]
 //!   deciding *where* cores are allocated/released (§IV-B);
-//! - [`ControlCore`]: the rule-condition-action decision pipeline over
-//!   the PetriNet PrT model (§III), shared by its two faces —
-//!   [`ElasticMechanism`] actuating simulated cpuset masks and
-//!   [`PoolController`] parking real OS workers;
+//! - [`ControlCore`]: the whole rule-condition-action pipeline over
+//!   the PetriNet PrT model (§III) — policy hooks, placement, tenant
+//!   arbitration — driving two substrates: [`ElasticMechanism`]
+//!   actuating simulated cpuset masks and [`PoolController`] parking
+//!   real OS workers;
 //! - [`lonc`]: the Local Optimum Number of Cores analysis (§IV-A).
 //!
 //! ```no_run

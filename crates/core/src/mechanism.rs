@@ -1,27 +1,30 @@
-//! The elastic multi-core allocation mechanism (the paper's §III–§IV
-//! pipeline, assembled).
+//! The elastic multi-core allocation mechanism on the simulator (the
+//! paper's §III–§IV pipeline, assembled).
 //!
 //! Every control interval the mechanism:
 //!
 //! 1. **rule** — samples resource usage through the [`Monitor`]
 //!    (mpstat/likwid analogues) and refreshes the page statistics;
-//! 2. **condition** — hands the measured `u` to the shared
-//!    [`ControlCore`] (queue-depth boost → Eq. 1 guard → release
-//!    hysteresis → [`Policy::shape`] → [`ElasticNet::step`] → AIMD
-//!    cadence; the guard and the shaping are this module's hooks into
-//!    that pipeline), which classifies the performance state and decides
-//!    whether a core must be allocated or released;
-//! 3. **action** — asks the [`Policy`] *where*, and applies the
-//!    new cpuset mask to the DBMS group after the mode's actuation
+//! 2. **condition + action** — hands the sample to the one
+//!    [`ControlCore`] (see [`crate::control`] for the pipeline: policy
+//!    feedback, queue-depth boost, Eq. 1 guard, release hysteresis,
+//!    [`Policy::shape`], the PrT net, AIMD cadence, [`Policy::decide`],
+//!    tenant arbitration), which returns the cpuset mask to apply;
+//! 3. applies that mask to the DBMS group after the mode's actuation
 //!    latency (the paper's measured token-flow times: dense 17 ms,
-//!    sparse 21 ms, adaptive 31 ms).
+//!    sparse 21 ms, adaptive 31 ms), releasing a tenant's ownership of
+//!    a dropped core only once the mask has landed.
+//!
+//! What is the simulator's own stays here and is not offered to the
+//! thread pool ([`crate::pool`]): the [`Monitor`], the interconnect
+//! byte rate, the service-time-scaled interval floor, the actuation
+//! latency and its pending mask.
 //!
 //! A single mechanism instance supports all DBMS clients (§V).
 
 use crate::control::ControlCore;
-use crate::modes::ModeCtx;
 use crate::monitor::{MetricKind, Monitor};
-use crate::policy::{Decision, Observation, Policy, PolicyCtx};
+use crate::policy::Policy;
 use crate::tenant::TenantBinding;
 use emca_metrics::{SimDuration, SimTime};
 use numa_sim::SpaceId;
@@ -129,33 +132,25 @@ pub struct TransitionEvent {
     pub nalloc: u32,
 }
 
-/// The assembled mechanism.
+/// The assembled mechanism: the simulator's substrate under the one
+/// [`ControlCore`].
 pub struct ElasticMechanism {
     cfg: MechanismConfig,
-    /// The shared decision pipeline (net, hysteresis, queue demand,
-    /// AIMD cadence between `min_interval` and `interval`).
+    /// The whole decision pipeline (policy, net, arbitration, cadence).
     core: ControlCore,
-    policy: Box<dyn Policy>,
     monitor: Monitor,
     group: GroupId,
     next_control: SimTime,
     /// Smoothed observed query response time (seconds), fed by the
     /// harness through [`ElasticMechanism::note_response`].
     service_ewma: Option<f64>,
-    /// Completed queries since the last control step (throughput
-    /// feedback for [`Policy::observe`]).
-    completions_since: u64,
-    /// When the previous control step ran (observation window anchor).
-    last_control_at: SimTime,
     /// Machine-wide link-byte count at the previous control step.
     prev_link_bytes: u64,
-    /// A decided-but-not-yet-applied mask (actuation latency), plus the
-    /// core whose arbiter ownership is released once the mask lands (a
-    /// tenant shrink must not free the core for peers before it has
-    /// left this group's cpuset).
-    pending: Option<(SimTime, CoreMask, Option<numa_sim::CoreId>)>,
-    /// Multi-tenant arbitration handle; `None` in single-tenant runs.
-    tenancy: Option<TenantBinding>,
+    /// A decided-but-not-yet-applied mask (actuation latency). A tenant
+    /// shrink's ownership is released only once the mask lands — the
+    /// core must not be free for peers before it has left this group's
+    /// cpuset.
+    pending: Option<(SimTime, CoreMask)>,
     /// Transition log (Fig. 7).
     pub events: Vec<TransitionEvent>,
     /// Number of control steps executed.
@@ -197,70 +192,30 @@ impl ElasticMechanism {
         kernel: &mut Kernel,
         group: GroupId,
         space: SpaceId,
-        mut policy: Box<dyn Policy>,
+        policy: Box<dyn Policy>,
         cfg: MechanismConfig,
         tenancy: Option<TenantBinding>,
     ) -> Self {
-        let topo = kernel.machine().topology().clone();
-        let ntotal = topo.n_cores() as u32;
-        assert!(
-            (1..=ntotal).contains(&cfg.initial_cores),
-            "initial_cores out of range"
+        let (core, mask) = ControlCore::install(
+            policy,
+            &cfg,
+            kernel.machine().topology(),
+            kernel.machine().mem().pages_per_node(space),
+            tenancy,
+            kernel.now(),
         );
-        // Build the initial mask by asking the policy for cores one by
-        // one (skipping cores other tenants already own).
-        let pages = kernel.machine().mem().pages_per_node(space).to_vec();
-        let mut mask = CoreMask::EMPTY;
-        for _ in 0..cfg.initial_cores {
-            let barred = match &tenancy {
-                Some(t) => t.arbiter.borrow().foreign_mask(t.tenant),
-                None => CoreMask::EMPTY,
-            };
-            let ctx = ModeCtx {
-                topology: &topo,
-                current: mask,
-                barred,
-                pages_per_node: &pages,
-                mc_util_per_node: &[],
-            };
-            let core = policy.next_core(&ctx).expect("initial cores available");
-            if let Some(t) = &tenancy {
-                t.arbiter.borrow_mut().claim_initial(t.tenant, core);
-            }
-            mask.insert(core);
-        }
         kernel.set_group_mask(group, mask);
         let monitor = Monitor::new(kernel, group, space, cfg.metric);
-        // Cold start reacts at the floor interval: the allocation is one
-        // core and almost certainly wrong, so the first control steps
-        // must come quickly relative to the workload.
-        let core = ControlCore::new(
-            ElasticNet::new(cfg.thresholds, ntotal, cfg.initial_cores),
-            cfg.release_hysteresis,
-            cfg.interval,
-            cfg.min_interval.min(cfg.interval),
-        );
         let next_control = kernel.now() + core.interval();
-        let prev_link_bytes = kernel
-            .machine()
-            .counters()
-            .snapshot()
-            .link_bytes
-            .iter()
-            .sum();
         ElasticMechanism {
             cfg,
             core,
-            policy,
             monitor,
             group,
             next_control,
             service_ewma: None,
-            completions_since: 0,
-            last_control_at: kernel.now(),
-            prev_link_bytes,
+            prev_link_bytes: link_bytes(kernel),
             pending: None,
-            tenancy,
             events: Vec::new(),
             steps: 0,
         }
@@ -275,7 +230,7 @@ impl ElasticMechanism {
     /// query toward the throughput feedback handed to
     /// [`Policy::observe`].
     pub fn note_response(&mut self, response: SimDuration) {
-        self.completions_since += 1;
+        self.core.note_completions(1);
         let secs = response.as_secs_f64();
         self.service_ewma = Some(match self.service_ewma {
             None => secs,
@@ -325,7 +280,7 @@ impl ElasticMechanism {
 
     /// The allocation policy's name.
     pub fn policy_name(&self) -> &str {
-        self.policy.name()
+        self.core.policy_name()
     }
 
     /// Drives the mechanism; call once per simulation tick (cheap when
@@ -333,12 +288,11 @@ impl ElasticMechanism {
     /// on schedule.
     pub fn poll(&mut self, kernel: &mut Kernel) {
         let now = kernel.now();
-        if let Some((due, mask, release)) = self.pending {
+        if let Some((due, mask)) = self.pending {
             if now >= due {
+                let left = kernel.group_mask(self.group).minus(mask);
                 kernel.set_group_mask(self.group, mask);
-                if let (Some(core), Some(t)) = (release, &self.tenancy) {
-                    t.arbiter.borrow_mut().release(t.tenant, core);
-                }
+                self.core.release_owned(left);
                 self.pending = None;
             }
         }
@@ -348,183 +302,27 @@ impl ElasticMechanism {
         }
     }
 
-    /// One rule-condition-action step.
+    /// One rule-condition-action step: sample, hand the sample to the
+    /// controller, schedule the mask it returns.
     fn control(&mut self, kernel: &mut Kernel) {
         self.steps += 1;
         let sample = self.monitor.sample(kernel);
-        // Throughput/traffic feedback for the policy (hill climbing, SLA
-        // budgets); plain placement modes ignore it.
-        let window = kernel.now().since(self.last_control_at);
-        let link_bytes: u64 = kernel
-            .machine()
-            .counters()
-            .snapshot()
-            .link_bytes
-            .iter()
-            .sum();
-        let ht_rate = if window.is_zero() {
-            0.0
-        } else {
-            link_bytes.saturating_sub(self.prev_link_bytes) as f64 / window.as_secs_f64()
-        };
-        self.policy.observe(&Observation {
-            sample: &sample,
-            completions: self.completions_since,
-            interval: window,
-            nalloc: self.core.nalloc(),
-            ht_rate,
-            queue_depth: self.core.queue_depth(),
-        });
-        self.completions_since = 0;
-        self.last_control_at = kernel.now();
+        let link_bytes = link_bytes(kernel);
+        let ht_bytes = link_bytes.saturating_sub(self.prev_link_bytes);
         self.prev_link_bytes = link_bytes;
-        // Eq. 1 guard (`p(nalloc) ≥ p(ntotal)`): when the memory
-        // controllers actually serving the workload's data are saturated,
-        // an extra core cannot improve performance — it can only scatter
-        // the working set — so an Overload classification is damped into
-        // the stable band and the allocation holds at its local optimum.
-        // A core on a node that *already holds* the hot data cannot
-        // scatter anything, though: growth is never damped while the
-        // page-hottest node still has free cores (reaching them adds
-        // local compute and cache without new interconnect traffic).
-        let th = self.cfg.thresholds;
-        let saturation_guard = self.cfg.saturation_guard;
-        let floor = self.effective_min();
         let current = kernel.group_mask(self.group);
-        let topo = kernel.machine().topology();
-        let guard = |u: i64| match saturation_guard {
-            Some(guard) if u >= th.thmax && sample.mc_pressure >= guard => {
-                let hottest_full = sample
-                    .pages_per_node
-                    .iter()
-                    .enumerate()
-                    .max_by_key(|&(_, &p)| p)
-                    .map(|(n, _)| {
-                        topo.cores_of(numa_sim::NodeId(n as u16))
-                            .all(|c| current.contains(c))
-                    })
-                    .unwrap_or(true);
-                if hottest_full {
-                    (th.thmin + th.thmax) / 2
-                } else {
-                    u
-                }
-            }
-            _ => u,
-        };
-        // Policy signal shaping (SLA damping, hill-climb probe holds);
-        // identity for the plain placement modes.
-        let policy = &mut self.policy;
-        let shape = |u: i64| policy.shape(u, current.count() as u32, th);
-        let mut event = self.core.step(
-            sample.at,
-            sample.cpu_load_pct,
-            sample.u,
-            floor,
-            guard,
-            shape,
+        let (mask, event) = self.core.step(
+            &sample,
+            ht_bytes,
+            self.effective_min(),
+            kernel.machine().topology(),
+            current,
         );
-        let verdict = event.action;
-        let barred = match &self.tenancy {
-            Some(t) => t.arbiter.borrow().foreign_mask(t.tenant),
-            None => CoreMask::EMPTY,
-        };
-        let ctx = PolicyCtx {
-            mode: ModeCtx {
-                topology: topo,
-                current,
-                barred,
-                pages_per_node: &sample.pages_per_node,
-                mc_util_per_node: &sample.mc_util_per_node,
-            },
-            action: verdict,
-        };
-        let mut decision = self.policy.decide(&ctx);
-        // Tenant arbitration: record this step's demand, yield a core
-        // toward a starved peer, and pass every grow/shrink through the
-        // shared ownership map. A denied growth becomes a Hold (the
-        // policy is told, so it can roll back probe state); the
-        // Provision resync below keeps the net honest either way. A
-        // shrink's ownership release is *deferred* to actuation time —
-        // releasing at decision time would let a peer claim (and
-        // schedule on) the core while it is still in this group's
-        // not-yet-rewritten cpuset mask.
-        let mut deferred_release = None;
-        if let Some(t) = self.tenancy.clone() {
-            let mut arb = t.arbiter.borrow_mut();
-            arb.note(t.tenant, verdict == AllocAction::Allocate);
-            if !matches!(decision, Decision::Shrink(_)) && arb.must_yield(t.tenant) {
-                // Route the forced release through the policy's own
-                // Release path (not bare release_core) so stateful
-                // policies run their release bookkeeping — the hill
-                // climber drops its in-flight probe exactly as on a
-                // net-driven release.
-                let release_ctx = PolicyCtx {
-                    mode: ctx.mode,
-                    action: AllocAction::Release,
-                };
-                decision = match self.policy.decide(&release_ctx) {
-                    Decision::Shrink(core) => {
-                        arb.yields += 1;
-                        Decision::Shrink(core)
-                    }
-                    _ => Decision::Hold,
-                };
-            }
-            decision = match decision {
-                Decision::Grow(core) if !arb.try_claim(t.tenant, core) => {
-                    self.policy.grow_denied(core);
-                    Decision::Hold
-                }
-                Decision::Shrink(core) => {
-                    deferred_release = Some(core);
-                    Decision::Shrink(core)
-                }
-                other => other,
-            };
-        }
-        let decision = decision;
-        let new_mask = match decision {
-            Decision::Grow(core) => {
-                debug_assert!(!current.contains(core), "policy grew an allocated core");
-                let mut m = current;
-                m.insert(core);
-                Some(m)
-            }
-            Decision::Shrink(core) => {
-                debug_assert!(current.contains(core), "policy shrank a foreign core");
-                let mut m = current;
-                m.remove(core);
-                Some(m)
-            }
-            Decision::Hold => None,
-        };
-        // Resync the Provision token whenever the decision diverged from
-        // the net's verdict — the placement found no core, or the policy
-        // vetoed/overrode the move (SLA cap, hill-climb revert).
-        let in_sync = matches!(
-            (verdict, decision),
-            (AllocAction::Allocate, Decision::Grow(_))
-                | (AllocAction::Release, Decision::Shrink(_))
-                | (AllocAction::Hold, Decision::Hold)
-        );
-        let nalloc_after = new_mask.unwrap_or(current).count() as u32;
-        if !in_sync {
-            self.core.resync(nalloc_after);
-        }
-        if let Some(mask) = new_mask {
-            debug_assert_eq!(mask.count() as u32, self.core.nalloc());
+        if mask != current {
             // Actuation never blocks more than half a control period.
             let latency = self.cfg.actuation_latency.min(self.core.interval() / 2);
-            self.pending = Some((kernel.now() + latency, mask, deferred_release));
+            self.pending = Some((kernel.now() + latency, mask));
         }
-        // The log records what was actually applied, not the verdict.
-        event.action = match decision {
-            Decision::Grow(_) => AllocAction::Allocate,
-            Decision::Shrink(_) => AllocAction::Release,
-            Decision::Hold => AllocAction::Hold,
-        };
-        event.nalloc = nalloc_after;
         self.events.push(event);
     }
 
@@ -536,31 +334,24 @@ impl ElasticMechanism {
             self.poll(kernel);
         }
     }
+}
 
-    /// Like [`ElasticMechanism::run_with`] but stops early when `pred`
-    /// holds. Returns true if the predicate fired.
-    pub fn run_with_until(
-        &mut self,
-        kernel: &mut Kernel,
-        deadline: SimTime,
-        mut pred: impl FnMut(&Kernel) -> bool,
-    ) -> bool {
-        while kernel.now() < deadline {
-            if pred(kernel) {
-                return true;
-            }
-            kernel.run_tick();
-            self.poll(kernel);
-        }
-        pred(kernel)
-    }
+/// Machine-wide interconnect byte count.
+fn link_bytes(kernel: &Kernel) -> u64 {
+    kernel
+        .machine()
+        .counters()
+        .snapshot()
+        .link_bytes
+        .iter()
+        .sum()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::modes::{AdaptiveMode, DenseMode, SparseMode};
-    use emca_metrics::SimDuration;
+    use crate::modes::{AdaptiveMode, DenseMode, ModeCtx, SparseMode};
+    use crate::policy::{Decision, Observation, PolicyCtx};
     use numa_sim::CoreId;
     use os_sim::SpinWork;
 
@@ -699,16 +490,27 @@ mod tests {
         assert_eq!(mech.policy_name(), "adaptive");
     }
 
-    /// Dense placement plus a `shape` hook that logs every `u` it is
-    /// handed and, when `force` is set, overrides it.
-    struct ShapeProbe {
-        seen: std::rc::Rc<std::cell::RefCell<Vec<i64>>>,
+    /// One hook call a [`Recorder`] saw.
+    #[derive(Clone, Copy, Debug, PartialEq)]
+    enum Call {
+        /// `observe`, with the raw sample value.
+        Observe(i64),
+        /// `shape`, with the `u` it was handed.
+        Shape(i64),
+        /// `decide`, with the net's verdict.
+        Decide(AllocAction),
+    }
+
+    /// Dense placement that records every hook call and, when `force`
+    /// is set, overrides the shaped value.
+    struct Recorder {
+        calls: std::rc::Rc<std::cell::RefCell<Vec<Call>>>,
         force: Option<i64>,
     }
 
-    impl Policy for ShapeProbe {
+    impl Policy for Recorder {
         fn name(&self) -> &str {
-            "probe"
+            "recorder"
         }
         fn next_core(&mut self, ctx: &ModeCtx<'_>) -> Option<CoreId> {
             Policy::next_core(&mut DenseMode, ctx)
@@ -716,38 +518,46 @@ mod tests {
         fn release_core(&mut self, ctx: &ModeCtx<'_>) -> Option<CoreId> {
             Policy::release_core(&mut DenseMode, ctx)
         }
+        fn observe(&mut self, obs: &Observation<'_>) {
+            self.calls.borrow_mut().push(Call::Observe(obs.sample.u));
+        }
         fn shape(&mut self, u: i64, _nalloc: u32, _th: Thresholds) -> i64 {
-            self.seen.borrow_mut().push(u);
+            self.calls.borrow_mut().push(Call::Shape(u));
             self.force.unwrap_or(u)
+        }
+        fn decide(&mut self, ctx: &PolicyCtx<'_>) -> Decision {
+            self.calls.borrow_mut().push(Call::Decide(ctx.action));
+            Policy::decide(&mut DenseMode, ctx)
         }
     }
 
-    /// Installs a [`ShapeProbe`] on an idle machine (every raw sample
+    /// Installs a [`Recorder`] on an idle machine (every raw sample
     /// reads `u = 0`) and runs `steps` control steps.
-    fn probe_idle_machine(
+    fn record_idle_machine(
         cfg: MechanismConfig,
         queue_depth: u64,
         force: Option<i64>,
         steps: u64,
-    ) -> (Vec<i64>, Vec<TransitionEvent>) {
+    ) -> (Vec<Call>, Vec<TransitionEvent>) {
         let (mut k, g, space) = setup();
-        let seen = std::rc::Rc::new(std::cell::RefCell::new(Vec::new()));
-        let probe = ShapeProbe {
-            seen: seen.clone(),
+        let calls = std::rc::Rc::new(std::cell::RefCell::new(Vec::new()));
+        let recorder = Recorder {
+            calls: calls.clone(),
             force,
         };
-        let mut mech = ElasticMechanism::install(&mut k, g, space, Box::new(probe), cfg);
+        let mut mech = ElasticMechanism::install(&mut k, g, space, Box::new(recorder), cfg);
         mech.note_queue_depth(queue_depth);
         while mech.steps < steps {
             k.run_tick();
             mech.poll(&mut k);
         }
-        let seen = seen.borrow().clone();
-        (seen, mech.events)
+        let calls = calls.borrow().clone();
+        (calls, mech.events)
     }
 
     #[test]
     fn hooks_sit_in_the_documented_order() {
+        use AllocAction::{Allocate, Hold, Release};
         let th = Thresholds::cpu_load_default();
         let mid = (th.thmin + th.thmax) / 2;
         let pinned = MechanismConfig {
@@ -756,10 +566,16 @@ mod tests {
             ..fast_cfg()
         };
 
-        // boost → shape: an idle machine behind a deep queue reads as
-        // saturated by the time the policy shapes it.
-        let (seen, _) = probe_idle_machine(pinned.clone(), 100, None, 1);
-        assert_eq!(seen, [100], "the queue boost runs before Policy::shape");
+        // observe → boost → shape → net → decide: the policy observes
+        // the raw sample, but an idle machine behind a deep queue reads
+        // as saturated by the time it shapes the signal, and the net's
+        // verdict on the shaped value is what it decides on.
+        let (calls, _) = record_idle_machine(pinned.clone(), 100, None, 1);
+        assert_eq!(
+            calls,
+            [Call::Observe(0), Call::Shape(100), Call::Decide(Allocate)],
+            "the queue boost runs before Policy::shape"
+        );
 
         // boost → guard → shape: the Eq. 1 guard only fires on an
         // Overload reading, which on an idle machine exists only after
@@ -771,14 +587,26 @@ mod tests {
             initial_cores: 16,
             ..pinned.clone()
         };
-        let (seen, _) = probe_idle_machine(guarded, 100, None, 1);
-        assert_eq!(seen, [mid], "the guard damps the boosted signal");
+        let (calls, _) = record_idle_machine(guarded, 100, None, 1);
+        assert_eq!(
+            calls,
+            [Call::Observe(0), Call::Shape(mid), Call::Decide(Hold)],
+            "the guard damps the boosted signal"
+        );
 
         // hysteresis → shape: the first idle reading is replaced by the
         // mid-band value before the policy sees it; the second matures
         // the streak and passes through.
-        let (seen, _) = probe_idle_machine(pinned.clone(), 0, None, 2);
-        assert_eq!(seen, [mid, 0], "hysteresis runs before Policy::shape");
+        let (calls, _) = record_idle_machine(pinned.clone(), 0, None, 2);
+        let shaped: Vec<Call> = calls
+            .into_iter()
+            .filter(|c| matches!(c, Call::Shape(_)))
+            .collect();
+        assert_eq!(
+            shaped,
+            [Call::Shape(mid), Call::Shape(0)],
+            "hysteresis runs before Policy::shape"
+        );
 
         // shape → net: what the policy returns is what the net
         // classifies, un-damped — a forced idle reading releases on the
@@ -787,7 +615,8 @@ mod tests {
             initial_cores: 4,
             ..pinned
         };
-        let (_, events) = probe_idle_machine(four, 100, Some(0), 1);
+        let (calls, events) = record_idle_machine(four, 100, Some(0), 1);
+        assert_eq!(calls.last(), Some(&Call::Decide(Release)));
         assert_eq!(events[0].u, 0);
         assert_eq!(events[0].state, StateKind::Idle);
         assert_eq!(events[0].action, AllocAction::Release);

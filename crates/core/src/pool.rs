@@ -1,54 +1,51 @@
 //! Pool-level elastic control for the real-thread backend.
 //!
-//! [`PoolController`] is the mechanism's face toward an OS thread pool:
-//! the shared [`ControlCore`] (queue-depth demand, release hysteresis,
-//! the PrT net, AIMD cadence — see [`crate::control`]) consumes a
-//! measured CPU load and emits allocate/release/hold actions, and the
-//! actuation is *park/unpark workers* instead of editing a simulated
-//! cpuset. What [`ElasticMechanism`](crate::mechanism) adds around the
-//! same core has no real-hardware counterpart in this workspace — there
-//! are no performance-counter syscalls, so no HT/IMC metric and no
-//! saturation guard, and no placement for a [`Policy`](crate::Policy)
-//! to decide — so the controller runs the core on CPU load alone with
-//! identity shaping; `docs/ARCHITECTURE.md` discusses the gap.
+//! [`PoolController`] is the thread pool's substrate under the one
+//! [`ControlCore`] (see [`crate::control`] for the pipeline — the same
+//! [`Policy`] hooks, placement, tenant arbitration and cadence the
+//! simulator's [`ElasticMechanism`](crate::mechanism) runs). What
+//! belongs to a pool, and only that, lives here:
+//!
+//! - the **sample** is built from measured worker busy time: CPU load,
+//!   zero resident pages and zero memory-controller utilisation. This
+//!   workspace links no performance-counter syscalls, so the Eq. 1
+//!   guard, the adaptive mode's page ranking and interconnect budgets
+//!   are inert *by construction* — their signals read zero — not
+//!   because code is missing (`docs/ARCHITECTURE.md` discusses the gap);
+//! - the **mask** ranges over a pool-width mirror topology
+//!   ([`PoolController::mirror`]); the driver unparks the workers the
+//!   mask names, so a placement mode decides *which* workers run;
+//! - masks apply at once (parking a worker has no token-flow latency),
+//!   so a tenant shrink's ownership is released in the same step;
+//! - [`PoolController::note_capacity`] clamps the mask to the live
+//!   (not fault-killed) width.
 //!
 //! Real thread pools see much noisier load than the simulator (a sample
 //! can land between task completions), which is why the core's release
 //! hysteresis matters here: one noisy dip must not trigger a shrink.
 
 use crate::control::ControlCore;
-use crate::mechanism::TransitionEvent;
+use crate::mechanism::{MechanismConfig, TransitionEvent};
+use crate::monitor::MonitorSample;
+use crate::policy::{Policy, PolicyId};
+use crate::tenant::TenantBinding;
 use emca_metrics::{SimDuration, SimTime};
-use prt_petrinet::{AllocAction, ElasticNet, StateKind, Thresholds};
+use numa_sim::Topology;
+use os_sim::CoreMask;
+use prt_petrinet::{AllocAction, StateKind};
 
-/// Configuration for a [`PoolController`].
+/// What [`PoolController::new`] takes: a pool width, controlled at
+/// the CPU-load defaults of [`MechanismConfig::cpu_load`].
 #[derive(Clone, Copy, Debug)]
 pub struct PoolConfig {
-    /// Idle / overload CPU-load thresholds (percent).
-    pub thresholds: Thresholds,
     /// Pool capacity (total workers the controller may unpark).
     pub ntotal: u32,
-    /// Workers unparked at start.
-    pub initial: u32,
-    /// Longest poll interval (AIMD upper bound).
-    pub interval: SimDuration,
-    /// Shortest poll interval, used right after a transition fires.
-    pub min_interval: SimDuration,
-    /// Consecutive under-`thmin` observations required before a release.
-    pub release_hysteresis: u32,
 }
 
 impl PoolConfig {
-    /// CPU-load defaults sized for a 16-worker pool.
+    /// CPU-load defaults for an `ntotal`-worker pool.
     pub fn cpu_load(ntotal: u32) -> Self {
-        PoolConfig {
-            thresholds: Thresholds::cpu_load_default(),
-            ntotal,
-            initial: 1,
-            interval: SimDuration::from_millis(50),
-            min_interval: SimDuration::from_micros(200),
-            release_hysteresis: 2,
-        }
+        PoolConfig { ntotal }
     }
 }
 
@@ -57,34 +54,82 @@ impl PoolConfig {
 pub struct PoolDecision {
     /// Target unparked-worker count.
     pub nalloc: u32,
-    /// What the net did this step.
+    /// What was applied this step.
     pub action: AllocAction,
     /// The net's state after the step.
     pub state: StateKind,
 }
 
 /// Elastic controller for a real worker pool.
-#[derive(Clone, Debug)]
 pub struct PoolController {
     core: ControlCore,
+    topology: Topology,
+    /// The workers (as cores of the mirror topology) that should run.
+    mask: CoreMask,
+    /// The sample handed to the core: only `at`, `u` and `cpu_load_pct`
+    /// ever change.
+    sample: MonitorSample,
     min_interval: SimDuration,
     /// Every control step, for the harness's `transitions` output.
     pub events: Vec<TransitionEvent>,
 }
 
 impl PoolController {
-    /// Builds the controller with its PrT net at `cfg.initial` workers.
+    /// The topology a `width`-worker pool is placed over: the simulated
+    /// machine's four sockets when the width divides evenly, one node
+    /// otherwise.
+    pub fn mirror(width: u32) -> Topology {
+        if width % 4 == 0 {
+            Topology::fully_connected(4, (width / 4) as u16)
+        } else {
+            Topology::fully_connected(1, width as u16)
+        }
+    }
+
+    /// Dense placement over `cfg.ntotal` workers, no tenancy.
     pub fn new(cfg: PoolConfig) -> Self {
-        cfg.thresholds.validate();
-        let initial = cfg.initial.clamp(1, cfg.ntotal);
+        Self::install(
+            PolicyId::Dense.build(),
+            &MechanismConfig::cpu_load(),
+            Self::mirror(cfg.ntotal),
+            None,
+            SimTime::ZERO,
+        )
+    }
+
+    /// A controller running `policy` over `topology` (a
+    /// [`mirror`](PoolController::mirror)) from `cfg`'s thresholds,
+    /// cadence, guard and initial allocation — the pool twin of
+    /// [`ElasticMechanism::install`](crate::ElasticMechanism::install) /
+    /// [`install_tenant`](crate::ElasticMechanism::install_tenant).
+    /// `cfg.metric` and `cfg.actuation_latency` are simulator inputs and
+    /// are not read.
+    pub fn install(
+        policy: Box<dyn Policy>,
+        cfg: &MechanismConfig,
+        topology: Topology,
+        tenancy: Option<TenantBinding>,
+        now: SimTime,
+    ) -> Self {
+        let nodes = topology.n_nodes();
+        let pages = vec![0; nodes];
+        let (core, mask) = ControlCore::install(policy, cfg, &topology, &pages, tenancy, now);
         PoolController {
-            core: ControlCore::new(
-                ElasticNet::new(cfg.thresholds, cfg.ntotal, initial),
-                cfg.release_hysteresis,
-                cfg.interval,
-                cfg.min_interval,
-            ),
-            min_interval: cfg.min_interval,
+            core,
+            topology,
+            mask,
+            sample: MonitorSample {
+                at: now,
+                u: 0,
+                cpu_load_pct: 0.0,
+                ht_imc_ratio: 0.0,
+                pages_per_node: pages,
+                mc_util_per_node: vec![0.0; nodes],
+                max_mc_util: 0.0,
+                mean_mc_util: 0.0,
+                mc_pressure: 0.0,
+            },
+            min_interval: cfg.min_interval.min(cfg.interval),
             events: Vec::new(),
         }
     }
@@ -98,13 +143,27 @@ impl PoolController {
         self.core.note_queue_depth(depth);
     }
 
+    /// Counts `n` queries completed since the previous
+    /// [`observe`](PoolController::observe) — the throughput feedback of
+    /// [`Policy::observe`].
+    pub fn note_completions(&mut self, n: u64) {
+        self.core.note_completions(n);
+    }
+
     /// Feeds one CPU-load observation (percent of the *active* workers'
-    /// capacity) and returns the new target allocation.
+    /// capacity) through the controller and applies the mask it returns.
     pub fn observe(&mut self, now: SimTime, u_pct: f64) -> PoolDecision {
-        let u = u_pct.round().clamp(0.0, 100.0) as i64;
-        let event = self
-            .core
-            .step(now, u_pct, u, self.min_interval, |u| u, |u| u);
+        self.sample.at = now;
+        self.sample.u = u_pct.round().clamp(0.0, 100.0) as i64;
+        self.sample.cpu_load_pct = u_pct;
+        let (mask, event) = self.core.step(
+            &self.sample,
+            0,
+            self.min_interval,
+            &self.topology,
+            self.mask,
+        );
+        self.land(mask);
         let decision = PoolDecision {
             nalloc: event.nalloc,
             action: event.action,
@@ -114,20 +173,31 @@ impl PoolController {
         decision
     }
 
-    /// Forces the net's allocation to `nalloc` — used when the actuation
-    /// could not follow a decision (e.g. a multi-tenant arbiter denied
-    /// the claim), so net state and real pool state stay in step.
-    pub fn resync(&mut self, nalloc: u32) {
-        self.core.resync(nalloc);
+    /// Applies `mask` at once, returning dropped cores to the arbiter.
+    fn land(&mut self, mask: CoreMask) {
+        self.core.release_owned(self.mask.minus(mask));
+        self.mask = mask;
     }
 
     /// Reports how many workers are actually allocatable right now
     /// (`live` excludes fault-killed, not-yet-recovered workers). A
-    /// target above the live width is clamped down so grow decisions
-    /// never point the actuation at a dead worker; recovery raises
-    /// `live` again and the controller is free to re-grow.
+    /// mask wider than the live width loses its highest cores so grow
+    /// decisions never point the actuation at a dead worker; recovery
+    /// raises `live` again and the controller is free to re-grow. Never
+    /// grows by itself.
     pub fn note_capacity(&mut self, live: u32) {
-        self.core.note_capacity(live);
+        let live = live.max(1) as usize;
+        if self.mask.count() <= live {
+            return;
+        }
+        let kept = CoreMask::from_cores(self.mask.iter().take(live));
+        self.land(kept);
+        self.core.resync(live as u32);
+    }
+
+    /// The workers that should run, as cores of the mirror topology.
+    pub fn mask(&self) -> CoreMask {
+        self.mask
     }
 
     /// Current target allocation.
@@ -147,9 +217,22 @@ impl PoolController {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::tenant::{ArbiterMode, TenantArbiter};
 
     fn controller() -> PoolController {
         PoolController::new(PoolConfig::cpu_load(16))
+    }
+
+    /// A `width`-wide controller running `policy` at the CPU-load
+    /// defaults.
+    fn with_policy(policy: PolicyId, width: u32) -> PoolController {
+        PoolController::install(
+            policy.build(),
+            &MechanismConfig::cpu_load(),
+            PoolController::mirror(width),
+            None,
+            SimTime::ZERO,
+        )
     }
 
     fn drive(c: &mut PoolController, u: f64, steps: usize) -> u32 {
@@ -322,24 +405,32 @@ mod tests {
     #[test]
     fn core_with_identity_shaping_matches_the_golden_trace() {
         // The same inputs through the shared core directly, configured
-        // as `PoolConfig::cpu_load(16)` and with both hooks the identity:
-        // the controller adds nothing but rounding on top of the core.
-        let cfg = PoolConfig::cpu_load(16);
-        let mut core = ControlCore::new(
-            ElasticNet::new(cfg.thresholds, cfg.ntotal, cfg.initial),
-            cfg.release_hysteresis,
-            cfg.interval,
-            cfg.min_interval,
+        // as `PoolConfig::cpu_load(16)` with the dense policy (identity
+        // shaping, verdict-following decisions): the controller adds
+        // nothing but rounding and the capacity clamp on top of the core.
+        let cfg = MechanismConfig::cpu_load();
+        let topo = PoolController::mirror(16);
+        let (mut core, mut mask) = ControlCore::install(
+            PolicyId::Dense.build(),
+            &cfg,
+            &topo,
+            &[0; 4],
+            None,
+            SimTime::ZERO,
         );
+        let mut sample = controller().sample;
         let mut trace = Vec::new();
         for (i, (load, depth, cap)) in golden_inputs().into_iter().enumerate() {
-            if let Some(live) = cap {
-                core.note_capacity(live);
+            if let Some(live) = cap.filter(|&live| mask.count() > live as usize) {
+                mask = CoreMask::first_n(live as usize);
+                core.resync(live);
             }
             core.note_queue_depth(depth);
-            let u = load.round() as i64;
-            let at = SimTime::from_millis(i as u64);
-            let event = core.step(at, load, u, cfg.min_interval, |u| u, |u| u);
+            sample.at = SimTime::from_millis(i as u64);
+            sample.u = load.round() as i64;
+            sample.cpu_load_pct = load;
+            let (next, event) = core.step(&sample, 0, cfg.min_interval, &topo, mask);
+            mask = next;
             trace.push(digest(&event, core.interval()));
         }
         assert_eq!(trace, GOLDEN);
@@ -347,10 +438,120 @@ mod tests {
 
     #[test]
     fn resync_tracks_denied_actuation() {
-        let mut c = controller();
-        drive(&mut c, 95.0, 10);
-        assert!(c.nalloc() > 3);
-        c.resync(3);
+        // A budget-capped tenant: the arbiter denies every claim past
+        // three cores, the policy is told, and the Provision token is
+        // resynced to what the pool really holds.
+        let arbiter = TenantArbiter::shared(ArbiterMode::BudgetCapped, 16);
+        let tenant = arbiter.borrow_mut().register("capped", 1, Some(3));
+        let mut c = PoolController::install(
+            PolicyId::Dense.build(),
+            &MechanismConfig::cpu_load(),
+            PoolController::mirror(16),
+            Some(TenantBinding::new(arbiter.clone(), tenant)),
+            SimTime::ZERO,
+        );
+        assert_eq!(drive(&mut c, 95.0, 10), 3);
         assert_eq!(c.nalloc(), 3);
+        assert_eq!(c.mask(), arbiter.borrow().owned(tenant));
+        assert!(arbiter.borrow().denials > 0);
+        let last = c.events.last().unwrap();
+        assert_eq!(
+            (last.state, last.action, last.nalloc),
+            (StateKind::Overload, AllocAction::Hold, 3),
+            "the log records the denied grow as a Hold"
+        );
+    }
+
+    /// The order in which sustained overload adds workers to the mask.
+    fn growth_order(policy: PolicyId, width: u32) -> Vec<usize> {
+        let mut c = with_policy(policy, width);
+        let mut order: Vec<usize> = c.mask().iter().map(|core| core.idx()).collect();
+        for i in 0..width as u64 {
+            let before = c.mask();
+            c.observe(SimTime::from_millis(i), 100.0);
+            order.extend(c.mask().minus(before).iter().map(|core| core.idx()));
+        }
+        order
+    }
+
+    #[test]
+    fn placement_modes_order_the_workers() {
+        // Sparse strides across the mirror's four sockets — the literal
+        // vectors the hand-copied `sparse_order` of the threads runner
+        // returned before the policies ran on the pool.
+        assert_eq!(growth_order(PolicyId::Sparse, 4), [0, 1, 2, 3]);
+        assert_eq!(growth_order(PolicyId::Sparse, 8), [0, 2, 4, 6, 1, 3, 5, 7]);
+        assert_eq!(
+            growth_order(PolicyId::Sparse, 16),
+            [0, 4, 8, 12, 1, 5, 9, 13, 2, 6, 10, 14, 3, 7, 11, 15]
+        );
+        // Dense packs neighbours; adaptive has no page signal on a pool
+        // and falls back to node order: both are the identity.
+        for width in [4, 6, 8, 16] {
+            let identity: Vec<usize> = (0..width as usize).collect();
+            assert_eq!(growth_order(PolicyId::Dense, width), identity);
+            assert_eq!(growth_order(PolicyId::Adaptive, width), identity);
+        }
+    }
+
+    #[test]
+    fn hillclimb_revert_is_applied_exactly_as_on_the_bare_core() {
+        // Scripted (load %, completions) per 100 ms step: one saturated
+        // step at 100 q/s grows the pool (a probe), then mid-band steps
+        // at 70 q/s — the growth hurt, so the climber reverts it against
+        // the net's Hold verdict.
+        let script = [(95.0, 10), (50.0, 7), (50.0, 7), (50.0, 7), (50.0, 7)];
+        let cfg = MechanismConfig {
+            saturation_guard: None,
+            ..MechanismConfig::cpu_load()
+        };
+        let topo = PoolController::mirror(16);
+        let mut pool = PoolController::install(
+            PolicyId::HillClimb.build(),
+            &cfg,
+            topo.clone(),
+            None,
+            SimTime::ZERO,
+        );
+        // The same script through the bare core — the call the
+        // simulator's mechanism makes, minus its kernel.
+        let (mut core, mut mask) = ControlCore::install(
+            PolicyId::HillClimb.build(),
+            &cfg,
+            &topo,
+            &[0; 4],
+            None,
+            SimTime::ZERO,
+        );
+        let mut sample = controller().sample;
+        let mut bare = Vec::new();
+        for (i, &(load, done)) in script.iter().enumerate() {
+            let at = SimTime::from_millis(100 * (i as u64 + 1));
+            pool.note_completions(done);
+            pool.observe(at, load);
+            core.note_completions(done);
+            sample.at = at;
+            sample.u = load as i64;
+            sample.cpu_load_pct = load;
+            let (next, event) = core.step(&sample, 0, cfg.min_interval, &topo, mask);
+            mask = next;
+            bare.push(event);
+        }
+        let view = |e: &TransitionEvent| (e.state, e.action, e.nalloc, e.u);
+        assert_eq!(
+            pool.events.iter().map(view).collect::<Vec<_>>(),
+            bare.iter().map(view).collect::<Vec<_>>()
+        );
+        assert_eq!(view(&pool.events[0]).1, AllocAction::Allocate);
+        let revert = pool
+            .events
+            .iter()
+            .find(|e| e.action == AllocAction::Release)
+            .expect("the climber reverts the growth that hurt");
+        assert_eq!(revert.state, StateKind::Stable, "against a Hold verdict");
+        assert_eq!(revert.nalloc, 1, "the log records the applied shrink");
+        assert_eq!(pool.nalloc(), 1, "the Provision token was resynced");
+        assert_eq!(pool.mask(), mask);
+        assert_eq!(mask.count(), 1);
     }
 }

@@ -4,9 +4,8 @@
 //! elastic mechanism actuating the worker pool instead of a simulated
 //! cpuset. Both (and [`crate::serve`]'s threads dispatcher) carry their
 //! engines as `Pool`s: `Pool::control` is the one measured-load →
-//! decision → park/unpark tick, `Pool::sample` the one load window, and
-//! `arbitrate` the one place a tenant's decision meets the
-//! [`TenantArbiter`].
+//! controller → park/unpark tick and `Pool::sample` the one load
+//! window.
 //!
 //! What maps where, relative to [`crate::runner::run`]:
 //!
@@ -14,15 +13,20 @@
 //!   threads ([`ParEngine`]); with the pool width fixed at the simulated
 //!   machine's core count, results are bitwise-identical to the sim
 //!   backend (allocation only changes timing).
-//! - **Mechanism**: a [`PoolController`] (the PrT net on a measured CPU
-//!   load) replaces [`ElasticMechanism`](elastic_core::ElasticMechanism).
-//!   Grow/shrink unpark/park workers; the *placement* half of a mode
-//!   degrades to the pool's wake order — this workspace links no
-//!   affinity or perf-counter syscalls, so core pinning, the HT/IMC
-//!   metric, the Eq. 1 saturation guard and SLA power budgets have no
-//!   real counterpart here ([`RunConfig::metric`], `mech_guard` and
-//!   custom policies are ignored; `warmup` is meaningless without NUMA
-//!   page homing).
+//! - **Mechanism**: a [`PoolController`] is configured from
+//!   `runner::mechanism_parts` exactly like a simulated
+//!   [`ElasticMechanism`](elastic_core::ElasticMechanism) and runs the
+//!   same controller — the policy's `observe`/`shape`/`decide` hooks
+//!   (hill climbing, [`RunConfig::custom_policy`], a tenant's SLA
+//!   governor), placement and tenant arbitration. The mask it returns
+//!   is applied as the pool's wake order plus its active count, so a
+//!   placement mode decides *which* workers run. This workspace links
+//!   no affinity or perf-counter syscalls: the pool's samples carry CPU
+//!   load and completions only, so what needs memory-traffic signals —
+//!   the Eq. 1 guard, page-ranked adaptive placement, interconnect
+//!   budgets — runs but never fires. Ignored outright:
+//!   [`RunConfig::metric`] (there are no HT/IMC counters to drive the
+//!   net with) and `warmup` (meaningless without NUMA page homing).
 //! - **Baseline**: [`Alloc::OsAll`] becomes "no pool management": one
 //!   always-active worker per client (never fewer than the machine
 //!   width), the thread-per-task shape the paper argues against.
@@ -40,13 +44,15 @@
 
 use crate::churn::Admissions;
 use crate::config::{Alloc, RunConfig};
-use crate::runner::RunOutput;
-use crate::tenants::{MultiTenantConfig, MultiTenantOutput, TenantOutput};
-use elastic_core::{PoolConfig, PoolController, TenantArbiter, TenantId};
+use crate::runner::{mechanism_parts, RunOutput};
+use crate::tenants::{MultiTenantConfig, MultiTenantOutput, TenantOutput, TenantRunConfig};
+use elastic_core::{PoolController, SharedArbiter, TenantArbiter, TenantBinding, TenantId};
 use emca_metrics::{SimDuration, SimTime, TimeSeries};
 use numa_sim::{CoreId, HwCounters, MachineConfig};
-use os_sim::{CoreMask, SchedStats, SchedTrace, Tid};
-use prt_petrinet::AllocAction;
+use os_sim::{SchedStats, SchedTrace, Tid};
+use prt_petrinet::Thresholds;
+use std::cell::Cell;
+use std::rc::Rc;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Barrier, Mutex, MutexGuard, PoisonError};
 use std::time::Instant;
@@ -105,33 +111,6 @@ pub(crate) fn wall_now(t0: Instant) -> SimTime {
     SimTime::ZERO + SimDuration::from_nanos(t0.elapsed().as_nanos() as u64)
 }
 
-/// Sparse-mode wake order: stride across the four "sockets" of the
-/// mirrored machine so a small allocation spreads like the sparse
-/// cpuset would.
-pub(crate) fn sparse_order(width: usize) -> Vec<usize> {
-    let socket = (width / 4).max(1);
-    let mut order = Vec::with_capacity(width);
-    for i in 0..socket {
-        for g in 0..4 {
-            let w = g * socket + i;
-            if w < width {
-                order.push(w);
-            }
-        }
-    }
-    order
-}
-
-/// Pool-controller configuration matching a run's control cadence.
-fn pool_cfg(ntotal: u32, interval: Option<SimDuration>) -> PoolConfig {
-    let mut cfg = PoolConfig::cpu_load(ntotal);
-    if let Some(iv) = interval {
-        cfg.interval = iv;
-        cfg.min_interval = cfg.min_interval.min(iv);
-    }
-    cfg
-}
-
 /// CPU load (%) of the active workers over a wall window: busy worker
 /// nanoseconds against the capacity `active * dt`.
 fn load_pct(busy_delta: u64, active: usize, dt_ns: u64) -> f64 {
@@ -141,16 +120,22 @@ fn load_pct(busy_delta: u64, active: usize, dt_ns: u64) -> f64 {
     (busy_delta as f64 / (active as f64 * dt_ns as f64) * 100.0).clamp(0.0, 100.0)
 }
 
+/// A tenant's side of its pool's controller: the SLA budgets that
+/// govern its policy (violations mirrored into the cell) and its handle
+/// on the shared arbiter.
+pub(crate) type Tenancy<'a> = (&'a TenantRunConfig, Rc<Cell<u64>>, TenantBinding);
+
 /// One worker pool under elastic control — what every threads driver
 /// (closed loop, tenants, serve) carries per engine: the controller's
-/// cadence and the busy-time cursors its load windows are measured
-/// from.
+/// cadence and the busy-time and completion cursors its windows are
+/// measured from.
 pub(crate) struct Pool {
     pub engine: Arc<ParEngine>,
     /// `None` = unmanaged (the OS baseline, a static partition).
     pub controller: Option<PoolController>,
     next_control: SimTime,
     ctl_busy: u64,
+    ctl_completed: u64,
     ctl_at: SimTime,
     sample_busy: u64,
     sample_at: SimTime,
@@ -158,20 +143,37 @@ pub(crate) struct Pool {
 
 impl Pool {
     /// An `n_workers`-wide engine over `base` with the run's fault plan
-    /// armed. `elastic` pools start at one active worker under a
-    /// [`PoolController`]; unmanaged ones start fully active. Control
-    /// and load windows open at `since`.
+    /// armed. `elastic` pools run the [`PoolController`] that
+    /// [`mechanism_parts`] describes (the tenant's governed policy under
+    /// `tenancy`) from its initial mask; unmanaged ones start fully
+    /// active. Control and load windows open at `since`.
     pub(crate) fn start(
         n_workers: usize,
         elastic: bool,
         base: Arc<BaseData>,
         run: &RunConfig,
         since: SimTime,
+        tenancy: Option<Tenancy<'_>>,
     ) -> Self {
+        let parts = if elastic { mechanism_parts(run) } else { None };
+        let controller = parts.map(|(policy, mut cfg)| {
+            // Busy time is the only load signal a pool has, whatever
+            // `run.metric` asks the simulator to drive the net with.
+            cfg.thresholds = Thresholds::cpu_load_default();
+            let topology = PoolController::mirror(n_workers as u32);
+            let (policy, binding) = match tenancy {
+                Some((tenant, violations, binding)) => (
+                    tenant.governed(policy, &topology, violations),
+                    Some(binding),
+                ),
+                None => (policy, None),
+            };
+            PoolController::install(policy, &cfg, topology, binding, since)
+        });
         let engine = Arc::new(ParEngine::new(
             ParEngineConfig {
                 n_workers,
-                initial_active: if elastic { 1 } else { n_workers },
+                initial_active: if controller.is_some() { 1 } else { n_workers },
                 ..ParEngineConfig::default()
             },
             base,
@@ -179,28 +181,36 @@ impl Pool {
         if let Some(plan) = &run.faults {
             engine.arm_faults(plan, run.scale.seed);
         }
-        Pool {
+        let pool = Pool {
             engine,
-            controller: elastic
-                .then(|| PoolController::new(pool_cfg(n_workers as u32, run.mech_interval))),
+            controller,
             next_control: since,
             ctl_busy: 0,
+            ctl_completed: 0,
             ctl_at: since,
             sample_busy: 0,
             sample_at: since,
+        };
+        pool.actuate(true);
+        pool
+    }
+
+    /// Applies the controller's mask: exactly as many workers as it
+    /// names are active, and (after a `moved` mask) they are the ones
+    /// that wake first.
+    fn actuate(&self, moved: bool) {
+        let Some(c) = &self.controller else { return };
+        if moved {
+            let order: Vec<usize> = c.mask().iter().map(CoreId::idx).collect();
+            self.engine.set_wake_order(&order);
         }
+        self.engine.set_active(c.mask().count());
     }
 
     /// Runs one control step if the controller's cadence says one is
-    /// due: measured load since the previous step → decision → actuation
-    /// (through the arbiter for a tenant's pool). Returns whether a step
-    /// ran.
-    pub(crate) fn control(
-        &mut self,
-        now: SimTime,
-        queue_depth: u64,
-        tenancy: Option<(&mut TenantArbiter, TenantId)>,
-    ) -> bool {
+    /// due: measured load and completions since the previous step →
+    /// controller → actuation. Returns whether a step ran.
+    pub(crate) fn control(&mut self, now: SimTime, queue_depth: u64) -> bool {
         let Some(c) = self.controller.as_mut() else {
             return false;
         };
@@ -215,20 +225,19 @@ impl Pool {
         );
         self.ctl_busy = busy;
         self.ctl_at = now;
+        let completed = self.engine.stats().queries_completed;
+        c.note_completions(completed - self.ctl_completed);
+        self.ctl_completed = completed;
+        let before = c.mask();
         // Dead (fault-killed, not-yet-recovered) workers are
         // non-allocatable: clamp the controller's view first so a grow
         // decision never targets a corpse.
         c.note_capacity(self.engine.live_workers() as u32);
         c.note_queue_depth(queue_depth);
-        let d = c.observe(now, u);
-        let active = match tenancy {
-            Some((arbiter, tid)) => {
-                arbitrate(arbiter, tid, c, d.action, self.engine.n_workers() as u32)
-            }
-            None => d.nalloc as usize,
-        };
-        self.engine.set_active(active);
+        c.observe(now, u);
         self.next_control = now + c.interval();
+        let moved = c.mask() != before;
+        self.actuate(moved);
         true
     }
 
@@ -246,60 +255,6 @@ impl Pool {
         self.sample_at = now;
         (u, window)
     }
-}
-
-/// The lowest core neither `tid` nor any other tenant owns.
-fn free_core(arbiter: &TenantArbiter, tid: TenantId, ntotal: u32) -> Option<CoreId> {
-    let (owned, foreign) = (arbiter.owned(tid), arbiter.foreign_mask(tid));
-    (0..ntotal)
-        .map(|c| CoreId(c as u16))
-        .find(|&c| !owned.contains(c) && !foreign.contains(c))
-}
-
-/// Carries one pool decision through the arbiter — the tenant's active
-/// worker count is exactly the cores it owns. A grow claims the lowest
-/// free core, a shrink releases the highest owned one (never the last);
-/// whenever the arbiter or the machine cannot follow, the controller is
-/// resynced to what the tenant really holds. An over-share tenant then
-/// yields a core toward a starved peer. Returns the owned-core count.
-fn arbitrate(
-    arbiter: &mut TenantArbiter,
-    tid: TenantId,
-    controller: &mut PoolController,
-    action: AllocAction,
-    ntotal: u32,
-) -> usize {
-    arbiter.note(tid, action == AllocAction::Allocate);
-    let owned = arbiter.owned(tid);
-    let victim = |owned: CoreMask| {
-        (owned.count() > 1)
-            .then(|| owned.iter().max_by_key(|c| c.idx()))
-            .flatten()
-    };
-    match action {
-        AllocAction::Allocate => {
-            let candidate = free_core(arbiter, tid, ntotal);
-            if candidate.is_none() {
-                arbiter.denials += 1;
-            }
-            if !candidate.is_some_and(|c| arbiter.try_claim(tid, c)) {
-                controller.resync(owned.count() as u32);
-            }
-        }
-        AllocAction::Release => match victim(owned) {
-            Some(v) => arbiter.release(tid, v),
-            None => controller.resync(1),
-        },
-        AllocAction::Hold => {}
-    }
-    if arbiter.must_yield(tid) {
-        if let Some(v) = victim(arbiter.owned(tid)) {
-            arbiter.release(tid, v);
-            arbiter.yields += 1;
-            controller.resync(arbiter.owned(tid).count() as u32);
-        }
-    }
-    arbiter.owned(tid).count()
 }
 
 /// Trace sampling cadence — coarser than the driver poll: a sample is
@@ -530,10 +485,7 @@ pub fn run_threads(config: RunConfig, data: &TpchData) -> RunOutput {
         width
     };
     let base = Arc::new(BaseData::from_tpch(data));
-    let mut pool = Pool::start(n_workers, !os_baseline, base, &config, SimTime::ZERO);
-    if config.alloc == Alloc::Sparse {
-        pool.engine.set_wake_order(&sparse_order(n_workers));
-    }
+    let mut pool = Pool::start(n_workers, !os_baseline, base, &config, SimTime::ZERO, None);
 
     let t0 = Instant::now();
     let sinks = ClientSinks::default();
@@ -571,7 +523,7 @@ pub fn run_threads(config: RunConfig, data: &TpchData) -> RunOutput {
                 hint: "RunConfig::deadline or EMCA_RUN_DEADLINE_S",
             }
         );
-        pool.control(now, 0, None);
+        pool.control(now, 0);
         if now >= next_sample {
             sample(&mut pool, now);
             next_sample = now + config.sample_every;
@@ -625,6 +577,8 @@ struct PoolSlot {
     /// closed by `retire`).
     out: TenantOutput,
     sample_completed: u64,
+    /// The SLA governor's violation count, mirrored out of the policy.
+    violations: Rc<Cell<u64>>,
 }
 
 impl PoolSlot {
@@ -632,15 +586,16 @@ impl PoolSlot {
     /// dropped (its cores redistribute exactly as on sim), and — with
     /// the slot's last pool `Arc` going out of scope — its workers shut
     /// down.
-    fn retire(self, arbiter: &mut TenantArbiter) -> TenantOutput {
+    fn retire(self, arbiter: &SharedArbiter) -> TenantOutput {
         join_clients(self.handles);
         if let Some(tid) = self.tid {
-            arbiter.deregister(tid);
+            arbiter.borrow_mut().deregister(tid);
         }
         let finished = *lock(&self.sinks.finished_at);
         TenantOutput {
             results: self.sinks.into_results(),
             finished_at: finished.max(self.out.started_at),
+            sla_violations: self.violations.get(),
             ..self.out
         }
     }
@@ -650,10 +605,11 @@ impl PoolSlot {
 /// tenant lifecycle — resident from the start, or admitted on arrival
 /// and departing on completion under churn — against one real
 /// machine-width worker pool per tenant, with a [`TenantArbiter`]
-/// splitting the core budget (a tenant's active worker count is exactly
-/// the cores it owns). SLA power/traffic budgets are not measurable on
-/// real threads (violations report as zero); the core ceiling is
-/// enforced through the arbiter's budget mode as in the simulation.
+/// splitting the core budget (a tenant's active workers are exactly the
+/// cores it owns) and each tenant's SLA governor wrapped around its
+/// policy as in the simulation: core ceilings hold under every arbiter
+/// mode and power budgets are judged on measured busy time, while
+/// traffic budgets never trip (a pool measures no interconnect).
 /// Arbitration cost is the wall-clock duration of each executed control
 /// step.
 pub fn run_tenants_threads(config: MultiTenantConfig, data: &TpchData) -> MultiTenantOutput {
@@ -661,7 +617,7 @@ pub fn run_tenants_threads(config: MultiTenantConfig, data: &TpchData) -> MultiT
     let ntotal = width as u32;
     let n = config.tenants.len();
     let base = Arc::new(BaseData::from_tpch(data));
-    let mut arbiter = TenantArbiter::new(config.arbiter, ntotal);
+    let arbiter = TenantArbiter::shared(config.arbiter, ntotal);
     let mut admissions = Admissions::new(&config, width);
     let churn = admissions.churn;
     let t0 = Instant::now();
@@ -685,32 +641,36 @@ pub fn run_tenants_threads(config: MultiTenantConfig, data: &TpchData) -> MultiT
             let done = |l: &mut PoolSlot| churn && l.remaining.load(Ordering::SeqCst) == 0;
             if let Some(l) = live.take_if(done) {
                 admissions.depart(l.slot);
-                outputs[i] = Some(l.retire(&mut arbiter));
+                outputs[i] = Some(l.retire(&arbiter));
             }
         }
 
-        // Admissions, while the residency rules allow the next in line.
-        while let Some((i, slot)) = admissions.admit(now.since(SimTime::ZERO), arbiter.free_cores())
+        // Admissions, while the residency rules allow the next in line
+        // (the `free_cores` borrow ends before the body registers).
+        let free_cores = |arbiter: &SharedArbiter| arbiter.borrow().free_cores();
+        while let Some((i, slot)) = admissions.admit(now.since(SimTime::ZERO), free_cores(&arbiter))
         {
             let tcfg = &config.tenants[i];
             let arrival = SimTime::ZERO + tcfg.start_after;
             let elastic = !config.static_partition;
             let started_at = now.max(arrival);
+            let violations = Rc::new(Cell::new(0u64));
+            let tid = elastic.then(|| {
+                arbiter
+                    .borrow_mut()
+                    .register(tcfg.name.clone(), tcfg.weight, tcfg.sla.max_cores)
+            });
             let pool = Pool::start(
                 width,
                 elastic,
                 Arc::clone(&base),
                 &config.instance(tcfg),
                 started_at,
+                tid.map(|tid| {
+                    let binding = TenantBinding::new(Rc::clone(&arbiter), tid);
+                    (tcfg, Rc::clone(&violations), binding)
+                }),
             );
-            let tid = elastic.then(|| {
-                let tid = arbiter.register(tcfg.name.clone(), tcfg.weight, tcfg.sla.max_cores);
-                let seed_core = free_core(&arbiter, tid, ntotal)
-                    // emca-lint: allow(panic-freedom) — register() rejects more residents than cores and churn admission is gated on free_cores() > 0, so a free seed core exists; tripwire on the driver thread
-                    .expect("a resident slot guarantees a free core");
-                arbiter.claim_initial(tid, seed_core);
-                tid
-            });
             if !elastic {
                 pool.engine.set_active(admissions.static_slice(slot).len());
             }
@@ -736,6 +696,7 @@ pub fn run_tenants_threads(config: MultiTenantConfig, data: &TpchData) -> MultiT
                 handles,
                 out: TenantOutput::begin(tcfg, started_at),
                 sample_completed: 0,
+                violations,
             });
         }
 
@@ -758,7 +719,7 @@ pub fn run_tenants_threads(config: MultiTenantConfig, data: &TpchData) -> MultiT
         // the full arbitration path (observe + claim/release/yield).
         for l in lives.iter_mut().flatten() {
             let t_tick = Instant::now();
-            if l.pool.control(now, 0, l.tid.map(|tid| (&mut arbiter, tid))) {
+            if l.pool.control(now, 0) {
                 arbiter_ns += t_tick.elapsed().as_nanos() as u64;
                 arbiter_ticks += 1;
                 l.out.control_steps += 1;
@@ -793,7 +754,7 @@ pub fn run_tenants_threads(config: MultiTenantConfig, data: &TpchData) -> MultiT
     // Resident tenants close their records here, in configuration order.
     for (i, l) in lives.into_iter().enumerate() {
         if let Some(l) = l {
-            outputs[i] = Some(l.retire(&mut arbiter));
+            outputs[i] = Some(l.retire(&arbiter));
         }
     }
 
@@ -805,12 +766,16 @@ pub fn run_tenants_threads(config: MultiTenantConfig, data: &TpchData) -> MultiT
         .max()
         .unwrap_or(SimTime::ZERO)
         .since(SimTime::ZERO);
+    let (denials, yields) = {
+        let arb = arbiter.borrow();
+        (arb.denials, arb.yields)
+    };
     MultiTenantOutput {
         tenants,
         wall,
         ntotal,
-        arbiter_denials: arbiter.denials,
-        arbiter_yields: arbiter.yields,
+        arbiter_denials: denials,
+        arbiter_yields: yields,
         arbiter_ticks,
         arbiter_ns,
         errors: client_errors,
@@ -821,6 +786,42 @@ pub fn run_tenants_threads(config: MultiTenantConfig, data: &TpchData) -> MultiT
 mod tests {
     use super::{parse_worker_stat, WorkerStat};
     use os_sim::Tid;
+
+    #[test]
+    fn sla_core_cap_holds_on_threads_under_fair_share() {
+        // FairShare enforces no budget, so only the tenant's SLA
+        // governor — wrapped around its policy exactly as on sim — can
+        // hold eight hungry clients to two workers.
+        use crate::{Backend, MultiTenantConfig, TenantRunConfig};
+        use elastic_core::{ArbiterMode, SlaPolicy};
+        use emca_metrics::SimDuration;
+        use volcano_db::client::Workload;
+        use volcano_db::tpch::{QuerySpec, TpchData, TpchScale};
+        let data = TpchData::generate(TpchScale::test_tiny());
+        let q6 = |iterations| Workload::Repeat {
+            spec: QuerySpec::Q6 { variant: 0 },
+            iterations,
+        };
+        let cfg = MultiTenantConfig::new(
+            ArbiterMode::FairShare,
+            vec![
+                TenantRunConfig::new("capped", q6(12), 8).with_sla(SlaPolicy::cores(2)),
+                TenantRunConfig::new("free", q6(12), 8),
+            ],
+        )
+        .with_scale(data.scale)
+        .with_sample_every(SimDuration::from_micros(500))
+        .with_backend(Backend::Threads);
+        let out = super::run_tenants_threads(cfg, &data);
+        let capped = out.tenant("capped").unwrap();
+        assert_eq!(capped.results.len(), 12 * 8, "the cap must not starve it");
+        assert!(capped.control_steps > 0);
+        assert!(
+            capped.cores_max() <= 2.0,
+            "capped tenant ran {} workers",
+            capped.cores_max()
+        );
+    }
 
     /// A stat line for `comm` with `state` and `processor` in the field
     /// positions the kernel uses (processor is the 37th field after the

@@ -49,7 +49,7 @@
 use crate::backend::Backend;
 use crate::config::{Alloc, RunConfig};
 use crate::runner::{build_mechanism, build_sim_stack, SimStack};
-use crate::runner_threads::{capacity, sparse_order, wall_now, Pool, POLL};
+use crate::runner_threads::{capacity, wall_now, Pool, POLL};
 use crate::spec::{AdmissionSpec, ArrivalSpec};
 use elastic_core::{ElasticMechanism, TransitionEvent};
 use emca_metrics::{stats, SimDuration, SimTime, TimeSeries};
@@ -955,10 +955,8 @@ fn serve_threads(cfg: &ServeConfig, data: &TpchData) -> ServeOutput {
         Arc::new(BaseData::from_tpch(data)),
         &cfg.base,
         start,
+        None,
     );
-    if cfg.base.alloc == Alloc::Sparse {
-        pool.engine.set_wake_order(&sparse_order(width));
-    }
 
     let t0 = Instant::now();
     let cutoff = start + cfg.schedule.horizon + cfg.drain;
@@ -977,7 +975,7 @@ fn serve_threads(cfg: &ServeConfig, data: &TpchData) -> ServeOutput {
             finished_at = now;
             break;
         }
-        pool.control(now, door.queue_depth() as u64, None);
+        pool.control(now, door.queue_depth() as u64);
         if now >= next_sample {
             let (load, _) = pool.sample(now);
             out.sample(now, load, pool.engine.active(), door.queue_depth());

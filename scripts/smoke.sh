@@ -6,7 +6,8 @@
 #
 #   all      every registered scenario on the sim backend (sf 0.002; the
 #            serve_* scenarios on a pinned tiny schedule)
-#   threads  the same registry pass on real OS threads
+#   threads  the same registry pass on real OS threads, then fig07
+#            under the dense, sparse and hill-climbing policies
 #   serve    a tiny λ sweep of both serve scenarios, on both backends
 #   chaos    both fault-injection scenarios, on both backends, gates armed
 #   churn    both tenant-churn scenarios, on both backends, gates armed
@@ -33,6 +34,16 @@ every_scenario() {
     for s in serve_overload serve_latency_curve; do
         EMCA_SF=0.002 emca run "$s" "$@" --arrival poisson:120 --duration 0.25 \
             --out-dir "$out"
+    done
+}
+
+# The registry pass runs each scenario's default policy; this drives the
+# other placement modes and the hill climber through the one controller
+# on a real pool.
+threads_policies() {
+    for p in dense sparse hillclimb; do
+        EMCA_SF=0.002 emca run fig07 --backend threads --policy "$p" \
+            --users 2 --iters 1 --prune-unsupported --out-dir "$out"
     done
 }
 
@@ -99,7 +110,10 @@ fi
 check=()
 case "$mode" in
 all) every_scenario ;;
-threads) every_scenario --backend threads ;;
+threads)
+    every_scenario --backend threads
+    threads_policies
+    ;;
 *)
     for backend in sim threads; do
         "smoke_$mode" "$backend"

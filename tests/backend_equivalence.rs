@@ -5,10 +5,14 @@
 //! partition order, so each query's result is *bitwise* identical —
 //! allocation and scheduling may only change timing.
 
-use elastic_core::ArbiterMode;
+use elastic_core::{AllocationMode, ArbiterMode, Decision, DenseMode, ModeCtx, Policy, PolicyCtx};
 use emca_harness::{
-    run, run_tenants, Alloc, Backend, ChurnSpec, MultiTenantConfig, RunConfig, TenantRunConfig,
+    run, run_tenants, Alloc, Backend, ChurnSpec, MultiTenantConfig, PolicyFactory, RunConfig,
+    TenantRunConfig,
 };
+use numa_sim::CoreId;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Arc;
 use volcano_db::client::Workload;
 use volcano_db::exec::engine::QueryResult;
 use volcano_db::tpch::{QuerySpec, TpchData, TpchScale};
@@ -224,4 +228,77 @@ fn churn_threads_run_loses_nothing_and_matches_sim_values() {
             s.config.name
         );
     }
+}
+
+/// Dense placement that counts its `decide` calls — stands in for any
+/// user policy handed to [`RunConfig::with_custom_policy`].
+struct CountingDense(Arc<AtomicUsize>);
+
+impl Policy for CountingDense {
+    fn name(&self) -> &str {
+        "counting-dense"
+    }
+    fn next_core(&mut self, ctx: &ModeCtx<'_>) -> Option<CoreId> {
+        AllocationMode::next_core(&mut DenseMode, ctx)
+    }
+    fn release_core(&mut self, ctx: &ModeCtx<'_>) -> Option<CoreId> {
+        AllocationMode::release_core(&mut DenseMode, ctx)
+    }
+    fn decide(&mut self, ctx: &PolicyCtx<'_>) -> Decision {
+        self.0.fetch_add(1, Ordering::Relaxed);
+        Policy::decide(&mut DenseMode, ctx)
+    }
+}
+
+#[test]
+fn hill_climbing_runs_on_threads_with_sim_results() {
+    if pool_is_capped() {
+        eprintln!("EMCA_THREADS caps the pool; skipping width-sensitive equivalence check");
+        return;
+    }
+    let data = TpchData::generate(TpchScale::test_tiny());
+    let cfg = |backend| {
+        RunConfig::new(Alloc::HillClimb, 3, mixed(2))
+            .with_scale(data.scale)
+            .with_backend(backend)
+    };
+    let sim = run(cfg(Backend::Sim), &data);
+    let thr = run(cfg(Backend::Threads), &data);
+    assert_eq!(digests(&sim.results), digests(&thr.results));
+    assert!(
+        !thr.transitions.is_empty(),
+        "the climber's pool is controlled"
+    );
+}
+
+#[test]
+fn custom_policy_runs_on_threads_with_sim_results() {
+    if pool_is_capped() {
+        eprintln!("EMCA_THREADS caps the pool; skipping width-sensitive equivalence check");
+        return;
+    }
+    let data = TpchData::generate(TpchScale::test_tiny());
+    let decides = Arc::new(AtomicUsize::new(0));
+    let cfg = |backend| {
+        let decides = Arc::clone(&decides);
+        RunConfig::new(Alloc::Adaptive, 3, mixed(2))
+            .with_scale(data.scale)
+            .with_backend(backend)
+            .with_custom_policy(PolicyFactory::new("counting-dense", move || {
+                Box::new(CountingDense(Arc::clone(&decides)))
+            }))
+    };
+    let sim = run(cfg(Backend::Sim), &data);
+    decides.store(0, Ordering::Relaxed);
+    let thr = run(cfg(Backend::Threads), &data);
+    assert_eq!(digests(&sim.results), digests(&thr.results));
+    assert!(
+        decides.load(Ordering::Relaxed) >= 1,
+        "the pool's controller must consult the custom policy"
+    );
+    assert_eq!(
+        decides.load(Ordering::Relaxed),
+        thr.transitions.len(),
+        "one decide per logged control step"
+    );
 }

@@ -19,6 +19,12 @@ fn examples_dir() -> PathBuf {
 }
 
 fn run_example(name: &str) -> String {
+    run_example_with(name, &[])
+}
+
+/// Runs an example with extra environment variables (the `EMCA_*` spec
+/// fallbacks the examples read).
+fn run_example_with(name: &str, env: &[(&str, &str)]) -> String {
     let exe = examples_dir().join(format!("{name}{}", std::env::consts::EXE_SUFFIX));
     assert!(
         exe.is_file(),
@@ -26,6 +32,7 @@ fn run_example(name: &str) -> String {
         exe.display()
     );
     let out = Command::new(&exe)
+        .envs(env.iter().copied())
         .output()
         .unwrap_or_else(|e| panic!("failed to spawn {}: {e}", exe.display()));
     assert!(
@@ -71,6 +78,18 @@ fn selectivity_sweep_runs() {
 #[test]
 fn custom_policy_runs() {
     let out = run_example("custom_policy");
+    assert!(
+        out.contains("widest-first"),
+        "custom policy must appear in the report:\n{out}"
+    );
+}
+
+#[test]
+fn custom_policy_runs_on_real_threads() {
+    // The same user policy on the threads backend: the pool's
+    // controller takes `RunConfig::custom_policy` like the simulated
+    // mechanism does.
+    let out = run_example_with("custom_policy", &[("EMCA_BACKEND", "threads")]);
     assert!(
         out.contains("widest-first"),
         "custom policy must appear in the report:\n{out}"
