@@ -7,8 +7,9 @@
 //!                                     run a scenario once per value
 //! emca check [--fidelity] [flags]     validate results CSVs
 //!                                     (+ the tab_summary fidelity gate)
-//! emca check --lint                   run the workspace lint (emca-lint)
-//!                                     and refresh results/lint_report.json
+//! emca check --lint                   run the workspace lint (emca-lint,
+//!                                     four rules) and refresh
+//!                                     results/lint_report.json
 //! emca help                           this text
 //! ```
 //!
@@ -46,7 +47,8 @@ commands:
                                      --scenario <name> (repeatable) restricts
                                      the check to that scenario's CSVs;
                                      --lint runs the workspace static analysis
-                                     (emca-lint, see docs/LINTS.md) instead
+                                     (emca-lint's four rules, docs/LINTS.md)
+                                     instead
   help                               show this text
 
 flags (override the EMCA_* environment fallbacks):

@@ -16,7 +16,7 @@
 
 pub mod scenarios;
 
-use emca_harness::ExperimentSpec;
+use emca_harness::{ExperimentSpec, ScenarioError};
 
 /// The paper's user-count sweep {1, 4, 16, 64, 256}, capped.
 pub fn user_sweep(cap: usize) -> Vec<usize> {
@@ -28,12 +28,34 @@ pub fn user_sweep(cap: usize) -> Vec<usize> {
 
 /// Prints a table and writes its CSV under the spec's output directory
 /// (the workspace `results/` by default).
-pub fn emit(spec: &ExperimentSpec, table: &emca_metrics::table::Table, csv_name: &str) {
+///
+/// `schemas` is the calling scenario's declaration: a table whose header
+/// line differs from the one declared for `csv_name` is refused before
+/// anything is written, so a committed CSV can never drift from what
+/// `emca check` validates it against. A name the scenario does not
+/// declare (a figure panel renamed by a non-default `--policy`) is
+/// written unchecked. A write failure is the scenario's failure.
+pub fn emit(
+    spec: &ExperimentSpec,
+    schemas: &[(&str, &str)],
+    table: &emca_metrics::table::Table,
+    csv_name: &str,
+) -> Result<(), ScenarioError> {
+    if let Some((_, declared)) = schemas.iter().find(|(name, _)| *name == csv_name) {
+        let csv = table.to_csv();
+        let built = csv.lines().next().unwrap_or_default();
+        if built != *declared {
+            return Err(format!(
+                "{csv_name}: header mismatch\n  declared: {declared}\n  built:    {built}"
+            )
+            .into());
+        }
+    }
     println!("{}", table.render());
     let path = spec.csv_path(csv_name);
-    if let Err(e) = table.write_csv(&path) {
-        eprintln!("warning: could not write {}: {e}", path.display());
-    } else {
-        eprintln!("[csv] {}", path.display());
-    }
+    table
+        .write_csv(&path)
+        .map_err(|e| format!("could not write {}: {e}", path.display()))?;
+    eprintln!("[csv] {}", path.display());
+    Ok(())
 }

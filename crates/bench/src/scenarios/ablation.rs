@@ -41,17 +41,8 @@ pub fn run(spec: &ExperimentSpec) -> ScenarioResult {
             .with_backend(spec.backend)
     };
 
-    let mut t = Table::new(
-        "Ablation — adaptive mode design choices",
-        &[
-            "variant",
-            "qps",
-            "ht_GB",
-            "faults",
-            "cores_mean",
-            "transitions",
-        ],
-    );
+    let (file, header) = SCHEMAS[0];
+    let mut t = Table::with_header("Ablation — adaptive mode design choices", header);
     let mut row = |name: &str, cfg: RunConfig| {
         let out = run_config(cfg, &data);
         t.row(vec![
@@ -93,6 +84,6 @@ pub fn run(spec: &ExperimentSpec) -> ScenarioResult {
             .with_backend(spec.backend);
         row("OS baseline (all 16 cores)", cfg);
     }
-    emit(spec, &t, "ablation.csv");
+    emit(spec, SCHEMAS, &t, file)?;
     Ok(())
 }

@@ -37,29 +37,12 @@ use volcano_db::client::Workload;
 use volcano_db::exec::{FaultPlan, ParEngineConfig, WorkerFaultKind};
 use volcano_db::tpch::{QuerySpec, TpchData};
 
-/// Column list of the chaos CSV.
-pub const ROW_FIELDS: &[&str] = &[
-    "phase",
-    "backend",
-    "workers_killed",
-    "expected",
-    "completed",
-    "errors",
-    "lost",
-    "recoveries",
-    "mttr_ms",
-    "prefault_qps",
-    "recovered_qps",
-    "recovery_ratio",
-    "wall_s",
-];
-
-/// [`ROW_FIELDS`] as the declared CSV header line.
-pub const ROW_HEADER: &str = "phase,backend,workers_killed,expected,completed,errors,lost,\
-recoveries,mttr_ms,prefault_qps,recovered_qps,recovery_ratio,wall_s";
-
 /// Declared CSV outputs.
-pub const SCHEMAS: &[(&str, &str)] = &[("chaos_recovery.csv", ROW_HEADER)];
+pub const SCHEMAS: &[(&str, &str)] = &[(
+    "chaos_recovery.csv",
+    "phase,backend,workers_killed,expected,completed,errors,lost,\
+     recoveries,mttr_ms,prefault_qps,recovered_qps,recovery_ratio,wall_s",
+)];
 
 /// Default clients when the spec pins no `users`.
 pub const DEFAULT_USERS: usize = 8;
@@ -263,9 +246,10 @@ pub fn run(spec: &ExperimentSpec) -> ScenarioResult {
         },
     ];
 
-    let mut table = Table::new(
+    let (file, header) = SCHEMAS[0];
+    let mut table = Table::with_header(
         "chaos_recovery — self-healing under injected faults",
-        ROW_FIELDS,
+        header,
     );
     let mut problems: Vec<String> = Vec::new();
     for p in &phases {
@@ -351,7 +335,7 @@ pub fn run(spec: &ExperimentSpec) -> ScenarioResult {
             }
         }
     }
-    crate::emit(spec, &table, "chaos_recovery.csv");
+    crate::emit(spec, SCHEMAS, &table, file)?;
 
     // Replay gate: on the deterministic backend a faulted run must be
     // reproducible down to the clock.
@@ -366,14 +350,4 @@ pub fn run(spec: &ExperimentSpec) -> ScenarioResult {
         return Err(format!("chaos gate failed: {p} ({} problems)", problems.len()).into());
     }
     Ok(())
-}
-
-#[cfg(test)]
-mod tests {
-    use super::{ROW_FIELDS, ROW_HEADER};
-
-    #[test]
-    fn row_header_matches_fields() {
-        assert_eq!(ROW_FIELDS.join(","), ROW_HEADER);
-    }
 }

@@ -30,31 +30,12 @@ use volcano_db::client::Workload;
 use volcano_db::exec::FaultPlan;
 use volcano_db::tpch::{QuerySpec, TpchData};
 
-/// Column list of the chaos-serve CSV.
-pub const ROW_FIELDS: &[&str] = &[
-    "backend",
-    "offered_mult",
-    "offered",
-    "completed",
-    "failed",
-    "retried",
-    "shed_gate",
-    "shed_timeout",
-    "unfinished",
-    "recoveries",
-    "mttr_ms",
-    "goodput_qps",
-    "p50_ms",
-    "p99_ms",
-    "wall_s",
-];
-
-/// [`ROW_FIELDS`] as the declared CSV header line.
-pub const ROW_HEADER: &str = "backend,offered_mult,offered,completed,failed,retried,shed_gate,\
-shed_timeout,unfinished,recoveries,mttr_ms,goodput_qps,p50_ms,p99_ms,wall_s";
-
 /// Declared CSV outputs.
-pub const SCHEMAS: &[(&str, &str)] = &[("chaos_serve.csv", ROW_HEADER)];
+pub const SCHEMAS: &[(&str, &str)] = &[(
+    "chaos_serve.csv",
+    "backend,offered_mult,offered,completed,failed,retried,shed_gate,\
+     shed_timeout,unfinished,recoveries,mttr_ms,goodput_qps,p50_ms,p99_ms,wall_s",
+)];
 
 /// Offered load as a multiple of the probed capacity.
 pub const DEFAULT_MULT: f64 = 1.5;
@@ -149,7 +130,8 @@ pub fn run(spec: &ExperimentSpec) -> ScenarioResult {
         cell(p99)
     );
 
-    let mut table = Table::new("chaos_serve — serving under injected faults", ROW_FIELDS);
+    let (file, header) = SCHEMAS[0];
+    let mut table = Table::with_header("chaos_serve — serving under injected faults", header);
     let mttr = out.engine.mttr_ms();
     table.row(vec![
         cfg.base.backend.to_string(),
@@ -175,7 +157,7 @@ pub fn run(spec: &ExperimentSpec) -> ScenarioResult {
         cell(p99),
         format!("{:.3}", out.wall.as_secs_f64()),
     ]);
-    crate::emit(spec, &table, "chaos_serve.csv");
+    crate::emit(spec, SCHEMAS, &table, file)?;
 
     if spec.check {
         let resolved = completed + failed + shed_gate + shed_timeout + unfinished;
@@ -214,14 +196,4 @@ pub fn run(spec: &ExperimentSpec) -> ScenarioResult {
         }
     }
     Ok(())
-}
-
-#[cfg(test)]
-mod tests {
-    use super::{ROW_FIELDS, ROW_HEADER};
-
-    #[test]
-    fn row_header_matches_fields() {
-        assert_eq!(ROW_FIELDS.join(","), ROW_HEADER);
-    }
 }

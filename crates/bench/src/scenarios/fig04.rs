@@ -25,16 +25,8 @@ pub fn run(spec: &ExperimentSpec) -> ScenarioResult {
     let data = TpchData::generate(scale);
     eprintln!("fig04: sf={} iters={iters}", scale.sf);
 
-    let mut t = Table::new(
-        "Fig. 4 — Q6 with increasing concurrent clients",
-        &[
-            "users",
-            "series",
-            "throughput_qps",
-            "minor_faults_per_s",
-            "ht_traffic_MBps",
-        ],
-    );
+    let (file, header) = SCHEMAS[0];
+    let mut t = Table::with_header("Fig. 4 — Q6 with increasing concurrent clients", header);
     for users in user_sweep(spec.users_or(256)) {
         for (name, affinity) in [
             ("Dense/C", CAffinity::Dense),
@@ -79,6 +71,6 @@ pub fn run(spec: &ExperimentSpec) -> ScenarioResult {
             fnum(out.ht_rate() / 1e6, 1),
         ]);
     }
-    emit(spec, &t, "fig04_q6_users.csv");
+    emit(spec, SCHEMAS, &t, file)?;
     Ok(())
 }

@@ -8,10 +8,7 @@ use volcano_db::client::Workload;
 use volcano_db::tpch::{QuerySpec, TpchData};
 
 /// Declared CSV outputs.
-pub const SCHEMAS: &[(&str, &str)] = &[(
-    "fig05_migration_os.csv",
-    "thread,name_hint,core,node,start_ms,end_ms",
-)];
+pub const SCHEMAS: &[(&str, &str)] = &[("fig05_migration_os.csv", report::MIGRATION_MAP_HEADER)];
 
 /// Runs the scenario.
 pub fn run(spec: &ExperimentSpec) -> ScenarioResult {
@@ -38,7 +35,7 @@ pub fn run(spec: &ExperimentSpec) -> ScenarioResult {
     let table =
         report::render_migration_map("Fig. 5 — OS/MonetDB thread migration map", trace, &topo);
     let (threads, migrations) = report::migration_summary(trace);
-    emit(spec, &table, "fig05_migration_os.csv");
+    emit(spec, SCHEMAS, &table, SCHEMAS[0].0)?;
     println!("threads traced: {threads}, total core migrations: {migrations}");
     Ok(())
 }

@@ -8,7 +8,7 @@ use volcano_db::client::Workload;
 use volcano_db::tpch::{QuerySpec, TpchData};
 
 /// Declared CSV outputs.
-pub const SCHEMAS: &[(&str, &str)] = &[("fig06_tomograph.csv", "operator,calls,total_time")];
+pub const SCHEMAS: &[(&str, &str)] = &[("fig06_tomograph.csv", report::TOMOGRAPH_HEADER)];
 
 /// Runs the scenario.
 pub fn run(spec: &ExperimentSpec) -> ScenarioResult {
@@ -31,6 +31,6 @@ pub fn run(spec: &ExperimentSpec) -> ScenarioResult {
     );
     let table =
         report::render_tomograph("Fig. 6 — Tomograph of Q6 (operator calls and time)", &out);
-    emit(spec, &table, "fig06_tomograph.csv");
+    emit(spec, SCHEMAS, &table, SCHEMAS[0].0)?;
     Ok(())
 }

@@ -10,10 +10,7 @@ use volcano_db::client::Workload;
 use volcano_db::tpch::{QuerySpec, TpchData};
 
 /// Declared CSV outputs.
-pub const SCHEMAS: &[(&str, &str)] = &[(
-    "fig07_transitions.csv",
-    "time_s,transition,state,u,cpu_load_pct,cores",
-)];
+pub const SCHEMAS: &[(&str, &str)] = &[("fig07_transitions.csv", report::TRANSITIONS_HEADER)];
 
 /// Runs the scenario.
 pub fn run(spec: &ExperimentSpec) -> ScenarioResult {
@@ -39,7 +36,7 @@ pub fn run(spec: &ExperimentSpec) -> ScenarioResult {
         "Fig. 7 — state transitions and allocated cores over Q6",
         &out.transitions,
     );
-    emit(spec, &table, "fig07_transitions.csv");
+    emit(spec, SCHEMAS, &table, SCHEMAS[0].0)?;
     if let Some(lonc) = elastic_core::lonc::analyze(&out.transitions) {
         println!(
             "LONC: {} cores (stable streak of {} control steps from {})",

@@ -24,17 +24,10 @@ pub fn run(spec: &ExperimentSpec) -> ScenarioResult {
     let data = TpchData::generate(scale);
     eprintln!("fig13: sf={} iters={iters}", scale.sf);
 
-    let mut t = Table::new(
+    let (file, header) = SCHEMAS[0];
+    let mut t = Table::with_header(
         "Fig. 13 — thetasubselect scheduling metrics vs concurrent clients",
-        &[
-            "users",
-            "policy",
-            "throughput_qps",
-            "cpu_load_pct",
-            "tasks",
-            "stolen_tasks",
-            "cores_mean",
-        ],
+        header,
     );
     for users in user_sweep(spec.users_or(256)) {
         for alloc in spec.alloc_sweep() {
@@ -63,6 +56,6 @@ pub fn run(spec: &ExperimentSpec) -> ScenarioResult {
             ]);
         }
     }
-    emit(spec, &t, "fig13_sched_metrics.csv");
+    emit(spec, SCHEMAS, &t, file)?;
     Ok(())
 }

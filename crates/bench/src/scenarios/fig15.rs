@@ -1,7 +1,7 @@
 //! Fig. 15 — L3 cache misses per socket at selectivities 2–100 % of the
 //! thetasubselect with 256 concurrent clients, per allocation policy.
 
-use super::{figure_scale, ScenarioResult};
+use super::{figure_scale, per_socket, ScenarioResult};
 use crate::emit;
 use emca_harness::{run as run_config, ExperimentSpec, RunConfig};
 use emca_metrics::table::Table;
@@ -23,17 +23,10 @@ pub fn run(spec: &ExperimentSpec) -> ScenarioResult {
     let data = TpchData::generate(scale);
     eprintln!("fig15: sf={} users={users} iters={iters}", scale.sf);
 
-    let mut t = Table::new(
+    let (file, header) = SCHEMAS[0];
+    let mut t = Table::with_header(
         "Fig. 15 — L3 load misses vs selectivity (256 clients)",
-        &[
-            "selectivity_pct",
-            "policy",
-            "l3_misses_S0",
-            "l3_misses_S1",
-            "l3_misses_S2",
-            "l3_misses_S3",
-            "total",
-        ],
+        header,
     );
     for sel in [2u8, 4, 8, 16, 32, 64, 100] {
         for alloc in spec.alloc_sweep() {
@@ -51,13 +44,13 @@ pub fn run(spec: &ExperimentSpec) -> ScenarioResult {
                 ),
                 &data,
             );
-            let l3 = out.l3_misses_per_socket();
+            let l3 = per_socket(&out.l3_misses_per_socket());
             let mut row = vec![sel.to_string(), alloc.label(Flavor::MonetDb)];
             row.extend(l3.iter().map(|m| m.to_string()));
             row.push(l3.iter().sum::<u64>().to_string());
             t.row(row);
         }
     }
-    emit(spec, &t, "fig15_selectivity.csv");
+    emit(spec, SCHEMAS, &t, file)?;
     Ok(())
 }

@@ -12,24 +12,16 @@ use volcano_db::tpch::{QuerySpec, TpchData};
 /// Declared CSV outputs (the default policy sweep's file names; a
 /// `--policy` override renames the mechanism panel accordingly).
 pub const SCHEMAS: &[(&str, &str)] = &[
-    (
-        "fig16_migration_adaptive.csv",
-        "thread,name_hint,core,node,start_ms,end_ms",
-    ),
-    (
-        "fig16_migration_dense.csv",
-        "thread,name_hint,core,node,start_ms,end_ms",
-    ),
+    ("fig16_migration_adaptive.csv", report::MIGRATION_MAP_HEADER),
+    ("fig16_migration_dense.csv", report::MIGRATION_MAP_HEADER),
     (
         "fig16_migration_os_monetdb.csv",
-        "thread,name_hint,core,node,start_ms,end_ms",
+        report::MIGRATION_MAP_HEADER,
     ),
-    (
-        "fig16_migration_sparse.csv",
-        "thread,name_hint,core,node,start_ms,end_ms",
-    ),
-    ("fig16_summary.csv", "policy,threads,migrations,spans"),
+    ("fig16_migration_sparse.csv", report::MIGRATION_MAP_HEADER),
+    SUMMARY,
 ];
+const SUMMARY: (&str, &str) = ("fig16_summary.csv", "policy,threads,migrations,spans");
 
 /// Runs the scenario.
 pub fn run(spec: &ExperimentSpec) -> ScenarioResult {
@@ -38,9 +30,9 @@ pub fn run(spec: &ExperimentSpec) -> ScenarioResult {
     eprintln!("fig16: sf={}", scale.sf);
     let topo = numa_sim::Topology::opteron_4x4();
 
-    let mut summary = Table::new(
+    let mut summary = Table::with_header(
         "Fig. 16 — thread migration by policy (single-client Q6)",
-        &["policy", "threads", "migrations", "spans"],
+        SUMMARY.1,
     );
     for alloc in spec.alloc_sweep() {
         let out = run_config(
@@ -66,7 +58,7 @@ pub fn run(spec: &ExperimentSpec) -> ScenarioResult {
             "fig16_migration_{}.csv",
             label.replace('/', "_").to_lowercase()
         );
-        emit(spec, &map, &file);
+        emit(spec, SCHEMAS, &map, &file)?;
         let (threads, migrations) = report::migration_summary(trace);
         summary.row(vec![
             label,
@@ -75,6 +67,6 @@ pub fn run(spec: &ExperimentSpec) -> ScenarioResult {
             trace.spans().len().to_string(),
         ]);
     }
-    emit(spec, &summary, "fig16_summary.csv");
+    emit(spec, SCHEMAS, &summary, SUMMARY.0)?;
     Ok(())
 }

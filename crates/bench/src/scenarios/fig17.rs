@@ -2,7 +2,7 @@
 //! strategies (CPU load vs HT/IMC ratio): response time, HT traffic and
 //! per-socket L3 misses, per policy.
 
-use super::{figure_scale, ScenarioResult};
+use super::{figure_scale, per_socket, ScenarioResult};
 use crate::emit;
 use emca_harness::{run as run_config, ExperimentSpec, RunConfig};
 use emca_metrics::table::{fnum, Table};
@@ -24,18 +24,10 @@ pub fn run(spec: &ExperimentSpec) -> ScenarioResult {
     let data = TpchData::generate(scale);
     eprintln!("fig17: sf={} iters={iters}", scale.sf);
 
-    let mut t = Table::new(
+    let (file, header) = SCHEMAS[0];
+    let mut t = Table::with_header(
         "Fig. 17 — CPU-load vs HT/IMC transition strategies (Q6, 1 client)",
-        &[
-            "strategy",
-            "policy",
-            "response_s",
-            "ht_traffic_MBps",
-            "l3_misses_S0",
-            "l3_misses_S1",
-            "l3_misses_S2",
-            "l3_misses_S3",
-        ],
+        header,
     );
     for (strategy, metric) in [
         ("CPU load", elastic_core::MetricKind::CpuLoad),
@@ -57,7 +49,7 @@ pub fn run(spec: &ExperimentSpec) -> ScenarioResult {
                 ),
                 &data,
             );
-            let l3 = out.l3_misses_per_socket();
+            let l3 = per_socket(&out.l3_misses_per_socket());
             let mut row = vec![
                 strategy.to_string(),
                 alloc.label(Flavor::MonetDb),
@@ -68,6 +60,6 @@ pub fn run(spec: &ExperimentSpec) -> ScenarioResult {
             t.row(row);
         }
     }
-    emit(spec, &t, "fig17_strategies.csv");
+    emit(spec, SCHEMAS, &t, file)?;
     Ok(())
 }

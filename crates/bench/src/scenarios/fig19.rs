@@ -13,15 +13,11 @@ use volcano_db::tpch::{QuerySpec, TpchData};
 
 /// Declared CSV outputs.
 pub const SCHEMAS: &[(&str, &str)] = &[
-    (
-        "fig19_monetdb.csv",
-        "query,speedup_adaptive,ratio_OS,ratio_Dense,ratio_Sparse,ratio_Adaptive",
-    ),
-    (
-        "fig19_sqlserver.csv",
-        "query,speedup_adaptive,ratio_OS,ratio_Dense,ratio_Sparse,ratio_Adaptive",
-    ),
+    ("fig19_monetdb.csv", PANEL_HEADER),
+    ("fig19_sqlserver.csv", PANEL_HEADER),
 ];
+const PANEL_HEADER: &str =
+    "query,speedup_adaptive,ratio_OS,ratio_Dense,ratio_Sparse,ratio_Adaptive";
 
 fn mixed(iters: u32) -> Workload {
     let specs: Vec<QuerySpec> = (1..=22)
@@ -65,16 +61,9 @@ fn panel(
         Flavor::MonetDb => "MonetDB",
         Flavor::SqlServer => "SQL Server",
     };
-    let mut t = Table::new(
+    let mut t = Table::with_header(
         format!("Fig. 19 ({fname}) — per-query speedup and HT/IMC ratio"),
-        &[
-            "query",
-            "speedup_adaptive",
-            "ratio_OS",
-            "ratio_Dense",
-            "ratio_Sparse",
-            "ratio_Adaptive",
-        ],
+        PANEL_HEADER,
     );
     let speedups: FxHashMap<u32, f64> =
         report::speedup_by_tag(&outputs[0].results, &outputs[3].results)
@@ -115,8 +104,8 @@ pub fn run(spec: &ExperimentSpec) -> ScenarioResult {
     eprintln!("fig19: sf={} users={users} iters={iters}", scale.sf);
 
     let monetdb = panel(spec, Flavor::MonetDb, users, iters, &data, scale);
-    emit(spec, &monetdb, "fig19_monetdb.csv");
+    emit(spec, SCHEMAS, &monetdb, SCHEMAS[0].0)?;
     let sqlserver = panel(spec, Flavor::SqlServer, users, iters, &data, scale);
-    emit(spec, &sqlserver, "fig19_sqlserver.csv");
+    emit(spec, SCHEMAS, &sqlserver, SCHEMAS[1].0)?;
     Ok(())
 }

@@ -52,17 +52,10 @@ pub fn run(spec: &ExperimentSpec) -> ScenarioResult {
             .into_iter()
             .collect();
 
-    let mut t = Table::new(
+    let (file, header) = SCHEMAS[0];
+    let mut t = Table::with_header(
         "Fig. 20 — per-query energy (J): OS scheduler vs adaptive",
-        &[
-            "query",
-            "os_cpu_J",
-            "os_ht_J",
-            "adaptive_cpu_J",
-            "adaptive_ht_J",
-            "cpu_saving_pct",
-            "ht_saving_pct",
-        ],
+        header,
     );
     let mut cpu_ratios = Vec::new();
     let mut ht_ratios = Vec::new();
@@ -90,7 +83,7 @@ pub fn run(spec: &ExperimentSpec) -> ScenarioResult {
             fnum(ht_s, 1),
         ]);
     }
-    emit(spec, &t, "fig20_energy.csv");
+    emit(spec, SCHEMAS, &t, file)?;
     let cpu_geo = stats::geomean(&cpu_ratios).map(|g| (1.0 - g) * 100.0);
     let ht_geo = stats::geomean(&ht_ratios).map(|g| (1.0 - g) * 100.0);
     println!(

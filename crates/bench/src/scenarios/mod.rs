@@ -2,6 +2,14 @@
 //! by name. Each module holds one scenario's declared CSV schemas and
 //! its `run(&ExperimentSpec)` body; [`registry`] assembles them for the
 //! `emca` CLI and the tests.
+//!
+//! A module's `SCHEMAS` is the only place its CSVs' file names and
+//! headers are spelled: `run` builds each table from the declared
+//! header (`Table::with_header`, or a `report::render_*` whose header
+//! const `SCHEMAS` references) and ends with
+//! `emit(spec, SCHEMAS, &table, file)?` ([`crate::emit`]), which refuses
+//! a header that differs from the declaration and propagates a failed
+//! write.
 
 pub mod ablation;
 pub mod chaos_recovery;
@@ -328,6 +336,13 @@ pub type ScenarioResult = Result<(), ScenarioError>;
 /// does not pin one (the repo's pinned default scale; the paper's is
 /// 1.0).
 pub const DEFAULT_SF: f64 = 0.25;
+
+/// A per-socket counter vector as one cell per declared `S0..S3`
+/// column. The threads backend has no hardware counters and reports an
+/// empty vector, which reads as zero — not as a shorter row.
+pub(crate) fn per_socket(counters: &[u64]) -> [u64; 4] {
+    std::array::from_fn(|s| counters.get(s).copied().unwrap_or(0))
+}
 
 /// Helper: the spec's scale at the standard figure default.
 pub(crate) fn figure_scale(spec: &ExperimentSpec) -> volcano_db::tpch::TpchScale {

@@ -95,16 +95,10 @@ pub fn run(spec: &ExperimentSpec) -> ScenarioResult {
         .map(|at| at.since(burst_end).as_millis_f64())
         .unwrap_or(f64::INFINITY);
 
-    let mut table = Table::new(
+    let (file, header) = SCHEMAS[0];
+    let mut table = Table::with_header(
         "mt_burst — reclaim latency after an antagonist burst",
-        &[
-            "tenant",
-            "phase",
-            "qps",
-            "mean_ms",
-            "cores_mean",
-            "reclaim_ms",
-        ],
+        header,
     );
     let phases: [(&str, SimTime, SimTime); 3] = [
         ("pre", steady.started_at, burst_start),
@@ -129,7 +123,7 @@ pub fn run(spec: &ExperimentSpec) -> ScenarioResult {
             ]);
         }
     }
-    emit(spec, &table, "mt_burst.csv");
+    emit(spec, SCHEMAS, &table, file)?;
     eprintln!(
         "mt_burst: reclaim latency {reclaim_ms:.1} ms after burst end \
          (steady qps pre {:.2} / burst {:.2} / post {:.2})",

@@ -142,21 +142,10 @@ pub fn run(spec: &ExperimentSpec) -> ScenarioResult {
         plan.expected_completions()
     );
 
-    let mut table = Table::new(
+    let (file, header) = SCHEMAS[0];
+    let mut table = Table::with_header(
         "mt_churn — adaptive arbitration vs static partitioning under churn",
-        &[
-            "run",
-            "tenants",
-            "resident",
-            "aggregate_qps",
-            "worst_p99_ms",
-            "mean_queue_ms",
-            "lost",
-            "denials",
-            "yields",
-            "ticks",
-            "mean_tick_us",
-        ],
+        header,
     );
     let mut runs = Vec::new();
     for (label, static_partition) in [("adaptive", false), ("static", true)] {
@@ -185,7 +174,7 @@ pub fn run(spec: &ExperimentSpec) -> ScenarioResult {
         ]);
         runs.push(stats);
     }
-    emit(spec, &table, "mt_churn.csv");
+    emit(spec, SCHEMAS, &table, file)?;
 
     if spec.check {
         let (adaptive, static_) = (&runs[0], &runs[1]);

@@ -58,19 +58,8 @@ pub fn run(spec: &ExperimentSpec) -> ScenarioResult {
     // Steady state: the second half of the overlap window (the first
     // half is the ramp from 1 core each).
     let mid = from + to.since(from) / 2;
-    let mut table = Table::new(
-        "mt_fairshare — convergence to the fair core split",
-        &[
-            "tenant",
-            "users",
-            "weight",
-            "guarantee",
-            "cores_mean_steady",
-            "cores_max",
-            "abs_dev",
-            "qps",
-        ],
-    );
+    let (file, header) = SCHEMAS[0];
+    let mut table = Table::with_header("mt_fairshare — convergence to the fair core split", header);
     let mut worst_dev = 0.0f64;
     for (t, &w) in out.tenants.iter().zip(&weights) {
         // The arbiter's own fair-share arithmetic over the run's
@@ -90,7 +79,7 @@ pub fn run(spec: &ExperimentSpec) -> ScenarioResult {
             fnum(t.qps_between(from, to), 2),
         ]);
     }
-    emit(spec, &table, "mt_fairshare.csv");
+    emit(spec, SCHEMAS, &table, file)?;
     eprintln!(
         "mt_fairshare: worst deviation {worst_dev:.2} cores over {} tenants \
          (denials={} yields={})",

@@ -82,9 +82,10 @@ pub fn run(spec: &ExperimentSpec) -> ScenarioResult {
     let data = TpchData::generate(scale);
     eprintln!("mt_interference: sf={} cap={ANTAGONIST_CAP}", scale.sf);
 
-    let mut table = Table::new(
+    let (file, header) = SCHEMAS[0];
+    let mut table = Table::with_header(
         "mt_interference — victim stability with and without antagonist SLA caps",
-        &TENANT_ROW_HEADER.split(',').collect::<Vec<_>>(),
+        header,
     );
     let mut victim_qps = [0.0f64; 2]; // [uncapped, capped]
     let mut capped_olap_cores_max = 0.0f64;
@@ -124,7 +125,7 @@ pub fn run(spec: &ExperimentSpec) -> ScenarioResult {
             out.arbiter_yields,
         );
     }
-    emit(spec, &table, "mt_interference.csv");
+    emit(spec, SCHEMAS, &table, file)?;
 
     if spec.check {
         let [uncapped, capped] = victim_qps;

@@ -50,19 +50,8 @@ pub fn run(spec: &ExperimentSpec) -> ScenarioResult {
         base.resident()
     );
 
-    let mut table = Table::new(
-        "mt_zipf — core split vs demand skew under churn",
-        &[
-            "skew",
-            "run",
-            "aggregate_qps",
-            "worst_p99_ms",
-            "heavy_cores",
-            "light_cores",
-            "heavy_qps",
-            "light_qps",
-        ],
-    );
+    let (file, header) = SCHEMAS[0];
+    let mut table = Table::with_header("mt_zipf — core split vs demand skew under churn", header);
     // (skew, adaptive_qps, static_qps, heavy_cores, light_cores) at
     // each point, for the gate at the steepest skew.
     let mut points = Vec::new();
@@ -124,7 +113,7 @@ pub fn run(spec: &ExperimentSpec) -> ScenarioResult {
         );
         points.push((skew, qps_at[0], qps_at[1], split.0, split.1));
     }
-    emit(spec, &table, "mt_zipf.csv");
+    emit(spec, SCHEMAS, &table, file)?;
 
     if spec.check {
         let Some(&(skew, adaptive, static_, heavy, light)) = points.last() else {

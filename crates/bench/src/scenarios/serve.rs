@@ -38,26 +38,7 @@ pub const DEFAULT_DURATION_S: f64 = 2.0;
 /// saturation).
 pub const DEFAULT_SLA_X: f64 = 8.0;
 
-/// Column list of both serve CSVs.
-pub const ROW_FIELDS: &[&str] = &[
-    "series",
-    "policy",
-    "admission",
-    "offered_mult",
-    "offered_qps",
-    "arrivals",
-    "completed",
-    "shed_gate",
-    "shed_timeout",
-    "unfinished",
-    "goodput_qps",
-    "p50_ms",
-    "p95_ms",
-    "p99_ms",
-    "cores_mean",
-];
-
-/// [`ROW_FIELDS`] as the declared CSV header line.
+/// The declared CSV header line of both serve CSVs.
 pub const ROW_HEADER: &str = "series,policy,admission,offered_mult,offered_qps,arrivals,completed,\
 shed_gate,shed_timeout,unfinished,goodput_qps,p50_ms,p95_ms,p99_ms,cores_mean";
 
@@ -288,18 +269,4 @@ pub fn headline_violation(os: &ServeOutput, admitted: &ServeOutput) -> Option<St
         ));
     }
     None
-}
-
-#[cfg(test)]
-mod tests {
-    use super::{ROW_FIELDS, ROW_HEADER};
-
-    /// The serve scenarios declare `ROW_HEADER` in their SCHEMAS and
-    /// build tables from `ROW_FIELDS`; the schema-sync waivers in
-    /// serve_latency_curve.rs and serve_overload.rs cite this test as
-    /// the cross-file link the per-file lint cannot see.
-    #[test]
-    fn row_header_matches_fields() {
-        assert_eq!(ROW_FIELDS.join(","), ROW_HEADER);
-    }
 }

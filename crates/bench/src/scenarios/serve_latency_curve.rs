@@ -15,8 +15,8 @@
 //! single offered load; the gate then requires it to be ≥1.5×C.
 
 use super::serve::{
-    headline_violation, horizon_of, probe, row, run_point, schedule_of, series, sla_of, ROW_FIELDS,
-    ROW_HEADER, SERVE_DEFAULT_SF,
+    headline_violation, horizon_of, probe, row, run_point, schedule_of, series, sla_of, ROW_HEADER,
+    SERVE_DEFAULT_SF,
 };
 use super::ScenarioResult;
 use emca_harness::ExperimentSpec;
@@ -52,10 +52,10 @@ pub fn run(spec: &ExperimentSpec) -> ScenarioResult {
             .collect(),
     };
 
-    // emca-lint: allow(schema-sync) — header is serve::ROW_FIELDS, declared as serve::ROW_HEADER; serve.rs's row_header_matches_fields test pins their agreement
-    let mut table = Table::new(
+    let (file, header) = SCHEMAS[0];
+    let mut table = Table::with_header(
         "serve_latency_curve — latency and goodput vs offered load",
-        ROW_FIELDS,
+        header,
     );
     let mut gate_pair = None;
     for (label, lambda) in &sweep {
@@ -89,7 +89,7 @@ pub fn run(spec: &ExperimentSpec) -> ScenarioResult {
             gate_pair = Some((offered, os_out.unwrap(), admitted_out.unwrap()));
         }
     }
-    crate::emit(spec, &table, "serve_latency_curve.csv");
+    crate::emit(spec, SCHEMAS, &table, file)?;
 
     if spec.check {
         let (offered, os_out, admitted_out) = gate_pair.expect("sweep is never empty");

@@ -11,7 +11,7 @@
 //! With `check=1`, asserts the admitted series kept p99 finite.
 
 use super::serve::{
-    cell, horizon_of, probe, row, run_point, schedule_of, series, sla_of, ROW_FIELDS, ROW_HEADER,
+    cell, horizon_of, probe, row, run_point, schedule_of, series, sla_of, ROW_HEADER,
     SERVE_DEFAULT_SF,
 };
 use super::ScenarioResult;
@@ -45,8 +45,8 @@ pub fn run(spec: &ExperimentSpec) -> ScenarioResult {
         sla.as_millis_f64()
     );
 
-    // emca-lint: allow(schema-sync) — header is serve::ROW_FIELDS, declared as serve::ROW_HEADER; serve.rs's row_header_matches_fields test pins their agreement
-    let mut table = Table::new("serve_overload — one past-saturation point", ROW_FIELDS);
+    let (file, header) = SCHEMAS[0];
+    let mut table = Table::with_header("serve_overload — one past-saturation point", header);
     let mut admitted_p99 = f64::NAN;
     for s in series(spec) {
         let out = run_point(spec, &data, &s, schedule.clone(), sla);
@@ -68,7 +68,7 @@ pub fn run(spec: &ExperimentSpec) -> ScenarioResult {
         }
         table.row(row(&s, &mult_label, &out));
     }
-    crate::emit(spec, &table, "serve_overload.csv");
+    crate::emit(spec, SCHEMAS, &table, file)?;
 
     if spec.check && !admitted_p99.is_finite() {
         return Err(format!(

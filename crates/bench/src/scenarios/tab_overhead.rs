@@ -106,15 +106,8 @@ macro_rules! drive_arbiter {
 
 /// Runs the scenario.
 pub fn run(spec: &ExperimentSpec) -> ScenarioResult {
-    let mut t = Table::new(
-        "Overhead — PrT step cost per allocation mode",
-        &[
-            "mode",
-            "paper_token_flow_s",
-            "simulated_actuation_s",
-            "our_prt_step_us",
-        ],
-    );
+    let (file, header) = SCHEMAS[0];
+    let mut t = Table::with_header("Overhead — PrT step cost per allocation mode", header);
     // Measure our real PrT step time over a load pattern that exercises
     // all sub-nets.
     let mut net = ElasticNet::new(Thresholds::cpu_load_default(), 16, 1);
@@ -138,23 +131,17 @@ pub fn run(spec: &ExperimentSpec) -> ScenarioResult {
             fnum(per_step_us, 2),
         ]);
     }
-    emit(spec, &t, "tab_overhead.csv");
+    emit(spec, SCHEMAS, &t, file)?;
     println!(
         "paper: <1% CPU for state computation; our PrT step costs {per_step_us:.2} µs \
          of host time per control interval (50 ms), i.e. {:.4}% of one core.",
         per_step_us / 50_000.0 * 100.0
     );
 
-    let mut t2 = Table::new(
+    let (file, header) = SCHEMAS[1];
+    let mut t2 = Table::with_header(
         "tab_arbiter — indexed vs reference arbitration cost per tick",
-        &[
-            "resident",
-            "churned",
-            "ticks",
-            "indexed_ns_per_tick",
-            "reference_ns_per_tick",
-            "speedup",
-        ],
+        header,
     );
     for resident in [8u32, 16, 64] {
         let (ticks_i, ns_i) = drive_arbiter!(
@@ -185,6 +172,6 @@ pub fn run(spec: &ExperimentSpec) -> ScenarioResult {
             per_r / per_i.max(1e-9)
         );
     }
-    emit(spec, &t2, "tab_arbiter.csv");
+    emit(spec, SCHEMAS, &t2, file)?;
     Ok(())
 }

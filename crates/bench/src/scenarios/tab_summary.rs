@@ -82,9 +82,10 @@ pub fn run(spec: &ExperimentSpec) -> ScenarioResult {
         seed: 7,
     };
 
-    let mut t = Table::new(
+    let (file, header) = SCHEMAS[0];
+    let mut t = Table::with_header(
         "Summary — adaptive vs OS (paper values in parentheses)",
-        &["flavor", "metric", "measured", "paper"],
+        header,
     );
     let model = EnergyModel::opteron_8387();
     let mut violations: Vec<String> = Vec::new();
@@ -202,7 +203,7 @@ pub fn run(spec: &ExperimentSpec) -> ScenarioResult {
             }
         }
     }
-    emit(spec, &t, "tab_summary.csv");
+    emit(spec, SCHEMAS, &t, file)?;
     if check {
         if violations.is_empty() {
             eprintln!("fidelity check: headline claims hold");

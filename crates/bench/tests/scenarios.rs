@@ -8,6 +8,7 @@
 
 use emca_bench::scenarios;
 use emca_harness::{ExperimentSpec, ALL_SCENARIO_KEYS, SPEC_KEYS};
+use emca_metrics::table::Table;
 use std::path::PathBuf;
 
 /// Every name reachable through `emca run <name>`: the retired
@@ -122,8 +123,119 @@ fn registry_declares_the_full_results_schema_set() {
         for (file, header) in s.csv_schemas() {
             assert!(seen.insert(*file), "{file} declared twice");
             assert!(!header.is_empty(), "{file} has an empty header");
+            // `Table::with_header` splits the declaration on bare commas.
+            for column in header.split(',') {
+                assert!(
+                    !column.is_empty() && column == column.trim(),
+                    "{file}: column {column:?} of {header:?} is empty or padded"
+                );
+            }
         }
     }
+}
+
+/// A fresh scratch directory for one test (tests run in parallel).
+fn scratch_dir(tag: &str) -> PathBuf {
+    let dir = std::env::temp_dir().join(format!("emca_scenario_{tag}_{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).expect("create scratch dir");
+    dir
+}
+
+/// `emit` is where a results CSV meets its declaration: a table whose
+/// header drifted from the one declared for its file is refused before
+/// anything is written, with both headers in the error.
+#[test]
+fn emit_refuses_a_header_that_differs_from_the_declaration() {
+    let out_dir = scratch_dir("emit_drift");
+    let spec = ExperimentSpec {
+        out_dir: Some(out_dir.clone()),
+        ..ExperimentSpec::default()
+    };
+    let schemas = &[("out.csv", "a,b,c")];
+    let drifted = Table::with_header("t", "a,b,drifted");
+    let err = emca_bench::emit(&spec, schemas, &drifted, "out.csv").unwrap_err();
+    let msg = err.to_string();
+    assert!(msg.contains("out.csv"), "{msg}");
+    assert!(
+        msg.contains("a,b,c") && msg.contains("a,b,drifted"),
+        "{msg}"
+    );
+    assert!(!out_dir.join("out.csv").exists(), "refused, yet written");
+
+    emca_bench::emit(&spec, schemas, &Table::with_header("t", "a,b,c"), "out.csv")
+        .expect("the declared header passes");
+    assert!(emca_harness::validate_csv(&out_dir.join("out.csv"), "a,b,c").is_ok());
+    let _ = std::fs::remove_dir_all(&out_dir);
+}
+
+/// A file name the scenario does not declare (a figure panel renamed by
+/// a non-default `--policy`) is written unchecked.
+#[test]
+fn emit_writes_an_undeclared_file_unchecked() {
+    let out_dir = scratch_dir("emit_undeclared");
+    let spec = ExperimentSpec {
+        out_dir: Some(out_dir.clone()),
+        ..ExperimentSpec::default()
+    };
+    let table = Table::with_header("t", "x,y");
+    emca_bench::emit(
+        &spec,
+        &[("out.csv", "a,b,c")],
+        &table,
+        "panel_hillclimb.csv",
+    )
+    .expect("undeclared names are not checked");
+    let csv = std::fs::read_to_string(out_dir.join("panel_hillclimb.csv")).unwrap();
+    assert_eq!(csv, "x,y\n");
+    let _ = std::fs::remove_dir_all(&out_dir);
+}
+
+/// The threads backend has no hardware counters; the per-socket figures
+/// (fig14/15/17, via `scenarios::per_socket`) must still fill every
+/// declared column — a row built from the empty counter vector would
+/// put fig15's total under `l3_misses_S0`.
+#[test]
+fn per_socket_figures_fill_every_column_on_threads() {
+    let out_dir = scratch_dir("threads_sockets");
+    let spec = ExperimentSpec {
+        scenario: "fig15".into(),
+        sf: Some(0.002),
+        users: Some(2),
+        iters: Some(1),
+        backend: emca_harness::Backend::Threads,
+        out_dir: Some(out_dir.clone()),
+        ..ExperimentSpec::default()
+    };
+    scenarios::registry().run("fig15", &spec).expect("fig15");
+    let csv = std::fs::read_to_string(out_dir.join("fig15_selectivity.csv")).unwrap();
+    for line in csv.lines().skip(1) {
+        let cells: Vec<&str> = line.split(',').collect();
+        assert_eq!(cells[2..], ["0", "0", "0", "0", "0"], "{line}");
+    }
+    let _ = std::fs::remove_dir_all(&out_dir);
+}
+
+/// A scenario whose CSV cannot be written fails, naming the path: a
+/// run that exits 0 must have left its declared files behind.
+#[test]
+fn an_unwritable_out_dir_fails_the_scenario() {
+    let dir = scratch_dir("unwritable");
+    let blocker = dir.join("not_a_dir");
+    std::fs::write(&blocker, "").expect("create blocker file");
+    let spec = ExperimentSpec {
+        scenario: "fig06".into(),
+        sf: Some(0.002),
+        out_dir: Some(blocker.join("out")),
+        ..ExperimentSpec::default()
+    };
+    let err = scenarios::registry().run("fig06", &spec).unwrap_err();
+    let msg = err.to_string();
+    assert!(
+        msg.contains("could not write") && msg.contains("not_a_dir"),
+        "{msg}"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]

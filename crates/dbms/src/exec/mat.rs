@@ -354,11 +354,6 @@ impl NodeStorage {
         self.parts.iter().map(|(_, r)| r)
     }
 
-    /// Whether any region backs this storage.
-    pub fn is_backed(&self) -> bool {
-        !self.parts.is_empty()
-    }
-
     /// Segments covering the row range `[start, end)` across partitions.
     pub fn segments_for_rows(&self, start: usize, end: usize) -> Vec<SegId> {
         let mut out = Vec::new();

@@ -230,6 +230,8 @@ struct Shared {
     work: Condvar,
     /// Clients wait here for query completion.
     done: Condvar,
+    /// The watchdog parks here between sweeps; only shutdown notifies.
+    halt: Condvar,
     base: Arc<BaseData>,
     n_workers: usize,
     epoch: Instant,
@@ -346,7 +348,7 @@ pub struct ParEngineConfig {
     /// exceed one operator-partition evaluation (a worker does not beat
     /// mid-evaluation); false positives are safe but waste work.
     pub stall_after: Duration,
-    /// Watchdog sweep interval (also bounds shutdown-join latency).
+    /// Watchdog sweep interval.
     pub sweep: Duration,
 }
 
@@ -397,6 +399,7 @@ impl ParEngine {
             }),
             work: Condvar::new(),
             done: Condvar::new(),
+            halt: Condvar::new(),
             base,
             n_workers: n,
             epoch: Instant::now(),
@@ -625,6 +628,7 @@ impl ParEngine {
         }
         self.shared.work.notify_all();
         self.shared.done.notify_all();
+        self.shared.halt.notify_all();
         // Watchdog first, so no new workers are respawned mid-join.
         if let Some(w) = self.watchdog.take() {
             let _ = w.join();
@@ -783,14 +787,18 @@ fn watchdog_loop(shared: Arc<Shared>) {
         .collect();
     let mut since: Vec<Instant> = vec![Instant::now(); n];
     loop {
-        std::thread::sleep(sweep);
-        let now = Instant::now();
         let mut stalled: Vec<(usize, Duration)> = Vec::new();
         {
-            let st = shared.lock_state();
+            // Park for one sweep; `shutdown` notifies `halt`, so
+            // dropping a pool never waits out the interval.
+            let (st, _) = shared
+                .halt
+                .wait_timeout_while(shared.lock_state(), sweep, |st| !st.shutdown)
+                .unwrap_or_else(PoisonError::into_inner);
             if st.shutdown {
                 return;
             }
+            let now = Instant::now();
             for i in 0..n {
                 let beat = shared.heartbeats[i].load(Ordering::Relaxed);
                 if beat != seen[i] {
@@ -1337,6 +1345,30 @@ mod tests {
         let qid = engine.submit(Arc::new(build_query(&spec)), spec.tag());
         let r = engine.wait_result(qid).expect("post-recovery query");
         assert_eq!(digest(&r), expected);
+    }
+
+    /// Dropping a pool wakes the parked watchdog instead of waiting out
+    /// its sweep: the threads tenant driver retires pools on its control
+    /// thread, where a blocked drop freezes every other tenant.
+    #[test]
+    fn drop_does_not_wait_out_the_watchdog_sweep() {
+        let cfg = ParEngineConfig {
+            n_workers: 2,
+            initial_active: 2,
+            sweep: Duration::from_secs(2),
+            ..ParEngineConfig::default()
+        };
+        let engine = ParEngine::new(cfg, tiny_base());
+        let spec = QuerySpec::Q6 { variant: 0 };
+        let qid = engine.submit(Arc::new(build_query(&spec)), spec.tag());
+        engine.wait_result(qid).expect("query completes");
+        let t0 = Instant::now();
+        drop(engine);
+        let took = t0.elapsed();
+        assert!(
+            took < Duration::from_millis(500),
+            "drop blocked for {took:?} with a 2 s sweep"
+        );
     }
 
     /// `badquery` poisoning is deterministic per qid and surfaces as a

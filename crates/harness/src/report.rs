@@ -113,19 +113,19 @@ pub fn render_series(title: &str, series: &[&TimeSeries]) -> Table {
     t
 }
 
+/// The CSV header of [`render_transitions`] — what a scenario writing
+/// that table declares in its schemas.
+pub const TRANSITIONS_HEADER: &str = "time_s,transition,state,u,cpu_load_pct,cores";
+
+/// The CSV header of [`render_migration_map`].
+pub const MIGRATION_MAP_HEADER: &str = "thread,name_hint,core,node,start_ms,end_ms";
+
+/// The CSV header of [`render_tomograph`].
+pub const TOMOGRAPH_HEADER: &str = "operator,calls,total_time";
+
 /// Renders the mechanism's transition log (Fig. 7).
 pub fn render_transitions(title: &str, events: &[TransitionEvent]) -> Table {
-    let mut t = Table::new(
-        title,
-        &[
-            "time_s",
-            "transition",
-            "state",
-            "u",
-            "cpu_load_pct",
-            "cores",
-        ],
-    );
+    let mut t = Table::with_header(title, TRANSITIONS_HEADER);
     for e in events {
         t.row(vec![
             fnum(e.at.as_secs_f64(), 3),
@@ -144,10 +144,7 @@ pub fn render_transitions(title: &str, events: &[TransitionEvent]) -> Table {
 /// backend the trace holds *host* CPU ids, which may lie outside the
 /// simulated topology — those rows get a blank node column.
 pub fn render_migration_map(title: &str, trace: &SchedTrace, topo: &numa_sim::Topology) -> Table {
-    let mut t = Table::new(
-        title,
-        &["thread", "name_hint", "core", "node", "start_ms", "end_ms"],
-    );
+    let mut t = Table::with_header(title, MIGRATION_MAP_HEADER);
     for span in trace.spans() {
         let node = if span.core.idx() < topo.n_cores() {
             topo.node_of(span.core).0.to_string()
@@ -168,7 +165,7 @@ pub fn render_migration_map(title: &str, trace: &SchedTrace, topo: &numa_sim::To
 
 /// Renders the Tomograph operator table (Fig. 6).
 pub fn render_tomograph(title: &str, out: &RunOutput) -> Table {
-    let mut t = Table::new(title, &["operator", "calls", "total_time"]);
+    let mut t = Table::with_header(title, TOMOGRAPH_HEADER);
     for (op, s) in out.tomograph.by_time() {
         t.row(vec![
             op.to_string(),

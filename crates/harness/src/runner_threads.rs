@@ -38,9 +38,9 @@
 //!
 //! Environment knobs: `EMCA_THREADS` caps the pool width (changes
 //! partitioning, hence results — CI smoke only); `EMCA_RUN_DEADLINE_S`
-//! overrides the run-abort deadline in wall seconds, and when it is
-//! unset `EMCA_WALL_BUDGET_S` doubles as the deadline (the pre-split
-//! behaviour — see [`crate::timing`] for the distinction).
+//! overrides the run-abort deadline in wall seconds (unset, the
+//! config's deadline applies; `EMCA_WALL_BUDGET_S` never does — see
+//! [`crate::timing`] for the distinction).
 
 use crate::churn::Admissions;
 use crate::config::{Alloc, RunConfig};
@@ -86,19 +86,11 @@ pub(crate) fn capacity() -> usize {
     }
 }
 
-/// Wall-clock run-abort deadline: `EMCA_RUN_DEADLINE_S` when set (the
-/// dedicated deadline knob, see [`crate::run_deadline_from_env`]), else
-/// `EMCA_WALL_BUDGET_S` (the fidelity budget doubling as the deadline,
-/// which keeps pre-split CI jobs working), else the config's deadline
-/// read as wall time.
+/// Wall-clock run-abort deadline: `EMCA_RUN_DEADLINE_S` when set (see
+/// [`crate::run_deadline_from_env`]), else the config's deadline read
+/// as wall time.
 fn wall_deadline(configured: SimDuration) -> SimDuration {
     match crate::run_deadline_from_env() {
-        Ok(Some(secs)) => return SimDuration::from_secs_f64(secs),
-        Ok(None) => {}
-        // emca-lint: allow(panic-freedom) — config-parse tripwire on the driver thread at startup, before any pool exists
-        Err(e) => panic!("{e}"),
-    }
-    match crate::wall_budget_from_env() {
         Ok(Some(secs)) => SimDuration::from_secs_f64(secs),
         Ok(None) => configured,
         // emca-lint: allow(panic-freedom) — config-parse tripwire on the driver thread at startup, before any pool exists

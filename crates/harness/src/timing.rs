@@ -18,8 +18,7 @@ pub const WALL_BUDGET_ENV: &str = "EMCA_WALL_BUDGET_S";
 /// Distinct from [`WALL_BUDGET_ENV`]: the budget judges a *finished*
 /// run after the fact (the CI fidelity gate), while the deadline aborts
 /// a run that is still going — the threads backend's hang watchdog.
-/// When only the budget is set it doubles as the deadline, preserving
-/// the pre-split behaviour of CI smoke jobs.
+/// Neither stands in for the other: a job that wants both sets both.
 pub const RUN_DEADLINE_ENV: &str = "EMCA_RUN_DEADLINE_S";
 
 /// A started wall-clock measurement of one named phase.

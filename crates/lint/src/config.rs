@@ -33,7 +33,6 @@ const KNOWN: &[(&str, &[&str])] = &[
     ("float_ordering", &["allow"]),
     ("panic_freedom", &["files"]),
     ("lock_order", &["order"]),
-    ("schema_sync", &["dir"]),
 ];
 
 impl Config {
@@ -97,14 +96,6 @@ impl Config {
             .map(Vec::as_slice)
             .unwrap_or(&[])
     }
-
-    /// The scalar under `section.key`, if present.
-    pub fn scalar(&self, section: &str, key: &str) -> Option<&str> {
-        match self.list(section, key) {
-            [one] => Some(one.as_str()),
-            _ => None,
-        }
-    }
 }
 
 fn strip_comment(line: &str) -> &str {
@@ -164,16 +155,16 @@ exclude = [
     "target",
 ]
 
-[schema_sync]
-dir = "crates/bench/src/scenarios"
+[panic_freedom]
+files = "crates/dbms/src/exec/par.rs"
 "#,
         )
         .unwrap();
         assert_eq!(cfg.list("paths", "roots"), ["crates"]);
         assert_eq!(cfg.list("paths", "exclude"), ["crates/vendor", "target"]);
         assert_eq!(
-            cfg.scalar("schema_sync", "dir"),
-            Some("crates/bench/src/scenarios")
+            cfg.list("panic_freedom", "files"),
+            ["crates/dbms/src/exec/par.rs"]
         );
         assert!(cfg.list("lock_order", "order").is_empty());
     }

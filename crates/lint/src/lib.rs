@@ -13,9 +13,12 @@
 //! - **panic-freedom** — no `unwrap`/`expect`/`panic!` on the worker
 //!   loop and pool actuation paths;
 //! - **lock-order** — nested `.lock()` acquisitions follow the table
-//!   declared in `lint.toml`;
-//! - **schema-sync** — CSV headers built in scenario modules match the
-//!   schemas `csv_check` validates against.
+//!   declared in `lint.toml`.
+//!
+//! What a test *can* see is left to the tests: that a results CSV's
+//! header matches its scenario's declaration is enforced where the file
+//! is written (`emca_bench::emit`) and exercised for every scenario by
+//! `crates/bench/tests/scenarios.rs`.
 //!
 //! Violations are fixed or *waived* with an inline justification
 //! (`// emca-lint: allow(<rule>) — <why>`); see `docs/LINTS.md`.

@@ -15,7 +15,6 @@ pub const RULE_IDS: &[&str] = &[
     "float-ordering",
     "panic-freedom",
     "lock-order",
-    "schema-sync",
 ];
 
 /// Renders the report JSON. One waiver per line, `\n`-terminated.

@@ -11,7 +11,6 @@
 //! | `float-ordering`| no `partial_cmp` — float orderings go through `total_cmp`        |
 //! | `panic-freedom` | no `unwrap`/`expect`/`panic!` on worker-loop / pool-actuation files |
 //! | `lock-order`    | nested `.lock()` acquisitions follow the declared order          |
-//! | `schema-sync`   | CSV headers built in `scenarios/*` match the declared schemas    |
 
 use crate::config::Config;
 use crate::diag::Diagnostic;
@@ -139,7 +138,6 @@ pub fn run_all(ctx: &FileCtx<'_>, cfg: &Config) -> Vec<Diagnostic> {
     out.extend(float_ordering(ctx, cfg));
     out.extend(panic_freedom(ctx, cfg));
     out.extend(lock_order(ctx, cfg));
-    out.extend(schema_sync(ctx, cfg));
     out
 }
 
@@ -395,238 +393,4 @@ pub fn lock_order(ctx: &FileCtx<'_>, cfg: &Config) -> Vec<Diagnostic> {
         }
     }
     out
-}
-
-/// `schema-sync` — in a scenario module, every CSV header assembled by
-/// `Table::new` must match a header declared in that module's `SCHEMAS`
-/// const (which is what `csv_check` validates the committed files
-/// against). Single-level const indirection is resolved within the
-/// file; cross-file consts match symbolically by name.
-pub fn schema_sync(ctx: &FileCtx<'_>, cfg: &Config) -> Vec<Diagnostic> {
-    let Some(dir) = cfg.scalar("schema_sync", "dir") else {
-        return Vec::new();
-    };
-    if !ctx.path.starts_with(dir) || ctx.path.ends_with("/mod.rs") {
-        return Vec::new();
-    }
-    let code: Vec<usize> = ctx.code().collect();
-    let consts = collect_consts(ctx, &code);
-    let Some(schemas) = consts.iter().find(|c| c.name == "SCHEMAS") else {
-        // A scenario module that builds no declared CSVs (helpers,
-        // console-only scenarios) declares nothing to sync against; a
-        // Table built here still gets checked if SCHEMAS exists.
-        return Vec::new();
-    };
-    // Declared headers: odd positions of the (file, header) tuple list,
-    // each either a literal or a const name.
-    let mut declared: Vec<String> = Vec::new();
-    for pair in schemas.items.chunks(2) {
-        if let [_file, header] = pair {
-            match header {
-                SchemaItem::Lit(s) => declared.push(s.clone()),
-                SchemaItem::Name(n) => {
-                    declared.push(n.clone());
-                    if let Some(c) = consts.iter().find(|c| c.name == *n) {
-                        declared.push(c.joined());
-                    }
-                }
-            }
-        }
-    }
-    let mut out = Vec::new();
-    // Every `Table::new(title, <columns>)` call site.
-    for (k, &i) in code.iter().enumerate() {
-        if !(ctx.tokens[i].is_ident("Table")
-            && code
-                .get(k + 1)
-                .is_some_and(|&j| ctx.tokens[j].is_punct(':'))
-            && code
-                .get(k + 2)
-                .is_some_and(|&j| ctx.tokens[j].is_punct(':'))
-            && code
-                .get(k + 3)
-                .is_some_and(|&j| ctx.tokens[j].is_ident("new")))
-        {
-            continue;
-        }
-        let line = ctx.tokens[i].line;
-        // Scan the argument list: skip the title (first literal), then
-        // read the header — an inline `[ ... ]` of literals or an ident.
-        let Some(header) = table_header(ctx, &code, k + 4) else {
-            continue;
-        };
-        let ok = match &header {
-            SchemaItem::Lit(h) => declared.iter().any(|d| d == h),
-            SchemaItem::Name(n) => {
-                declared.iter().any(|d| d == n)
-                    || consts
-                        .iter()
-                        .find(|c| c.name == *n)
-                        .is_some_and(|c| declared.iter().any(|d| *d == c.joined()))
-            }
-        };
-        if !ok {
-            let shown = match &header {
-                SchemaItem::Lit(h) => h.clone(),
-                SchemaItem::Name(n) => format!("<const {n}>"),
-            };
-            out.push(ctx.diag(
-                "schema-sync",
-                line,
-                format!(
-                    "Table header `{shown}` matches no header declared in this \
-                     module's SCHEMAS — csv_check would never validate what this \
-                     table writes"
-                ),
-            ));
-        }
-    }
-    out
-}
-
-/// A string literal or a const reference inside a schema/header
-/// position.
-#[derive(Clone, Debug, PartialEq, Eq)]
-enum SchemaItem {
-    Lit(String),
-    Name(String),
-}
-
-/// Processes the one escape that appears in schema headers: the
-/// line-continuation `\` + newline + leading whitespace (the lexer
-/// keeps escapes raw).
-fn cooked(s: &str) -> String {
-    let mut out = String::new();
-    let mut chars = s.chars().peekable();
-    while let Some(c) = chars.next() {
-        if c == '\\' && chars.peek() == Some(&'\n') {
-            chars.next();
-            while chars.peek().is_some_and(|c| c.is_whitespace()) {
-                chars.next();
-            }
-        } else {
-            out.push(c);
-        }
-    }
-    out
-}
-
-struct ConstDef {
-    name: String,
-    items: Vec<SchemaItem>,
-}
-
-impl ConstDef {
-    /// The comma-joined literal view (what `Table::write_csv` emits for
-    /// a column array; a scalar const is itself).
-    fn joined(&self) -> String {
-        self.items
-            .iter()
-            .map(|i| match i {
-                SchemaItem::Lit(s) => s.as_str(),
-                SchemaItem::Name(_) => "?",
-            })
-            .collect::<Vec<_>>()
-            .join(",")
-    }
-}
-
-/// Collects `const NAME: ... = <init>;` items and the string literals /
-/// const names appearing in their initializers, in source order.
-fn collect_consts(ctx: &FileCtx<'_>, code: &[usize]) -> Vec<ConstDef> {
-    let mut out = Vec::new();
-    let mut k = 0usize;
-    while k < code.len() {
-        if ctx.tokens[code[k]].is_ident("const")
-            && code
-                .get(k + 1)
-                .is_some_and(|&j| ctx.tokens[j].kind == Kind::Ident)
-        {
-            let name = ctx.tokens[code[k + 1]].text.clone();
-            // Skip to `=`, then collect until `;`.
-            let mut j = k + 2;
-            while j < code.len() && !ctx.tokens[code[j]].is_punct('=') {
-                j += 1;
-            }
-            let mut items = Vec::new();
-            j += 1;
-            while j < code.len() && !ctx.tokens[code[j]].is_punct(';') {
-                let t = &ctx.tokens[code[j]];
-                match t.kind {
-                    Kind::Str => items.push(SchemaItem::Lit(cooked(&t.text))),
-                    // Const references (SCREAMING_CASE idents, not type
-                    // names like `str`).
-                    Kind::Ident
-                        if t.text.chars().all(|c| c.is_ascii_uppercase() || c == '_')
-                            && t.text.len() > 1 =>
-                    {
-                        items.push(SchemaItem::Name(t.text.clone()))
-                    }
-                    _ => {}
-                }
-                j += 1;
-            }
-            out.push(ConstDef { name, items });
-            k = j;
-        }
-        k += 1;
-    }
-    out
-}
-
-/// Reads the header argument of a `Table::new(title, header)` call
-/// whose opening paren is at code index `k_open`.
-fn table_header(ctx: &FileCtx<'_>, code: &[usize], k_open: usize) -> Option<SchemaItem> {
-    if !ctx.tokens[*code.get(k_open)?].is_punct('(') {
-        return None;
-    }
-    // Find the top-level comma separating title from header.
-    let mut depth = 0i32;
-    let mut k = k_open;
-    let mut after_comma = None;
-    while let Some(&i) = code.get(k) {
-        let t = &ctx.tokens[i];
-        if t.is_punct('(') || t.is_punct('[') {
-            depth += 1;
-        } else if t.is_punct(')') || t.is_punct(']') {
-            depth -= 1;
-            if depth == 0 {
-                break;
-            }
-        } else if t.is_punct(',') && depth == 1 && after_comma.is_none() {
-            after_comma = Some(k + 1);
-        }
-        k += 1;
-    }
-    let end = k;
-    let mut k = after_comma?;
-    // Skip `&` and whitespace-level tokens to the header expression.
-    while k < end && ctx.tokens[code[k]].is_punct('&') {
-        k += 1;
-    }
-    let t = &ctx.tokens[*code.get(k)?];
-    if t.is_punct('[') {
-        // Inline column array: join its string literals.
-        let mut cols = Vec::new();
-        let mut depth = 0i32;
-        while let Some(&i) = code.get(k) {
-            let t = &ctx.tokens[i];
-            if t.is_punct('[') {
-                depth += 1;
-            } else if t.is_punct(']') {
-                depth -= 1;
-                if depth == 0 {
-                    break;
-                }
-            } else if t.kind == Kind::Str {
-                cols.push(cooked(&t.text));
-            }
-            k += 1;
-        }
-        return Some(SchemaItem::Lit(cols.join(",")));
-    }
-    if t.kind == Kind::Ident {
-        return Some(SchemaItem::Name(t.text.clone()));
-    }
-    None
 }

@@ -32,9 +32,6 @@ files = ["crates/demo/src/lib.rs"]
 
 [lock_order]
 order = ["state", "results", "finished_at"]
-
-[schema_sync]
-dir = "crates/demo/src"
 "#,
     )
     .expect("fixture config parses")
@@ -209,51 +206,6 @@ fn lock_order_resets_per_function() {
     let src = "\
 fn a(s: &Shared) { let r = s.results.lock(); drop(r); }
 fn b(s: &Shared) { let g = s.state.lock(); drop(g); }
-";
-    let d = diags(src);
-    assert!(d.is_empty(), "{d:#?}");
-}
-
-// ---------------------------------------------------------------- schema-sync
-
-#[test]
-fn schema_sync_accepts_headers_declared_in_schemas() {
-    let src = "\
-pub const SCHEMAS: &[(&str, &str)] = &[(\"out.csv\", \"a,b,c\")];
-
-fn run() {
-    let t = Table::new(\"title\", &[\"a\", \"b\", \"c\"]);
-    let _ = t;
-}
-";
-    let d = diags(src);
-    assert!(d.is_empty(), "{d:#?}");
-}
-
-#[test]
-fn schema_sync_flags_undeclared_headers() {
-    let src = "\
-pub const SCHEMAS: &[(&str, &str)] = &[(\"out.csv\", \"a,b,c\")];
-
-fn run() {
-    let t = Table::new(\"title\", &[\"a\", \"b\", \"drifted\"]);
-    let _ = t;
-}
-";
-    let d = diags(src);
-    assert_eq!(lines_of(&d, "schema-sync"), vec![4], "{d:#?}");
-}
-
-#[test]
-fn schema_sync_resolves_single_level_consts() {
-    let src = "\
-const HEADER: &str = \"x,y\";
-pub const SCHEMAS: &[(&str, &str)] = &[(\"out.csv\", HEADER)];
-
-fn run() {
-    let t = Table::new(\"title\", &[\"x\", \"y\"]);
-    let _ = t;
-}
 ";
     let d = diags(src);
     assert!(d.is_empty(), "{d:#?}");

@@ -23,9 +23,6 @@ files = ["crates/demo/src/lib.rs"]
 
 [lock_order]
 order = ["state", "results"]
-
-[schema_sync]
-dir = "crates/demo/src"
 "#;
 
 /// Creates a throwaway repo root under the test temp dir. Each test
@@ -43,15 +40,12 @@ fn scratch_repo(name: &str, lib_rs: &str) -> PathBuf {
 #[test]
 fn seeded_violations_of_every_rule_are_found() {
     let lib = "\
-pub const SCHEMAS: &[(&str, &str)] = &[(\"out.csv\", \"a,b\")];
-
 fn run(s: &Shared, o: Option<u32>, v: &mut [f64]) {
     let t = std::time::Instant::now();
     v.sort_by(|x, y| x.partial_cmp(y).unwrap());
     let r = s.results.lock();
     let g = s.state.lock();
-    let table = Table::new(\"t\", &[\"a\", \"drifted\"]);
-    let _ = (t, r, g, table, o.unwrap());
+    let _ = (t, r, g, o.unwrap());
 }
 ";
     let root = scratch_repo("seeded", lib);
@@ -62,7 +56,6 @@ fn run(s: &Shared, o: Option<u32>, v: &mut [f64]) {
         "float-ordering",
         "panic-freedom",
         "lock-order",
-        "schema-sync",
     ] {
         assert!(
             outcome.diagnostics.iter().any(|d| d.rule == rule),
@@ -81,14 +74,11 @@ fn run(s: &Shared, o: Option<u32>, v: &mut [f64]) {
 #[test]
 fn a_clean_tree_is_clean_and_reports_its_waivers() {
     let lib = "\
-pub const SCHEMAS: &[(&str, &str)] = &[(\"out.csv\", \"a,b\")];
-
 fn run(v: &mut [f64]) {
     v.sort_by(|x, y| x.total_cmp(y));
     // emca-lint: allow(determinism) — scratch fixture proving waivers surface in the outcome
     let t = std::time::Instant::now();
-    let table = Table::new(\"t\", &[\"a\", \"b\"]);
-    let _ = (t, table);
+    let _ = t;
 }
 ";
     let root = scratch_repo("clean", lib);

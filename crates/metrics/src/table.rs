@@ -27,11 +27,27 @@ impl Table {
         }
     }
 
-    /// Appends a row of pre-formatted cells. The row is padded or truncated
-    /// to the header arity so misaligned calls are visible, not fatal.
+    /// Creates a table from a declared CSV header line (`"a,b,c"`), so a
+    /// results file's columns are spelled once: in the schema its
+    /// scenario declares.
+    pub fn with_header(title: impl Into<String>, header: &str) -> Self {
+        Table::new(title, &header.split(',').collect::<Vec<_>>())
+    }
+
+    /// Appends a row of pre-formatted cells.
+    ///
+    /// # Panics
+    /// When the row's width differs from the header's: a padded or
+    /// truncated row would write a rectangular CSV with shifted columns
+    /// that no later check can see.
     pub fn row(&mut self, cells: Vec<String>) -> &mut Self {
-        let mut cells = cells;
-        cells.resize(self.headers.len(), String::new());
+        assert!(
+            cells.len() == self.headers.len(),
+            "table {:?}: row has {} cells, header has {} columns",
+            self.title,
+            cells.len(),
+            self.headers.len()
+        );
         self.rows.push(cells);
         self
     }
@@ -157,11 +173,22 @@ mod tests {
     }
 
     #[test]
-    fn short_rows_are_padded() {
-        let mut t = Table::new("", &["a", "b", "c"]);
-        t.row(vec!["1".into()]);
-        assert_eq!(t.rows[0].len(), 3);
-        assert_eq!(t.n_rows(), 1);
+    #[should_panic(expected = "table \"demo\": row has 1 cells, header has 3 columns")]
+    fn short_rows_are_rejected() {
+        Table::new("demo", &["a", "b", "c"]).row(vec!["1".into()]);
+    }
+
+    #[test]
+    #[should_panic(expected = "table \"demo\": row has 3 cells, header has 2 columns")]
+    fn long_rows_are_rejected() {
+        Table::new("demo", &["a", "b"]).row_display(&[1, 2, 3]);
+    }
+
+    #[test]
+    fn with_header_splits_the_declared_line() {
+        let mut t = Table::with_header("t", "a,b,c");
+        t.row(vec!["1".into(), "x,y".into(), "say \"hi\"".into()]);
+        assert_eq!(t.to_csv(), "a,b,c\n1,\"x,y\",\"say \"\"hi\"\"\"\n");
     }
 
     #[test]

@@ -228,16 +228,6 @@ impl Kernel {
         self.groups[group.0 as usize].demand_ns
     }
 
-    /// Live (unfinished) members of a group.
-    pub fn group_members(&self, group: GroupId) -> Vec<Tid> {
-        self.groups[group.0 as usize]
-            .members
-            .iter()
-            .copied()
-            .filter(|t| self.threads[t.idx()].is_live())
-            .collect()
-    }
-
     /// Number of group members that are runnable or running right now —
     /// the instantaneous CPU demand an `mpstat`/loadavg snapshot sees.
     pub fn group_runnable(&self, group: GroupId) -> usize {
@@ -310,35 +300,6 @@ impl Kernel {
         tid
     }
 
-    /// Sets a thread's affinity (`pthread_setaffinity_np` analogue),
-    /// migrating it if its current core becomes disallowed.
-    pub fn set_thread_affinity(&mut self, tid: Tid, affinity: CoreMask) {
-        self.affinities[tid.idx()] = affinity;
-        let slot = &self.threads[tid.idx()];
-        if !slot.is_live() {
-            return;
-        }
-        let allowed = self.allowed_mask(tid);
-        match slot.state {
-            ThreadState::Running => {
-                let core = slot.core.expect("running thread without core");
-                if !allowed.contains(core) {
-                    self.deschedule(tid, core);
-                    self.enqueue(tid, None);
-                }
-            }
-            ThreadState::Runnable => {
-                let core = slot.core.expect("queued thread without core");
-                if !allowed.contains(core) {
-                    let vr = slot.vruntime;
-                    self.runqueues[core.idx()].remove(vr, tid);
-                    self.enqueue(tid, None);
-                }
-            }
-            _ => {}
-        }
-    }
-
     /// Wakes a blocked thread. Waking a running thread records a pending
     /// wake so a block racing with the wake is not lost; waking a
     /// runnable or finished thread is a no-op.
@@ -380,14 +341,6 @@ impl Kernel {
     /// Total threads ever spawned.
     pub fn n_threads(&self) -> usize {
         self.threads.len()
-    }
-
-    /// Number of runnable-or-running threads (system load).
-    pub fn n_runnable(&self) -> usize {
-        self.threads
-            .iter()
-            .filter(|t| matches!(t.state, ThreadState::Runnable | ThreadState::Running))
-            .count()
     }
 
     // ----- execution ------------------------------------------------------

@@ -123,8 +123,6 @@ pub struct ElasticNet {
     idle: PlaceId,
     stable: PlaceId,
     overload: PlaceId,
-    /// t0..t7 ids for label generation.
-    t: [TransitionId; 8],
 }
 
 impl ElasticNet {
@@ -163,21 +161,21 @@ impl ElasticNet {
         };
 
         // t0: Checks --(u <= thmin)--> Idle
-        let t0 = net.add_transition(Transition {
+        net.add_transition(Transition {
             name: "t0".into(),
             guard: Pred::var_cmp("u", Cmp::Le, thresholds.thmin),
             pre: vec![u_arc(checks)],
             post: vec![out_u(idle)],
         });
         // t1: Checks --(u >= thmax)--> Overload
-        let t1 = net.add_transition(Transition {
+        net.add_transition(Transition {
             name: "t1".into(),
             guard: Pred::var_cmp("u", Cmp::Ge, thresholds.thmax),
             pre: vec![u_arc(checks)],
             post: vec![out_u(overload)],
         });
         // t2: Checks --(thmin < u < thmax)--> Stable
-        let t2 = net.add_transition(Transition {
+        net.add_transition(Transition {
             name: "t2".into(),
             guard: Pred::and(
                 Pred::var_cmp("u", Cmp::Gt, thresholds.thmin),
@@ -187,35 +185,35 @@ impl ElasticNet {
             post: vec![out_u(stable)],
         });
         // t3: Stable --> Checks (monitor again)
-        let t3 = net.add_transition(Transition {
+        net.add_transition(Transition {
             name: "t3".into(),
             guard: Pred::True,
             pre: vec![u_arc(stable)],
             post: vec![out_u(checks)],
         });
         // t4: Idle + Provision --(nalloc > 1)--> Checks + Provision(nalloc-1)
-        let t4 = net.add_transition(Transition {
+        net.add_transition(Transition {
             name: "t4".into(),
             guard: Pred::var_cmp("nalloc", Cmp::Gt, 1),
             pre: vec![u_arc(idle), n_arc(provision)],
             post: vec![out_u(checks), out_n(provision, -1)],
         });
         // t5: Overload + Provision --(nalloc < ntotal)--> Checks + Provision(nalloc+1)
-        let t5 = net.add_transition(Transition {
+        net.add_transition(Transition {
             name: "t5".into(),
             guard: Pred::cmp(Expr::Var("nalloc"), Cmp::Lt, Expr::Var("ntotal")),
             pre: vec![u_arc(overload), n_arc(provision)],
             post: vec![out_u(checks), out_n(provision, 1)],
         });
         // t6: Overload + Provision --(nalloc == ntotal)--> Checks + Provision(nalloc)
-        let t6 = net.add_transition(Transition {
+        net.add_transition(Transition {
             name: "t6".into(),
             guard: Pred::cmp(Expr::Var("nalloc"), Cmp::Eq, Expr::Var("ntotal")),
             pre: vec![u_arc(overload), n_arc(provision)],
             post: vec![out_u(checks), out_n(provision, 0)],
         });
         // t7: Idle + Provision --(nalloc == 1)--> Checks + Provision(nalloc)
-        let t7 = net.add_transition(Transition {
+        net.add_transition(Transition {
             name: "t7".into(),
             guard: Pred::var_cmp("nalloc", Cmp::Eq, 1),
             pre: vec![u_arc(idle), n_arc(provision)],
@@ -235,7 +233,6 @@ impl ElasticNet {
             idle,
             stable,
             overload,
-            t: [t0, t1, t2, t3, t4, t5, t6, t7],
         }
     }
 
@@ -349,11 +346,6 @@ impl ElasticNet {
         }
         let n = self.nalloc();
         assert!((1..=self.ntotal).contains(&n), "nalloc out of bounds: {n}");
-    }
-
-    /// The ids of `t0..t7` (for tests and trace decoding).
-    pub fn transition_ids(&self) -> [TransitionId; 8] {
-        self.t
     }
 }
 

@@ -189,16 +189,6 @@ impl PrtNet {
         self.place_names.len()
     }
 
-    /// Number of transitions.
-    pub fn n_transitions(&self) -> usize {
-        self.transitions.len()
-    }
-
-    /// A place's name.
-    pub fn place_name(&self, p: PlaceId) -> &str {
-        &self.place_names[p.0]
-    }
-
     /// A transition's name.
     pub fn transition_name(&self, t: TransitionId) -> &str {
         &self.transitions[t.0].name

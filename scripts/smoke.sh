@@ -100,12 +100,13 @@ esac
 mkdir -p "$out"
 if [ "$mode" != all ]; then
     # EMCA_THREADS caps the worker pool at a CI runner's size instead of
-    # the simulated machine's 16 cores, and EMCA_WALL_BUDGET_S turns a
+    # the simulated machine's 16 cores, EMCA_RUN_DEADLINE_S turns a
     # hung pool (a lost wakeup, a deadlocked worker) into a loud panic
-    # rather than a stuck job. Neither is ever exported to `cargo test`:
-    # a capped pool partitions work differently, and the sim-vs-threads
-    # equivalence tests skip themselves under it.
-    export EMCA_THREADS=4 EMCA_WALL_BUDGET_S=120
+    # rather than a stuck job, and EMCA_WALL_BUDGET_S fails a run that
+    # finished but blew its `[wall]` budget. None is ever exported to
+    # `cargo test`: a capped pool partitions work differently, and the
+    # sim-vs-threads equivalence tests skip themselves under it.
+    export EMCA_THREADS=4 EMCA_RUN_DEADLINE_S=120 EMCA_WALL_BUDGET_S=120
 fi
 check=()
 case "$mode" in
