@@ -1,4 +1,5 @@
-//! Ablation of the calibration choices documented in DESIGN.md §5b:
+//! Ablation of the calibration choices of docs/ARCHITECTURE.md, "The
+//! control loop":
 //!
 //! 1. load signal: instantaneous demand vs windowed average vs HT/IMC;
 //! 2. the Eq. 1 memory-saturation guard: on vs off;

@@ -16,11 +16,30 @@
 //!
 //! Operators materialise partition-wise: each task allocates and
 //! first-touches its own output slice, so intermediates spread across the
-//! NUMA nodes that ran the operator. Identical sub-plans across concurrent
-//! clients share evaluated results through a memo cache (a simulator
-//! optimisation: simulated time and traffic are charged per execution
-//! regardless; see DESIGN.md §4).
+//! NUMA nodes that ran the operator.
+//!
+//! Two layers keep the simulator from recomputing what it already knows,
+//! and they answer different questions:
+//!
+//! - The per-engine **memo** decides *what is charged*. Identical
+//!   sub-plans across an engine's concurrent clients share one result; a
+//!   hit charges an even split of the node's rows over its partitions, a
+//!   miss each partition's actual rows. Simulated time and traffic are
+//!   charged per execution either way, and every committed CSV depends
+//!   on exactly this rule, so it is pinned at schedule time and never
+//!   consults anything outside the engine.
+//! - The dataset's **evaluation cache** (`exec/cache.rs`) decides
+//!   *whether kernels run*. A memo miss whose node some engine over the
+//!   same [`TpchData`] already evaluated — the previous run of a sweep,
+//!   another churn tenant — is charged from the recorded actual rows
+//!   instead of being evaluated again: same charge items, same simulated
+//!   allocation, no kernel.
+//!
+//! They stay separate because folding them would change what a miss is
+//! charged, and with it every simulated number (docs/ARCHITECTURE.md,
+//! "What each executor adds").
 
+use crate::exec::cache::{EvalCache, Evaluated};
 use crate::exec::cost;
 use crate::exec::dataflow::{Commit, Deques, Flow};
 use crate::exec::eval;
@@ -146,16 +165,27 @@ impl QueryResult {
     }
 }
 
+/// How a node's tasks get their partials, pinned at schedule time so
+/// every partition of the node — a fault-requeued one included — takes
+/// the same path while other queries and tenants fill or flush the memo
+/// and the dataset cache under it.
+enum Pin {
+    /// Run the kernels; charge the rows each partition produces.
+    Evaluate,
+    /// Engine memo hit: charge an even split of the node's rows.
+    Memo(MemoEntry),
+    /// Dataset cache hit: charge the rows each partition produced when
+    /// it was evaluated.
+    Cached(Arc<Evaluated>),
+}
+
 /// What the simulator keeps per node beside the [`Flow`]'s record: where
-/// the output lives in simulated memory, and the memo shortcut.
+/// the output lives in simulated memory, and the reuse shortcut.
 struct SimNode {
     storage: NodeStorage,
     /// Out-of-order completed regions, committed sorted at finalize.
     pending_regions: Vec<(u32, usize, numa_sim::Region)>,
-    /// Memo snapshot pinned at schedule time, so every partition of the
-    /// node takes the same evaluate-vs-reuse path (the memo may be
-    /// filled or flushed concurrently by other queries).
-    memo_hit: Option<(Mat, Vec<usize>)>,
+    pin: Pin,
     /// Shared output buffer of fixed-width value operators: partitions
     /// write disjoint slices in place, finalize moves the buffer into
     /// the Mat without a concat copy.
@@ -171,9 +201,12 @@ struct QueryRun {
     fingerprints: Vec<u64>,
 }
 
+/// What the engine memo keeps per fingerprint: the rows a hit is charged
+/// for, and the shared value.
+#[derive(Clone)]
 struct MemoEntry {
-    mat: Mat,
-    part_rows: Vec<usize>,
+    rows: usize,
+    evaluated: Arc<Evaluated>,
 }
 
 /// Task queues per flavor: the MonetDB flavor uses the worker deques,
@@ -212,6 +245,8 @@ pub struct EngineCore {
     pub catalog: Catalog,
     store: BatStore,
     space: Option<SpaceId>,
+    /// The loaded dataset's evaluation cache.
+    eval_cache: Option<EvalCache>,
     queries: FxHashMap<u64, QueryRun>,
     next_qid: u64,
     next_stream: u64,
@@ -229,6 +264,9 @@ pub struct EngineCore {
     item_pool: Vec<Vec<ChargeItem>>,
     /// Reusable read-segment gather buffer for task preparation.
     seg_scratch: Vec<SegId>,
+    /// Partition tasks whose kernels ran (the rest were served by the
+    /// memo or the dataset cache).
+    kernel_tasks: u64,
 }
 
 /// Upper bound on pooled charge-item vectors (one per in-flight task is
@@ -278,6 +316,7 @@ impl Engine {
                 catalog: Catalog::new(),
                 store: BatStore::new(),
                 space: None,
+                eval_cache: None,
                 queries: FxHashMap::default(),
                 next_qid: 0,
                 next_stream: 1,
@@ -291,6 +330,7 @@ impl Engine {
                 parked: Vec::new(),
                 item_pool: Vec::new(),
                 seg_scratch: Vec::new(),
+                kernel_tasks: 0,
             })),
         }
     }
@@ -305,8 +345,8 @@ impl Engine {
         self.core.borrow()
     }
 
-    /// Loads the generated database: creates the DBMS address space and
-    /// registers base BATs.
+    /// Loads the generated database: creates the DBMS address space,
+    /// registers base BATs and binds the dataset's evaluation cache.
     ///
     /// `loader_core` controls page placement:
     ///
@@ -328,6 +368,7 @@ impl Engine {
         assert!(core.space.is_none(), "engine already loaded");
         let space = machine.create_space();
         core.space = Some(space);
+        core.eval_cache = Some(data.eval_cache().clone());
         for table in &data.tables {
             let tname: &'static str = table.name;
             for gc in &table.columns {
@@ -421,8 +462,8 @@ impl Engine {
             ctx.wake(ctx.tid);
             return qid;
         }
-        for tid in core.worker_tids.clone() {
-            ctx.wake(tid);
+        for i in 0..core.worker_tids.len() {
+            ctx.wake(core.worker_tids[i]);
         }
         qid
     }
@@ -485,7 +526,7 @@ impl EngineCore {
             .map(|op| SimNode {
                 storage: NodeStorage::new(out_row_bytes(op).max(4)),
                 pending_regions: Vec::new(),
-                memo_hit: None,
+                pin: Pin::Evaluate,
                 out_vals: None,
             })
             .collect();
@@ -504,20 +545,24 @@ impl EngineCore {
         qid
     }
 
-    /// Splits a ready node into tasks and enqueues them, pinning the
-    /// node's memo snapshot first.
+    /// Splits a ready node into tasks and enqueues them, pinning how
+    /// they get their partials: the memo first, then the dataset cache.
     fn schedule_node(&mut self, qid: QueryId, node: NodeId) {
         let workers = self.worker_tids.len();
         let run = self.queries.get_mut(&qid.0).expect("scheduling dead query");
-        run.side[node.idx()].memo_hit = self
-            .memo
-            .get(&run.fingerprints[node.idx()])
-            .map(|e| (e.mat.clone(), e.part_rows.clone()));
         let primary_len = run.flow.primary_len(node, |t| self.catalog.rows(t));
+        let mut n_parts = 0;
         for task in run.flow.schedule(node, primary_len, workers) {
+            n_parts = task.n_parts;
             self.stats.tasks_created += 1;
             self.queues.push(self.cfg.flavor, task);
         }
+        let fp = run.fingerprints[node.idx()];
+        let cache = self.eval_cache.as_ref().expect("engine not loaded");
+        run.side[node.idx()].pin = match self.memo.get(&fp) {
+            Some(entry) => Pin::Memo(entry.clone()),
+            None => cache.get(fp, n_parts).map_or(Pin::Evaluate, Pin::Cached),
+        };
     }
 
     /// Pops the next task for worker `worker_idx` running on NUMA node
@@ -680,10 +725,18 @@ impl EngineCore {
 
         // ---- evaluate (or reuse) ---------------------------------------
         let i = task.node.idx();
-        let (partial, out_rows) = if let Some((_, part_rows)) = &run.side[i].memo_hit {
-            let rows = memo_part_rows(part_rows, task.part, task.n_parts);
+        let reused_rows = match &run.side[i].pin {
+            Pin::Evaluate => None,
+            Pin::Memo(entry) => {
+                let (s, e) = part_range(entry.rows, task.part, task.n_parts);
+                Some(e - s)
+            }
+            Pin::Cached(evaluated) => Some(evaluated.part_rows[task.part as usize]),
+        };
+        let (partial, out_rows) = if let Some(rows) = reused_rows {
             (Partial::Reuse, rows)
         } else {
+            self.kernel_tasks += 1;
             // Fixed-width value operators write their partition's slice
             // into a node-level shared buffer (no finalize concat); the
             // buffer's type and size are known before evaluation.
@@ -781,8 +834,9 @@ impl EngineCore {
         }
     }
 
-    /// Finalizes a node whose tasks all completed: assembles the Mat,
-    /// fills the memo, unblocks dependents, completes the query.
+    /// Finalizes a node whose tasks all completed: assembles the Mat (a
+    /// node whose kernels ran also fills the dataset cache), fills the
+    /// memo, unblocks dependents, completes the query.
     fn finalize_node(
         &mut self,
         qid: QueryId,
@@ -794,48 +848,60 @@ impl EngineCore {
         let run = self.queries.get_mut(&qid.0).expect("dead query");
         let sn = &mut run.side[node.idx()];
         let out_vals = sn.out_vals.take();
-        let memo_hit = sn.memo_hit.take();
+        let pin = std::mem::replace(&mut sn.pin, Pin::Evaluate);
         sn.pending_regions.sort_by_key(|&(p, _, _)| p);
         for (_, rows, region) in sn.pending_regions.drain(..) {
             sn.storage.push_part(rows, region);
         }
         let rows = sn.storage.rows();
-        // Partials are handed to assembly by value: single-partition
-        // nodes move their buffers straight into the Mat instead of
-        // copying, and group/hash partials merge without clones.
-        let mat = match memo_hit {
-            Some((mat, _)) => {
+        let fp = run.fingerprints[node.idx()];
+        let evaluated = match pin {
+            Pin::Memo(MemoEntry { evaluated, .. }) | Pin::Cached(evaluated) => {
                 debug_assert!(
                     partials.iter().all(|p| matches!(p, Some(Partial::Reuse))),
-                    "memo-pinned node produced real partials"
+                    "reuse-pinned node produced real partials"
                 );
-                mat
+                evaluated
             }
-            None => assemble_parts(
-                run.flow.plan().node(node),
-                &RunInputs {
-                    run,
-                    catalog: &self.catalog,
-                    store: &self.store,
-                },
-                partials,
-                out_vals,
-            ),
+            // Only here are the partials' rows the actual ones (a
+            // memo-served node carries the even split), so only a node
+            // whose kernels ran fills the dataset cache.
+            Pin::Evaluate => {
+                let part_rows = partials
+                    .iter()
+                    .map(|p| p.as_ref().map_or(0, partial_rows))
+                    .collect();
+                // Partials are handed to assembly by value:
+                // single-partition nodes move their buffers straight
+                // into the Mat instead of copying, and group/hash
+                // partials merge without clones.
+                let mat = assemble_parts(
+                    run.flow.plan().node(node),
+                    &RunInputs {
+                        run,
+                        catalog: &self.catalog,
+                        store: &self.store,
+                    },
+                    partials,
+                    out_vals,
+                );
+                let cache = self.eval_cache.as_ref().expect("engine not loaded");
+                cache.insert(fp, mat, part_rows)
+            }
         };
         // Fill the memo (bounded by epoch flush).
-        let fp = run.fingerprints[node.idx()];
         if !self.memo.contains_key(&fp) {
             if self.memo.len() >= self.cfg.memo_capacity {
                 self.memo.clear();
             }
             let entry = MemoEntry {
-                mat: mat.clone(),
-                part_rows: vec![rows],
+                rows,
+                evaluated: Arc::clone(&evaluated),
             };
             self.memo.insert(fp, entry);
         }
 
-        let (ready, done) = run.flow.finalize(node, mat);
+        let (ready, done) = run.flow.finalize(node, evaluated.mat.clone());
         for d in ready {
             self.schedule_node(qid, d);
         }
@@ -940,8 +1006,8 @@ impl EngineCore {
         }
         self.queues.deques.rehome(idx);
         // Survivors may now have work they were never woken for.
-        for tid in self.worker_tids.clone() {
-            ctx.wake(tid);
+        for i in 0..self.worker_tids.len() {
+            ctx.wake(self.worker_tids[i]);
         }
     }
 }
@@ -1380,12 +1446,6 @@ fn partial_rows(p: &Partial) -> usize {
     }
 }
 
-fn memo_part_rows(part_rows: &[usize], part: u32, n_parts: u32) -> usize {
-    let total: usize = part_rows.iter().sum();
-    let (s, e) = part_range(total, part, n_parts);
-    e - s
-}
-
 fn out_row_bytes(op: &PhysOp) -> u64 {
     match op {
         PhysOp::ScanSelect { .. } | PhysOp::SelectAnd { .. } | PhysOp::SelectColCmp { .. } => 4,
@@ -1571,5 +1631,149 @@ impl EngineCore {
             self.parked.resize_with(idx + 1, || None);
         }
         self.parked[idx] = Some(cursor);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::client::{drain_results, spawn_clients, Workload};
+    use crate::tpch::{QuerySpec, TpchScale};
+    use os_sim::{CoreMask, GroupId, Kernel, ThreadState};
+
+    /// One simulated machine with an engine loaded from `data`.
+    struct Stack {
+        kernel: Kernel,
+        engine: Engine,
+        group: GroupId,
+    }
+
+    /// `n_workers` 0 = one per core (16).
+    fn stack(data: &TpchData, n_workers: usize) -> Stack {
+        let mut kernel = Kernel::opteron_4x4();
+        let engine = Engine::new(
+            EngineConfig {
+                n_workers,
+                ..EngineConfig::default()
+            },
+            kernel.machine().topology().n_nodes(),
+        );
+        engine.load(kernel.machine_mut(), data, Some(numa_sim::CoreId(0)));
+        let group = kernel.create_group(CoreMask::all(kernel.machine().topology()));
+        engine.start_workers(&mut kernel, group);
+        Stack {
+            kernel,
+            engine,
+            group,
+        }
+    }
+
+    impl Stack {
+        /// Runs `workload` on two new clients to completion (the second
+        /// client's sub-plans hit the memo). Returns everything simulated
+        /// that a result carries, and the clock.
+        fn run(&mut self, workload: Workload) -> (Vec<String>, SimTime) {
+            let logs = spawn_clients(&mut self.kernel, &self.engine, self.group, 2, workload);
+            let done = self.kernel.run_until_cond(SimTime::from_secs(3_000), |k| {
+                (0..k.n_threads() as u32).map(Tid).all(|t| {
+                    !k.thread_name(t).starts_with("client")
+                        || k.thread_state(t) == ThreadState::Finished
+                })
+            });
+            assert!(done, "clients did not finish");
+            let results = drain_results(&logs)
+                .iter()
+                .map(|r| {
+                    format!(
+                        "{} {:?} {:?} {:?} {:?}",
+                        r.label, r.submitted, r.finished, r.traffic, r.result
+                    )
+                })
+                .collect();
+            (results, self.kernel.now())
+        }
+
+        fn kernel_tasks(&self) -> u64 {
+            self.engine.core_ref().kernel_tasks
+        }
+    }
+
+    /// 60 k lineitem rows: 15 partitions at 16 workers, 4 at 4 — enough
+    /// that partitions of one node produce visibly different row counts.
+    const SF_001: TpchScale = TpchScale { sf: 0.01, seed: 42 };
+
+    fn tpch(numbers: &[u8]) -> Workload {
+        Workload::StablePhases {
+            specs: numbers
+                .iter()
+                .map(|&number| QuerySpec::Tpch { number, variant: 0 })
+                .collect(),
+        }
+    }
+
+    #[test]
+    fn second_engine_over_a_dataset_runs_no_kernels() {
+        let all: Vec<u8> = (1..=22).collect();
+        let data = TpchData::generate(SF_001);
+        let mut first = stack(&data, 0);
+        let cold = first.run(tpch(&all));
+        assert!(first.kernel_tasks() > 0);
+        let executed = first.engine.stats().tasks_executed;
+        assert!(
+            first.kernel_tasks() < executed,
+            "the second client is memo-served"
+        );
+
+        let mut second = stack(&data, 0);
+        let warm = second.run(tpch(&all));
+        assert_eq!(second.kernel_tasks(), 0, "every node was already evaluated");
+        assert_eq!(second.engine.stats().tasks_executed, executed);
+        assert_eq!(warm, cold, "simulated time cannot tell the two apart");
+    }
+
+    #[test]
+    fn memo_served_node_does_not_fill_the_cache() {
+        let data = TpchData::generate(TpchScale::test_tiny());
+        let mut engine = stack(&data, 0);
+        engine.run(tpch(&[6]));
+        let ran = engine.kernel_tasks();
+        assert!(ran > 0 && !data.eval_cache().is_empty());
+
+        // With the dataset cache emptied under it, the engine's memo
+        // still serves every node of a repeat — at even-split rows, which
+        // must not be recorded as what the partitions produced.
+        data.eval_cache().clear();
+        engine.run(tpch(&[6]));
+        assert_eq!(engine.kernel_tasks(), ran, "the repeat is memo-served");
+        assert!(data.eval_cache().is_empty());
+
+        // So the next engine evaluates again, and agrees with a fresh one.
+        let mut next = stack(&data, 0);
+        let got = next.run(tpch(&[6]));
+        assert_eq!(next.kernel_tasks(), ran);
+        let fresh = TpchData::generate(TpchScale::test_tiny());
+        assert_eq!(got, stack(&fresh, 0).run(tpch(&[6])));
+    }
+
+    #[test]
+    fn another_pool_width_misses_instead_of_reading_wrong_rows() {
+        let scale = SF_001;
+        let queries = [1, 3, 6, 12];
+        let data = TpchData::generate(scale);
+        stack(&data, 16).run(tpch(&queries));
+        let mut narrow = stack(&data, 4);
+        let got = narrow.run(tpch(&queries));
+        assert!(
+            narrow.kernel_tasks() > 0,
+            "nodes split 4 ways were never evaluated"
+        );
+
+        let fresh = TpchData::generate(scale);
+        let mut twin = stack(&fresh, 4);
+        assert_eq!(got, twin.run(tpch(&queries)));
+        assert!(
+            narrow.kernel_tasks() < twin.kernel_tasks(),
+            "single-partition nodes are shared across widths"
+        );
     }
 }

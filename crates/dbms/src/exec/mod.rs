@@ -1,6 +1,7 @@
 //! Query execution: MAL-style plans, partitioned tasks, the worker pool
 //! and the two engine flavors.
 
+pub(crate) mod cache;
 pub mod cost;
 pub(crate) mod dataflow;
 pub mod engine;

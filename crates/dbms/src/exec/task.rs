@@ -66,8 +66,8 @@ pub enum Partial {
     /// with the global build-row index space (chains are linked once at
     /// finalize, over the concatenated key array).
     BuildKeys(Vec<i64>),
-    /// Memo hit: the node's value is already cached; the finalize step
-    /// reuses it (timing still charged).
+    /// Memo or dataset-cache hit: the node's value already exists; the
+    /// finalize step reuses it (timing still charged).
     Reuse,
 }
 

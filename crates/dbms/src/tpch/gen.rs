@@ -9,6 +9,7 @@
 //! spread over 1992–1998, 25 nations in 5 regions, low-cardinality
 //! dictionary columns with uniform codes.
 
+use crate::exec::cache::EvalCache;
 use crate::storage::bat::ColData;
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
@@ -99,6 +100,9 @@ pub struct TpchData {
     pub tables: Vec<GenTable>,
     /// The scale it was generated at.
     pub scale: TpchScale,
+    /// What plan nodes evaluate to over these tables, shared by every
+    /// simulated engine loaded from them.
+    eval_cache: EvalCache,
 }
 
 fn i64_col(name: &'static str, v: Vec<i64>) -> GenColumn {
@@ -309,7 +313,16 @@ impl TpchData {
             },
         ];
 
-        TpchData { tables, scale }
+        TpchData {
+            eval_cache: EvalCache::new(raw_bytes(&tables)),
+            tables,
+            scale,
+        }
+    }
+
+    /// The dataset's evaluation cache (bound by `Engine::load`).
+    pub(crate) fn eval_cache(&self) -> &EvalCache {
+        &self.eval_cache
     }
 
     /// Finds a table by name.
@@ -333,12 +346,16 @@ impl TpchData {
 
     /// Total raw bytes across all columns (8 bytes per value).
     pub fn raw_bytes(&self) -> u64 {
-        self.tables
-            .iter()
-            .flat_map(|t| t.columns.iter())
-            .map(|c| c.data.len() as u64 * 8)
-            .sum()
+        raw_bytes(&self.tables)
     }
+}
+
+fn raw_bytes(tables: &[GenTable]) -> u64 {
+    tables
+        .iter()
+        .flat_map(|t| t.columns.iter())
+        .map(|c| c.data.len() as u64 * 8)
+        .sum()
 }
 
 #[cfg(test)]

@@ -759,6 +759,36 @@ mod tests {
     }
 
     #[test]
+    fn churn_over_a_warm_dataset_replays_exactly() {
+        // Tenants share the dataset's evaluation cache: the first run
+        // fills it (tenant by tenant), the second finds everything.
+        // Neither may differ from a run over a dataset nobody touched.
+        let churn = |data: &TpchData| {
+            let plan = ChurnSpec::parse("8:resident=3:spread=0.05")
+                .unwrap()
+                .plan(42, 2, 2);
+            let cfg = MultiTenantConfig::new(ArbiterMode::FairShare, plan.tenant_configs())
+                .with_scale(data.scale)
+                .with_mech_interval(SimDuration::from_millis(2))
+                .with_resident_cap(plan.resident);
+            let out = run_tenants_churn(cfg, data);
+            let results: Vec<_> = out
+                .tenants
+                .iter()
+                .flat_map(|t| &t.results)
+                .map(|r| (r.label.clone(), r.finished, format!("{:?}", r.result)))
+                .collect();
+            let arbiter = (out.arbiter_ticks, out.arbiter_denials, out.arbiter_yields);
+            (results, out.wall, arbiter, out.errors)
+        };
+        let shared = TpchData::generate(TpchScale::test_tiny());
+        let cold = churn(&shared);
+        let warm = churn(&shared);
+        assert_eq!(cold, warm);
+        assert_eq!(warm, churn(&TpchData::generate(TpchScale::test_tiny())));
+    }
+
+    #[test]
     fn sla_governor_holds_under_churn() {
         // The follow-on gate of the lifecycle fold: a churned tenant's
         // SLA budgets are enforced by the same governor wrap as a

@@ -467,6 +467,51 @@ mod tests {
         assert_eq!(a.wall, b.wall, "even the clock must agree");
     }
 
+    /// Everything simulated a run reports, rendered.
+    fn simulated(o: &RunOutput) -> String {
+        let results: Vec<_> = o
+            .results
+            .iter()
+            .map(|r| (&r.label, r.submitted, r.finished, &r.result))
+            .collect();
+        format!(
+            "{:?} {} {:?} {} {:?} {results:?}",
+            o.wall,
+            o.transitions.len(),
+            o.imc_bytes_per_socket(),
+            o.ht_bytes(),
+            o.errors
+        )
+    }
+
+    #[test]
+    fn a_warm_dataset_changes_no_simulated_number() {
+        use volcano_db::exec::{FaultPlan, Flavor};
+        let mixed = Workload::Mixed {
+            specs: (1..=22)
+                .flat_map(|number| (0..4).map(move |variant| QuerySpec::Tpch { number, variant }))
+                .collect(),
+            iterations: 3,
+            seed: 7,
+        };
+        let base = RunConfig::new(Alloc::Adaptive, 8, mixed).with_scale(TpchScale::test_tiny());
+        let faulted = base.clone().with_faults(
+            FaultPlan::default()
+                .with_kill(0, SimDuration::from_millis(1))
+                .with_badquery(0.25),
+        );
+        let shared = tiny_data();
+        for cfg in [base.clone(), base.with_flavor(Flavor::SqlServer), faulted] {
+            // The first run may find nodes an earlier configuration
+            // left; the second finds every one of its own.
+            let first = simulated(&run(cfg.clone(), &shared));
+            let second = simulated(&run(cfg.clone(), &shared));
+            let fresh = simulated(&run(cfg, &tiny_data()));
+            assert_eq!(first, fresh);
+            assert_eq!(second, fresh);
+        }
+    }
+
     #[test]
     fn trace_collects_spans() {
         let data = tiny_data();

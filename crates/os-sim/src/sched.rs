@@ -71,6 +71,11 @@ pub struct SchedStats {
 struct Group {
     mask: CoreMask,
     members: Vec<Tid>,
+    /// Members that are runnable or running, kept current where a thread
+    /// enters or leaves that set (spawn, wake, block, finish) — groups
+    /// are never removed, so recounting `members` every tick would cost
+    /// every tenant ever admitted.
+    runnable: usize,
     busy_ns: u64,
     /// Time-integrated CPU demand: Σ over ticks of
     /// `runnable_members × tick`. A monitor's per-interval delta of this
@@ -206,6 +211,7 @@ impl Kernel {
         self.groups.push(Group {
             mask,
             members: Vec::new(),
+            runnable: 0,
             busy_ns: 0,
             demand_ns: 0,
         });
@@ -231,7 +237,14 @@ impl Kernel {
     /// Number of group members that are runnable or running right now —
     /// the instantaneous CPU demand an `mpstat`/loadavg snapshot sees.
     pub fn group_runnable(&self, group: GroupId) -> usize {
-        self.groups[group.0 as usize]
+        let g = &self.groups[group.0 as usize];
+        debug_assert_eq!(g.runnable, self.recount_runnable(g));
+        g.runnable
+    }
+
+    /// What [`Group::runnable`] must equal (checked in debug builds).
+    fn recount_runnable(&self, group: &Group) -> usize {
+        group
             .members
             .iter()
             .filter(|t| {
@@ -295,6 +308,7 @@ impl Kernel {
         self.affinities
             .push(affinity.unwrap_or_else(|| CoreMask::all(self.machine.topology())));
         self.groups[group.0 as usize].members.push(tid);
+        self.groups[group.0 as usize].runnable += 1;
         self.stats.spawned += 1;
         self.enqueue(tid, None);
         tid
@@ -309,6 +323,7 @@ impl Kernel {
                 self.threads[tid.idx()].state = ThreadState::Runnable;
                 self.threads[tid.idx()].stats.wakeups += 1;
                 self.stats.wakeups += 1;
+                self.groups[self.threads[tid.idx()].group.0 as usize].runnable += 1;
                 self.enqueue(tid, None);
             }
             ThreadState::Running => {
@@ -431,13 +446,16 @@ impl Kernel {
                         self.enqueue(tid, Some(core));
                     } else {
                         slot.state = ThreadState::Blocked;
+                        self.groups[slot.group.0 as usize].runnable -= 1;
                     }
                 }
                 StepOutcome::Finished(_) => {
                     self.trace.on_stop(tid, end);
                     self.current[core_idx] = None;
-                    self.threads[tid.idx()].state = ThreadState::Finished;
-                    self.threads[tid.idx()].work = None;
+                    let slot = &mut self.threads[tid.idx()];
+                    slot.state = ThreadState::Finished;
+                    slot.work = None;
+                    self.groups[slot.group.0 as usize].runnable -= 1;
                 }
             }
             for w in wakes.drain(..) {
@@ -449,17 +467,11 @@ impl Kernel {
         // Integrate per-group CPU demand over the tick.
         let tick_ns = tick.as_nanos();
         for gi in 0..self.groups.len() {
-            let runnable = self.groups[gi]
-                .members
-                .iter()
-                .filter(|t| {
-                    matches!(
-                        self.threads[t.idx()].state,
-                        ThreadState::Runnable | ThreadState::Running
-                    )
-                })
-                .count() as u64;
-            self.groups[gi].demand_ns += runnable * tick_ns;
+            debug_assert_eq!(
+                self.groups[gi].runnable,
+                self.recount_runnable(&self.groups[gi])
+            );
+            self.groups[gi].demand_ns += self.groups[gi].runnable as u64 * tick_ns;
         }
         self.machine.end_tick();
         self.now += tick;
