@@ -13,6 +13,14 @@
 //! from it builds the same charge items and allocates the same simulated
 //! output as one that ran the kernels — simulated time cannot tell the
 //! two apart, only host time can.
+//!
+//! An entry also records what each partition *read*: the base-column
+//! segments its position gather touched (`Project`, `ProjectSide`,
+//! `SelectAnd`, `SelectColCmp` over candidates). Those are a pure
+//! function of the node's input positions — the very `Mat`s this cache
+//! holds — so every later task of the node, memo- or cache-served, maps
+//! the record onto the column instead of scanning the positions again,
+//! and emits the same read sequence the scan would.
 
 use crate::exec::mat::{FlatJoinMap, Mat};
 use emca_metrics::FxHashMap;
@@ -31,6 +39,10 @@ pub(crate) struct Evaluated {
     pub(crate) mat: Mat,
     /// Output rows each partition produced, in partition order.
     pub(crate) part_rows: Vec<usize>,
+    /// Per partition, the indices (relative to the column's region) of
+    /// the base-column segments its position gather touched; empty for
+    /// an operator that gathers no positions.
+    pub(crate) part_reads: Vec<Box<[u32]>>,
 }
 
 struct Entries {
@@ -49,9 +61,10 @@ impl Entries {
 }
 
 /// Shared handle to one dataset's evaluated nodes, keyed by
-/// `(fingerprint, n_parts)`: the partition count fixes both the recorded
-/// per-partition rows and the order float partials were merged in, so an
-/// engine of another width misses instead of reading a wrong row count.
+/// `(fingerprint, n_parts)`: the partition count fixes the recorded
+/// per-partition rows and reads and the order float partials were merged
+/// in, so an engine of another width misses instead of reading a wrong
+/// row count or a wrong partition's segments.
 #[derive(Clone)]
 pub(crate) struct EvalCache {
     evaluated: Arc<Mutex<Entries>>,
@@ -79,23 +92,23 @@ impl EvalCache {
     /// Records a node whose kernels just ran and returns the shared
     /// entry — the one already there when a concurrent tenant evaluated
     /// the same node first (the two are bit-identical; one copy is kept).
-    pub(crate) fn insert(
-        &self,
-        fingerprint: u64,
-        mat: Mat,
-        part_rows: Vec<usize>,
-    ) -> Arc<Evaluated> {
-        let key = (fingerprint, part_rows.len() as u32);
+    pub(crate) fn insert(&self, fingerprint: u64, evaluated: Evaluated) -> Arc<Evaluated> {
+        let key = (fingerprint, evaluated.part_rows.len() as u32);
+        debug_assert!(
+            evaluated.part_reads.is_empty()
+                || evaluated.part_reads.len() == evaluated.part_rows.len(),
+            "reads recorded for some partitions only"
+        );
         let mut entries = self.evaluated.lock().expect("eval cache poisoned");
         if let Some(existing) = entries.by_node.get(&key) {
             return Arc::clone(existing);
         }
-        let bytes = retained_bytes(&mat);
+        let bytes = retained_bytes(&evaluated);
         if entries.bytes + bytes > entries.budget {
             entries.flush();
         }
         entries.bytes += bytes;
-        let entry = Arc::new(Evaluated { mat, part_rows });
+        let entry = Arc::new(evaluated);
         entries.by_node.insert(key, Arc::clone(&entry));
         entry
     }
@@ -116,8 +129,9 @@ impl EvalCache {
 /// Heap bytes an entry keeps alive. A value vector's `origin` is the
 /// position vector of the node it was projected through, which has an
 /// entry of its own, so it is not counted twice.
-fn retained_bytes(mat: &Mat) -> u64 {
-    let bytes = match mat {
+fn retained_bytes(evaluated: &Evaluated) -> u64 {
+    let reads: usize = evaluated.part_reads.iter().map(|r| 4 * r.len()).sum();
+    let bytes = match &evaluated.mat {
         Mat::Pos(p) => 4 * p.pos.len(),
         Mat::Val(v) => 8 * v.data.len(),
         Mat::Pairs(p) => 4 * (p.probe.pos.len() + p.build.pos.len()),
@@ -128,7 +142,7 @@ fn retained_bytes(mat: &Mat) -> u64 {
             FlatJoinMap::Hashed { entries, heads, .. } => 16 * entries.len() + 4 * heads.len(),
         },
     };
-    bytes as u64
+    (bytes + reads) as u64
 }
 
 #[cfg(test)]
@@ -136,17 +150,22 @@ mod tests {
     use super::*;
     use crate::exec::mat::PosMat;
 
-    fn pos(rows: usize) -> Mat {
-        Mat::Pos(PosMat {
-            table: "lineitem",
-            pos: Arc::new(vec![0; rows]),
-        })
+    /// A position list of `rows` that read nothing, split as `part_rows`.
+    fn pos(rows: usize, part_rows: &[usize]) -> Evaluated {
+        Evaluated {
+            mat: Mat::Pos(PosMat {
+                table: "lineitem",
+                pos: Arc::new(vec![0; rows]),
+            }),
+            part_rows: part_rows.to_vec(),
+            part_reads: Vec::new(),
+        }
     }
 
     #[test]
     fn partition_count_is_part_of_the_key() {
         let cache = EvalCache::new(1 << 20);
-        cache.insert(7, pos(8), vec![3, 5]);
+        cache.insert(7, pos(8, &[3, 5]));
         assert_eq!(cache.get(7, 2).expect("filled").part_rows, [3, 5]);
         assert!(cache.get(7, 4).is_none(), "another width must miss");
         assert!(cache.get(8, 2).is_none());
@@ -155,8 +174,8 @@ mod tests {
     #[test]
     fn first_fill_wins() {
         let cache = EvalCache::new(1 << 20);
-        let a = cache.insert(7, pos(8), vec![8]);
-        let b = cache.insert(7, pos(8), vec![8]);
+        let a = cache.insert(7, pos(8, &[8]));
+        let b = cache.insert(7, pos(8, &[8]));
         assert!(Arc::ptr_eq(&a, &b));
     }
 
@@ -165,11 +184,24 @@ mod tests {
         // Budget: 8 × 150 = 1200 bytes; each entry retains 400.
         let cache = EvalCache::new(150);
         for fp in 0..3 {
-            cache.insert(fp, pos(100), vec![100]);
+            cache.insert(fp, pos(100, &[100]));
         }
         assert!(cache.get(0, 1).is_some());
-        cache.insert(3, pos(100), vec![100]);
+        cache.insert(3, pos(100, &[100]));
         assert!(cache.get(0, 1).is_none(), "the full epoch is dropped");
         assert!(cache.get(3, 1).is_some());
+    }
+
+    #[test]
+    fn recorded_reads_count_against_the_budget() {
+        // Budget: 8 × 100 = 800 bytes. 400 of positions plus 2 × 50
+        // recorded segment indices retain 800: the next entry flushes.
+        let cache = EvalCache::new(100);
+        let mut read = pos(100, &[60, 40]);
+        read.part_reads = vec![vec![0; 50].into(), vec![1; 50].into()];
+        cache.insert(0, read);
+        assert_eq!(cache.get(0, 2).expect("filled").part_reads[1][0], 1);
+        cache.insert(1, pos(1, &[1]));
+        assert!(cache.get(0, 2).is_none(), "the reads were counted");
     }
 }

@@ -35,6 +35,13 @@
 //!   instead of being evaluated again: same charge items, same simulated
 //!   allocation, no kernel.
 //!
+//! Each cache entry records rows *and* reads per partition: besides the
+//! rows it produced, the base-column segments a partition's position
+//! gather touched. A task pinned to a reused value (memo or cache) maps
+//! that record onto the column instead of scanning the positions again,
+//! so once a dataset has evaluated a node, its tasks cost only
+//! simulation.
+//!
 //! They stay separate because folding them would change what a miss is
 //! charged, and with it every simulated number (docs/ARCHITECTURE.md,
 //! "What each executor adds").
@@ -50,7 +57,9 @@ use crate::exec::par::QueryError;
 use crate::exec::plan::{ColRef, NodeId, PhysOp, Plan, Side};
 use crate::exec::task::{part_range, ChargeItem, Partial, QueryId, Task, TaskCursor};
 use crate::exec::tomograph::Tomograph;
-use crate::storage::bat::{Bat, BatStore, ColData};
+use crate::storage::bat::{
+    segment_indices_sorted_into, segment_indices_unsorted_into, Bat, BatStore, ColData,
+};
 use crate::storage::catalog::Catalog;
 use crate::tpch::gen::TpchData;
 use emca_metrics::{FxHashMap, SimDuration, SimTime};
@@ -186,6 +195,10 @@ struct SimNode {
     /// Out-of-order completed regions, committed sorted at finalize.
     pending_regions: Vec<(u32, usize, numa_sim::Region)>,
     pin: Pin,
+    /// Per partition, the base-column segment indices the position
+    /// gather touched — filled on the path that evaluates, recorded in
+    /// the dataset cache at finalize.
+    part_reads: Vec<Box<[u32]>>,
     /// Shared output buffer of fixed-width value operators: partitions
     /// write disjoint slices in place, finalize moves the buffer into
     /// the Mat without a concat copy.
@@ -264,9 +277,16 @@ pub struct EngineCore {
     item_pool: Vec<Vec<ChargeItem>>,
     /// Reusable read-segment gather buffer for task preparation.
     seg_scratch: Vec<SegId>,
+    /// Reusable base-column segment-index buffer for task preparation.
+    touched_scratch: Vec<u32>,
+    /// Reusable bitmap for gathering unsorted (join-pair) positions.
+    bitmap_scratch: Vec<u64>,
     /// Partition tasks whose kernels ran (the rest were served by the
     /// memo or the dataset cache).
     kernel_tasks: u64,
+    /// Partition tasks that scanned a position list for the segments it
+    /// touches (the rest gather no positions or reused a record).
+    position_scans: u64,
 }
 
 /// Upper bound on pooled charge-item vectors (one per in-flight task is
@@ -330,7 +350,10 @@ impl Engine {
                 parked: Vec::new(),
                 item_pool: Vec::new(),
                 seg_scratch: Vec::new(),
+                touched_scratch: Vec::new(),
+                bitmap_scratch: Vec::new(),
                 kernel_tasks: 0,
+                position_scans: 0,
             })),
         }
     }
@@ -527,6 +550,7 @@ impl EngineCore {
                 storage: NodeStorage::new(out_row_bytes(op).max(4)),
                 pending_regions: Vec::new(),
                 pin: Pin::Evaluate,
+                part_reads: Vec::new(),
                 out_vals: None,
             })
             .collect();
@@ -637,14 +661,43 @@ impl EngineCore {
 
         // ---- gather read segments -------------------------------------
         // Every source appends through the `*_into` forms, so no
-        // per-input vectors are allocated and the emitted sequence is
-        // unchanged.
+        // per-input vectors are allocated. Base columns read through a
+        // position list take the segments the node's evaluation recorded
+        // for this partition; only the path that evaluates scans the
+        // positions, and records what it found.
+        let i = task.node.idx();
+        let part = task.part as usize;
+        let mut touched = std::mem::take(&mut self.touched_scratch);
+        touched.clear();
+        let mut scanned = false;
+        let mat_of = |n: NodeId| run.flow.mat(n).expect("input ready");
+        if let Some((list, sorted)) = gathered_positions(op, mat_of, start, end) {
+            match &run.side[i].pin {
+                Pin::Memo(MemoEntry { evaluated, .. }) | Pin::Cached(evaluated) => {
+                    debug_assert_eq!(evaluated.part_reads.len(), task.n_parts as usize);
+                    touched.extend_from_slice(&evaluated.part_reads[part]);
+                    debug_assert_eq!(
+                        touched,
+                        {
+                            let mut scan = Vec::new();
+                            gather_indices(list, sorted, &mut Vec::new(), &mut scan);
+                            scan
+                        },
+                        "recorded reads differ from the scan"
+                    );
+                }
+                Pin::Evaluate => {
+                    self.position_scans += 1;
+                    scanned = true;
+                    gather_indices(list, sorted, &mut self.bitmap_scratch, &mut touched);
+                }
+            }
+        }
         {
             let side = &run.side;
             let read_node_rows = |node: NodeId, s: usize, e: usize, reads: &mut Vec<SegId>| {
                 side[node.idx()].storage.segments_for_rows_into(s, e, reads);
             };
-            let mat_of = |node: NodeId| run.flow.mat(node).expect("input ready");
             match &op {
                 PhysOp::ScanSelect { col, .. } => {
                     col_bat(col).segments_for_rows_into(start, end, &mut reads);
@@ -653,9 +706,7 @@ impl EngineCore {
                     candidates, col, ..
                 } => {
                     read_node_rows(*candidates, start, end, &mut reads);
-                    let cands = mat_of(*candidates);
-                    let slice = &cands.as_pos().pos[start..end];
-                    col_bat(col).segments_for_positions_into(slice, &mut reads);
+                    col_bat(col).segments_at_into(&touched, &mut reads);
                 }
                 PhysOp::SelectColCmp {
                     candidates,
@@ -665,10 +716,8 @@ impl EngineCore {
                 } => match candidates {
                     Some(c) => {
                         read_node_rows(*c, start, end, &mut reads);
-                        let cands = mat_of(*c);
-                        let slice = &cands.as_pos().pos[start..end];
-                        col_bat(left).segments_for_positions_into(slice, &mut reads);
-                        col_bat(right).segments_for_positions_into(slice, &mut reads);
+                        col_bat(left).segments_at_into(&touched, &mut reads);
+                        col_bat(right).segments_at_into(&touched, &mut reads);
                     }
                     None => {
                         col_bat(left).segments_for_rows_into(start, end, &mut reads);
@@ -677,18 +726,11 @@ impl EngineCore {
                 },
                 PhysOp::Project { positions, col } => {
                     read_node_rows(*positions, start, end, &mut reads);
-                    let pos = mat_of(*positions);
-                    let slice = &pos.as_pos().pos[start..end];
-                    col_bat(col).segments_for_positions_into(slice, &mut reads);
+                    col_bat(col).segments_at_into(&touched, &mut reads);
                 }
-                PhysOp::ProjectSide { pairs, side, col } => {
+                PhysOp::ProjectSide { pairs, col, .. } => {
                     read_node_rows(*pairs, start, end, &mut reads);
-                    let pm = mat_of(*pairs).as_pairs();
-                    let slice = match side {
-                        Side::Probe => &pm.probe.pos[start..end],
-                        Side::Build => &pm.build.pos[start..end],
-                    };
-                    col_bat(col).segments_for_positions_unsorted_into(slice, &mut reads);
+                    col_bat(col).segments_at_into(&touched, &mut reads);
                 }
                 PhysOp::BinOp { left, right, .. } => {
                     read_node_rows(*left, start, end, &mut reads);
@@ -718,13 +760,20 @@ impl EngineCore {
                 PhysOp::TopN { .. } => {}
             }
         }
+        if scanned {
+            let recorded = &mut run.side[i].part_reads;
+            if recorded.len() < task.n_parts as usize {
+                recorded.resize_with(task.n_parts as usize, Default::default);
+            }
+            recorded[part] = touched.as_slice().into();
+        }
+        self.touched_scratch = touched;
 
         let row_bytes = out_row_bytes(op);
         let mal_name = op.mal_name();
         let cycles_each = op_cycles(op);
 
         // ---- evaluate (or reuse) ---------------------------------------
-        let i = task.node.idx();
         let reused_rows = match &run.side[i].pin {
             Pin::Evaluate => None,
             Pin::Memo(entry) => {
@@ -849,6 +898,7 @@ impl EngineCore {
         let sn = &mut run.side[node.idx()];
         let out_vals = sn.out_vals.take();
         let pin = std::mem::replace(&mut sn.pin, Pin::Evaluate);
+        let part_reads = std::mem::take(&mut sn.part_reads);
         sn.pending_regions.sort_by_key(|&(p, _, _)| p);
         for (_, rows, region) in sn.pending_regions.drain(..) {
             sn.storage.push_part(rows, region);
@@ -886,7 +936,12 @@ impl EngineCore {
                     out_vals,
                 );
                 let cache = self.eval_cache.as_ref().expect("engine not loaded");
-                cache.insert(fp, mat, part_rows)
+                let evaluated = Evaluated {
+                    mat,
+                    part_rows,
+                    part_reads,
+                };
+                cache.insert(fp, evaluated)
             }
         };
         // Fill the memo (bounded by epoch flush).
@@ -1446,6 +1501,47 @@ fn partial_rows(p: &Partial) -> usize {
     }
 }
 
+/// The position list a partition gathers base columns through, and
+/// whether it is sorted (selection vectors are; one side of join pairs
+/// is not) — `None` for an operator that reads no base column by
+/// position.
+fn gathered_positions<'a>(
+    op: &PhysOp,
+    mat_of: impl Fn(NodeId) -> &'a Mat,
+    start: usize,
+    end: usize,
+) -> Option<(&'a [u32], bool)> {
+    match op {
+        PhysOp::SelectAnd { candidates, .. }
+        | PhysOp::SelectColCmp {
+            candidates: Some(candidates),
+            ..
+        }
+        | PhysOp::Project {
+            positions: candidates,
+            ..
+        } => Some((&mat_of(*candidates).as_pos().pos[start..end], true)),
+        PhysOp::ProjectSide { pairs, side, .. } => {
+            let pm = mat_of(*pairs).as_pairs();
+            let list = match side {
+                Side::Probe => &pm.probe.pos[start..end],
+                Side::Build => &pm.build.pos[start..end],
+            };
+            Some((list, false))
+        }
+        _ => None,
+    }
+}
+
+/// Appends the segment indices a position list touches.
+fn gather_indices(list: &[u32], sorted: bool, bitmap: &mut Vec<u64>, out: &mut Vec<u32>) {
+    if sorted {
+        segment_indices_sorted_into(list, out);
+    } else {
+        segment_indices_unsorted_into(list, bitmap, out);
+    }
+}
+
 fn out_row_bytes(op: &PhysOp) -> u64 {
     match op {
         PhysOp::ScanSelect { .. } | PhysOp::SelectAnd { .. } | PhysOp::SelectColCmp { .. } => 4,
@@ -1696,6 +1792,10 @@ mod tests {
         fn kernel_tasks(&self) -> u64 {
             self.engine.core_ref().kernel_tasks
         }
+
+        fn position_scans(&self) -> u64 {
+            self.engine.core_ref().position_scans
+        }
     }
 
     /// 60 k lineitem rows: 15 partitions at 16 workers, 4 at 4 — enough
@@ -1729,6 +1829,26 @@ mod tests {
         assert_eq!(second.kernel_tasks(), 0, "every node was already evaluated");
         assert_eq!(second.engine.stats().tasks_executed, executed);
         assert_eq!(warm, cold, "simulated time cannot tell the two apart");
+    }
+
+    #[test]
+    fn second_engine_over_a_dataset_scans_no_positions() {
+        let all: Vec<u8> = (1..=22).collect();
+        let data = TpchData::generate(SF_001);
+        let mut first = stack(&data, 0);
+        let cold = first.run(tpch(&all));
+        assert!(first.position_scans() > 0);
+        assert!(
+            first.position_scans() < first.kernel_tasks(),
+            "only gathers scan, and the memo-served client reuses their records"
+        );
+
+        // Every position gather of the repeat maps a record onto its
+        // column (debug builds check each against a scan).
+        let mut second = stack(&data, 0);
+        let warm = second.run(tpch(&all));
+        assert_eq!(second.position_scans(), 0);
+        assert_eq!(warm, cold);
     }
 
     #[test]
@@ -1767,7 +1887,13 @@ mod tests {
             narrow.kernel_tasks() > 0,
             "nodes split 4 ways were never evaluated"
         );
+        assert!(
+            narrow.position_scans() > 0,
+            "16 partitions' reads must not be read as 4 partitions'"
+        );
 
+        // Same rows, same reads: every result's traffic and completion
+        // time equals the twin's over freshly generated data.
         let fresh = TpchData::generate(scale);
         let mut twin = stack(&fresh, 4);
         assert_eq!(got, twin.run(tpch(&queries)));
@@ -1775,5 +1901,6 @@ mod tests {
             narrow.kernel_tasks() < twin.kernel_tasks(),
             "single-partition nodes are shared across widths"
         );
+        assert!(narrow.position_scans() < twin.position_scans());
     }
 }

@@ -162,70 +162,76 @@ impl Bat {
     /// Distinct segments touched by a sorted position list (sparse access
     /// pattern of `algebra.projection` over a candidate list).
     pub fn segments_for_positions(&self, positions: &[u32]) -> Vec<SegId> {
+        let mut indices = Vec::new();
+        segment_indices_sorted_into(positions, &mut indices);
         let mut segs = Vec::new();
-        self.segments_for_positions_into(positions, &mut segs);
+        self.segments_at_into(&indices, &mut segs);
         segs
     }
 
-    /// [`Self::segments_for_positions`] appending into a caller-provided
-    /// buffer. Requires a **sorted** position list (all selection-vector
-    /// producers emit ascending positions; join-pair consumers use the
-    /// `_unsorted` variant): the walk gallops from one segment boundary
-    /// to the next instead of testing every position, so cost scales
-    /// with segments touched, not list length.
-    pub fn segments_for_positions_into(&self, positions: &[u32], out: &mut Vec<SegId>) {
-        debug_assert!(positions.windows(2).all(|w| w[0] <= w[1]));
-        let mut last: Option<u64> = None;
-        let mut i = 0usize;
-        while i < positions.len() {
-            let s = positions[i] as u64 / ROWS_PER_SEG;
-            if last != Some(s) {
-                out.push(self.region.segment(s));
-                last = Some(s);
-            }
-            // Gallop past the run of positions in segment `s`.
-            let in_seg = |p: u32| p as u64 / ROWS_PER_SEG == s;
-            let mut step = 1usize;
-            while i + step < positions.len() && in_seg(positions[i + step]) {
+    /// Appends the segments at `indices` (relative to this column's
+    /// region, as the `segment_indices_*` gatherers produce them). All
+    /// columns of a table share one row-to-segment layout, so one index
+    /// list serves every column a position list is gathered from.
+    pub fn segments_at_into(&self, indices: &[u32], out: &mut Vec<SegId>) {
+        out.extend(indices.iter().map(|&i| self.region.segment(u64::from(i))));
+    }
+}
+
+/// Appends the indices of the distinct segments a **sorted** position
+/// list touches, in order (all selection-vector producers emit ascending
+/// positions; join-pair consumers use [`segment_indices_unsorted_into`]).
+/// The walk gallops from one segment boundary to the next instead of
+/// testing every position, so cost scales with segments touched, not
+/// list length.
+pub fn segment_indices_sorted_into(positions: &[u32], out: &mut Vec<u32>) {
+    debug_assert!(positions.windows(2).all(|w| w[0] <= w[1]));
+    let seg_of = |p: u32| (u64::from(p) / ROWS_PER_SEG) as u32;
+    let mut last: Option<u32> = None;
+    let mut i = 0usize;
+    while i < positions.len() {
+        let s = seg_of(positions[i]);
+        if last != Some(s) {
+            out.push(s);
+            last = Some(s);
+        }
+        // Gallop past the run of positions in segment `s`.
+        let in_seg = |p: u32| seg_of(p) == s;
+        let mut step = 1usize;
+        while i + step < positions.len() && in_seg(positions[i + step]) {
+            i += step;
+            step *= 2;
+        }
+        while step > 0 {
+            if i + step < positions.len() && in_seg(positions[i + step]) {
                 i += step;
-                step *= 2;
             }
-            while step > 0 {
-                if i + step < positions.len() && in_seg(positions[i + step]) {
-                    i += step;
-                }
-                step /= 2;
-            }
-            i += 1;
+            step /= 2;
         }
+        i += 1;
     }
+}
 
-    /// Distinct segments touched by an *unsorted* position list. Uses a
-    /// per-segment bitmap instead of sorting the positions — the sort
-    /// dominated the task-preparation hot path for join projections.
-    pub fn segments_for_positions_unsorted(&self, positions: &[u32]) -> Vec<SegId> {
-        let mut segs = Vec::new();
-        self.segments_for_positions_unsorted_into(positions, &mut segs);
-        segs
-    }
-
-    /// [`Self::segments_for_positions_unsorted`] appending into a
-    /// caller-provided buffer.
-    pub fn segments_for_positions_unsorted_into(&self, positions: &[u32], out: &mut Vec<SegId>) {
-        let n_segs = self.region.n_segments() as usize;
-        let mut bits = vec![0u64; n_segs.div_ceil(64)];
-        for &p in positions {
-            let s = (p as u64 / ROWS_PER_SEG) as usize;
-            debug_assert!(s < n_segs);
-            bits[s / 64] |= 1u64 << (s % 64);
+/// Appends the indices of the distinct segments an *unsorted* position
+/// list touches, ascending. Uses a per-segment bitmap instead of sorting
+/// the positions — the sort dominated task preparation for join
+/// projections. `bits` is the caller's reusable bitmap: it grows to the
+/// highest segment seen and is handed back all zero.
+pub fn segment_indices_unsorted_into(positions: &[u32], bits: &mut Vec<u64>, out: &mut Vec<u32>) {
+    debug_assert!(bits.iter().all(|&w| w == 0), "bitmap scratch not cleared");
+    for &p in positions {
+        let s = (u64::from(p) / ROWS_PER_SEG) as usize;
+        if s / 64 >= bits.len() {
+            bits.resize(s / 64 + 1, 0);
         }
-        for (w, &word) in bits.iter().enumerate() {
-            let mut word = word;
-            while word != 0 {
-                let b = word.trailing_zeros() as usize;
-                out.push(self.region.segment((w * 64 + b) as u64));
-                word &= word - 1;
-            }
+        bits[s / 64] |= 1u64 << (s % 64);
+    }
+    for (w, word) in bits.iter_mut().enumerate() {
+        let mut word = std::mem::take(word);
+        while word != 0 {
+            let b = word.trailing_zeros() as usize;
+            out.push((w * 64 + b) as u32);
+            word &= word - 1;
         }
     }
 }
@@ -349,6 +355,30 @@ mod tests {
         let b = Bat::new(&mut m, sp, "x", i64s(30_000));
         let segs = b.segments_for_positions(&[1, 2, 3, 8192, 8193, 20_000]);
         assert_eq!(segs.len(), 3);
+    }
+
+    #[test]
+    fn unsorted_gather_matches_the_sorted_one() {
+        let mut m = machine();
+        let sp = m.create_space();
+        let b = Bat::new(&mut m, sp, "x", i64s(600_000));
+        let shuffled: Vec<u32> = vec![599_999, 3, 8192, 520_000, 1, 8193, 3];
+        let mut sorted = shuffled.clone();
+        sorted.sort_unstable();
+        let (mut want, mut got, mut bits) = (Vec::new(), Vec::new(), Vec::new());
+        segment_indices_sorted_into(&sorted, &mut want);
+        segment_indices_unsorted_into(&shuffled, &mut bits, &mut got);
+        assert_eq!(got, want);
+        assert_eq!(got, [0, 1, 63, 73]);
+        assert!(bits.iter().all(|&w| w == 0), "scratch handed back clear");
+        // A second list through the same scratch sees none of the first.
+        got.clear();
+        segment_indices_unsorted_into(&[8192], &mut bits, &mut got);
+        assert_eq!(got, [1]);
+        let mut segs = Vec::new();
+        b.segments_at_into(&want, &mut segs);
+        assert_eq!(segs, b.segments_for_positions(&sorted));
+        assert_eq!(segs[2], b.segment_of_row(520_000));
     }
 
     #[test]

@@ -6,23 +6,56 @@
 //! *which 64 KiB segments* are resident, not individual lines. Entries are
 //! versioned: a write to a segment bumps its global version, so stale
 //! copies in other caches miss on their next probe (lazy invalidation).
+//!
+//! ### Layout
+//!
+//! Every cache probe of the simulator lands here, so each operation is
+//! O(1): a fixed slab of `capacity` slots, linked into an intrusive
+//! doubly-linked recency list (head = least recently used, tail = most),
+//! plus an index from segment to slot. A hit or an insert unlinks one slot
+//! and relinks it at the tail; an eviction takes the head; a stale probe
+//! or an invalidation unlinks its slot onto a free chain.
+//!
+//! The list order *is* the order of the per-access stamps an ordered map
+//! kept before: every hit and insert drew the next (largest) stamp, which
+//! is exactly "move to the tail", and the victim was the smallest stamp,
+//! which is exactly the head. So every probe result and evicted segment —
+//! and with them every simulated number — is what the stamp model gave; a
+//! test drives both through random traces and compares them step by step.
 
 use emca_metrics::FxHashMap;
-use std::collections::BTreeMap;
 
 /// Global identity of a 64 KiB segment (page number / pages-per-segment).
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
 pub struct SegId(pub u64);
 
+/// End of the recency list / free chain.
+const NIL: u32 = u32::MAX;
+
+/// One slab slot: a resident segment and its recency-list links (a free
+/// slot uses `next` for the free chain).
+#[derive(Clone, Copy, Debug)]
+struct Slot {
+    seg: SegId,
+    version: u32,
+    prev: u32,
+    next: u32,
+}
+
 /// An LRU set of versioned segments with fixed capacity.
 #[derive(Clone, Debug)]
 pub struct LruCache {
     capacity: usize,
-    /// seg -> (lru stamp, cached version)
-    entries: FxHashMap<SegId, (u64, u32)>,
-    /// stamp -> seg, ordered: first entry is the LRU victim.
-    order: BTreeMap<u64, SegId>,
-    next_stamp: u64,
+    /// Grows to `capacity` slots and never beyond.
+    slots: Vec<Slot>,
+    /// seg -> slot of every resident segment.
+    index: FxHashMap<SegId, u32>,
+    /// Least recently used slot (the next victim).
+    head: u32,
+    /// Most recently used slot.
+    tail: u32,
+    /// Chain of slots freed by stale probes and invalidations.
+    free: u32,
     hits: u64,
     misses: u64,
     evictions: u64,
@@ -46,11 +79,17 @@ impl LruCache {
     /// Creates an empty cache holding up to `capacity` segments.
     pub fn new(capacity: usize) -> Self {
         assert!(capacity >= 1, "cache capacity must be at least 1");
+        assert!(
+            capacity < NIL as usize,
+            "cache capacity must fit a slot index"
+        );
         LruCache {
             capacity,
-            entries: FxHashMap::default(),
-            order: BTreeMap::new(),
-            next_stamp: 0,
+            slots: Vec::with_capacity(capacity),
+            index: FxHashMap::default(),
+            head: NIL,
+            tail: NIL,
+            free: NIL,
             hits: 0,
             misses: 0,
             evictions: 0,
@@ -60,12 +99,12 @@ impl LruCache {
 
     /// Number of resident segments.
     pub fn len(&self) -> usize {
-        self.entries.len()
+        self.index.len()
     }
 
     /// True when nothing is resident.
     pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
+        self.index.is_empty()
     }
 
     /// Capacity in segments.
@@ -78,70 +117,85 @@ impl LruCache {
     /// is dropped. The caller decides whether to [`LruCache::insert`]
     /// afterwards (it does so once the fetch completes).
     pub fn probe(&mut self, seg: SegId, version: u32) -> Probe {
-        match self.entries.get(&seg).copied() {
-            Some((stamp, cached_version)) if cached_version == version => {
-                self.order.remove(&stamp);
-                let new_stamp = self.bump_stamp();
-                self.order.insert(new_stamp, seg);
-                self.entries.insert(seg, (new_stamp, version));
-                self.hits += 1;
-                Probe::Hit
-            }
-            Some((stamp, _stale)) => {
-                self.order.remove(&stamp);
-                self.entries.remove(&seg);
-                self.stale_invalidations += 1;
-                self.misses += 1;
-                Probe::Stale
-            }
-            None => {
-                self.misses += 1;
-                Probe::Miss
-            }
+        let Some(&slot) = self.index.get(&seg) else {
+            self.misses += 1;
+            return Probe::Miss;
+        };
+        if self.slots[slot as usize].version == version {
+            self.touch(slot);
+            self.hits += 1;
+            Probe::Hit
+        } else {
+            self.index.remove(&seg);
+            self.release(slot);
+            self.stale_invalidations += 1;
+            self.misses += 1;
+            Probe::Stale
         }
     }
 
     /// Non-mutating residency check (no LRU refresh, no counter updates).
     pub fn contains_current(&self, seg: SegId, version: u32) -> bool {
-        matches!(self.entries.get(&seg), Some(&(_, v)) if v == version)
+        matches!(self.index.get(&seg), Some(&s) if self.slots[s as usize].version == version)
     }
 
     /// Inserts (or refreshes) `seg` at `version`, evicting the LRU entry
     /// if the cache is full. Returns the evicted segment, if any.
     pub fn insert(&mut self, seg: SegId, version: u32) -> Option<SegId> {
-        if let Some((stamp, _)) = self.entries.remove(&seg) {
-            self.order.remove(&stamp);
+        if let Some(&slot) = self.index.get(&seg) {
+            // A resident segment leaves before the capacity check, so a
+            // refresh never evicts.
+            self.slots[slot as usize].version = version;
+            self.touch(slot);
+            return None;
         }
-        let mut evicted = None;
-        if self.entries.len() >= self.capacity {
-            if let Some((&victim_stamp, &victim)) = self.order.iter().next() {
-                self.order.remove(&victim_stamp);
-                self.entries.remove(&victim);
-                self.evictions += 1;
-                evicted = Some(victim);
-            }
-        }
-        let stamp = self.bump_stamp();
-        self.order.insert(stamp, seg);
-        self.entries.insert(seg, (stamp, version));
+        let (slot, evicted) = if self.index.len() >= self.capacity {
+            let victim = self.head;
+            self.unlink(victim);
+            let victim_seg = self.slots[victim as usize].seg;
+            self.index.remove(&victim_seg);
+            self.evictions += 1;
+            (victim, Some(victim_seg))
+        } else if self.free != NIL {
+            let slot = self.free;
+            self.free = self.slots[slot as usize].next;
+            (slot, None)
+        } else {
+            self.slots.push(Slot {
+                seg,
+                version,
+                prev: NIL,
+                next: NIL,
+            });
+            ((self.slots.len() - 1) as u32, None)
+        };
+        let s = &mut self.slots[slot as usize];
+        s.seg = seg;
+        s.version = version;
+        self.link_tail(slot);
+        self.index.insert(seg, slot);
         evicted
     }
 
     /// Removes `seg` if resident (explicit invalidation, e.g. on region
     /// free). Returns true if it was resident.
     pub fn invalidate(&mut self, seg: SegId) -> bool {
-        if let Some((stamp, _)) = self.entries.remove(&seg) {
-            self.order.remove(&stamp);
-            true
-        } else {
-            false
+        match self.index.remove(&seg) {
+            Some(slot) => {
+                self.release(slot);
+                true
+            }
+            None => false,
         }
     }
 
     /// Drops everything.
     pub fn clear(&mut self) {
-        self.entries.clear();
-        self.order.clear();
+        self.index.clear();
+        self.slots.clear();
+        self.head = NIL;
+        self.tail = NIL;
+        self.free = NIL;
     }
 
     /// Cumulative hit count.
@@ -164,16 +218,159 @@ impl LruCache {
         self.stale_invalidations
     }
 
-    fn bump_stamp(&mut self) -> u64 {
-        let s = self.next_stamp;
-        self.next_stamp += 1;
-        s
+    /// Makes a linked slot the most recently used.
+    fn touch(&mut self, slot: u32) {
+        if slot != self.tail {
+            self.unlink(slot);
+            self.link_tail(slot);
+        }
+    }
+
+    /// Unlinks a slot (already removed from the index) onto the free chain.
+    fn release(&mut self, slot: u32) {
+        self.unlink(slot);
+        self.slots[slot as usize].next = self.free;
+        self.free = slot;
+    }
+
+    fn unlink(&mut self, slot: u32) {
+        let Slot { prev, next, .. } = self.slots[slot as usize];
+        match prev {
+            NIL => self.head = next,
+            p => self.slots[p as usize].next = next,
+        }
+        match next {
+            NIL => self.tail = prev,
+            n => self.slots[n as usize].prev = prev,
+        }
+    }
+
+    fn link_tail(&mut self, slot: u32) {
+        let tail = self.tail;
+        let s = &mut self.slots[slot as usize];
+        s.prev = tail;
+        s.next = NIL;
+        match tail {
+            NIL => self.head = slot,
+            t => self.slots[t as usize].next = slot,
+        }
+        self.tail = slot;
+    }
+}
+
+/// The stamp-ordered model the slab replaced, kept as the oracle the
+/// slab is compared against.
+#[cfg(test)]
+mod reference {
+    use super::{Probe, SegId};
+    use emca_metrics::FxHashMap;
+    use std::collections::BTreeMap;
+
+    pub struct StampLru {
+        capacity: usize,
+        /// seg -> (lru stamp, cached version)
+        entries: FxHashMap<SegId, (u64, u32)>,
+        /// stamp -> seg, ordered: first entry is the LRU victim.
+        order: BTreeMap<u64, SegId>,
+        next_stamp: u64,
+        pub hits: u64,
+        pub misses: u64,
+        pub evictions: u64,
+        pub stale_invalidations: u64,
+    }
+
+    impl StampLru {
+        pub fn new(capacity: usize) -> Self {
+            StampLru {
+                capacity,
+                entries: FxHashMap::default(),
+                order: BTreeMap::new(),
+                next_stamp: 0,
+                hits: 0,
+                misses: 0,
+                evictions: 0,
+                stale_invalidations: 0,
+            }
+        }
+
+        pub fn len(&self) -> usize {
+            self.entries.len()
+        }
+
+        pub fn probe(&mut self, seg: SegId, version: u32) -> Probe {
+            match self.entries.get(&seg).copied() {
+                Some((stamp, cached_version)) if cached_version == version => {
+                    self.order.remove(&stamp);
+                    let new_stamp = self.bump_stamp();
+                    self.order.insert(new_stamp, seg);
+                    self.entries.insert(seg, (new_stamp, version));
+                    self.hits += 1;
+                    Probe::Hit
+                }
+                Some((stamp, _stale)) => {
+                    self.order.remove(&stamp);
+                    self.entries.remove(&seg);
+                    self.stale_invalidations += 1;
+                    self.misses += 1;
+                    Probe::Stale
+                }
+                None => {
+                    self.misses += 1;
+                    Probe::Miss
+                }
+            }
+        }
+
+        pub fn contains_current(&self, seg: SegId, version: u32) -> bool {
+            matches!(self.entries.get(&seg), Some(&(_, v)) if v == version)
+        }
+
+        pub fn insert(&mut self, seg: SegId, version: u32) -> Option<SegId> {
+            if let Some((stamp, _)) = self.entries.remove(&seg) {
+                self.order.remove(&stamp);
+            }
+            let mut evicted = None;
+            if self.entries.len() >= self.capacity {
+                if let Some((&victim_stamp, &victim)) = self.order.iter().next() {
+                    self.order.remove(&victim_stamp);
+                    self.entries.remove(&victim);
+                    self.evictions += 1;
+                    evicted = Some(victim);
+                }
+            }
+            let stamp = self.bump_stamp();
+            self.order.insert(stamp, seg);
+            self.entries.insert(seg, (stamp, version));
+            evicted
+        }
+
+        pub fn invalidate(&mut self, seg: SegId) -> bool {
+            if let Some((stamp, _)) = self.entries.remove(&seg) {
+                self.order.remove(&stamp);
+                true
+            } else {
+                false
+            }
+        }
+
+        pub fn clear(&mut self) {
+            self.entries.clear();
+            self.order.clear();
+        }
+
+        fn bump_stamp(&mut self) -> u64 {
+            let s = self.next_stamp;
+            self.next_stamp += 1;
+            s
+        }
     }
 }
 
 #[cfg(test)]
 mod tests {
+    use super::reference::StampLru;
     use super::*;
+    use proptest::prelude::*;
 
     fn seg(n: u64) -> SegId {
         SegId(n)
@@ -255,8 +452,82 @@ mod tests {
     }
 
     #[test]
+    fn freed_slots_are_reused_before_evicting() {
+        let mut c = LruCache::new(2);
+        c.insert(seg(1), 0);
+        c.insert(seg(2), 0);
+        assert!(c.invalidate(seg(1)));
+        assert_eq!(c.insert(seg(3), 0), None, "a free slot, not a victim");
+        assert_eq!(c.insert(seg(4), 0), Some(seg(2)));
+        assert_eq!(c.slots.len(), 2, "the slab never grows past capacity");
+    }
+
+    #[test]
     #[should_panic(expected = "at least 1")]
     fn zero_capacity_panics() {
         let _ = LruCache::new(0);
+    }
+
+    /// One step of a random trace: (operation, segment draw, version).
+    type Op = (u8, u64, u32);
+
+    /// Drives the slab and the stamp model through the same trace and
+    /// compares every return value, the size, residency of every segment
+    /// the trace can name, and the four counters after each step.
+    fn same_model(capacity: usize, trace: &[Op]) -> Result<(), TestCaseError> {
+        let mut slab = LruCache::new(capacity);
+        let mut stamp = StampLru::new(capacity);
+        // A few more segments than fit, so the trace hits, misses and
+        // evicts.
+        let n_segs = 2 * capacity as u64 + 3;
+        for (step, &(op, raw, version)) in trace.iter().enumerate() {
+            let s = seg(raw % n_segs);
+            match op {
+                0..=15 => prop_assert_eq!(slab.probe(s, version), stamp.probe(s, version)),
+                16..=31 => prop_assert_eq!(slab.insert(s, version), stamp.insert(s, version)),
+                32..=38 => prop_assert_eq!(slab.invalidate(s), stamp.invalidate(s)),
+                _ => {
+                    slab.clear();
+                    stamp.clear();
+                }
+            }
+            prop_assert_eq!(slab.len(), stamp.len(), "len after step {step}");
+            for n in 0..n_segs {
+                for v in 0..3 {
+                    prop_assert_eq!(
+                        slab.contains_current(seg(n), v),
+                        stamp.contains_current(seg(n), v),
+                        "residency of {n}@{v} after step {step}"
+                    );
+                }
+            }
+            let counters =
+                |c: &LruCache| (c.hits(), c.misses(), c.evictions(), c.stale_invalidations());
+            prop_assert_eq!(
+                counters(&slab),
+                (
+                    stamp.hits,
+                    stamp.misses,
+                    stamp.evictions,
+                    stamp.stale_invalidations
+                ),
+                "counters after step {step}"
+            );
+        }
+        Ok(())
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        #[test]
+        fn slab_is_the_stamp_model(
+            // Clear is one draw in 40, so traces mostly fill the cache.
+            trace in collection::vec((0u8..40, 0u64..1 << 20, 0u32..3), 1..400)
+        ) {
+            for capacity in [1, 2, 8, 96] {
+                same_model(capacity, &trace)?;
+            }
+        }
     }
 }

@@ -238,9 +238,8 @@ impl Machine {
         stream: StreamId,
     ) -> AccessResult {
         let socket = self.cfg.topology.node_of(core);
-        let (touch, home) = self.mem.touch(seg, socket);
-        let fresh = touch == TouchKind::FirstTouch;
-        let fault = match touch {
+        let touch = self.mem.touch(seg, socket, kind == AccessKind::Write);
+        let fault = match touch.kind {
             TouchKind::FirstTouch => {
                 self.counters.minor_faults.inc(socket.idx());
                 true
@@ -258,9 +257,10 @@ impl Machine {
             SimDuration::ZERO
         };
 
+        let (home, version) = (touch.home, touch.version);
         let result = match kind {
-            AccessKind::Read => self.read_segment(core, socket, seg, home, stream),
-            AccessKind::Write => self.write_segment(core, socket, seg, home, fresh, stream),
+            AccessKind::Read => self.read_segment(core, socket, seg, home, version, stream),
+            AccessKind::Write => self.write_segment(core, socket, seg, home, version, stream),
         };
         AccessResult {
             time: result.time + fault_time,
@@ -275,9 +275,9 @@ impl Machine {
         socket: NodeId,
         seg: SegId,
         home: NodeId,
+        version: u32,
         stream: StreamId,
     ) -> AccessResult {
-        let version = self.mem.version_of(seg);
         match self.l2[core.idx()].probe(seg, version) {
             Probe::Hit => {
                 return AccessResult {
@@ -323,18 +323,18 @@ impl Machine {
         }
     }
 
+    /// A streaming store: the version was already bumped by the map
+    /// lookup (lazily invalidating stale copies everywhere); push the
+    /// write-back bytes to the home MC.
     fn write_segment(
         &mut self,
         core: CoreId,
         socket: NodeId,
         seg: SegId,
         home: NodeId,
-        _fresh: bool,
+        version: u32,
         stream: StreamId,
     ) -> AccessResult {
-        // Streaming store: bump the version (lazily invalidating stale
-        // copies everywhere), push write-back bytes to the home MC.
-        let version = self.mem.bump_version(seg);
         let time = self.charge_transfer(core, socket, home, stream, 0);
         self.l3[socket.idx()].insert(seg, version);
         self.l2[core.idx()].insert(seg, version);
@@ -387,12 +387,12 @@ impl Machine {
         let mc_factor = self.congestion.mc_util[home.idx()]
             .value_or(0.0)
             .clamp(1.0, self.cfg.max_congestion);
-        let route: Vec<_> = self.cfg.topology.route(home, socket).to_vec();
+        let route = self.cfg.topology.route(home, socket);
         let hops = route.len() as u32;
         let mut chans = [(0usize, 1.0f64); 8];
         let mut n_chans = 0;
         let mut cur = home;
-        for link_id in &route {
+        for link_id in route {
             let link = self.cfg.topology.links()[link_id.idx()];
             // Channel 0 carries a->b, channel 1 carries b->a.
             let (chan, next) = if cur == link.a {

@@ -76,6 +76,18 @@ pub enum TouchKind {
     Mapped,
 }
 
+/// What one access found in the map: the fault classification, the
+/// segment's home and its write-version after the access.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct Touch {
+    /// Fault classification of the access.
+    pub kind: TouchKind,
+    /// The segment's home node.
+    pub home: NodeId,
+    /// The version caches must hold to hit (already bumped by a write).
+    pub version: u32,
+}
+
 /// The machine-wide memory map.
 #[derive(Clone, Debug)]
 pub struct MemoryMap {
@@ -159,16 +171,20 @@ impl MemoryMap {
         }
     }
 
-    /// Registers a touch of `seg` from socket `node`. Homes the segment on
-    /// first touch and classifies the access for fault accounting.
-    /// Returns the touch kind and the segment's home node.
-    pub fn touch(&mut self, seg: SegId, node: NodeId) -> (TouchKind, NodeId) {
+    /// Registers an access to `seg` from socket `node` in one lookup:
+    /// homes the segment on first touch, classifies the access for fault
+    /// accounting and, for a `write`, bumps the write-version (lazily
+    /// invalidating cached copies).
+    pub fn touch(&mut self, seg: SegId, node: NodeId, write: bool) -> Touch {
         let info = self
             .segs
             .get_mut(&seg.0)
             .unwrap_or_else(|| panic!("touch of unmapped segment {seg:?}"));
+        if write {
+            info.version = info.version.wrapping_add(1);
+        }
         let bit = 1u16 << node.idx();
-        match info.home {
+        let (kind, home) = match info.home {
             None => {
                 info.home = Some(node);
                 info.touched_by = bit;
@@ -179,14 +195,16 @@ impl MemoryMap {
                 per_node[node.idx()] += PAGES_PER_SEG;
                 (TouchKind::FirstTouch, node)
             }
-            Some(home) => {
-                if info.touched_by & bit == 0 {
-                    info.touched_by |= bit;
-                    (TouchKind::RemoteFirst, home)
-                } else {
-                    (TouchKind::Mapped, home)
-                }
+            Some(home) if info.touched_by & bit == 0 => {
+                info.touched_by |= bit;
+                (TouchKind::RemoteFirst, home)
             }
+            Some(home) => (TouchKind::Mapped, home),
+        };
+        Touch {
+            kind,
+            home,
+            version: info.version,
         }
     }
 
@@ -195,21 +213,9 @@ impl MemoryMap {
         self.segs.get(&seg.0).and_then(|i| i.home)
     }
 
-    /// Current write-version of a segment (0 if unmapped — unmapped probes
-    /// never hit because touch panics first in debug flows).
+    /// Current write-version of a segment (0 if unmapped).
     pub fn version_of(&self, seg: SegId) -> u32 {
         self.segs.get(&seg.0).map_or(0, |i| i.version)
-    }
-
-    /// Bumps the write-version of a segment (invalidating cached copies
-    /// lazily) and returns the new version.
-    pub fn bump_version(&mut self, seg: SegId) -> u32 {
-        let info = self
-            .segs
-            .get_mut(&seg.0)
-            .unwrap_or_else(|| panic!("write to unmapped segment {seg:?}"));
-        info.version = info.version.wrapping_add(1);
-        info.version
     }
 
     /// The owning space of a segment.
@@ -263,9 +269,9 @@ mod tests {
         let (mut m, s) = map2();
         let r = m.alloc(s, SEG_BYTES);
         let seg = r.segment(0);
-        let (kind, home) = m.touch(seg, NodeId(1));
-        assert_eq!(kind, TouchKind::FirstTouch);
-        assert_eq!(home, NodeId(1));
+        let t = m.touch(seg, NodeId(1), false);
+        assert_eq!(t.kind, TouchKind::FirstTouch);
+        assert_eq!(t.home, NodeId(1));
         assert_eq!(m.pages_per_node(s), &[0, PAGES_PER_SEG]);
         assert_eq!(m.home_of(seg), Some(NodeId(1)));
     }
@@ -275,12 +281,11 @@ mod tests {
         let (mut m, s) = map2();
         let r = m.alloc(s, SEG_BYTES);
         let seg = r.segment(0);
-        m.touch(seg, NodeId(0));
-        let (kind, home) = m.touch(seg, NodeId(1));
-        assert_eq!(kind, TouchKind::RemoteFirst);
-        assert_eq!(home, NodeId(0));
-        let (kind, _) = m.touch(seg, NodeId(1));
-        assert_eq!(kind, TouchKind::Mapped);
+        m.touch(seg, NodeId(0), false);
+        let t = m.touch(seg, NodeId(1), false);
+        assert_eq!(t.kind, TouchKind::RemoteFirst);
+        assert_eq!(t.home, NodeId(0));
+        assert_eq!(m.touch(seg, NodeId(1), false).kind, TouchKind::Mapped);
         // home never moves; accounting stays on the first-touch node
         assert_eq!(m.pages_per_node(s), &[PAGES_PER_SEG, 0]);
     }
@@ -290,9 +295,14 @@ mod tests {
         let (mut m, s) = map2();
         let r = m.alloc(s, SEG_BYTES);
         let seg = r.segment(0);
-        m.touch(seg, NodeId(0));
+        assert_eq!(m.touch(seg, NodeId(0), false).version, 0);
         assert_eq!(m.version_of(seg), 0);
-        assert_eq!(m.bump_version(seg), 1);
+        // A write bumps in the same lookup and reports the new version.
+        let t = m.touch(seg, NodeId(1), true);
+        assert_eq!(
+            (t.kind, t.home, t.version),
+            (TouchKind::RemoteFirst, NodeId(0), 1)
+        );
         assert_eq!(m.version_of(seg), 1);
     }
 
@@ -300,8 +310,8 @@ mod tests {
     fn free_removes_accounting() {
         let (mut m, s) = map2();
         let r = m.alloc(s, 2 * SEG_BYTES);
-        m.touch(r.segment(0), NodeId(0));
-        m.touch(r.segment(1), NodeId(1));
+        m.touch(r.segment(0), NodeId(0), false);
+        m.touch(r.segment(1), NodeId(1), false);
         assert_eq!(m.resident_pages(s), 2 * PAGES_PER_SEG);
         m.free(&r);
         assert_eq!(m.resident_pages(s), 0);
@@ -326,8 +336,8 @@ mod tests {
         let s2 = m.create_space();
         let r1 = m.alloc(s1, SEG_BYTES);
         let r2 = m.alloc(s2, SEG_BYTES);
-        m.touch(r1.segment(0), NodeId(0));
-        m.touch(r2.segment(0), NodeId(1));
+        m.touch(r1.segment(0), NodeId(0), false);
+        m.touch(r2.segment(0), NodeId(1), false);
         assert_eq!(m.pages_per_node(s1), &[PAGES_PER_SEG, 0]);
         assert_eq!(m.pages_per_node(s2), &[0, PAGES_PER_SEG]);
         assert_eq!(m.space_of(r1.segment(0)), Some(s1));
@@ -337,7 +347,7 @@ mod tests {
     #[should_panic(expected = "unmapped segment")]
     fn touch_unmapped_panics() {
         let (mut m, _s) = map2();
-        m.touch(SegId(99), NodeId(0));
+        m.touch(SegId(99), NodeId(0), false);
     }
 
     #[test]

@@ -80,11 +80,25 @@ impl CoreMask {
     }
 
     /// Iterates allowed cores in id order.
-    pub fn iter(&self) -> impl Iterator<Item = CoreId> + '_ {
-        let bits = self.0;
-        (0..64u16)
-            .filter(move |i| bits & (1u64 << i) != 0)
-            .map(CoreId)
+    pub fn iter(&self) -> impl Iterator<Item = CoreId> + Clone {
+        let mut bits = self.0;
+        std::iter::from_fn(move || {
+            if bits == 0 {
+                return None;
+            }
+            let core = bits.trailing_zeros() as u16;
+            bits &= bits - 1;
+            Some(CoreId(core))
+        })
+    }
+
+    /// The `k`-th allowed core in id order (`k < count()`).
+    pub fn nth(&self, k: usize) -> Option<CoreId> {
+        let mut bits = self.0;
+        for _ in 0..k {
+            bits &= bits.wrapping_sub(1);
+        }
+        CoreMask(bits).first()
     }
 
     /// The lowest allowed core, if any.
@@ -188,6 +202,17 @@ mod tests {
         assert_eq!(v, vec![CoreId(1), CoreId(5), CoreId(12)]);
         assert_eq!(m.first(), Some(CoreId(1)));
         assert_eq!(CoreMask::EMPTY.first(), None);
+    }
+
+    #[test]
+    fn nth_is_the_kth_core_in_order() {
+        let m = CoreMask::from_cores([CoreId(5), CoreId(1), CoreId(12), CoreId(63)]);
+        let v: Vec<_> = m.iter().collect();
+        for (k, c) in v.iter().enumerate() {
+            assert_eq!(m.nth(k), Some(*c));
+        }
+        assert_eq!(m.nth(4), None);
+        assert_eq!(CoreMask::EMPTY.nth(0), None);
     }
 
     #[test]

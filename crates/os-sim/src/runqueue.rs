@@ -61,8 +61,9 @@ impl RunQueue {
         Some(last)
     }
 
-    /// Iterates queued threads in vruntime order.
-    pub fn iter(&self) -> impl Iterator<Item = (u64, Tid)> + '_ {
+    /// Iterates queued threads in vruntime order (reversible: balancing
+    /// scans from the tail).
+    pub fn iter(&self) -> impl DoubleEndedIterator<Item = (u64, Tid)> + '_ {
         self.queue.iter().copied()
     }
 }

@@ -108,6 +108,9 @@ pub struct Kernel {
     current: Vec<Option<Tid>>,
     min_vruntime: Vec<u64>,
     groups: Vec<Group>,
+    /// The cores some group mask allows. No thread may run anywhere
+    /// else, so an idle core outside it has nothing to steal.
+    group_union: CoreMask,
     next_balance: SimTime,
     stats: SchedStats,
     trace: SchedTrace,
@@ -135,6 +138,7 @@ impl Kernel {
             current: vec![None; n_cores],
             min_vruntime: vec![0; n_cores],
             groups: Vec::new(),
+            group_union: CoreMask::EMPTY,
             next_balance: SimTime::ZERO + cfg.balance_interval,
             stats: SchedStats::default(),
             trace: SchedTrace::disabled(),
@@ -215,6 +219,7 @@ impl Kernel {
             busy_ns: 0,
             demand_ns: 0,
         });
+        self.group_union = self.group_union.or(mask);
         id
     }
 
@@ -261,9 +266,18 @@ impl Kernel {
     /// mechanism relies on).
     pub fn set_group_mask(&mut self, group: GroupId, mask: CoreMask) {
         assert!(!mask.is_empty(), "group mask must allow at least one core");
-        self.groups[group.0 as usize].mask = mask;
-        let members = self.groups[group.0 as usize].members.clone();
-        for tid in members {
+        let g = group.0 as usize;
+        self.groups[g].mask = mask;
+        // A shrink may take cores out of the union: recount it (one OR
+        // per group).
+        self.group_union = self
+            .groups
+            .iter()
+            .fold(CoreMask::EMPTY, |union, g| union.or(g.mask));
+        // Re-placing a member never changes the member list, so it is
+        // walked by index rather than copied.
+        for m in 0..self.groups[g].members.len() {
+            let tid = self.groups[g].members[m];
             let slot = &self.threads[tid.idx()];
             if !slot.is_live() {
                 continue;
@@ -573,12 +587,16 @@ impl Kernel {
             .filter(|c| allowed.contains(*c))
             .or_else(|| prev.filter(|c| allowed.contains(*c) && self.core_load(c.idx()) == 0))
             .unwrap_or_else(|| {
-                let cores: Vec<CoreId> = allowed.iter().collect();
-                let start = (self.place_next() % cores.len() as u64) as usize;
-                (0..cores.len())
-                    .map(|i| cores[(start + i) % cores.len()])
+                // The allowed cores in id order, rotated to start at the
+                // drawn one.
+                let k = (self.place_next() % allowed.count() as u64) as usize;
+                let start = allowed.nth(k).expect("k < count");
+                let from_start = allowed.minus(CoreMask::first_n(start.idx()));
+                from_start
+                    .iter()
+                    .chain(allowed.minus(from_start).iter())
                     .find(|c| self.core_load(c.idx()) == 0)
-                    .unwrap_or(cores[start])
+                    .unwrap_or(start)
             });
         let slot = &mut self.threads[tid.idx()];
         slot.state = ThreadState::Runnable;
@@ -637,20 +655,37 @@ impl Kernel {
     /// Attempts to steal one queued thread (allowed on `core`) from the
     /// busiest other queue.
     fn steal_for(&mut self, core: CoreId) -> Option<(u64, Tid)> {
+        // Every thread's allowed mask lies inside its group's mask, so a
+        // core no group allows can take nothing — the idle cores outside
+        // an elastic allocation answer here, without a scan.
+        if !self.group_union.contains(core) {
+            debug_assert_eq!(self.steal_candidate(core), None, "guard hid a steal");
+            return None;
+        }
+        let (busiest, vr, tid) = self.steal_candidate(core)?;
+        self.runqueues[busiest].remove(vr, tid);
+        self.threads[tid.idx()].stats.times_stolen += 1;
+        Some((vr, tid))
+    }
+
+    /// What [`Kernel::steal_for`] takes: the busiest other queue's
+    /// last-queued thread allowed on `core`, with that queue.
+    fn steal_candidate(&self, core: CoreId) -> Option<(usize, u64, Tid)> {
         let n = self.runqueues.len();
         let busiest = (0..n)
             .filter(|&c| c != core.idx() && !self.runqueues[c].is_empty())
             .max_by_key(|&c| (self.runqueues[c].len(), std::cmp::Reverse(c)))?;
-        // Scan from the tail for a migratable thread.
-        let candidates: Vec<(u64, Tid)> = self.runqueues[busiest].iter().collect();
-        for &(vr, tid) in candidates.iter().rev() {
-            if self.allowed_mask(tid).contains(core) {
-                self.runqueues[busiest].remove(vr, tid);
-                self.threads[tid.idx()].stats.times_stolen += 1;
-                return Some((vr, tid));
-            }
-        }
-        None
+        self.migratable_from(busiest, core)
+            .map(|(vr, tid)| (busiest, vr, tid))
+    }
+
+    /// The last-queued thread of `queue` allowed on `core` (a tail scan:
+    /// the cheapest thread to move).
+    fn migratable_from(&self, queue: usize, core: CoreId) -> Option<(u64, Tid)> {
+        self.runqueues[queue]
+            .iter()
+            .rev()
+            .find(|&(_, tid)| self.allowed_mask(tid).contains(core))
     }
 
     /// Periodic balancing: each under-loaded core pulls one task from the
@@ -669,22 +704,18 @@ impl Kernel {
                 continue;
             }
             let core = CoreId(core_idx as u16);
-            let candidates: Vec<(u64, Tid)> = self.runqueues[busiest].iter().collect();
-            for &(vr, tid) in candidates.iter().rev() {
-                if self.allowed_mask(tid).contains(core) {
-                    self.runqueues[busiest].remove(vr, tid);
-                    self.threads[tid.idx()].stats.times_stolen += 1;
-                    self.stats.steals += 1;
-                    self.stats.migrations += 1;
-                    self.threads[tid.idx()].stats.migrations += 1;
-                    self.threads[tid.idx()].core = Some(core);
-                    let floor =
-                        self.min_vruntime[core_idx].saturating_sub(self.cfg.timeslice.as_nanos());
-                    let vr = vr.max(floor);
-                    self.threads[tid.idx()].vruntime = vr;
-                    self.runqueues[core_idx].push(vr, tid);
-                    break;
-                }
+            if let Some((vr, tid)) = self.migratable_from(busiest, core) {
+                self.runqueues[busiest].remove(vr, tid);
+                self.threads[tid.idx()].stats.times_stolen += 1;
+                self.stats.steals += 1;
+                self.stats.migrations += 1;
+                self.threads[tid.idx()].stats.migrations += 1;
+                self.threads[tid.idx()].core = Some(core);
+                let floor =
+                    self.min_vruntime[core_idx].saturating_sub(self.cfg.timeslice.as_nanos());
+                let vr = vr.max(floor);
+                self.threads[tid.idx()].vruntime = vr;
+                self.runqueues[core_idx].push(vr, tid);
             }
         }
     }
@@ -895,5 +926,56 @@ mod tests {
     fn empty_group_mask_rejected() {
         let mut k = kernel();
         k.create_group(CoreMask::EMPTY);
+    }
+
+    #[test]
+    fn shrunk_group_runs_as_the_scanning_scheduler_did() {
+        // A group shrunk from 16 cores to 2 beside a second group on four
+        // others: ten idle cores lie outside every mask from then on, so
+        // the steal guard answers for them on every tick. Per-thread CPU
+        // time, migrations and steals, the kernel's totals and the finish
+        // time are pinned to what the scheduler gave when every idle core
+        // scanned the busiest queue and placement collected its cores.
+        let mut k = kernel();
+        let wide = k.create_group(CoreMask::all(k.machine().topology()));
+        let side = k.create_group(CoreMask::from_cores((8..12).map(CoreId)));
+        let mut tids: Vec<Tid> = (0..8u64)
+            .map(|i| k.spawn(format!("w{i}"), wide, None, spin(2 + 3 * i)))
+            .collect();
+        tids.extend((0..6u64).map(|i| k.spawn(format!("s{i}"), side, None, spin(1 + 2 * i))));
+        k.run_until(SimTime::from_millis(2));
+        k.set_group_mask(wide, CoreMask::from_cores([CoreId(0), CoreId(1)]));
+        assert!(k.run_until_cond(SimTime::from_secs(1), |k| k.n_live_threads() == 0));
+
+        let threads: Vec<(u64, u64, u64)> = tids
+            .iter()
+            .map(|&t| {
+                let s = k.thread_stats(t);
+                (s.cpu_time.as_nanos(), s.migrations, s.times_stolen)
+            })
+            .collect();
+        let ms = 1_000_000;
+        assert_eq!(
+            threads,
+            [
+                (2 * ms, 0, 0),
+                (5 * ms, 1, 0),
+                (8 * ms, 0, 0),
+                (11 * ms, 1, 0),
+                (14 * ms, 1, 0),
+                (17 * ms, 1, 1),
+                (20 * ms, 2, 1),
+                (23 * ms, 2, 1),
+                (ms, 0, 0),
+                (3 * ms, 0, 0),
+                (5 * ms, 0, 0),
+                (7 * ms, 0, 0),
+                (9 * ms, 0, 0),
+                (11 * ms, 0, 0),
+            ]
+        );
+        let st = k.stats();
+        assert_eq!((st.migrations, st.steals, st.preemptions), (8, 3, 15));
+        assert_eq!(k.now(), SimTime::from_micros(47_300));
     }
 }

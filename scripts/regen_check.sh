@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # The sim byte-identity gate: regenerate every registered scenario at its
 # default spec on the sim backend and byte-diff the CSVs against the
-# committed results/ (~1.5 min on a 2-core box).
+# committed results/ (~1 min on a 2-core box).
 #
 #   scripts/regen_check.sh [out-dir]
 #
