@@ -193,10 +193,11 @@ fn known<'r>(registry: &'r ScenarioRegistry, name: &str) -> &'r dyn Scenario {
 /// Runs one scenario with the wall clock stamped (`[wall] <name>=..s`);
 /// returns the elapsed seconds so gates can budget them.
 fn run_one(registry: &ScenarioRegistry, name: &str, spec: &ExperimentSpec) -> f64 {
-    // Spec problems (a pinned key the scenario ignores) are usage
-    // errors — one-line diagnostic, exit 2 — distinct from a scenario
-    // that started and then failed (exit 1).
-    if let Err(e) = registry.validate_spec(name, spec) {
+    // Spec problems (a pinned key the scenario or the backend ignores)
+    // are usage errors — one-line diagnostic, exit 2 — distinct from a
+    // scenario that started and then failed (exit 1).
+    let valid = registry.validate_spec(name, spec);
+    if let Err(e) = valid.and_then(|()| spec.validate_backend()) {
         eprintln!("emca run {name}: {e}");
         std::process::exit(2);
     }

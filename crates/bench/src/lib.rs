@@ -42,8 +42,7 @@ pub fn emit(
     csv_name: &str,
 ) -> Result<(), ScenarioError> {
     if let Some((_, declared)) = schemas.iter().find(|(name, _)| *name == csv_name) {
-        let csv = table.to_csv();
-        let built = csv.lines().next().unwrap_or_default();
+        let built = table.headers().join(",");
         if built != *declared {
             return Err(format!(
                 "{csv_name}: header mismatch\n  declared: {declared}\n  built:    {built}"

@@ -222,7 +222,7 @@ impl<P: Deref<Target = Plan>> Flow<P> {
     }
 
     /// Rows of `node`'s primary input as fixed at schedule time.
-    pub(crate) fn scheduled_len(&self, node: NodeId) -> usize {
+    fn scheduled_len(&self, node: NodeId) -> usize {
         self.nodes[node.idx()].len
     }
 

@@ -16,7 +16,11 @@
 //!
 //! Operators materialise partition-wise: each task allocates and
 //! first-touches its own output slice, so intermediates spread across the
-//! NUMA nodes that ran the operator.
+//! NUMA nodes that ran the operator. That is simulated memory, charged
+//! through `machine.alloc` and the write items. The real values take the
+//! one path both executors share: `evaluate_partition_on` fills a
+//! [`Partial`] per partition and `assemble_parts` joins a node's
+//! partials in partition order (`exec::par` calls the same two).
 //!
 //! Two layers keep the simulator from recomputing what it already knows,
 //! and they answer different questions:
@@ -199,10 +203,6 @@ struct SimNode {
     /// gather touched — filled on the path that evaluates, recorded in
     /// the dataset cache at finalize.
     part_reads: Vec<Box<[u32]>>,
-    /// Shared output buffer of fixed-width value operators: partitions
-    /// write disjoint slices in place, finalize moves the buffer into
-    /// the Mat without a concat copy.
-    out_vals: Option<eval::ValsBuf>,
 }
 
 struct QueryRun {
@@ -551,7 +551,6 @@ impl EngineCore {
                 pending_regions: Vec::new(),
                 pin: Pin::Evaluate,
                 part_reads: Vec::new(),
-                out_vals: None,
             })
             .collect();
         let (flow, sources) = Flow::new(qid, plan, spec_tag, now);
@@ -655,7 +654,6 @@ impl EngineCore {
         let op = run.flow.plan().node(task.node);
         let stream = run.stream;
 
-        let primary_len = run.flow.scheduled_len(task.node);
         let (start, end) = run.flow.range(&task);
         let rows_in = end - start;
 
@@ -786,33 +784,12 @@ impl EngineCore {
             (Partial::Reuse, rows)
         } else {
             self.kernel_tasks += 1;
-            // Fixed-width value operators write their partition's slice
-            // into a node-level shared buffer (no finalize concat); the
-            // buffer's type and size are known before evaluation.
-            let val_ty = match op {
-                PhysOp::Project { col, .. } | PhysOp::ProjectSide { col, .. } => {
-                    Some(col_bat(col).data.col_type())
-                }
-                PhysOp::BinOp { .. } => Some(crate::storage::bat::ColType::F64),
-                _ => None,
-            };
-            let mut buf = val_ty.map(|ty| {
-                let shared = run.side[i].out_vals.take();
-                shared.unwrap_or_else(|| eval::ValsBuf::new(ty, primary_len))
-            });
             let inputs = RunInputs {
                 run,
                 catalog,
                 store,
             };
-            let partial = match &mut buf {
-                Some(buf) => {
-                    evaluate_val_into(op, &inputs, start, end, buf);
-                    Partial::Written(end - start)
-                }
-                None => evaluate_partition_on(op, &inputs, start, end),
-            };
-            run.side[i].out_vals = buf;
+            let partial = evaluate_partition_on(op, &inputs, start, end);
             let rows = partial_rows(&partial);
             (partial, rows)
         };
@@ -896,7 +873,6 @@ impl EngineCore {
     ) {
         let run = self.queries.get_mut(&qid.0).expect("dead query");
         let sn = &mut run.side[node.idx()];
-        let out_vals = sn.out_vals.take();
         let pin = std::mem::replace(&mut sn.pin, Pin::Evaluate);
         let part_reads = std::mem::take(&mut sn.part_reads);
         sn.pending_regions.sort_by_key(|&(p, _, _)| p);
@@ -933,7 +909,6 @@ impl EngineCore {
                         store: &self.store,
                     },
                     partials,
-                    out_vals,
                 );
                 let cache = self.eval_cache.as_ref().expect("engine not loaded");
                 let evaluated = Evaluated {
@@ -1146,14 +1121,7 @@ pub(crate) fn evaluate_partition_on(
         }
         PhysOp::Project { positions, col } => {
             let pos = node_mat(*positions).as_pos();
-            match eval::project(&pos.pos[start..end], col_data(col)) {
-                ColData::I64(v) => {
-                    Partial::ValsI64(Arc::try_unwrap(v).unwrap_or_else(|a| (*a).clone()))
-                }
-                ColData::F64(v) => {
-                    Partial::ValsF64(Arc::try_unwrap(v).unwrap_or_else(|a| (*a).clone()))
-                }
-            }
+            project_partial(&pos.pos[start..end], col_data(col))
         }
         PhysOp::ProjectSide { pairs, side, col } => {
             let pm = node_mat(*pairs).as_pairs();
@@ -1161,14 +1129,7 @@ pub(crate) fn evaluate_partition_on(
                 Side::Probe => &pm.probe.pos[start..end],
                 Side::Build => &pm.build.pos[start..end],
             };
-            match eval::project(slice, col_data(col)) {
-                ColData::I64(v) => {
-                    Partial::ValsI64(Arc::try_unwrap(v).unwrap_or_else(|a| (*a).clone()))
-                }
-                ColData::F64(v) => {
-                    Partial::ValsF64(Arc::try_unwrap(v).unwrap_or_else(|a| (*a).clone()))
-                }
-            }
+            project_partial(slice, col_data(col))
         }
         PhysOp::BinOp { left, right, op } => {
             let l = node_mat(*left).as_val();
@@ -1209,39 +1170,46 @@ pub(crate) fn evaluate_partition_on(
     }
 }
 
+/// A projection's partial: the kernel's freshly gathered column, moved
+/// out of its `Arc`.
+fn project_partial(positions: &[u32], col: &ColData) -> Partial {
+    match eval::project(positions, col) {
+        ColData::I64(v) => Partial::ValsI64(Arc::unwrap_or_clone(v)),
+        ColData::F64(v) => Partial::ValsF64(Arc::unwrap_or_clone(v)),
+    }
+}
+
 /// Assembles a node's final [`Mat`] from its partials, over any
-/// [`ExecInputs`] source. Partials arrive by value: the single-partition
-/// case moves its buffer into the Mat without a copy, and
-/// multi-partition concats reserve exactly once from the partial sizes.
-/// They are concatenated/merged strictly in partition order, so both
-/// executors produce the same float results bit for bit.
+/// [`ExecInputs`] source — the one assembly path of both executors.
+/// Partials arrive by value and are joined or merged strictly in
+/// partition order, so both executors produce the same float results
+/// bit for bit; buffers are joined by `concat`.
 pub(crate) fn assemble_parts(
     op: &PhysOp,
     inputs: &impl ExecInputs,
-    mut partials: Vec<Option<Partial>>,
-    out_vals: Option<eval::ValsBuf>,
+    partials: Vec<Option<Partial>>,
 ) -> Mat {
     let node_mat = |n: NodeId| -> &Mat { inputs.node_mat(n) };
     let table_of = |col: &ColRef| -> &'static str { col.table };
+    let pos_mat = |table, partials| {
+        let parts = take_parts(partials, "selection", |p| match p {
+            Partial::Pos(v) => Some(v),
+            _ => None,
+        });
+        Mat::Pos(PosMat {
+            table,
+            pos: Arc::new(concat(parts)),
+        })
+    };
     match op {
         PhysOp::ScanSelect { col, .. } | PhysOp::SelectAnd { col, .. } => {
-            let pos = concat_pos(partials);
-            Mat::Pos(PosMat {
-                table: table_of(col),
-                pos: Arc::new(pos),
-            })
+            pos_mat(table_of(col), partials)
         }
-        PhysOp::SelectColCmp { left, .. } => {
-            let pos = concat_pos(partials);
-            Mat::Pos(PosMat {
-                table: table_of(left),
-                pos: Arc::new(pos),
-            })
-        }
+        PhysOp::SelectColCmp { left, .. } => pos_mat(table_of(left), partials),
         PhysOp::Project { positions, .. } => {
             let origin = node_mat(*positions).as_pos().clone();
             Mat::Val(ValMat {
-                data: vals_data(out_vals, partials),
+                data: val_column(partials),
                 origin: Some(origin),
             })
         }
@@ -1252,31 +1220,28 @@ pub(crate) fn assemble_parts(
                 Side::Build => pm.build.clone(),
             };
             Mat::Val(ValMat {
-                data: vals_data(out_vals, partials),
+                data: val_column(partials),
                 origin: Some(origin),
             })
         }
         PhysOp::BinOp { left, .. } => {
             let origin = node_mat(*left).as_val().origin.clone();
             Mat::Val(ValMat {
-                data: vals_data(out_vals, partials),
+                data: val_column(partials),
                 origin,
             })
         }
         PhysOp::AggrSum { .. } => {
-            let total: f64 = partials
-                .iter()
-                .map(|p| match p {
-                    Some(Partial::Sum(s)) => *s,
-                    _ => panic!("non-sum partial in AggrSum"),
-                })
-                .sum();
-            Mat::Scalar(total)
+            let sums = take_parts(partials, "AggrSum", |p| match p {
+                Partial::Sum(s) => Some(s),
+                _ => None,
+            });
+            Mat::Scalar(sums.into_iter().sum())
         }
         PhysOp::GroupAgg { .. } | PhysOp::TopN { .. } => {
-            let accs = partials.iter_mut().map(|p| match p.take() {
-                Some(Partial::Groups(acc)) => acc,
-                _ => panic!("non-group partial in group/topn"),
+            let accs = take_parts(partials, "group/topn", |p| match p {
+                Partial::Groups(acc) => Some(acc),
+                _ => None,
             });
             let merged = eval::merge_groups(accs);
             if let PhysOp::TopN { n, .. } = op {
@@ -1287,9 +1252,9 @@ pub(crate) fn assemble_parts(
         }
         PhysOp::JoinBuild { keys } => {
             let k = node_mat(*keys).as_val();
-            let key_parts = partials.iter_mut().map(|p| match p.take() {
-                Some(Partial::BuildKeys(v)) => v,
-                _ => panic!("non-build partial in JoinBuild"),
+            let key_parts = take_parts(partials, "JoinBuild", |p| match p {
+                Partial::BuildKeys(v) => Some(v),
+                _ => None,
             });
             let map = FlatJoinMap::from_parts(key_parts);
             debug_assert_eq!(
@@ -1313,177 +1278,70 @@ pub(crate) fn assemble_parts(
                 .as_ref()
                 .map(|o| o.table)
                 .unwrap_or(table.build_table);
-            let total: usize = partials
-                .iter()
-                .map(|p| match p {
-                    Some(Partial::PairParts(a, _)) => a.len(),
-                    _ => 0,
-                })
-                .sum();
-            let mut probe_pos = Vec::new();
-            let mut build_pos = Vec::new();
-            for part in partials.iter_mut() {
-                match part.take() {
-                    Some(Partial::PairParts(po, bo)) => {
-                        if probe_pos.is_empty() && po.len() == total {
-                            // Single-partition (or single non-empty)
-                            // result: take the buffers as-is.
-                            probe_pos = po;
-                            build_pos = bo;
-                        } else {
-                            probe_pos.reserve(total - probe_pos.len());
-                            build_pos.reserve(total - build_pos.len());
-                            probe_pos.extend_from_slice(&po);
-                            build_pos.extend_from_slice(&bo);
-                        }
-                    }
-                    _ => panic!("non-pairs partial in JoinProbe"),
-                }
-            }
+            let (probe_parts, build_parts) = take_parts(partials, "JoinProbe", |p| match p {
+                Partial::PairParts(po, bo) => Some((po, bo)),
+                _ => None,
+            })
+            .into_iter()
+            .unzip();
             Mat::Pairs(PairsMat {
                 probe: PosMat {
                     table: probe_table,
-                    pos: Arc::new(probe_pos),
+                    pos: Arc::new(concat(probe_parts)),
                 },
                 build: PosMat {
                     table: build_table,
-                    pos: Arc::new(build_pos),
+                    pos: Arc::new(concat(build_parts)),
                 },
             })
         }
     }
 }
 
-fn concat_pos(mut partials: Vec<Option<Partial>>) -> Vec<u32> {
-    let total: usize = partials
-        .iter()
-        .map(|p| match p {
-            Some(Partial::Pos(v)) => v.len(),
-            _ => 0,
+/// Takes every partial out through `unwrap`, in partition order.
+///
+/// # Panics
+/// On a partial `unwrap` rejects, or one never committed: the node's
+/// operator (`what`) cannot have produced it.
+fn take_parts<T>(
+    partials: Vec<Option<Partial>>,
+    what: &str,
+    unwrap: impl Fn(Partial) -> Option<T>,
+) -> Vec<T> {
+    partials
+        .into_iter()
+        .map(|p| {
+            p.and_then(&unwrap)
+                .unwrap_or_else(|| panic!("foreign partial in {what}"))
         })
-        .sum();
-    let mut out: Vec<u32> = Vec::new();
-    for p in partials.iter_mut() {
-        match p.take() {
-            Some(Partial::Pos(v)) => {
-                if out.is_empty() && v.len() == total {
-                    // All rows in one partial: move, don't copy.
-                    out = v;
-                } else {
-                    out.reserve(total - out.len());
-                    out.extend_from_slice(&v);
-                }
-            }
-            _ => panic!("non-pos partial"),
-        }
-    }
-    out
+        .collect()
 }
 
-fn concat_vals(mut partials: Vec<Option<Partial>>) -> ColData {
-    let is_f64 = partials
-        .iter()
-        .find_map(|p| match p {
-            Some(Partial::ValsF64(_)) => Some(true),
-            Some(Partial::ValsI64(_)) => Some(false),
+/// A value node's column. Its partials share one type: a projection's
+/// is its column's, a `BinOp`'s always f64.
+fn val_column(partials: Vec<Option<Partial>>) -> ColData {
+    if let Some(Some(Partial::ValsI64(_))) = partials.first() {
+        let parts = take_parts(partials, "an i64 value node", |p| match p {
+            Partial::ValsI64(v) => Some(v),
             _ => None,
-        })
-        .unwrap_or(true);
-    let total: usize = partials
-        .iter()
-        .map(|p| match p {
-            Some(Partial::ValsF64(v)) => v.len(),
-            Some(Partial::ValsI64(v)) => v.len(),
-            _ => 0,
-        })
-        .sum();
-    if is_f64 {
-        let mut out: Vec<f64> = Vec::new();
-        for p in partials.iter_mut() {
-            match p.take() {
-                Some(Partial::ValsF64(v)) => {
-                    if out.is_empty() && v.len() == total {
-                        out = v;
-                    } else {
-                        out.reserve(total - out.len());
-                        out.extend_from_slice(&v);
-                    }
-                }
-                Some(Partial::ValsI64(v)) => {
-                    out.reserve(total.saturating_sub(out.len()));
-                    out.extend(v.iter().map(|&x| x as f64));
-                }
-                _ => panic!("non-val partial"),
-            }
-        }
-        ColData::F64(Arc::new(out))
+        });
+        ColData::I64(Arc::new(concat(parts)))
     } else {
-        let mut out: Vec<i64> = Vec::new();
-        for p in partials.iter_mut() {
-            match p.take() {
-                Some(Partial::ValsI64(v)) => {
-                    if out.is_empty() && v.len() == total {
-                        out = v;
-                    } else {
-                        out.reserve(total - out.len());
-                        out.extend_from_slice(&v);
-                    }
-                }
-                _ => panic!("mixed val partials"),
-            }
-        }
-        ColData::I64(Arc::new(out))
+        let parts = take_parts(partials, "an f64 value node", |p| match p {
+            Partial::ValsF64(v) => Some(v),
+            _ => None,
+        });
+        ColData::F64(Arc::new(concat(parts)))
     }
 }
 
-/// Value-operator data: the in-place buffer when present (all partitions
-/// wrote their slices), else the concatenated partials (tests and
-/// non-engine callers).
-fn vals_data(out_vals: Option<eval::ValsBuf>, partials: Vec<Option<Partial>>) -> ColData {
-    match out_vals {
-        Some(buf) => {
-            debug_assert!(
-                partials
-                    .iter()
-                    .all(|p| matches!(p, Some(Partial::Written(_)))),
-                "in-place val node produced copied partials"
-            );
-            buf.into_coldata()
-        }
-        None => concat_vals(partials),
-    }
-}
-
-/// Evaluates one partition of a fixed-width value operator straight into
-/// the node's shared output buffer.
-fn evaluate_val_into(
-    op: &PhysOp,
-    inputs: &impl ExecInputs,
-    start: usize,
-    end: usize,
-    buf: &mut eval::ValsBuf,
-) {
-    let col_data = |c: &ColRef| inputs.col_data(c);
-    let node_mat = |n: NodeId| inputs.node_mat(n);
-    match op {
-        PhysOp::Project { positions, col } => {
-            let pos = node_mat(*positions).as_pos();
-            eval::project_into(&pos.pos[start..end], col_data(col), buf, start);
-        }
-        PhysOp::ProjectSide { pairs, side, col } => {
-            let pm = node_mat(*pairs).as_pairs();
-            let slice = match side {
-                Side::Probe => &pm.probe.pos[start..end],
-                Side::Build => &pm.build.pos[start..end],
-            };
-            eval::project_into(slice, col_data(col), buf, start);
-        }
-        PhysOp::BinOp { left, right, op } => {
-            let l = node_mat(*left).as_val();
-            let r = node_mat(*right).as_val();
-            eval::bin_op_into(&l.data, &r.data, *op, start, end, buf);
-        }
-        other => panic!("not a fixed-width value operator: {}", other.mal_name()),
+/// Joins partition buffers in partition order: the buffer moves when one
+/// partition holds every row, otherwise the output is reserved once.
+fn concat<T: Copy>(mut parts: Vec<Vec<T>>) -> Vec<T> {
+    let total: usize = parts.iter().map(Vec::len).sum();
+    match parts.iter().position(|p| p.len() == total) {
+        Some(whole) => parts.swap_remove(whole),
+        None => parts.concat(),
     }
 }
 
@@ -1492,7 +1350,6 @@ fn partial_rows(p: &Partial) -> usize {
         Partial::Pos(v) => v.len(),
         Partial::ValsF64(v) => v.len(),
         Partial::ValsI64(v) => v.len(),
-        Partial::Written(rows) => *rows,
         Partial::PairParts(a, _) => a.len(),
         Partial::Sum(_) => 0,
         Partial::Groups(acc) => acc.n_groups(),
@@ -1731,21 +1588,21 @@ impl EngineCore {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::client::{drain_results, spawn_clients, Workload};
     use crate::tpch::{QuerySpec, TpchScale};
     use os_sim::{CoreMask, GroupId, Kernel, ThreadState};
 
     /// One simulated machine with an engine loaded from `data`.
-    struct Stack {
+    pub(crate) struct Stack {
         kernel: Kernel,
         engine: Engine,
         group: GroupId,
     }
 
     /// `n_workers` 0 = one per core (16).
-    fn stack(data: &TpchData, n_workers: usize) -> Stack {
+    pub(crate) fn stack(data: &TpchData, n_workers: usize) -> Stack {
         let mut kernel = Kernel::opteron_4x4();
         let engine = Engine::new(
             EngineConfig {
@@ -1766,9 +1623,9 @@ mod tests {
 
     impl Stack {
         /// Runs `workload` on two new clients to completion (the second
-        /// client's sub-plans hit the memo). Returns everything simulated
-        /// that a result carries, and the clock.
-        fn run(&mut self, workload: Workload) -> (Vec<String>, SimTime) {
+        /// client's sub-plans hit the memo). Returns the first client's
+        /// results, then the second's.
+        pub(crate) fn results(&mut self, workload: Workload) -> Vec<QueryResult> {
             let logs = spawn_clients(&mut self.kernel, &self.engine, self.group, 2, workload);
             let done = self.kernel.run_until_cond(SimTime::from_secs(3_000), |k| {
                 (0..k.n_threads() as u32).map(Tid).all(|t| {
@@ -1777,7 +1634,14 @@ mod tests {
                 })
             });
             assert!(done, "clients did not finish");
-            let results = drain_results(&logs)
+            drain_results(&logs)
+        }
+
+        /// [`Stack::results`] with everything simulated that a result
+        /// carries rendered, and the clock.
+        fn run(&mut self, workload: Workload) -> (Vec<String>, SimTime) {
+            let results = self
+                .results(workload)
                 .iter()
                 .map(|r| {
                     format!(

@@ -336,128 +336,6 @@ fn zip_cmp<T: Copy>(
     }
 }
 
-/// A node-level output buffer for fixed-width value operators
-/// (`Project`/`ProjectSide`/`BinOp`): every partition writes its slice
-/// in place, so finalize hands the vector to the `Mat` without the
-/// concat memcpy.
-#[derive(Debug)]
-pub enum ValsBuf {
-    /// Integer output.
-    I64(Vec<i64>),
-    /// Float output.
-    F64(Vec<f64>),
-}
-
-impl ValsBuf {
-    /// A zeroed buffer of `len` rows matching `ty`.
-    pub fn new(ty: crate::storage::bat::ColType, len: usize) -> Self {
-        match ty {
-            crate::storage::bat::ColType::I64 => ValsBuf::I64(vec![0; len]),
-            crate::storage::bat::ColType::F64 => ValsBuf::F64(vec![0.0; len]),
-        }
-    }
-
-    /// Rows.
-    pub fn len(&self) -> usize {
-        match self {
-            ValsBuf::I64(v) => v.len(),
-            ValsBuf::F64(v) => v.len(),
-        }
-    }
-
-    /// True when empty.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Converts into shared column data (no copy).
-    pub fn into_coldata(self) -> ColData {
-        match self {
-            ValsBuf::I64(v) => ColData::I64(std::sync::Arc::new(v)),
-            ValsBuf::F64(v) => ColData::F64(std::sync::Arc::new(v)),
-        }
-    }
-}
-
-/// `projection` into a node buffer slice: writes `col[positions]` to
-/// `buf[start .. start + positions.len()]`.
-pub fn project_into(positions: &[u32], col: &ColData, buf: &mut ValsBuf, start: usize) {
-    match (col, buf) {
-        (ColData::I64(v), ValsBuf::I64(b)) => {
-            for (o, &p) in b[start..start + positions.len()].iter_mut().zip(positions) {
-                *o = v[p as usize];
-            }
-        }
-        (ColData::F64(v), ValsBuf::F64(b)) => {
-            for (o, &p) in b[start..start + positions.len()].iter_mut().zip(positions) {
-                *o = v[p as usize];
-            }
-        }
-        _ => panic!("projection buffer type mismatch"),
-    }
-}
-
-/// `batcalc` into a node buffer slice: writes the element-wise result
-/// for rows `[start, end)` of the aligned inputs into the same rows of
-/// `buf` (always f64).
-pub fn bin_op_into(
-    left: &ColData,
-    right: &ColData,
-    op: ArithOp,
-    start: usize,
-    end: usize,
-    buf: &mut ValsBuf,
-) {
-    let ValsBuf::F64(b) = buf else {
-        panic!("batcalc buffer must be f64");
-    };
-    let out = &mut b[start..end];
-    match (left, right) {
-        (ColData::F64(l), ColData::F64(r)) => {
-            zip_arith_into(&l[start..end], &r[start..end], op, out, |x| x, |x| x)
-        }
-        (ColData::I64(l), ColData::I64(r)) => zip_arith_into(
-            &l[start..end],
-            &r[start..end],
-            op,
-            out,
-            |x| x as f64,
-            |x| x as f64,
-        ),
-        (ColData::I64(l), ColData::F64(r)) => {
-            zip_arith_into(&l[start..end], &r[start..end], op, out, |x| x as f64, |x| x)
-        }
-        (ColData::F64(l), ColData::I64(r)) => {
-            zip_arith_into(&l[start..end], &r[start..end], op, out, |x| x, |x| x as f64)
-        }
-    }
-}
-
-/// Typed element-wise arithmetic into a destination slice.
-#[inline(always)]
-fn zip_arith_into<L: Copy, R: Copy>(
-    l: &[L],
-    r: &[R],
-    op: ArithOp,
-    out: &mut [f64],
-    cl: impl Fn(L) -> f64 + Copy,
-    cr: impl Fn(R) -> f64 + Copy,
-) {
-    macro_rules! arm {
-        ($f:expr) => {
-            for ((o, &a), &b) in out.iter_mut().zip(l).zip(r) {
-                *o = $f(cl(a), cr(b));
-            }
-        };
-    }
-    match op {
-        ArithOp::Add => arm!(|a: f64, b: f64| a + b),
-        ArithOp::Sub => arm!(|a: f64, b: f64| a - b),
-        ArithOp::Mul => arm!(|a: f64, b: f64| a * b),
-        ArithOp::MulOneMinus => arm!(|a: f64, b: f64| a * (1.0 - b)),
-    }
-}
-
 /// `projection`: fetch `col[positions]`, preserving the column type.
 pub fn project(positions: &[u32], col: &ColData) -> ColData {
     match col {

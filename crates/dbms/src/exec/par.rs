@@ -951,9 +951,8 @@ fn worker_loop(shared: Arc<Shared>, idx: usize, my_gen: u64) {
                 // of a node gets its partials, so they race with nobody.
                 drop(st);
                 let t1 = Instant::now();
-                let assembled = catch_unwind(AssertUnwindSafe(|| {
-                    assemble_parts(op, &inputs, partials, None)
-                }));
+                let assembled =
+                    catch_unwind(AssertUnwindSafe(|| assemble_parts(op, &inputs, partials)));
                 elapsed += SimDuration::from_nanos(t1.elapsed().as_nanos() as u64);
                 st = shared.lock_state();
                 match assembled {
@@ -1023,6 +1022,8 @@ fn finalize_node(st: &mut State, shared: &Shared, qid: u64, node: NodeId, mat: M
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::client::Workload;
+    use crate::exec::engine::tests::stack;
     use crate::tpch::queries::{build_query, QuerySpec};
     use crate::tpch::{TpchData, TpchScale};
 
@@ -1105,7 +1106,7 @@ mod tests {
             let (start, end) = flow.range(&task);
             let partial = evaluate_partition_on(op, &inputs, start, end);
             if let Commit::NodeDone(partials) = flow.commit(&task, worker, partial) {
-                let mat = assemble_parts(op, &inputs, partials, None);
+                let mat = assemble_parts(op, &inputs, partials);
                 let (ready, done) = flow.finalize(task.node, mat);
                 for node in ready {
                     schedule(&mut flow, &mut deques, node);
@@ -1119,33 +1120,69 @@ mod tests {
         panic!("queues ran dry before the query completed");
     }
 
+    /// lineitem ≈ 72 k rows: scans split 16 ways at width 16.
+    const SF_0012: TpchScale = TpchScale {
+        sf: 0.012,
+        seed: 42,
+    };
+
+    /// The 88 TPC-H specs: every query, every variant.
+    fn all_specs() -> Vec<QuerySpec> {
+        (1..=22u8)
+            .flat_map(|number| (0..4u8).map(move |variant| QuerySpec::Tpch { number, variant }))
+            .collect()
+    }
+
+    fn pool_of_width(width: usize, base: Arc<BaseData>) -> ParEngine {
+        let cfg = ParEngineConfig {
+            n_workers: width,
+            initial_active: width,
+            ..ParEngineConfig::default()
+        };
+        ParEngine::new(cfg, base)
+    }
+
     /// All 88 TPC-H specs at pool widths 1, 4 and 16: the pool must
     /// return, bit for bit, what the serial reference computes at the
     /// same width. Reads no environment, so it runs on every runner
     /// whatever its core count.
     #[test]
     fn pool_matches_the_serial_reference() {
-        // lineitem ≈ 72 k rows: scans split 16 ways at width 16.
-        let scale = TpchScale {
-            sf: 0.012,
-            seed: 42,
-        };
-        let base = Arc::new(BaseData::from_tpch(&TpchData::generate(scale)));
-        let specs: Vec<QuerySpec> = (1..=22u8)
-            .flat_map(|number| (0..4u8).map(move |variant| QuerySpec::Tpch { number, variant }))
-            .collect();
+        let base = Arc::new(BaseData::from_tpch(&TpchData::generate(SF_0012)));
+        let specs = all_specs();
         for width in [1, 4, 16] {
-            let engine = ParEngine::new(
-                ParEngineConfig {
-                    n_workers: width,
-                    initial_active: width,
-                    ..ParEngineConfig::default()
-                },
-                Arc::clone(&base),
-            );
+            let engine = pool_of_width(width, Arc::clone(&base));
             for (spec, got) in specs.iter().zip(run_specs(&engine, &specs)) {
                 let want = serial_reference(&base, Arc::new(build_query(spec)), width);
                 assert_eq!(got, want, "{spec:?} at width {width}");
+            }
+        }
+    }
+
+    /// All 88 TPC-H specs at widths 1, 4 and 16: the cold simulated
+    /// engine over a fresh dataset must return, bit for bit, what the
+    /// pool returns at the same width — for both of its clients, the
+    /// second one memo-served. Reads no environment, so it runs on every
+    /// runner whatever its core count.
+    #[test]
+    fn sim_engine_matches_the_pool_at_every_width() {
+        let specs = all_specs();
+        for width in [1, 4, 16] {
+            let data = TpchData::generate(SF_0012);
+            let sim: Vec<String> = stack(&data, width)
+                .results(Workload::StablePhases {
+                    specs: specs.clone(),
+                })
+                .iter()
+                .map(digest)
+                .collect();
+            let pool = pool_of_width(width, Arc::new(BaseData::from_tpch(&data)));
+            let want = run_specs(&pool, &specs);
+            assert_eq!(sim.len(), 2 * specs.len(), "two clients, every spec each");
+            for client in sim.chunks(specs.len()) {
+                for ((spec, got), want) in specs.iter().zip(client).zip(&want) {
+                    assert_eq!(got, want, "{spec:?} at width {width}");
+                }
             }
         }
     }

@@ -43,7 +43,9 @@ pub struct Task {
     pub pref_worker: Option<u32>,
 }
 
-/// The real partial result of a task.
+/// The real partial result of a task, as both executors produce it: each
+/// partition evaluates into buffers of its own, and the node's assembly
+/// joins or merges them in partition order.
 #[derive(Clone, Debug)]
 pub enum Partial {
     /// Selected positions.
@@ -52,10 +54,6 @@ pub enum Partial {
     ValsF64(Vec<f64>),
     /// Projected i64 values.
     ValsI64(Vec<i64>),
-    /// Rows written in place into the node's shared output buffer
-    /// (fixed-width value operators; see the engine's
-    /// `SimNode::out_vals`).
-    Written(usize),
     /// Join matches `(probe base positions, build base positions)`.
     PairParts(Vec<u32>, Vec<u32>),
     /// Partial sum.

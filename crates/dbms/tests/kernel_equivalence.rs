@@ -17,10 +17,10 @@
 
 use proptest::prelude::*;
 use std::sync::Arc;
-use volcano_db::exec::eval::{self, reference, GroupAcc, ValsBuf};
+use volcano_db::exec::eval::{self, reference, GroupAcc};
 use volcano_db::exec::mat::{FlatJoinMap, JoinTable};
 use volcano_db::exec::plan::{AggKind, ArithOp, CmpOp, ScalarPred};
-use volcano_db::storage::{ColData, ColType};
+use volcano_db::storage::ColData;
 
 const CASES: u32 = 64;
 
@@ -166,40 +166,11 @@ proptest! {
                     eval::bin_op(&lc, &rc, op, start, n),
                     reference::bin_op(&lc, &rc, op, start, n)
                 );
-                // The in-place form must write the identical slice.
-                let mut buf = ValsBuf::new(ColType::F64, n);
-                eval::bin_op_into(&lc, &rc, op, start, n, &mut buf);
-                let ColData::F64(written) = buf.into_coldata() else {
-                    unreachable!()
-                };
-                prop_assert_eq!(
-                    &written[start..n],
-                    &reference::bin_op(&lc, &rc, op, start, n)[..]
-                );
             }
             prop_assert_eq!(
                 eval::aggr_sum(&lc, start, n),
                 reference::aggr_sum(&lc, start, n)
             );
-        }
-    }
-
-    #[test]
-    fn project_into_matches_project(
-        vals in proptest::collection::vec(-1000i64..1000, 1..200),
-        picks in proptest::collection::vec(0usize..200, 1..100),
-    ) {
-        let pos: Vec<u32> = picks.iter().map(|&p| (p % vals.len()) as u32).collect();
-        for col in both_cols(&vals) {
-            let copied = eval::project(&pos, &col);
-            let mut buf = ValsBuf::new(col.col_type(), pos.len());
-            eval::project_into(&pos, &col, &mut buf, 0);
-            let in_place = buf.into_coldata();
-            match (copied, in_place) {
-                (ColData::I64(a), ColData::I64(b)) => prop_assert_eq!(a, b),
-                (ColData::F64(a), ColData::F64(b)) => prop_assert_eq!(a, b),
-                _ => prop_assert!(false, "projection changed the column type"),
-            }
         }
     }
 

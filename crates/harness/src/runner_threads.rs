@@ -24,9 +24,9 @@
 //!   no affinity or perf-counter syscalls: the pool's samples carry CPU
 //!   load and completions only, so what needs memory-traffic signals —
 //!   the Eq. 1 guard, page-ranked adaptive placement, interconnect
-//!   budgets — runs but never fires. Ignored outright:
-//!   [`RunConfig::metric`] (there are no HT/IMC counters to drive the
-//!   net with) and `warmup` (meaningless without NUMA page homing).
+//!   budgets — runs but never fires. Ignored: [`RunConfig::metric`] (no
+//!   HT/IMC counters to drive the net with). A pinned `warmup` (no NUMA
+//!   pages to home) is refused up front: `ExperimentSpec::validate_backend`.
 //! - **Baseline**: [`Alloc::OsAll`] becomes "no pool management": one
 //!   always-active worker per client (never fewer than the machine
 //!   width), the thread-per-task shape the paper argues against.

@@ -202,12 +202,14 @@ impl ScenarioRegistry {
 
     /// Runs `name` under `spec`; an unknown name is an error listing
     /// the valid scenarios (no panic), and a spec pinning a key the
-    /// scenario ignores is rejected (see
-    /// [`ScenarioRegistry::validate_spec`]).
+    /// scenario or the backend ignores is rejected (see
+    /// [`ScenarioRegistry::validate_spec`] and
+    /// [`ExperimentSpec::validate_backend`]).
     pub fn run(&self, name: &str, spec: &ExperimentSpec) -> Result<(), ScenarioError> {
         match self.get(name) {
             Some(s) => {
                 self.validate_spec(name, spec)
+                    .and_then(|()| spec.validate_backend())
                     .map_err(|e| ScenarioError(e.to_string()))?;
                 s.run(spec)
             }
@@ -369,6 +371,31 @@ mod tests {
 
         // Unknown scenario names pass validation; `run` reports them.
         assert_eq!(r.validate_spec("ghost", &spec), Ok(()));
+    }
+
+    #[test]
+    fn a_key_the_backend_ignores_is_refused_before_the_run() {
+        let mut r = ScenarioRegistry::new();
+        r.register(Box::new(FnScenario {
+            name: "wide",
+            about: "honours every key",
+            schemas: &[],
+            keys: ALL_SCENARIO_KEYS,
+            run: |_| panic!("ran despite a refused key"),
+        }))
+        .unwrap();
+        let spec: ExperimentSpec = "backend=threads warmup=interleave".parse().unwrap();
+        assert_eq!(
+            r.validate_spec("wide", &spec),
+            Ok(()),
+            "the scenario honours it"
+        );
+        let err = r.run("wide", &spec).unwrap_err();
+        assert!(
+            err.to_string()
+                .contains("backend threads does not support warmup=interleave"),
+            "{err}"
+        );
     }
 
     #[test]

@@ -83,6 +83,15 @@ pub enum SpecError {
         /// The value it carried.
         value: String,
     },
+    /// A set field the chosen backend ignores, whatever the scenario.
+    BackendUnsupported {
+        /// The backend rejecting the field.
+        backend: String,
+        /// The unsupported key.
+        key: String,
+        /// The value it carried.
+        value: String,
+    },
 }
 
 impl SpecError {
@@ -108,7 +117,7 @@ impl SpecError {
             | SpecError::UnknownPolicy { key: k, .. }
             | SpecError::UnknownTenant { key: k, .. }
             | SpecError::UnknownBackend { key: k, .. } => *k = key.to_string(),
-            SpecError::Unsupported { .. } => {}
+            SpecError::Unsupported { .. } | SpecError::BackendUnsupported { .. } => {}
         }
         self
     }
@@ -143,6 +152,15 @@ impl std::fmt::Display for SpecError {
                 f,
                 "scenario {scenario} does not support {key}={value} (it would be \
                  silently ignored; drop the field or pick a scenario that honours it)"
+            ),
+            SpecError::BackendUnsupported {
+                backend,
+                key,
+                value,
+            } => write!(
+                f,
+                "backend {backend} does not support {key}={value} (it would be \
+                 silently ignored; drop the field or run on a backend that honours it)"
             ),
         }
     }
@@ -555,6 +573,21 @@ impl ExperimentSpec {
             }
         }
         Ok(())
+    }
+
+    /// Rejects a pinned key the spec's backend would silently ignore:
+    /// `warmup` on threads, which have no simulated NUMA pages to home.
+    /// Checked before a run starts, beside the scenario's own keys
+    /// ([`crate::ScenarioRegistry::validate_spec`]).
+    pub fn validate_backend(&self) -> Result<(), SpecError> {
+        match (self.backend, &self.warmup) {
+            (Backend::Threads, Some(w)) => Err(SpecError::BackendUnsupported {
+                backend: self.backend.to_string(),
+                key: "warmup".into(),
+                value: show_warmup(w),
+            }),
+            _ => Ok(()),
+        }
     }
 
     /// Where a scenario CSV goes: `out_dir/<name>` when set, the
@@ -1230,6 +1263,31 @@ mod tests {
             msg.contains("tab_overhead") && msg.contains("users=64"),
             "{msg}"
         );
+    }
+
+    #[test]
+    fn threads_reject_a_pinned_warmup() {
+        let spec: ExperimentSpec = "backend=threads warmup=loader".parse().unwrap();
+        let err = spec.validate_backend().unwrap_err();
+        assert_eq!(
+            err,
+            SpecError::BackendUnsupported {
+                backend: "threads".into(),
+                key: "warmup".into(),
+                value: "loader".into(),
+            }
+        );
+        let msg = err.to_string();
+        assert!(
+            msg.contains("threads") && msg.contains("warmup=loader"),
+            "{msg}"
+        );
+
+        // The simulator homes pages; an unpinned warmup passes anywhere.
+        let sim: ExperimentSpec = "warmup=loader".parse().unwrap();
+        assert_eq!(sim.validate_backend(), Ok(()));
+        let threads: ExperimentSpec = "backend=threads".parse().unwrap();
+        assert_eq!(threads.validate_backend(), Ok(()));
     }
 
     #[test]

@@ -57,6 +57,11 @@ impl Table {
         self.row(cells.iter().map(|c| c.to_string()).collect())
     }
 
+    /// The column headers, in order.
+    pub fn headers(&self) -> &[String] {
+        &self.headers
+    }
+
     /// Number of data rows.
     pub fn n_rows(&self) -> usize {
         self.rows.len()
