@@ -10,11 +10,17 @@
 //! ### Layout
 //!
 //! Every cache probe of the simulator lands here, so each operation is
-//! O(1): a fixed slab of `capacity` slots, linked into an intrusive
-//! doubly-linked recency list (head = least recently used, tail = most),
-//! plus an index from segment to slot. A hit or an insert unlinks one slot
-//! and relinks it at the tail; an eviction takes the head; a stale probe
-//! or an invalidation unlinks its slot onto a free chain.
+//! O(capacity) at worst and hashes nothing: a fixed slab of `capacity`
+//! slots, linked into an intrusive doubly-linked recency list (head =
+//! least recently used, tail = most), plus the array of the segments the
+//! slots hold. A segment is found by scanning that array — at most 8
+//! keys for an L2, 96 for an L3 — and the simulator scans only when the
+//! memory map's residency bits say the segment is there: a cache the
+//! bits rule out takes [`LruCache::probe_absent`] and
+//! [`LruCache::insert_absent`], which search nothing. A hit or an insert
+//! unlinks one slot and relinks it at the tail; an eviction takes the
+//! head; a stale probe or an invalidation unlinks its slot onto a free
+//! chain.
 //!
 //! The list order *is* the order of the per-access stamps an ordered map
 //! kept before: every hit and insert drew the next (largest) stamp, which
@@ -23,8 +29,6 @@
 //! and with them every simulated number — is what the stamp model gave; a
 //! test drives both through random traces and compares them step by step.
 
-use emca_metrics::FxHashMap;
-
 /// Global identity of a 64 KiB segment (page number / pages-per-segment).
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
 pub struct SegId(pub u64);
@@ -32,11 +36,14 @@ pub struct SegId(pub u64);
 /// End of the recency list / free chain.
 const NIL: u32 = u32::MAX;
 
-/// One slab slot: a resident segment and its recency-list links (a free
-/// slot uses `next` for the free chain).
+/// The key of a slot that holds nothing (never filled, or on the free
+/// chain). No segment has it: ids are bump-allocated from 0.
+const VACANT: SegId = SegId(u64::MAX);
+
+/// One slab slot's version and recency-list links (a free slot uses
+/// `next` for the free chain).
 #[derive(Clone, Copy, Debug)]
 struct Slot {
-    seg: SegId,
     version: u32,
     prev: u32,
     next: u32,
@@ -46,10 +53,13 @@ struct Slot {
 #[derive(Clone, Debug)]
 pub struct LruCache {
     capacity: usize,
+    /// The segment in each slot (`VACANT` if none); parallel to `slots`,
+    /// kept apart so a search reads only keys.
+    keys: Vec<SegId>,
     /// Grows to `capacity` slots and never beyond.
     slots: Vec<Slot>,
-    /// seg -> slot of every resident segment.
-    index: FxHashMap<SegId, u32>,
+    /// Number of resident segments.
+    len: usize,
     /// Least recently used slot (the next victim).
     head: u32,
     /// Most recently used slot.
@@ -85,8 +95,9 @@ impl LruCache {
         );
         LruCache {
             capacity,
+            keys: Vec::with_capacity(capacity),
             slots: Vec::with_capacity(capacity),
-            index: FxHashMap::default(),
+            len: 0,
             head: NIL,
             tail: NIL,
             free: NIL,
@@ -99,12 +110,12 @@ impl LruCache {
 
     /// Number of resident segments.
     pub fn len(&self) -> usize {
-        self.index.len()
+        self.len
     }
 
     /// True when nothing is resident.
     pub fn is_empty(&self) -> bool {
-        self.index.is_empty()
+        self.len == 0
     }
 
     /// Capacity in segments.
@@ -117,16 +128,35 @@ impl LruCache {
     /// is dropped. The caller decides whether to [`LruCache::insert`]
     /// afterwards (it does so once the fetch completes).
     pub fn probe(&mut self, seg: SegId, version: u32) -> Probe {
-        let Some(&slot) = self.index.get(&seg) else {
-            self.misses += 1;
-            return Probe::Miss;
+        match self.find(seg) {
+            Some(slot) => self.probe_slot(slot, version),
+            None => self.probe_absent(seg),
+        }
+    }
+
+    /// [`LruCache::probe`] of a segment known to be resident (at any
+    /// version): a [`Probe::Hit`] or a [`Probe::Stale`].
+    pub fn probe_resident(&mut self, seg: SegId, version: u32) -> Probe {
+        let Some(slot) = self.find(seg) else {
+            panic!("resident probe of absent segment {seg:?}");
         };
+        self.probe_slot(slot, version)
+    }
+
+    /// [`LruCache::probe`] of a segment known to be absent: counts the
+    /// miss without searching.
+    pub fn probe_absent(&mut self, seg: SegId) -> Probe {
+        debug_assert!(!self.holds(seg), "absent probe of resident {seg:?}");
+        self.misses += 1;
+        Probe::Miss
+    }
+
+    fn probe_slot(&mut self, slot: u32, version: u32) -> Probe {
         if self.slots[slot as usize].version == version {
             self.touch(slot);
             self.hits += 1;
             Probe::Hit
         } else {
-            self.index.remove(&seg);
             self.release(slot);
             self.stale_invalidations += 1;
             self.misses += 1;
@@ -136,51 +166,65 @@ impl LruCache {
 
     /// Non-mutating residency check (no LRU refresh, no counter updates).
     pub fn contains_current(&self, seg: SegId, version: u32) -> bool {
-        matches!(self.index.get(&seg), Some(&s) if self.slots[s as usize].version == version)
+        matches!(self.find(seg), Some(s) if self.slots[s as usize].version == version)
+    }
+
+    /// Non-mutating check that `seg` is resident at any version, current
+    /// or stale.
+    pub fn holds(&self, seg: SegId) -> bool {
+        self.find(seg).is_some()
     }
 
     /// Inserts (or refreshes) `seg` at `version`, evicting the LRU entry
     /// if the cache is full. Returns the evicted segment, if any.
     pub fn insert(&mut self, seg: SegId, version: u32) -> Option<SegId> {
-        if let Some(&slot) = self.index.get(&seg) {
-            // A resident segment leaves before the capacity check, so a
-            // refresh never evicts.
-            self.slots[slot as usize].version = version;
-            self.touch(slot);
-            return None;
+        match self.find(seg) {
+            Some(slot) => {
+                // A resident segment leaves before the capacity check, so
+                // a refresh never evicts.
+                self.slots[slot as usize].version = version;
+                self.touch(slot);
+                None
+            }
+            None => self.insert_absent(seg, version),
         }
-        let (slot, evicted) = if self.index.len() >= self.capacity {
+    }
+
+    /// [`LruCache::insert`] of a segment known to be absent: takes a slot
+    /// without searching. Returns the evicted segment, if any.
+    pub fn insert_absent(&mut self, seg: SegId, version: u32) -> Option<SegId> {
+        debug_assert!(!self.holds(seg), "absent insert of resident {seg:?}");
+        let (slot, evicted) = if self.len >= self.capacity {
             let victim = self.head;
             self.unlink(victim);
-            let victim_seg = self.slots[victim as usize].seg;
-            self.index.remove(&victim_seg);
             self.evictions += 1;
-            (victim, Some(victim_seg))
-        } else if self.free != NIL {
-            let slot = self.free;
-            self.free = self.slots[slot as usize].next;
-            (slot, None)
+            (victim, Some(self.keys[victim as usize]))
         } else {
-            self.slots.push(Slot {
-                seg,
-                version,
-                prev: NIL,
-                next: NIL,
-            });
-            ((self.slots.len() - 1) as u32, None)
+            self.len += 1;
+            if self.free != NIL {
+                let slot = self.free;
+                self.free = self.slots[slot as usize].next;
+                (slot, None)
+            } else {
+                self.keys.push(VACANT);
+                self.slots.push(Slot {
+                    version,
+                    prev: NIL,
+                    next: NIL,
+                });
+                ((self.slots.len() - 1) as u32, None)
+            }
         };
-        let s = &mut self.slots[slot as usize];
-        s.seg = seg;
-        s.version = version;
+        self.keys[slot as usize] = seg;
+        self.slots[slot as usize].version = version;
         self.link_tail(slot);
-        self.index.insert(seg, slot);
         evicted
     }
 
     /// Removes `seg` if resident (explicit invalidation, e.g. on region
     /// free). Returns true if it was resident.
     pub fn invalidate(&mut self, seg: SegId) -> bool {
-        match self.index.remove(&seg) {
+        match self.find(seg) {
             Some(slot) => {
                 self.release(slot);
                 true
@@ -191,8 +235,9 @@ impl LruCache {
 
     /// Drops everything.
     pub fn clear(&mut self) {
-        self.index.clear();
+        self.keys.clear();
         self.slots.clear();
+        self.len = 0;
         self.head = NIL;
         self.tail = NIL;
         self.free = NIL;
@@ -226,9 +271,16 @@ impl LruCache {
         }
     }
 
-    /// Unlinks a slot (already removed from the index) onto the free chain.
+    /// The slot holding `seg`, by a scan of the keys.
+    fn find(&self, seg: SegId) -> Option<u32> {
+        self.keys.iter().position(|&k| k == seg).map(|i| i as u32)
+    }
+
+    /// Empties a resident slot onto the free chain.
     fn release(&mut self, slot: u32) {
         self.unlink(slot);
+        self.keys[slot as usize] = VACANT;
+        self.len -= 1;
         self.slots[slot as usize].next = self.free;
         self.free = slot;
     }
@@ -259,9 +311,10 @@ impl LruCache {
 }
 
 /// The stamp-ordered model the slab replaced, kept as the oracle the
-/// slab is compared against.
+/// slab (and the machine's directory-driven access path) is compared
+/// against.
 #[cfg(test)]
-mod reference {
+pub(crate) mod reference {
     use super::{Probe, SegId};
     use emca_metrics::FxHashMap;
     use std::collections::BTreeMap;
@@ -323,6 +376,10 @@ mod reference {
 
         pub fn contains_current(&self, seg: SegId, version: u32) -> bool {
             matches!(self.entries.get(&seg), Some(&(_, v)) if v == version)
+        }
+
+        pub fn holds(&self, seg: SegId) -> bool {
+            self.entries.contains_key(&seg)
         }
 
         pub fn insert(&mut self, seg: SegId, version: u32) -> Option<SegId> {
@@ -486,6 +543,16 @@ mod tests {
                 0..=15 => prop_assert_eq!(slab.probe(s, version), stamp.probe(s, version)),
                 16..=31 => prop_assert_eq!(slab.insert(s, version), stamp.insert(s, version)),
                 32..=38 => prop_assert_eq!(slab.invalidate(s), stamp.invalidate(s)),
+                // The known-state entry points, each where the stamp model
+                // says its precondition holds.
+                40..=47 if stamp.holds(s) => {
+                    prop_assert_eq!(slab.probe_resident(s, version), stamp.probe(s, version))
+                }
+                40..=47 => prop_assert_eq!(slab.probe_absent(s), stamp.probe(s, version)),
+                48..=55 if !stamp.holds(s) => {
+                    prop_assert_eq!(slab.insert_absent(s, version), stamp.insert(s, version))
+                }
+                48..=55 => prop_assert_eq!(slab.insert(s, version), stamp.insert(s, version)),
                 _ => {
                     slab.clear();
                     stamp.clear();
@@ -493,6 +560,11 @@ mod tests {
             }
             prop_assert_eq!(slab.len(), stamp.len(), "len after step {step}");
             for n in 0..n_segs {
+                prop_assert_eq!(
+                    slab.holds(seg(n)),
+                    stamp.holds(seg(n)),
+                    "residency of {n} after step {step}"
+                );
                 for v in 0..3 {
                     prop_assert_eq!(
                         slab.contains_current(seg(n), v),
@@ -522,8 +594,9 @@ mod tests {
 
         #[test]
         fn slab_is_the_stamp_model(
-            // Clear is one draw in 40, so traces mostly fill the cache.
-            trace in collection::vec((0u8..40, 0u64..1 << 20, 0u32..3), 1..400)
+            // Clear (op 39) is one draw in 56, so traces mostly fill
+            // the cache.
+            trace in collection::vec((0u8..56, 0u64..1 << 20, 0u32..3), 1..400)
         ) {
             for capacity in [1, 2, 8, 96] {
                 same_model(capacity, &trace)?;

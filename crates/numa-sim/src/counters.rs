@@ -114,7 +114,7 @@ pub struct HwCounters {
 }
 
 /// A point-in-time copy of all counters, for window deltas.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct HwSnapshot {
     /// Snapshot of [`HwCounters::l3_hits`].
     pub l3_hits: Vec<u64>,

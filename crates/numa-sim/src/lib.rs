@@ -38,5 +38,5 @@ pub use counters::{
 };
 pub use energy::{EnergyBreakdown, EnergyModel};
 pub use machine::{AccessKind, AccessResult, HitLevel, Machine};
-pub use mem::{MemoryMap, Region, SpaceId, Touch, TouchKind};
+pub use mem::{MemoryMap, Region, Residency, SpaceId, Touch, TouchKind};
 pub use topology::{CoreId, Link, LinkId, NodeId, Topology};

@@ -30,7 +30,7 @@
 use crate::cache::{LruCache, Probe, SegId};
 use crate::config::{MachineConfig, SEG_BYTES};
 use crate::counters::{HwCounters, StreamId};
-use crate::mem::{MemoryMap, Region, SpaceId, TouchKind};
+use crate::mem::{MemoryMap, Region, Residency, SpaceId, Touch, TouchKind};
 use crate::topology::{CoreId, NodeId};
 use emca_metrics::{Ewma, SimDuration};
 
@@ -145,6 +145,7 @@ impl Machine {
         let n_nodes = cfg.topology.n_nodes();
         let n_cores = cfg.topology.n_cores();
         let n_links = cfg.topology.n_links();
+        assert!(n_cores <= 64, "core count must fit the L2 residency mask");
         Machine {
             mem: MemoryMap::new(n_nodes),
             l2: (0..n_cores)
@@ -201,14 +202,20 @@ impl Machine {
         self.mem.alloc(space, bytes)
     }
 
-    /// Frees a region and drops any cached copies of its segments.
+    /// Frees a region and drops any cached copies of its segments,
+    /// visiting only the caches the directory says hold one.
     pub fn free(&mut self, region: &Region) {
         for seg in region.segments() {
-            for l2 in &mut self.l2 {
-                l2.invalidate(seg);
+            let Some(cached) = self.mem.residency(seg) else {
+                continue;
+            };
+            for c in set_bits(cached.l2) {
+                let held = self.l2[c].invalidate(seg);
+                debug_assert!(held, "L2 {c} had no copy of {seg:?}");
             }
-            for l3 in &mut self.l3 {
-                l3.invalidate(seg);
+            for n in set_bits(cached.l3.into()) {
+                let held = self.l3[n].invalidate(seg);
+                debug_assert!(held, "L3 {n} had no copy of {seg:?}");
             }
         }
         self.mem.free(region);
@@ -239,7 +246,45 @@ impl Machine {
     ) -> AccessResult {
         let socket = self.cfg.topology.node_of(core);
         let touch = self.mem.touch(seg, socket, kind == AccessKind::Write);
-        let fault = match touch.kind {
+        let fault = self.count_fault(socket, touch.kind);
+        let fault_time = if fault {
+            self.fault_latency
+        } else {
+            SimDuration::ZERO
+        };
+
+        debug_assert_eq!(
+            touch.cached.l2 >> core.idx() & 1 == 1,
+            self.l2[core.idx()].holds(seg),
+            "L2 residency bit of {seg:?} on core {}",
+            core.idx()
+        );
+        debug_assert_eq!(
+            touch.cached.l3 >> socket.idx() & 1 == 1,
+            self.l3[socket.idx()].holds(seg),
+            "L3 residency bit of {seg:?} on node {}",
+            socket.idx()
+        );
+
+        let mut cached = touch.cached;
+        let result = match kind {
+            AccessKind::Read => self.read_segment(core, socket, seg, &touch, &mut cached, stream),
+            AccessKind::Write => self.write_segment(core, socket, seg, &touch, &mut cached, stream),
+        };
+        if cached != touch.cached {
+            *self.mem.residency_mut(seg) = cached;
+        }
+        AccessResult {
+            time: result.time + fault_time,
+            level: result.level,
+            fault,
+        }
+    }
+
+    /// Counts the page fault (if any) an access of this touch kind takes
+    /// on `socket`; true if it took one.
+    fn count_fault(&mut self, socket: NodeId, kind: TouchKind) -> bool {
+        match kind {
             TouchKind::FirstTouch => {
                 self.counters.minor_faults.inc(socket.idx());
                 true
@@ -250,35 +295,30 @@ impl Machine {
                 true
             }
             TouchKind::Mapped => false,
-        };
-        let fault_time = if fault {
-            self.fault_latency
-        } else {
-            SimDuration::ZERO
-        };
-
-        let (home, version) = (touch.home, touch.version);
-        let result = match kind {
-            AccessKind::Read => self.read_segment(core, socket, seg, home, version, stream),
-            AccessKind::Write => self.write_segment(core, socket, seg, home, version, stream),
-        };
-        AccessResult {
-            time: result.time + fault_time,
-            level: result.level,
-            fault,
         }
     }
 
+    /// A streaming read: L2, then L3, then DRAM, filling both caches on
+    /// the way back. `cached` is the directory record of `seg`, kept equal
+    /// to the caches; a cache it rules out is not searched.
     fn read_segment(
         &mut self,
         core: CoreId,
         socket: NodeId,
         seg: SegId,
-        home: NodeId,
-        version: u32,
+        touch: &Touch,
+        cached: &mut Residency,
         stream: StreamId,
     ) -> AccessResult {
-        match self.l2[core.idx()].probe(seg, version) {
+        let (home, version) = (touch.home, touch.version);
+        let core_bit = 1u64 << core.idx();
+        let l2 = &mut self.l2[core.idx()];
+        let l2_probe = if cached.l2 & core_bit != 0 {
+            l2.probe_resident(seg, version)
+        } else {
+            l2.probe_absent(seg)
+        };
+        match l2_probe {
             Probe::Hit => {
                 return AccessResult {
                     time: self.cfg.l2_seg_time,
@@ -288,13 +328,21 @@ impl Machine {
             }
             Probe::Stale => {
                 self.counters.invalidations.inc(socket.idx());
+                cached.l2 &= !core_bit;
             }
             Probe::Miss => {}
         }
-        match self.l3[socket.idx()].probe(seg, version) {
+        let node_bit = 1u16 << socket.idx();
+        let l3 = &mut self.l3[socket.idx()];
+        let l3_probe = if cached.l3 & node_bit != 0 {
+            l3.probe_resident(seg, version)
+        } else {
+            l3.probe_absent(seg)
+        };
+        match l3_probe {
             Probe::Hit => {
                 self.counters.l3_hits.inc(socket.idx());
-                self.l2[core.idx()].insert(seg, version);
+                self.fill_l2(core, seg, version, cached);
                 return AccessResult {
                     time: self.cfg.l3_seg_time,
                     level: HitLevel::L3,
@@ -303,14 +351,15 @@ impl Machine {
             }
             Probe::Stale => {
                 self.counters.invalidations.inc(socket.idx());
+                cached.l3 &= !node_bit;
             }
             Probe::Miss => {}
         }
         // DRAM fetch from the home node.
         self.counters.l3_misses.inc(socket.idx());
         let time = self.charge_transfer(core, socket, home, stream, 1);
-        self.l3[socket.idx()].insert(seg, version);
-        self.l2[core.idx()].insert(seg, version);
+        self.fill_l3(socket, seg, version, cached);
+        self.fill_l2(core, seg, version, cached);
         let level = if home == socket {
             HitLevel::DramLocal
         } else {
@@ -331,13 +380,14 @@ impl Machine {
         core: CoreId,
         socket: NodeId,
         seg: SegId,
-        home: NodeId,
-        version: u32,
+        touch: &Touch,
+        cached: &mut Residency,
         stream: StreamId,
     ) -> AccessResult {
+        let (home, version) = (touch.home, touch.version);
         let time = self.charge_transfer(core, socket, home, stream, 0);
-        self.l3[socket.idx()].insert(seg, version);
-        self.l2[core.idx()].insert(seg, version);
+        self.fill_l3(socket, seg, version, cached);
+        self.fill_l2(core, seg, version, cached);
         let level = if home == socket {
             HitLevel::DramLocal
         } else {
@@ -348,6 +398,31 @@ impl Machine {
             level,
             fault: false,
         }
+    }
+
+    /// Inserts (or refreshes) `seg` in `core`'s L2 and records the copy in
+    /// `cached`; an evicted segment loses its directory bit.
+    fn fill_l2(&mut self, core: CoreId, seg: SegId, version: u32, cached: &mut Residency) {
+        let bit = 1u64 << core.idx();
+        let l2 = &mut self.l2[core.idx()];
+        if cached.l2 & bit != 0 {
+            l2.insert(seg, version);
+        } else if let Some(victim) = l2.insert_absent(seg, version) {
+            self.mem.residency_mut(victim).l2 &= !bit;
+        }
+        cached.l2 |= bit;
+    }
+
+    /// [`Machine::fill_l2`] for `node`'s L3.
+    fn fill_l3(&mut self, node: NodeId, seg: SegId, version: u32, cached: &mut Residency) {
+        let bit = 1u16 << node.idx();
+        let l3 = &mut self.l3[node.idx()];
+        if cached.l3 & bit != 0 {
+            l3.insert(seg, version);
+        } else if let Some(victim) = l3.insert_absent(seg, version) {
+            self.mem.residency_mut(victim).l3 &= !bit;
+        }
+        cached.l3 |= bit;
     }
 
     /// Charges one segment of traffic between `socket` and `home`:
@@ -463,6 +538,17 @@ impl Machine {
     pub fn mc_utilisation(&self, node: NodeId) -> f64 {
         self.congestion.mc_util[node.idx()].value_or(0.0)
     }
+}
+
+/// The indices of the set bits of `mask`, in ascending order.
+fn set_bits(mut mask: u64) -> impl Iterator<Item = usize> {
+    std::iter::from_fn(move || {
+        (mask != 0).then(|| {
+            let i = mask.trailing_zeros() as usize;
+            mask &= mask - 1;
+            i
+        })
+    })
 }
 
 #[cfg(test)]
@@ -600,5 +686,199 @@ mod tests {
     fn compute_charges_cycles() {
         let m = machine();
         assert_eq!(m.compute(2_800).as_nanos(), 1_000);
+    }
+
+    use crate::cache::reference::StampLru;
+    use proptest::prelude::*;
+
+    /// The access path before the directory: every cache probed and
+    /// filled by segment through the stamp model, in the order probe L2,
+    /// probe L3, insert L3, insert L2, and a free that invalidates every
+    /// cache. The map, the counters and the congestion model are a second
+    /// [`Machine`]'s (its own caches stay unused).
+    struct Reference {
+        m: Machine,
+        l2: Vec<StampLru>,
+        l3: Vec<StampLru>,
+    }
+
+    impl Reference {
+        fn new(cfg: &MachineConfig) -> Self {
+            let m = Machine::new(cfg.clone(), SimDuration::from_micros(100));
+            Reference {
+                l2: (0..m.topology().n_cores())
+                    .map(|_| StampLru::new(cfg.l2_segments))
+                    .collect(),
+                l3: (0..m.topology().n_nodes())
+                    .map(|_| StampLru::new(cfg.l3_segments))
+                    .collect(),
+                m,
+            }
+        }
+
+        fn free(&mut self, region: &Region) {
+            for seg in region.segments() {
+                for c in self.l2.iter_mut().chain(&mut self.l3) {
+                    c.invalidate(seg);
+                }
+            }
+            self.m.mem.free(region);
+        }
+
+        fn access(
+            &mut self,
+            core: CoreId,
+            seg: SegId,
+            kind: AccessKind,
+            stream: StreamId,
+        ) -> AccessResult {
+            let m = &mut self.m;
+            let socket = m.topology().node_of(core);
+            let touch = m.mem.touch(seg, socket, kind == AccessKind::Write);
+            let fault = m.count_fault(socket, touch.kind);
+            let (c, n, version) = (core.idx(), socket.idx(), touch.version);
+            let fault_time = if fault {
+                m.fault_latency
+            } else {
+                SimDuration::ZERO
+            };
+            let result = |time, level| AccessResult {
+                time: time + fault_time,
+                level,
+                fault,
+            };
+            if kind == AccessKind::Read {
+                match self.l2[c].probe(seg, version) {
+                    Probe::Hit => return result(m.cfg.l2_seg_time, HitLevel::L2),
+                    Probe::Stale => m.counters.invalidations.inc(n),
+                    Probe::Miss => {}
+                }
+                match self.l3[n].probe(seg, version) {
+                    Probe::Hit => {
+                        m.counters.l3_hits.inc(n);
+                        self.l2[c].insert(seg, version);
+                        return result(m.cfg.l3_seg_time, HitLevel::L3);
+                    }
+                    Probe::Stale => m.counters.invalidations.inc(n),
+                    Probe::Miss => {}
+                }
+                m.counters.l3_misses.inc(n);
+            }
+            let l3_miss = u64::from(kind == AccessKind::Read);
+            let time = m.charge_transfer(core, socket, touch.home, stream, l3_miss);
+            self.l3[n].insert(seg, version);
+            self.l2[c].insert(seg, version);
+            let level = if touch.home == socket {
+                HitLevel::DramLocal
+            } else {
+                HitLevel::DramRemote(m.cfg.topology.hops(socket, touch.home))
+            };
+            result(time, level)
+        }
+    }
+
+    /// One step of a random trace: (operation, core draw, region draw,
+    /// segment or size draw).
+    type Step = (u8, u16, u16, u8);
+
+    /// Replays `trace` on a machine and on the [`Reference`], comparing
+    /// every access result and all counters after each step, and every
+    /// residency bit of every live segment against the stamp caches.
+    fn same_as_reference(cfg: MachineConfig, trace: &[Step]) -> Result<(), TestCaseError> {
+        let mut m = Machine::new(cfg.clone(), SimDuration::from_micros(100));
+        let mut r = Reference::new(&cfg);
+        let (sp, rsp) = (m.create_space(), r.m.create_space());
+        let n_cores = m.topology().n_cores();
+        let mut live: Vec<Region> = Vec::new();
+        for (step, &(op, core, pick, draw)) in trace.iter().enumerate() {
+            match op {
+                _ if live.is_empty() || op < 4 => {
+                    let bytes = (1 + u64::from(draw % 6)) * SEG_BYTES;
+                    let region = m.alloc(sp, bytes);
+                    prop_assert_eq!(region.first_page, r.m.alloc(rsp, bytes).first_page);
+                    live.push(region);
+                }
+                4 => {
+                    let region = live.swap_remove(usize::from(pick) % live.len());
+                    m.free(&region);
+                    r.free(&region);
+                }
+                5 => {
+                    m.end_tick();
+                    r.m.end_tick();
+                }
+                _ => {
+                    let region = live[usize::from(pick) % live.len()];
+                    let seg = region.segment(u64::from(draw) % region.n_segments());
+                    let core = CoreId(core % n_cores as u16);
+                    let kind = if op < 16 {
+                        AccessKind::Read
+                    } else {
+                        AccessKind::Write
+                    };
+                    let stream = StreamId(u64::from(core.0 % 3));
+                    let (got, want) = (
+                        m.access_segment(core, seg, kind, stream),
+                        r.access(core, seg, kind, stream),
+                    );
+                    prop_assert_eq!(
+                        (got.time, got.level, got.fault),
+                        (want.time, want.level, want.fault),
+                        "access at step {step}"
+                    );
+                }
+            }
+            prop_assert_eq!(
+                m.counters().snapshot(),
+                r.m.counters().snapshot(),
+                "counters after step {step}"
+            );
+            for s in 0..3 {
+                prop_assert_eq!(
+                    m.counters().stream(StreamId(s)),
+                    r.m.counters().stream(StreamId(s))
+                );
+            }
+            for seg in live.iter().flat_map(|region| region.segments()) {
+                let cached = m.mem.residency(seg).expect("live segment unmapped");
+                for (c, stamp) in r.l2.iter().enumerate() {
+                    prop_assert_eq!(
+                        cached.l2 >> c & 1 == 1,
+                        stamp.holds(seg),
+                        "L2 {} bit of {:?} after step {}",
+                        c,
+                        seg,
+                        step
+                    );
+                    prop_assert_eq!(m.l2[c].holds(seg), stamp.holds(seg));
+                }
+                for (n, stamp) in r.l3.iter().enumerate() {
+                    prop_assert_eq!(
+                        cached.l3 >> n & 1 == 1,
+                        stamp.holds(seg),
+                        "L3 {} bit of {:?} after step {}",
+                        n,
+                        seg,
+                        step
+                    );
+                    prop_assert_eq!(m.l3[n].holds(seg), stamp.holds(seg));
+                }
+            }
+        }
+        Ok(())
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        #[test]
+        fn directory_path_is_the_reference_access_sequence(
+            // Allocs 4 draws in 20, frees 1, tick ends 1, reads 10,
+            // writes 4.
+            trace in collection::vec((0u8..20, 0u16..64, 0u16..1024, 0u8..64), 1..300)
+        ) {
+            same_as_reference(MachineConfig::tiny_2x2(), &trace)?;
+            same_as_reference(MachineConfig::opteron_4x4(), &trace)?;
+        }
     }
 }
