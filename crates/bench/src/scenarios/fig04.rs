@@ -41,12 +41,13 @@ pub fn run(spec: &ExperimentSpec) -> ScenarioResult {
                 iters,
                 SimDuration::from_secs(3600),
             );
+            let rate = |n: u64| out.wall.rate_per_sec(n);
             t.row(vec![
                 users.to_string(),
                 name.to_string(),
-                fnum(out.throughput_qps(), 3),
-                fnum(out.fault_rate(), 0),
-                fnum(out.ht_rate() / 1e6, 1),
+                fnum(rate(out.runs.len() as u64), 3),
+                fnum(rate(out.hw.minor_faults.iter().sum()), 0),
+                fnum(rate(out.hw.link_bytes.iter().sum()) / 1e6, 1),
             ]);
         }
         let out = run_config(

@@ -33,7 +33,6 @@ pub mod mt_churn;
 pub mod mt_fairshare;
 pub mod mt_interference;
 pub mod mt_zipf;
-pub mod probe;
 pub mod serve;
 pub mod serve_latency_curve;
 pub mod serve_overload;
@@ -119,7 +118,7 @@ const KEYS_NONE: &[&str] = &[];
 /// multi-tenant (`mt_*`) workloads and the serving layer (`serve_*`).
 pub fn registry() -> ScenarioRegistry {
     let mut r = ScenarioRegistry::new();
-    let items: [FnScenario; 26] = [
+    let items: [FnScenario; 25] = [
         FnScenario {
             name: "fig04",
             about: "Fig. 4 — Q6 vs concurrent clients (hand-coded C affinities vs OS/MonetDB)",
@@ -259,13 +258,6 @@ pub fn registry() -> ScenarioRegistry {
             schemas: ablation::SCHEMAS,
             run: ablation::run,
             keys: KEYS_ABLATION,
-        },
-        FnScenario {
-            name: "probe",
-            about: "Calibration probe — quick OS-vs-mechanism comparison (no CSV)",
-            schemas: probe::SCHEMAS,
-            run: probe::run,
-            keys: KEYS_SWEEP,
         },
         FnScenario {
             name: "chaos_recovery",

@@ -14,7 +14,7 @@ use std::path::PathBuf;
 /// Every name reachable through `emca run <name>`: the retired
 /// one-binary-per-figure entry points plus the `mt_*` and `serve_*`
 /// scenarios.
-const EXPECTED: [&str; 26] = [
+const EXPECTED: [&str; 25] = [
     "ablation",
     "chaos_recovery",
     "chaos_serve",
@@ -36,7 +36,6 @@ const EXPECTED: [&str; 26] = [
     "mt_fairshare",
     "mt_interference",
     "mt_zipf",
-    "probe",
     "serve_latency_curve",
     "serve_overload",
     "tab_overhead",
@@ -114,8 +113,8 @@ fn scenarios_declare_only_non_universal_table_keys() {
 #[test]
 fn registry_declares_the_full_results_schema_set() {
     // The committed results/ dir carries one CSV per declared schema;
-    // 34 files across the 24 CSV-writing scenarios (probe and csv_check
-    // only print).
+    // 34 files across the 24 CSV-writing scenarios (csv_check only
+    // prints).
     assert_eq!(scenarios::declared_csv_count(), 34);
     let registry = scenarios::registry();
     let mut seen = std::collections::BTreeSet::new();

@@ -61,7 +61,7 @@ fn barred(tenancy: &Option<TenantBinding>) -> CoreMask {
 /// The decision state of one mechanism instance.
 pub struct ControlCore {
     net: ElasticNet,
-    policy: Box<dyn Policy>,
+    pub(crate) policy: Box<dyn Policy>,
     /// Multi-tenant arbitration handle; `None` in single-tenant runs.
     tenancy: Option<TenantBinding>,
     saturation_guard: Option<f64>,

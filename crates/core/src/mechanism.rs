@@ -273,6 +273,11 @@ impl ElasticMechanism {
         self.core.nalloc()
     }
 
+    /// The policy's SLA budget violations so far ([`Policy::violations`]).
+    pub fn violations(&self) -> u64 {
+        self.core.policy.violations()
+    }
+
     /// The underlying PrT net (incidence matrix export etc.).
     pub fn net(&self) -> &ElasticNet {
         self.core.net()

@@ -145,6 +145,12 @@ pub trait Policy {
             AllocAction::Hold => Decision::Hold,
         }
     }
+
+    /// SLA budget violations counted so far (an [`SlaCappedPolicy`]'s
+    /// governor). Default: none.
+    fn violations(&self) -> u64 {
+        0
+    }
 }
 
 /// Every plain placement mode is a policy that always follows the net.
@@ -537,7 +543,7 @@ impl HillClimbPolicy {
 /// lowered cap is shrunk). The inner policy still decides *where*.
 ///
 /// ```
-/// use elastic_core::{PolicyId, SlaCappedPolicy, SlaPolicy};
+/// use elastic_core::{Policy, PolicyId, SlaCappedPolicy, SlaPolicy};
 ///
 /// // Adaptive placement under a 4-core budget on a 16-core machine.
 /// let capped = SlaCappedPolicy::new(
@@ -572,11 +578,6 @@ impl SlaCappedPolicy {
     /// The governor's current core cap.
     pub fn cap(&self) -> u32 {
         self.governor.cap()
-    }
-
-    /// Budget violations observed so far.
-    pub fn violations(&self) -> u64 {
-        self.governor.violations
     }
 }
 
@@ -627,6 +628,10 @@ impl Policy for SlaCappedPolicy {
             return Decision::Hold;
         }
         self.inner.decide(ctx)
+    }
+
+    fn violations(&self) -> u64 {
+        self.governor.violations
     }
 }
 

@@ -205,6 +205,11 @@ impl PoolController {
         self.core.nalloc()
     }
 
+    /// The policy's SLA budget violations so far ([`Policy::violations`]).
+    pub fn violations(&self) -> u64 {
+        self.core.policy.violations()
+    }
+
     /// How long the caller should wait before the next [`observe`]
     /// (AIMD: short after a transition, long while stable).
     ///

@@ -21,6 +21,9 @@ use rand::{RngExt, SeedableRng};
 use std::cell::RefCell;
 use std::rc::Rc;
 
+/// Per-query parse/optimise CPU time charged to the client session.
+const PLAN_OVERHEAD: SimDuration = SimDuration::from_micros(200);
+
 /// What a client session runs.
 #[derive(Clone, Debug)]
 pub enum Workload {
@@ -106,32 +109,30 @@ enum ClientState {
     Finished,
 }
 
-/// A client session thread body.
+/// A client session thread body: walks its [`materialize_phases`]
+/// script.
 pub struct ClientBody {
     engine: Engine,
-    workload: Workload,
-    iteration: u32,
+    /// The queries to run, phase by phase.
+    script: Vec<Vec<QuerySpec>>,
+    /// The phase being run.
+    phase: usize,
+    /// The next query of the phase.
+    pos: usize,
     state: ClientState,
     log: SharedLog,
-    rng: StdRng,
     barrier: Option<Rc<RefCell<PhaseBarrier>>>,
-    #[allow(dead_code)]
-    client_idx: usize,
 }
 
 impl ClientBody {
-    /// Creates a client. For [`Workload::StablePhases`] a shared barrier
-    /// must be supplied.
+    /// Creates client `client_idx`. For [`Workload::StablePhases`] a
+    /// shared barrier must be supplied.
     pub fn new(
         engine: Engine,
         workload: Workload,
-        #[allow(dead_code)] client_idx: usize,
+        client_idx: usize,
         barrier: Option<Rc<RefCell<PhaseBarrier>>>,
     ) -> (Self, SharedLog) {
-        let seed = match &workload {
-            Workload::Mixed { seed, .. } => seed.wrapping_add(client_idx as u64 * 0x9e37),
-            _ => client_idx as u64,
-        };
         if matches!(workload, Workload::StablePhases { .. }) {
             assert!(barrier.is_some(), "stable phases need a shared barrier");
         }
@@ -139,53 +140,34 @@ impl ClientBody {
         (
             ClientBody {
                 engine,
-                workload,
-                iteration: 0,
+                script: materialize_phases(&workload, client_idx),
+                phase: 0,
+                pos: 0,
                 state: ClientState::Idle,
                 log: Rc::clone(&log),
-                rng: StdRng::seed_from_u64(seed),
                 barrier,
-                client_idx,
             },
             log,
         )
     }
 
-    /// Decides the next query to run, or `None` when the workload is
-    /// exhausted. May park the client at the phase barrier.
-    fn next_spec(&mut self) -> NextAction {
-        match &self.workload {
-            Workload::Repeat { spec, iterations } => {
-                if self.iteration >= *iterations {
-                    NextAction::Done
-                } else {
-                    self.iteration += 1;
-                    NextAction::Run(*spec)
-                }
+    /// The next step of the script: the phase's next query; with a
+    /// barrier, arrival at it once the phase is done (the last phase
+    /// included); done after the last query otherwise.
+    fn next_action(&mut self) -> NextAction {
+        loop {
+            let Some(specs) = self.script.get(self.phase) else {
+                return NextAction::Done;
+            };
+            if let Some(&spec) = specs.get(self.pos) {
+                self.pos += 1;
+                return NextAction::Run(spec);
             }
-            Workload::StablePhases { specs } => {
-                let barrier = self.barrier.as_ref().expect("barrier checked at new");
-                let phase = barrier.borrow().phase();
-                if phase >= specs.len() {
-                    NextAction::Done
-                } else if self.iteration as usize > phase {
-                    // Already ran this phase's query: wait for the others.
-                    NextAction::Barrier(phase)
-                } else {
-                    self.iteration += 1;
-                    NextAction::Run(specs[phase])
-                }
-            }
-            Workload::Mixed {
-                specs, iterations, ..
-            } => {
-                if self.iteration >= *iterations {
-                    NextAction::Done
-                } else {
-                    self.iteration += 1;
-                    let i = self.rng.random_range(0..specs.len());
-                    NextAction::Run(specs[i])
-                }
+            let phase = self.phase;
+            self.phase += 1;
+            self.pos = 0;
+            if self.barrier.is_some() {
+                return NextAction::Barrier(phase);
             }
         }
     }
@@ -276,7 +258,7 @@ impl SimWork for ClientBody {
                         return StepOutcome::Blocked(used);
                     }
                 }
-                ClientState::Idle => match self.next_spec() {
+                ClientState::Idle => match self.next_action() {
                     NextAction::Done => {
                         self.state = ClientState::Finished;
                         return StepOutcome::Finished(used);
@@ -294,7 +276,7 @@ impl SimWork for ClientBody {
                         // spread across ticks by the Planning state.
                         self.state = ClientState::Planning {
                             spec,
-                            remaining: self.engine.plan_overhead(),
+                            remaining: PLAN_OVERHEAD,
                         };
                     }
                 },
@@ -328,13 +310,14 @@ pub fn spawn_clients(
         .collect()
 }
 
-/// Materialises the query sequence one client will run, as phases: every
-/// query of phase `p` completes before any client starts phase `p+1`
-/// (the threads backend separates phases with a [`std::sync::Barrier`]).
-/// `Repeat` and `Mixed` are a single phase; `StablePhases` is one query
-/// per phase — the same sequencing [`ClientBody`] produces in the
-/// simulation. The `Mixed` draws use the identical seed mixing and RNG,
-/// so a client runs the same queries on either backend.
+/// The script client `client_idx` runs, as phases: every query of phase
+/// `p` completes before any client starts phase `p+1`. Both backends run
+/// exactly this — [`ClientBody`] walks it in the simulation (phases
+/// separated by a [`PhaseBarrier`]), the threads clients walk it between
+/// [`std::sync::Barrier`]s — so a client runs the same queries on
+/// either. `Repeat` and `Mixed` are a single phase (the `Mixed` draws
+/// come from a per-client seeded RNG); `StablePhases` is one query per
+/// phase.
 pub fn materialize_phases(workload: &Workload, client_idx: usize) -> Vec<Vec<QuerySpec>> {
     match workload {
         Workload::Repeat { spec, iterations } => {
@@ -371,10 +354,57 @@ pub fn drain_errors(logs: &[SharedLog]) -> Vec<String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::exec::engine::EngineConfig;
+    use crate::tpch::{TpchData, TpchScale};
+    use emca_metrics::SimTime;
+    use os_sim::{CoreMask, Kernel, ThreadState};
+
+    fn tpch(numbers: std::ops::RangeInclusive<u8>) -> Vec<QuerySpec> {
+        numbers
+            .map(|number| QuerySpec::Tpch { number, variant: 0 })
+            .collect()
+    }
+
+    /// The specs `body` walks through, phase barriers left out.
+    fn walk(body: &mut ClientBody) -> Vec<u32> {
+        let mut tags = Vec::new();
+        loop {
+            match body.next_action() {
+                NextAction::Run(s) => tags.push(s.tag()),
+                NextAction::Barrier(_) => {}
+                NextAction::Done => return tags,
+            }
+        }
+    }
+
+    /// Runs three simulated clients of `workload` to completion on a
+    /// tiny dataset: each client's completed spec tags, in order.
+    fn sim_client_tags(workload: &Workload) -> Vec<Vec<u32>> {
+        let data = TpchData::generate(TpchScale::test_tiny());
+        let mut kernel = Kernel::opteron_4x4();
+        let engine = Engine::new(
+            EngineConfig::default(),
+            kernel.machine().topology().n_nodes(),
+        );
+        engine.load(kernel.machine_mut(), &data, Some(numa_sim::CoreId(0)));
+        let group = kernel.create_group(CoreMask::all(kernel.machine().topology()));
+        engine.start_workers(&mut kernel, group);
+        let logs = spawn_clients(&mut kernel, &engine, group, 3, workload.clone());
+        let done = kernel.run_until_cond(SimTime::from_secs(3_000), |k| {
+            (0..k.n_threads() as u32).map(Tid).all(|t| {
+                !k.thread_name(t).starts_with("client")
+                    || k.thread_state(t) == ThreadState::Finished
+            })
+        });
+        assert!(done, "clients did not finish");
+        logs.iter()
+            .map(|l| l.borrow().results.iter().map(|r| r.spec_tag).collect())
+            .collect()
+    }
 
     #[test]
     fn repeat_workload_counts_iterations() {
-        let engine = Engine::new(crate::exec::engine::EngineConfig::default(), 4);
+        let engine = Engine::new(EngineConfig::default(), 4);
         let (mut body, _log) = ClientBody::new(
             engine,
             Workload::Repeat {
@@ -384,36 +414,26 @@ mod tests {
             0,
             None,
         );
-        assert!(matches!(body.next_spec(), NextAction::Run(_)));
-        assert!(matches!(body.next_spec(), NextAction::Run(_)));
-        assert!(matches!(body.next_spec(), NextAction::Done));
+        assert!(matches!(body.next_action(), NextAction::Run(_)));
+        assert!(matches!(body.next_action(), NextAction::Run(_)));
+        assert!(matches!(body.next_action(), NextAction::Done));
     }
 
     #[test]
     fn mixed_workload_is_deterministic_per_client() {
-        let engine = Engine::new(crate::exec::engine::EngineConfig::default(), 4);
-        let specs: Vec<QuerySpec> = (1..=22)
-            .map(|n| QuerySpec::Tpch {
-                number: n,
-                variant: 0,
-            })
-            .collect();
+        let engine = Engine::new(EngineConfig::default(), 4);
         let mk = |idx| {
             let (mut body, _) = ClientBody::new(
                 engine.clone(),
                 Workload::Mixed {
-                    specs: specs.clone(),
+                    specs: tpch(1..=22),
                     iterations: 10,
                     seed: 7,
                 },
                 idx,
                 None,
             );
-            let mut seq = Vec::new();
-            while let NextAction::Run(s) = body.next_spec() {
-                seq.push(s.tag());
-            }
-            seq
+            walk(&mut body)
         };
         assert_eq!(mk(0), mk(0), "same client index must repeat");
         assert_ne!(mk(0), mk(1), "different clients should diverge");
@@ -421,35 +441,7 @@ mod tests {
 
     #[test]
     fn materialized_phases_match_clientbody_sequencing() {
-        let specs: Vec<QuerySpec> = (1..=22)
-            .map(|n| QuerySpec::Tpch {
-                number: n,
-                variant: 0,
-            })
-            .collect();
-        let wl = Workload::Mixed {
-            specs: specs.clone(),
-            iterations: 10,
-            seed: 7,
-        };
-        let engine = Engine::new(crate::exec::engine::EngineConfig::default(), 4);
-        for idx in [0usize, 1, 5] {
-            let (mut body, _) = ClientBody::new(engine.clone(), wl.clone(), idx, None);
-            let mut sim_seq = Vec::new();
-            while let NextAction::Run(s) = body.next_spec() {
-                sim_seq.push(s.tag());
-            }
-            let phases = materialize_phases(&wl, idx);
-            assert_eq!(phases.len(), 1);
-            let thr_seq: Vec<u32> = phases[0].iter().map(|s| s.tag()).collect();
-            assert_eq!(sim_seq, thr_seq, "client {idx} draw sequence must match");
-        }
-        let phased = materialize_phases(
-            &Workload::StablePhases {
-                specs: specs[..3].to_vec(),
-            },
-            0,
-        );
+        let phased = materialize_phases(&Workload::StablePhases { specs: tpch(1..=3) }, 0);
         assert_eq!(phased.len(), 3);
         assert!(phased.iter().all(|p| p.len() == 1));
         let rep = materialize_phases(
@@ -463,9 +455,34 @@ mod tests {
     }
 
     #[test]
+    fn sim_clients_complete_their_script() {
+        for workload in [
+            Workload::Repeat {
+                spec: QuerySpec::Q6 { variant: 0 },
+                iterations: 2,
+            },
+            Workload::Mixed {
+                specs: tpch(1..=6),
+                iterations: 3,
+                seed: 7,
+            },
+            Workload::StablePhases { specs: tpch(4..=6) },
+        ] {
+            for (idx, tags) in sim_client_tags(&workload).into_iter().enumerate() {
+                let script: Vec<u32> = materialize_phases(&workload, idx)
+                    .concat()
+                    .iter()
+                    .map(|s| s.tag())
+                    .collect();
+                assert_eq!(tags, script, "client {idx} of {workload:?}");
+            }
+        }
+    }
+
+    #[test]
     #[should_panic(expected = "barrier")]
     fn stable_phases_require_barrier() {
-        let engine = Engine::new(crate::exec::engine::EngineConfig::default(), 4);
+        let engine = Engine::new(EngineConfig::default(), 4);
         let _ = ClientBody::new(
             engine,
             Workload::StablePhases {

@@ -55,7 +55,7 @@ use crate::exec::cost;
 use crate::exec::dataflow::{Commit, Deques, Flow};
 use crate::exec::eval;
 use crate::exec::eval::GroupAcc;
-use crate::exec::fault::{FaultPlan, WorkerFaultKind};
+use crate::exec::fault::{FaultClock, FaultPlan, WorkerFaultKind};
 use crate::exec::mat::{FlatJoinMap, JoinTable, Mat, NodeStorage, PairsMat, PosMat, ValMat};
 use crate::exec::par::QueryError;
 use crate::exec::plan::{ColRef, NodeId, PhysOp, Plan, Side};
@@ -91,8 +91,6 @@ pub struct EngineConfig {
     pub flavor: Flavor,
     /// Worker threads (0 = one per hardware core, the MonetDB default).
     pub n_workers: usize,
-    /// Per-query parse/optimise CPU time charged to the client session.
-    pub plan_overhead: SimDuration,
     /// Memo cache entries before an epoch flush.
     pub memo_capacity: usize,
     /// Deterministic fault plan (`faults=` spec field); `None` (or an
@@ -107,7 +105,6 @@ impl Default for EngineConfig {
         EngineConfig {
             flavor: Flavor::MonetDb,
             n_workers: 0,
-            plan_overhead: SimDuration::from_micros(200),
             memo_capacity: 512,
             faults: None,
             fault_seed: 0,
@@ -300,14 +297,12 @@ fn sim_revive_delay() -> SimDuration {
     SimDuration::from_millis(200)
 }
 
-/// Runtime state of the simulated fault plane: which scheduled worker
-/// faults already fired, and until when each worker is dark (killed and
-/// not yet revived, or mid-stall). All in simulated time — a faulted
-/// run is exactly as deterministic as a healthy one.
+/// Runtime state of the simulated fault plane: the plan's clock, and
+/// until when each worker is dark (killed and not yet revived, or
+/// mid-stall). All in simulated time — a faulted run is exactly as
+/// deterministic as a healthy one.
 struct SimFaults {
-    plan: FaultPlan,
-    seed: u64,
-    fired: Vec<bool>,
+    clock: FaultClock,
     dark_until: Vec<SimTime>,
 }
 
@@ -323,11 +318,9 @@ impl Engine {
         let faults = cfg
             .faults
             .as_ref()
-            .filter(|p| !p.is_empty())
-            .map(|p| SimFaults {
-                plan: p.clone(),
-                seed: cfg.fault_seed,
-                fired: vec![false; p.worker_faults.len()],
+            .and_then(|p| FaultClock::arm(p, cfg.fault_seed))
+            .map(|clock| SimFaults {
+                clock,
                 dark_until: Vec::new(),
             });
         Engine {
@@ -512,11 +505,6 @@ impl Engine {
     pub fn active_queries(&self) -> usize {
         self.core_ref().queries.len()
     }
-
-    /// The per-query parse/plan overhead clients must charge.
-    pub fn plan_overhead(&self) -> SimDuration {
-        self.core_ref().cfg.plan_overhead
-    }
 }
 
 impl EngineCore {
@@ -536,7 +524,7 @@ impl EngineCore {
         if let Some(f) = &self.faults {
             // Same per-(seed, qid) draw as the threads backend, so both
             // poison the same query ids.
-            if f.plan.bad_query(f.seed, qid.0) {
+            if f.clock.poisons(qid.0) {
                 self.results.insert(qid.0, Err(QueryError::BadQuery));
                 return qid;
             }
@@ -970,7 +958,6 @@ impl EngineCore {
     /// duration. Dark workers burn their simulated quantum without
     /// progress, so recovery timing is deterministic.
     fn fault_dark(&mut self, idx: usize, ctx: &mut WorkCtx<'_>) -> Option<SimDuration> {
-        self.faults.as_ref()?;
         let now = ctx.now;
         let mut kill = false;
         let mut stall: Option<SimDuration> = None;
@@ -979,17 +966,10 @@ impl EngineCore {
             if f.dark_until.len() <= idx {
                 f.dark_until.resize(idx + 1, SimTime::ZERO);
             }
-            for i in 0..f.plan.worker_faults.len() {
-                let wf = f.plan.worker_faults[i];
-                if f.fired[i] || wf.worker as usize != idx {
-                    continue;
-                }
-                if now >= SimTime::ZERO + wf.at {
-                    f.fired[i] = true;
-                    match wf.kind {
-                        WorkerFaultKind::Kill => kill = true,
-                        WorkerFaultKind::Stall(d) => stall = Some(d),
-                    }
+            while let Some(kind) = f.clock.due(idx, now.since(SimTime::ZERO)) {
+                match kind {
+                    WorkerFaultKind::Kill => kill = true,
+                    WorkerFaultKind::Stall(d) => stall = Some(d),
                 }
             }
         }

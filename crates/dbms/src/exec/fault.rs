@@ -164,6 +164,46 @@ impl FaultPlan {
     }
 }
 
+/// The armed side of a plan, shared by both executors: which scheduled
+/// worker faults already fired, and the seed its poisoning draws from.
+/// Each executor measures `elapsed` in its own time domain (simulated
+/// time on the sim engine, wall time since arming on the pool).
+pub(crate) struct FaultClock {
+    plan: FaultPlan,
+    seed: u64,
+    fired: Vec<bool>,
+}
+
+impl FaultClock {
+    /// Arms `plan`; `None` when it injects nothing, so an unarmed
+    /// fault plane costs one `Option` check.
+    pub(crate) fn arm(plan: &FaultPlan, seed: u64) -> Option<Self> {
+        (!plan.is_empty()).then(|| FaultClock {
+            plan: plan.clone(),
+            seed,
+            fired: vec![false; plan.worker_faults.len()],
+        })
+    }
+
+    /// The first unfired fault of `worker` due by `elapsed`, in plan
+    /// order; it fires once.
+    pub(crate) fn due(&mut self, worker: usize, elapsed: SimDuration) -> Option<WorkerFaultKind> {
+        let i = self
+            .plan
+            .worker_faults
+            .iter()
+            .zip(&self.fired)
+            .position(|(wf, &fired)| !fired && wf.worker as usize == worker && elapsed >= wf.at)?;
+        self.fired[i] = true;
+        Some(self.plan.worker_faults[i].kind)
+    }
+
+    /// Whether the plan poisons query `qid` ([`FaultPlan::bad_query`]).
+    pub(crate) fn poisons(&self, qid: u64) -> bool {
+        self.plan.bad_query(self.seed, qid)
+    }
+}
+
 fn parse_worker_at(params: &str, entry: &str) -> Result<(u32, SimDuration), String> {
     let rest = params
         .strip_prefix("worker=")
@@ -301,6 +341,28 @@ mod tests {
         assert!(plan.is_empty());
         assert!(!plan.bad_query(42, 0));
         assert_eq!(plan.to_string(), "");
+    }
+
+    #[test]
+    fn clock_fires_each_due_fault_once_in_plan_order() {
+        let ms = SimDuration::from_millis;
+        let plan = FaultPlan::default()
+            .with_kill(0, ms(10))
+            .with_stall(0, ms(10), ms(5))
+            .with_kill(1, ms(20));
+        assert!(FaultClock::arm(&FaultPlan::default(), 1).is_none());
+        let mut clock = FaultClock::arm(&plan, 1).expect("a non-empty plan arms");
+        // Nothing before its time.
+        assert_eq!(clock.due(0, ms(9)), None);
+        assert_eq!(clock.due(1, ms(19)), None);
+        // Worker 0's two faults, in plan order, once each.
+        assert_eq!(clock.due(0, ms(10)), Some(WorkerFaultKind::Kill));
+        assert_eq!(clock.due(0, ms(10)), Some(WorkerFaultKind::Stall(ms(5))));
+        assert_eq!(clock.due(0, ms(30)), None);
+        // Worker 1's kill fires late too, and only once.
+        assert_eq!(clock.due(1, ms(25)), Some(WorkerFaultKind::Kill));
+        assert_eq!(clock.due(1, ms(30)), None);
+        assert_eq!(clock.due(2, ms(30)), None);
     }
 
     #[test]

@@ -53,7 +53,7 @@ use crate::exec::dataflow::{Commit, Deques, Flow};
 use crate::exec::engine::{
     assemble_parts, evaluate_partition_on, EngineStats, ExecInputs, QueryResult,
 };
-use crate::exec::fault::{FaultPlan, WorkerFaultKind};
+use crate::exec::fault::{FaultClock, FaultPlan, WorkerFaultKind};
 use crate::exec::mat::Mat;
 use crate::exec::plan::{ColRef, NodeId, Plan};
 use crate::exec::task::{QueryId, Task};
@@ -214,14 +214,11 @@ impl State {
     }
 }
 
-/// An armed fault plan plus its runtime bookkeeping (which scheduled
-/// worker faults already fired, and the wall-clock zero the fault
-/// offsets are measured from).
+/// An armed fault plan's clock and the wall-clock zero its offsets are
+/// measured from.
 struct FaultsRt {
-    plan: FaultPlan,
-    seed: u64,
+    clock: FaultClock,
     t0: Instant,
-    fired: Vec<bool>,
 }
 
 struct Shared {
@@ -298,17 +295,8 @@ impl Shared {
         }
         let mut guard = self.faults.lock().unwrap_or_else(PoisonError::into_inner);
         let rt = guard.as_mut()?;
-        let elapsed = rt.t0.elapsed().as_nanos() as u64;
-        for (i, wf) in rt.plan.worker_faults.iter().enumerate() {
-            if rt.fired[i] || wf.worker as usize != idx {
-                continue;
-            }
-            if elapsed >= wf.at.as_nanos() {
-                rt.fired[i] = true;
-                return Some(wf.kind);
-            }
-        }
-        None
+        let elapsed = SimDuration::from_nanos(rt.t0.elapsed().as_nanos() as u64);
+        rt.clock.due(idx, elapsed)
     }
 
     /// Whether the armed fault plan poisons query `qid` (deterministic
@@ -318,9 +306,7 @@ impl Shared {
             return false;
         }
         let guard = self.faults.lock().unwrap_or_else(PoisonError::into_inner);
-        guard
-            .as_ref()
-            .is_some_and(|rt| rt.plan.bad_query(rt.seed, qid))
+        guard.as_ref().is_some_and(|rt| rt.clock.poisons(qid))
     }
 }
 
@@ -437,20 +423,17 @@ impl ParEngine {
     /// every later submission. Arm once, before the run's first query;
     /// an empty plan is a no-op (the fault plane stays fully inert).
     pub fn arm_faults(&self, plan: &FaultPlan, seed: u64) {
-        if plan.is_empty() {
+        let Some(clock) = FaultClock::arm(plan, seed) else {
             return;
-        }
-        let fired = vec![false; plan.worker_faults.len()];
+        };
         let mut guard = self
             .shared
             .faults
             .lock()
             .unwrap_or_else(PoisonError::into_inner);
         *guard = Some(FaultsRt {
-            plan: plan.clone(),
-            seed,
+            clock,
             t0: Instant::now(),
-            fired,
         });
         drop(guard);
         self.shared.faults_armed.store(true, Ordering::Relaxed);

@@ -249,6 +249,7 @@ mod tests {
         );
         assert_eq!(cursor.remaining(), 5);
         let mut wakes = Vec::new();
+        let mut spawns = Vec::new();
         let mut ctx = WorkCtx {
             machine: &mut machine,
             core: CoreId(0),
@@ -256,6 +257,7 @@ mod tests {
             budget: SimDuration::from_micros(100),
             tid: Tid(0),
             wakes: &mut wakes,
+            spawns: &mut spawns,
         };
         // A tiny budget makes progress but does not finish.
         let (used, done) = cursor.advance(&mut ctx, SimDuration::from_micros(15));

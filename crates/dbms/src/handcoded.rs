@@ -19,7 +19,7 @@ use crate::tpch::gen::TpchData;
 use crate::tpch::queries::YEAR_DAYS;
 use emca_metrics::SimDuration;
 use numa_sim::{AccessKind, CoreId, Machine, SpaceId, StreamId};
-use os_sim::{CoreMask, GroupId, Kernel, SimWork, StepOutcome, Tid, WorkCtx};
+use os_sim::{CoreMask, GroupId, SimWork, SpawnReq, StepOutcome, Tid, WorkCtx};
 use std::cell::RefCell;
 use std::rc::Rc;
 
@@ -90,7 +90,6 @@ struct TeamState {
 struct TeamWorker {
     data: Rc<HandcodedData>,
     state: Rc<RefCell<TeamState>>,
-    start: usize,
     end: usize,
     cursor: usize,
     acc: f64,
@@ -178,7 +177,6 @@ pub struct HandcodedClient {
     log: SharedHandcodedLog,
     stream_base: u64,
     run: u32,
-    spawner: Spawner,
 }
 
 impl HandcodedClient {
@@ -191,7 +189,6 @@ impl HandcodedClient {
         group: GroupId,
         iterations: u32,
         stream_base: u64,
-        spawner: Spawner,
     ) -> (Self, SharedHandcodedLog) {
         assert!(team_size >= 1, "team needs at least one thread");
         let log: SharedHandcodedLog = Rc::new(RefCell::new(HandcodedLog::default()));
@@ -207,7 +204,6 @@ impl HandcodedClient {
                 log: Rc::clone(&log),
                 stream_base,
                 run: 0,
-                spawner,
             },
             log,
         )
@@ -246,10 +242,7 @@ impl SimWork for HandcodedClient {
         if self.run >= self.iterations {
             return StepOutcome::Finished(SimDuration::ZERO);
         }
-        // Fork the next team. Spawn requests go through the context's
-        // wake list indirection: the kernel exposes request_spawn outside
-        // of steps, so the coordinator instead pre-creates workers via the
-        // shared spawner installed at setup.
+        // Fork the next team: its threads join at the end of this tick.
         self.run += 1;
         self.started = Some(ctx.now);
         let state = Rc::new(RefCell::new(TeamState {
@@ -259,7 +252,6 @@ impl SimWork for HandcodedClient {
         }));
         self.state = Some(Rc::clone(&state));
         let rows = self.data.rows();
-        let topo = ctx.machine.topology().clone();
         let stream = StreamId(self.stream_base + self.run as u64);
         for t in 0..self.team_size {
             let start = rows * t / self.team_size;
@@ -267,17 +259,16 @@ impl SimWork for HandcodedClient {
             let worker = TeamWorker {
                 data: Rc::clone(&self.data),
                 state: Rc::clone(&state),
-                start,
                 end,
                 cursor: start,
                 acc: 0.0,
                 stream,
             };
-            let _ = worker.start;
-            self.spawner.borrow_mut().push(os_sim::SpawnReq {
+            let affinity = self.team_affinity(t, ctx.machine.topology());
+            ctx.spawn(SpawnReq {
                 name: format!("pthread{t}"),
                 group: self.group,
-                affinity: self.team_affinity(t, &topo),
+                affinity,
                 work: Box::new(worker),
             });
         }
@@ -293,16 +284,5 @@ impl HandcodedClient {
     /// Thread-creation cost charged per run (`pthread_create` etc.).
     fn spawn_overhead(&self) -> SimDuration {
         SimDuration::from_micros(20 * self.team_size as u64)
-    }
-}
-
-/// A shared buffer of spawn requests drained by the driver between ticks.
-pub type Spawner = Rc<RefCell<Vec<os_sim::SpawnReq>>>;
-
-/// Drains pending team spawns into the kernel. Call between ticks.
-pub fn pump_spawns(kernel: &mut Kernel, spawner: &Spawner) {
-    let reqs: Vec<os_sim::SpawnReq> = spawner.borrow_mut().drain(..).collect();
-    for req in reqs {
-        kernel.request_spawn(req);
     }
 }

@@ -58,7 +58,6 @@ use numa_sim::CoreId;
 use os_sim::{CoreMask, Kernel, ThreadState, Tid};
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
-use std::cell::Cell;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::fmt;
@@ -393,7 +392,6 @@ struct Resident {
     seen: Vec<usize>,
     /// Completions counted since the last sample window.
     window_completions: u64,
-    violations: Rc<Cell<u64>>,
     /// When the clients arrived (`None` while a resident tenant waits
     /// out its `start_after`).
     started_at: Option<SimTime>,
@@ -440,7 +438,7 @@ impl Resident {
             results: volcano_db::client::drain_results(&self.logs),
             started_at: self.started_at.unwrap_or(now),
             finished_at: self.finished_at.unwrap_or(now),
-            sla_violations: self.violations.get(),
+            sla_violations: self.mechanism.as_ref().map_or(0, |m| m.violations()),
             control_steps: self.mechanism.as_ref().map_or(0, |m| m.steps),
             ..self.out
         }
@@ -517,7 +515,6 @@ pub fn run_tenants_churn(config: MultiTenantConfig, data: &TpchData) -> MultiTen
             // start workers at admit time.
             let instance = config.instance(tcfg);
             let (group, engine) = start_engine(&mut kernel, &instance, data);
-            let violations = Rc::new(Cell::new(0u64));
             let (mechanism, tid) = if config.static_partition {
                 let cores = admissions.static_slice(slot).map(|c| CoreId(c as u16));
                 kernel.set_group_mask(group, CoreMask::from_cores(cores));
@@ -534,7 +531,7 @@ pub fn run_tenants_churn(config: MultiTenantConfig, data: &TpchData) -> MultiTen
                     &mut kernel,
                     group,
                     engine.space(),
-                    tcfg.governed(placement, &topo, Rc::clone(&violations)),
+                    tcfg.governed(placement, &topo),
                     mech_cfg,
                     TenantBinding::new(Rc::clone(&arbiter), tid),
                 );
@@ -552,7 +549,6 @@ pub fn run_tenants_churn(config: MultiTenantConfig, data: &TpchData) -> MultiTen
                 out: TenantOutput::begin(tcfg, now),
                 seen: Vec::new(),
                 window_completions: 0,
-                violations,
                 started_at: None,
                 finished_at: None,
             };

@@ -4,7 +4,7 @@ use emca_metrics::{SimDuration, SimTime};
 use numa_sim::{CoreId, HwSnapshot};
 use os_sim::{CoreMask, ThreadState, Tid};
 use std::rc::Rc;
-use volcano_db::handcoded::{pump_spawns, CAffinity, HandcodedClient, HandcodedData, Spawner};
+use volcano_db::handcoded::{CAffinity, HandcodedClient, HandcodedData};
 use volcano_db::tpch::TpchData;
 
 /// Output of one hand-coded sweep point.
@@ -17,45 +17,8 @@ pub struct HandcodedOutput {
     pub runs: Vec<(SimDuration, f64)>,
     /// Wall time of the whole experiment.
     pub wall: SimDuration,
-    /// Counters before.
-    pub hw_before: HwSnapshot,
-    /// Counters after.
-    pub hw_after: HwSnapshot,
-}
-
-impl HandcodedOutput {
-    /// Queries per second.
-    pub fn throughput_qps(&self) -> f64 {
-        if self.wall.is_zero() {
-            0.0
-        } else {
-            self.runs.len() as f64 / self.wall.as_secs_f64()
-        }
-    }
-
-    /// HT bytes moved.
-    pub fn ht_bytes(&self) -> u64 {
-        let a: u64 = self.hw_after.link_bytes.iter().sum();
-        let b: u64 = self.hw_before.link_bytes.iter().sum();
-        a.saturating_sub(b)
-    }
-
-    /// Minor faults taken.
-    pub fn minor_faults(&self) -> u64 {
-        let a: u64 = self.hw_after.minor_faults.iter().sum();
-        let b: u64 = self.hw_before.minor_faults.iter().sum();
-        a.saturating_sub(b)
-    }
-
-    /// HT traffic rate in bytes/s.
-    pub fn ht_rate(&self) -> f64 {
-        self.wall.rate_per_sec(self.ht_bytes())
-    }
-
-    /// Minor faults per second.
-    pub fn fault_rate(&self) -> f64 {
-        self.wall.rate_per_sec(self.minor_faults())
-    }
+    /// The counters' growth over the experiment.
+    pub hw: HwSnapshot,
 }
 
 /// Runs `clients` concurrent hand-coded Q6 programs, each forking a team
@@ -72,7 +35,6 @@ pub fn run_handcoded(
     let group = kernel.create_group(CoreMask::all(kernel.machine().topology()));
 
     let hc_data = Rc::new(HandcodedData::load(kernel.machine_mut(), data, CoreId(0)));
-    let spawner: Spawner = Rc::new(std::cell::RefCell::new(Vec::new()));
     let mut logs = Vec::new();
     for c in 0..clients {
         let (body, log) = HandcodedClient::new(
@@ -82,7 +44,6 @@ pub fn run_handcoded(
             group,
             iterations,
             (c as u64 + 1) * 1_000_000,
-            Rc::clone(&spawner),
         );
         kernel.spawn(format!("hc-client{c}"), group, None, Box::new(body));
         logs.push(log);
@@ -105,7 +66,6 @@ pub fn run_handcoded(
             break;
         }
         kernel.run_tick();
-        pump_spawns(&mut kernel, &spawner);
     }
     assert!(
         end.is_some(),
@@ -119,8 +79,7 @@ pub fn run_handcoded(
         clients,
         runs,
         wall: end.since(start),
-        hw_before,
-        hw_after: kernel.machine().counters().snapshot(),
+        hw: kernel.machine().counters().snapshot().since(&hw_before),
     }
 }
 
@@ -156,7 +115,7 @@ mod tests {
             (got - want).abs() <= want.abs() * 1e-9 + 1e-6,
             "revenue mismatch: got {got} want {want}"
         );
-        assert!(out.throughput_qps() > 0.0);
+        assert!(out.wall > SimDuration::ZERO);
     }
 
     #[test]
@@ -165,17 +124,14 @@ mod tests {
         let out = run_handcoded(&data, CAffinity::Dense, 2, 4, 1, SimDuration::from_secs(60));
         assert_eq!(out.runs.len(), 2);
         // All compute on node 0's cores (0..4); loader also ran there.
-        let busy: Vec<u64> = out
-            .hw_after
-            .busy_ns
-            .iter()
-            .zip(&out.hw_before.busy_ns)
-            .map(|(&a, &b)| a - b)
-            .collect();
-        let off_node0: u64 = busy[4..].iter().sum();
-        assert_eq!(off_node0, 0, "dense teams escaped node 0: {busy:?}");
+        let off_node0: u64 = out.hw.busy_ns[4..].iter().sum();
+        assert_eq!(
+            off_node0, 0,
+            "dense teams escaped node 0: {:?}",
+            out.hw.busy_ns
+        );
         // Dense over local data crosses no links.
-        assert_eq!(out.ht_bytes(), 0);
+        assert_eq!(out.hw.link_bytes.iter().sum::<u64>(), 0);
     }
 
     #[test]
@@ -190,7 +146,9 @@ mod tests {
             SimDuration::from_secs(60),
         );
         // Teams on nodes 1..3 read node-0-homed data: HT traffic appears.
-        assert!(out.ht_bytes() > 0, "sparse must generate link traffic");
-        assert!(out.fault_rate() >= 0.0);
+        assert!(
+            out.hw.link_bytes.iter().sum::<u64>() > 0,
+            "sparse must generate link traffic"
+        );
     }
 }

@@ -51,42 +51,39 @@ pub struct RunOutput {
 }
 
 impl RunOutput {
+    /// The counters' growth over the run.
+    fn hw(&self) -> HwSnapshot {
+        self.hw_after.since(&self.hw_before)
+    }
+
     /// Per-socket L3 load-miss deltas.
     pub fn l3_misses_per_socket(&self) -> Vec<u64> {
-        delta(&self.hw_after.l3_misses, &self.hw_before.l3_misses)
+        self.hw().l3_misses
     }
 
     /// Per-socket IMC byte deltas.
     pub fn imc_bytes_per_socket(&self) -> Vec<u64> {
-        delta(&self.hw_after.imc_bytes, &self.hw_before.imc_bytes)
+        self.hw().imc_bytes
     }
 
     /// Machine-wide HT byte delta.
     pub fn ht_bytes(&self) -> u64 {
-        delta(&self.hw_after.link_bytes, &self.hw_before.link_bytes)
-            .iter()
-            .sum()
+        self.hw().link_bytes.iter().sum()
     }
 
     /// Machine-wide minor-fault delta.
     pub fn minor_faults(&self) -> u64 {
-        delta(&self.hw_after.minor_faults, &self.hw_before.minor_faults)
-            .iter()
-            .sum()
+        self.hw().minor_faults.iter().sum()
     }
 
     /// Per-core busy-time deltas (ns).
     pub fn busy_ns(&self) -> Vec<u64> {
-        delta(&self.hw_after.busy_ns, &self.hw_before.busy_ns)
+        self.hw().busy_ns
     }
 
     /// Queries per second over the measured wall time.
     pub fn throughput_qps(&self) -> f64 {
-        if self.wall.is_zero() {
-            0.0
-        } else {
-            self.results.len() as f64 / self.wall.as_secs_f64()
-        }
+        self.wall.rate_per_sec(self.results.len() as u64)
     }
 
     /// Mean response time across all queries.
@@ -107,14 +104,6 @@ impl RunOutput {
     pub fn fault_rate(&self) -> f64 {
         self.wall.rate_per_sec(self.minor_faults())
     }
-}
-
-fn delta(after: &[u64], before: &[u64]) -> Vec<u64> {
-    after
-        .iter()
-        .zip(before)
-        .map(|(&a, &b)| a.saturating_sub(b))
-        .collect()
 }
 
 /// The simulated stack one run executes on: kernel, DBMS thread group,

@@ -51,7 +51,6 @@ use emca_metrics::{SimDuration, SimTime, TimeSeries};
 use numa_sim::{CoreId, HwCounters, MachineConfig};
 use os_sim::{SchedStats, SchedTrace, Tid};
 use prt_petrinet::Thresholds;
-use std::cell::Cell;
 use std::rc::Rc;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Barrier, Mutex, MutexGuard, PoisonError};
@@ -113,9 +112,8 @@ fn load_pct(busy_delta: u64, active: usize, dt_ns: u64) -> f64 {
 }
 
 /// A tenant's side of its pool's controller: the SLA budgets that
-/// govern its policy (violations mirrored into the cell) and its handle
-/// on the shared arbiter.
-pub(crate) type Tenancy<'a> = (&'a TenantRunConfig, Rc<Cell<u64>>, TenantBinding);
+/// govern its policy and its handle on the shared arbiter.
+pub(crate) type Tenancy<'a> = (&'a TenantRunConfig, TenantBinding);
 
 /// One worker pool under elastic control — what every threads driver
 /// (closed loop, tenants, serve) carries per engine: the controller's
@@ -154,10 +152,7 @@ impl Pool {
             cfg.thresholds = Thresholds::cpu_load_default();
             let topology = PoolController::mirror(n_workers as u32);
             let (policy, binding) = match tenancy {
-                Some((tenant, violations, binding)) => (
-                    tenant.governed(policy, &topology, violations),
-                    Some(binding),
-                ),
+                Some((tenant, binding)) => (tenant.governed(policy, &topology), Some(binding)),
                 None => (policy, None),
             };
             PoolController::install(policy, &cfg, topology, binding, since)
@@ -569,8 +564,6 @@ struct PoolSlot {
     /// closed by `retire`).
     out: TenantOutput,
     sample_completed: u64,
-    /// The SLA governor's violation count, mirrored out of the policy.
-    violations: Rc<Cell<u64>>,
 }
 
 impl PoolSlot {
@@ -587,7 +580,7 @@ impl PoolSlot {
         TenantOutput {
             results: self.sinks.into_results(),
             finished_at: finished.max(self.out.started_at),
-            sla_violations: self.violations.get(),
+            sla_violations: self.pool.controller.as_ref().map_or(0, |c| c.violations()),
             ..self.out
         }
     }
@@ -646,7 +639,6 @@ pub fn run_tenants_threads(config: MultiTenantConfig, data: &TpchData) -> MultiT
             let arrival = SimTime::ZERO + tcfg.start_after;
             let elastic = !config.static_partition;
             let started_at = now.max(arrival);
-            let violations = Rc::new(Cell::new(0u64));
             let tid = elastic.then(|| {
                 arbiter
                     .borrow_mut()
@@ -660,7 +652,7 @@ pub fn run_tenants_threads(config: MultiTenantConfig, data: &TpchData) -> MultiT
                 started_at,
                 tid.map(|tid| {
                     let binding = TenantBinding::new(Rc::clone(&arbiter), tid);
-                    (tcfg, Rc::clone(&violations), binding)
+                    (tcfg, binding)
                 }),
             );
             if !elastic {
@@ -688,7 +680,6 @@ pub fn run_tenants_threads(config: MultiTenantConfig, data: &TpchData) -> MultiT
                 handles,
                 out: TenantOutput::begin(tcfg, started_at),
                 sample_completed: 0,
-                violations,
             });
         }
 

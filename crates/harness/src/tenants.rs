@@ -17,8 +17,6 @@ use crate::backend::Backend;
 use crate::config::{RunConfig, Warmup};
 use elastic_core::{ArbiterMode, Policy, PolicyId, SlaCappedPolicy, SlaPolicy};
 use emca_metrics::{SimDuration, SimTime, TimeSeries};
-use std::cell::Cell;
-use std::rc::Rc;
 use volcano_db::client::Workload;
 use volcano_db::exec::engine::{Flavor, QueryResult};
 use volcano_db::exec::FaultPlan;
@@ -406,64 +404,26 @@ impl MultiTenantOutput {
     }
 }
 
-/// An [`SlaCappedPolicy`] that mirrors its governor's violation count
-/// into a shared cell, so the runner can report it after the mechanism
-/// (which owns the boxed policy) is gone.
-struct SlaProbePolicy {
-    inner: SlaCappedPolicy,
-    violations: Rc<Cell<u64>>,
-}
-
-impl Policy for SlaProbePolicy {
-    fn name(&self) -> &str {
-        self.inner.name()
-    }
-
-    fn next_core(&mut self, ctx: &elastic_core::ModeCtx<'_>) -> Option<numa_sim::CoreId> {
-        self.inner.next_core(ctx)
-    }
-
-    fn release_core(&mut self, ctx: &elastic_core::ModeCtx<'_>) -> Option<numa_sim::CoreId> {
-        self.inner.release_core(ctx)
-    }
-
-    fn observe(&mut self, obs: &elastic_core::Observation<'_>) {
-        self.inner.observe(obs);
-        self.violations.set(self.inner.violations());
-    }
-
-    fn shape(&mut self, u: i64, nalloc: u32, thresholds: prt_petrinet::Thresholds) -> i64 {
-        self.inner.shape(u, nalloc, thresholds)
-    }
-
-    fn grow_denied(&mut self, core: numa_sim::CoreId) {
-        self.inner.grow_denied(core);
-    }
-
-    fn decide(&mut self, ctx: &elastic_core::PolicyCtx<'_>) -> elastic_core::Decision {
-        self.inner.decide(ctx)
-    }
-}
-
 impl TenantRunConfig {
     /// Wraps `placement` in this tenant's SLA governor when it carries
-    /// any budget (the bare policy otherwise); the governor's violation
-    /// count is mirrored into `violations`.
+    /// any budget (the bare policy otherwise); the governor counts its
+    /// violations ([`Policy::violations`]).
     pub(crate) fn governed(
         &self,
         placement: Box<dyn Policy>,
         topology: &numa_sim::Topology,
-        violations: Rc<Cell<u64>>,
     ) -> Box<dyn Policy> {
         if !self.constrained() {
             return placement;
         }
         let ntotal = topology.n_cores() as u32;
         let cores_per_socket = (ntotal / topology.n_nodes() as u32).max(1);
-        Box::new(SlaProbePolicy {
-            inner: SlaCappedPolicy::new(placement, self.sla, ntotal, cores_per_socket),
-            violations,
-        })
+        Box::new(SlaCappedPolicy::new(
+            placement,
+            self.sla,
+            ntotal,
+            cores_per_socket,
+        ))
     }
 }
 

@@ -4,7 +4,7 @@
 //! per-socket memory throughput) are rendered from `(SimTime, f64)` samples
 //! collected at the monitor interval.
 
-use crate::time::{SimDuration, SimTime};
+use crate::time::SimTime;
 
 /// An append-only series of `(time, value)` samples, in nondecreasing time
 /// order.
@@ -75,58 +75,6 @@ impl TimeSeries {
             Some(self.samples.iter().map(|&(_, v)| v).sum::<f64>() / self.samples.len() as f64)
         }
     }
-
-    /// Time-weighted average: each sample's value is weighted by the span
-    /// until the next sample. The final sample gets zero weight (its span is
-    /// unknown), so at least two samples are needed.
-    pub fn time_weighted_mean(&self) -> Option<f64> {
-        if self.samples.len() < 2 {
-            return None;
-        }
-        let mut weighted = 0.0;
-        let mut total = 0.0;
-        for pair in self.samples.windows(2) {
-            let (t0, v) = pair[0];
-            let (t1, _) = pair[1];
-            let w = t1.since(t0).as_secs_f64();
-            weighted += v * w;
-            total += w;
-        }
-        if total == 0.0 {
-            None
-        } else {
-            Some(weighted / total)
-        }
-    }
-
-    /// Downsamples to buckets of width `step`, averaging samples that fall
-    /// in the same bucket. Useful to align series of differing rates before
-    /// rendering.
-    pub fn resample(&self, step: SimDuration) -> TimeSeries {
-        let mut out = TimeSeries::new(self.name.clone());
-        if self.samples.is_empty() || step.is_zero() {
-            out.samples = self.samples.clone();
-            return out;
-        }
-        let mut bucket_start = self.samples[0].0.align_down(step);
-        let mut sum = 0.0;
-        let mut n = 0u32;
-        for &(t, v) in &self.samples {
-            let b = t.align_down(step);
-            if b != bucket_start && n > 0 {
-                out.push(bucket_start, sum / n as f64);
-                bucket_start = b;
-                sum = 0.0;
-                n = 0;
-            }
-            sum += v;
-            n += 1;
-        }
-        if n > 0 {
-            out.push(bucket_start, sum / n as f64);
-        }
-        out
-    }
 }
 
 #[cfg(test)]
@@ -154,8 +102,6 @@ mod tests {
         }
         assert_eq!(s.mean(), Some(4.0));
         assert_eq!(s.max(), Some(6.0));
-        // time-weighted: 2.0 for 10ms, 4.0 for 10ms -> 3.0
-        assert!((s.time_weighted_mean().unwrap() - 3.0).abs() < 1e-12);
         assert_eq!(s.last(), Some((t(20), 6.0)));
     }
 
@@ -164,27 +110,6 @@ mod tests {
         let s = TimeSeries::new("x");
         assert_eq!(s.mean(), None);
         assert_eq!(s.max(), None);
-        assert_eq!(s.time_weighted_mean(), None);
         assert!(s.is_empty());
-    }
-
-    #[test]
-    fn resample_buckets_and_averages() {
-        let mut s = TimeSeries::new("x");
-        s.push(t(1), 1.0);
-        s.push(t(2), 3.0);
-        s.push(t(11), 10.0);
-        let r = s.resample(SimDuration::from_millis(10));
-        assert_eq!(r.len(), 2);
-        assert_eq!(r.samples()[0], (t(0), 2.0));
-        assert_eq!(r.samples()[1], (t(10), 10.0));
-    }
-
-    #[test]
-    fn resample_zero_step_is_identity() {
-        let mut s = TimeSeries::new("x");
-        s.push(t(1), 1.0);
-        let r = s.resample(SimDuration::ZERO);
-        assert_eq!(r.samples(), s.samples());
     }
 }

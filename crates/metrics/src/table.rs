@@ -52,11 +52,6 @@ impl Table {
         self
     }
 
-    /// Convenience: appends a row of `Display`-able cells.
-    pub fn row_display<D: std::fmt::Display>(&mut self, cells: &[D]) -> &mut Self {
-        self.row(cells.iter().map(|c| c.to_string()).collect())
-    }
-
     /// The column headers, in order.
     pub fn headers(&self) -> &[String] {
         &self.headers
@@ -186,7 +181,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "table \"demo\": row has 3 cells, header has 2 columns")]
     fn long_rows_are_rejected() {
-        Table::new("demo", &["a", "b"]).row_display(&[1, 2, 3]);
+        Table::new("demo", &["a", "b"]).row(vec!["1".into(), "2".into(), "3".into()]);
     }
 
     #[test]
@@ -211,7 +206,7 @@ mod tests {
         let dir = std::env::temp_dir().join("emca_metrics_table_test");
         let path = dir.join("t.csv");
         let mut t = Table::new("x", &["k", "v"]);
-        t.row_display(&[1, 2]);
+        t.row(vec!["1".into(), "2".into()]);
         t.write_csv(&path).unwrap();
         let back = std::fs::read_to_string(&path).unwrap();
         assert!(back.starts_with("k,v"));

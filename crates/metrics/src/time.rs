@@ -60,14 +60,6 @@ impl SimTime {
     pub fn since(self, earlier: SimTime) -> SimDuration {
         SimDuration(self.0.saturating_sub(earlier.0))
     }
-
-    /// Rounds down to a multiple of `step` (used to bucket samples).
-    pub fn align_down(self, step: SimDuration) -> SimTime {
-        if step.0 == 0 {
-            return self;
-        }
-        SimTime(self.0 - self.0 % step.0)
-    }
 }
 
 impl SimDuration {
@@ -275,14 +267,6 @@ mod tests {
         assert_eq!(t.since(SimTime::from_millis(12)).as_nanos(), 3_000_000);
         // saturating behaviour
         assert_eq!(SimTime::from_millis(1).since(t), SimDuration::ZERO);
-    }
-
-    #[test]
-    fn align_down_buckets() {
-        let t = SimTime::from_nanos(1_234_567);
-        let step = SimDuration::from_micros(100);
-        assert_eq!(t.align_down(step).as_nanos(), 1_200_000);
-        assert_eq!(t.align_down(SimDuration::ZERO), t);
     }
 
     #[test]

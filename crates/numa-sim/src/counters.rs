@@ -134,6 +134,29 @@ pub struct HwSnapshot {
     pub invalidations: Vec<u64>,
 }
 
+impl HwSnapshot {
+    /// Each counter's growth from `before` to `self` (saturating).
+    pub fn since(&self, before: &HwSnapshot) -> HwSnapshot {
+        let d = |after: &[u64], before: &[u64]| {
+            after
+                .iter()
+                .zip(before)
+                .map(|(&a, &b)| a.saturating_sub(b))
+                .collect()
+        };
+        HwSnapshot {
+            l3_hits: d(&self.l3_hits, &before.l3_hits),
+            l3_misses: d(&self.l3_misses, &before.l3_misses),
+            imc_bytes: d(&self.imc_bytes, &before.imc_bytes),
+            link_bytes: d(&self.link_bytes, &before.link_bytes),
+            minor_faults: d(&self.minor_faults, &before.minor_faults),
+            remote_faults: d(&self.remote_faults, &before.remote_faults),
+            busy_ns: d(&self.busy_ns, &before.busy_ns),
+            invalidations: d(&self.invalidations, &before.invalidations),
+        }
+    }
+}
+
 impl HwCounters {
     /// Creates zeroed counters for a machine shape.
     pub fn new(n_nodes: usize, n_cores: usize, n_links: usize) -> Self {
@@ -169,11 +192,6 @@ impl HwCounters {
         self.streams.remove(&stream).unwrap_or_default()
     }
 
-    /// Number of live attribution streams (diagnostics).
-    pub fn n_streams(&self) -> usize {
-        self.streams.len()
-    }
-
     /// Copies all counter families.
     pub fn snapshot(&self) -> HwSnapshot {
         HwSnapshot {
@@ -191,16 +209,6 @@ impl HwCounters {
     /// Machine-wide HT bytes (sum over both directions of all links).
     pub fn total_link_bytes(&self) -> u64 {
         self.link_bytes.total()
-    }
-
-    /// Machine-wide IMC bytes.
-    pub fn total_imc_bytes(&self) -> u64 {
-        self.imc_bytes.total()
-    }
-
-    /// Machine-wide minor faults.
-    pub fn total_minor_faults(&self) -> u64 {
-        self.minor_faults.total()
     }
 
     /// Machine-wide L3 misses.
@@ -239,10 +247,8 @@ mod tests {
     fn retire_stream_removes() {
         let mut c = HwCounters::new(2, 4, 1);
         c.stream_add(StreamId(1), 10, 10, 0);
-        assert_eq!(c.n_streams(), 1);
         let t = c.retire_stream(StreamId(1));
         assert_eq!(t.ht_bytes, 10);
-        assert_eq!(c.n_streams(), 0);
         assert_eq!(c.retire_stream(StreamId(1)), StreamTraffic::default());
     }
 
@@ -265,7 +271,5 @@ mod tests {
         c.imc_bytes.add(1, 7);
         c.minor_faults.inc(0);
         assert_eq!(c.total_link_bytes(), 15);
-        assert_eq!(c.total_imc_bytes(), 7);
-        assert_eq!(c.total_minor_faults(), 1);
     }
 }

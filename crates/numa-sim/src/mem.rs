@@ -332,11 +332,6 @@ impl MemoryMap {
             .unwrap_or(&[])
     }
 
-    /// Total resident (touched) pages of a space.
-    pub fn resident_pages(&self, space: SpaceId) -> u64 {
-        self.pages_per_node(space).iter().sum()
-    }
-
     /// Number of mapped segments machine-wide (for diagnostics).
     pub fn n_segments(&self) -> usize {
         self.live_segs
@@ -419,9 +414,9 @@ mod tests {
         let r = m.alloc(s, 2 * SEG_BYTES);
         m.touch(r.segment(0), NodeId(0), false);
         m.touch(r.segment(1), NodeId(1), false);
-        assert_eq!(m.resident_pages(s), 2 * PAGES_PER_SEG);
+        assert_eq!(m.pages_per_node(s), &[PAGES_PER_SEG, PAGES_PER_SEG]);
         m.free(&r);
-        assert_eq!(m.resident_pages(s), 0);
+        assert_eq!(m.pages_per_node(s), &[0, 0]);
         assert_eq!(m.n_segments(), 0);
         assert_eq!(m.home_of(r.segment(0)), None);
     }
@@ -473,7 +468,7 @@ mod tests {
             last = short;
         }
         assert_eq!(m.n_segments(), 3);
-        assert_eq!(m.resident_pages(s), PAGES_PER_SEG);
+        assert_eq!(m.pages_per_node(s), &[0, PAGES_PER_SEG]);
         assert_eq!(m.home_of(long.segment(1)), Some(NodeId(1)));
         assert_eq!(m.version_of(long.segment(1)), 1);
         // A freed segment reads as unmapped, and a second free is a no-op.
@@ -485,7 +480,7 @@ mod tests {
         m.free(&last);
         assert_eq!(m.n_segments(), 3);
         m.free(&long);
-        assert_eq!((m.n_segments(), m.resident_pages(s)), (0, 0));
+        assert_eq!((m.n_segments(), m.pages_per_node(s)), (0, &[0, 0][..]));
         assert!(m.live_chunks() <= 1, "only the bump pointer's chunk stays");
     }
 

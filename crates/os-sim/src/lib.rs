@@ -34,7 +34,7 @@ pub mod work;
 
 pub use cpuset::{CoreMask, GroupId};
 pub use procfs::{pages_per_node, LoadSample, LoadSampler};
-pub use sched::{Kernel, KernelConfig, SchedStats, SpawnReq};
+pub use sched::{Kernel, KernelConfig, SchedStats};
 pub use thread::{ThreadState, ThreadStats, Tid};
 pub use trace::{SchedTrace, Span};
-pub use work::{SimWork, SpinWork, StepOutcome, WaitWork, WorkCtx};
+pub use work::{SimWork, SpawnReq, SpinWork, StepOutcome, WaitWork, WorkCtx};

@@ -33,15 +33,6 @@ impl LoadSample {
     pub fn group_load_pct(&self) -> f64 {
         self.group_load * 100.0
     }
-
-    /// Machine-wide average core load in `[0, 1]`.
-    pub fn machine_load(&self) -> f64 {
-        if self.per_core.is_empty() {
-            0.0
-        } else {
-            self.per_core.iter().sum::<f64>() / self.per_core.len() as f64
-        }
-    }
 }
 
 /// Samples per-core and per-group CPU load over successive windows
@@ -124,7 +115,6 @@ mod tests {
         assert!(s.group_load_pct() > 95.0, "got {}", s.group_load_pct());
         assert!(s.per_core[0] > 0.95);
         assert!(s.per_core[1] < 0.05);
-        assert!(s.machine_load() < 0.2);
         assert_eq!(s.group_busy, SimDuration::from_millis(10));
     }
 

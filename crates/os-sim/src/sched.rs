@@ -19,7 +19,7 @@ use crate::cpuset::{CoreMask, GroupId};
 use crate::runqueue::RunQueue;
 use crate::thread::{ThreadSlot, ThreadState, ThreadStats, Tid};
 use crate::trace::SchedTrace;
-use crate::work::{SimWork, StepOutcome, WorkCtx};
+use crate::work::{SimWork, SpawnReq, StepOutcome, WorkCtx};
 use emca_metrics::{SimDuration, SimTime};
 use numa_sim::{CoreId, Machine};
 
@@ -85,18 +85,6 @@ struct Group {
     demand_ns: u64,
 }
 
-/// A spawn request issued from inside a work step.
-pub struct SpawnReq {
-    /// Thread name (trace label).
-    pub name: String,
-    /// Owning group.
-    pub group: GroupId,
-    /// Optional per-thread affinity (`None` = group mask only).
-    pub affinity: Option<CoreMask>,
-    /// The thread body.
-    pub work: Box<dyn SimWork>,
-}
-
 /// The simulated kernel. Owns the machine and all threads.
 pub struct Kernel {
     machine: Machine,
@@ -115,6 +103,7 @@ pub struct Kernel {
     stats: SchedStats,
     trace: SchedTrace,
     wake_buf: Vec<Tid>,
+    /// Spawns this tick's steps requested, admitted at its end.
     spawn_buf: Vec<SpawnReq>,
     /// Deterministic LCG driving wake placement. Linux's idle-core scan
     /// order is arbitrary with respect to data placement; modelling it as
@@ -375,9 +364,10 @@ impl Kernel {
     // ----- execution ------------------------------------------------------
 
     /// Runs one scheduler tick: every core executes its current thread for
-    /// up to one tick of simulated time; then wake/spawn requests are
-    /// serviced, the machine's contention window rolls, and (periodically)
-    /// the load balancer runs.
+    /// up to one tick of simulated time, its step's wakes serviced right
+    /// after it; then the machine's contention window rolls, the load
+    /// balancer (periodically) runs, and last the tick's spawn requests
+    /// are admitted, in request order.
     pub fn run_tick(&mut self) {
         let tick = self.cfg.tick;
         let n_cores = self.runqueues.len();
@@ -412,6 +402,7 @@ impl Kernel {
                     budget,
                     tid,
                     wakes: &mut wakes,
+                    spawns: &mut self.spawn_buf,
                 };
                 work.step(&mut ctx)
             };
@@ -476,7 +467,6 @@ impl Kernel {
                 self.wake(w);
             }
             self.wake_buf = wakes;
-            self.admit_spawns();
         }
         // Integrate per-group CPU demand over the tick.
         let tick_ns = tick.as_nanos();
@@ -492,6 +482,13 @@ impl Kernel {
         if self.now >= self.next_balance {
             self.load_balance();
             self.next_balance = self.now + self.cfg.balance_interval;
+        }
+        if !self.spawn_buf.is_empty() {
+            let mut spawns = std::mem::take(&mut self.spawn_buf);
+            for req in spawns.drain(..) {
+                self.spawn(req.name, req.group, req.affinity, req.work);
+            }
+            self.spawn_buf = spawns;
         }
     }
 
@@ -533,23 +530,6 @@ impl Kernel {
             self.run_tick();
         }
         pred(self)
-    }
-
-    /// Queues a spawn request as if issued from a work step (mainly for
-    /// drivers that interleave with ticks).
-    pub fn request_spawn(&mut self, req: SpawnReq) {
-        self.spawn_buf.push(req);
-        self.admit_spawns();
-    }
-
-    /// Collects spawn requests produced by work steps. Work items push
-    /// into a shared buffer owned by their runtime wrapper; the engine
-    /// crates use [`Kernel::spawn`] / [`Kernel::request_spawn`] directly,
-    /// so this simply drains the internal buffer.
-    fn admit_spawns(&mut self) {
-        while let Some(req) = self.spawn_buf.pop() {
-            self.spawn(req.name, req.group, req.affinity, req.work);
-        }
     }
 
     // ----- internals ------------------------------------------------------
@@ -907,16 +887,35 @@ mod tests {
     }
 
     #[test]
-    fn request_spawn_admits_thread() {
+    fn step_spawns_join_at_the_end_of_the_tick() {
+        /// Spawns two spinners from its first step, then exits.
+        struct Forker(GroupId);
+        impl SimWork for Forker {
+            fn step(&mut self, ctx: &mut WorkCtx<'_>) -> StepOutcome {
+                for name in ["first", "second"] {
+                    ctx.spawn(SpawnReq {
+                        name: name.into(),
+                        group: self.0,
+                        affinity: None,
+                        work: Box::new(SpinWork::new(SimDuration::from_micros(50))),
+                    });
+                }
+                StepOutcome::Finished(SimDuration::ZERO)
+            }
+        }
         let mut k = kernel();
         let g = k.create_group(CoreMask::all(k.machine().topology()));
-        k.request_spawn(SpawnReq {
-            name: "late".into(),
-            group: g,
-            affinity: None,
-            work: spin(1),
-        });
-        assert_eq!(k.n_threads(), 1);
+        k.spawn("forker", g, None, Box::new(Forker(g)));
+        k.run_tick();
+        // Both children exist only once the tick is over, in request
+        // order, and have not run yet.
+        assert_eq!(k.n_threads(), 3);
+        assert_eq!(k.thread_name(Tid(1)), "first");
+        assert_eq!(k.thread_name(Tid(2)), "second");
+        for t in [Tid(1), Tid(2)] {
+            assert_eq!(k.thread_state(t), ThreadState::Runnable);
+            assert_eq!(k.thread_stats(t).cpu_time, SimDuration::ZERO);
+        }
         k.run_until(SimTime::from_millis(2));
         assert_eq!(k.n_live_threads(), 0);
     }

@@ -9,6 +9,7 @@
 //! runnable. This is how the whole stack stays single-threaded and
 //! deterministic.
 
+use crate::cpuset::{CoreMask, GroupId};
 use crate::thread::Tid;
 use emca_metrics::{SimDuration, SimTime};
 use numa_sim::{CoreId, Machine};
@@ -50,6 +51,8 @@ pub struct WorkCtx<'a> {
     pub tid: Tid,
     /// Wake requests for other threads (processed after the step).
     pub wakes: &'a mut Vec<Tid>,
+    /// Spawn requests (admitted at the end of the tick).
+    pub spawns: &'a mut Vec<SpawnReq>,
 }
 
 impl WorkCtx<'_> {
@@ -57,6 +60,25 @@ impl WorkCtx<'_> {
     pub fn wake(&mut self, tid: Tid) {
         self.wakes.push(tid);
     }
+
+    /// Requests a new thread. Every spawn a tick's steps request is
+    /// admitted at the very end of that tick, in request order, so the
+    /// child first runs in the next tick.
+    pub fn spawn(&mut self, req: SpawnReq) {
+        self.spawns.push(req);
+    }
+}
+
+/// A thread a work step asks the kernel to start ([`WorkCtx::spawn`]).
+pub struct SpawnReq {
+    /// Thread name (trace label).
+    pub name: String,
+    /// Owning group.
+    pub group: GroupId,
+    /// Optional per-thread affinity (`None` = group mask only).
+    pub affinity: Option<CoreMask>,
+    /// The thread body.
+    pub work: Box<dyn SimWork>,
 }
 
 /// A simulated thread body.
@@ -150,6 +172,7 @@ mod tests {
     fn spin_work_consumes_budget_then_finishes() {
         let mut machine = Machine::opteron_4x4();
         let mut wakes = Vec::new();
+        let mut spawns = Vec::new();
         let mut w = SpinWork::new(SimDuration::from_micros(150));
         let mut ctx = WorkCtx {
             machine: &mut machine,
@@ -158,6 +181,7 @@ mod tests {
             budget: SimDuration::from_micros(100),
             tid: Tid(0),
             wakes: &mut wakes,
+            spawns: &mut spawns,
         };
         match w.step(&mut ctx) {
             StepOutcome::Ran(d) => assert_eq!(d, SimDuration::from_micros(100)),
@@ -173,6 +197,7 @@ mod tests {
     fn wait_work_blocks_until_woken() {
         let mut machine = Machine::opteron_4x4();
         let mut wakes = Vec::new();
+        let mut spawns = Vec::new();
         let mut w = WaitWork::new(1);
         let mut ctx = WorkCtx {
             machine: &mut machine,
@@ -181,6 +206,7 @@ mod tests {
             budget: SimDuration::from_micros(100),
             tid: Tid(0),
             wakes: &mut wakes,
+            spawns: &mut spawns,
         };
         assert!(matches!(w.step(&mut ctx), StepOutcome::Blocked(_)));
         assert!(matches!(w.step(&mut ctx), StepOutcome::Finished(_)));
@@ -190,6 +216,7 @@ mod tests {
     fn ctx_wake_collects() {
         let mut machine = Machine::opteron_4x4();
         let mut wakes = Vec::new();
+        let mut spawns = Vec::new();
         let mut ctx = WorkCtx {
             machine: &mut machine,
             core: CoreId(1),
@@ -197,6 +224,7 @@ mod tests {
             budget: SimDuration::from_micros(1),
             tid: Tid(3),
             wakes: &mut wakes,
+            spawns: &mut spawns,
         };
         ctx.wake(Tid(7));
         ctx.wake(Tid(9));

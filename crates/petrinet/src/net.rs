@@ -272,23 +272,6 @@ impl PrtNet {
         Some(self.fire(t, marking, base))
     }
 
-    /// Runs to quiescence or `max_firings`, returning the firing sequence.
-    pub fn run_to_quiescence(
-        &self,
-        marking: &mut Marking,
-        base: &Binding,
-        max_firings: usize,
-    ) -> Vec<Firing> {
-        let mut fired = Vec::new();
-        while fired.len() < max_firings {
-            match self.fire_first_enabled(marking, base) {
-                Some(f) => fired.push(f),
-                None => break,
-            }
-        }
-        fired
-    }
-
     /// The symbolic incidence matrix `Aᵀ = Post − Pre`, rows = places,
     /// columns = transitions (Fig. 8).
     pub fn incidence(&self) -> Vec<Vec<IncidenceEntry>> {
@@ -410,18 +393,6 @@ mod tests {
         m.add(checks, 40);
         let e = net.enabled(&m, &Binding::new());
         assert_eq!(e, vec![TransitionId(0)]);
-    }
-
-    #[test]
-    fn run_to_quiescence_bounded() {
-        // The stable sub-net loops forever (t2,t3,t2,t3...), so the bound
-        // must stop it.
-        let (net, checks, _) = stable_subnet();
-        let mut m = net.empty_marking();
-        m.add(checks, 40);
-        let fired = net.run_to_quiescence(&mut m, &Binding::new(), 7);
-        assert_eq!(fired.len(), 7);
-        assert_eq!(m.total(), 1);
     }
 
     #[test]

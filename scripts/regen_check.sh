@@ -48,7 +48,7 @@ same() {
 
 rm -rf "$out"
 mkdir -p "$out"
-for s in $(emca list --names | grep -v -e '^csv_check$' -e '^probe$'); do
+for s in $(emca list --names | grep -v -e '^csv_check$'); do
     emca run "$s" --out-dir "$out"
 done
 

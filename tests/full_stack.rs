@@ -178,7 +178,8 @@ fn handcoded_dense_beats_sparse_on_locality() {
         2,
         SimDuration::from_secs(120),
     );
-    assert!(dense.ht_bytes() < sparse.ht_bytes());
+    let ht_bytes = |hw: &numa_sim::HwSnapshot| hw.link_bytes.iter().sum::<u64>();
+    assert!(ht_bytes(&dense.hw) < ht_bytes(&sparse.hw));
     // Both compute the same revenue.
     assert!((dense.runs[0].1 - sparse.runs[0].1).abs() < 1e-6);
 }
