@@ -14,9 +14,15 @@
 //! ```
 //!
 //! Flags mirror the [`ExperimentSpec`] fields, one per row of the key
-//! table ([`SPEC_KEYS`]); the documented `EMCA_*` environment variables
-//! remain as fallbacks and flags override them. `emca help` lists every
-//! flag with its variable, value grammar and an example.
+//! table ([`SPEC_KEYS`]), and are the only way to configure a run.
+//! `emca help` lists every flag with its value grammar and an example,
+//! and the few run-limit variables the environment may carry
+//! (`emca_harness::timing::ENV_VARS`); any other `EMCA_*` variable is
+//! refused (exit 2) rather than silently ignored.
+//!
+//! With `EMCA_WALL_BUDGET_S` set, every scenario run — each `run` or
+//! `sweep` step and both `check` runs — fails (exit 1) when it finishes
+//! over budget.
 //!
 //! `run` and `sweep` also take `--prune-unsupported`: instead of
 //! rejecting a spec that pins a key the scenario ignores, drop the key
@@ -29,10 +35,11 @@
 //! cargo run --release -p emca-bench --bin emca -- run fig19 --policy adaptive --sf 0.25
 //! cargo run --release -p emca-bench --bin emca -- run serve_latency_curve --check
 //! cargo run --release -p emca-bench --bin emca -- sweep fig07 --over policy=dense,sparse,adaptive
-//! EMCA_SF=0.25 cargo run --release -p emca-bench --bin emca -- check --fidelity
+//! cargo run --release -p emca-bench --bin emca -- check --fidelity --sf 0.25
 //! ```
 
 use emca_bench::scenarios;
+use emca_harness::timing::{ENV_VARS, WALL_BUDGET_ENV};
 use emca_harness::{ExperimentSpec, Scenario, ScenarioRegistry, SpecKey, Surface, SPEC_KEYS};
 
 const USAGE: &str = "\
@@ -51,28 +58,32 @@ commands:
                                      instead
   help                               show this text
 
-flags (override the EMCA_* environment fallbacks):
+flags:
 ";
 
-/// `emca help`: the commands above, then one entry per [`SPEC_KEYS`]
-/// row — flag, value grammar, meaning, variable and an example.
+/// `emca help`: the commands above, one entry per [`SPEC_KEYS`] row —
+/// flag, value grammar, meaning and an example — then the environment
+/// variables of [`ENV_VARS`].
 fn usage() -> String {
     let mut out = String::from(USAGE);
     for key in SPEC_KEYS {
-        let (Some(flag), Some(var)) = (key.flag(), key.env()) else {
-            continue;
-        };
+        let Some(flag) = key.flag() else { continue };
         let help = key.help;
         out += &match key.surface {
             Surface::Value(grammar) => {
                 let example = key.example;
-                format!("  {flag} {grammar}\n      {help} [{var}; e.g. {example}]\n")
+                format!("  {flag} {grammar}\n      {help} [e.g. {example}]\n")
             }
-            _ => format!("  {flag}\n      {help} [{var}=1]\n"),
+            _ => format!("  {flag}\n      {help}\n"),
         };
     }
-    out + "  --prune-unsupported\n      \
-        drop (with a note) spec keys the scenario does not honour instead of erroring"
+    out += "  --prune-unsupported\n      \
+        drop (with a note) spec keys the scenario does not honour instead of erroring\n\n\
+        environment (any other EMCA_* variable is refused):\n";
+    for (var, help) in ENV_VARS {
+        out += &format!("  {var}={help}\n");
+    }
+    out
 }
 
 /// A usage error: exit 2, the diagnostic last so the flag list above it
@@ -148,13 +159,6 @@ fn parse_flags(spec: &mut ExperimentSpec, args: &[String]) -> Vec<String> {
     rest
 }
 
-fn base_spec() -> ExperimentSpec {
-    match emca_harness::config::from_env() {
-        Ok(spec) => spec,
-        Err(e) => fail(&e.to_string()),
-    }
-}
-
 /// Takes `--over key=v1,v2,...` out of `rest`: the swept key and its
 /// values.
 fn take_over(rest: &mut Vec<String>) -> (String, Vec<String>) {
@@ -183,16 +187,18 @@ fn prune_spec(registry: &ScenarioRegistry, name: &str, spec: &mut ExperimentSpec
 
 /// The registered scenario `name`, or the usage error listing the
 /// valid names.
-fn known<'r>(registry: &'r ScenarioRegistry, name: &str) -> &'r dyn Scenario {
+fn known<'r>(registry: &'r ScenarioRegistry, name: &str) -> &'r Scenario {
     registry.get(name).unwrap_or_else(|| {
         let valid = registry.names().join(", ");
         fail(&format!("unknown scenario {name:?} (valid: {valid})"))
     })
 }
 
-/// Runs one scenario with the wall clock stamped (`[wall] <name>=..s`);
-/// returns the elapsed seconds so gates can budget them.
-fn run_one(registry: &ScenarioRegistry, name: &str, spec: &ExperimentSpec) -> f64 {
+/// Runs one scenario with the wall clock stamped (`[wall] <name>=..s`)
+/// and, when `EMCA_WALL_BUDGET_S` is set, budgeted: a run that finished
+/// over budget exits 1.
+fn run_one(registry: &ScenarioRegistry, name: &str, spec: &ExperimentSpec) {
+    let scenario = known(registry, name);
     // Spec problems (a pinned key the scenario or the backend ignores)
     // are usage errors — one-line diagnostic, exit 2 — distinct from a
     // scenario that started and then failed (exit 1).
@@ -201,17 +207,29 @@ fn run_one(registry: &ScenarioRegistry, name: &str, spec: &ExperimentSpec) -> f6
         eprintln!("emca run {name}: {e}");
         std::process::exit(2);
     }
+    let budget = emca_harness::seconds_from_env(WALL_BUDGET_ENV).unwrap_or_else(|e| fail(&e));
     spec.log_resolved();
     let timer = emca_harness::WallTimer::start(name);
-    if let Err(e) = registry.run(name, spec) {
+    if let Err(e) = (scenario.run)(spec) {
         eprintln!("emca run {name}: {e}");
         std::process::exit(1);
     }
-    timer.finish()
+    let elapsed = timer.finish();
+    let Some(budget) = budget else { return };
+    match emca_harness::enforce_wall_budget(name, elapsed, budget) {
+        Ok(msg) => eprintln!("emca: {msg}"),
+        Err(blown) => {
+            eprintln!("emca run {name}: {blown}");
+            std::process::exit(1);
+        }
+    }
 }
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
+    if let Err(e) = emca_harness::refuse_stray_vars() {
+        fail(&e);
+    }
     let registry = scenarios::registry();
     match args.first().map(String::as_str) {
         Some("list") => {
@@ -223,7 +241,7 @@ fn main() {
             } else {
                 let width = registry.names().iter().map(|n| n.len()).max().unwrap_or(0);
                 for s in registry.iter() {
-                    println!("{:width$}  {}", s.name(), s.about());
+                    println!("{:width$}  {}", s.name, s.about);
                 }
             }
         }
@@ -231,8 +249,7 @@ fn main() {
             let Some(name) = args.get(1).filter(|a| !a.starts_with("--")) else {
                 fail(&format!("{cmd} requires a scenario name (see `emca list`)"));
             };
-            let mut spec = base_spec();
-            spec.scenario = name.clone();
+            let mut spec = ExperimentSpec::for_scenario(name.clone());
             let mut rest = parse_flags(&mut spec, &args[2..]);
             let n_args = rest.len();
             rest.retain(|a| a != "--prune-unsupported");
@@ -241,7 +258,6 @@ fn main() {
             if let Some(extra) = rest.first() {
                 fail(&format!("unknown flag {extra:?}"));
             }
-            known(&registry, name);
             let run_step = |mut step: ExperimentSpec| {
                 if prune {
                     prune_spec(&registry, name, &mut step);
@@ -262,7 +278,7 @@ fn main() {
             }
         }
         Some("check") => {
-            let mut spec = base_spec();
+            let mut spec = ExperimentSpec::default();
             let rest = parse_flags(&mut spec, &args[1..]);
             let mut fidelity = false;
             let mut lint = false;
@@ -289,7 +305,7 @@ fn main() {
                 let mut checked = 0usize;
                 let mut problems = 0usize;
                 for name in &only {
-                    for (file, header) in known(&registry, name).csv_schemas() {
+                    for (file, header) in known(&registry, name).schemas {
                         checked += 1;
                         if let Err(e) = emca_harness::validate_csv(&spec.csv_path(file), header) {
                             eprintln!("emca check: {e}");
@@ -307,10 +323,10 @@ fn main() {
                 );
                 return;
             }
-            // `check` inherits the ambient EMCA_* env (the fidelity
-            // gate pins scale that way); the scenarios it drives are
-            // fixed, so ambient keys they don't honour are pruned, not
-            // hard errors — only `run`/`sweep` treat pins as explicit.
+            // `check` drives fixed scenarios with one flag set (the
+            // fidelity gate pins scale that way), so flags one of them
+            // does not honour are pruned for it, not hard errors —
+            // `csv_check` honours none.
             let mut csv_spec = spec.clone();
             csv_spec.scenario = "csv_check".to_string();
             prune_spec(&registry, "csv_check", &mut csv_spec);
@@ -320,22 +336,7 @@ fn main() {
                 spec.scenario = "tab_summary".to_string();
                 spec.check = true;
                 prune_spec(&registry, "tab_summary", &mut spec);
-                let elapsed = run_one(&registry, "tab_summary", &spec);
-                // Wall budget (EMCA_WALL_BUDGET_S): the fidelity gate
-                // doubles as the hot-path regression tripwire.
-                match emca_harness::wall_budget_from_env() {
-                    Err(e) => fail(&e),
-                    Ok(Some(budget)) => {
-                        match emca_harness::enforce_wall_budget("tab_summary", elapsed, budget) {
-                            Ok(msg) => eprintln!("emca check: {msg}"),
-                            Err(msg) => {
-                                eprintln!("emca check: {msg}");
-                                std::process::exit(1);
-                            }
-                        }
-                    }
-                    Ok(None) => {}
-                }
+                run_one(&registry, "tab_summary", &spec);
             }
         }
         Some("help") | Some("--help") | Some("-h") => println!("{}", usage()),

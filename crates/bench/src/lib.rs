@@ -10,9 +10,10 @@
 //! cargo run --release -p emca-bench --bin emca -- check --fidelity
 //! ```
 //!
-//! The documented `EMCA_*` environment variables remain as fallbacks,
-//! parsed once by `emca_harness::config::from_env()`; CLI flags override
-//! them.
+//! Flags are the only way to configure a run: one per spec key
+//! (`emca help` lists them). The environment carries only run limits —
+//! wall budget, run deadline, threads pool width — read in
+//! `emca_harness::timing`; `emca` refuses any other `EMCA_*` variable.
 
 pub mod scenarios;
 

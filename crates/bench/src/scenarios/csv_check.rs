@@ -5,7 +5,7 @@
 //! the expensive jobs run.
 //!
 //! The schemas are single-sourced from each scenario's declaration
-//! (`Scenario::csv_schemas`); validation itself is
+//! (`Scenario::schemas`); validation itself is
 //! `emca_harness::validate_csv`, shared with the scenario smoke tests.
 
 use super::ScenarioResult;

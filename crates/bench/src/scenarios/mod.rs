@@ -39,7 +39,7 @@ pub mod serve_overload;
 pub mod tab_overhead;
 pub mod tab_summary;
 
-use emca_harness::{ExperimentSpec, FnScenario, ScenarioError, ScenarioRegistry};
+use emca_harness::{ExperimentSpec, Scenario, ScenarioError, ScenarioRegistry};
 use std::path::Path;
 
 // Per-scenario supported spec keys: a scenario declares exactly the
@@ -118,148 +118,148 @@ const KEYS_NONE: &[&str] = &[];
 /// multi-tenant (`mt_*`) workloads and the serving layer (`serve_*`).
 pub fn registry() -> ScenarioRegistry {
     let mut r = ScenarioRegistry::new();
-    let items: [FnScenario; 25] = [
-        FnScenario {
+    let items: [Scenario; 25] = [
+        Scenario {
             name: "fig04",
             about: "Fig. 4 — Q6 vs concurrent clients (hand-coded C affinities vs OS/MonetDB)",
             schemas: fig04::SCHEMAS,
             run: fig04::run,
             keys: KEYS_FIG04,
         },
-        FnScenario {
+        Scenario {
             name: "fig05",
             about: "Fig. 5 — thread lifespan and core migration under the OS scheduler",
             schemas: fig05::SCHEMAS,
             run: fig05::run,
             keys: KEYS_MECH,
         },
-        FnScenario {
+        Scenario {
             name: "fig06",
             about: "Fig. 6 — Tomograph of Q6 (per-operator calls and time)",
             schemas: fig06::SCHEMAS,
             run: fig06::run,
             keys: KEYS_MECH,
         },
-        FnScenario {
+        Scenario {
             name: "fig07",
             about: "Fig. 7 — PrT state transitions and allocated cores over Q6",
             schemas: fig07::SCHEMAS,
             run: fig07::run,
             keys: KEYS_POLICY_ITERS,
         },
-        FnScenario {
+        Scenario {
             name: "fig13",
             about: "Fig. 13 — thetasubselect scheduling metrics vs concurrent clients",
             schemas: fig13::SCHEMAS,
             run: fig13::run,
             keys: KEYS_SWEEP,
         },
-        FnScenario {
+        Scenario {
             name: "fig14",
             about: "Fig. 14 — memory access metrics at 256 clients",
             schemas: fig14::SCHEMAS,
             run: fig14::run,
             keys: KEYS_SWEEP,
         },
-        FnScenario {
+        Scenario {
             name: "fig15",
             about: "Fig. 15 — L3 misses vs selectivity (256 clients)",
             schemas: fig15::SCHEMAS,
             run: fig15::run,
             keys: KEYS_SWEEP,
         },
-        FnScenario {
+        Scenario {
             name: "fig16",
             about: "Fig. 16 — thread migration by allocation policy (single-client Q6)",
             schemas: fig16::SCHEMAS,
             run: fig16::run,
             keys: KEYS_POLICY,
         },
-        FnScenario {
+        Scenario {
             name: "fig17",
             about: "Fig. 17 — CPU-load vs HT/IMC transition strategies",
             schemas: fig17::SCHEMAS,
             run: fig17::run,
             keys: KEYS_POLICY_ITERS,
         },
-        FnScenario {
+        Scenario {
             name: "fig18",
             about: "Fig. 18 — stable-phases workload, per-socket memory throughput",
             schemas: fig18::SCHEMAS,
             run: fig18::run,
             keys: KEYS_PHASES,
         },
-        FnScenario {
+        Scenario {
             name: "fig19",
             about: "Fig. 19 — mixed-phases per-query speedup and HT/IMC ratios",
             schemas: fig19::SCHEMAS,
             run: fig19::run,
             keys: KEYS_SWEEP,
         },
-        FnScenario {
+        Scenario {
             name: "fig20",
             about: "Fig. 20 — per-query energy: OS scheduler vs the mechanism",
             schemas: fig20::SCHEMAS,
             run: fig20::run,
             keys: KEYS_SWEEP,
         },
-        FnScenario {
+        Scenario {
             name: "mt_interference",
             about: "Two tenants — OLAP antagonist vs steady victim, with/without SLA caps",
             schemas: mt_interference::SCHEMAS,
             run: mt_interference::run,
             keys: KEYS_MT,
         },
-        FnScenario {
+        Scenario {
             name: "mt_fairshare",
             about: "Two symmetric tenants — convergence to the fair core split",
             schemas: mt_fairshare::SCHEMAS,
             run: mt_fairshare::run,
             keys: KEYS_MT,
         },
-        FnScenario {
+        Scenario {
             name: "mt_burst",
             about: "Antagonist burst against a priority tenant — core reclaim latency",
             schemas: mt_burst::SCHEMAS,
             run: mt_burst::run,
             keys: KEYS_MT,
         },
-        FnScenario {
+        Scenario {
             name: "mt_churn",
             about: "Serverless churn at 64+ tenants — adaptive arbitration vs static partitioning",
             schemas: mt_churn::SCHEMAS,
             run: mt_churn::run,
             keys: KEYS_CHURN,
         },
-        FnScenario {
+        Scenario {
             name: "mt_zipf",
             about: "Zipf demand-skew sweep under churn — core split vs demand distribution",
             schemas: mt_zipf::SCHEMAS,
             run: mt_zipf::run,
             keys: KEYS_CHURN,
         },
-        FnScenario {
+        Scenario {
             name: "tab_summary",
             about: "Headline summary table; fidelity gate with check=1",
             schemas: tab_summary::SCHEMAS,
             run: tab_summary::run,
             keys: KEYS_SWEEP,
         },
-        FnScenario {
+        Scenario {
             name: "tab_overhead",
             about: "§V overhead table — PrT step cost per allocation mode",
             schemas: tab_overhead::SCHEMAS,
             run: tab_overhead::run,
             keys: KEYS_NONE,
         },
-        FnScenario {
+        Scenario {
             name: "ablation",
             about: "Ablation of the calibration choices (signal, guard, placement)",
             schemas: ablation::SCHEMAS,
             run: ablation::run,
             keys: KEYS_ABLATION,
         },
-        FnScenario {
+        Scenario {
             name: "chaos_recovery",
             about:
                 "Kill workers mid-run — zero lost queries, bounded MTTR; chaos gate with check=1",
@@ -267,28 +267,28 @@ pub fn registry() -> ScenarioRegistry {
             run: chaos_recovery::run,
             keys: KEYS_CHAOS,
         },
-        FnScenario {
+        Scenario {
             name: "chaos_serve",
             about: "Serving under faults — retries, deadlines, exact accounting; gate with check=1",
             schemas: chaos_serve::SCHEMAS,
             run: chaos_serve::run,
             keys: chaos_serve::CHAOS_SERVE_KEYS,
         },
-        FnScenario {
+        Scenario {
             name: "serve_overload",
             about: "Serving layer — one past-saturation point: outcome split, p99, goodput",
             schemas: serve_overload::SCHEMAS,
             run: serve_overload::run,
             keys: serve::SERVE_KEYS,
         },
-        FnScenario {
+        Scenario {
             name: "serve_latency_curve",
             about: "Serving layer — latency/goodput vs offered load; headline gate with check=1",
             schemas: serve_latency_curve::SCHEMAS,
             run: serve_latency_curve::run,
             keys: serve::SERVE_KEYS,
         },
-        FnScenario {
+        Scenario {
             name: "csv_check",
             about: "Validate every declared results CSV against its schema",
             schemas: csv_check::SCHEMAS,
@@ -297,7 +297,7 @@ pub fn registry() -> ScenarioRegistry {
         },
     ];
     for s in items {
-        r.register(Box::new(s)).expect("built-in names are unique");
+        r.register(s).expect("built-in names are unique");
     }
     r
 }
@@ -307,7 +307,7 @@ pub fn registry() -> ScenarioRegistry {
 pub fn check_results(dir: &Path) -> Vec<String> {
     let mut problems = Vec::new();
     for scenario in registry().iter() {
-        for (name, header) in scenario.csv_schemas() {
+        for (name, header) in scenario.schemas {
             if let Err(e) = emca_harness::validate_csv(&dir.join(name), header) {
                 problems.push(e);
             }
@@ -318,7 +318,7 @@ pub fn check_results(dir: &Path) -> Vec<String> {
 
 /// The number of results files the registry declares (reporting).
 pub fn declared_csv_count() -> usize {
-    registry().iter().map(|s| s.csv_schemas().len()).sum()
+    registry().iter().map(|s| s.schemas.len()).sum()
 }
 
 /// Shared `Result` alias for scenario bodies.

@@ -3,7 +3,7 @@
 //! scheduler, for both engine flavors, plus the total energy saving —
 //! side by side with the paper's reported numbers.
 //!
-//! With `check=1` (CLI `--check`, env `EMCA_CHECK=1`) the scenario also
+//! With `check=1` (CLI `--check`) the scenario also
 //! *enforces* the headline claims (the CI fidelity gate): policy max and
 //! avg speedup must exceed 1.0× for both flavors, and every HT/IMC
 //! reduction must either be below-noise (`inf`) or sit inside the

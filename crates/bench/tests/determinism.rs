@@ -117,7 +117,7 @@ fn registry_runs_are_byte_identical() {
             registry
                 .run(scenario, &spec)
                 .unwrap_or_else(|e| panic!("{scenario}: {e}"));
-            let (file, _) = registry.get(scenario).unwrap().csv_schemas()[0];
+            let (file, _) = registry.get(scenario).unwrap().schemas[0];
             bytes.push(std::fs::read(dir.join(file)).expect("scenario wrote its CSV"));
         }
         assert_eq!(

@@ -7,6 +7,7 @@
 //! apart.
 
 use emca_bench::scenarios;
+use emca_harness::timing::ENV_VARS;
 use emca_harness::{ExperimentSpec, ALL_SCENARIO_KEYS, SPEC_KEYS};
 use emca_metrics::table::Table;
 use std::path::PathBuf;
@@ -47,7 +48,7 @@ fn registry_lists_all_former_binaries() {
     let registry = scenarios::registry();
     assert_eq!(registry.names(), EXPECTED.to_vec());
     for s in registry.iter() {
-        assert!(!s.about().is_empty(), "{} needs a description", s.name());
+        assert!(!s.about.is_empty(), "{} needs a description", s.name);
     }
 }
 
@@ -68,30 +69,27 @@ fn architecture_doc_states_the_registry_size() {
 
 #[test]
 fn readme_environment_knobs_table_is_the_key_table() {
-    // README "Environment knobs" carries one row per spec key — its
-    // variable and its flag, in table order. The rows whose flag cell is
-    // a dash are the non-spec variables (`EMCA_THREADS`, …).
+    // README "Flags and environment knobs" carries one flag row per spec
+    // key, in table order, and one row per variable the environment may
+    // carry (`ENV_VARS`), in that table's order.
     let readme = concat!(env!("CARGO_MANIFEST_DIR"), "/../../README.md");
     let text = std::fs::read_to_string(readme).expect("README.md is readable");
     let section = text
-        .split("\n## Environment knobs\n")
+        .split("\n## Flags and environment knobs\n")
         .nth(1)
         .and_then(|rest| rest.split("\n## ").next())
-        .expect("README has an `## Environment knobs` section");
-    let documented: Vec<(String, String)> = section
-        .lines()
-        .filter(|l| l.starts_with("| `EMCA_"))
-        .map(|l| {
-            let mut cells = l.split('|').map(|c| c.trim().trim_matches('`').to_string());
-            (cells.nth(1).unwrap(), cells.next().unwrap())
-        })
-        .filter(|(_, flag)| flag.starts_with("--"))
-        .collect();
-    let table: Vec<(String, String)> = SPEC_KEYS
-        .iter()
-        .filter_map(|k| Some((k.env()?, k.flag()?)))
-        .collect();
-    assert_eq!(documented, table);
+        .expect("README has a `## Flags and environment knobs` section");
+    let first_cells = |prefix: &str| -> Vec<String> {
+        section
+            .lines()
+            .filter(|l| l.starts_with(prefix))
+            .map(|l| l.split('|').nth(1).unwrap().trim().trim_matches('`').into())
+            .collect()
+    };
+    let flags: Vec<String> = SPEC_KEYS.iter().filter_map(|k| k.flag()).collect();
+    assert_eq!(first_cells("| `--"), flags);
+    let vars: Vec<&str> = ENV_VARS.iter().map(|(var, _)| *var).collect();
+    assert_eq!(first_cells("| `EMCA_"), vars);
 }
 
 #[test]
@@ -100,11 +98,11 @@ fn scenarios_declare_only_non_universal_table_keys() {
     // universal key there would make the scenario reject (or pointlessly
     // list) a key no spec can pin.
     for s in scenarios::registry().iter() {
-        for key in s.supported_keys() {
+        for key in s.keys {
             assert!(
                 ALL_SCENARIO_KEYS.contains(key),
                 "{} declares {key:?}, which is not a non-universal spec key",
-                s.name()
+                s.name
             );
         }
     }
@@ -119,7 +117,7 @@ fn registry_declares_the_full_results_schema_set() {
     let registry = scenarios::registry();
     let mut seen = std::collections::BTreeSet::new();
     for s in registry.iter() {
-        for (file, header) in s.csv_schemas() {
+        for (file, header) in s.schemas {
             assert!(seen.insert(*file), "{file} declared twice");
             assert!(!header.is_empty(), "{file} has an empty header");
             // `Table::with_header` splits the declaration on bare commas.
@@ -288,7 +286,7 @@ fn every_scenario_smokes_at_tiny_scale() {
             .run(name, &spec)
             .unwrap_or_else(|e| panic!("scenario {name} failed at tiny scale: {e}"));
         let scenario = registry.get(name).expect("registered");
-        for (file, header) in scenario.csv_schemas() {
+        for (file, header) in scenario.schemas {
             emca_harness::validate_csv(&out_dir.join(file), header)
                 .unwrap_or_else(|e| panic!("scenario {name}: {e}"));
         }

@@ -1,9 +1,9 @@
-//! Scale-factor gate: the paper's own scale (`EMCA_SF=1`) must stay
+//! Scale-factor gate: the paper's own scale (`--sf 1`) must stay
 //! tractable end-to-end. Opt-in (`EMCA_SF_GATE=1`) because a full sf-1
 //! `tab_summary` costs minutes, not seconds — the default-scale wall
 //! budget in CI (`EMCA_WALL_BUDGET_S` on `emca check --fidelity`) is
 //! the everyday tripwire; this test is the direct claim check behind
-//! the ROADMAP's `EMCA_SF=1` item.
+//! the ROADMAP's sf-1 item.
 //!
 //! Beyond the wall budget, the generated CSVs are diffed byte-for-byte
 //! against the pinned set in `results/sf1/` — the sim backend is
@@ -31,9 +31,9 @@ fn diff_pinned(generated: &Path, pinned: &Path) -> Vec<String> {
     let registry = emca_bench::scenarios::registry();
     let schemas = registry
         .iter()
-        .find(|s| s.name() == "tab_summary")
+        .find(|s| s.name == "tab_summary")
         .expect("tab_summary is registered")
-        .csv_schemas();
+        .schemas;
     for (name, _) in schemas {
         let got = std::fs::read_to_string(generated.join(name));
         let want = std::fs::read_to_string(pinned.join(name));

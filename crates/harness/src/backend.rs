@@ -14,9 +14,8 @@
 //!   Timestamps are wall-clock nanoseconds mapped onto `SimTime`, so
 //!   every downstream metric works unchanged but is *not* deterministic.
 //!
-//! Selected per run via `ExperimentSpec` (`backend=threads`), the
-//! `EMCA_BACKEND` environment variable, or the CLI flag
-//! `emca run <scenario> --backend threads`.
+//! Selected per run via `ExperimentSpec` (`backend=threads`) or the CLI
+//! flag `emca run <scenario> --backend threads`.
 
 use std::fmt;
 use std::str::FromStr;

@@ -1,6 +1,6 @@
 //! The tenant lifecycle — one driver for resident and churned
 //! populations — and the `churn=` axis of
-//! [`ExperimentSpec`](crate::ExperimentSpec) (`--churn` / `EMCA_CHURN`)
+//! [`ExperimentSpec`](crate::ExperimentSpec) (`--churn`)
 //! that describes the latter.
 //!
 //! A multi-tenant run is a set of tenants moving through one lifecycle

@@ -9,10 +9,6 @@ use volcano_db::exec::engine::Flavor;
 use volcano_db::exec::FaultPlan;
 use volcano_db::tpch::TpchScale;
 
-// Centralised `EMCA_*` environment parsing lives with the spec; this
-// re-export keeps the documented `config::from_env()` path.
-pub use crate::spec::{from_env, from_vars};
-
 /// Core-allocation policy of a run: the paper's four configurations
 /// plus the throughput hill climber.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]

@@ -9,15 +9,17 @@
 //!
 //! - [`ExperimentSpec`] — the typed configuration of an invocation
 //!   (scenario, flavor, policy, scale, …), with `Display`/`FromStr`
-//!   round-tripping and [`config::from_env`] as the single place the
-//!   documented `EMCA_*` fallbacks are parsed;
+//!   round-tripping; its key table ([`SPEC_KEYS`]) is also the `emca`
+//!   flag set, the only way to configure a run;
 //! - [`Scenario`] / [`ScenarioRegistry`] — every figure/table of the
 //!   paper as a named unit (setup + sweep + declared CSV schema) that
 //!   the `emca` CLI lists and runs; user scenarios register the same
 //!   way;
 //! - [`serve`] — the serving layer (`emca serve_*`): an open-loop load
 //!   generator ([`ArrivalSchedule`]), an [`AdmissionPolicy`] front door
-//!   and a dispatcher running admitted queries on either backend.
+//!   and a dispatcher running admitted queries on either backend;
+//! - [`timing`] — wall-clock budgets and the only environment reads
+//!   (run budget, run deadline, threads pool width).
 
 pub mod backend;
 pub mod churn;
@@ -37,9 +39,7 @@ pub use churn::{ChurnPlan, ChurnSpec, ChurnTenant};
 pub use config::{Alloc, PolicyFactory, RunConfig, Warmup};
 pub use handcoded_runner::{run_handcoded, HandcodedOutput};
 pub use runner::{run, run_all_allocs, RunOutput};
-pub use scenario::{
-    validate_csv, FnScenario, Scenario, ScenarioError, ScenarioRegistry, ALL_SCENARIO_KEYS,
-};
+pub use scenario::{validate_csv, Scenario, ScenarioError, ScenarioRegistry, ALL_SCENARIO_KEYS};
 pub use serve::{
     build_admission, run_serve, AcceptAll, AdmissionDecision, AdmissionPolicy, Arrival,
     ArrivalSchedule, ConcurrencyLimit, RequestOutcome, RequestRecord, RetryPolicy, ServeConfig,
@@ -52,8 +52,7 @@ pub use tenants::{
     run_tenants, MultiTenantConfig, MultiTenantOutput, TenantOutput, TenantRunConfig,
 };
 pub use timing::{
-    enforce_wall_budget, run_deadline_from_env, wall_budget_from_env, BudgetExceeded, RunAborted,
-    WallTimer,
+    enforce_wall_budget, refuse_stray_vars, seconds_from_env, BudgetExceeded, RunAborted, WallTimer,
 };
 
 use std::path::PathBuf;

@@ -36,11 +36,12 @@
 //!   driver samples each worker's host CPU from `/proc/self/task`
 //!   (`ProcTracer`), so the Fig. 5/16 maps show actual OS placement.
 //!
-//! Environment knobs: `EMCA_THREADS` caps the pool width (changes
-//! partitioning, hence results — CI smoke only); `EMCA_RUN_DEADLINE_S`
-//! overrides the run-abort deadline in wall seconds (unset, the
-//! config's deadline applies; `EMCA_WALL_BUDGET_S` never does — see
-//! [`crate::timing`] for the distinction).
+//! Environment knobs, read in [`crate::timing`]: `EMCA_THREADS` caps
+//! the pool width (changes partitioning, hence results — CI smoke
+//! only); `EMCA_RUN_DEADLINE_S` overrides the run-abort deadline in
+//! wall seconds (unset, the config's deadline applies;
+//! `EMCA_WALL_BUDGET_S` never does — see [`crate::timing`] for the
+//! distinction).
 
 use crate::churn::Admissions;
 use crate::config::{Alloc, RunConfig};
@@ -74,22 +75,13 @@ fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
 /// Machine width the pool mirrors (the simulated Opteron's 16 cores),
 /// unless `EMCA_THREADS` caps it.
 pub(crate) fn capacity() -> usize {
-    let machine = MachineConfig::opteron_4x4().topology.n_cores();
-    match std::env::var("EMCA_THREADS") {
-        Ok(v) => match v.trim().parse::<usize>() {
-            Ok(n) => n.clamp(1, machine),
-            // emca-lint: allow(panic-freedom) — config-parse tripwire on the driver thread at startup, before any pool exists
-            Err(_) => panic!("EMCA_THREADS must be a thread count, got {v:?}"),
-        },
-        Err(_) => machine,
-    }
+    crate::timing::pool_width(MachineConfig::opteron_4x4().topology.n_cores())
 }
 
-/// Wall-clock run-abort deadline: `EMCA_RUN_DEADLINE_S` when set (see
-/// [`crate::run_deadline_from_env`]), else the config's deadline read
-/// as wall time.
+/// Wall-clock run-abort deadline: `EMCA_RUN_DEADLINE_S` when set, else
+/// the config's deadline read as wall time.
 fn wall_deadline(configured: SimDuration) -> SimDuration {
-    match crate::run_deadline_from_env() {
+    match crate::seconds_from_env(crate::timing::RUN_DEADLINE_ENV) {
         Ok(Some(secs)) => SimDuration::from_secs_f64(secs),
         Ok(None) => configured,
         // emca-lint: allow(panic-freedom) — config-parse tripwire on the driver thread at startup, before any pool exists

@@ -1,8 +1,9 @@
 //! The scenario registry — every figure, table and diagnostic of the
 //! reproduction as a named, runnable unit.
 //!
-//! A [`Scenario`] is setup + sweep + declared CSV schema behind one
-//! `run(&ExperimentSpec)` entry point. The [`ScenarioRegistry`] maps
+//! A [`Scenario`] is a plain struct: a name, a description, the CSV
+//! schemas it declares, the spec keys it honours and one
+//! `run(&ExperimentSpec)` body. The [`ScenarioRegistry`] maps
 //! names to scenarios so one CLI (`emca list` / `emca run <name>`) can
 //! drive all of them, and user code can [`ScenarioRegistry::register`]
 //! its own (see `examples/custom_policy.rs`). Declared schemas double as
@@ -43,76 +44,39 @@ impl From<&str> for ScenarioError {
 
 /// A named experiment: one of the paper's figures/tables, or anything
 /// user code wants driveable through the same surface.
-pub trait Scenario {
+pub struct Scenario {
     /// Registry key (`fig04`, `tab_summary`, …).
-    fn name(&self) -> &str;
-
+    pub name: &'static str,
     /// One-line description for `emca list`.
-    fn about(&self) -> &str;
-
+    pub about: &'static str,
     /// CSV files this scenario writes: `(file name, header)`. Used by
     /// `emca check` and the scenario smoke tests; empty for scenarios
     /// that only print.
-    fn csv_schemas(&self) -> &[(&'static str, &'static str)] {
-        &[]
-    }
-
-    /// The non-universal spec keys this scenario honours. A spec
-    /// pinning any other key is rejected with
-    /// [`SpecError::Unsupported`] before the run starts — a scenario
-    /// silently ignoring a pinned field ran the wrong experiment
-    /// without a word. Defaults to every key, so custom scenarios opt
-    /// into narrowing rather than being rejected by default.
-    fn supported_keys(&self) -> &[&'static str] {
-        ALL_SCENARIO_KEYS
-    }
-
-    /// Runs the scenario under the given spec.
-    fn run(&self, spec: &ExperimentSpec) -> Result<(), ScenarioError>;
-}
-
-/// A scenario built from plain parts — the registration vehicle for
-/// both the built-in figures and user scenarios.
-pub struct FnScenario {
-    /// Registry key.
-    pub name: &'static str,
-    /// One-line description.
-    pub about: &'static str,
-    /// Declared CSV outputs.
     pub schemas: &'static [(&'static str, &'static str)],
-    /// Honoured non-universal spec keys (see
-    /// [`Scenario::supported_keys`]).
+    /// The non-universal spec keys this scenario honours
+    /// ([`ALL_SCENARIO_KEYS`] for all of them). A spec pinning any
+    /// other key is rejected with [`SpecError::Unsupported`] before the
+    /// run starts — a scenario silently ignoring a pinned field ran the
+    /// wrong experiment without a word.
     pub keys: &'static [&'static str],
-    /// The body.
+    /// The body: runs the scenario under the given spec.
     pub run: fn(&ExperimentSpec) -> Result<(), ScenarioError>,
 }
 
-impl Scenario for FnScenario {
-    fn name(&self) -> &str {
-        self.name
-    }
-
-    fn about(&self) -> &str {
-        self.about
-    }
-
-    fn csv_schemas(&self) -> &[(&'static str, &'static str)] {
-        self.schemas
-    }
-
-    fn supported_keys(&self) -> &[&'static str] {
-        self.keys
-    }
-
-    fn run(&self, spec: &ExperimentSpec) -> Result<(), ScenarioError> {
-        (self.run)(spec)
+impl Scenario {
+    /// The non-universal keys `spec` pins that this scenario does not
+    /// honour, as `(key, value)` pairs.
+    fn unsupported(&self, spec: &ExperimentSpec) -> Vec<(&'static str, String)> {
+        let mut pinned = spec.set_keys();
+        pinned.retain(|(key, _)| !self.keys.contains(key));
+        pinned
     }
 }
 
 /// Name-ordered collection of scenarios.
 #[derive(Default)]
 pub struct ScenarioRegistry {
-    items: BTreeMap<String, Box<dyn Scenario>>,
+    items: BTreeMap<&'static str, Scenario>,
 }
 
 impl ScenarioRegistry {
@@ -122,9 +86,9 @@ impl ScenarioRegistry {
     }
 
     /// Adds a scenario; duplicate names are an error.
-    pub fn register(&mut self, scenario: Box<dyn Scenario>) -> Result<(), ScenarioError> {
-        let name = scenario.name().to_string();
-        if self.items.contains_key(&name) {
+    pub fn register(&mut self, scenario: Scenario) -> Result<(), ScenarioError> {
+        let name = scenario.name;
+        if self.items.contains_key(name) {
             return Err(ScenarioError(format!("duplicate scenario name {name:?}")));
         }
         self.items.insert(name, scenario);
@@ -132,18 +96,18 @@ impl ScenarioRegistry {
     }
 
     /// Looks a scenario up by name.
-    pub fn get(&self, name: &str) -> Option<&dyn Scenario> {
-        self.items.get(name).map(|s| s.as_ref())
+    pub fn get(&self, name: &str) -> Option<&Scenario> {
+        self.items.get(name)
     }
 
     /// All names, sorted.
-    pub fn names(&self) -> Vec<&str> {
-        self.items.keys().map(|s| s.as_str()).collect()
+    pub fn names(&self) -> Vec<&'static str> {
+        self.items.keys().copied().collect()
     }
 
     /// All scenarios, name-ordered.
-    pub fn iter(&self) -> impl Iterator<Item = &dyn Scenario> {
-        self.items.values().map(|s| s.as_ref())
+    pub fn iter(&self) -> impl Iterator<Item = &Scenario> {
+        self.items.values()
     }
 
     /// Number of registered scenarios.
@@ -164,17 +128,14 @@ impl ScenarioRegistry {
         let Some(s) = self.get(name) else {
             return Ok(());
         };
-        let supported = s.supported_keys();
-        for (key, value) in spec.set_keys() {
-            if !supported.contains(&key) {
-                return Err(SpecError::Unsupported {
-                    scenario: name.to_string(),
-                    key: key.to_string(),
-                    value,
-                });
-            }
+        match s.unsupported(spec).into_iter().next() {
+            Some((key, value)) => Err(SpecError::Unsupported {
+                scenario: name.to_string(),
+                key: key.to_string(),
+                value,
+            }),
+            None => Ok(()),
         }
-        Ok(())
     }
 
     /// Clears every pinned key `name` does not support and returns the
@@ -188,12 +149,7 @@ impl ScenarioRegistry {
         let Some(s) = self.get(name) else {
             return Vec::new();
         };
-        let supported = s.supported_keys();
-        let dropped: Vec<(&'static str, String)> = spec
-            .set_keys()
-            .into_iter()
-            .filter(|(key, _)| !supported.contains(key))
-            .collect();
+        let dropped = s.unsupported(spec);
         for (key, _) in &dropped {
             spec.clear(key);
         }
@@ -211,7 +167,7 @@ impl ScenarioRegistry {
                 self.validate_spec(name, spec)
                     .and_then(|()| spec.validate_backend())
                     .map_err(|e| ScenarioError(e.to_string()))?;
-                s.run(spec)
+                (s.run)(spec)
             }
             None => Err(ScenarioError(format!(
                 "unknown scenario {name:?} (valid: {})",
@@ -275,14 +231,14 @@ pub fn validate_csv(path: &Path, header: &str) -> Result<(), String> {
 mod tests {
     use super::*;
 
-    fn noop(name: &'static str) -> Box<dyn Scenario> {
-        Box::new(FnScenario {
+    fn noop(name: &'static str) -> Scenario {
+        Scenario {
             name,
             about: "test scenario",
             schemas: &[],
             keys: ALL_SCENARIO_KEYS,
             run: |_| Ok(()),
-        })
+        }
     }
 
     #[test]
@@ -323,13 +279,13 @@ mod tests {
     #[test]
     fn run_dispatches() {
         let mut r = ScenarioRegistry::new();
-        r.register(Box::new(FnScenario {
+        r.register(Scenario {
             name: "fails",
             about: "always fails",
             schemas: &[],
             keys: ALL_SCENARIO_KEYS,
             run: |_| Err("boom".into()),
-        }))
+        })
         .unwrap();
         assert_eq!(
             r.run("fails", &ExperimentSpec::default()),
@@ -340,13 +296,13 @@ mod tests {
     #[test]
     fn unsupported_pinned_keys_are_rejected_not_ignored() {
         let mut r = ScenarioRegistry::new();
-        r.register(Box::new(FnScenario {
+        r.register(Scenario {
             name: "narrow",
             about: "supports only sf",
             schemas: &[],
             keys: &["sf"],
             run: |_| Ok(()),
-        }))
+        })
         .unwrap();
         let spec: ExperimentSpec = "scenario=narrow sf=0.1 seed=7 check=1".parse().unwrap();
         assert_eq!(
@@ -376,13 +332,13 @@ mod tests {
     #[test]
     fn a_key_the_backend_ignores_is_refused_before_the_run() {
         let mut r = ScenarioRegistry::new();
-        r.register(Box::new(FnScenario {
+        r.register(Scenario {
             name: "wide",
             about: "honours every key",
             schemas: &[],
             keys: ALL_SCENARIO_KEYS,
             run: |_| panic!("ran despite a refused key"),
-        }))
+        })
         .unwrap();
         let spec: ExperimentSpec = "backend=threads warmup=interleave".parse().unwrap();
         assert_eq!(
@@ -424,13 +380,13 @@ mod tests {
     #[test]
     fn prune_unsupported_clears_and_reports() {
         let mut r = ScenarioRegistry::new();
-        r.register(Box::new(FnScenario {
+        r.register(Scenario {
             name: "narrow",
             about: "supports only sf",
             schemas: &[],
             keys: &["sf"],
             run: |_| Ok(()),
-        }))
+        })
         .unwrap();
         let mut spec: ExperimentSpec = "scenario=narrow sf=0.1 users=4 backend=threads"
             .parse()

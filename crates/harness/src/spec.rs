@@ -1,16 +1,14 @@
 //! The typed experiment specification — the single configuration
 //! surface of every scenario.
 //!
-//! [`ExperimentSpec`] replaces the per-binary `EMCA_*` parsing: the env
-//! vars remain as documented fallbacks, but they are read in exactly one
-//! place ([`from_env`]) and everything downstream (the `emca` CLI,
-//! library callers) works on the typed spec. Fields a scenario does not
-//! override fall back to that scenario's own defaults, so the spec only
-//! pins what the caller set.
+//! [`ExperimentSpec`] is set from `emca` flags or a `key=value` spec
+//! line and nothing else: no spec key has an environment fallback.
+//! Fields a scenario does not override fall back to that scenario's own
+//! defaults, so the spec only pins what the caller set.
 //!
 //! Each key is spelled once, in its [`SPEC_KEYS`] row: the spec line,
-//! the `EMCA_*` variable, the CLI flag and the `emca help` text are all
-//! derived from that table.
+//! the CLI flag and the `emca help` text are all derived from that
+//! table.
 //!
 //! The spec is serde-able without a serde dependency (the build is
 //! offline): [`std::fmt::Display`] renders a stable `key=value` line and
@@ -40,7 +38,7 @@ pub enum SpecError {
     },
     /// A recognised key with an unparseable or out-of-range value.
     Malformed {
-        /// The spec key (or `EMCA_*` variable) being set.
+        /// The spec key being set.
         key: String,
         /// The rejected value.
         value: String,
@@ -106,20 +104,6 @@ impl SpecError {
             value: value.into(),
             reason: reason.into(),
         }
-    }
-
-    /// Rewrites the offending key — [`from_vars`] maps spec keys back
-    /// to the `EMCA_*` variable the value actually came from.
-    fn for_key(mut self, key: &str) -> Self {
-        match &mut self {
-            SpecError::UnknownKey { key: k, .. }
-            | SpecError::Malformed { key: k, .. }
-            | SpecError::UnknownPolicy { key: k, .. }
-            | SpecError::UnknownTenant { key: k, .. }
-            | SpecError::UnknownBackend { key: k, .. } => *k = key.to_string(),
-            SpecError::Unsupported { .. } | SpecError::BackendUnsupported { .. } => {}
-        }
-        self
     }
 }
 
@@ -399,52 +383,49 @@ pub struct ExperimentSpec {
     /// Mechanism policy: fills the *adaptive* slot of every scenario
     /// (`None` = the paper's adaptive mode).
     pub policy: Option<PolicyId>,
-    /// Concurrent clients / cap on user sweeps (`EMCA_CLIENTS`).
+    /// Concurrent clients / cap on user sweeps (`--users`).
     pub users: Option<usize>,
-    /// Per-client iterations (`EMCA_ITERS`).
+    /// Per-client iterations (`--iters`).
     pub iters: Option<u32>,
-    /// TPC-H scale factor (`EMCA_SF`; scenario default 0.25).
+    /// TPC-H scale factor (`--sf`; scenario default 0.25).
     pub sf: Option<f64>,
     /// Data-generation seed.
     pub seed: u64,
-    /// Base-data placement override (`EMCA_WARMUP`).
+    /// Base-data placement override (`--warmup`).
     pub warmup: Option<Warmup>,
-    /// Eq. 1 saturation-guard override (`EMCA_GUARD`): `Some(None)`
+    /// Eq. 1 saturation-guard override (`--guard`): `Some(None)`
     /// disables the guard, `Some(Some(x))` pins the threshold.
     pub guard: Option<Option<f64>>,
-    /// Pinned control interval in ms (`EMCA_INTERVAL_MS`).
+    /// Pinned control interval in ms (`--interval-ms`).
     pub interval_ms: Option<f64>,
     /// Enforce fidelity/validation claims where the scenario defines
-    /// them (`EMCA_CHECK=1`).
+    /// them (`--check`).
     pub check: bool,
     /// CSV output directory (default: the workspace `results/`).
     pub out_dir: Option<PathBuf>,
     /// Per-tenant overrides for the multi-tenant scenarios
-    /// (`EMCA_TENANTS` / `--tenants`); `None` keeps every scenario
+    /// (`--tenants`); `None` keeps every scenario
     /// default.
     pub tenants: Option<Vec<TenantSpec>>,
-    /// Execution backend (`EMCA_BACKEND` / `--backend`): the
+    /// Execution backend (`--backend`): the
     /// deterministic simulation (default) or real OS threads.
     pub backend: Backend,
     /// Open-loop arrival process for the serving scenarios
-    /// (`EMCA_ARRIVAL` / `--arrival`).
+    /// (`--arrival`).
     pub arrival: Option<ArrivalSpec>,
-    /// Open-loop offered-load window in seconds (`EMCA_DURATION` /
-    /// `--duration`); arrivals stop after this, in-flight work drains.
+    /// Open-loop offered-load window in seconds (`--duration`); arrivals stop after this, in-flight work drains.
     pub duration: Option<f64>,
-    /// Admission policy of the serving front door (`EMCA_ADMISSION` /
-    /// `--admission`).
+    /// Admission policy of the serving front door (`--admission`).
     pub admission: Option<AdmissionSpec>,
-    /// Per-request SLA target in milliseconds (`EMCA_SLA_MS` /
-    /// `--sla-ms`); the deadline-aware queue sheds requests that cannot
+    /// Per-request SLA target in milliseconds (`--sla-ms`); the deadline-aware queue sheds requests that cannot
     /// be dispatched before `arrival + sla`.
     pub sla_ms: Option<f64>,
-    /// Deterministic fault-injection plan (`EMCA_FAULTS` / `--faults`),
+    /// Deterministic fault-injection plan (`--faults`),
     /// e.g. `panic:worker=3@2s,badquery:rate=0.01`. Unset leaves the
     /// fault plane fully inert.
     pub faults: Option<FaultPlan>,
     /// Serverless churn population for the churn scenarios
-    /// (`EMCA_CHURN` / `--churn`), e.g. `64:resident=12:skew=0.8`.
+    /// (`--churn`), e.g. `64:resident=12:skew=0.8`.
     pub churn: Option<crate::churn::ChurnSpec>,
 }
 
@@ -702,17 +683,15 @@ fn parse_backend(key: &str, value: &str) -> Result<Backend, SpecError> {
         })
 }
 
-/// How a spec key is reached from the command line and the environment.
+/// How a spec key is reached from the command line.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Surface {
-    /// `--flag <value>` and `EMCA_NAME=<value>`; carries the value
-    /// grammar `emca help` shows.
+    /// `--flag <value>`; carries the value grammar `emca help` shows.
     Value(&'static str),
-    /// A value-less `--flag` (it sets `1`); the variable and the spec
-    /// line take `1|true|0|false`.
+    /// A value-less `--flag` (it sets `1`); the spec line takes
+    /// `1|true|0|false`.
     Switch,
-    /// Filled in by the command itself (`emca run <scenario>`): no flag
-    /// and no variable.
+    /// Filled in by the command itself (`emca run <scenario>`): no flag.
     Positional,
 }
 
@@ -721,7 +700,7 @@ pub enum Surface {
 pub struct SpecKey {
     /// The key as spelled in a spec line — the struct field's name.
     pub name: &'static str,
-    /// Its CLI/environment shape.
+    /// Its CLI shape.
     pub surface: Surface,
     /// One-line meaning, as `emca help` prints it.
     pub help: &'static str,
@@ -730,8 +709,6 @@ pub struct SpecKey {
     /// Every scenario honours the key (or it configures the harness
     /// around the scenario), so supported-keys validation skips it.
     pub universal: bool,
-    /// Variable-name stem where it is not the upper-cased key.
-    env_stem: Option<&'static str>,
     /// Parses a value into the field.
     set: fn(&mut ExperimentSpec, &str) -> Result<(), SpecError>,
     /// The rendered value, `None` while the field is at its default (so
@@ -744,11 +721,6 @@ pub struct SpecKey {
 impl SpecKey {
     const fn universal(mut self) -> Self {
         self.universal = true;
-        self
-    }
-
-    const fn env_stem(mut self, stem: &'static str) -> Self {
-        self.env_stem = Some(stem);
         self
     }
 
@@ -765,14 +737,6 @@ impl SpecKey {
     /// The CLI flag: `--` + the key with `_` as `-`.
     pub fn flag(&self) -> Option<String> {
         (self.surface != Surface::Positional).then(|| format!("--{}", self.name.replace('_', "-")))
-    }
-
-    /// The environment fallback: `EMCA_` + the upper-cased key.
-    pub fn env(&self) -> Option<String> {
-        (self.surface != Surface::Positional).then(|| match self.env_stem {
-            Some(stem) => format!("EMCA_{stem}"),
-            None => format!("EMCA_{}", self.name.to_uppercase()),
-        })
     }
 }
 
@@ -800,7 +764,6 @@ macro_rules! key {
             help: $help,
             example: $example,
             universal: false,
-            env_stem: None,
             set: $set,
             get: $get,
             clear: |s| s.$f = ExperimentSpec::default().$f,
@@ -812,8 +775,8 @@ use Surface::{Positional, Switch, Value};
 
 /// The key table: one row per spec key, in `Display` order. The only
 /// place a key is spelled besides its [`ExperimentSpec`] field —
-/// rendering, parsing, the `EMCA_*` fallbacks, the CLI flags and
-/// `emca help` are all loops over it.
+/// rendering, parsing, the CLI flags and `emca help` are all loops
+/// over it.
 pub const SPEC_KEYS: &[SpecKey] = &[
     key!(raw scenario, Positional, "scenario name (see `emca list`)", "fig19",
         |_, v: &str| Ok::<_, SpecError>(v.to_string()),
@@ -825,8 +788,7 @@ pub const SPEC_KEYS: &[SpecKey] = &[
         "mechanism policy (fills the adaptive slot)", "hillclimb",
         parse_policy, ToString::to_string),
     key!(opt users, Value("<n>"), "concurrent clients / cap on user sweeps", "64",
-        parse_num, ToString::to_string)
-    .env_stem("CLIENTS"),
+        parse_num, ToString::to_string),
     key!(opt iters, Value("<n>"), "per-client query iterations", "6",
         parse_num, ToString::to_string),
     key!(opt sf, Value("<f>"), "TPC-H scale factor (scenario default 0.25)", "0.25",
@@ -982,7 +944,7 @@ impl ExperimentSpec {
     pub const UNIVERSAL_KEYS: &'static [&'static str] =
         &key_names::<{ count_keys(Some(true)) }>(Some(true));
 
-    /// Sets one `key=value` field (the `FromStr`/CLI/env shared path).
+    /// Sets one `key=value` field (the `FromStr`/CLI shared path).
     pub fn set(&mut self, key: &str, value: &str) -> Result<(), SpecError> {
         match SpecKey::named(key) {
             Some(k) => (k.set)(self, value),
@@ -1012,37 +974,6 @@ impl ExperimentSpec {
             (k.clear)(self);
         }
     }
-}
-
-/// Builds a spec from the documented `EMCA_*` environment fallbacks —
-/// the one place they are parsed. A malformed value is a hard error
-/// (the old per-binary parsers silently fell back to defaults, which
-/// made `EMCA_SF=O.25` run at 0.25× the intended scale without a
-/// word).
-///
-/// The variable of a key is [`SpecKey::env`]: `EMCA_` + the upper-cased
-/// key (`sf` ↔ `EMCA_SF`, `sla_ms` ↔ `EMCA_SLA_MS`), except `users` ↔
-/// `EMCA_CLIENTS`; `scenario` has none. `emca help` lists them all.
-///
-/// `PROPTEST_CASES` is consumed by the vendored proptest shim with the
-/// same strict parsing; it is not a spec field.
-pub fn from_env() -> Result<ExperimentSpec, SpecError> {
-    from_vars(|name| std::env::var(name).ok())
-}
-
-/// [`from_env`] over an arbitrary variable source (testable without
-/// mutating the process environment).
-pub fn from_vars(get: impl Fn(&str) -> Option<String>) -> Result<ExperimentSpec, SpecError> {
-    let mut spec = ExperimentSpec::default();
-    for key in SPEC_KEYS {
-        let Some(var) = key.env() else { continue };
-        if let Some(value) = get(&var) {
-            // Re-key the error to the variable it came from: the user
-            // set `EMCA_SF`, not `sf`.
-            (key.set)(&mut spec, &value).map_err(|e| e.for_key(&var))?;
-        }
-    }
-    Ok(spec)
 }
 
 #[cfg(test)]
@@ -1111,45 +1042,25 @@ mod tests {
     }
 
     #[test]
-    fn from_vars_reads_every_fallback() {
-        for key in SPEC_KEYS {
-            let Some(var) = key.env() else {
-                assert_eq!(key.surface, Surface::Positional, "{}", key.name);
-                continue;
-            };
-            // Only this variable set: only this row moves.
-            let spec = from_vars(|n| (n == var).then(|| key.example.to_string())).unwrap();
-            assert_eq!(spec, pinned(key), "{var}");
-        }
-    }
-
-    #[test]
-    fn every_flag_and_variable_names_one_row() {
+    fn every_flag_names_one_row() {
         for key in SPEC_KEYS {
             let name = key.name;
-            if key.surface == Surface::Positional {
-                assert_eq!((key.env(), key.flag()), (None, None), "{name}");
+            let Some(flag) = key.flag() else {
+                assert_eq!(key.surface, Surface::Positional, "{name}");
                 continue;
-            }
-            let (var, flag) = (key.env().unwrap(), key.flag().unwrap());
-            assert_eq!(SpecKey::for_flag(&flag).map(|k| k.name), Some(name));
-            let sharing = |of: fn(&SpecKey) -> Option<String>, want: &str| {
-                SPEC_KEYS
-                    .iter()
-                    .filter(|k| of(k).as_deref() == Some(want))
-                    .count()
             };
-            assert_eq!(sharing(SpecKey::env, &var), 1, "{var} names one row");
-            assert_eq!(sharing(SpecKey::flag, &flag), 1, "{flag} names one row");
+            assert_eq!(SpecKey::for_flag(&flag).map(|k| k.name), Some(name));
+            let sharing = SPEC_KEYS
+                .iter()
+                .filter(|k| k.flag().as_deref() == Some(&flag))
+                .count();
+            assert_eq!(sharing, 1, "{flag} names one row");
         }
-        // The naming rule, and its one exception.
-        let names = |key: &str| {
-            let key = SpecKey::named(key).unwrap();
-            (key.env().unwrap(), key.flag().unwrap())
-        };
-        assert_eq!(names("sf"), ("EMCA_SF".into(), "--sf".into()));
-        assert_eq!(names("sla_ms"), ("EMCA_SLA_MS".into(), "--sla-ms".into()));
-        assert_eq!(names("users"), ("EMCA_CLIENTS".into(), "--users".into()));
+        // The naming rule: `--` + the key with `_` as `-`.
+        let flag = |key: &str| SpecKey::named(key).unwrap().flag().unwrap();
+        assert_eq!(flag("sf"), "--sf");
+        assert_eq!(flag("sla_ms"), "--sla-ms");
+        assert_eq!(flag("users"), "--users");
         assert_eq!(SpecKey::for_flag("--scenario").map(|k| k.name), None);
         assert_eq!(SpecKey::for_flag("--clients").map(|k| k.name), None);
     }
@@ -1344,24 +1255,17 @@ mod tests {
     }
 
     #[test]
-    fn from_vars_rejects_malformed_values() {
-        let err = from_vars(|n| (n == "EMCA_SF").then(|| "O.25".to_string())).unwrap_err();
-        assert!(err.to_string().contains("EMCA_SF"), "{err}");
+    fn malformed_values_are_rejected() {
+        let err = ExperimentSpec::default().set("sf", "O.25").unwrap_err();
+        assert_eq!(err, SpecError::malformed("sf", "O.25", "must be a number"));
         // Also for the value types that parse themselves.
-        let err =
-            from_vars(|n| (n == "EMCA_ARRIVAL").then(|| "uniform:3".to_string())).unwrap_err();
-        assert!(err.to_string().contains("EMCA_ARRIVAL=uniform:3"), "{err}");
-        let err = from_vars(|n| (n == "EMCA_CHECK").then(|| "True".to_string())).unwrap_err();
+        let err = "arrival=uniform:3".parse::<ExperimentSpec>().unwrap_err();
+        assert!(err.to_string().contains("arrival=uniform:3"), "{err}");
+        let err = ExperimentSpec::default().set("check", "True").unwrap_err();
         assert_eq!(
             err,
-            SpecError::malformed("EMCA_CHECK", "True", "must be 1|true|0|false")
+            SpecError::malformed("check", "True", "must be 1|true|0|false")
         );
-    }
-
-    #[test]
-    fn empty_env_is_all_defaults() {
-        let spec = from_vars(|_| None).unwrap();
-        assert_eq!(spec, ExperimentSpec::default());
     }
 
     #[test]

@@ -1,12 +1,20 @@
-//! Wall-clock timing surface.
+//! Wall-clock timing surface, and the one module that reads the
+//! environment.
 //!
 //! The simulation meters *simulated* time; this module meters the real
 //! time an invocation costs, which is what the engine hot-path work
 //! optimises and what CI budgets. The `emca` CLI stamps every scenario
 //! run with a [`WallTimer`] and, when `EMCA_WALL_BUDGET_S` is set,
 //! turns a blown budget into a hard failure — so hot-path regressions
-//! fail loudly instead of silently inflating the fidelity job.
+//! fail loudly instead of silently inflating a CI job.
+//!
+//! Experiments are configured by flags alone (the spec keys,
+//! [`crate::SPEC_KEYS`]). The environment carries only the run limits
+//! of [`ENV_VARS`]; [`refuse_stray_vars`] turns any other `EMCA_*`
+//! variable into an error, so a retired spelling such as `EMCA_SF=1`
+//! cannot silently run the default experiment.
 
+use crate::SpecKey;
 use std::fmt;
 use std::time::Instant;
 
@@ -16,10 +24,62 @@ pub const WALL_BUDGET_ENV: &str = "EMCA_WALL_BUDGET_S";
 /// Environment variable carrying the run-abort deadline, in seconds.
 ///
 /// Distinct from [`WALL_BUDGET_ENV`]: the budget judges a *finished*
-/// run after the fact (the CI fidelity gate), while the deadline aborts
+/// run after the fact (every `emca` scenario run), while the deadline aborts
 /// a run that is still going — the threads backend's hang watchdog.
 /// Neither stands in for the other: a job that wants both sets both.
 pub const RUN_DEADLINE_ENV: &str = "EMCA_RUN_DEADLINE_S";
+
+/// Environment variable capping the threads backend's pool width.
+pub const THREADS_ENV: &str = "EMCA_THREADS";
+
+/// Every `EMCA_*` variable the project reads, with its meaning as
+/// `emca help` prints it. The last two belong to the opt-in sf-1 test
+/// (`crates/bench/tests/sf_gate.rs`).
+pub const ENV_VARS: &[(&str, &str)] = &[
+    (WALL_BUDGET_ENV, "<s>: fail a run that took longer"),
+    (RUN_DEADLINE_ENV, "<s>: abort a threads run still going"),
+    (THREADS_ENV, "<n>: cap the threads pool width"),
+    ("EMCA_SF_GATE", "1: opt in to the sf-1 gate test"),
+    ("EMCA_SF_GATE_BUDGET_S", "<s>: the sf-1 gate test's budget"),
+];
+
+/// Refuses every `EMCA_*` variable outside [`ENV_VARS`]: the spec keys
+/// are flags only, and a variable nothing reads must not pass for a
+/// setting. The error names each stray variable and, where its
+/// lower-cased suffix is a spec key, the flag that replaces it.
+pub fn refuse_stray_vars() -> Result<(), String> {
+    let stray: Vec<String> = std::env::vars_os()
+        .filter_map(|(name, _)| name.into_string().ok())
+        .filter(|name| name.starts_with("EMCA_"))
+        .filter(|name| ENV_VARS.iter().all(|(var, _)| var != name))
+        .map(|name| {
+            let key = name["EMCA_".len()..].to_lowercase();
+            match SpecKey::named(&key).and_then(SpecKey::flag) {
+                Some(flag) => format!("{name} is not read (pass {flag} instead)"),
+                None => format!("{name} is not read (see `emca help`)"),
+            }
+        })
+        .collect();
+    if stray.is_empty() {
+        Ok(())
+    } else {
+        Err(stray.join(", "))
+    }
+}
+
+/// The threads pool width for a `machine`-core machine: `EMCA_THREADS`
+/// clamped to `1..=machine` when set, else `machine`. A malformed value
+/// panics — read on the driver thread at startup, before any pool
+/// exists.
+pub(crate) fn pool_width(machine: usize) -> usize {
+    match std::env::var(THREADS_ENV) {
+        Ok(v) => match v.trim().parse::<usize>() {
+            Ok(n) => n.clamp(1, machine),
+            Err(_) => panic!("{THREADS_ENV} must be a thread count, got {v:?}"),
+        },
+        Err(_) => machine,
+    }
+}
 
 /// A started wall-clock measurement of one named phase.
 pub struct WallTimer {
@@ -50,29 +110,16 @@ impl WallTimer {
     }
 }
 
-/// The wall budget from the environment, if set. Malformed values are
-/// hard errors (a typo must not disarm the gate).
-pub fn wall_budget_from_env() -> Result<Option<f64>, String> {
-    match std::env::var(WALL_BUDGET_ENV) {
+/// A number of seconds from variable `var` ([`WALL_BUDGET_ENV`],
+/// [`RUN_DEADLINE_ENV`]), if set. Malformed or non-positive values are
+/// hard errors (a typo must not disarm a gate).
+pub fn seconds_from_env(var: &str) -> Result<Option<f64>, String> {
+    match std::env::var(var) {
         Err(_) => Ok(None),
         Ok(s) => match s.parse::<f64>() {
             Ok(v) if v > 0.0 => Ok(Some(v)),
             _ => Err(format!(
-                "{WALL_BUDGET_ENV} must be a positive number of seconds, got {s:?}"
-            )),
-        },
-    }
-}
-
-/// The run-abort deadline from the environment, if set. Same contract
-/// as [`wall_budget_from_env`]: malformed values are hard errors.
-pub fn run_deadline_from_env() -> Result<Option<f64>, String> {
-    match std::env::var(RUN_DEADLINE_ENV) {
-        Err(_) => Ok(None),
-        Ok(s) => match s.parse::<f64>() {
-            Ok(v) if v > 0.0 => Ok(Some(v)),
-            _ => Err(format!(
-                "{RUN_DEADLINE_ENV} must be a positive number of seconds, got {s:?}"
+                "{var} must be a positive number of seconds, got {s:?}"
             )),
         },
     }
@@ -174,11 +221,10 @@ mod tests {
         // Do not mutate the global env (tests run concurrently);
         // exercise only the unset path plus the parser via
         // enforce_wall_budget above.
-        if std::env::var(WALL_BUDGET_ENV).is_err() {
-            assert_eq!(wall_budget_from_env().unwrap(), None);
-        }
-        if std::env::var(RUN_DEADLINE_ENV).is_err() {
-            assert_eq!(run_deadline_from_env().unwrap(), None);
+        for var in [WALL_BUDGET_ENV, RUN_DEADLINE_ENV] {
+            if std::env::var(var).is_err() {
+                assert_eq!(seconds_from_env(var).unwrap(), None);
+            }
         }
     }
 

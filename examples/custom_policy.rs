@@ -6,16 +6,17 @@
 //! page-coldest node (adaptive-style) — a mix no built-in provides.
 //! The scenario wires it into the standard runner next to the OS
 //! baseline and renders a two-row table, exactly like the built-in
-//! figures do. Run it:
+//! figures do. Its arguments are a spec line (`key=value ...`, the
+//! format `[spec]` lines are logged in). Run it:
 //!
 //! ```sh
 //! cargo run --release --example custom_policy
+//! cargo run --release --example custom_policy -- backend=threads users=2
 //! ```
 
 use elastic_core::{AllocationMode, ModeCtx, Policy, SparseMode};
 use emca_harness::{
-    run, Alloc, ExperimentSpec, FnScenario, PolicyFactory, RunConfig, Scenario, ScenarioError,
-    ScenarioRegistry,
+    run, Alloc, ExperimentSpec, PolicyFactory, RunConfig, Scenario, ScenarioError, ScenarioRegistry,
 };
 use numa_sim::CoreId;
 use volcano_db::client::Workload;
@@ -91,7 +92,7 @@ fn main() {
     // built-ins to extend instead).
     let mut registry = ScenarioRegistry::new();
     registry
-        .register(Box::new(FnScenario {
+        .register(Scenario {
             name: "widest_first",
             about: "sparse growth + page-cold release vs the OS baseline",
             schemas: &[],
@@ -107,7 +108,7 @@ fn main() {
                 "interval_ms",
                 "backend",
             ],
-        }))
+        })
         .expect("fresh registry");
 
     println!(
@@ -115,10 +116,15 @@ fn main() {
         registry.names(),
         registry
             .get("widest_first")
-            .map(Scenario::about)
+            .map(|s| s.about)
             .unwrap_or_default()
     );
-    let spec = ExperimentSpec::for_scenario("widest_first");
+    let line = std::env::args().skip(1).collect::<Vec<_>>().join(" ");
+    let mut spec: ExperimentSpec = line.parse().unwrap_or_else(|e| {
+        eprintln!("widest_first: {e}");
+        std::process::exit(2);
+    });
+    spec.scenario = "widest_first".to_string();
     spec.log_resolved();
     if let Err(e) = registry.run("widest_first", &spec) {
         eprintln!("widest_first: {e}");

@@ -19,8 +19,10 @@ cd "$(dirname "$0")/.."
 
 out="${1:-/tmp/emca-regen}"
 
-# Every spec key has an EMCA_* fallback; a stray one would silently move
-# the run off the default spec the committed files were made at.
+# The variables emca still reads budget (EMCA_WALL_BUDGET_S), cut short
+# (EMCA_RUN_DEADLINE_S) or narrow (EMCA_THREADS) a run, and emca refuses
+# any other EMCA_*; the check wants the plain default run, so none may be
+# set.
 if stray=$(env | grep '^EMCA_'); then
     echo "regen_check: unset these first, the check runs at the default spec:" >&2
     echo "$stray" >&2

@@ -28,11 +28,11 @@ emca() { cargo run --release --quiet -p emca-bench --bin emca -- "$@"; }
 # schedule instead.
 every_scenario() {
     for s in $(emca list --names | grep -v -e '^csv_check$' -e '^serve_'); do
-        EMCA_SF=0.002 emca run "$s" "$@" --users 2 --iters 1 \
+        emca run "$s" "$@" --sf 0.002 --users 2 --iters 1 \
             --prune-unsupported --out-dir "$out"
     done
     for s in serve_overload serve_latency_curve; do
-        EMCA_SF=0.002 emca run "$s" "$@" --arrival poisson:120 --duration 0.25 \
+        emca run "$s" "$@" --sf 0.002 --arrival poisson:120 --duration 0.25 \
             --out-dir "$out"
     done
 }
@@ -42,7 +42,7 @@ every_scenario() {
 # on a real pool.
 threads_policies() {
     for p in dense sparse hillclimb; do
-        EMCA_SF=0.002 emca run fig07 --backend threads --policy "$p" \
+        emca run fig07 --backend threads --policy "$p" --sf 0.002 \
             --users 2 --iters 1 --prune-unsupported --out-dir "$out"
     done
 }
@@ -50,10 +50,10 @@ threads_policies() {
 # One backend's share of a both-backends mode; $1 = sim|threads.
 smoke_serve() {
     for lam in 80 160; do
-        EMCA_SF=0.01 emca run serve_overload --backend "$1" \
+        emca run serve_overload --backend "$1" --sf 0.01 \
             --arrival "poisson:$lam" --duration 0.5 --out-dir "$out"
     done
-    EMCA_SF=0.01 emca run serve_latency_curve --backend "$1" \
+    emca run serve_latency_curve --backend "$1" --sf 0.01 \
         --arrival poisson:160 --duration 0.5 --out-dir "$out"
 }
 
@@ -63,9 +63,9 @@ smoke_serve() {
 # watchdog-paced repairs finish); the fidelity job judges it at the
 # default scale.
 smoke_chaos() {
-    EMCA_SF=0.02 emca run chaos_recovery --backend "$1" --users 4 --iters 6 \
+    emca run chaos_recovery --backend "$1" --sf 0.02 --users 4 --iters 6 \
         --check --out-dir "$out"
-    EMCA_SF=0.01 emca run chaos_serve --backend "$1" --arrival poisson:120 \
+    emca run chaos_serve --backend "$1" --sf 0.01 --arrival poisson:120 \
         --duration 0.5 --check --out-dir "$out"
 }
 

@@ -19,12 +19,12 @@ fn examples_dir() -> PathBuf {
 }
 
 fn run_example(name: &str) -> String {
-    run_example_with(name, &[])
+    run_example_with(name, &[]).0
 }
 
-/// Runs an example with extra environment variables (the `EMCA_*` spec
-/// fallbacks the examples read).
-fn run_example_with(name: &str, env: &[(&str, &str)]) -> String {
+/// Runs an example with command-line arguments; returns its stdout and
+/// stderr.
+fn run_example_with(name: &str, args: &[&str]) -> (String, String) {
     let exe = examples_dir().join(format!("{name}{}", std::env::consts::EXE_SUFFIX));
     assert!(
         exe.is_file(),
@@ -32,7 +32,7 @@ fn run_example_with(name: &str, env: &[(&str, &str)]) -> String {
         exe.display()
     );
     let out = Command::new(&exe)
-        .envs(env.iter().copied())
+        .args(args)
         .output()
         .unwrap_or_else(|e| panic!("failed to spawn {}: {e}", exe.display()));
     assert!(
@@ -42,7 +42,8 @@ fn run_example_with(name: &str, env: &[(&str, &str)]) -> String {
         String::from_utf8_lossy(&out.stdout),
         String::from_utf8_lossy(&out.stderr)
     );
-    String::from_utf8(out.stdout).expect("example output must be UTF-8")
+    let text = |bytes: Vec<u8>| String::from_utf8(bytes).expect("example output must be UTF-8");
+    (text(out.stdout), text(out.stderr))
 }
 
 #[test]
@@ -89,9 +90,14 @@ fn custom_policy_runs_on_real_threads() {
     // The same user policy on the threads backend: the pool's
     // controller takes `RunConfig::custom_policy` like the simulated
     // mechanism does.
-    let out = run_example_with("custom_policy", &[("EMCA_BACKEND", "threads")]);
+    let (out, err) = run_example_with("custom_policy", &["backend=threads"]);
     assert!(
         out.contains("widest-first"),
         "custom policy must appear in the report:\n{out}"
+    );
+    let spec = err.lines().find(|l| l.starts_with("[spec]"));
+    assert!(
+        spec.is_some_and(|l| l.split(' ').any(|kv| kv == "backend=threads")),
+        "the run must be on threads, logged as its spec line:\n{err}"
     );
 }

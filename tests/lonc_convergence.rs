@@ -6,7 +6,7 @@
 //! the windowed-demand metric plus release hysteresis pin it down.
 //!
 //! The property is checked over the whole grid
-//! `EMCA_SF ∈ {0.002, 0.02, 0.25} × users ∈ {4, 16, 64}`; the expensive
+//! `sf ∈ {0.002, 0.02, 0.25} × users ∈ {4, 16, 64}`; the expensive
 //! sf=0.25 column only runs in release builds (the CI fidelity job
 //! covers that scale too).
 

@@ -2,7 +2,7 @@
 //! baseline on the paper's mixed TPC-H workload. This is the same
 //! comparison `tab_summary` tabulates (and the CI fidelity job
 //! enforces), pinned at the default scale the acceptance criteria
-//! name: `EMCA_SF=0.25`, 64 users. Release-only — roughly half a
+//! name: `--sf 0.25`, 64 users. Release-only — roughly half a
 //! minute of deterministic simulation.
 
 use emca_harness::{report, run, Alloc, RunConfig};
