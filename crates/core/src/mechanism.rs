@@ -288,6 +288,13 @@ impl ElasticMechanism {
         self.core.policy_name()
     }
 
+    /// Whether a control step is due at `now` — the only polls that can
+    /// run one (a pending actuation can still hold it off). Lets a
+    /// driver pay for host-clock timing around exactly those polls.
+    pub fn control_due(&self, now: SimTime) -> bool {
+        now >= self.next_control
+    }
+
     /// Drives the mechanism; call once per simulation tick (cheap when
     /// nothing is due). Applies pending actuations and runs control steps
     /// on schedule.
@@ -301,7 +308,7 @@ impl ElasticMechanism {
                 self.pending = None;
             }
         }
-        if now >= self.next_control && self.pending.is_none() {
+        if self.control_due(now) && self.pending.is_none() {
             self.control(kernel);
             self.next_control = now + self.core.interval();
         }
@@ -343,13 +350,7 @@ impl ElasticMechanism {
 
 /// Machine-wide interconnect byte count.
 fn link_bytes(kernel: &Kernel) -> u64 {
-    kernel
-        .machine()
-        .counters()
-        .snapshot()
-        .link_bytes
-        .iter()
-        .sum()
+    kernel.machine().counters().total_link_bytes()
 }
 
 #[cfg(test)]
