@@ -71,18 +71,24 @@ pub struct SchedStats {
 struct Group {
     mask: CoreMask,
     members: Vec<Tid>,
-    /// Members that are runnable or running, kept current where a thread
-    /// enters or leaves that set (spawn, wake, block, finish) — groups
-    /// are never removed, so recounting `members` every tick would cost
-    /// every tenant ever admitted.
+    /// Members that are runnable or running, kept current by
+    /// `Kernel::add_runnable` where a thread enters or leaves that set
+    /// (spawn, wake, block, finish) — groups are never removed, so
+    /// recounting `members` every tick would cost every tenant ever
+    /// admitted.
     runnable: usize,
     busy_ns: u64,
-    /// Time-integrated CPU demand: Σ over ticks of
+    /// Time-integrated CPU demand: Σ over tick ends of
     /// `runnable_members × tick`. A monitor's per-interval delta of this
     /// counter gives the *windowed* demand the elastic mechanism's
     /// `u` predicate consumes (instantaneous runnable-count sampling
-    /// oscillates with sub-interval scheduling noise).
+    /// oscillates with sub-interval scheduling noise). Settled lazily:
+    /// it holds the sum up to tick end `settled`, and every change of
+    /// `runnable` first folds in the tick ends since at the old count
+    /// (`Kernel::add_runnable`), so no tick walks the groups.
     demand_ns: u64,
+    /// Tick ends already folded into `demand_ns`.
+    settled: u64,
 }
 
 /// The simulated kernel. Owns the machine and all threads.
@@ -96,6 +102,8 @@ pub struct Kernel {
     current: Vec<Option<Tid>>,
     min_vruntime: Vec<u64>,
     groups: Vec<Group>,
+    /// Tick ends passed — the points at which demand is integrated.
+    ticks: u64,
     /// The cores some group mask allows. No thread may run anywhere
     /// else, so an idle core outside it has nothing to steal.
     group_union: CoreMask,
@@ -127,6 +135,7 @@ impl Kernel {
             current: vec![None; n_cores],
             min_vruntime: vec![0; n_cores],
             groups: Vec::new(),
+            ticks: 0,
             group_union: CoreMask::EMPTY,
             next_balance: SimTime::ZERO + cfg.balance_interval,
             stats: SchedStats::default(),
@@ -207,6 +216,7 @@ impl Kernel {
             runnable: 0,
             busy_ns: 0,
             demand_ns: 0,
+            settled: self.ticks,
         });
         self.group_union = self.group_union.or(mask);
         id
@@ -225,7 +235,31 @@ impl Kernel {
     /// Cumulative time-integrated CPU demand of the group
     /// (`Σ runnable_members × tick`); monitors consume window deltas.
     pub fn group_demand_ns(&self, group: GroupId) -> u64 {
-        self.groups[group.0 as usize].demand_ns
+        let g = &self.groups[group.0 as usize];
+        g.demand_ns + self.unsettled_demand_ns(g)
+    }
+
+    /// Demand of the tick ends `g` has not folded in yet.
+    fn unsettled_demand_ns(&self, g: &Group) -> u64 {
+        g.runnable as u64 * (self.ticks - g.settled) * self.cfg.tick.as_nanos()
+    }
+
+    /// Changes a group's runnable count by `delta` — the one place it
+    /// changes — after settling its demand at the old count.
+    fn add_runnable(&mut self, group: GroupId, delta: isize) {
+        let gi = group.0 as usize;
+        let unsettled = self.unsettled_demand_ns(&self.groups[gi]);
+        let g = &mut self.groups[gi];
+        g.demand_ns += unsettled;
+        g.settled = self.ticks;
+        g.runnable = g
+            .runnable
+            .checked_add_signed(delta)
+            .expect("runnable count must stay non-negative");
+        debug_assert_eq!(
+            self.groups[gi].runnable,
+            self.recount_runnable(&self.groups[gi])
+        );
     }
 
     /// Number of group members that are runnable or running right now —
@@ -311,7 +345,7 @@ impl Kernel {
         self.affinities
             .push(affinity.unwrap_or_else(|| CoreMask::all(self.machine.topology())));
         self.groups[group.0 as usize].members.push(tid);
-        self.groups[group.0 as usize].runnable += 1;
+        self.add_runnable(group, 1);
         self.stats.spawned += 1;
         self.enqueue(tid, None);
         tid
@@ -326,7 +360,7 @@ impl Kernel {
                 self.threads[tid.idx()].state = ThreadState::Runnable;
                 self.threads[tid.idx()].stats.wakeups += 1;
                 self.stats.wakeups += 1;
-                self.groups[self.threads[tid.idx()].group.0 as usize].runnable += 1;
+                self.add_runnable(self.threads[tid.idx()].group, 1);
                 self.enqueue(tid, None);
             }
             ThreadState::Running => {
@@ -451,7 +485,8 @@ impl Kernel {
                         self.enqueue(tid, Some(core));
                     } else {
                         slot.state = ThreadState::Blocked;
-                        self.groups[slot.group.0 as usize].runnable -= 1;
+                        let group = slot.group;
+                        self.add_runnable(group, -1);
                     }
                 }
                 StepOutcome::Finished(_) => {
@@ -460,7 +495,8 @@ impl Kernel {
                     let slot = &mut self.threads[tid.idx()];
                     slot.state = ThreadState::Finished;
                     slot.work = None;
-                    self.groups[slot.group.0 as usize].runnable -= 1;
+                    let group = slot.group;
+                    self.add_runnable(group, -1);
                 }
             }
             for w in wakes.drain(..) {
@@ -468,15 +504,9 @@ impl Kernel {
             }
             self.wake_buf = wakes;
         }
-        // Integrate per-group CPU demand over the tick.
-        let tick_ns = tick.as_nanos();
-        for gi in 0..self.groups.len() {
-            debug_assert_eq!(
-                self.groups[gi].runnable,
-                self.recount_runnable(&self.groups[gi])
-            );
-            self.groups[gi].demand_ns += self.groups[gi].runnable as u64 * tick_ns;
-        }
+        // The tick's demand integration point: every group's runnable
+        // count as of now counts for this tick (settled lazily).
+        self.ticks += 1;
         self.machine.end_tick();
         self.now += tick;
         if self.now >= self.next_balance {
@@ -918,6 +948,116 @@ mod tests {
         }
         k.run_until(SimTime::from_millis(2));
         assert_eq!(k.n_live_threads(), 0);
+    }
+
+    #[test]
+    fn demand_integrates_at_runnable_changes() {
+        use std::cell::Cell;
+        use std::rc::Rc;
+
+        /// Wakes `targets` from every step; spins `left` in half-budget
+        /// steps, then exits.
+        struct Waker {
+            targets: Vec<Tid>,
+            left: SimDuration,
+        }
+        impl SimWork for Waker {
+            fn step(&mut self, ctx: &mut WorkCtx<'_>) -> StepOutcome {
+                for &t in &self.targets {
+                    ctx.wake(t);
+                }
+                let used = self.left.min(ctx.budget / 2);
+                self.left -= used;
+                if self.left.is_zero() {
+                    StepOutcome::Finished(used)
+                } else {
+                    StepOutcome::Ran(used)
+                }
+            }
+        }
+        /// Requests a short spinner into `group` every other step (the
+        /// requests counted in `spawned`), exiting after 30 steps.
+        struct Forker {
+            group: GroupId,
+            steps: u32,
+            spawned: Rc<Cell<usize>>,
+        }
+        impl SimWork for Forker {
+            fn step(&mut self, ctx: &mut WorkCtx<'_>) -> StepOutcome {
+                self.steps += 1;
+                if self.steps % 2 == 0 {
+                    ctx.spawn(SpawnReq {
+                        name: "child".into(),
+                        group: self.group,
+                        affinity: None,
+                        work: Box::new(SpinWork::new(SimDuration::from_micros(250))),
+                    });
+                    self.spawned.set(self.spawned.get() + 1);
+                }
+                if self.steps == 30 {
+                    StepOutcome::Finished(ctx.budget)
+                } else {
+                    StepOutcome::Ran(ctx.budget / 2)
+                }
+            }
+        }
+        /// A waiter that blocks on every step, its waker, and a forker.
+        fn populate(k: &mut Kernel, g: GroupId) -> (Tid, Rc<Cell<usize>>) {
+            let waiter = k.spawn("waiter", g, None, Box::new(WaitWork::new(1_000)));
+            let waker = Waker {
+                targets: vec![waiter],
+                left: SimDuration::from_micros(1_500),
+            };
+            k.spawn("waker", g, None, Box::new(waker));
+            let spawned = Rc::new(Cell::new(0));
+            let forker = Forker {
+                group: g,
+                steps: 0,
+                spawned: Rc::clone(&spawned),
+            };
+            k.spawn("forker", g, None, Box::new(forker));
+            (waiter, spawned)
+        }
+
+        let mut k = kernel();
+        let tick_ns = k.config().tick.as_nanos();
+        let g1 = k.create_group(CoreMask::from_cores((0..6).map(CoreId)));
+        let (waiter1, spawned1) = populate(&mut k, g1);
+        k.spawn("spin", g1, None, spin(1));
+        // Per group: its forker's request count and the eager integral
+        // Σ runnable-at-the-integration-point × tick, kept here.
+        let mut groups = vec![(g1, spawned1, 0u64)];
+        let mut waiter2 = None;
+        for t in 1..=50 {
+            // Changes between ticks.
+            match t {
+                10 => drop(k.spawn("late", g1, None, spin(1))),
+                15 | 30 => k.wake(waiter1),
+                20 => {
+                    let g2 = k.create_group(CoreMask::from_cores((4..10).map(CoreId)));
+                    let (w, spawned) = populate(&mut k, g2);
+                    waiter2 = Some(w);
+                    groups.push((g2, spawned, 0));
+                }
+                35 => k.wake(waiter2.expect("created at tick 20")),
+                _ => {}
+            }
+            for (g, _, eager) in &groups {
+                assert_eq!(k.group_demand_ns(*g), *eager, "before tick {t}");
+            }
+            k.run_tick();
+            for (g, spawned, eager) in &mut groups {
+                // The tick's step spawns joined after its integration
+                // point, so they count from the next tick on.
+                let runnable = k.group_runnable(*g) - spawned.take();
+                *eager += runnable as u64 * tick_ns;
+                assert_eq!(k.group_demand_ns(*g), *eager, "after tick {t}");
+            }
+        }
+        // Every kind of change happened.
+        assert!(k.stats().wakeups > 20, "{:?}", k.stats());
+        assert!(k.n_threads() > 20, "{} threads", k.n_threads());
+        assert!(groups.iter().all(|(_, _, eager)| *eager > 0));
     }
 
     #[test]
