@@ -7,7 +7,7 @@
 //! PetriNet predicates consume.
 
 use emca_metrics::SimTime;
-use numa_sim::{HwSnapshot, SpaceId};
+use numa_sim::SpaceId;
 use os_sim::{GroupId, Kernel, LoadSampler};
 
 /// Which resource drives the performance-state transitions (§V-B).
@@ -71,7 +71,10 @@ pub struct Monitor {
     group: GroupId,
     space: SpaceId,
     load: LoadSampler,
-    prev_hw: HwSnapshot,
+    /// Machine-wide interconnect bytes at the previous sample.
+    prev_link_bytes: u64,
+    /// Per-node memory-controller bytes at the previous sample.
+    prev_imc_bytes: Vec<u64>,
     prev_demand_ns: u64,
     prev_at: SimTime,
 }
@@ -84,7 +87,8 @@ impl Monitor {
             group,
             space,
             load: LoadSampler::new(kernel, group),
-            prev_hw: kernel.machine().counters().snapshot(),
+            prev_link_bytes: kernel.machine().counters().total_link_bytes(),
+            prev_imc_bytes: kernel.machine().counters().imc_bytes.snapshot(),
             prev_demand_ns: kernel.group_demand_ns(group),
             prev_at: kernel.now(),
         }
@@ -98,21 +102,30 @@ impl Monitor {
     /// Takes a sample over the window since the previous call.
     pub fn sample(&mut self, kernel: &Kernel) -> MonitorSample {
         let load = self.load.sample(kernel);
-        let hw = kernel.machine().counters().snapshot();
-        let ht_delta: u64 = hw
-            .link_bytes
-            .iter()
-            .zip(&self.prev_hw.link_bytes)
-            .map(|(&a, &b)| a.saturating_sub(b))
-            .sum();
-        let imc_deltas: Vec<u64> = hw
-            .imc_bytes
-            .iter()
-            .zip(&self.prev_hw.imc_bytes)
-            .map(|(&a, &b)| a.saturating_sub(b))
+        let machine = kernel.machine();
+        let counters = machine.counters();
+        // Counters only grow, so the total's delta is the sum of the
+        // per-link deltas.
+        let link_bytes = counters.total_link_bytes();
+        let ht_delta = link_bytes.saturating_sub(self.prev_link_bytes);
+        self.prev_link_bytes = link_bytes;
+        // Per node: the window's IMC bytes, and those bytes weighted by
+        // the node's smoothed controller utilisation.
+        let mut imc_delta = 0u64;
+        let mut weighted_util = 0.0f64;
+        let utils: Vec<f64> = machine
+            .topology()
+            .all_nodes()
+            .map(|n| {
+                let bytes = counters.imc_bytes.get(n.idx());
+                let prev = std::mem::replace(&mut self.prev_imc_bytes[n.idx()], bytes);
+                let delta = bytes.saturating_sub(prev);
+                let util = machine.mc_utilisation(n);
+                imc_delta += delta;
+                weighted_util += util * delta as f64;
+                util
+            })
             .collect();
-        let imc_delta: u64 = imc_deltas.iter().sum();
-        self.prev_hw = hw;
         let ht_imc_ratio = if imc_delta == 0 {
             0.0
         } else {
@@ -149,23 +162,12 @@ impl Monitor {
         };
         self.prev_demand_ns = demand_ns;
         self.prev_at = kernel.now();
-        let utils: Vec<f64> = kernel
-            .machine()
-            .topology()
-            .all_nodes()
-            .map(|n| kernel.machine().mc_utilisation(n))
-            .collect();
         let max_mc_util = utils.iter().copied().fold(0.0f64, f64::max);
         let mean_mc_util = utils.iter().sum::<f64>() / utils.len().max(1) as f64;
         let mc_pressure = if imc_delta == 0 {
             0.0
         } else {
-            utils
-                .iter()
-                .zip(&imc_deltas)
-                .map(|(&util, &bytes)| util * bytes as f64)
-                .sum::<f64>()
-                / imc_delta as f64
+            weighted_util / imc_delta as f64
         };
         MonitorSample {
             at: kernel.now(),

@@ -6,14 +6,22 @@
 //! Variables are integer-valued (the paper's `u` is a percentage; ratio
 //! metrics are scaled to integers by the caller).
 
-use std::collections::BTreeMap;
 use std::fmt;
+
+/// The most variables one [`Binding`] holds. The elastic net binds at
+/// most three (`ntotal` plus two input-arc variables).
+const MAX_BOUND_VARS: usize = 8;
 
 /// A variable binding produced by matching input-arc inscriptions against
 /// consumed tokens, plus any ambient constants (e.g. `ntotal`).
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
+///
+/// An inline, `Copy` set of at most eight `(name, value)` pairs kept
+/// sorted by name, so taking a transition's binding never allocates and
+/// equality does not depend on the order of binds.
+#[derive(Clone, Copy, Default)]
 pub struct Binding {
-    vars: BTreeMap<&'static str, i64>,
+    len: usize,
+    vars: [(&'static str, i64); MAX_BOUND_VARS],
 }
 
 impl Binding {
@@ -22,20 +30,54 @@ impl Binding {
         Binding::default()
     }
 
-    /// Binds `name` to `value` (overwrites).
+    /// The bound `(name, value)` pairs, sorted by name.
+    fn vars(&self) -> &[(&'static str, i64)] {
+        &self.vars[..self.len]
+    }
+
+    /// Binds `name` to `value` (overwrites). Panics when `name` would
+    /// be the binding's ninth variable.
     pub fn bind(&mut self, name: &'static str, value: i64) {
-        self.vars.insert(name, value);
+        match self.vars().binary_search_by(|&(n, _)| n.cmp(name)) {
+            Ok(i) => self.vars[i].1 = value,
+            Err(i) => {
+                assert!(
+                    self.len < MAX_BOUND_VARS,
+                    "a binding holds at most {MAX_BOUND_VARS} variables (binding {name:?})"
+                );
+                self.vars.copy_within(i..self.len, i + 1);
+                self.vars[i] = (name, value);
+                self.len += 1;
+            }
+        }
     }
 
     /// Looks a variable up.
     pub fn get(&self, name: &str) -> Option<i64> {
-        self.vars.get(name).copied()
+        self.vars()
+            .iter()
+            .find(|&&(n, _)| n == name)
+            .map(|&(_, v)| v)
     }
 
     /// Builder-style bind.
     pub fn with(mut self, name: &'static str, value: i64) -> Self {
         self.bind(name, value);
         self
+    }
+}
+
+impl PartialEq for Binding {
+    fn eq(&self, other: &Self) -> bool {
+        self.vars() == other.vars()
+    }
+}
+
+impl Eq for Binding {}
+
+impl fmt::Debug for Binding {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_map().entries(self.vars().iter().copied()).finish()
     }
 }
 
@@ -229,6 +271,55 @@ mod tests {
     fn unbound_guard_is_none() {
         let p = Pred::var_cmp("ghost", Cmp::Eq, 1);
         assert_eq!(p.eval(&Binding::new()), None);
+    }
+
+    #[test]
+    fn rebinding_overwrites() {
+        let b = Binding::new().with("u", 1).with("nalloc", 2).with("u", 3);
+        assert_eq!(b.get("u"), Some(3));
+        assert_eq!(b.get("nalloc"), Some(2));
+        assert_eq!(b, Binding::new().with("nalloc", 2).with("u", 3));
+    }
+
+    #[test]
+    fn bind_order_does_not_matter() {
+        let ab = Binding::new().with("a", 1).with("b", 2).with("c", 3);
+        let ba = Binding::new().with("c", 3).with("b", 2).with("a", 1);
+        assert_eq!(ab, ba);
+        assert_eq!(format!("{ab:?}"), format!("{ba:?}"));
+        assert_ne!(ab, Binding::new().with("a", 1).with("b", 2));
+        assert_ne!(ab, Binding::new().with("a", 1).with("b", 2).with("c", 4));
+    }
+
+    #[test]
+    fn unbound_get_is_none() {
+        assert_eq!(Binding::new().get("u"), None);
+        let b = Binding::new().with("nalloc", 1).with("u", 2);
+        assert_eq!(b.get("ntotal"), None);
+        assert_eq!(b.get(""), None);
+    }
+
+    #[test]
+    fn binding_holds_max_vars() {
+        const NAMES: [&str; MAX_BOUND_VARS] = ["h", "g", "f", "e", "d", "c", "b", "a"];
+        let mut b = Binding::new();
+        for (v, name) in NAMES.into_iter().enumerate() {
+            b.bind(name, v as i64);
+        }
+        // Overwriting a bound name needs no room.
+        b.bind("a", -1);
+        assert_eq!(b.get("a"), Some(-1));
+        assert_eq!(b.get("h"), Some(0));
+    }
+
+    #[test]
+    #[should_panic(expected = "a binding holds at most 8 variables (binding \"z\")")]
+    fn ninth_variable_panics() {
+        let mut b = Binding::new();
+        for name in ["a", "b", "c", "d", "e", "f", "g", "h"] {
+            b.bind(name, 0);
+        }
+        b.bind("z", 0);
     }
 
     #[test]

@@ -208,7 +208,7 @@ impl PrtNet {
     /// input place has a token. Ambient constants (e.g. `ntotal`) are
     /// provided through `base`.
     fn binding_for(&self, t: &Transition, marking: &Marking, base: &Binding) -> Option<Binding> {
-        let mut b = base.clone();
+        let mut b = *base;
         for arc in &t.pre {
             let tokens = marking.tokens(arc.place);
             let &value = tokens.first()?;
