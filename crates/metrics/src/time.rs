@@ -88,7 +88,7 @@ impl SimDuration {
 
     /// Builds a span from fractional seconds, rounding to nanoseconds.
     pub fn from_secs_f64(s: f64) -> Self {
-        SimDuration((s.max(0.0) * 1e9).round() as u64)
+        SimDuration(round_nonneg(s.max(0.0) * 1e9))
     }
 
     /// Raw nanoseconds.
@@ -128,7 +128,7 @@ impl SimDuration {
 
     /// Scales the span by a non-negative factor, rounding to nanoseconds.
     pub fn mul_f64(self, factor: f64) -> SimDuration {
-        SimDuration((self.0 as f64 * factor.max(0.0)).round() as u64)
+        SimDuration(round_nonneg(self.0 as f64 * factor.max(0.0)))
     }
 
     /// Bytes-per-second rate over this span (0 for an empty span).
@@ -139,6 +139,21 @@ impl SimDuration {
             amount as f64 / self.as_secs_f64()
         }
     }
+}
+
+/// `x.round() as u64` (half away from zero, saturating, NaN to 0) for a
+/// non-negative or NaN `x`, without the libm call `f64::round` compiles
+/// to on the baseline x86-64 target. Below 2^53, `x - trunc(x)` is exact
+/// (Sterbenz), so comparing it with 0.5 rounds exactly; from 2^53 on
+/// every `f64` is an integer and the saturating cast alone is exact.
+#[inline]
+fn round_nonneg(x: f64) -> u64 {
+    const EXACT: f64 = (1u64 << 53) as f64;
+    let t = x as u64;
+    if x >= EXACT {
+        return t;
+    }
+    t + u64::from(x - t as f64 >= 0.5)
 }
 
 impl Add<SimDuration> for SimTime {
@@ -301,5 +316,59 @@ mod tests {
         assert_eq!(format!("{}", SimDuration::from_millis(12)), "12.00ms");
         assert_eq!(format!("{}", SimDuration::from_secs(12)), "12.000s");
         assert_eq!(format!("{}", SimTime::from_millis(1500)), "1.500s");
+    }
+
+    #[test]
+    fn rounding_matches_f64_round() {
+        // The formulas `round_nonneg` replaced.
+        let mul_ref = |d: SimDuration, f: f64| (d.0 as f64 * f.max(0.0)).round() as u64;
+        let secs_ref = |s: f64| (s.max(0.0) * 1e9).round() as u64;
+        let check = |x: f64| {
+            assert_eq!(round_nonneg(x), x.round() as u64, "round {x:e}");
+            for d in [1, 3, 1_000] {
+                let d = SimDuration::from_nanos(d);
+                assert_eq!(d.mul_f64(x).0, mul_ref(d, x), "{d:?} * {x:e}");
+            }
+            let s = x / 1e9;
+            assert_eq!(SimDuration::from_secs_f64(s).0, secs_ref(s), "{s:e} s");
+        };
+        let p52 = (1u64 << 52) as f64;
+        let p53 = (1u64 << 53) as f64;
+        for x in [
+            0.0,
+            0.5,
+            0.49999999999999994,
+            1.5,
+            2.5,
+            p52 - 0.5,
+            p52 + 0.5,
+            p53,
+            p53 + 2.0,
+            1e19,
+            f64::INFINITY,
+            f64::NAN,
+        ] {
+            check(x);
+        }
+        // Seeded values over [0, 2^54): a random exponent and mantissa,
+        // and every third one an exact tie `n + 0.5`.
+        let mut state = 0x9E37_79B9_7F4A_7C15u64;
+        let mut next = || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        };
+        for i in 0..1_000_000 {
+            let r = next();
+            let x = if i % 3 == 0 {
+                (r >> (12 + r % 52)) as f64 + 0.5
+            } else {
+                let exp = 1023 - 8 + (r >> 52) % 62;
+                f64::from_bits(exp << 52 | (next() >> 12))
+            };
+            assert!(x < 2.0 * p53, "{x:e} out of range");
+            check(x);
+        }
     }
 }

@@ -134,6 +134,12 @@ pub struct Machine {
     congestion: Congestion,
     /// Cost of servicing a minor page fault (kernel time).
     fault_latency: SimDuration,
+    /// [`MachineConfig::dram_seg_transfer`], computed once.
+    dram_transfer: SimDuration,
+    /// One link stage's segment transfer with the remote-stream penalty
+    /// ([`MachineConfig::link_seg_transfer`] × (1 + penalty)), computed
+    /// once.
+    link_transfer: SimDuration,
 }
 
 impl Machine {
@@ -157,6 +163,10 @@ impl Machine {
             counters: HwCounters::new(n_nodes, n_cores, n_links),
             congestion: Congestion::new(n_nodes, n_links * 2, cfg.congestion_alpha, tick),
             fault_latency: SimDuration::from_micros(1),
+            dram_transfer: cfg.dram_seg_transfer(),
+            link_transfer: cfg
+                .link_seg_transfer()
+                .mul_f64(1.0 + cfg.remote_transfer_penalty),
             cfg,
         }
     }
@@ -521,14 +531,10 @@ impl Machine {
         // traffic is unaffected.
         let mut time = self.cfg.dram_latency
             + SimDuration::from_nanos(self.cfg.hop_latency.as_nanos() * hops as u64)
-            + self.cfg.dram_seg_transfer().mul_f64(mc_slowdown);
-        let link_transfer = self
-            .cfg
-            .link_seg_transfer()
-            .mul_f64(1.0 + self.cfg.remote_transfer_penalty);
+            + self.dram_transfer.mul_f64(mc_slowdown);
         for &(_, factor) in &chans[..n_chans] {
             let queueing = (factor * factor).clamp(1.0, self.cfg.max_congestion);
-            time += link_transfer.mul_f64(queueing);
+            time += self.link_transfer.mul_f64(queueing);
         }
         time
     }
