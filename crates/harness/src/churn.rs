@@ -503,15 +503,15 @@ pub fn run_tenants_churn(config: MultiTenantConfig, data: &TpchData) -> MultiTen
             }
         }
         let mut k = 0;
-        while churn && k < lives.len() {
-            if lives[k].finished_at.is_none() {
+        while k < lives.len() {
+            if churn && lives[k].finished_at.is_some() {
+                let l = lives.remove(k);
+                admissions.depart(l.slot);
+                let i = l.tenant;
+                outputs[i] = Some(l.retire(&arbiter, &mut errors, now));
+            } else {
                 k += 1;
-                continue;
             }
-            let l = lives.remove(k);
-            admissions.depart(l.slot);
-            let i = l.tenant;
-            outputs[i] = Some(l.retire(&arbiter, &mut errors, now));
         }
 
         // Admissions, while the residency rules allow the next in line

@@ -1031,7 +1031,9 @@ mod tests {
         for t in 1..=50 {
             // Changes between ticks.
             match t {
-                10 => drop(k.spawn("late", g1, None, spin(1))),
+                10 => {
+                    k.spawn("late", g1, None, spin(1));
+                }
                 15 | 30 => k.wake(waiter1),
                 20 => {
                     let g2 = k.create_group(CoreMask::from_cores((4..10).map(CoreId)));

@@ -18,9 +18,11 @@ const MAX_BOUND_VARS: usize = 8;
 /// An inline, `Copy` set of at most eight `(name, value)` pairs kept
 /// sorted by name, so taking a transition's binding never allocates and
 /// equality does not depend on the order of binds.
-#[derive(Clone, Copy, Default)]
+#[derive(Clone, Copy, Default, PartialEq, Eq)]
 pub struct Binding {
     len: usize,
+    /// The first `len` pairs, sorted by name; the rest stay at their
+    /// default, so the derived equality compares only bound pairs.
     vars: [(&'static str, i64); MAX_BOUND_VARS],
 }
 
@@ -66,14 +68,6 @@ impl Binding {
         self
     }
 }
-
-impl PartialEq for Binding {
-    fn eq(&self, other: &Self) -> bool {
-        self.vars() == other.vars()
-    }
-}
-
-impl Eq for Binding {}
 
 impl fmt::Debug for Binding {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
