@@ -10,9 +10,11 @@
 # first in odd pairs, the working tree first in even ones, so drift of
 # the machine hits both alike. Prints, for each end-to-end metric, both
 # sides' per-pair values, the per-pair new/base ratios with their median,
-# and the spread of the base runs (IQR over median); then whether every
-# run printed the same sim.digest (the sim_* workloads). Leaves the
-# repository untouched; do not edit the tree while it runs.
+# and the spread of the base runs (IQR over median); then the CPU time
+# the hypervisor stole during each run (a pair with much steal on one
+# side says little) and whether every run printed the same sim.digest
+# (the sim_* workloads). Leaves the repository untouched; do not edit
+# the tree while it runs.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -75,6 +77,7 @@ awk -v w="$workload" -v n="$pairs" '
         v[$2, side, pair] = $3 + 0
     }
     /^# sim\.digest / { d = $3; sub(/,$/, "", d); dig[side, pair] = d }
+    /^# loadavg_end=/ { for (i = 2; i <= NF; i++) if (sub(/^steal_s=/, "", $i)) steal[side, pair] = $i }
     END {
         for (i = 1; i <= nm; i++) {
             m = order[i]
@@ -92,6 +95,9 @@ awk -v w="$workload" -v n="$pairs" '
             if (nr > 0) { isort(ratio, nr); printf "  median new/base %.4f; base IQR/median %.4f\n", quant(ratio, nr, 0.5), spread }
             else printf "  median new/base -; base IQR/median %.4f\n", spread
         }
+        b = "steal_s  base"; s = "steal_s  new "
+        for (p = 1; p <= n; p++) { b = b sprintf(" %6s", steal["base", p]); s = s sprintf(" %6s", steal["new", p]) }
+        print b; print s
         if (!(("base" SUBSEP 1) in dig)) exit
         ok = 1; first = dig["base", 1]
         for (p = 1; p <= n; p++) if (dig["base", p] != first || dig["new", p] != first) ok = 0
