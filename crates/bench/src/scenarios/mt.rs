@@ -60,7 +60,7 @@ pub fn tenant_row(run: &str, t: &TenantOutput, from: SimTime, to: SimTime) -> Ve
     vec![
         run.to_string(),
         t.config.name.clone(),
-        t.config.policy.name().to_string(),
+        t.config.policy.mode_name().unwrap_or("os").to_string(),
         t.config.clients.to_string(),
         fnum(t.qps_between(from, to), 2),
         fnum(t.mean_response_between(from, to).as_millis_f64(), 2),

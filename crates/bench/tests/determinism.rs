@@ -2,96 +2,22 @@
 //!
 //! `tests/full_stack.rs` already guards `deterministic_replay` at the
 //! runner layer (identical `RunOutput` measurements). This test guards
-//! the contract one layer up, where the figure binaries live: a
-//! fig04-style sweep — hand-coded Q6 under three affinities plus
-//! OS/MonetDB, swept over client counts — executed twice from scratch
-//! must render the exact same table bytes (and therefore the exact same
-//! CSV). Any nondeterminism in data generation, scheduling, metric
-//! aggregation, or float formatting shows up here as a byte diff.
+//! the contract one layer up, where the scenarios live: a scenario run
+//! twice from scratch through the registry must write the exact same
+//! CSV bytes — fig04 (hand-coded Q6 under three affinities plus
+//! OS/MonetDB), fig06 and fig07 (the full PrT control loop). Any
+//! nondeterminism in data generation, scheduling, metric aggregation,
+//! or float formatting shows up here as a byte diff.
 
-use emca_harness::{run, run_handcoded, Alloc, RunConfig};
+use emca_harness::{run, Alloc, RunConfig};
 use emca_metrics::table::{fnum, Table};
-use emca_metrics::SimDuration;
-use volcano_db::client::Workload;
-use volcano_db::handcoded::CAffinity;
-use volcano_db::tpch::{QuerySpec, TpchData, TpchScale};
-
-/// One fig04-style sweep at test-tiny scale, rendered to table bytes.
-fn fig04_style_sweep() -> (String, String) {
-    let scale = TpchScale::test_tiny();
-    let iters = 2;
-    let data = TpchData::generate(scale);
-
-    let mut t = Table::new(
-        "determinism probe — Q6 users sweep",
-        &[
-            "users",
-            "series",
-            "throughput_qps",
-            "minor_faults_per_s",
-            "ht_traffic_MBps",
-        ],
-    );
-    for users in [1usize, 4] {
-        for (name, affinity) in [
-            ("Dense/C", CAffinity::Dense),
-            ("Sparse/C", CAffinity::Sparse),
-            ("OS/C", CAffinity::Os),
-        ] {
-            let out = run_handcoded(
-                &data,
-                affinity,
-                users,
-                16,
-                iters,
-                SimDuration::from_secs(3600),
-            );
-            let rate = |n: u64| out.wall.rate_per_sec(n);
-            t.row(vec![
-                users.to_string(),
-                name.to_string(),
-                fnum(rate(out.runs.len() as u64), 3),
-                fnum(rate(out.hw.minor_faults.iter().sum()), 0),
-                fnum(rate(out.hw.link_bytes.iter().sum()) / 1e6, 1),
-            ]);
-        }
-        let out = run(
-            RunConfig::new(
-                Alloc::OsAll,
-                users,
-                Workload::Repeat {
-                    spec: QuerySpec::Q6 { variant: 0 },
-                    iterations: iters,
-                },
-            )
-            .with_scale(scale),
-            &data,
-        );
-        t.row(vec![
-            users.to_string(),
-            "OS/MonetDB".to_string(),
-            fnum(out.throughput_qps(), 3),
-            fnum(out.fault_rate(), 0),
-            fnum(out.ht_rate() / 1e6, 1),
-        ]);
-    }
-    (t.render(), t.to_csv())
-}
-
-#[test]
-fn fig04_sweep_is_byte_identical_across_runs() {
-    let (render1, csv1) = fig04_style_sweep();
-    let (render2, csv2) = fig04_style_sweep();
-    assert_eq!(render1, render2, "rendered table must be byte-identical");
-    assert_eq!(csv1, csv2, "CSV must be byte-identical");
-    // Sanity: the sweep actually produced data rows.
-    assert!(csv1.lines().count() > 1, "sweep produced no rows:\n{csv1}");
-}
+use volcano_db::tpch::{TpchData, TpchScale};
 
 /// The registry path (`emca run <scenario>`) is as deterministic as the
 /// direct-call path: the same spec run twice through the scenario
-/// registry produces byte-identical CSV files, including the mechanism
-/// scenarios (fig07 exercises the full PrT control loop).
+/// registry produces byte-identical CSV files: fig04's hand-coded teams
+/// and OS baseline, and the mechanism scenarios (fig07 exercises the
+/// full PrT control loop).
 #[test]
 fn registry_runs_are_byte_identical() {
     use emca_harness::ExperimentSpec;
@@ -105,12 +31,12 @@ fn registry_runs_are_byte_identical() {
         out_dir: Some(dir.to_path_buf()),
         ..ExperimentSpec::default()
     };
-    for scenario in ["fig06", "fig07"] {
+    for scenario in ["fig04", "fig06", "fig07"] {
         let mut bytes: Vec<Vec<u8>> = Vec::new();
         for round in 0..2 {
             let dir = base.join(format!("{scenario}_{round}"));
             std::fs::create_dir_all(&dir).unwrap();
-            // One generic spec drives both scenarios; drop the knobs
+            // One generic spec drives every scenario; drop the knobs
             // each one does not honour (the --prune-unsupported path).
             let mut spec = spec(&dir);
             registry.prune_unsupported(scenario, &mut spec);

@@ -47,7 +47,7 @@ pub mod tenant;
 
 pub use control::ControlCore;
 pub use mechanism::{ElasticMechanism, MechanismConfig, TransitionEvent};
-pub use modes::{AdaptiveMode, AllocationMode, DenseMode, ModeCtx, SparseMode};
+pub use modes::{AdaptiveMode, DenseMode, ModeCtx, SparseMode};
 pub use monitor::{MetricKind, Monitor, MonitorSample};
 pub use policy::{
     policy_by_name, Decision, HillClimbPolicy, Observation, Policy, PolicyCtx, PolicyId,

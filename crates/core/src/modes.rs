@@ -12,6 +12,7 @@
 //!   on the node with the most resident DBMS pages, release on the node
 //!   with the fewest (§IV-B2).
 
+use crate::policy::Policy;
 use crate::priority_queue::NodePriorityQueue;
 use numa_sim::{CoreId, Topology};
 use os_sim::CoreMask;
@@ -44,26 +45,12 @@ impl ModeCtx<'_> {
     }
 }
 
-/// A core allocation policy.
-pub trait AllocationMode {
-    /// Short name (`"dense"`, `"sparse"`, `"adaptive"`).
-    fn name(&self) -> &'static str;
-
-    /// The next core to add (must not already be in `current`); `None`
-    /// when every core is allocated.
-    fn next_core(&mut self, ctx: &ModeCtx<'_>) -> Option<CoreId>;
-
-    /// The core to release (must be in `current`); `None` when only one
-    /// core remains (the mechanism never drops below one).
-    fn release_core(&mut self, ctx: &ModeCtx<'_>) -> Option<CoreId>;
-}
-
 /// Fill each node before moving on: allocation order 0,1,2,3, 4,5,...
 #[derive(Clone, Copy, Debug, Default)]
 pub struct DenseMode;
 
-impl AllocationMode for DenseMode {
-    fn name(&self) -> &'static str {
+impl Policy for DenseMode {
+    fn name(&self) -> &str {
         "dense"
     }
 
@@ -89,8 +76,8 @@ impl AllocationMode for DenseMode {
 #[derive(Clone, Copy, Debug, Default)]
 pub struct SparseMode;
 
-impl AllocationMode for SparseMode {
-    fn name(&self) -> &'static str {
+impl Policy for SparseMode {
+    fn name(&self) -> &str {
         "sparse"
     }
 
@@ -147,8 +134,8 @@ impl AdaptiveMode {
     }
 }
 
-impl AllocationMode for AdaptiveMode {
-    fn name(&self) -> &'static str {
+impl Policy for AdaptiveMode {
+    fn name(&self) -> &str {
         "adaptive"
     }
 
@@ -204,7 +191,7 @@ mod tests {
         }
     }
 
-    fn alloc_sequence(mode: &mut dyn AllocationMode, topo: &Topology, pages: &[u64]) -> Vec<u16> {
+    fn alloc_sequence(mode: &mut dyn Policy, topo: &Topology, pages: &[u64]) -> Vec<u16> {
         let mut mask = CoreMask::EMPTY;
         let mut seq = Vec::new();
         while let Some(c) = mode.next_core(&ctx(topo, mask, pages)) {

@@ -1,8 +1,9 @@
 //! The unified allocation-policy API.
 //!
-//! [`Policy`] subsumes the original [`AllocationMode`] (*where* to
-//! allocate or release a core) **and** the SLA-governor hooks (*whether*
-//! to follow the PrT net's verdict at all): every control step the
+//! [`Policy`] covers placement (*where* to allocate or release a core —
+//! all that [`DenseMode`], [`SparseMode`] and [`AdaptiveMode`]
+//! implement) **and** the SLA-governor hooks (*whether* to follow the
+//! PrT net's verdict at all): every control step the
 //! mechanism feeds the policy an [`Observation`] (throughput and resource
 //! feedback) and then asks it to [`Policy::decide`] on the net's
 //! [`AllocAction`]. Plain placement modes keep the net's verdict and only
@@ -33,7 +34,7 @@
 //! assert!(PolicyId::try_from("warp").is_err(), "unknown names are errors");
 //! ```
 
-use crate::modes::{AdaptiveMode, AllocationMode, DenseMode, ModeCtx, SparseMode};
+use crate::modes::{AdaptiveMode, DenseMode, ModeCtx, SparseMode};
 use crate::monitor::MonitorSample;
 use crate::sla::{SlaGovernor, SlaPolicy};
 use emca_metrics::SimDuration;
@@ -150,21 +151,6 @@ pub trait Policy {
     /// governor). Default: none.
     fn violations(&self) -> u64 {
         0
-    }
-}
-
-/// Every plain placement mode is a policy that always follows the net.
-impl<M: AllocationMode> Policy for M {
-    fn name(&self) -> &str {
-        AllocationMode::name(self)
-    }
-
-    fn next_core(&mut self, ctx: &ModeCtx<'_>) -> Option<CoreId> {
-        AllocationMode::next_core(self, ctx)
-    }
-
-    fn release_core(&mut self, ctx: &ModeCtx<'_>) -> Option<CoreId> {
-        AllocationMode::release_core(self, ctx)
     }
 }
 
@@ -395,11 +381,11 @@ impl Policy for HillClimbPolicy {
     }
 
     fn next_core(&mut self, ctx: &ModeCtx<'_>) -> Option<CoreId> {
-        AllocationMode::next_core(&mut self.placer, ctx)
+        self.placer.next_core(ctx)
     }
 
     fn release_core(&mut self, ctx: &ModeCtx<'_>) -> Option<CoreId> {
-        AllocationMode::release_core(&mut self.placer, ctx)
+        self.placer.release_core(ctx)
     }
 
     fn observe(&mut self, obs: &Observation<'_>) {
@@ -457,7 +443,7 @@ impl Policy for HillClimbPolicy {
                         return Decision::Hold;
                     }
                 }
-                match AllocationMode::next_core(&mut self.placer, &ctx.mode) {
+                match self.placer.next_core(&ctx.mode) {
                     Some(core) => {
                         let total: u64 = ctx.mode.pages_per_node.iter().sum();
                         let hottest = ctx
@@ -484,7 +470,8 @@ impl Policy for HillClimbPolicy {
             AllocAction::Release => {
                 // Demand dropped: the probe's question is moot.
                 self.probe = None;
-                AllocationMode::release_core(&mut self.placer, &ctx.mode)
+                self.placer
+                    .release_core(&ctx.mode)
                     .map(Decision::Shrink)
                     .unwrap_or(Decision::Hold)
             }
@@ -508,7 +495,9 @@ impl Policy for HillClimbPolicy {
                 // unhelpful size.
                 if nalloc > probe.from && nalloc > 1 {
                     self.ceiling = Some(Ceiling { at: nalloc, age: 0 });
-                    return AllocationMode::release_core(&mut self.placer, &ctx.mode)
+                    return self
+                        .placer
+                        .release_core(&ctx.mode)
                         .map(Decision::Shrink)
                         .unwrap_or(Decision::Hold);
                 }
@@ -596,8 +585,7 @@ impl Policy for SlaCappedPolicy {
 
     fn observe(&mut self, obs: &Observation<'_>) {
         let busy_cores = obs.sample.cpu_load_pct / 100.0 * obs.nalloc as f64;
-        self.governor
-            .observe(obs.sample, obs.ht_rate, busy_cores, obs.interval);
+        self.governor.observe(obs.ht_rate, busy_cores);
         self.inner.observe(obs);
     }
 

@@ -11,9 +11,6 @@
 //! hold. This composes with any allocation mode — the mode still decides
 //! *where*, the governor bounds *how many*.
 
-use crate::monitor::MonitorSample;
-use emca_metrics::SimDuration;
-
 /// Budgets an operator can attach to a tenant's DBMS group.
 #[derive(Clone, Copy, Debug)]
 pub struct SlaPolicy {
@@ -96,17 +93,10 @@ impl SlaGovernor {
         sockets * (self.idle_w + (self.acp_w - self.idle_w) * util)
     }
 
-    /// Feeds one control sample; returns the (possibly updated) core cap.
-    /// `ht_rate` is the interconnect rate over the interval, `busy_cores`
-    /// the average number of busy cores, `interval` the window length.
-    pub fn observe(
-        &mut self,
-        sample: &MonitorSample,
-        ht_rate: f64,
-        busy_cores: f64,
-        _interval: SimDuration,
-    ) -> u32 {
-        let _ = sample;
+    /// Feeds one control step's readings; returns the (possibly updated)
+    /// core cap. `ht_rate` is the interconnect rate over the interval,
+    /// `busy_cores` the average number of busy cores.
+    pub fn observe(&mut self, ht_rate: f64, busy_cores: f64) -> u32 {
         let hard_max = self
             .policy
             .max_cores
@@ -156,22 +146,7 @@ impl SlaGovernor {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use emca_metrics::SimTime;
     use prt_petrinet::Thresholds;
-
-    fn sample() -> MonitorSample {
-        MonitorSample {
-            at: SimTime::ZERO,
-            u: 100,
-            cpu_load_pct: 100.0,
-            ht_imc_ratio: 0.0,
-            pages_per_node: vec![0; 4],
-            mc_util_per_node: vec![0.0; 4],
-            max_mc_util: 0.0,
-            mean_mc_util: 0.0,
-            mc_pressure: 0.0,
-        }
-    }
 
     #[test]
     fn unconstrained_cap_is_machine_size() {
@@ -192,16 +167,15 @@ mod tests {
             ..SlaPolicy::unconstrained()
         };
         let mut g = SlaGovernor::new(policy, 16, 4);
-        let s = sample();
         // Three violating intervals shrink the cap by three.
         for _ in 0..3 {
-            g.observe(&s, 5e9, 8.0, SimDuration::from_millis(50));
+            g.observe(5e9, 8.0);
         }
         assert_eq!(g.cap(), 13);
         assert_eq!(g.violations, 3);
         // Sustained compliance raises it back one step per streak.
         for _ in 0..4 {
-            g.observe(&s, 0.0, 8.0, SimDuration::from_millis(50));
+            g.observe(0.0, 8.0);
         }
         assert_eq!(g.cap(), 14);
     }
@@ -215,10 +189,9 @@ mod tests {
             ..SlaPolicy::unconstrained()
         };
         let mut g = SlaGovernor::new(policy, 16, 4);
-        let s = sample();
-        g.observe(&s, 0.0, 16.0, SimDuration::from_millis(50));
+        g.observe(0.0, 16.0);
         assert_eq!(g.violations, 1);
-        g.observe(&s, 0.0, 2.0, SimDuration::from_millis(50));
+        g.observe(0.0, 2.0);
         assert_eq!(g.violations, 1, "2 busy cores ≈ 125 W is compliant");
     }
 
@@ -230,13 +203,12 @@ mod tests {
             max_power_w: None,
         };
         let mut g = SlaGovernor::new(policy, 16, 4);
-        let s = sample();
         for _ in 0..10 {
-            g.observe(&s, f64::MAX, 16.0, SimDuration::from_millis(50));
+            g.observe(f64::MAX, 16.0);
         }
         assert_eq!(g.cap(), 1, "cap floors at one core");
         for _ in 0..100 {
-            g.observe(&s, 0.0, 0.0, SimDuration::from_millis(50));
+            g.observe(0.0, 0.0);
         }
         assert_eq!(g.cap(), 2, "cap ceils at the policy maximum");
     }
@@ -244,9 +216,8 @@ mod tests {
     #[test]
     fn cores_only_policy_never_violates() {
         let mut g = SlaGovernor::new(SlaPolicy::cores(2), 16, 4);
-        let s = sample();
         for _ in 0..10 {
-            g.observe(&s, f64::MAX, 16.0, SimDuration::from_millis(50));
+            g.observe(f64::MAX, 16.0);
         }
         assert_eq!(g.violations, 0, "no budget, no violations");
         assert_eq!(g.cap(), 2);

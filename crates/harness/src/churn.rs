@@ -10,7 +10,9 @@
 //! own engine built, data loaded, workers started, mechanism installed
 //! and first core claimed at admit time), *clients started*, *finished*,
 //! *retired* (results drained, [`TenantArbiter`] registration dropped).
-//! The two population shapes differ only in when those steps happen:
+//! A single-instance [`run`](crate::run) is the resident shape with one
+//! tenant. The two population shapes differ only in when those steps
+//! happen:
 //!
 //! - **resident** (the classic `mt_*` shape, `resident_cap: None`):
 //!   every tenant is admitted at t=0 in configuration order, its
@@ -53,8 +55,8 @@ use crate::runner::{mechanism_parts, sim_kernel, start_engine};
 use crate::spec::SpecError;
 use crate::tenants::{MultiTenantConfig, MultiTenantOutput, TenantOutput, TenantRunConfig};
 use elastic_core::{ElasticMechanism, TenantArbiter, TenantBinding};
-use emca_metrics::{SimDuration, SimTime};
-use numa_sim::CoreId;
+use emca_metrics::{SimDuration, SimTime, TimeSeries};
+use numa_sim::{CoreId, HwSnapshot};
 use os_sim::{CoreMask, Kernel, ThreadState, Tid};
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
@@ -417,11 +419,11 @@ impl Resident {
         self.started_at = Some(now);
     }
 
-    /// Closes the tenant's record: results and errors drained, its
-    /// arbiter registration dropped so its cores return to the free
-    /// pool. The departed group keeps its (now inert) workers; they are
-    /// blocked with no submitters, so they never contend for the
-    /// reclaimed cores.
+    /// Closes the tenant's record: results and errors drained, engine
+    /// counters and transition log taken, its arbiter registration
+    /// dropped so its cores return to the free pool. The departed group
+    /// keeps its (now inert) workers; they are blocked with no
+    /// submitters, so they never contend for the reclaimed cores.
     fn retire(
         self,
         arbiter: &elastic_core::SharedArbiter,
@@ -436,28 +438,83 @@ impl Resident {
         if let Some(tid) = self.tid {
             arbiter.borrow_mut().deregister(tid);
         }
+        let (sla_violations, control_steps, transitions) = match self.mechanism {
+            Some(m) => (m.violations(), m.steps, m.events),
+            None => (0, 0, Vec::new()),
+        };
         TenantOutput {
             results: volcano_db::client::drain_results(&self.logs),
             started_at: self.started_at.unwrap_or(now),
             finished_at: self.finished_at.unwrap_or(now),
-            sla_violations: self.mechanism.as_ref().map_or(0, |m| m.violations()),
-            control_steps: self.mechanism.as_ref().map_or(0, |m| m.steps),
+            sla_violations,
+            control_steps,
+            engine: self.engine.stats(),
+            transitions,
+            tomograph: std::mem::take(&mut self.engine.core().tomograph),
             ..self.out
         }
     }
 }
 
+/// The machine-wide counter series of a sim run, opened after the t=0
+/// admission pass and sampled with the per-tenant series.
+struct MachineSeries {
+    before: HwSnapshot,
+    imc: Vec<TimeSeries>,
+    ht: TimeSeries,
+    /// Per-socket IMC bytes and total HT bytes at the previous sample.
+    prev: (Vec<u64>, u64),
+}
+
+impl MachineSeries {
+    fn open(kernel: &Kernel) -> Self {
+        let before = kernel.machine().counters().snapshot();
+        let prev = (before.imc_bytes.clone(), before.link_bytes.iter().sum());
+        let (imc, ht) = (socket_series(prev.0.len()), TimeSeries::new("HT"));
+        MachineSeries {
+            before,
+            imc,
+            ht,
+            prev,
+        }
+    }
+
+    /// Per-socket IMC and machine-wide HT throughput (GB/s) over the
+    /// `dt`-second window ending at `now`.
+    fn sample(&mut self, kernel: &Kernel, now: SimTime, dt: f64) {
+        let counters = kernel.machine().counters();
+        let imc = counters.imc_bytes.snapshot();
+        let ht: u64 = counters.link_bytes.snapshot().iter().sum();
+        let gbps = |bytes: u64, prev: u64| bytes.saturating_sub(prev) as f64 / dt / 1e9;
+        for (s, series) in self.imc.iter_mut().enumerate() {
+            series.push(now, gbps(imc[s], self.prev.0[s]));
+        }
+        self.ht.push(now, gbps(ht, self.prev.1));
+        self.prev = (imc, ht);
+    }
+}
+
+/// One empty `S<socket>` series per socket.
+pub(crate) fn socket_series(n_sockets: usize) -> Vec<TimeSeries> {
+    (0..n_sockets)
+        .map(|s| TimeSeries::new(format!("S{s}")))
+        .collect()
+}
+
 /// Runs a multi-tenant experiment on the sim backend (dispatching to
-/// the threads mirror when [`MultiTenantConfig::backend`] says so);
-/// [`crate::tenants::run_tenants`] is the same entry point. With
-/// `resident_cap` or `static_partition` set the population churns;
-/// otherwise every tenant is resident from the start (see the module
-/// docs).
+/// the threads mirror when the base config's backend says so);
+/// [`crate::tenants::run_tenants`] is the same entry point and
+/// [`crate::run`] its one-tenant case. With `resident_cap` or
+/// `static_partition` set the population churns; otherwise every tenant
+/// is resident from the start (see the module docs).
 pub fn run_tenants_churn(config: MultiTenantConfig, data: &TpchData) -> MultiTenantOutput {
-    if config.backend == Backend::Threads {
+    if config.base.backend == Backend::Threads {
         return crate::runner_threads::run_tenants_threads(config, data);
     }
     let mut kernel = sim_kernel();
+    if config.base.trace_sched {
+        kernel.enable_trace();
+    }
     let topo = kernel.machine().topology().clone();
     let ntotal = topo.n_cores() as u32;
     let n = config.tenants.len();
@@ -476,10 +533,11 @@ pub fn run_tenants_churn(config: MultiTenantConfig, data: &TpchData) -> MultiTen
     let mut arbiter_ns = 0u64;
 
     let start = kernel.now();
-    let deadline = start + config.deadline;
-    let mut next_sample = start + config.sample_every;
+    let deadline = start + config.base.deadline;
+    let mut next_sample = start + config.base.sample_every;
     let mut drained_from: Option<SimTime> = None;
     let mut last_finish: Option<SimTime> = None;
+    let mut machine: Option<MachineSeries> = None;
 
     loop {
         let now = kernel.now();
@@ -490,7 +548,9 @@ pub fn run_tenants_churn(config: MultiTenantConfig, data: &TpchData) -> MultiTen
         // Completions: a tenant whose clients all finished is done;
         // under churn it departs at once, freeing its slot and cores for
         // redistribution.
-        for l in &mut lives {
+        let mut k = 0;
+        while k < lives.len() {
+            let l = &mut lives[k];
             if l.finished_at.is_none()
                 && l.started_at.is_some()
                 && l.client_tids
@@ -501,10 +561,7 @@ pub fn run_tenants_churn(config: MultiTenantConfig, data: &TpchData) -> MultiTen
                 last_finish = Some(now);
                 n_finished += 1;
             }
-        }
-        let mut k = 0;
-        while k < lives.len() {
-            if churn && lives[k].finished_at.is_some() {
+            if churn && l.finished_at.is_some() {
                 let l = lives.remove(k);
                 admissions.depart(l.slot);
                 let i = l.tenant;
@@ -524,27 +581,30 @@ pub fn run_tenants_churn(config: MultiTenantConfig, data: &TpchData) -> MultiTen
             // start workers at admit time.
             let instance = config.instance(tcfg);
             let (group, engine) = start_engine(&mut kernel, &instance, data);
-            let (mechanism, tid) = if config.static_partition {
+            if config.static_partition {
                 let cores = admissions.static_slice(slot).map(|c| CoreId(c as u16));
                 kernel.set_group_mask(group, CoreMask::from_cores(cores));
-                (None, None)
-            } else {
-                let tid = arbiter.borrow_mut().register(
-                    tcfg.name.clone(),
-                    tcfg.weight,
-                    tcfg.sla.max_cores,
-                );
-                let (placement, mech_cfg) =
-                    mechanism_parts(&instance).expect("tenant policies always install");
-                let mech = ElasticMechanism::install_tenant(
-                    &mut kernel,
-                    group,
-                    engine.space(),
-                    tcfg.governed(placement, &topo),
-                    mech_cfg,
-                    TenantBinding::new(Rc::clone(&arbiter), tid),
-                );
-                (Some(mech), Some(tid))
+            }
+            // An OS-baseline tenant keeps the whole machine, unarbitrated.
+            let parts = mechanism_parts(&instance).filter(|_| !config.static_partition);
+            let (mechanism, tid) = match parts {
+                None => (None, None),
+                Some((placement, mech_cfg)) => {
+                    let tid = arbiter.borrow_mut().register(
+                        tcfg.name.clone(),
+                        tcfg.weight,
+                        tcfg.sla.max_cores,
+                    );
+                    let mech = ElasticMechanism::install_tenant(
+                        &mut kernel,
+                        group,
+                        engine.space(),
+                        tcfg.governed(placement, &topo),
+                        mech_cfg,
+                        TenantBinding::new(Rc::clone(&arbiter), tid),
+                    );
+                    (Some(mech), Some(tid))
+                }
             };
             let mut resident = Resident {
                 tenant: i,
@@ -576,6 +636,7 @@ pub fn run_tenants_churn(config: MultiTenantConfig, data: &TpchData) -> MultiTen
                 l.start_clients(&mut kernel, tcfg, now);
             }
         }
+        let machine = machine.get_or_insert_with(|| MachineSeries::open(&kernel));
 
         if n_finished == n {
             let from = *drained_from.get_or_insert(now);
@@ -615,7 +676,8 @@ pub fn run_tenants_churn(config: MultiTenantConfig, data: &TpchData) -> MultiTen
         }
 
         if now >= next_sample {
-            let dt = config.sample_every.as_secs_f64();
+            let dt = config.base.sample_every.as_secs_f64();
+            machine.sample(&kernel, now, dt);
             for l in &mut lives {
                 l.out
                     .cores_series
@@ -625,15 +687,18 @@ pub fn run_tenants_churn(config: MultiTenantConfig, data: &TpchData) -> MultiTen
                 l.out.qps_series.push(now, l.window_completions as f64 / dt);
                 l.window_completions = 0;
             }
-            next_sample = now + config.sample_every;
+            next_sample = now + config.base.sample_every;
         }
     }
     let end = kernel.now();
     assert!(
         n_finished == n,
-        "multi-tenant run hit the deadline ({:?}) with tenants unfinished — raise \
-         MultiTenantConfig::deadline",
-        config.deadline
+        "{}",
+        crate::timing::RunAborted {
+            label: "run".to_string(),
+            deadline_s: config.base.deadline.as_secs_f64(),
+            hint: "RunConfig::deadline",
+        }
     );
     // Resident tenants close their records here, in configuration order.
     for l in lives {
@@ -645,6 +710,7 @@ pub fn run_tenants_churn(config: MultiTenantConfig, data: &TpchData) -> MultiTen
         let arb = arbiter.borrow();
         (arb.denials, arb.yields)
     };
+    let machine = machine.expect("the first pass opened the machine series");
     MultiTenantOutput {
         tenants: outputs.into_iter().flatten().collect(),
         // Start → last completion; the drain window is measurement-only
@@ -656,6 +722,12 @@ pub fn run_tenants_churn(config: MultiTenantConfig, data: &TpchData) -> MultiTen
         arbiter_ticks,
         arbiter_ns,
         errors,
+        hw_before: machine.before,
+        hw_after: kernel.machine().counters().snapshot(),
+        sched: kernel.stats(),
+        imc_series: machine.imc,
+        ht_series: machine.ht,
+        trace: config.base.trace_sched.then(|| kernel.take_trace()),
     }
 }
 

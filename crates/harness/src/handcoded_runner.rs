@@ -1,6 +1,6 @@
 //! Runner for the hand-coded C Q6 baseline of §II-B (Fig. 4).
 
-use emca_metrics::{SimDuration, SimTime};
+use emca_metrics::SimDuration;
 use numa_sim::{CoreId, HwSnapshot};
 use os_sim::{CoreMask, ThreadState, Tid};
 use std::rc::Rc;
@@ -67,11 +67,16 @@ pub fn run_handcoded(
         }
         kernel.run_tick();
     }
-    assert!(
-        end.is_some(),
-        "hand-coded run hit the deadline with clients unfinished"
-    );
-    let end: SimTime = end.expect("checked above");
+    let Some(end) = end else {
+        panic!(
+            "{}",
+            crate::timing::RunAborted {
+                label: "hand-coded run".to_string(),
+                deadline_s: deadline.as_secs_f64(),
+                hint: "run_handcoded's deadline argument",
+            }
+        );
+    };
 
     let runs = logs.iter().flat_map(|l| l.borrow().runs.clone()).collect();
     HandcodedOutput {

@@ -1,13 +1,15 @@
-//! The experiment runner: builds the whole simulated stack from a
-//! [`RunConfig`], drives it to completion, and collects every metric the
-//! paper's figures need.
+//! The single-instance runner: [`run`] executes a [`RunConfig`] as the
+//! one-tenant case of the tenant lifecycle ([`crate::churn`]) on either
+//! backend and reports every metric the paper's figures need
+//! ([`RunOutput`]). The simulated-stack builders every sim driver shares
+//! live here too.
 
 use crate::config::{Alloc, RunConfig};
-use elastic_core::{ElasticMechanism, MechanismConfig, Policy, PolicyId, TransitionEvent};
+use crate::tenants::{MultiTenantConfig, MultiTenantOutput, TenantRunConfig};
+use elastic_core::{ArbiterMode, MechanismConfig, Policy, PolicyId, TransitionEvent};
 use emca_metrics::{SimDuration, TimeSeries};
 use numa_sim::{HwSnapshot, Machine, MachineConfig};
-use os_sim::{CoreMask, Kernel, KernelConfig, SchedStats, SchedTrace, ThreadState, Tid};
-use volcano_db::client::{drain_results, spawn_clients};
+use os_sim::{CoreMask, Kernel, KernelConfig, SchedStats, SchedTrace};
 use volcano_db::exec::engine::{Engine, EngineConfig, EngineStats, QueryResult};
 use volcano_db::exec::tomograph::Tomograph;
 use volcano_db::tpch::TpchData;
@@ -106,17 +108,6 @@ impl RunOutput {
     }
 }
 
-/// The simulated stack one run executes on: kernel, DBMS thread group,
-/// and a loaded engine with its workers started. Shared between the
-/// closed-loop runner ([`run`]) and the serving layer
-/// ([`crate::serve`]); the tenant lifecycle ([`crate::churn`]) builds
-/// the same pieces per tenant on one shared kernel.
-pub(crate) struct SimStack {
-    pub kernel: Kernel,
-    pub group: os_sim::GroupId,
-    pub engine: Engine,
-}
-
 /// The simulated Opteron under a fresh kernel.
 pub(crate) fn sim_kernel() -> Kernel {
     let kernel_cfg = KernelConfig::default();
@@ -160,20 +151,6 @@ pub(crate) fn start_engine(
     (group, engine)
 }
 
-/// Builds the simulated machine, engine, and worker group for `config`.
-pub(crate) fn build_sim_stack(config: &RunConfig, data: &TpchData) -> SimStack {
-    let mut kernel = sim_kernel();
-    if config.trace_sched {
-        kernel.enable_trace();
-    }
-    let (group, engine) = start_engine(&mut kernel, config, data);
-    SimStack {
-        kernel,
-        group,
-        engine,
-    }
-}
-
 /// The policy and mechanism configuration `config` asks for (`None`
 /// for the OS baseline), with the guard/interval/mode-latency overrides
 /// applied.
@@ -213,146 +190,53 @@ pub(crate) fn mechanism_parts(config: &RunConfig) -> Option<(Box<dyn Policy>, Me
     Some((policy, mech_cfg))
 }
 
-/// Installs the elastic mechanism `config` asks for (none for the OS
-/// baseline).
-pub(crate) fn build_mechanism(
-    config: &RunConfig,
-    kernel: &mut Kernel,
-    group: os_sim::GroupId,
-    engine: &Engine,
-) -> Option<ElasticMechanism> {
-    mechanism_parts(config).map(|(policy, mech_cfg)| {
-        ElasticMechanism::install(kernel, group, engine.space(), policy, mech_cfg)
-    })
-}
-
 /// Runs one experiment. `data` is shared across runs of a sweep so
-/// generation cost is paid once.
+/// generation cost is paid once. A run is the one-tenant case of the
+/// tenant lifecycle ([`crate::churn`]) on either backend: one resident
+/// FairShare tenant of weight 1 with no SLA, whose arbitration is a
+/// no-op (it is guaranteed the whole machine and no core is foreign).
 pub fn run(config: RunConfig, data: &TpchData) -> RunOutput {
-    if config.backend == crate::backend::Backend::Threads {
-        return crate::runner_threads::run_threads(config, data);
-    }
-    let SimStack {
-        mut kernel,
-        group,
-        engine,
-    } = build_sim_stack(&config, data);
-    let mut mechanism = build_mechanism(&config, &mut kernel, group, &engine);
-
-    let logs = spawn_clients(
-        &mut kernel,
-        &engine,
-        group,
-        config.clients,
-        config.workload.clone(),
-    );
-    let hw_before = kernel.machine().counters().snapshot();
-    let start = kernel.now();
-
-    let n_sockets = kernel.machine().topology().n_nodes();
-    let mut imc_series: Vec<TimeSeries> = (0..n_sockets)
-        .map(|s| TimeSeries::new(format!("S{s}")))
-        .collect();
-    let mut ht_series = TimeSeries::new("HT");
-    let mut load_series = TimeSeries::new("cpu_load");
-    let mut cores_series = TimeSeries::new("cores");
-    let mut load_sampler = os_sim::LoadSampler::new(&kernel, group);
-    let mut prev_imc = hw_before.imc_bytes.clone();
-    let mut prev_ht: u64 = hw_before.link_bytes.iter().sum();
-    let mut next_sample = start + config.sample_every;
-
-    let deadline = start + config.deadline;
-    let client_tids: Vec<Tid> = (0..kernel.n_threads() as u32)
-        .map(Tid)
-        .filter(|&t| kernel.thread_name(t).starts_with("client"))
-        .collect();
-
-    // Completed-result cursors per client log, for feeding observed
-    // response times into the mechanism's interval scaler.
-    let mut seen: Vec<usize> = vec![0; logs.len()];
-
-    let mut finished_at = None;
-    while kernel.now() < deadline {
-        let all_done = client_tids
-            .iter()
-            .all(|&t| kernel.thread_state(t) == ThreadState::Finished);
-        if all_done {
-            finished_at = Some(kernel.now());
-            break;
-        }
-        kernel.run_tick();
-        if let Some(m) = mechanism.as_mut() {
-            m.poll(&mut kernel);
-            // Feed completed responses unconditionally: they drive the
-            // interval scaler (inert when the interval is pinned) and the
-            // completion counter behind `Policy::observe` (hill climbing).
-            for (log, cursor) in logs.iter().zip(&mut seen) {
-                let log = log.borrow();
-                for r in &log.results[*cursor..] {
-                    m.note_response(r.response());
-                }
-                *cursor = log.results.len();
-            }
-        }
-        if kernel.now() >= next_sample {
-            let now = kernel.now();
-            let dt = config.sample_every.as_secs_f64();
-            let imc = kernel.machine().counters().imc_bytes.snapshot();
-            for (s, series) in imc_series.iter_mut().enumerate() {
-                let gbps = (imc[s].saturating_sub(prev_imc[s])) as f64 / dt / 1e9;
-                series.push(now, gbps);
-            }
-            prev_imc = imc;
-            let ht: u64 = kernel
-                .machine()
-                .counters()
-                .link_bytes
-                .snapshot()
-                .iter()
-                .sum();
-            ht_series.push(now, (ht.saturating_sub(prev_ht)) as f64 / dt / 1e9);
-            prev_ht = ht;
-            load_series.push(now, load_sampler.sample(&kernel).group_load_pct());
-            cores_series.push(now, kernel.group_mask(group).count() as f64);
-            next_sample = now + config.sample_every;
-        }
-    }
-    let end = finished_at.unwrap_or_else(|| kernel.now());
-    assert!(
-        finished_at.is_some(),
-        "{}",
-        crate::timing::RunAborted {
-            label: "run".to_string(),
-            deadline_s: config.deadline.as_secs_f64(),
-            hint: "RunConfig::deadline",
-        }
-    );
-
-    let hw_after = kernel.machine().counters().snapshot();
-    let results = drain_results(&logs);
-    let errors = volcano_db::client::drain_errors(&logs);
-    let sched = kernel.stats();
-    let engine_stats = engine.stats();
-    let tomograph = engine.core_ref().tomograph.clone();
-    let trace = config.trace_sched.then(|| kernel.take_trace());
-    let transitions = mechanism.map(|m| m.events).unwrap_or_default();
-
-    RunOutput {
-        config,
-        results,
-        wall: end.since(start),
+    let tenant = TenantRunConfig {
+        policy: config.alloc,
+        ..TenantRunConfig::new("run", config.workload.clone(), config.clients)
+    };
+    let lone = MultiTenantConfig {
+        base: config.clone(),
+        ..MultiTenantConfig::new(ArbiterMode::FairShare, vec![tenant])
+    };
+    let MultiTenantOutput {
+        mut tenants,
+        wall,
+        errors,
         hw_before,
         hw_after,
         sched,
-        engine: engine_stats,
         imc_series,
         ht_series,
-        load_series,
-        cores_series,
-        transitions,
         trace,
-        tomograph,
-        errors,
+        ..
+    } = crate::churn::run_tenants_churn(lone, data);
+    let t = tenants.pop().expect("a one-tenant run retires its tenant");
+    RunOutput {
+        config,
+        results: t.results,
+        wall,
+        hw_before,
+        hw_after,
+        sched,
+        engine: t.engine,
+        imc_series,
+        ht_series,
+        load_series: t.load_series,
+        cores_series: t.cores_series,
+        transitions: t.transitions,
+        trace,
+        tomograph: t.tomograph,
+        // The sim lifecycle names each error's tenant; a run has one.
+        errors: errors
+            .iter()
+            .map(|e| e.strip_prefix("run: ").unwrap_or(e).to_string())
+            .collect(),
     }
 }
 

@@ -1,13 +1,14 @@
-//! The real-thread backend's drivers: [`run_threads`] executes a
-//! [`RunConfig`] and [`run_tenants_threads`] a [`MultiTenantConfig`] on
-//! [`ParEngine`] — dedicated OS threads doing the actual work — with the
-//! elastic mechanism actuating the worker pool instead of a simulated
-//! cpuset. Both (and [`crate::serve`]'s threads dispatcher) carry their
-//! engines as `Pool`s: `Pool::control` is the one measured-load →
-//! controller → park/unpark tick and `Pool::sample` the one load
-//! window.
+//! The real-thread backend: [`run_tenants_threads`] runs the tenant
+//! lifecycle of [`crate::churn`] — and with it every single-instance
+//! [`run`](crate::run), the lifecycle's one-tenant case — on
+//! [`ParEngine`]s: dedicated OS threads doing the actual work, with the
+//! elastic mechanism actuating each tenant's worker pool instead of a
+//! simulated cpuset. The lifecycle and [`crate::serve`]'s threads
+//! dispatcher carry their engines as `Pool`s: `Pool::control` is the
+//! one measured-load → controller → park/unpark tick and `Pool::sample`
+//! the one load window.
 //!
-//! What maps where, relative to [`crate::runner::run`]:
+//! What maps where, relative to the sim lifecycle:
 //!
 //! - **Engine**: the same plans and partitioning, executed by real
 //!   threads ([`ParEngine`]); with the pool width fixed at the simulated
@@ -27,14 +28,16 @@
 //!   budgets — runs but never fires. Ignored: [`RunConfig::metric`] (no
 //!   HT/IMC counters to drive the net with). A pinned `warmup` (no NUMA
 //!   pages to home) is refused up front: `ExperimentSpec::validate_backend`.
-//! - **Baseline**: [`Alloc::OsAll`] becomes "no pool management": one
-//!   always-active worker per client (never fewer than the machine
-//!   width), the thread-per-task shape the paper argues against.
-//! - **Counters**: hardware series (IMC/HT) are empty; CPU load and the
-//!   allocated-core count are measured for real. With
-//!   [`RunConfig::with_trace`], the migration trace is real too: the
-//!   driver samples each worker's host CPU from `/proc/self/task`
-//!   (`ProcTracer`), so the Fig. 5/16 maps show actual OS placement.
+//! - **Baseline**: an [`Alloc::OsAll`] tenant becomes "no pool
+//!   management": one always-active worker per client (never fewer than
+//!   the machine width), the thread-per-task shape the paper argues
+//!   against.
+//! - **Counters**: hardware series (IMC/HT) are empty and the counter
+//!   snapshots zero; CPU load and the allocated-core count are measured
+//!   for real. With [`RunConfig::with_trace`], the migration trace is
+//!   real too: the driver samples each worker's host CPU from
+//!   `/proc/self/task` (`ProcTracer`), so the Fig. 5/16 maps show actual
+//!   OS placement.
 //!
 //! Environment knobs, read in [`crate::timing`]: `EMCA_THREADS` caps
 //! the pool width (changes partitioning, hence results — CI smoke
@@ -43,9 +46,9 @@
 //! `EMCA_WALL_BUDGET_S` never does — see [`crate::timing`] for the
 //! distinction).
 
-use crate::churn::Admissions;
+use crate::churn::{socket_series, Admissions};
 use crate::config::{Alloc, RunConfig};
-use crate::runner::{mechanism_parts, RunOutput};
+use crate::runner::mechanism_parts;
 use crate::tenants::{MultiTenantConfig, MultiTenantOutput, TenantOutput, TenantRunConfig};
 use elastic_core::{PoolController, SharedArbiter, TenantArbiter, TenantBinding, TenantId};
 use emca_metrics::{SimDuration, SimTime, TimeSeries};
@@ -186,16 +189,22 @@ impl Pool {
         self.engine.set_active(c.mask().count());
     }
 
-    /// Runs one control step if the controller's cadence says one is
-    /// due: measured load and completions since the previous step →
-    /// controller → actuation. Returns whether a step ran.
-    pub(crate) fn control(&mut self, now: SimTime, queue_depth: u64) -> bool {
-        let Some(c) = self.controller.as_mut() else {
-            return false;
-        };
-        if now < self.next_control {
-            return false;
+    /// Whether a control step is due at `now` — the only calls to
+    /// [`Pool::control`] that run one.
+    pub(crate) fn control_due(&self, now: SimTime) -> bool {
+        self.controller.is_some() && now >= self.next_control
+    }
+
+    /// Runs one control step if one is due ([`Pool::control_due`]):
+    /// measured load and completions since the previous step →
+    /// controller → actuation.
+    pub(crate) fn control(&mut self, now: SimTime, queue_depth: u64) {
+        if !self.control_due(now) {
+            return;
         }
+        let Some(c) = self.controller.as_mut() else {
+            return;
+        };
         let busy = self.engine.busy_ns();
         let u = load_pct(
             busy - self.ctl_busy,
@@ -217,7 +226,6 @@ impl Pool {
         self.next_control = now + c.interval();
         let moved = c.mask() != before;
         self.actuate(moved);
-        true
     }
 
     /// CPU load (%) over the window since the previous sample, and that
@@ -450,100 +458,11 @@ fn take_client_errors(errors: &Mutex<Vec<String>>, faults_armed: bool) -> Vec<St
     client_errors
 }
 
-/// Runs one experiment on the threads backend. Same contract as
-/// [`crate::runner::run`]; called from there when
-/// [`RunConfig::backend`] is [`Backend::Threads`](crate::Backend).
-pub fn run_threads(config: RunConfig, data: &TpchData) -> RunOutput {
-    let width = capacity();
-    let os_baseline = config.alloc == Alloc::OsAll;
-    // The OS baseline hands every client a worker (thread-per-client,
-    // no elasticity); the mechanism runs a machine-width pool.
-    let n_workers = if os_baseline {
-        width.max(config.clients)
-    } else {
-        width
-    };
-    let base = Arc::new(BaseData::from_tpch(data));
-    let mut pool = Pool::start(n_workers, !os_baseline, base, &config, SimTime::ZERO, None);
-
-    let t0 = Instant::now();
-    let sinks = ClientSinks::default();
-    let remaining = Arc::new(AtomicUsize::new(config.clients));
-    let errors = Arc::new(Mutex::new(Vec::new()));
-    let handles = spawn_client_threads(
-        &pool.engine,
-        &config.workload,
-        config.clients,
-        std::time::Duration::ZERO,
-        &sinks,
-        &remaining,
-        &errors,
-        t0,
-    );
-
-    let deadline = wall_deadline(config.deadline);
-    let mut tracer = config.trace_sched.then(ProcTracer::new);
-    let mut load_series = TimeSeries::new("cpu_load");
-    let mut cores_series = TimeSeries::new("cores");
-    let mut next_sample = SimTime::ZERO;
-    let mut sample = |pool: &mut Pool, now: SimTime| {
-        load_series.push(now, pool.sample(now).0);
-        cores_series.push(now, pool.engine.active() as f64);
-    };
-    while remaining.load(Ordering::SeqCst) > 0 {
-        std::thread::sleep(POLL);
-        let now = wall_now(t0);
-        assert!(
-            now.since(SimTime::ZERO) <= deadline,
-            "{}",
-            crate::timing::RunAborted {
-                label: "run".to_string(),
-                deadline_s: deadline.as_secs_f64(),
-                hint: "RunConfig::deadline or EMCA_RUN_DEADLINE_S",
-            }
-        );
-        pool.control(now, 0);
-        if now >= next_sample {
-            sample(&mut pool, now);
-            next_sample = now + config.sample_every;
-        }
-        if let Some(tr) = tracer.as_mut() {
-            if now >= tr.next {
-                tr.sample(now);
-                tr.next = now + TRACE_EVERY;
-            }
-        }
-    }
-    // Final sample so even a run shorter than the first poll tick
-    // leaves non-empty load/cores series.
-    sample(&mut pool, wall_now(t0));
-    join_clients(handles);
-    let client_errors = take_client_errors(&errors, config.faults.is_some());
-
-    let wall = lock(&sinks.finished_at).since(SimTime::ZERO);
-    let zero_hw = HwCounters::new(0, 0, 0);
-    RunOutput {
-        results: sinks.into_results(),
-        wall,
-        hw_before: zero_hw.snapshot(),
-        hw_after: zero_hw.snapshot(),
-        sched: SchedStats::default(),
-        engine: pool.engine.stats(),
-        imc_series: (0..4).map(|s| TimeSeries::new(format!("S{s}"))).collect(),
-        ht_series: TimeSeries::new("HT"),
-        load_series,
-        cores_series,
-        transitions: pool.controller.map(|c| c.events).unwrap_or_default(),
-        trace: tracer.map(|t| t.finish(wall_now(t0))),
-        tomograph: pool.engine.tomograph(),
-        errors: client_errors,
-        config,
-    }
-}
-
 /// One resident tenant on the threads backend: its pool, its client
-/// threads and the series the driver keeps while it is installed.
+/// threads and the record the driver keeps while it is installed.
 struct PoolSlot {
+    /// Index into [`MultiTenantConfig::tenants`].
+    tenant: usize,
     pool: Pool,
     /// Arbiter registration (elastic only).
     tid: Option<TenantId>,
@@ -559,20 +478,46 @@ struct PoolSlot {
 }
 
 impl PoolSlot {
-    /// Closes the tenant's record: clients joined, arbiter registration
-    /// dropped (its cores redistribute exactly as on sim), and — with
-    /// the slot's last pool `Arc` going out of scope — its workers shut
-    /// down.
+    /// One point of each tenant series: CPU load, active workers and
+    /// completions per second over the window since the previous one.
+    fn sample(&mut self, now: SimTime) {
+        let (u, window) = self.pool.sample(now);
+        let completed = self.pool.engine.stats().queries_completed;
+        let dt = window.as_secs_f64();
+        let qps = if dt > 0.0 {
+            (completed - self.sample_completed) as f64 / dt
+        } else {
+            0.0
+        };
+        self.sample_completed = completed;
+        self.out.load_series.push(now, u);
+        self.out
+            .cores_series
+            .push(now, self.pool.engine.active() as f64);
+        self.out.qps_series.push(now, qps);
+    }
+
+    /// Closes the tenant's record: clients joined, engine counters and
+    /// transition log taken, arbiter registration dropped (its cores
+    /// redistribute exactly as on sim), and — with the slot's last pool
+    /// `Arc` going out of scope — its workers shut down.
     fn retire(self, arbiter: &SharedArbiter) -> TenantOutput {
         join_clients(self.handles);
         if let Some(tid) = self.tid {
             arbiter.borrow_mut().deregister(tid);
         }
         let finished = *lock(&self.sinks.finished_at);
+        let (sla_violations, transitions) = match self.pool.controller {
+            Some(c) => (c.violations(), c.events),
+            None => (0, Vec::new()),
+        };
         TenantOutput {
             results: self.sinks.into_results(),
             finished_at: finished.max(self.out.started_at),
-            sla_violations: self.pool.controller.as_ref().map_or(0, |c| c.violations()),
+            sla_violations,
+            engine: self.pool.engine.stats(),
+            transitions,
+            tomograph: self.pool.engine.tomograph(),
             ..self.out
         }
     }
@@ -586,9 +531,9 @@ impl PoolSlot {
 /// cores it owns) and each tenant's SLA governor wrapped around its
 /// policy as in the simulation: core ceilings hold under every arbiter
 /// mode and power budgets are judged on measured busy time, while
-/// traffic budgets never trip (a pool measures no interconnect).
-/// Arbitration cost is the wall-clock duration of each executed control
-/// step.
+/// traffic budgets never trip (a pool measures no interconnect). An
+/// [`Alloc::OsAll`] tenant runs unmanaged and unarbitrated. Arbitration
+/// cost is the wall-clock duration of each executed control step.
 pub fn run_tenants_threads(config: MultiTenantConfig, data: &TpchData) -> MultiTenantOutput {
     let width = capacity();
     let ntotal = width as u32;
@@ -597,28 +542,34 @@ pub fn run_tenants_threads(config: MultiTenantConfig, data: &TpchData) -> MultiT
     let arbiter = TenantArbiter::shared(config.arbiter, ntotal);
     let mut admissions = Admissions::new(&config, width);
     let churn = admissions.churn;
-    let t0 = Instant::now();
     let errors = Arc::new(Mutex::new(Vec::new()));
 
-    let mut lives: Vec<Option<PoolSlot>> = (0..n).map(|_| None).collect();
+    // The installed tenants in ascending tenant index, as on sim.
+    let mut lives: Vec<PoolSlot> = Vec::new();
     let mut outputs: Vec<Option<TenantOutput>> = (0..n).map(|_| None).collect();
     let mut arbiter_ticks = 0u64;
     let mut arbiter_ns = 0u64;
 
-    let deadline = wall_deadline(config.deadline);
+    let deadline = wall_deadline(config.base.deadline);
+    let mut tracer = config.base.trace_sched.then(ProcTracer::new);
     let mut next_sample = SimTime::ZERO;
     let mut drain_until: Option<SimTime> = None;
+    let t0 = Instant::now();
+    // The first admission pass runs before the first poll sleep, so
+    // the tenants due at t=0 start their pools and clients at once.
+    let mut now = SimTime::ZERO;
     loop {
-        std::thread::sleep(POLL);
-        let now = wall_now(t0);
-
         // Departures (churn only): all clients done → close the record
         // and free the slot.
-        for (i, live) in lives.iter_mut().enumerate() {
-            let done = |l: &mut PoolSlot| churn && l.remaining.load(Ordering::SeqCst) == 0;
-            if let Some(l) = live.take_if(done) {
+        let mut k = 0;
+        while k < lives.len() {
+            if churn && lives[k].remaining.load(Ordering::SeqCst) == 0 {
+                let l = lives.remove(k);
                 admissions.depart(l.slot);
+                let i = l.tenant;
                 outputs[i] = Some(l.retire(&arbiter));
+            } else {
+                k += 1;
             }
         }
 
@@ -628,26 +579,31 @@ pub fn run_tenants_threads(config: MultiTenantConfig, data: &TpchData) -> MultiT
         while let Some((i, slot)) = admissions.admit(now.since(SimTime::ZERO), free_cores(&arbiter))
         {
             let tcfg = &config.tenants[i];
-            let arrival = SimTime::ZERO + tcfg.start_after;
-            let elastic = !config.static_partition;
-            let started_at = now.max(arrival);
+            let instance = config.instance(tcfg);
+            let started_at = now.max(SimTime::ZERO + tcfg.start_after);
+            // The OS baseline hands every client a worker
+            // (thread-per-client, no elasticity); a static slot runs a
+            // machine-width pool with only its slice active.
+            let os_baseline = instance.alloc == Alloc::OsAll && !config.static_partition;
+            let elastic = !os_baseline && !config.static_partition;
+            let n_workers = width.max(if os_baseline { tcfg.clients } else { 0 });
             let tid = elastic.then(|| {
                 arbiter
                     .borrow_mut()
                     .register(tcfg.name.clone(), tcfg.weight, tcfg.sla.max_cores)
             });
             let pool = Pool::start(
-                width,
+                n_workers,
                 elastic,
                 Arc::clone(&base),
-                &config.instance(tcfg),
+                &instance,
                 started_at,
                 tid.map(|tid| {
                     let binding = TenantBinding::new(Rc::clone(&arbiter), tid);
                     (tcfg, binding)
                 }),
             );
-            if !elastic {
+            if config.static_partition {
                 pool.engine.set_active(admissions.static_slice(slot).len());
             }
             let sinks = ClientSinks::default();
@@ -663,38 +619,49 @@ pub fn run_tenants_threads(config: MultiTenantConfig, data: &TpchData) -> MultiT
                 &errors,
                 t0,
             );
-            lives[i] = Some(PoolSlot {
-                pool,
-                tid,
-                slot,
-                sinks,
-                remaining,
-                handles,
-                out: TenantOutput::begin(tcfg, started_at),
-                sample_completed: 0,
-            });
+            let at = lives.partition_point(|l| l.tenant < i);
+            lives.insert(
+                at,
+                PoolSlot {
+                    tenant: i,
+                    pool,
+                    tid,
+                    slot,
+                    sinks,
+                    remaining,
+                    handles,
+                    out: TenantOutput::begin(tcfg, started_at),
+                    sample_completed: 0,
+                },
+            );
         }
 
-        let unfinished = admissions.pending()
-            || lives
-                .iter()
-                .flatten()
-                .any(|l| l.remaining.load(Ordering::SeqCst) > 0);
+        // Exit before sleeping once nothing is left to run; the
+        // mechanisms keep running through the drain.
+        let unfinished =
+            admissions.pending() || lives.iter().any(|l| l.remaining.load(Ordering::SeqCst) > 0);
+        if !unfinished && now >= *drain_until.get_or_insert(now + config.drain) {
+            break;
+        }
+        std::thread::sleep(POLL);
+        now = wall_now(t0);
         assert!(
             !unfinished || now.since(SimTime::ZERO) <= deadline,
             "{}",
             crate::timing::RunAborted {
-                label: "multi-tenant run".to_string(),
+                label: "run".to_string(),
                 deadline_s: deadline.as_secs_f64(),
-                hint: "MultiTenantConfig::deadline or EMCA_RUN_DEADLINE_S",
+                hint: "RunConfig::deadline or EMCA_RUN_DEADLINE_S",
             }
         );
 
         // Control steps, timed per executed step: the measured span is
         // the full arbitration path (observe + claim/release/yield).
-        for l in lives.iter_mut().flatten() {
-            let t_tick = Instant::now();
-            if l.pool.control(now, 0) {
+        // The clock is read only around a poll with a step due.
+        for l in &mut lives {
+            if l.pool.control_due(now) {
+                let t_tick = Instant::now();
+                l.pool.control(now, 0);
                 arbiter_ns += t_tick.elapsed().as_nanos() as u64;
                 arbiter_ticks += 1;
                 l.out.control_steps += 1;
@@ -702,38 +669,29 @@ pub fn run_tenants_threads(config: MultiTenantConfig, data: &TpchData) -> MultiT
         }
 
         if now >= next_sample {
-            for l in lives.iter_mut().flatten() {
-                let (u, window) = l.pool.sample(now);
-                let completed = l.pool.engine.stats().queries_completed;
-                let dt = window.as_secs_f64();
-                let qps = if dt > 0.0 {
-                    (completed - l.sample_completed) as f64 / dt
-                } else {
-                    0.0
-                };
-                l.sample_completed = completed;
-                l.out.load_series.push(now, u);
-                l.out.cores_series.push(now, l.pool.engine.active() as f64);
-                l.out.qps_series.push(now, qps);
+            for l in &mut lives {
+                l.sample(now);
             }
-            next_sample = now + config.sample_every;
+            next_sample = now + config.base.sample_every;
         }
-
-        // The exit check comes last, so even a run shorter than one
-        // poll tick shows a control step and a sample per tenant. The
-        // mechanisms keep running through the drain.
-        if !unfinished && now >= *drain_until.get_or_insert(now + config.drain) {
-            break;
-        }
-    }
-    // Resident tenants close their records here, in configuration order.
-    for (i, l) in lives.into_iter().enumerate() {
-        if let Some(l) = l {
-            outputs[i] = Some(l.retire(&arbiter));
+        if let Some(tr) = tracer.as_mut() {
+            if now >= tr.next {
+                tr.sample(now);
+                tr.next = now + TRACE_EVERY;
+            }
         }
     }
+    // Final sample so even a run shorter than the first poll leaves
+    // non-empty series; resident tenants then close their records, in
+    // configuration order.
+    let end = wall_now(t0);
+    for mut l in lives {
+        l.sample(end);
+        let i = l.tenant;
+        outputs[i] = Some(l.retire(&arbiter));
+    }
 
-    let client_errors = take_client_errors(&errors, config.faults.is_some());
+    let client_errors = take_client_errors(&errors, config.base.faults.is_some());
     let tenants: Vec<TenantOutput> = outputs.into_iter().flatten().collect();
     let wall = tenants
         .iter()
@@ -745,6 +703,7 @@ pub fn run_tenants_threads(config: MultiTenantConfig, data: &TpchData) -> MultiT
         let arb = arbiter.borrow();
         (arb.denials, arb.yields)
     };
+    let no_counters = HwCounters::new(0, 0, 0).snapshot();
     MultiTenantOutput {
         tenants,
         wall,
@@ -754,6 +713,12 @@ pub fn run_tenants_threads(config: MultiTenantConfig, data: &TpchData) -> MultiT
         arbiter_ticks,
         arbiter_ns,
         errors: client_errors,
+        hw_before: no_counters.clone(),
+        hw_after: no_counters,
+        sched: SchedStats::default(),
+        imc_series: socket_series(MachineConfig::opteron_4x4().topology.n_nodes()),
+        ht_series: TimeSeries::new("HT"),
+        trace: tracer.map(|t| t.finish(wall_now(t0))),
     }
 }
 
@@ -791,6 +756,10 @@ mod tests {
         let capped = out.tenant("capped").unwrap();
         assert_eq!(capped.results.len(), 12 * 8, "the cap must not starve it");
         assert!(capped.control_steps > 0);
+        // The clock is read only around polls with a step due, yet
+        // every executed step is counted and timed.
+        let steps: u64 = out.tenants.iter().map(|t| t.control_steps).sum();
+        assert_eq!(out.arbiter_ticks, steps, "every control step is measured");
         assert!(
             capped.cores_max() <= 2.0,
             "capped tenant ran {} workers",

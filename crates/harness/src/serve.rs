@@ -48,7 +48,7 @@
 
 use crate::backend::Backend;
 use crate::config::{Alloc, RunConfig};
-use crate::runner::{build_mechanism, build_sim_stack, SimStack};
+use crate::runner::{mechanism_parts, sim_kernel, start_engine};
 use crate::runner_threads::{capacity, wall_now, Pool, POLL};
 use crate::spec::{AdmissionSpec, ArrivalSpec};
 use elastic_core::{ElasticMechanism, TransitionEvent};
@@ -883,13 +883,11 @@ impl ServeOutput {
 /// The simulated dispatcher: the mechanism polls as in the closed-loop
 /// runner, with the admission-queue depth fed in as extra demand.
 fn serve_sim(cfg: &ServeConfig, data: &TpchData) -> ServeOutput {
-    let SimStack {
-        mut kernel,
-        group,
-        engine,
-    } = build_sim_stack(&cfg.base, data);
-    let mut mechanism: Option<ElasticMechanism> =
-        build_mechanism(&cfg.base, &mut kernel, group, &engine);
+    let mut kernel = sim_kernel();
+    let (group, engine) = start_engine(&mut kernel, &cfg.base, data);
+    let mut mechanism = mechanism_parts(&cfg.base).map(|(policy, mech_cfg)| {
+        ElasticMechanism::install(&mut kernel, group, engine.space(), policy, mech_cfg)
+    });
     let mut load_sampler = os_sim::LoadSampler::new(&kernel, group);
     let mut sim = SimSessions {
         kernel,

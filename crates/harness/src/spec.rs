@@ -517,16 +517,18 @@ impl ExperimentSpec {
         cfg.with_backend(self.backend)
     }
 
-    /// Applies the spec's tenant overrides to a multi-tenant config:
-    /// each [`TenantSpec`] is matched *by name* against the scenario's
-    /// tenants and its set fields replace the scenario defaults. An
-    /// override naming no tenant is a hard error listing the valid
-    /// names — a typo must not silently retarget another tenant.
+    /// Applies the spec to a multi-tenant config: its run overrides to
+    /// the config's base ([`ExperimentSpec::apply`]), then its tenant
+    /// overrides — each [`TenantSpec`] is matched *by name* against the
+    /// scenario's tenants and its set fields replace the scenario
+    /// defaults. An override naming no tenant is a hard error listing
+    /// the valid names — a typo must not silently retarget another
+    /// tenant.
     pub fn apply_tenants(
         &self,
         cfg: &mut crate::tenants::MultiTenantConfig,
     ) -> Result<(), SpecError> {
-        cfg.backend = self.backend;
+        cfg.base = self.apply(cfg.base.clone());
         let Some(overrides) = &self.tenants else {
             return Ok(());
         };
@@ -541,7 +543,7 @@ impl ExperimentSpec {
             };
             let t = &mut cfg.tenants[i];
             if let Some(p) = ts.policy {
-                t.policy = p;
+                t.policy = p.into();
             }
             if let Some(u) = ts.users {
                 t.clients = u;

@@ -4,6 +4,11 @@
 //! [`TenantArbiter`](elastic_core::TenantArbiter). This module holds
 //! the configuration and the per-tenant output; the lifecycle that runs
 //! them (resident or churned, sim or threads) lives in [`crate::churn`].
+//! A single-instance [`run`](crate::run) is that lifecycle's one-tenant
+//! case: each tenant is a [`RunConfig`] (the run's
+//! [`MultiTenantConfig::base`] with the tenant's allocation, clients and
+//! workload), and the output records everything a
+//! [`RunOutput`](crate::RunOutput) reports.
 //!
 //! This is the harness half of the ROADMAP's *SAM* / *OLTP on Hardware
 //! Islands* direction: every tenant runs the paper's control loop
@@ -14,11 +19,14 @@
 //! latency are measurable (the `mt_*` scenarios in `emca-bench`).
 
 use crate::backend::Backend;
-use crate::config::{RunConfig, Warmup};
-use elastic_core::{ArbiterMode, Policy, PolicyId, SlaCappedPolicy, SlaPolicy};
+use crate::config::{Alloc, RunConfig};
+use elastic_core::{ArbiterMode, Policy, PolicyId, SlaCappedPolicy, SlaPolicy, TransitionEvent};
 use emca_metrics::{SimDuration, SimTime, TimeSeries};
+use numa_sim::HwSnapshot;
+use os_sim::{SchedStats, SchedTrace};
 use volcano_db::client::Workload;
-use volcano_db::exec::engine::{Flavor, QueryResult};
+use volcano_db::exec::engine::{EngineStats, Flavor, QueryResult};
+use volcano_db::exec::tomograph::Tomograph;
 use volcano_db::exec::FaultPlan;
 use volcano_db::tpch::TpchData;
 
@@ -31,8 +39,10 @@ pub struct TenantRunConfig {
     pub workload: Workload,
     /// Concurrent clients.
     pub clients: usize,
-    /// Placement policy of the tenant's mechanism.
-    pub policy: PolicyId,
+    /// The tenant's allocation: its mechanism's placement policy, or
+    /// [`Alloc::OsAll`] for no mechanism (the whole machine on sim, a
+    /// worker per client on threads).
+    pub policy: Alloc,
     /// SLA budgets; [`SlaPolicy::unconstrained`] runs the bare policy.
     pub sla: SlaPolicy,
     /// Fair-share weight / priority rank for the arbiter.
@@ -51,7 +61,7 @@ impl TenantRunConfig {
             name: name.into(),
             workload,
             clients,
-            policy: PolicyId::Adaptive,
+            policy: Alloc::Adaptive,
             sla: SlaPolicy::unconstrained(),
             weight: 1,
             start_after: SimDuration::ZERO,
@@ -60,7 +70,7 @@ impl TenantRunConfig {
 
     /// Sets the placement policy.
     pub fn with_policy(mut self, policy: PolicyId) -> Self {
-        self.policy = policy;
+        self.policy = policy.into();
         self
     }
 
@@ -92,33 +102,22 @@ impl TenantRunConfig {
 /// Full description of one multi-tenant run.
 #[derive(Clone, Debug)]
 pub struct MultiTenantConfig {
-    /// Engine flavor (shared by every tenant).
-    pub flavor: Flavor,
+    /// What every tenant's instance is built from: `flavor`, `scale`,
+    /// `deadline`, `sample_every`, `mech_interval`, `mech_guard`,
+    /// `metric`, `warmup`, `custom_policy`, `trace_sched`, `backend` and
+    /// `faults` apply to the run as a whole (each tenant loads its own
+    /// copy of the data; the fault plan is armed on every engine);
+    /// `alloc`, `clients` and `workload` are each tenant's own.
+    pub base: RunConfig,
     /// How the arbiter resolves contention.
     pub arbiter: ArbiterMode,
     /// The tenants.
     pub tenants: Vec<TenantRunConfig>,
-    /// Database scale (each tenant loads its own copy).
-    pub scale: volcano_db::tpch::TpchScale,
-    /// Safety cap on simulated time.
-    pub deadline: SimDuration,
-    /// Time-series sampling interval.
-    pub sample_every: SimDuration,
-    /// Pinned mechanism control interval (`None` = adaptive).
-    pub mech_interval: Option<SimDuration>,
-    /// Base-data placement (identical for every tenant).
-    pub warmup: Warmup,
     /// How long the simulation keeps ticking after the last client
     /// finishes. The mechanisms keep polling during the drain, so
     /// post-completion core release (reclaim latency) stays observable
     /// even for the tenant that finishes last.
     pub drain: SimDuration,
-    /// Execution backend (simulated workers vs real OS threads).
-    pub backend: Backend,
-    /// Deterministic fault-injection plan, applied identically to every
-    /// tenant's engine. `None` (the default) keeps the fault plane
-    /// inert.
-    pub faults: Option<FaultPlan>,
     /// Serverless churn: cap on *simultaneously resident* tenants.
     /// `Some(_)` switches the lifecycle to churn — tenants are admitted
     /// at their `start_after` arrival (queueing when the machine is
@@ -138,18 +137,12 @@ impl MultiTenantConfig {
     /// A config over the given tenants with runner defaults.
     pub fn new(arbiter: ArbiterMode, tenants: Vec<TenantRunConfig>) -> Self {
         assert!(!tenants.is_empty(), "need at least one tenant");
+        let first = &tenants[0];
         MultiTenantConfig {
-            flavor: Flavor::MonetDb,
+            base: RunConfig::new(first.policy, first.clients, first.workload.clone()),
             arbiter,
             tenants,
-            scale: volcano_db::tpch::TpchScale::harness_default(),
-            deadline: SimDuration::from_secs(600),
-            sample_every: SimDuration::from_millis(100),
-            mech_interval: None,
-            warmup: Warmup::default(),
             drain: SimDuration::ZERO,
-            backend: Backend::default(),
-            faults: None,
             resident_cap: None,
             static_partition: false,
         }
@@ -178,7 +171,7 @@ impl MultiTenantConfig {
             every > SimDuration::ZERO,
             "sample interval must be positive"
         );
-        self.sample_every = every;
+        self.base.sample_every = every;
         self
     }
 
@@ -191,25 +184,25 @@ impl MultiTenantConfig {
 
     /// Switches the database scale.
     pub fn with_scale(mut self, scale: volcano_db::tpch::TpchScale) -> Self {
-        self.scale = scale;
+        self.base = self.base.with_scale(scale);
         self
     }
 
     /// Pins the mechanism control interval.
     pub fn with_mech_interval(mut self, interval: SimDuration) -> Self {
-        self.mech_interval = Some(interval);
+        self.base = self.base.with_mech_interval(interval);
         self
     }
 
     /// Switches the engine flavor.
     pub fn with_flavor(mut self, flavor: Flavor) -> Self {
-        self.flavor = flavor;
+        self.base = self.base.with_flavor(flavor);
         self
     }
 
     /// Switches the execution backend.
     pub fn with_backend(mut self, backend: Backend) -> Self {
-        self.backend = backend;
+        self.base = self.base.with_backend(backend);
         self
     }
 
@@ -217,8 +210,19 @@ impl MultiTenantConfig {
     /// engine. Empty plans are kept as `None` so the fault plane stays
     /// inert.
     pub fn with_faults(mut self, plan: FaultPlan) -> Self {
-        self.faults = (!plan.is_empty()).then_some(plan);
+        self.base = self.base.with_faults(plan);
         self
+    }
+
+    /// One tenant's slice of this run: [`MultiTenantConfig::base`] with
+    /// the tenant's allocation, clients and workload.
+    pub(crate) fn instance(&self, tenant: &TenantRunConfig) -> RunConfig {
+        RunConfig {
+            alloc: tenant.policy,
+            clients: tenant.clients,
+            workload: tenant.workload.clone(),
+            ..self.base.clone()
+        }
     }
 }
 
@@ -242,6 +246,12 @@ pub struct TenantOutput {
     pub sla_violations: u64,
     /// Mechanism control steps executed.
     pub control_steps: u64,
+    /// The tenant's engine counters, taken when it retired.
+    pub engine: EngineStats,
+    /// The tenant's mechanism transition log (empty without one).
+    pub transitions: Vec<TransitionEvent>,
+    /// The tenant's per-operator statistics.
+    pub tomograph: Tomograph,
 }
 
 impl TenantOutput {
@@ -395,6 +405,22 @@ pub struct MultiTenantOutput {
     /// shared error sink loses tenant attribution). Empty on fault-free
     /// runs — a failed query never silently aliases an unfinished one.
     pub errors: Vec<String>,
+    /// Hardware counters after the t=0 admission pass (zero on threads,
+    /// which read no hardware counters).
+    pub hw_before: HwSnapshot,
+    /// Hardware counters at the end of the run.
+    pub hw_after: HwSnapshot,
+    /// Scheduler statistics of the shared kernel (default on threads).
+    pub sched: SchedStats,
+    /// Machine-wide memory throughput (GB/s), one series per socket,
+    /// sampled with the per-tenant series (empty on threads).
+    pub imc_series: Vec<TimeSeries>,
+    /// Machine-wide HT traffic (GB/s; empty on threads).
+    pub ht_series: TimeSeries,
+    /// Scheduler spans when [`RunConfig::trace_sched`] is set: the
+    /// simulated kernel's trace, or on threads the host CPUs the pool
+    /// workers were seen on.
+    pub trace: Option<SchedTrace>,
 }
 
 impl MultiTenantOutput {
@@ -431,36 +457,20 @@ impl TenantOutput {
     /// The record of a tenant admitted at `started_at`: named empty
     /// series, nothing completed yet.
     pub(crate) fn begin(config: &TenantRunConfig, started_at: SimTime) -> Self {
-        let series = |what: &str| TimeSeries::new(format!("{}_{what}", config.name));
         TenantOutput {
             config: config.clone(),
             results: Vec::new(),
-            cores_series: series("cores"),
-            load_series: series("load"),
-            qps_series: series("qps"),
+            cores_series: TimeSeries::new("cores"),
+            load_series: TimeSeries::new("cpu_load"),
+            qps_series: TimeSeries::new("qps"),
             started_at,
             finished_at: started_at,
             sla_violations: 0,
             control_steps: 0,
+            engine: EngineStats::default(),
+            transitions: Vec::new(),
+            tomograph: Tomograph::default(),
         }
-    }
-}
-
-impl MultiTenantConfig {
-    /// One tenant's slice of this run as the single-instance
-    /// [`RunConfig`] the shared engine/mechanism builders take.
-    pub(crate) fn instance(&self, tenant: &TenantRunConfig) -> RunConfig {
-        let mut rc = RunConfig::new(
-            tenant.policy.into(),
-            tenant.clients,
-            tenant.workload.clone(),
-        )
-        .with_flavor(self.flavor)
-        .with_scale(self.scale)
-        .with_warmup(self.warmup);
-        rc.mech_interval = self.mech_interval;
-        rc.faults = self.faults.clone();
-        rc
     }
 }
 
@@ -515,6 +525,42 @@ mod tests {
             assert!(t.control_steps > 0, "mechanism must run");
         }
         assert!(out.tenant("a").is_some() && out.tenant("missing").is_none());
+    }
+
+    #[test]
+    fn tenants_carry_their_engine_counters_and_transitions() {
+        let data = tiny_data();
+        let cfg = MultiTenantConfig::new(
+            ArbiterMode::FairShare,
+            vec![
+                TenantRunConfig::new("a", q6(2), 2),
+                TenantRunConfig::new("b", q6(3), 2),
+            ],
+        )
+        .with_scale(data.scale)
+        .with_mech_interval(SimDuration::from_millis(2));
+        let out = run_tenants(cfg, &data);
+        let mut completed = 0;
+        for t in &out.tenants {
+            assert!(
+                t.engine.tasks_executed > 0,
+                "{} ran no tasks",
+                t.config.name
+            );
+            assert!(
+                !t.transitions.is_empty(),
+                "{} logged no transitions",
+                t.config.name
+            );
+            completed += t.engine.queries_completed;
+        }
+        let results: usize = out.tenants.iter().map(|t| t.results.len()).sum();
+        assert_eq!(completed, results as u64, "engine counters match results");
+        // The machine-wide records a single run reports.
+        assert_eq!(out.imc_series.len(), 4, "one IMC series per socket");
+        let hw = out.hw_after.since(&out.hw_before);
+        assert!(hw.imc_bytes.iter().sum::<u64>() > 0);
+        assert!(out.trace.is_none(), "tracing is off by default");
     }
 
     #[test]
@@ -594,6 +640,9 @@ mod tests {
             finished_at: SimTime::from_secs(3),
             sla_violations: 0,
             control_steps: 0,
+            engine: EngineStats::default(),
+            transitions: Vec::new(),
+            tomograph: Tomograph::default(),
         }
     }
 
@@ -687,6 +736,9 @@ mod tests {
             finished_at: started,
             sla_violations: 0,
             control_steps: 0,
+            engine: EngineStats::default(),
+            transitions: Vec::new(),
+            tomograph: Tomograph::default(),
         };
         assert_eq!(t.wall(), SimDuration::ZERO);
         assert_eq!(t.throughput_qps(), 0.0);

@@ -74,12 +74,31 @@ pub fn lint_source(path: &str, src: &str, cfg: &Config) -> (Vec<Diagnostic>, Vec
 
 /// Walks the configured roots under `repo_root` and lints every `.rs`
 /// file. Returns an error only for environment problems (unreadable
-/// config/files) — violations are data, not errors.
+/// config/files, a config entry naming a file that does not exist) —
+/// violations are data, not errors.
 pub fn run_workspace(repo_root: &Path) -> Result<LintOutcome, String> {
     let cfg_path = repo_root.join("lint.toml");
     let cfg_src =
         std::fs::read_to_string(&cfg_path).map_err(|e| format!("{}: {e}", cfg_path.display()))?;
     let cfg = Config::parse(&cfg_src)?;
+    // An exemption or coverage entry naming a deleted file would go
+    // stale unnoticed: refuse it.
+    for (section, key) in [
+        ("determinism", "allow"),
+        ("float_ordering", "allow"),
+        ("panic_freedom", "files"),
+    ] {
+        if let Some(gone) = cfg
+            .list(section, key)
+            .iter()
+            .find(|p| !repo_root.join(p).is_file())
+        {
+            return Err(format!(
+                "{}: [{section}] {key} names {gone}, which does not exist",
+                cfg_path.display()
+            ));
+        }
+    }
 
     let mut files = Vec::new();
     for root in cfg.list("paths", "roots") {

@@ -89,3 +89,31 @@ fn run(v: &mut [f64]) {
     assert_eq!(outcome.waivers[0].2, "determinism");
     let _ = fs::remove_dir_all(&root);
 }
+
+#[test]
+fn a_table_naming_a_missing_file_is_refused() {
+    let root = scratch_repo("stale", "fn run() {}\n");
+    for (from, to) in [
+        (
+            "paths = [\"crates/demo/src\"]\nallow = []",
+            "paths = [\"crates/demo/src\"]\nallow = [\"crates/demo/src/gone.rs\"]",
+        ),
+        (
+            "[float_ordering]\nallow = []",
+            "[float_ordering]\nallow = [\"crates/demo/src/gone.rs\"]",
+        ),
+        (
+            "files = [\"crates/demo/src/lib.rs\"]",
+            "files = [\"crates/demo/src/gone.rs\"]",
+        ),
+    ] {
+        let stale = LINT_TOML.replacen(from, to, 1);
+        assert_ne!(stale, LINT_TOML, "fixture edit {from:?} must apply");
+        fs::write(root.join("lint.toml"), stale).expect("write lint.toml");
+        let Err(err) = emca_lint::run_workspace(&root) else {
+            panic!("a lint.toml entry naming a missing file must be refused ({to:?})");
+        };
+        assert!(err.contains("crates/demo/src/gone.rs"), "{err}");
+    }
+    let _ = fs::remove_dir_all(&root);
+}

@@ -14,7 +14,7 @@
 //! cargo run --release --example custom_policy -- backend=threads users=2
 //! ```
 
-use elastic_core::{AllocationMode, ModeCtx, Policy, SparseMode};
+use elastic_core::{ModeCtx, Policy, SparseMode};
 use emca_harness::{
     run, Alloc, ExperimentSpec, PolicyFactory, RunConfig, Scenario, ScenarioError, ScenarioRegistry,
 };
@@ -35,11 +35,11 @@ impl Policy for WidestFirst {
     }
 
     fn next_core(&mut self, ctx: &ModeCtx<'_>) -> Option<CoreId> {
-        AllocationMode::next_core(&mut self.grow, ctx)
+        self.grow.next_core(ctx)
     }
 
     fn release_core(&mut self, ctx: &ModeCtx<'_>) -> Option<CoreId> {
-        AllocationMode::release_core(&mut self.release, ctx)
+        self.release.release_core(ctx)
     }
     // `observe`, `shape` and `decide` keep their defaults: follow the
     // PrT net's verdict. See `elastic_core::HillClimbPolicy` for a

@@ -35,8 +35,7 @@ pub use volcano_db;
 /// Convenient re-exports for examples and downstream users.
 pub mod prelude {
     pub use elastic_core::{
-        AdaptiveMode, AllocationMode, DenseMode, ElasticMechanism, MechanismConfig, MetricKind,
-        SparseMode,
+        AdaptiveMode, DenseMode, ElasticMechanism, MechanismConfig, MetricKind, Policy, SparseMode,
     };
     pub use emca_harness::{run, run_all_allocs, run_handcoded, Alloc, RunConfig, RunOutput};
     pub use emca_metrics::{SimDuration, SimTime};

@@ -5,7 +5,7 @@
 //! partition order, so each query's result is *bitwise* identical —
 //! allocation and scheduling may only change timing.
 
-use elastic_core::{AllocationMode, ArbiterMode, Decision, DenseMode, ModeCtx, Policy, PolicyCtx};
+use elastic_core::{ArbiterMode, Decision, DenseMode, ModeCtx, Policy, PolicyCtx};
 use emca_harness::{
     run, run_tenants, Alloc, Backend, ChurnSpec, MultiTenantConfig, PolicyFactory, RunConfig,
     TenantRunConfig,
@@ -239,10 +239,10 @@ impl Policy for CountingDense {
         "counting-dense"
     }
     fn next_core(&mut self, ctx: &ModeCtx<'_>) -> Option<CoreId> {
-        AllocationMode::next_core(&mut DenseMode, ctx)
+        DenseMode.next_core(ctx)
     }
     fn release_core(&mut self, ctx: &ModeCtx<'_>) -> Option<CoreId> {
-        AllocationMode::release_core(&mut DenseMode, ctx)
+        DenseMode.release_core(ctx)
     }
     fn decide(&mut self, ctx: &PolicyCtx<'_>) -> Decision {
         self.0.fetch_add(1, Ordering::Relaxed);

@@ -55,7 +55,7 @@ fn run(mode: ArbiterMode, capped_sla: SlaPolicy, scale: TpchScale) -> MultiTenan
     .with_mech_interval(SimDuration::from_millis(1));
     // Small-scale runs finish in tens of milliseconds; the default
     // 100 ms sampling would miss them entirely.
-    cfg.sample_every = SimDuration::from_millis(1);
+    cfg.base.sample_every = SimDuration::from_millis(1);
     run_tenants(cfg, &data)
 }
 

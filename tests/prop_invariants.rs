@@ -116,11 +116,11 @@ proptest! {
     fn modes_fill_without_duplicates(start in proptest::collection::btree_set(0u16..16, 0..8),
                                      pages in proptest::collection::vec(0u64..1000, 4),
                                      which in 0usize..3) {
-        use elastic_core::{AllocationMode, DenseMode, SparseMode, AdaptiveMode, ModeCtx};
+        use elastic_core::{DenseMode, SparseMode, AdaptiveMode, ModeCtx, Policy};
         use os_sim::CoreMask;
         use numa_sim::{CoreId, Topology};
         let topo = Topology::opteron_4x4();
-        let mut mode: Box<dyn AllocationMode> = match which {
+        let mut mode: Box<dyn Policy> = match which {
             0 => Box::new(DenseMode),
             1 => Box::new(SparseMode),
             _ => Box::new(AdaptiveMode::default()),
