@@ -11,8 +11,11 @@
 //! and first core claimed at admit time), *clients started*, *finished*,
 //! *retired* (results drained, [`TenantArbiter`] registration dropped).
 //! A single-instance [`run`](crate::run) is the resident shape with one
-//! tenant. The two population shapes differ only in when those steps
-//! happen:
+//! tenant, and so is a serving run ([`run_serve`](crate::run_serve)),
+//! whose lone tenant has no clients: a front door ticks where its
+//! clients would start, its arrivals are the tenant's load, and the
+//! tenant finishes when every request is resolved or the window closes.
+//! The two population shapes differ only in when those steps happen:
 //!
 //! - **resident** (the classic `mt_*` shape, `resident_cap: None`):
 //!   every tenant is admitted at t=0 in configuration order, its
@@ -52,6 +55,7 @@
 
 use crate::backend::Backend;
 use crate::runner::{mechanism_parts, sim_kernel, start_engine};
+use crate::serve::{FrontDoor, SimSessions};
 use crate::spec::SpecError;
 use crate::tenants::{MultiTenantConfig, MultiTenantOutput, TenantOutput, TenantRunConfig};
 use elastic_core::{ElasticMechanism, TenantArbiter, TenantBinding};
@@ -376,7 +380,7 @@ impl<'a> Admissions<'a> {
 
 /// One resident tenant on the sim backend: its instance of the stack
 /// plus the cursors the loop keeps while it is installed.
-struct Resident {
+struct Resident<'d> {
     /// Index into [`MultiTenantConfig::tenants`].
     tenant: usize,
     group: os_sim::GroupId,
@@ -389,6 +393,9 @@ struct Resident {
     slot: usize,
     logs: Vec<SharedLog>,
     client_tids: Vec<Tid>,
+    /// The front door driving a serving tenant open-loop, with the logs
+    /// of the one-shot sessions its attempts ran in (by attempt id).
+    door: Option<(&'d mut FrontDoor, Vec<Option<SharedLog>>)>,
     load_sampler: os_sim::LoadSampler,
     /// The record being written (series so far; closed by `retire`).
     out: TenantOutput,
@@ -402,7 +409,7 @@ struct Resident {
     finished_at: Option<SimTime>,
 }
 
-impl Resident {
+impl Resident<'_> {
     fn start_clients(&mut self, kernel: &mut Kernel, tcfg: &TenantRunConfig, now: SimTime) {
         let before = kernel.n_threads();
         self.logs = spawn_clients(
@@ -419,11 +426,57 @@ impl Resident {
         self.started_at = Some(now);
     }
 
+    /// Whether the tenant's clients have all finished. A serving tenant
+    /// has none; it finishes with its door ([`Resident::tick_door`]).
+    fn clients_done(&self, kernel: &Kernel) -> bool {
+        let finished = |&tid: &Tid| kernel.thread_state(tid) == ThreadState::Finished;
+        self.door.is_none() && self.started_at.is_some() && self.client_tids.iter().all(finished)
+    }
+
+    /// Steps a serving tenant's door at `now` — the tenant finishes with
+    /// it — and feeds its completed responses and its queue depth (which
+    /// only a step changes) to the mechanism before the next poll.
+    fn tick_door(&mut self, kernel: &mut Kernel, now: SimTime) {
+        let Some((door, sessions)) = self.door.as_mut().filter(|_| self.finished_at.is_none())
+        else {
+            return;
+        };
+        let mut attempts = SimSessions {
+            kernel,
+            group: self.group,
+            engine: &self.engine,
+            sessions,
+        };
+        self.finished_at = door.step(now, &mut attempts);
+        if let Some(m) = self.mechanism.as_mut() {
+            door.responses.iter().for_each(|&r| m.note_response(r));
+            m.note_queue_depth(door.queue_depth());
+        }
+        self.window_completions += door.responses.len() as u64;
+    }
+
+    /// One point of each tenant series (and of the door's queue series)
+    /// at `now`, closing the `dt`-second window.
+    fn sample(&mut self, kernel: &Kernel, now: SimTime, dt: f64) {
+        let out = &mut self.out;
+        out.cores_series
+            .push(now, kernel.group_mask(self.group).count() as f64);
+        let sample = self.load_sampler.sample(kernel);
+        out.load_series.push(now, sample.group_load_pct());
+        out.qps_series
+            .push(now, self.window_completions as f64 / dt);
+        self.window_completions = 0;
+        if let Some((door, _)) = self.door.as_mut() {
+            door.sample(now);
+        }
+    }
+
     /// Closes the tenant's record: results and errors drained, engine
     /// counters and transition log taken, its arbiter registration
     /// dropped so its cores return to the free pool. The departed group
     /// keeps its (now inert) workers; they are blocked with no
-    /// submitters, so they never contend for the reclaimed cores.
+    /// submitters, so they never contend for the reclaimed cores. A
+    /// serving tenant's requests are accounted in its door's records.
     fn retire(
         self,
         arbiter: &elastic_core::SharedArbiter,
@@ -508,8 +561,19 @@ pub(crate) fn socket_series(n_sockets: usize) -> Vec<TimeSeries> {
 /// `static_partition` set the population churns; otherwise every tenant
 /// is resident from the start (see the module docs).
 pub fn run_tenants_churn(config: MultiTenantConfig, data: &TpchData) -> MultiTenantOutput {
+    run_lifecycle(config, data, None)
+}
+
+/// The lifecycle on the backend `config.base` names. `door`, when
+/// given, drives the first tenant admitted — a serving run's lone,
+/// clientless tenant — open-loop ([`crate::serve::run_serve`]).
+pub(crate) fn run_lifecycle(
+    config: MultiTenantConfig,
+    data: &TpchData,
+    mut door: Option<&mut FrontDoor>,
+) -> MultiTenantOutput {
     if config.base.backend == Backend::Threads {
-        return crate::runner_threads::run_tenants_threads(config, data);
+        return crate::runner_threads::run_tenants_threads(config, data, door);
     }
     let mut kernel = sim_kernel();
     if config.base.trace_sched {
@@ -527,7 +591,6 @@ pub fn run_tenants_churn(config: MultiTenantConfig, data: &TpchData) -> MultiTen
     // a walk over every tenant would visit them.
     let mut lives: Vec<Resident> = Vec::new();
     let mut outputs: Vec<Option<TenantOutput>> = (0..n).map(|_| None).collect();
-    let mut n_finished = 0usize;
     let mut errors: Vec<String> = Vec::new();
     let mut arbiter_ticks = 0u64;
     let mut arbiter_ns = 0u64;
@@ -536,7 +599,6 @@ pub fn run_tenants_churn(config: MultiTenantConfig, data: &TpchData) -> MultiTen
     let deadline = start + config.base.deadline;
     let mut next_sample = start + config.base.sample_every;
     let mut drained_from: Option<SimTime> = None;
-    let mut last_finish: Option<SimTime> = None;
     let mut machine: Option<MachineSeries> = None;
 
     loop {
@@ -551,15 +613,8 @@ pub fn run_tenants_churn(config: MultiTenantConfig, data: &TpchData) -> MultiTen
         let mut k = 0;
         while k < lives.len() {
             let l = &mut lives[k];
-            if l.finished_at.is_none()
-                && l.started_at.is_some()
-                && l.client_tids
-                    .iter()
-                    .all(|&tid| kernel.thread_state(tid) == ThreadState::Finished)
-            {
+            if l.finished_at.is_none() && l.clients_done(&kernel) {
                 l.finished_at = Some(now);
-                last_finish = Some(now);
-                n_finished += 1;
             }
             if churn && l.finished_at.is_some() {
                 let l = lives.remove(k);
@@ -615,6 +670,7 @@ pub fn run_tenants_churn(config: MultiTenantConfig, data: &TpchData) -> MultiTen
                 slot,
                 logs: Vec::new(),
                 client_tids: Vec::new(),
+                door: door.take().map(|door| (door, Vec::new())),
                 load_sampler: os_sim::LoadSampler::new(&kernel, group),
                 out: TenantOutput::begin(tcfg, now),
                 seen: Vec::new(),
@@ -629,16 +685,18 @@ pub fn run_tenants_churn(config: MultiTenantConfig, data: &TpchData) -> MultiTen
             let at = lives.partition_point(|l| l.tenant < i);
             lives.insert(at, resident);
         }
-        // A resident tenant's `start_after` delays only its clients.
+        // A resident tenant's `start_after` delays only its clients; a
+        // serving tenant's door ticks where clients would start.
         for l in &mut lives {
             let tcfg = &config.tenants[l.tenant];
             if l.started_at.is_none() && now.since(start) >= tcfg.start_after {
                 l.start_clients(&mut kernel, tcfg, now);
             }
+            l.tick_door(&mut kernel, now);
         }
         let machine = machine.get_or_insert_with(|| MachineSeries::open(&kernel));
 
-        if n_finished == n {
+        if !admissions.pending() && lives.iter().all(|l| l.finished_at.is_some()) {
             let from = *drained_from.get_or_insert(now);
             if now.since(from) >= config.drain {
                 break;
@@ -679,20 +737,14 @@ pub fn run_tenants_churn(config: MultiTenantConfig, data: &TpchData) -> MultiTen
             let dt = config.base.sample_every.as_secs_f64();
             machine.sample(&kernel, now, dt);
             for l in &mut lives {
-                l.out
-                    .cores_series
-                    .push(now, kernel.group_mask(l.group).count() as f64);
-                let sample = l.load_sampler.sample(&kernel);
-                l.out.load_series.push(now, sample.group_load_pct());
-                l.out.qps_series.push(now, l.window_completions as f64 / dt);
-                l.window_completions = 0;
+                l.sample(&kernel, now, dt);
             }
             next_sample = now + config.base.sample_every;
         }
     }
     let end = kernel.now();
     assert!(
-        n_finished == n,
+        !admissions.pending() && lives.iter().all(|l| l.finished_at.is_some()),
         "{}",
         crate::timing::RunAborted {
             label: "run".to_string(),
@@ -711,11 +763,13 @@ pub fn run_tenants_churn(config: MultiTenantConfig, data: &TpchData) -> MultiTen
         (arb.denials, arb.yields)
     };
     let machine = machine.expect("the first pass opened the machine series");
+    let tenants: Vec<TenantOutput> = outputs.into_iter().flatten().collect();
+    // Start → last completion; the drain window is measurement-only time
+    // and does not count.
+    let last_finish = tenants.iter().map(|t| t.finished_at).max();
     MultiTenantOutput {
-        tenants: outputs.into_iter().flatten().collect(),
-        // Start → last completion; the drain window is measurement-only
-        // time and does not count.
         wall: last_finish.unwrap_or(end).since(start),
+        tenants,
         ntotal,
         arbiter_denials: denials,
         arbiter_yields: yields,

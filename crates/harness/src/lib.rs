@@ -16,8 +16,9 @@
 //!   the `emca` CLI lists and runs; user scenarios register the same
 //!   way;
 //! - [`serve`] — the serving layer (`emca serve_*`): an open-loop load
-//!   generator ([`ArrivalSchedule`]), an [`AdmissionPolicy`] front door
-//!   and a dispatcher running admitted queries on either backend;
+//!   generator ([`ArrivalSchedule`]) and an [`AdmissionPolicy`] front
+//!   door whose admitted queries are the load of a one-tenant lifecycle
+//!   run ([`churn`]) on either backend;
 //! - [`timing`] — wall-clock budgets and the only environment reads
 //!   (run budget, run deadline, threads pool width).
 

@@ -5,8 +5,8 @@
 //! live here too.
 
 use crate::config::{Alloc, RunConfig};
-use crate::tenants::{MultiTenantConfig, MultiTenantOutput, TenantRunConfig};
-use elastic_core::{ArbiterMode, MechanismConfig, Policy, PolicyId, TransitionEvent};
+use crate::tenants::{MultiTenantConfig, MultiTenantOutput};
+use elastic_core::{MechanismConfig, Policy, PolicyId, TransitionEvent};
 use emca_metrics::{SimDuration, TimeSeries};
 use numa_sim::{HwSnapshot, Machine, MachineConfig};
 use os_sim::{CoreMask, Kernel, KernelConfig, SchedStats, SchedTrace};
@@ -196,14 +196,7 @@ pub(crate) fn mechanism_parts(config: &RunConfig) -> Option<(Box<dyn Policy>, Me
 /// FairShare tenant of weight 1 with no SLA, whose arbitration is a
 /// no-op (it is guaranteed the whole machine and no core is foreign).
 pub fn run(config: RunConfig, data: &TpchData) -> RunOutput {
-    let tenant = TenantRunConfig {
-        policy: config.alloc,
-        ..TenantRunConfig::new("run", config.workload.clone(), config.clients)
-    };
-    let lone = MultiTenantConfig {
-        base: config.clone(),
-        ..MultiTenantConfig::new(ArbiterMode::FairShare, vec![tenant])
-    };
+    let lone = MultiTenantConfig::lone("run", &config, config.clients);
     let MultiTenantOutput {
         mut tenants,
         wall,

@@ -1,12 +1,13 @@
-//! The real-thread backend: [`run_tenants_threads`] runs the tenant
+//! The real-thread backend: `run_tenants_threads` runs the tenant
 //! lifecycle of [`crate::churn`] — and with it every single-instance
-//! [`run`](crate::run), the lifecycle's one-tenant case — on
-//! [`ParEngine`]s: dedicated OS threads doing the actual work, with the
-//! elastic mechanism actuating each tenant's worker pool instead of a
-//! simulated cpuset. The lifecycle and [`crate::serve`]'s threads
-//! dispatcher carry their engines as `Pool`s: `Pool::control` is the
-//! one measured-load → controller → park/unpark tick and `Pool::sample`
-//! the one load window.
+//! [`run`](crate::run) and every [`run_serve`](crate::run_serve), the
+//! lifecycle's one-tenant cases — on [`ParEngine`]s: dedicated OS
+//! threads doing the actual work, with the elastic mechanism actuating
+//! each tenant's worker pool instead of a simulated cpuset. Each tenant
+//! carries its engine as a `Pool`: `Pool::control` is the one
+//! measured-load → controller → park/unpark tick and `Pool::sample` the
+//! one load window. The lifecycle's loop is the backend's only driver
+//! loop, polling every `POLL`.
 //!
 //! What maps where, relative to the sim lifecycle:
 //!
@@ -30,8 +31,8 @@
 //!   pages to home) is refused up front: `ExperimentSpec::validate_backend`.
 //! - **Baseline**: an [`Alloc::OsAll`] tenant becomes "no pool
 //!   management": one always-active worker per client (never fewer than
-//!   the machine width), the thread-per-task shape the paper argues
-//!   against.
+//!   the machine width — exactly that for a clientless serving tenant),
+//!   the thread-per-task shape the paper argues against.
 //! - **Counters**: hardware series (IMC/HT) are empty and the counter
 //!   snapshots zero; CPU load and the allocated-core count are measured
 //!   for real. With [`RunConfig::with_trace`], the migration trace is
@@ -49,6 +50,7 @@
 use crate::churn::{socket_series, Admissions};
 use crate::config::{Alloc, RunConfig};
 use crate::runner::mechanism_parts;
+use crate::serve::FrontDoor;
 use crate::tenants::{MultiTenantConfig, MultiTenantOutput, TenantOutput, TenantRunConfig};
 use elastic_core::{PoolController, SharedArbiter, TenantArbiter, TenantBinding, TenantId};
 use emca_metrics::{SimDuration, SimTime, TimeSeries};
@@ -65,7 +67,7 @@ use volcano_db::exec::{BaseData, ParEngine, ParEngineConfig};
 use volcano_db::tpch::{build_query, TpchData};
 
 /// Driver poll granularity — well under the shortest control interval.
-pub(crate) const POLL: std::time::Duration = std::time::Duration::from_micros(100);
+const POLL: std::time::Duration = std::time::Duration::from_micros(100);
 
 /// Locks a mutex, recovering from poisoning: the values behind these
 /// mutexes (result vectors, completion stamps) are only appended to, so
@@ -77,7 +79,7 @@ fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
 
 /// Machine width the pool mirrors (the simulated Opteron's 16 cores),
 /// unless `EMCA_THREADS` caps it.
-pub(crate) fn capacity() -> usize {
+fn capacity() -> usize {
     crate::timing::pool_width(MachineConfig::opteron_4x4().topology.n_cores())
 }
 
@@ -93,7 +95,7 @@ fn wall_deadline(configured: SimDuration) -> SimDuration {
 }
 
 /// Wall time since `t0` on the simulation-time axis.
-pub(crate) fn wall_now(t0: Instant) -> SimTime {
+fn wall_now(t0: Instant) -> SimTime {
     SimTime::ZERO + SimDuration::from_nanos(t0.elapsed().as_nanos() as u64)
 }
 
@@ -106,18 +108,13 @@ fn load_pct(busy_delta: u64, active: usize, dt_ns: u64) -> f64 {
     (busy_delta as f64 / (active as f64 * dt_ns as f64) * 100.0).clamp(0.0, 100.0)
 }
 
-/// A tenant's side of its pool's controller: the SLA budgets that
-/// govern its policy and its handle on the shared arbiter.
-pub(crate) type Tenancy<'a> = (&'a TenantRunConfig, TenantBinding);
-
-/// One worker pool under elastic control — what every threads driver
-/// (closed loop, tenants, serve) carries per engine: the controller's
-/// cadence and the busy-time and completion cursors its windows are
-/// measured from.
-pub(crate) struct Pool {
-    pub engine: Arc<ParEngine>,
+/// One worker pool under elastic control — what the lifecycle carries
+/// per tenant engine: the controller's cadence and the busy-time and
+/// completion cursors its windows are measured from.
+struct Pool {
+    engine: Arc<ParEngine>,
     /// `None` = unmanaged (the OS baseline, a static partition).
-    pub controller: Option<PoolController>,
+    controller: Option<PoolController>,
     next_control: SimTime,
     ctl_busy: u64,
     ctl_completed: u64,
@@ -128,29 +125,29 @@ pub(crate) struct Pool {
 
 impl Pool {
     /// An `n_workers`-wide engine over `base` with the run's fault plan
-    /// armed. `elastic` pools run the [`PoolController`] that
-    /// [`mechanism_parts`] describes (the tenant's governed policy under
-    /// `tenancy`) from its initial mask; unmanaged ones start fully
-    /// active. Control and load windows open at `since`.
-    pub(crate) fn start(
+    /// armed. A pool with a `tenancy` — the tenant, whose SLA budgets
+    /// govern its policy, and its handle on the shared arbiter; every
+    /// elastic pool is a registered tenant — runs the [`PoolController`]
+    /// that [`mechanism_parts`] describes from its initial mask; an
+    /// unmanaged one starts fully active. Control and load windows open
+    /// at `since`.
+    fn start(
         n_workers: usize,
-        elastic: bool,
         base: Arc<BaseData>,
         run: &RunConfig,
         since: SimTime,
-        tenancy: Option<Tenancy<'_>>,
+        tenancy: Option<(&TenantRunConfig, TenantBinding)>,
     ) -> Self {
-        let parts = if elastic { mechanism_parts(run) } else { None };
-        let controller = parts.map(|(policy, mut cfg)| {
+        let controller = tenancy.and_then(|(tenant, binding)| {
+            let (policy, mut cfg) = mechanism_parts(run)?;
             // Busy time is the only load signal a pool has, whatever
             // `run.metric` asks the simulator to drive the net with.
             cfg.thresholds = Thresholds::cpu_load_default();
             let topology = PoolController::mirror(n_workers as u32);
-            let (policy, binding) = match tenancy {
-                Some((tenant, binding)) => (tenant.governed(policy, &topology), Some(binding)),
-                None => (policy, None),
-            };
-            PoolController::install(policy, &cfg, topology, binding, since)
+            let (policy, binding) = (tenant.governed(policy, &topology), Some(binding));
+            Some(PoolController::install(
+                policy, &cfg, topology, binding, since,
+            ))
         });
         let engine = Arc::new(ParEngine::new(
             ParEngineConfig {
@@ -191,14 +188,14 @@ impl Pool {
 
     /// Whether a control step is due at `now` — the only calls to
     /// [`Pool::control`] that run one.
-    pub(crate) fn control_due(&self, now: SimTime) -> bool {
+    fn control_due(&self, now: SimTime) -> bool {
         self.controller.is_some() && now >= self.next_control
     }
 
     /// Runs one control step if one is due ([`Pool::control_due`]):
     /// measured load and completions since the previous step →
     /// controller → actuation.
-    pub(crate) fn control(&mut self, now: SimTime, queue_depth: u64) {
+    fn control(&mut self, now: SimTime, queue_depth: u64) {
         if !self.control_due(now) {
             return;
         }
@@ -230,7 +227,7 @@ impl Pool {
 
     /// CPU load (%) over the window since the previous sample, and that
     /// window's length.
-    pub(crate) fn sample(&mut self, now: SimTime) -> (f64, SimDuration) {
+    fn sample(&mut self, now: SimTime) -> (f64, SimDuration) {
         let busy = self.engine.busy_ns();
         let window = now.since(self.sample_at);
         let u = load_pct(
@@ -351,15 +348,12 @@ fn parse_worker_stat(stat: &str) -> WorkerStat {
 /// Spawns one OS thread per client running the workload's phases; every
 /// client of a barrier group finishes phase `p` before any starts
 /// `p + 1`, mirroring the simulated clients' phase barrier.
-#[allow(clippy::too_many_arguments)]
 fn spawn_client_threads(
     engine: &Arc<ParEngine>,
     workload: &volcano_db::client::Workload,
     clients: usize,
     start_after: std::time::Duration,
-    sinks: &ClientSinks,
-    remaining: &Arc<AtomicUsize>,
-    errors: &Arc<Mutex<Vec<String>>>,
+    sinks: &Arc<ClientSinks>,
     t0: Instant,
 ) -> Vec<std::thread::JoinHandle<()>> {
     let barrier = Arc::new(Barrier::new(clients));
@@ -368,10 +362,7 @@ fn spawn_client_threads(
             let engine = Arc::clone(engine);
             let phases = materialize_phases(workload, idx);
             let barrier = Arc::clone(&barrier);
-            let results = Arc::clone(&sinks.results);
-            let remaining = Arc::clone(remaining);
-            let finished_at = Arc::clone(&sinks.finished_at);
-            let errors = Arc::clone(errors);
+            let sinks = Arc::clone(sinks);
             std::thread::Builder::new()
                 .name(format!("emca-client{idx}"))
                 .spawn(move || {
@@ -398,16 +389,11 @@ fn spawn_client_threads(
                             }
                         }
                     }
-                    lock(&results).extend(mine);
+                    lock(&sinks.results).extend(mine);
                     if let Some(e) = failed {
-                        lock(&errors).push(e);
+                        lock(&sinks.errors).push(e);
                     }
-                    let now = wall_now(t0);
-                    let mut last = lock(&finished_at);
-                    if now > *last {
-                        *last = now;
-                    }
-                    remaining.fetch_sub(1, Ordering::SeqCst);
+                    sinks.finish(wall_now(t0));
                 })
                 // emca-lint: allow(panic-freedom) — construction-time spawn failure (thread exhaustion) happens before the run starts; nothing to degrade to
                 .expect("spawn client thread")
@@ -415,42 +401,39 @@ fn spawn_client_threads(
         .collect()
 }
 
-/// Client-side sinks shared between a pool's client threads and the
+/// One tenant's sinks, shared between its client threads and the
 /// driver.
 #[derive(Default)]
 struct ClientSinks {
-    results: Arc<Mutex<Vec<QueryResult>>>,
-    finished_at: Arc<Mutex<SimTime>>,
+    results: Mutex<Vec<QueryResult>>,
+    /// `"client <n>: <error>"` per failed client.
+    errors: Mutex<Vec<String>>,
+    /// The latest finish stamp.
+    finished_at: Mutex<SimTime>,
+    /// Clients still running; a serving tenant's door counts as one.
+    remaining: AtomicUsize,
 }
 
 impl ClientSinks {
-    /// Every result the (joined) clients produced.
-    fn into_results(self) -> Vec<QueryResult> {
-        match Arc::try_unwrap(self.results) {
-            Ok(m) => m.into_inner().unwrap_or_else(PoisonError::into_inner),
-            // Clients have all joined; a straggler Arc clone would be a
-            // driver bug, but drain the data rather than unwind.
-            Err(arc) => std::mem::take(&mut *lock(&arc)),
+    /// One client (or the door) finished at `now`.
+    fn finish(&self, now: SimTime) {
+        let mut last = lock(&self.finished_at);
+        if now > *last {
+            *last = now;
         }
+        self.remaining.fetch_sub(1, Ordering::SeqCst);
+    }
+
+    /// Whether every client (and the door) has finished.
+    fn done(&self) -> bool {
+        self.remaining.load(Ordering::SeqCst) == 0
     }
 }
 
-/// Joins client threads; a panicked client is a driver-thread tripwire.
-fn join_clients(handles: Vec<std::thread::JoinHandle<()>>) {
-    let panicked = handles
-        .into_iter()
-        .map(|h| h.join())
-        .filter(Result::is_err)
-        .count();
-    assert!(panicked == 0, "{panicked} client thread(s) panicked");
-}
-
-/// Drains the shared error sink. With a fault plan armed, failed
-/// queries are an expected outcome and surface in the run's `errors`;
-/// without one, any engine error is a real defect and trips the
-/// tripwire.
-fn take_client_errors(errors: &Mutex<Vec<String>>, faults_armed: bool) -> Vec<String> {
-    let client_errors = std::mem::take(&mut *lock(errors));
+/// The run's failed queries. With a fault plan armed, failed queries
+/// are an expected outcome and surface in the run's `errors`; without
+/// one, any engine error is a real defect and trips the tripwire.
+fn take_client_errors(client_errors: Vec<String>, faults_armed: bool) -> Vec<String> {
     assert!(
         faults_armed || client_errors.is_empty(),
         "client queries failed in the engine: {client_errors:?}"
@@ -459,8 +442,9 @@ fn take_client_errors(errors: &Mutex<Vec<String>>, faults_armed: bool) -> Vec<St
 }
 
 /// One resident tenant on the threads backend: its pool, its client
-/// threads and the record the driver keeps while it is installed.
-struct PoolSlot {
+/// threads — or the front door driving it open-loop — and the record
+/// the driver keeps while it is installed.
+struct PoolSlot<'d> {
     /// Index into [`MultiTenantConfig::tenants`].
     tenant: usize,
     pool: Pool,
@@ -468,18 +452,37 @@ struct PoolSlot {
     tid: Option<TenantId>,
     /// Resident slot (its fixed machine slice on the static baseline).
     slot: usize,
-    sinks: ClientSinks,
-    remaining: Arc<AtomicUsize>,
+    sinks: Arc<ClientSinks>,
     handles: Vec<std::thread::JoinHandle<()>>,
+    /// The front door driving a serving tenant, which has no clients.
+    door: Option<&'d mut FrontDoor>,
     /// The record being written (series and control steps so far;
     /// closed by `retire`).
     out: TenantOutput,
     sample_completed: u64,
 }
 
-impl PoolSlot {
+impl PoolSlot<'_> {
+    /// Steps a serving tenant's door at `now`; the tenant is done when
+    /// every request is resolved or the window closes.
+    fn tick_door(&mut self, now: SimTime) {
+        let Some(door) = self.door.as_mut().filter(|_| !self.sinks.done()) else {
+            return;
+        };
+        if let Some(at) = door.step(now, &mut self.pool.engine) {
+            self.sinks.finish(at);
+        }
+    }
+
+    /// A serving tenant's admission backlog — extra demand for its
+    /// controller (zero without a door).
+    fn queue_depth(&self) -> u64 {
+        self.door.as_ref().map_or(0, |door| door.queue_depth())
+    }
+
     /// One point of each tenant series: CPU load, active workers and
-    /// completions per second over the window since the previous one.
+    /// completions per second over the window since the previous one
+    /// (and the door's queue depth).
     fn sample(&mut self, now: SimTime) {
         let (u, window) = self.pool.sample(now);
         let completed = self.pool.engine.stats().queries_completed;
@@ -495,24 +498,37 @@ impl PoolSlot {
             .cores_series
             .push(now, self.pool.engine.active() as f64);
         self.out.qps_series.push(now, qps);
+        if let Some(door) = self.door.as_mut() {
+            door.sample(now);
+        }
     }
 
-    /// Closes the tenant's record: clients joined, engine counters and
-    /// transition log taken, arbiter registration dropped (its cores
-    /// redistribute exactly as on sim), and — with the slot's last pool
-    /// `Arc` going out of scope — its workers shut down.
-    fn retire(self, arbiter: &SharedArbiter) -> TenantOutput {
-        join_clients(self.handles);
+    /// Closes the tenant's record: clients joined (a panicked client is
+    /// a driver-thread tripwire), errors drained and named `"<tenant>: "`
+    /// as on sim, engine counters and transition log taken, arbiter
+    /// registration dropped (its cores redistribute exactly as on sim),
+    /// and — with the slot's last pool `Arc` going out of scope — its
+    /// workers shut down.
+    fn retire(self, arbiter: &SharedArbiter, errors: &mut Vec<String>) -> TenantOutput {
+        let joined = self.handles.into_iter().map(|h| h.join());
+        let panicked = joined.filter(Result::is_err).count();
+        assert!(panicked == 0, "{panicked} client thread(s) panicked");
         if let Some(tid) = self.tid {
             arbiter.borrow_mut().deregister(tid);
         }
+        let name = &self.out.config.name;
+        errors.extend(
+            lock(&self.sinks.errors)
+                .drain(..)
+                .map(|e| format!("{name}: {e}")),
+        );
         let finished = *lock(&self.sinks.finished_at);
         let (sla_violations, transitions) = match self.pool.controller {
             Some(c) => (c.violations(), c.events),
             None => (0, Vec::new()),
         };
         TenantOutput {
-            results: self.sinks.into_results(),
+            results: std::mem::take(&mut *lock(&self.sinks.results)),
             finished_at: finished.max(self.out.started_at),
             sla_violations,
             engine: self.pool.engine.stats(),
@@ -534,7 +550,13 @@ impl PoolSlot {
 /// traffic budgets never trip (a pool measures no interconnect). An
 /// [`Alloc::OsAll`] tenant runs unmanaged and unarbitrated. Arbitration
 /// cost is the wall-clock duration of each executed control step.
-pub fn run_tenants_threads(config: MultiTenantConfig, data: &TpchData) -> MultiTenantOutput {
+/// `door`, when given, drives the first tenant admitted (a serving run's
+/// lone tenant) as on sim.
+pub(crate) fn run_tenants_threads(
+    config: MultiTenantConfig,
+    data: &TpchData,
+    mut door: Option<&mut FrontDoor>,
+) -> MultiTenantOutput {
     let width = capacity();
     let ntotal = width as u32;
     let n = config.tenants.len();
@@ -542,7 +564,7 @@ pub fn run_tenants_threads(config: MultiTenantConfig, data: &TpchData) -> MultiT
     let arbiter = TenantArbiter::shared(config.arbiter, ntotal);
     let mut admissions = Admissions::new(&config, width);
     let churn = admissions.churn;
-    let errors = Arc::new(Mutex::new(Vec::new()));
+    let mut errors: Vec<String> = Vec::new();
 
     // The installed tenants in ascending tenant index, as on sim.
     let mut lives: Vec<PoolSlot> = Vec::new();
@@ -563,11 +585,11 @@ pub fn run_tenants_threads(config: MultiTenantConfig, data: &TpchData) -> MultiT
         // and free the slot.
         let mut k = 0;
         while k < lives.len() {
-            if churn && lives[k].remaining.load(Ordering::SeqCst) == 0 {
+            if churn && lives[k].sinks.done() {
                 let l = lives.remove(k);
                 admissions.depart(l.slot);
                 let i = l.tenant;
-                outputs[i] = Some(l.retire(&arbiter));
+                outputs[i] = Some(l.retire(&arbiter, &mut errors));
             } else {
                 k += 1;
             }
@@ -594,20 +616,19 @@ pub fn run_tenants_threads(config: MultiTenantConfig, data: &TpchData) -> MultiT
             });
             let pool = Pool::start(
                 n_workers,
-                elastic,
                 Arc::clone(&base),
                 &instance,
                 started_at,
-                tid.map(|tid| {
-                    let binding = TenantBinding::new(Rc::clone(&arbiter), tid);
-                    (tcfg, binding)
-                }),
+                tid.map(|tid| (tcfg, TenantBinding::new(Rc::clone(&arbiter), tid))),
             );
             if config.static_partition {
                 pool.engine.set_active(admissions.static_slice(slot).len());
             }
-            let sinks = ClientSinks::default();
-            let remaining = Arc::new(AtomicUsize::new(tcfg.clients));
+            let door = door.take();
+            let sinks = Arc::new(ClientSinks {
+                remaining: AtomicUsize::new(tcfg.clients + usize::from(door.is_some())),
+                ..ClientSinks::default()
+            });
             // A resident tenant's `start_after` delays only its clients.
             let handles = spawn_client_threads(
                 &pool.engine,
@@ -615,8 +636,6 @@ pub fn run_tenants_threads(config: MultiTenantConfig, data: &TpchData) -> MultiT
                 tcfg.clients,
                 std::time::Duration::from_nanos(started_at.since(now).as_nanos()),
                 &sinks,
-                &remaining,
-                &errors,
                 t0,
             );
             let at = lives.partition_point(|l| l.tenant < i);
@@ -628,8 +647,8 @@ pub fn run_tenants_threads(config: MultiTenantConfig, data: &TpchData) -> MultiT
                     tid,
                     slot,
                     sinks,
-                    remaining,
                     handles,
+                    door,
                     out: TenantOutput::begin(tcfg, started_at),
                     sample_completed: 0,
                 },
@@ -638,8 +657,7 @@ pub fn run_tenants_threads(config: MultiTenantConfig, data: &TpchData) -> MultiT
 
         // Exit before sleeping once nothing is left to run; the
         // mechanisms keep running through the drain.
-        let unfinished =
-            admissions.pending() || lives.iter().any(|l| l.remaining.load(Ordering::SeqCst) > 0);
+        let unfinished = admissions.pending() || lives.iter().any(|l| !l.sinks.done());
         if !unfinished && now >= *drain_until.get_or_insert(now + config.drain) {
             break;
         }
@@ -655,13 +673,15 @@ pub fn run_tenants_threads(config: MultiTenantConfig, data: &TpchData) -> MultiT
             }
         );
 
-        // Control steps, timed per executed step: the measured span is
-        // the full arbitration path (observe + claim/release/yield).
-        // The clock is read only around a poll with a step due.
+        // A serving tenant's requests arrive, dispatch and resolve
+        // first. Control steps are timed per executed step: the measured
+        // span is the full arbitration path (observe + claim/release/
+        // yield). The clock is read only around a poll with a step due.
         for l in &mut lives {
+            l.tick_door(now);
             if l.pool.control_due(now) {
                 let t_tick = Instant::now();
-                l.pool.control(now, 0);
+                l.pool.control(now, l.queue_depth());
                 arbiter_ns += t_tick.elapsed().as_nanos() as u64;
                 arbiter_ticks += 1;
                 l.out.control_steps += 1;
@@ -688,10 +708,10 @@ pub fn run_tenants_threads(config: MultiTenantConfig, data: &TpchData) -> MultiT
     for mut l in lives {
         l.sample(end);
         let i = l.tenant;
-        outputs[i] = Some(l.retire(&arbiter));
+        outputs[i] = Some(l.retire(&arbiter, &mut errors));
     }
 
-    let client_errors = take_client_errors(&errors, config.base.faults.is_some());
+    let errors = take_client_errors(errors, config.base.faults.is_some());
     let tenants: Vec<TenantOutput> = outputs.into_iter().flatten().collect();
     let wall = tenants
         .iter()
@@ -712,7 +732,7 @@ pub fn run_tenants_threads(config: MultiTenantConfig, data: &TpchData) -> MultiT
         arbiter_yields: yields,
         arbiter_ticks,
         arbiter_ns,
-        errors: client_errors,
+        errors,
         hw_before: no_counters.clone(),
         hw_after: no_counters,
         sched: SchedStats::default(),
@@ -752,7 +772,7 @@ mod tests {
         .with_scale(data.scale)
         .with_sample_every(SimDuration::from_micros(500))
         .with_backend(Backend::Threads);
-        let out = super::run_tenants_threads(cfg, &data);
+        let out = super::run_tenants_threads(cfg, &data, None);
         let capped = out.tenant("capped").unwrap();
         assert_eq!(capped.results.len(), 12 * 8, "the cap must not starve it");
         assert!(capped.control_steps > 0);
@@ -765,6 +785,110 @@ mod tests {
             "capped tenant ran {} workers",
             capped.cores_max()
         );
+    }
+
+    #[test]
+    fn threads_errors_name_their_tenant() {
+        // Each tenant drains its own error sink, so a multi-tenant
+        // threads run attributes every failed query as sim does.
+        use crate::{Backend, MultiTenantConfig, TenantRunConfig};
+        use elastic_core::ArbiterMode;
+        use volcano_db::client::Workload;
+        use volcano_db::exec::FaultPlan;
+        use volcano_db::tpch::{QuerySpec, TpchData, TpchScale};
+        let data = TpchData::generate(TpchScale::test_tiny());
+        let q6 = Workload::Repeat {
+            spec: QuerySpec::Q6 { variant: 0 },
+            iterations: 8,
+        };
+        let cfg = MultiTenantConfig::new(
+            ArbiterMode::FairShare,
+            vec![
+                TenantRunConfig::new("a", q6.clone(), 2),
+                TenantRunConfig::new("b", q6, 2),
+            ],
+        )
+        .with_scale(data.scale)
+        .with_faults(FaultPlan::default().with_badquery(0.5))
+        .with_backend(Backend::Threads);
+        let out = crate::run_tenants(cfg, &data);
+        assert!(!out.errors.is_empty(), "rate=0.5 must poison some queries");
+        for e in &out.errors {
+            assert!(
+                e.starts_with("a: client ") || e.starts_with("b: client "),
+                "an error must name its tenant and client: {e:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn serve_threads_accounts_for_every_request() {
+        use crate::{
+            run_serve, AdmissionSpec, Alloc, ArrivalSchedule, Backend, RequestOutcome, RunConfig,
+            ServeConfig,
+        };
+        use emca_metrics::SimDuration;
+        use volcano_db::client::Workload;
+        use volcano_db::tpch::{QuerySpec, TpchData, TpchScale};
+        let data = TpchData::generate(TpchScale::test_tiny());
+        let serve = |alloc| {
+            let base = RunConfig::new(
+                alloc,
+                0,
+                Workload::Repeat {
+                    spec: QuerySpec::Q6 { variant: 0 },
+                    iterations: 0,
+                },
+            )
+            .with_scale(data.scale)
+            .with_mech_interval(SimDuration::from_millis(5))
+            .with_backend(Backend::Threads);
+            let cfg = ServeConfig {
+                base,
+                schedule: ArrivalSchedule::poisson(200.0, SimDuration::from_millis(300), 42),
+                admission: AdmissionSpec::Limit {
+                    max_inflight: 4,
+                    queue: Some(16),
+                },
+                sla: SimDuration::from_millis(200),
+                drain: SimDuration::from_secs(2),
+                retry: None,
+                request_deadline: None,
+            };
+            run_serve(&cfg, &data)
+        };
+        for alloc in [Alloc::Adaptive, Alloc::OsAll] {
+            let out = serve(alloc);
+            let resolved: usize = [
+                RequestOutcome::Completed,
+                RequestOutcome::ShedGate,
+                RequestOutcome::ShedTimeout,
+                RequestOutcome::Unfinished,
+                RequestOutcome::Failed,
+            ]
+            .into_iter()
+            .map(|o| out.count(o))
+            .sum();
+            assert_eq!(
+                resolved, out.offered,
+                "{alloc:?}: every request needs an outcome"
+            );
+            assert_eq!(out.records.len(), out.offered);
+            assert!(out.count(RequestOutcome::Completed) > 0, "{alloc:?}");
+            assert!(!out.cores_series.is_empty() && !out.queue_series.is_empty());
+            if alloc == Alloc::OsAll {
+                // The unmanaged baseline: a machine-width pool, all of
+                // it active throughout, and no controller.
+                assert!(out.transitions.is_empty(), "baseline has no controller");
+                let width = super::capacity() as f64;
+                assert!(
+                    out.cores_series.samples().iter().all(|&(_, c)| c == width),
+                    "every worker of the {width}-wide pool stays active"
+                );
+            } else {
+                assert!(!out.transitions.is_empty(), "the controller must step");
+            }
+        }
     }
 
     /// A stat line for `comm` with `state` and `processor` in the field

@@ -1,6 +1,5 @@
-//! `emca serve` — the serving layer: an open-loop load generator, an
-//! admission controller, and a dispatcher running admitted queries on
-//! either backend.
+//! `emca serve` — the serving layer: an open-loop load generator and an
+//! admission controller whose admitted queries run on either backend.
 //!
 //! The closed-loop runners ([`crate::runner`], [`crate::runner_threads`])
 //! reproduce the paper's experiments: N clients that always have exactly
@@ -9,15 +8,18 @@
 //! that cap: requests arrive on their own schedule — Poisson or
 //! trace-driven replay, materialised up front from a pinned seed
 //! ([`ArrivalSchedule`]) — an [`AdmissionPolicy`] rules accept / queue /
-//! shed per arrival, and the dispatcher runs admitted queries on the
-//! simulated or real-thread engine. The whole request state machine —
+//! shed per arrival, and admitted queries run on the simulated or
+//! real-thread engine. The whole request state machine —
 //! arrive, admit, time out, dispatch, complete / fail / retry, deadline,
-//! window close — is one private struct, `FrontDoor`, that both
+//! window close — is one crate-private struct, `FrontDoor`, that both
 //! backends drive through a two-operation seam (submit request *i*;
-//! poll an attempt); `serve_sim` and `serve_threads` add only their
-//! clock, their engine handle and their control/sample tick. The
-//! elastic mechanism sees the admission backlog as demand
-//! ([`ElasticMechanism::note_queue_depth`] /
+//! poll an attempt). There is no serving driver: [`run_serve`] is a
+//! one-tenant run of the tenant lifecycle ([`crate::churn`]) whose
+//! tenant is driven open-loop by its door instead of by closed-loop
+//! clients, so the clock, the engine, the control tick and the samples
+//! are the lifecycle's own on either backend. The elastic mechanism
+//! sees the admission backlog as demand
+//! ([`ElasticMechanism::note_queue_depth`](elastic_core::ElasticMechanism::note_queue_depth) /
 //! [`PoolController::note_queue_depth`](elastic_core::PoolController::note_queue_depth)),
 //! so cores move between keeping the queue drained and executing
 //! admitted queries.
@@ -46,12 +48,10 @@
 //! still polled until it finishes, so the engine's result slot for it
 //! is reaped instead of leaking for the rest of the run.
 
-use crate::backend::Backend;
-use crate::config::{Alloc, RunConfig};
-use crate::runner::{mechanism_parts, sim_kernel, start_engine};
-use crate::runner_threads::{capacity, wall_now, Pool, POLL};
+use crate::config::RunConfig;
 use crate::spec::{AdmissionSpec, ArrivalSpec};
-use elastic_core::{ElasticMechanism, TransitionEvent};
+use crate::tenants::MultiTenantConfig;
+use elastic_core::TransitionEvent;
 use emca_metrics::{stats, SimDuration, SimTime, TimeSeries};
 use os_sim::{GroupId, Kernel};
 use rand::rngs::StdRng;
@@ -59,11 +59,10 @@ use rand::{RngExt, SeedableRng};
 use std::collections::VecDeque;
 use std::path::Path;
 use std::sync::Arc;
-use std::time::Instant;
 use volcano_db::client::{ClientBody, SharedLog, Workload};
 use volcano_db::exec::engine::Engine;
 use volcano_db::exec::task::QueryId;
-use volcano_db::exec::{BaseData, EngineStats, ParEngine};
+use volcano_db::exec::{EngineStats, ParEngine};
 use volcano_db::tpch::{build_query, QuerySpec, TpchData};
 
 // ---------------------------------------------------------------------------
@@ -436,10 +435,11 @@ impl RequestRecord {
 /// One serving run.
 #[derive(Clone, Debug)]
 pub struct ServeConfig {
-    /// Engine/mechanism carrier: `flavor`, `alloc`, `scale`, `warmup`,
-    /// `mech_guard`, `mech_interval`, `backend` and `sample_every` are
-    /// honoured; `clients`, `workload` and `deadline` are not — the
-    /// schedule and observation window replace them.
+    /// The lone tenant's instance, read as any run's
+    /// [`MultiTenantConfig::base`] is (`alloc` is the tenant's
+    /// allocation); `deadline` is the run-abort deadline, as for any run.
+    /// `clients` and `workload` are not honoured — the schedule replaces
+    /// them.
     pub base: RunConfig,
     /// When requests arrive and what they run.
     pub schedule: ArrivalSchedule,
@@ -534,16 +534,34 @@ impl ServeOutput {
 // The front door
 // ---------------------------------------------------------------------------
 
-/// Runs one serving experiment on the backend `cfg.base` names.
+/// Runs one serving experiment on the backend `cfg.base` names: a
+/// one-tenant resident run of the tenant lifecycle ([`crate::churn`]),
+/// the lone FairShare tenant (weight 1, no SLA, no clients) driven by a
+/// `FrontDoor` for the window plus its drain. Its arbitration is a
+/// no-op, as for a single [`run`](crate::run).
 pub fn run_serve(cfg: &ServeConfig, data: &TpchData) -> ServeOutput {
-    match cfg.base.backend {
-        Backend::Sim => serve_sim(cfg, data),
-        Backend::Threads => serve_threads(cfg, data),
+    let lone = MultiTenantConfig::lone("serve", &cfg.base, 0);
+    let mut door = FrontDoor::new(cfg, SimTime::ZERO);
+    let mut out = crate::churn::run_lifecycle(lone, data, Some(&mut door));
+    let tenant = out.tenants.pop();
+    // emca-lint: allow(panic-freedom) — driver thread after the run, every pool already shut down; the lifecycle retires each tenant it admits
+    let t = tenant.expect("a one-tenant run retires its tenant");
+    ServeOutput {
+        queue_series: std::mem::take(&mut door.queue_series),
+        records: door.close_window(),
+        offered: cfg.schedule.arrivals.len(),
+        horizon: cfg.schedule.horizon,
+        sla: cfg.sla,
+        wall: out.wall,
+        load_series: t.load_series,
+        cores_series: t.cores_series,
+        transitions: t.transitions,
+        engine: t.engine,
     }
 }
 
 /// How an engine failed an attempt.
-struct AttemptError {
+pub(crate) struct AttemptError {
     message: String,
     /// A worker death: resubmitting can land on a survivor or a
     /// watchdog respawn.
@@ -551,7 +569,7 @@ struct AttemptError {
 }
 
 /// A finished attempt as its backend saw it.
-struct Completion {
+pub(crate) struct Completion {
     /// The completion stamp the request record carries.
     at: SimTime,
     /// Engine-side response time (the sim mechanism's interval scaler
@@ -561,7 +579,7 @@ struct Completion {
 
 /// The backend half of the front door: everything the request state
 /// machine needs from an engine.
-trait Attempts {
+pub(crate) trait Attempts {
     /// Starts one attempt of request `i`; returns the attempt's id.
     fn submit(&mut self, i: usize, spec: QuerySpec) -> u64;
     /// `None` while the attempt is still running. A finished attempt is
@@ -569,13 +587,14 @@ trait Attempts {
     fn poll(&mut self, attempt: u64, now: SimTime) -> Option<Result<Completion, AttemptError>>;
 }
 
-/// The request state machine both dispatchers drive: due arrivals meet
-/// the [`AdmissionPolicy`], the FIFO queue sheds on timeout and feeds
-/// freed slots, finished attempts complete / fail / retry their
+/// The request state machine that drives a serving tenant: due arrivals
+/// meet the [`AdmissionPolicy`], the FIFO queue sheds on timeout and
+/// feeds freed slots, finished attempts complete / fail / retry their
 /// request, and the per-request deadline abandons what can no longer
-/// answer in time. The backend supplies a clock and an [`Attempts`]
-/// implementation; everything else about a request lives here.
-struct FrontDoor {
+/// answer in time. The lifecycle supplies a clock and an [`Attempts`]
+/// implementation ([`FrontDoor::step`]); everything else about a
+/// request lives here.
+pub(crate) struct FrontDoor {
     admission: Box<dyn AdmissionPolicy>,
     retry: Option<RetryPolicy>,
     /// Backoff jitter, seeded from the run seed: the *choice* of delays
@@ -596,7 +615,11 @@ struct FrontDoor {
     abandoned: Vec<u64>,
     /// Response times of the attempts that completed in the last
     /// [`tick`](FrontDoor::tick).
-    responses: Vec<SimDuration>,
+    pub(crate) responses: Vec<SimDuration>,
+    /// Start + horizon + drain: the window closes here.
+    close: SimTime,
+    /// Admission-queue depth at every sample of the tenant.
+    pub(crate) queue_series: TimeSeries,
 }
 
 impl FrontDoor {
@@ -626,12 +649,32 @@ impl FrontDoor {
             retry_at: Vec::new(),
             abandoned: Vec::new(),
             responses: Vec::new(),
+            close: start + cfg.schedule.horizon + cfg.drain,
+            queue_series: TimeSeries::new("queue"),
         }
     }
 
     /// Admission-queue depth (the controller's extra demand signal).
-    fn queue_depth(&self) -> usize {
-        self.queue.len()
+    pub(crate) fn queue_depth(&self) -> u64 {
+        self.queue.len() as u64
+    }
+
+    /// Records the queue depth at `now`.
+    pub(crate) fn sample(&mut self, now: SimTime) {
+        self.queue_series.push(now, self.queue.len() as f64);
+    }
+
+    /// The lifecycle's step: a [`tick`](FrontDoor::tick) at `now` unless
+    /// the window has closed. Returns when the door finished — every
+    /// request resolved now, or the window closed — and `None` while it
+    /// still runs; [`FrontDoor::responses`] holds what this step
+    /// completed.
+    pub(crate) fn step(&mut self, now: SimTime, engine: &mut impl Attempts) -> Option<SimTime> {
+        if now >= self.close {
+            self.responses.clear();
+            return Some(self.close);
+        }
+        self.tick(now, engine).then_some(now)
     }
 
     fn submit(&mut self, i: usize, engine: &mut impl Attempts) {
@@ -762,7 +805,7 @@ impl FrontDoor {
     /// not make the drain, requests still waiting out a retry backoff
     /// never got their next attempt, and arrivals past the close never
     /// reached the gate.
-    fn close_window(mut self) -> Vec<RequestRecord> {
+    pub(crate) fn close_window(mut self) -> Vec<RequestRecord> {
         for &i in &self.queue {
             self.records[i].outcome = RequestOutcome::ShedTimeout;
         }
@@ -785,16 +828,16 @@ impl FrontDoor {
 }
 
 /// The simulated stack as an [`Attempts`] backend: each attempt is a
-/// one-query client session spawned into the DBMS group mid-run.
-struct SimSessions {
-    kernel: Kernel,
-    group: GroupId,
-    engine: Engine,
+/// one-query client session spawned into the tenant's DBMS group mid-run.
+pub(crate) struct SimSessions<'a> {
+    pub kernel: &'a mut Kernel,
+    pub group: GroupId,
+    pub engine: &'a Engine,
     /// Session logs by attempt id; `None` once reported.
-    sessions: Vec<Option<SharedLog>>,
+    pub sessions: &'a mut Vec<Option<SharedLog>>,
 }
 
-impl Attempts for SimSessions {
+impl Attempts for SimSessions<'_> {
     fn submit(&mut self, i: usize, spec: QuerySpec) -> u64 {
         let (body, log) = ClientBody::new(
             self.engine.clone(),
@@ -856,140 +899,10 @@ impl Attempts for Arc<ParEngine> {
     }
 }
 
-impl ServeOutput {
-    /// The output of a run about to start: empty series, no records.
-    fn begin(cfg: &ServeConfig) -> Self {
-        ServeOutput {
-            records: Vec::new(),
-            offered: cfg.schedule.arrivals.len(),
-            horizon: cfg.schedule.horizon,
-            sla: cfg.sla,
-            wall: SimDuration::ZERO,
-            load_series: TimeSeries::new("cpu_load"),
-            cores_series: TimeSeries::new("cores"),
-            queue_series: TimeSeries::new("queue"),
-            transitions: Vec::new(),
-            engine: EngineStats::default(),
-        }
-    }
-
-    fn sample(&mut self, now: SimTime, load_pct: f64, cores: usize, queued: usize) {
-        self.load_series.push(now, load_pct);
-        self.cores_series.push(now, cores as f64);
-        self.queue_series.push(now, queued as f64);
-    }
-}
-
-/// The simulated dispatcher: the mechanism polls as in the closed-loop
-/// runner, with the admission-queue depth fed in as extra demand.
-fn serve_sim(cfg: &ServeConfig, data: &TpchData) -> ServeOutput {
-    let mut kernel = sim_kernel();
-    let (group, engine) = start_engine(&mut kernel, &cfg.base, data);
-    let mut mechanism = mechanism_parts(&cfg.base).map(|(policy, mech_cfg)| {
-        ElasticMechanism::install(&mut kernel, group, engine.space(), policy, mech_cfg)
-    });
-    let mut load_sampler = os_sim::LoadSampler::new(&kernel, group);
-    let mut sim = SimSessions {
-        kernel,
-        group,
-        engine,
-        sessions: Vec::new(),
-    };
-
-    let start = sim.kernel.now();
-    let cutoff = start + cfg.schedule.horizon + cfg.drain;
-    let mut door = FrontDoor::new(cfg, start);
-    let mut out = ServeOutput::begin(cfg);
-    let mut next_sample = start + cfg.base.sample_every;
-
-    let mut finished_at = cutoff;
-    while sim.kernel.now() < cutoff {
-        let now = sim.kernel.now();
-        let all_resolved = door.tick(now, &mut sim);
-        if let Some(m) = mechanism.as_mut() {
-            for &r in &door.responses {
-                m.note_response(r);
-            }
-        }
-        if all_resolved {
-            finished_at = now;
-            break;
-        }
-        sim.kernel.run_tick();
-        if let Some(m) = mechanism.as_mut() {
-            m.note_queue_depth(door.queue_depth() as u64);
-            m.poll(&mut sim.kernel);
-        }
-        if sim.kernel.now() >= next_sample {
-            let now = sim.kernel.now();
-            out.sample(
-                now,
-                load_sampler.sample(&sim.kernel).group_load_pct(),
-                sim.kernel.group_mask(group).count(),
-                door.queue_depth(),
-            );
-            next_sample = now + cfg.base.sample_every;
-        }
-    }
-    out.records = door.close_window();
-    out.wall = finished_at.since(start);
-    out.transitions = mechanism.map(|m| m.events).unwrap_or_default();
-    out.engine = sim.engine.stats();
-    out
-}
-
-/// The real-thread dispatcher: attempts are submitted to the
-/// [`ParEngine`] task queue and polled for completion; the pool's
-/// [`PoolController`](elastic_core::PoolController) parks/unparks
-/// workers, with the admission-queue depth fed in as extra demand.
-/// [`Alloc::OsAll`] is the unmanaged baseline — every worker always
-/// active, no controller.
-fn serve_threads(cfg: &ServeConfig, data: &TpchData) -> ServeOutput {
-    let width = capacity();
-    let start = SimTime::ZERO;
-    let mut pool = Pool::start(
-        width,
-        cfg.base.alloc != Alloc::OsAll,
-        Arc::new(BaseData::from_tpch(data)),
-        &cfg.base,
-        start,
-        None,
-    );
-
-    let t0 = Instant::now();
-    let cutoff = start + cfg.schedule.horizon + cfg.drain;
-    let mut door = FrontDoor::new(cfg, start);
-    let mut out = ServeOutput::begin(cfg);
-    let mut next_sample = start;
-
-    let mut finished_at = cutoff;
-    loop {
-        std::thread::sleep(POLL);
-        let now = wall_now(t0);
-        if now >= cutoff {
-            break;
-        }
-        if door.tick(now, &mut pool.engine) {
-            finished_at = now;
-            break;
-        }
-        pool.control(now, door.queue_depth() as u64);
-        if now >= next_sample {
-            let (load, _) = pool.sample(now);
-            out.sample(now, load, pool.engine.active(), door.queue_depth());
-            next_sample = now + cfg.base.sample_every;
-        }
-    }
-    out.records = door.close_window();
-    out.wall = finished_at.since(start);
-    out.transitions = pool.controller.map(|c| c.events).unwrap_or_default();
-    out.engine = pool.engine.stats();
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::Alloc;
     use volcano_db::tpch::TpchScale;
 
     #[test]

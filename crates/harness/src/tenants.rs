@@ -214,6 +214,20 @@ impl MultiTenantConfig {
         self
     }
 
+    /// The one-tenant case every single-instance run is: `base` as one
+    /// resident FairShare tenant of weight 1 with no SLA, running `base`'s
+    /// allocation and workload on `clients` clients.
+    pub(crate) fn lone(name: &str, base: &RunConfig, clients: usize) -> Self {
+        let tenant = TenantRunConfig {
+            policy: base.alloc,
+            ..TenantRunConfig::new(name, base.workload.clone(), clients)
+        };
+        MultiTenantConfig {
+            base: base.clone(),
+            ..MultiTenantConfig::new(ArbiterMode::FairShare, vec![tenant])
+        }
+    }
+
     /// One tenant's slice of this run: [`MultiTenantConfig::base`] with
     /// the tenant's allocation, clients and workload.
     pub(crate) fn instance(&self, tenant: &TenantRunConfig) -> RunConfig {
@@ -400,10 +414,10 @@ pub struct MultiTenantOutput {
     /// ticks — `arbiter_ns / arbiter_ticks` is the mean decision cost
     /// the `mt_churn` gate holds below the control interval.
     pub arbiter_ns: u64,
-    /// Query failures surfaced by the engines (`"<tenant>: <error>"` on
-    /// the sim backend, `"client <n>: <error>"` on threads, where the
-    /// shared error sink loses tenant attribution). Empty on fault-free
-    /// runs — a failed query never silently aliases an unfinished one.
+    /// Query failures surfaced by the engines, `"<tenant>: <error>"`
+    /// (on threads the error reads `"client <n>: <error>"`). Empty on
+    /// fault-free runs — a failed query never silently aliases an
+    /// unfinished one.
     pub errors: Vec<String>,
     /// Hardware counters after the t=0 admission pass (zero on threads,
     /// which read no hardware counters).
