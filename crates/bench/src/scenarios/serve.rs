@@ -66,8 +66,16 @@ pub struct Probe {
     pub mean_ms: f64,
 }
 
-/// Measures C with a short closed-loop burst (4 clients × 6 Q6 each)
-/// through the OS baseline on the spec's backend and scale.
+/// Probe bursts per calibration. One burst on real threads can read C
+/// several times too high or too low (a preempted or an unusually lucky
+/// run on a shared host); the median of five cannot be moved by one
+/// such run. The simulator repeats itself exactly, so on sim the median
+/// is every run.
+const PROBE_RUNS: usize = 5;
+
+/// Measures C with short closed-loop bursts (4 clients × 6 Q6 each)
+/// through the OS baseline on the spec's backend and scale: the burst
+/// with the median throughput, and that same burst's mean response.
 pub fn probe(spec: &ExperimentSpec, data: &TpchData) -> Probe {
     let mut cfg = spec.apply(
         RunConfig::new(
@@ -83,11 +91,17 @@ pub fn probe(spec: &ExperimentSpec, data: &TpchData) -> Probe {
     if let Some(f) = spec.flavor {
         cfg = cfg.with_flavor(f);
     }
-    let out = run_config(cfg, data);
-    Probe {
-        capacity_qps: out.throughput_qps().max(1.0),
-        mean_ms: out.mean_response().as_millis_f64().max(0.01),
-    }
+    let mut probes: Vec<Probe> = (0..PROBE_RUNS)
+        .map(|_| {
+            let out = run_config(cfg.clone(), data);
+            Probe {
+                capacity_qps: out.throughput_qps().max(1.0),
+                mean_ms: out.mean_response().as_millis_f64().max(0.01),
+            }
+        })
+        .collect();
+    probes.sort_by(|a, b| a.capacity_qps.total_cmp(&b.capacity_qps));
+    probes.swap_remove(PROBE_RUNS / 2)
 }
 
 /// One comparison series of the serve scenarios.

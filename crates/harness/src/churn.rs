@@ -4,12 +4,16 @@
 //! that describes the latter.
 //!
 //! A multi-tenant run is a set of tenants moving through one lifecycle
-//! ([`run_tenants_churn`] on sim, its mirror in
-//! [`crate::runner_threads`] on real threads, the residency rules of
-//! `Admissions` shared between them): *admitted* (a cold start — its
-//! own engine built, data loaded, workers started, mechanism installed
-//! and first core claimed at admit time), *clients started*, *finished*,
-//! *retired* (results drained, [`TenantArbiter`] registration dropped).
+//! ([`run_tenants_churn`]): *admitted* (a cold start — its own engine
+//! built, data loaded, workers started, mechanism installed and first
+//! core claimed at admit time), *clients started*, *finished*, *retired*
+//! (results drained, [`TenantArbiter`] registration dropped). The
+//! lifecycle's loop is written once, over a `Substrate` that answers
+//! what differs between backends — the clock, how a tenant is
+//! installed, polled, sampled and retired: `SimSubstrate` here (a
+//! kernel tick per pass) and `runner_threads::PoolSubstrate` on real
+//! threads (a 100 µs poll per pass). That loop is each backend's only
+//! driver loop.
 //! A single-instance [`run`](crate::run) is the resident shape with one
 //! tenant, and so is a serving run ([`run_serve`](crate::run_serve)),
 //! whose lone tenant has no clients: a front door ticks where its
@@ -47,26 +51,35 @@
 //! ([`TenantRunConfig::with_sla`]) in either shape; core budgets also
 //! reach the arbiter (BudgetCapped ceilings hold).
 //!
-//! Arbitration cost is measured for real: every control tick executed
-//! by a resident mechanism is timed on the host clock and accumulated
-//! into [`MultiTenantOutput::arbiter_ticks`] / `arbiter_ns`. The
-//! measurement never feeds back into the simulation, so sim results
-//! stay a pure function of the seed.
+//! Arbitration cost is measured for real, on both backends: every
+//! tenant poll that runs a control step is timed on the host clock and
+//! accumulated into [`MultiTenantOutput::arbiter_ticks`] /
+//! `arbiter_ns`. The measurement never feeds back into the simulation,
+//! so sim results stay a pure function of the seed. A run stops at its
+//! deadline (simulated time on sim, wall time on threads) and aborts
+//! ([`RunAborted`]) if a tenant is then unfinished or still waiting.
 
 use crate::backend::Backend;
+use crate::config::RunConfig;
 use crate::runner::{mechanism_parts, sim_kernel, start_engine};
+use crate::runner_threads::PoolSubstrate;
 use crate::serve::{FrontDoor, SimSessions};
 use crate::spec::SpecError;
 use crate::tenants::{MultiTenantConfig, MultiTenantOutput, TenantOutput, TenantRunConfig};
-use elastic_core::{ElasticMechanism, TenantArbiter, TenantBinding};
+use crate::timing::RunAborted;
+use elastic_core::{
+    ElasticMechanism, MechanismConfig, Policy, SharedArbiter, TenantArbiter, TenantBinding,
+    TenantId,
+};
 use emca_metrics::{SimDuration, SimTime, TimeSeries};
 use numa_sim::{CoreId, HwSnapshot};
-use os_sim::{CoreMask, Kernel, ThreadState, Tid};
+use os_sim::{CoreMask, GroupId, Kernel, LoadSampler, SchedStats, SchedTrace, ThreadState, Tid};
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::fmt;
+use std::ops::Range;
 use std::rc::Rc;
 // emca-lint: allow(determinism) — host-clock probe for arbitration overhead; measurement-only, never feeds a sim decision
 use std::time::Instant;
@@ -366,145 +379,557 @@ impl<'a> Admissions<'a> {
     }
 
     /// The fixed slice of the machine `slot` owns on the
-    /// static-partition baseline (the last slot takes the remainder).
-    pub(crate) fn static_slice(&self, slot: usize) -> std::ops::Range<usize> {
+    /// static-partition baseline (the last slot takes the remainder);
+    /// `None` off it.
+    pub(crate) fn static_slice(&self, slot: usize) -> Option<Range<usize>> {
         let slice = self.width / self.n_slots;
         let hi = if slot + 1 == self.n_slots {
             self.width
         } else {
             (slot + 1) * slice
         };
-        slot * slice..hi
+        self.config.static_partition.then_some(slot * slice..hi)
     }
 }
 
-/// One resident tenant on the sim backend: its instance of the stack
-/// plus the cursors the loop keeps while it is installed.
-struct Resident<'d> {
+/// The controller a managed tenant is installed under: the policy and
+/// mechanism configuration [`mechanism_parts`] describes, and the
+/// tenant's registration on the shared arbiter.
+pub(crate) type Control = (Box<dyn Policy>, MechanismConfig, TenantBinding);
+
+/// One installed tenant: the lifecycle's record of it and its half on
+/// the backend.
+pub(crate) struct Life<'d, T> {
     /// Index into [`MultiTenantConfig::tenants`].
     tenant: usize,
-    group: os_sim::GroupId,
-    engine: Engine,
-    /// `None` on the static-partition baseline.
-    mechanism: Option<ElasticMechanism>,
-    /// Arbiter registration (elastic only).
-    tid: Option<elastic_core::TenantId>,
     /// Resident slot (its fixed machine slice on the static baseline).
     slot: usize,
+    /// Arbiter registration (managed tenants only).
+    tid: Option<TenantId>,
+    /// The front door driving a serving tenant open-loop; such a tenant
+    /// has no clients and finishes with its door.
+    pub(crate) door: Option<&'d mut FrontDoor>,
+    /// The record being written (series and control steps so far;
+    /// closed at retirement).
+    pub(crate) out: TenantOutput,
+    /// When the tenant finished: its last client, or its door.
+    pub(crate) finished_at: Option<SimTime>,
+    /// The tenant on the backend.
+    pub(crate) on: T,
+}
+
+/// What a backend answers for the tenant lifecycle: its clock, how a
+/// tenant is installed, loaded, polled, sampled and retired, and what
+/// the machine recorded. [`SimSubstrate`] and
+/// [`PoolSubstrate`](crate::runner_threads::PoolSubstrate) implement it.
+pub(crate) trait Substrate {
+    /// One installed tenant's state on this backend.
+    type Tenant;
+    /// What [`RunAborted`] tells the user to raise.
+    const DEADLINE_HINT: &'static str;
+    /// Whether tenants are also sampled at the first poll and once more
+    /// before they retire at the end, so that even a wall-clock run
+    /// shorter than one sample interval leaves non-empty series.
+    const SAMPLES_AT_EDGES: bool;
+
+    /// The cores the arbiter splits and the static partitioner slices.
+    fn width(&self) -> usize;
+    /// The run-abort deadline, counted from the start.
+    fn deadline(&self) -> SimDuration;
+    /// The clock, read now (zero is the start of the run).
+    fn now(&self) -> SimTime;
+    /// Cold-starts a tenant — engine, data, workers — pinned to its
+    /// `slice` on the static baseline and under `control` when managed.
+    /// Its clients arrive at `arrives`.
+    fn install(
+        &mut self,
+        instance: &RunConfig,
+        tcfg: &TenantRunConfig,
+        slice: Option<Range<usize>>,
+        control: Option<Control>,
+        arrives: SimTime,
+    ) -> Self::Tenant;
+    /// The tenant's load arrives at `now` (nothing by default: clients
+    /// that sleep out their own delay need no call).
+    fn arrive(&mut self, _life: &mut Life<'_, Self::Tenant>, _now: SimTime) {}
+    /// When the tenant's clients all finished, once they have.
+    fn finished(&self, tenant: &Self::Tenant, now: SimTime) -> Option<SimTime>;
+    /// Moves the clock on by one tick or poll and reads it.
+    fn advance(&mut self) -> SimTime;
+    /// Whether the tenant's controller has a step due at `now`.
+    fn control_due(&self, tenant: &Self::Tenant, now: SimTime) -> bool;
+    /// Polls the tenant at `now`; returns the control steps it ran.
+    fn poll(&mut self, life: &mut Life<'_, Self::Tenant>, now: SimTime) -> u64;
+    /// Samples the machine-wide series at `now`, before the tenants.
+    fn sample_machine(&mut self, _now: SimTime) {}
+    /// Pushes one point of each of the tenant's series at `now`.
+    fn sample(&mut self, tenant: &mut Self::Tenant, out: &mut TenantOutput, now: SimTime);
+    /// Closes the backend half of the tenant's record — results, engine
+    /// counters, transition log, tomograph — and returns its failed
+    /// queries.
+    fn retire(&mut self, tenant: Self::Tenant, out: &mut TenantOutput) -> Vec<String>;
+    /// What the machine recorded over the run.
+    fn finish(self) -> MachineRecord;
+}
+
+/// The machine-wide part of a [`MultiTenantOutput`].
+pub(crate) struct MachineRecord {
+    pub(crate) hw_before: HwSnapshot,
+    pub(crate) hw_after: HwSnapshot,
+    pub(crate) sched: SchedStats,
+    pub(crate) imc_series: Vec<TimeSeries>,
+    pub(crate) ht_series: TimeSeries,
+    pub(crate) trace: Option<SchedTrace>,
+}
+
+/// Runs a multi-tenant experiment on the backend the base config names;
+/// [`crate::tenants::run_tenants`] is the same entry point and
+/// [`crate::run`] its one-tenant case. With `resident_cap` or
+/// `static_partition` set the population churns; otherwise every tenant
+/// is resident from the start (see the module docs).
+pub fn run_tenants_churn(config: MultiTenantConfig, data: &TpchData) -> MultiTenantOutput {
+    run_lifecycle(config, data, None)
+}
+
+/// The lifecycle on the backend `config.base` names. `door`, when
+/// given, drives the first tenant admitted — a serving run's lone,
+/// clientless tenant — open-loop ([`crate::serve::run_serve`]).
+pub(crate) fn run_lifecycle(
+    config: MultiTenantConfig,
+    data: &TpchData,
+    door: Option<&mut FrontDoor>,
+) -> MultiTenantOutput {
+    match config.base.backend {
+        Backend::Sim => lifecycle(SimSubstrate::new(&config.base, data), &config, door),
+        Backend::Threads => lifecycle(PoolSubstrate::new(&config.base, data), &config, door),
+    }
+}
+
+/// The tenant lifecycle on `sub` — the one driver loop of either
+/// backend. Every pass runs: deadline → completions (departures under
+/// churn) → admissions → arrivals → exit → clock → control → sample.
+/// The run stops at the deadline, and aborts ([`RunAborted`]) if a
+/// tenant is then unfinished or still waiting.
+fn lifecycle<S: Substrate>(
+    mut sub: S,
+    config: &MultiTenantConfig,
+    mut door: Option<&mut FrontDoor>,
+) -> MultiTenantOutput {
+    let width = sub.width();
+    let arbiter = TenantArbiter::shared(config.arbiter, width as u32);
+    let mut admissions = Admissions::new(config, width);
+    let churn = admissions.churn;
+
+    // The installed tenants in ascending tenant index — configuration
+    // order, so departures, control steps and samples run in the order
+    // a walk over every tenant would visit them.
+    let mut lives: Vec<Life<S::Tenant>> = Vec::new();
+    let mut outputs: Vec<Option<TenantOutput>> = config.tenants.iter().map(|_| None).collect();
+    let mut errors: Vec<String> = Vec::new();
+    let (mut arbiter_ticks, mut arbiter_ns) = (0u64, 0u64);
+
+    // Both clocks start at zero: a fresh kernel, or the wall clock since
+    // the pools' substrate was built.
+    let start = SimTime::ZERO;
+    let deadline = start + sub.deadline();
+    let every = config.base.sample_every;
+    let mut next_sample = if S::SAMPLES_AT_EDGES {
+        start
+    } else {
+        start + every
+    };
+    let mut drained_from: Option<SimTime> = None;
+    let mut now = start;
+    while now < deadline {
+        // Completions: a tenant whose clients all finished is done (a
+        // serving tenant finishes with its door); under churn it departs
+        // at once, freeing its slot and cores for redistribution.
+        let mut k = 0;
+        while k < lives.len() {
+            let l = &mut lives[k];
+            if l.finished_at.is_none() && l.door.is_none() {
+                l.finished_at = sub.finished(&l.on, now);
+            }
+            if churn && l.finished_at.is_some() {
+                let l = lives.remove(k);
+                admissions.depart(l.slot);
+                let i = l.tenant;
+                outputs[i] = Some(retire(&mut sub, l, &arbiter, &mut errors, now));
+            } else {
+                k += 1;
+            }
+        }
+
+        // Admissions, while the residency rules allow the next in line
+        // (`free_cores` is a closure so its `Ref` is gone before the body
+        // borrows the arbiter mutably).
+        let free_cores = |arbiter: &SharedArbiter| arbiter.borrow().free_cores();
+        while let Some((i, slot)) = admissions.admit(now.since(start), free_cores(&arbiter)) {
+            let tcfg = &config.tenants[i];
+            let instance = config.instance(tcfg);
+            // A tenant with a mechanism is a registered tenant; an
+            // OS-baseline tenant and the static baseline run none.
+            let parts = mechanism_parts(&instance).filter(|_| !config.static_partition);
+            let control = parts.map(|(policy, cfg)| {
+                let (name, sla) = (tcfg.name.clone(), tcfg.sla.max_cores);
+                let tid = arbiter.borrow_mut().register(name, tcfg.weight, sla);
+                (policy, cfg, TenantBinding::new(Rc::clone(&arbiter), tid))
+            });
+            let slice = admissions.static_slice(slot);
+            let arrives = now.max(start + tcfg.start_after);
+            let mut life = Life {
+                tenant: i,
+                slot,
+                tid: control.as_ref().map(|(_, _, binding)| binding.tenant),
+                door: door.take(),
+                out: TenantOutput::begin(tcfg, arrives),
+                finished_at: None,
+                on: sub.install(&instance, tcfg, slice, control, arrives),
+            };
+            // A churned tenant arrives whole: its clients come with it.
+            if churn {
+                sub.arrive(&mut life, now);
+            }
+            let at = lives.partition_point(|l| l.tenant < i);
+            lives.insert(at, life);
+        }
+        // A resident tenant's `start_after` delays only its clients; a
+        // serving tenant's door ticks where clients would start.
+        for l in &mut lives {
+            sub.arrive(l, now);
+        }
+
+        // Exit once nothing is left to run and the drain is over; the
+        // mechanisms keep running through the drain.
+        if !admissions.pending() && lives.iter().all(|l| l.finished_at.is_some()) {
+            let from = *drained_from.get_or_insert(now);
+            if now.since(from) >= config.drain {
+                break;
+            }
+        }
+        now = sub.advance();
+
+        // Control: poll each tenant, timing executed control steps on
+        // the host clock (measurement only — the elapsed time is
+        // recorded, never consulted). The clock is read only around a
+        // poll with a control step due.
+        for l in &mut lives {
+            // emca-lint: allow(determinism) — host-clock probe for arbitration overhead; measurement-only, never feeds a sim decision
+            let t_tick = sub.control_due(&l.on, now).then(Instant::now);
+            let steps = sub.poll(l, now);
+            l.out.control_steps += steps;
+            if let Some(t_tick) = t_tick.filter(|_| steps > 0) {
+                arbiter_ns += t_tick.elapsed().as_nanos() as u64;
+                arbiter_ticks += steps;
+            }
+        }
+
+        if now >= next_sample {
+            sub.sample_machine(now);
+            for l in &mut lives {
+                sample(&mut sub, l, now);
+            }
+            next_sample = now + every;
+        }
+    }
+    let end = sub.now();
+    assert!(
+        !admissions.pending() && lives.iter().all(|l| l.finished_at.is_some()),
+        "{}",
+        RunAborted {
+            label: "run".to_string(),
+            deadline_s: sub.deadline().as_secs_f64(),
+            hint: S::DEADLINE_HINT,
+        }
+    );
+    // Resident tenants close their records here, in configuration order.
+    for mut l in lives {
+        if S::SAMPLES_AT_EDGES {
+            sample(&mut sub, &mut l, end);
+        }
+        let i = l.tenant;
+        outputs[i] = Some(retire(&mut sub, l, &arbiter, &mut errors, end));
+    }
+
+    // With a fault plan armed, failed queries are an expected outcome
+    // and surface in `errors`; without one, any engine error is a real
+    // defect.
+    assert!(
+        config.base.faults.is_some() || errors.is_empty(),
+        "client queries failed in the engine: {errors:?}"
+    );
+    let arb = arbiter.borrow();
+    let tenants: Vec<TenantOutput> = outputs.into_iter().flatten().collect();
+    // Start → last completion; the drain window is measurement-only time
+    // and does not count.
+    let last_finish = tenants.iter().map(|t| t.finished_at).max();
+    let machine = sub.finish();
+    MultiTenantOutput {
+        wall: last_finish.unwrap_or(end).since(start),
+        tenants,
+        ntotal: width as u32,
+        arbiter_denials: arb.denials,
+        arbiter_yields: arb.yields,
+        arbiter_ticks,
+        arbiter_ns,
+        errors,
+        hw_before: machine.hw_before,
+        hw_after: machine.hw_after,
+        sched: machine.sched,
+        imc_series: machine.imc_series,
+        ht_series: machine.ht_series,
+        trace: machine.trace,
+    }
+}
+
+/// One point of each of `l`'s series at `now`, and of its door's queue.
+fn sample<S: Substrate>(sub: &mut S, l: &mut Life<'_, S::Tenant>, now: SimTime) {
+    sub.sample(&mut l.on, &mut l.out, now);
+    if let Some(door) = l.door.as_mut() {
+        door.sample(now);
+    }
+}
+
+/// Closes `l`'s record at `now`: its arbiter registration dropped, so
+/// its cores return to the free pool, and its failed queries named
+/// `"<tenant>: "`.
+fn retire<S: Substrate>(
+    sub: &mut S,
+    l: Life<'_, S::Tenant>,
+    arbiter: &SharedArbiter,
+    errors: &mut Vec<String>,
+    now: SimTime,
+) -> TenantOutput {
+    if let Some(tid) = l.tid {
+        arbiter.borrow_mut().deregister(tid);
+    }
+    let mut out = l.out;
+    out.finished_at = l.finished_at.unwrap_or(now);
+    let failed = sub.retire(l.on, &mut out);
+    let name = &out.config.name;
+    errors.extend(failed.into_iter().map(|e| format!("{name}: {e}")));
+    out
+}
+
+/// The simulator as the lifecycle's substrate: one kernel whose tick is
+/// the clock, each tenant an engine in its own thread group.
+struct SimSubstrate<'a> {
+    kernel: Kernel,
+    /// The deadline, the sample interval (every sample window's
+    /// length) and whether the kernel traces.
+    base: &'a RunConfig,
+    data: &'a TpchData,
+    /// Opened on the first tick, after the t=0 admission pass.
+    machine: Option<MachineSeries>,
+}
+
+/// One tenant on the simulator: its instance of the stack plus the
+/// cursors kept while it is installed.
+struct SimTenant {
+    group: GroupId,
+    engine: Engine,
+    /// `None` without a controller ([`Life::tid`]).
+    mechanism: Option<ElasticMechanism>,
+    /// When the clients are due; `None` once they started.
+    arrival: Option<SimTime>,
     logs: Vec<SharedLog>,
     client_tids: Vec<Tid>,
-    /// The front door driving a serving tenant open-loop, with the logs
-    /// of the one-shot sessions its attempts ran in (by attempt id).
-    door: Option<(&'d mut FrontDoor, Vec<Option<SharedLog>>)>,
-    load_sampler: os_sim::LoadSampler,
-    /// The record being written (series so far; closed by `retire`).
-    out: TenantOutput,
+    /// The logs of the one-shot sessions a serving tenant's door ran
+    /// its attempts in, by attempt id.
+    sessions: Vec<Option<SharedLog>>,
+    load_sampler: LoadSampler,
     /// Per-log cursors for `note_response` feeding.
     seen: Vec<usize>,
     /// Completions counted since the last sample window.
     window_completions: u64,
-    /// When the clients arrived (`None` while a resident tenant waits
-    /// out its `start_after`).
-    started_at: Option<SimTime>,
-    finished_at: Option<SimTime>,
 }
 
-impl Resident<'_> {
-    fn start_clients(&mut self, kernel: &mut Kernel, tcfg: &TenantRunConfig, now: SimTime) {
-        let before = kernel.n_threads();
-        self.logs = spawn_clients(
+impl<'a> SimSubstrate<'a> {
+    fn new(base: &'a RunConfig, data: &'a TpchData) -> Self {
+        let mut kernel = sim_kernel();
+        if base.trace_sched {
+            kernel.enable_trace();
+        }
+        SimSubstrate {
             kernel,
-            &self.engine,
-            self.group,
-            tcfg.clients,
-            tcfg.workload.clone(),
-        );
-        self.client_tids = (before as u32..kernel.n_threads() as u32)
-            .map(Tid)
-            .collect();
-        self.seen = vec![0; self.logs.len()];
-        self.started_at = Some(now);
+            base,
+            data,
+            machine: None,
+        }
+    }
+}
+
+impl Substrate for SimSubstrate<'_> {
+    type Tenant = SimTenant;
+    const DEADLINE_HINT: &'static str = "RunConfig::deadline";
+    const SAMPLES_AT_EDGES: bool = false;
+
+    fn width(&self) -> usize {
+        self.kernel.machine().topology().n_cores()
     }
 
-    /// Whether the tenant's clients have all finished. A serving tenant
-    /// has none; it finishes with its door ([`Resident::tick_door`]).
-    fn clients_done(&self, kernel: &Kernel) -> bool {
-        let finished = |&tid: &Tid| kernel.thread_state(tid) == ThreadState::Finished;
-        self.door.is_none() && self.started_at.is_some() && self.client_tids.iter().all(finished)
+    fn deadline(&self) -> SimDuration {
+        self.base.deadline
     }
 
-    /// Steps a serving tenant's door at `now` — the tenant finishes with
-    /// it — and feeds its completed responses and its queue depth (which
-    /// only a step changes) to the mechanism before the next poll.
-    fn tick_door(&mut self, kernel: &mut Kernel, now: SimTime) {
-        let Some((door, sessions)) = self.door.as_mut().filter(|_| self.finished_at.is_none())
-        else {
+    fn now(&self) -> SimTime {
+        self.kernel.now()
+    }
+
+    /// The cold start: the tenant's group and engine, its data loaded,
+    /// its workers started and its mechanism installed — which claims
+    /// its first core — at admit time.
+    fn install(
+        &mut self,
+        instance: &RunConfig,
+        tcfg: &TenantRunConfig,
+        slice: Option<Range<usize>>,
+        control: Option<Control>,
+        arrives: SimTime,
+    ) -> SimTenant {
+        let kernel = &mut self.kernel;
+        let (group, engine) = start_engine(kernel, instance, self.data);
+        if let Some(slice) = slice {
+            let cores = slice.map(|c| CoreId(c as u16));
+            kernel.set_group_mask(group, CoreMask::from_cores(cores));
+        }
+        let mechanism = control.map(|(placement, cfg, binding)| {
+            let policy = tcfg.governed(placement, kernel.machine().topology());
+            ElasticMechanism::install_tenant(kernel, group, engine.space(), policy, cfg, binding)
+        });
+        SimTenant {
+            group,
+            load_sampler: LoadSampler::new(kernel, group),
+            engine,
+            mechanism,
+            arrival: Some(arrives),
+            logs: Vec::new(),
+            client_tids: Vec::new(),
+            sessions: Vec::new(),
+            seen: Vec::new(),
+            window_completions: 0,
+        }
+    }
+
+    /// Spawns the tenant's clients once they are due, then steps a
+    /// serving tenant's door — the tenant finishes with it — and feeds
+    /// its completed responses and its queue depth (which only a step
+    /// changes) to the mechanism before the next poll.
+    fn arrive(&mut self, l: &mut Life<'_, SimTenant>, now: SimTime) {
+        let t = &mut l.on;
+        if t.arrival.is_some_and(|at| now >= at) {
+            let before = self.kernel.n_threads();
+            let (clients, workload) = (l.out.config.clients, l.out.config.workload.clone());
+            t.logs = spawn_clients(&mut self.kernel, &t.engine, t.group, clients, workload);
+            t.client_tids = (before as u32..self.kernel.n_threads() as u32)
+                .map(Tid)
+                .collect();
+            t.seen = vec![0; t.logs.len()];
+            t.arrival = None;
+            l.out.started_at = now;
+        }
+        let Some(door) = l.door.as_mut().filter(|_| l.finished_at.is_none()) else {
             return;
         };
         let mut attempts = SimSessions {
-            kernel,
-            group: self.group,
-            engine: &self.engine,
-            sessions,
+            kernel: &mut self.kernel,
+            group: t.group,
+            engine: &t.engine,
+            sessions: &mut t.sessions,
         };
-        self.finished_at = door.step(now, &mut attempts);
-        if let Some(m) = self.mechanism.as_mut() {
+        l.finished_at = door.step(now, &mut attempts);
+        if let Some(m) = t.mechanism.as_mut() {
             door.responses.iter().for_each(|&r| m.note_response(r));
             m.note_queue_depth(door.queue_depth());
         }
-        self.window_completions += door.responses.len() as u64;
+        t.window_completions += door.responses.len() as u64;
     }
 
-    /// One point of each tenant series (and of the door's queue series)
-    /// at `now`, closing the `dt`-second window.
-    fn sample(&mut self, kernel: &Kernel, now: SimTime, dt: f64) {
-        let out = &mut self.out;
-        out.cores_series
-            .push(now, kernel.group_mask(self.group).count() as f64);
-        let sample = self.load_sampler.sample(kernel);
-        out.load_series.push(now, sample.group_load_pct());
-        out.qps_series
-            .push(now, self.window_completions as f64 / dt);
-        self.window_completions = 0;
-        if let Some((door, _)) = self.door.as_mut() {
-            door.sample(now);
+    fn finished(&self, t: &SimTenant, now: SimTime) -> Option<SimTime> {
+        let done = |&tid: &Tid| self.kernel.thread_state(tid) == ThreadState::Finished;
+        (t.arrival.is_none() && t.client_tids.iter().all(done)).then_some(now)
+    }
+
+    /// One kernel tick; the machine series opens before the first.
+    fn advance(&mut self) -> SimTime {
+        if self.machine.is_none() {
+            self.machine = Some(MachineSeries::open(&self.kernel));
+        }
+        self.kernel.run_tick();
+        self.kernel.now()
+    }
+
+    fn control_due(&self, t: &SimTenant, now: SimTime) -> bool {
+        t.mechanism.as_ref().is_some_and(|m| m.control_due(now))
+    }
+
+    /// The mechanism's poll — a pending actuation applied, a due step
+    /// run — then the responses completed this tick fed to it.
+    fn poll(&mut self, l: &mut Life<'_, SimTenant>, _now: SimTime) -> u64 {
+        let t = &mut l.on;
+        let mut steps = 0;
+        if let Some(m) = t.mechanism.as_mut() {
+            let before = m.steps;
+            m.poll(&mut self.kernel);
+            steps = m.steps - before;
+        }
+        for (log, cursor) in t.logs.iter().zip(&mut t.seen) {
+            let log = log.borrow();
+            for r in &log.results[*cursor..] {
+                if let Some(m) = t.mechanism.as_mut() {
+                    m.note_response(r.response());
+                }
+                t.window_completions += 1;
+            }
+            *cursor = log.results.len();
+        }
+        steps
+    }
+
+    fn sample_machine(&mut self, now: SimTime) {
+        if let Some(machine) = self.machine.as_mut() {
+            machine.sample(&self.kernel, now, self.base.sample_every.as_secs_f64());
         }
     }
 
-    /// Closes the tenant's record: results and errors drained, engine
-    /// counters and transition log taken, its arbiter registration
-    /// dropped so its cores return to the free pool. The departed group
-    /// keeps its (now inert) workers; they are blocked with no
-    /// submitters, so they never contend for the reclaimed cores. A
-    /// serving tenant's requests are accounted in its door's records.
-    fn retire(
-        self,
-        arbiter: &elastic_core::SharedArbiter,
-        errors: &mut Vec<String>,
-        now: SimTime,
-    ) -> TenantOutput {
-        errors.extend(
-            volcano_db::client::drain_errors(&self.logs)
-                .into_iter()
-                .map(|e| format!("{}: {e}", self.out.config.name)),
-        );
-        if let Some(tid) = self.tid {
-            arbiter.borrow_mut().deregister(tid);
+    fn sample(&mut self, t: &mut SimTenant, out: &mut TenantOutput, now: SimTime) {
+        let cores = self.kernel.group_mask(t.group).count();
+        out.cores_series.push(now, cores as f64);
+        let load = t.load_sampler.sample(&self.kernel);
+        out.load_series.push(now, load.group_load_pct());
+        let dt = self.base.sample_every.as_secs_f64();
+        out.qps_series.push(now, t.window_completions as f64 / dt);
+        t.window_completions = 0;
+    }
+
+    /// Results and errors drained, engine counters and transition log
+    /// taken. The departed group keeps its (now inert) workers; they are
+    /// blocked with no submitters, so they never contend for the
+    /// reclaimed cores. A serving tenant's requests are accounted in its
+    /// door's records.
+    fn retire(&mut self, t: SimTenant, out: &mut TenantOutput) -> Vec<String> {
+        if let Some(m) = t.mechanism {
+            out.sla_violations = m.violations();
+            out.transitions = m.events;
         }
-        let (sla_violations, control_steps, transitions) = match self.mechanism {
-            Some(m) => (m.violations(), m.steps, m.events),
-            None => (0, 0, Vec::new()),
-        };
-        TenantOutput {
-            results: volcano_db::client::drain_results(&self.logs),
-            started_at: self.started_at.unwrap_or(now),
-            finished_at: self.finished_at.unwrap_or(now),
-            sla_violations,
-            control_steps,
-            engine: self.engine.stats(),
-            transitions,
-            tomograph: std::mem::take(&mut self.engine.core().tomograph),
-            ..self.out
+        out.results = volcano_db::client::drain_results(&t.logs);
+        out.engine = t.engine.stats();
+        out.tomograph = std::mem::take(&mut t.engine.core().tomograph);
+        volcano_db::client::drain_errors(&t.logs)
+    }
+
+    fn finish(mut self) -> MachineRecord {
+        let kernel = &mut self.kernel;
+        // A run that ends before its first tick opens the series now:
+        // nothing has moved the counters since the admission pass.
+        let machine = self.machine.unwrap_or_else(|| MachineSeries::open(kernel));
+        MachineRecord {
+            hw_before: machine.before,
+            hw_after: kernel.machine().counters().snapshot(),
+            sched: kernel.stats(),
+            imc_series: machine.imc,
+            ht_series: machine.ht,
+            trace: self.base.trace_sched.then(|| kernel.take_trace()),
         }
     }
 }
@@ -552,237 +977,6 @@ pub(crate) fn socket_series(n_sockets: usize) -> Vec<TimeSeries> {
     (0..n_sockets)
         .map(|s| TimeSeries::new(format!("S{s}")))
         .collect()
-}
-
-/// Runs a multi-tenant experiment on the sim backend (dispatching to
-/// the threads mirror when the base config's backend says so);
-/// [`crate::tenants::run_tenants`] is the same entry point and
-/// [`crate::run`] its one-tenant case. With `resident_cap` or
-/// `static_partition` set the population churns; otherwise every tenant
-/// is resident from the start (see the module docs).
-pub fn run_tenants_churn(config: MultiTenantConfig, data: &TpchData) -> MultiTenantOutput {
-    run_lifecycle(config, data, None)
-}
-
-/// The lifecycle on the backend `config.base` names. `door`, when
-/// given, drives the first tenant admitted — a serving run's lone,
-/// clientless tenant — open-loop ([`crate::serve::run_serve`]).
-pub(crate) fn run_lifecycle(
-    config: MultiTenantConfig,
-    data: &TpchData,
-    mut door: Option<&mut FrontDoor>,
-) -> MultiTenantOutput {
-    if config.base.backend == Backend::Threads {
-        return crate::runner_threads::run_tenants_threads(config, data, door);
-    }
-    let mut kernel = sim_kernel();
-    if config.base.trace_sched {
-        kernel.enable_trace();
-    }
-    let topo = kernel.machine().topology().clone();
-    let ntotal = topo.n_cores() as u32;
-    let n = config.tenants.len();
-    let arbiter = TenantArbiter::shared(config.arbiter, ntotal);
-    let mut admissions = Admissions::new(&config, ntotal as usize);
-    let churn = admissions.churn;
-
-    // The installed tenants in ascending tenant index — configuration
-    // order, so departures, control steps and samples run in the order
-    // a walk over every tenant would visit them.
-    let mut lives: Vec<Resident> = Vec::new();
-    let mut outputs: Vec<Option<TenantOutput>> = (0..n).map(|_| None).collect();
-    let mut errors: Vec<String> = Vec::new();
-    let mut arbiter_ticks = 0u64;
-    let mut arbiter_ns = 0u64;
-
-    let start = kernel.now();
-    let deadline = start + config.base.deadline;
-    let mut next_sample = start + config.base.sample_every;
-    let mut drained_from: Option<SimTime> = None;
-    let mut machine: Option<MachineSeries> = None;
-
-    loop {
-        let now = kernel.now();
-        if now >= deadline {
-            break;
-        }
-
-        // Completions: a tenant whose clients all finished is done;
-        // under churn it departs at once, freeing its slot and cores for
-        // redistribution.
-        let mut k = 0;
-        while k < lives.len() {
-            let l = &mut lives[k];
-            if l.finished_at.is_none() && l.clients_done(&kernel) {
-                l.finished_at = Some(now);
-            }
-            if churn && l.finished_at.is_some() {
-                let l = lives.remove(k);
-                admissions.depart(l.slot);
-                let i = l.tenant;
-                outputs[i] = Some(l.retire(&arbiter, &mut errors, now));
-            } else {
-                k += 1;
-            }
-        }
-
-        // Admissions, while the residency rules allow the next in line
-        // (`free_cores` is a closure so its `Ref` is gone before the body
-        // borrows the arbiter mutably).
-        let free_cores = |arbiter: &elastic_core::SharedArbiter| arbiter.borrow().free_cores();
-        while let Some((i, slot)) = admissions.admit(now.since(start), free_cores(&arbiter)) {
-            let tcfg = &config.tenants[i];
-            // Cold start: build the tenant's engine, load its data and
-            // start workers at admit time.
-            let instance = config.instance(tcfg);
-            let (group, engine) = start_engine(&mut kernel, &instance, data);
-            if config.static_partition {
-                let cores = admissions.static_slice(slot).map(|c| CoreId(c as u16));
-                kernel.set_group_mask(group, CoreMask::from_cores(cores));
-            }
-            // An OS-baseline tenant keeps the whole machine, unarbitrated.
-            let parts = mechanism_parts(&instance).filter(|_| !config.static_partition);
-            let (mechanism, tid) = match parts {
-                None => (None, None),
-                Some((placement, mech_cfg)) => {
-                    let tid = arbiter.borrow_mut().register(
-                        tcfg.name.clone(),
-                        tcfg.weight,
-                        tcfg.sla.max_cores,
-                    );
-                    let mech = ElasticMechanism::install_tenant(
-                        &mut kernel,
-                        group,
-                        engine.space(),
-                        tcfg.governed(placement, &topo),
-                        mech_cfg,
-                        TenantBinding::new(Rc::clone(&arbiter), tid),
-                    );
-                    (Some(mech), Some(tid))
-                }
-            };
-            let mut resident = Resident {
-                tenant: i,
-                group,
-                engine,
-                mechanism,
-                tid,
-                slot,
-                logs: Vec::new(),
-                client_tids: Vec::new(),
-                door: door.take().map(|door| (door, Vec::new())),
-                load_sampler: os_sim::LoadSampler::new(&kernel, group),
-                out: TenantOutput::begin(tcfg, now),
-                seen: Vec::new(),
-                window_completions: 0,
-                started_at: None,
-                finished_at: None,
-            };
-            // A churned tenant arrives whole: its clients come with it.
-            if churn {
-                resident.start_clients(&mut kernel, tcfg, now);
-            }
-            let at = lives.partition_point(|l| l.tenant < i);
-            lives.insert(at, resident);
-        }
-        // A resident tenant's `start_after` delays only its clients; a
-        // serving tenant's door ticks where clients would start.
-        for l in &mut lives {
-            let tcfg = &config.tenants[l.tenant];
-            if l.started_at.is_none() && now.since(start) >= tcfg.start_after {
-                l.start_clients(&mut kernel, tcfg, now);
-            }
-            l.tick_door(&mut kernel, now);
-        }
-        let machine = machine.get_or_insert_with(|| MachineSeries::open(&kernel));
-
-        if !admissions.pending() && lives.iter().all(|l| l.finished_at.is_some()) {
-            let from = *drained_from.get_or_insert(now);
-            if now.since(from) >= config.drain {
-                break;
-            }
-        }
-        kernel.run_tick();
-
-        // Control: poll each resident mechanism, timing executed
-        // control ticks on the host clock (measurement only — the
-        // elapsed time is recorded, never consulted). The clock is read
-        // only around a poll with a control step due; any other poll
-        // just applies a pending actuation.
-        let now = kernel.now();
-        for l in &mut lives {
-            if let Some(m) = l.mechanism.as_mut() {
-                let before = m.steps;
-                // emca-lint: allow(determinism) — host-clock probe for arbitration overhead; measurement-only, never feeds a sim decision
-                let t_tick = m.control_due(now).then(Instant::now);
-                m.poll(&mut kernel);
-                if let Some(t_tick) = t_tick.filter(|_| m.steps > before) {
-                    arbiter_ns += t_tick.elapsed().as_nanos() as u64;
-                    arbiter_ticks += m.steps - before;
-                }
-            }
-            for (log, cursor) in l.logs.iter().zip(&mut l.seen) {
-                let log = log.borrow();
-                for r in &log.results[*cursor..] {
-                    if let Some(m) = l.mechanism.as_mut() {
-                        m.note_response(r.response());
-                    }
-                    l.window_completions += 1;
-                }
-                *cursor = log.results.len();
-            }
-        }
-
-        if now >= next_sample {
-            let dt = config.base.sample_every.as_secs_f64();
-            machine.sample(&kernel, now, dt);
-            for l in &mut lives {
-                l.sample(&kernel, now, dt);
-            }
-            next_sample = now + config.base.sample_every;
-        }
-    }
-    let end = kernel.now();
-    assert!(
-        !admissions.pending() && lives.iter().all(|l| l.finished_at.is_some()),
-        "{}",
-        crate::timing::RunAborted {
-            label: "run".to_string(),
-            deadline_s: config.base.deadline.as_secs_f64(),
-            hint: "RunConfig::deadline",
-        }
-    );
-    // Resident tenants close their records here, in configuration order.
-    for l in lives {
-        let i = l.tenant;
-        outputs[i] = Some(l.retire(&arbiter, &mut errors, end));
-    }
-
-    let (denials, yields) = {
-        let arb = arbiter.borrow();
-        (arb.denials, arb.yields)
-    };
-    let machine = machine.expect("the first pass opened the machine series");
-    let tenants: Vec<TenantOutput> = outputs.into_iter().flatten().collect();
-    // Start → last completion; the drain window is measurement-only time
-    // and does not count.
-    let last_finish = tenants.iter().map(|t| t.finished_at).max();
-    MultiTenantOutput {
-        wall: last_finish.unwrap_or(end).since(start),
-        tenants,
-        ntotal,
-        arbiter_denials: denials,
-        arbiter_yields: yields,
-        arbiter_ticks,
-        arbiter_ns,
-        errors,
-        hw_before: machine.before,
-        hw_after: kernel.machine().counters().snapshot(),
-        sched: kernel.stats(),
-        imc_series: machine.imc,
-        ht_series: machine.ht,
-        trace: config.base.trace_sched.then(|| kernel.take_trace()),
-    }
 }
 
 #[cfg(test)]

@@ -1,8 +1,8 @@
 //! The single-instance runner: [`run`] executes a [`RunConfig`] as the
 //! one-tenant case of the tenant lifecycle ([`crate::churn`]) on either
 //! backend and reports every metric the paper's figures need
-//! ([`RunOutput`]). The simulated-stack builders every sim driver shares
-//! live here too.
+//! ([`RunOutput`]). The simulated-stack builders the lifecycle's sim
+//! substrate installs tenants with live here too.
 
 use crate::config::{Alloc, RunConfig};
 use crate::tenants::{MultiTenantConfig, MultiTenantOutput};
@@ -152,15 +152,13 @@ pub(crate) fn start_engine(
 }
 
 /// The policy and mechanism configuration `config` asks for (`None`
-/// for the OS baseline), with the guard/interval/mode-latency overrides
-/// applied.
+/// for the OS baseline, whatever custom policy it carries), with the
+/// guard/interval/mode-latency overrides applied.
 pub(crate) fn mechanism_parts(config: &RunConfig) -> Option<(Box<dyn Policy>, MechanismConfig)> {
+    let builtin = config.alloc.policy_id()?;
     let (name, id, policy) = match &config.custom_policy {
         Some(factory) => (factory.name(), None, factory.build()),
-        None => {
-            let id = config.alloc.policy_id()?;
-            (id.name(), Some(id), id.build())
-        }
+        None => (builtin.name(), Some(builtin), builtin.build()),
     };
     let mut mech_cfg = match config.metric {
         elastic_core::MetricKind::HtImcRatio => MechanismConfig::ht_imc(),
@@ -225,7 +223,7 @@ pub fn run(config: RunConfig, data: &TpchData) -> RunOutput {
         transitions: t.transitions,
         trace,
         tomograph: t.tomograph,
-        // The sim lifecycle names each error's tenant; a run has one.
+        // The lifecycle names each error's tenant; a run has one.
         errors: errors
             .iter()
             .map(|e| e.strip_prefix("run: ").unwrap_or(e).to_string())
@@ -261,6 +259,17 @@ mod tests {
             spec: QuerySpec::Q6 { variant: 0 },
             iterations: iters,
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "run hit the deadline")]
+    fn a_run_past_its_deadline_aborts() {
+        // The lifecycle stops at the deadline and, with work unfinished,
+        // refuses to report a partial run.
+        let data = tiny_data();
+        let mut cfg = RunConfig::new(Alloc::Adaptive, 4, q6_workload(20)).with_scale(data.scale);
+        cfg.deadline = SimDuration::from_millis(1);
+        run(cfg, &data);
     }
 
     #[test]

@@ -1,13 +1,15 @@
-//! The real-thread backend: `run_tenants_threads` runs the tenant
+//! The real-thread backend: `PoolSubstrate` is what the tenant
 //! lifecycle of [`crate::churn`] — and with it every single-instance
 //! [`run`](crate::run) and every [`run_serve`](crate::run_serve), the
-//! lifecycle's one-tenant cases — on [`ParEngine`]s: dedicated OS
-//! threads doing the actual work, with the elastic mechanism actuating
-//! each tenant's worker pool instead of a simulated cpuset. Each tenant
-//! carries its engine as a `Pool`: `Pool::control` is the one
-//! measured-load → controller → park/unpark tick and `Pool::sample` the
-//! one load window. The lifecycle's loop is the backend's only driver
-//! loop, polling every `POLL`.
+//! lifecycle's one-tenant cases — runs on when the backend is threads:
+//! [`ParEngine`]s, dedicated OS threads doing the actual work, with the
+//! elastic mechanism actuating each tenant's worker pool instead of a
+//! simulated cpuset. Each tenant carries its engine as a `Pool`:
+//! `Pool::control` is the one measured-load → controller → park/unpark
+//! tick and `Pool::sample` the one load window. This module has no
+//! driver loop of its own: the lifecycle's loop is the backend's only
+//! one, and `PoolSubstrate::advance` — one `POLL` sleep, then the wall
+//! clock — is its only wait.
 //!
 //! What maps where, relative to the sim lifecycle:
 //!
@@ -29,7 +31,7 @@
 //!   budgets — runs but never fires. Ignored: [`RunConfig::metric`] (no
 //!   HT/IMC counters to drive the net with). A pinned `warmup` (no NUMA
 //!   pages to home) is refused up front: `ExperimentSpec::validate_backend`.
-//! - **Baseline**: an [`Alloc::OsAll`] tenant becomes "no pool
+//! - **Baseline**: an [`Alloc::OsAll`](crate::Alloc::OsAll) tenant becomes "no pool
 //!   management": one always-active worker per client (never fewer than
 //!   the machine width — exactly that for a clientless serving tenant),
 //!   the thread-per-task shape the paper argues against.
@@ -47,17 +49,15 @@
 //! `EMCA_WALL_BUDGET_S` never does — see [`crate::timing`] for the
 //! distinction).
 
-use crate::churn::{socket_series, Admissions};
-use crate::config::{Alloc, RunConfig};
-use crate::runner::mechanism_parts;
-use crate::serve::FrontDoor;
-use crate::tenants::{MultiTenantConfig, MultiTenantOutput, TenantOutput, TenantRunConfig};
-use elastic_core::{PoolController, SharedArbiter, TenantArbiter, TenantBinding, TenantId};
+use crate::churn::{socket_series, Control, Life, MachineRecord, Substrate};
+use crate::config::RunConfig;
+use crate::tenants::{TenantOutput, TenantRunConfig};
+use elastic_core::PoolController;
 use emca_metrics::{SimDuration, SimTime, TimeSeries};
 use numa_sim::{CoreId, HwCounters, MachineConfig};
 use os_sim::{SchedStats, SchedTrace, Tid};
 use prt_petrinet::Thresholds;
-use std::rc::Rc;
+use std::ops::Range;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Barrier, Mutex, MutexGuard, PoisonError};
 use std::time::Instant;
@@ -126,28 +126,23 @@ struct Pool {
 impl Pool {
     /// An `n_workers`-wide engine over `base` with the run's fault plan
     /// armed. A pool with a `tenancy` — the tenant, whose SLA budgets
-    /// govern its policy, and its handle on the shared arbiter; every
-    /// elastic pool is a registered tenant — runs the [`PoolController`]
-    /// that [`mechanism_parts`] describes from its initial mask; an
-    /// unmanaged one starts fully active. Control and load windows open
-    /// at `since`.
+    /// govern its policy, and the controller it is installed under —
+    /// runs a [`PoolController`] from its initial mask; an unmanaged one
+    /// starts fully active. Control and load windows open at `since`.
     fn start(
         n_workers: usize,
         base: Arc<BaseData>,
         run: &RunConfig,
         since: SimTime,
-        tenancy: Option<(&TenantRunConfig, TenantBinding)>,
+        tenancy: Option<(&TenantRunConfig, Control)>,
     ) -> Self {
-        let controller = tenancy.and_then(|(tenant, binding)| {
-            let (policy, mut cfg) = mechanism_parts(run)?;
+        let controller = tenancy.map(|(tenant, (policy, mut cfg, binding))| {
             // Busy time is the only load signal a pool has, whatever
             // `run.metric` asks the simulator to drive the net with.
             cfg.thresholds = Thresholds::cpu_load_default();
             let topology = PoolController::mirror(n_workers as u32);
-            let (policy, binding) = (tenant.governed(policy, &topology), Some(binding));
-            Some(PoolController::install(
-                policy, &cfg, topology, binding, since,
-            ))
+            let policy = tenant.governed(policy, &topology);
+            PoolController::install(policy, &cfg, topology, Some(binding), since)
         });
         let engine = Arc::new(ParEngine::new(
             ParEngineConfig {
@@ -194,13 +189,11 @@ impl Pool {
 
     /// Runs one control step if one is due ([`Pool::control_due`]):
     /// measured load and completions since the previous step →
-    /// controller → actuation.
-    fn control(&mut self, now: SimTime, queue_depth: u64) {
-        if !self.control_due(now) {
-            return;
-        }
-        let Some(c) = self.controller.as_mut() else {
-            return;
+    /// controller → actuation. Returns the steps run (0 or 1).
+    fn control(&mut self, now: SimTime, queue_depth: u64) -> u64 {
+        let due = now >= self.next_control;
+        let Some(c) = self.controller.as_mut().filter(|_| due) else {
+            return 0;
         };
         let busy = self.engine.busy_ns();
         let u = load_pct(
@@ -223,6 +216,7 @@ impl Pool {
         self.next_control = now + c.interval();
         let moved = c.mask() != before;
         self.actuate(moved);
+        1
     }
 
     /// CPU load (%) over the window since the previous sample, and that
@@ -408,14 +402,15 @@ struct ClientSinks {
     results: Mutex<Vec<QueryResult>>,
     /// `"client <n>: <error>"` per failed client.
     errors: Mutex<Vec<String>>,
-    /// The latest finish stamp.
+    /// The latest finish stamp (the clients' arrival until one
+    /// finishes).
     finished_at: Mutex<SimTime>,
-    /// Clients still running; a serving tenant's door counts as one.
+    /// Clients still running.
     remaining: AtomicUsize,
 }
 
 impl ClientSinks {
-    /// One client (or the door) finished at `now`.
+    /// One client finished at `now`.
     fn finish(&self, now: SimTime) {
         let mut last = lock(&self.finished_at);
         if now > *last {
@@ -423,322 +418,180 @@ impl ClientSinks {
         }
         self.remaining.fetch_sub(1, Ordering::SeqCst);
     }
+}
 
-    /// Whether every client (and the door) has finished.
-    fn done(&self) -> bool {
-        self.remaining.load(Ordering::SeqCst) == 0
+/// The thread pools as the lifecycle's substrate: the wall clock, one
+/// [`ParEngine`] per tenant over the shared base data, and client
+/// threads that sleep out their own `start_after`. A managed tenant's
+/// active workers are exactly the cores it owns on the shared arbiter,
+/// and its SLA governor wraps its policy as on sim: core ceilings hold
+/// under every arbiter mode, power budgets are judged on measured busy
+/// time, and traffic budgets never trip (a pool measures no
+/// interconnect). Arbitration cost is the wall-clock duration of each
+/// executed control step.
+pub(crate) struct PoolSubstrate {
+    base: Arc<BaseData>,
+    width: usize,
+    t0: Instant,
+    /// The wall-clock run-abort deadline.
+    deadline: SimDuration,
+    tracer: Option<ProcTracer>,
+}
+
+impl PoolSubstrate {
+    pub(crate) fn new(run: &RunConfig, data: &TpchData) -> Self {
+        PoolSubstrate {
+            base: Arc::new(BaseData::from_tpch(data)),
+            width: capacity(),
+            t0: Instant::now(),
+            deadline: wall_deadline(run.deadline),
+            tracer: run.trace_sched.then(ProcTracer::new),
+        }
     }
 }
 
-/// The run's failed queries. With a fault plan armed, failed queries
-/// are an expected outcome and surface in the run's `errors`; without
-/// one, any engine error is a real defect and trips the tripwire.
-fn take_client_errors(client_errors: Vec<String>, faults_armed: bool) -> Vec<String> {
-    assert!(
-        faults_armed || client_errors.is_empty(),
-        "client queries failed in the engine: {client_errors:?}"
-    );
-    client_errors
-}
-
-/// One resident tenant on the threads backend: its pool, its client
-/// threads — or the front door driving it open-loop — and the record
-/// the driver keeps while it is installed.
-struct PoolSlot<'d> {
-    /// Index into [`MultiTenantConfig::tenants`].
-    tenant: usize,
+/// One tenant on the thread pools: its pool and its client threads.
+pub(crate) struct PoolTenant {
     pool: Pool,
-    /// Arbiter registration (elastic only).
-    tid: Option<TenantId>,
-    /// Resident slot (its fixed machine slice on the static baseline).
-    slot: usize,
     sinks: Arc<ClientSinks>,
     handles: Vec<std::thread::JoinHandle<()>>,
-    /// The front door driving a serving tenant, which has no clients.
-    door: Option<&'d mut FrontDoor>,
-    /// The record being written (series and control steps so far;
-    /// closed by `retire`).
-    out: TenantOutput,
     sample_completed: u64,
 }
 
-impl PoolSlot<'_> {
-    /// Steps a serving tenant's door at `now`; the tenant is done when
-    /// every request is resolved or the window closes.
-    fn tick_door(&mut self, now: SimTime) {
-        let Some(door) = self.door.as_mut().filter(|_| !self.sinks.done()) else {
-            return;
-        };
-        if let Some(at) = door.step(now, &mut self.pool.engine) {
-            self.sinks.finish(at);
+impl Substrate for PoolSubstrate {
+    type Tenant = PoolTenant;
+    const DEADLINE_HINT: &'static str = "RunConfig::deadline or EMCA_RUN_DEADLINE_S";
+    const SAMPLES_AT_EDGES: bool = true;
+
+    fn width(&self) -> usize {
+        self.width
+    }
+
+    fn deadline(&self) -> SimDuration {
+        self.deadline
+    }
+
+    fn now(&self) -> SimTime {
+        wall_now(self.t0)
+    }
+
+    /// A machine-width pool — the OS baseline hands every client a
+    /// worker instead (thread-per-client, no elasticity), and a static
+    /// slot runs only its slice active — plus its client threads, which
+    /// sleep until `arrives`.
+    fn install(
+        &mut self,
+        instance: &RunConfig,
+        tcfg: &TenantRunConfig,
+        slice: Option<Range<usize>>,
+        control: Option<Control>,
+        arrives: SimTime,
+    ) -> PoolTenant {
+        let os_baseline = control.is_none() && slice.is_none();
+        let n_workers = self.width.max(if os_baseline { tcfg.clients } else { 0 });
+        let (base, tenancy) = (Arc::clone(&self.base), control.map(|c| (tcfg, c)));
+        let pool = Pool::start(n_workers, base, instance, arrives, tenancy);
+        if let Some(slice) = slice {
+            pool.engine.set_active(slice.len());
+        }
+        let sinks = Arc::new(ClientSinks {
+            remaining: AtomicUsize::new(tcfg.clients),
+            finished_at: Mutex::new(arrives),
+            ..ClientSinks::default()
+        });
+        let handles = spawn_client_threads(
+            &pool.engine,
+            &tcfg.workload,
+            tcfg.clients,
+            std::time::Duration::from_nanos(arrives.since(self.now()).as_nanos()),
+            &sinks,
+            self.t0,
+        );
+        PoolTenant {
+            pool,
+            sinks,
+            handles,
+            sample_completed: 0,
         }
     }
 
-    /// A serving tenant's admission backlog — extra demand for its
-    /// controller (zero without a door).
-    fn queue_depth(&self) -> u64 {
-        self.door.as_ref().map_or(0, |door| door.queue_depth())
+    fn finished(&self, t: &PoolTenant, _now: SimTime) -> Option<SimTime> {
+        let done = t.sinks.remaining.load(Ordering::SeqCst) == 0;
+        done.then(|| *lock(&t.sinks.finished_at))
     }
 
-    /// One point of each tenant series: CPU load, active workers and
-    /// completions per second over the window since the previous one
-    /// (and the door's queue depth).
-    fn sample(&mut self, now: SimTime) {
-        let (u, window) = self.pool.sample(now);
-        let completed = self.pool.engine.stats().queries_completed;
-        let dt = window.as_secs_f64();
-        let qps = if dt > 0.0 {
-            (completed - self.sample_completed) as f64 / dt
-        } else {
-            0.0
-        };
-        self.sample_completed = completed;
-        self.out.load_series.push(now, u);
-        self.out
-            .cores_series
-            .push(now, self.pool.engine.active() as f64);
-        self.out.qps_series.push(now, qps);
-        if let Some(door) = self.door.as_mut() {
-            door.sample(now);
+    /// One poll's sleep, then the wall clock (and, when due, the
+    /// scheduling trace). This sleep is the backend's only wait.
+    fn advance(&mut self) -> SimTime {
+        std::thread::sleep(POLL);
+        let now = wall_now(self.t0);
+        if let Some(tr) = self.tracer.as_mut().filter(|tr| now >= tr.next) {
+            tr.sample(now);
+            tr.next = now + TRACE_EVERY;
         }
+        now
     }
 
-    /// Closes the tenant's record: clients joined (a panicked client is
-    /// a driver-thread tripwire), errors drained and named `"<tenant>: "`
-    /// as on sim, engine counters and transition log taken, arbiter
-    /// registration dropped (its cores redistribute exactly as on sim),
-    /// and — with the slot's last pool `Arc` going out of scope — its
-    /// workers shut down.
-    fn retire(self, arbiter: &SharedArbiter, errors: &mut Vec<String>) -> TenantOutput {
-        let joined = self.handles.into_iter().map(|h| h.join());
+    fn control_due(&self, t: &PoolTenant, now: SimTime) -> bool {
+        t.pool.control_due(now)
+    }
+
+    /// A serving tenant's requests arrive, dispatch and resolve first —
+    /// the tenant finishes with its door — then the pool's control step
+    /// runs if due, its demand including the door's backlog.
+    fn poll(&mut self, l: &mut Life<'_, PoolTenant>, now: SimTime) -> u64 {
+        let pool = &mut l.on.pool;
+        let mut queue_depth = 0;
+        if let Some(door) = l.door.as_mut() {
+            if l.finished_at.is_none() {
+                l.finished_at = door.step(now, &mut pool.engine);
+            }
+            queue_depth = door.queue_depth();
+        }
+        pool.control(now, queue_depth)
+    }
+
+    /// CPU load, active workers and completions per second over the
+    /// window since the previous sample.
+    fn sample(&mut self, t: &mut PoolTenant, out: &mut TenantOutput, now: SimTime) {
+        let (u, window) = t.pool.sample(now);
+        let completed = t.pool.engine.stats().queries_completed;
+        let qps = window.rate_per_sec(completed - t.sample_completed);
+        t.sample_completed = completed;
+        out.load_series.push(now, u);
+        out.cores_series.push(now, t.pool.engine.active() as f64);
+        out.qps_series.push(now, qps);
+    }
+
+    /// Clients joined (a panicked client is a driver-thread tripwire),
+    /// engine counters and transition log taken, and — with the tenant's
+    /// last pool `Arc` going out of scope — its workers shut down.
+    fn retire(&mut self, t: PoolTenant, out: &mut TenantOutput) -> Vec<String> {
+        let joined = t.handles.into_iter().map(|h| h.join());
         let panicked = joined.filter(Result::is_err).count();
         assert!(panicked == 0, "{panicked} client thread(s) panicked");
-        if let Some(tid) = self.tid {
-            arbiter.borrow_mut().deregister(tid);
+        if let Some(c) = t.pool.controller {
+            out.sla_violations = c.violations();
+            out.transitions = c.events;
         }
-        let name = &self.out.config.name;
-        errors.extend(
-            lock(&self.sinks.errors)
-                .drain(..)
-                .map(|e| format!("{name}: {e}")),
-        );
-        let finished = *lock(&self.sinks.finished_at);
-        let (sla_violations, transitions) = match self.pool.controller {
-            Some(c) => (c.violations(), c.events),
-            None => (0, Vec::new()),
-        };
-        TenantOutput {
-            results: std::mem::take(&mut *lock(&self.sinks.results)),
-            finished_at: finished.max(self.out.started_at),
-            sla_violations,
-            engine: self.pool.engine.stats(),
-            transitions,
-            tomograph: self.pool.engine.tomograph(),
-            ..self.out
-        }
-    }
-}
-
-/// The threads mirror of [`crate::churn::run_tenants_churn`]: the same
-/// tenant lifecycle — resident from the start, or admitted on arrival
-/// and departing on completion under churn — against one real
-/// machine-width worker pool per tenant, with a [`TenantArbiter`]
-/// splitting the core budget (a tenant's active workers are exactly the
-/// cores it owns) and each tenant's SLA governor wrapped around its
-/// policy as in the simulation: core ceilings hold under every arbiter
-/// mode and power budgets are judged on measured busy time, while
-/// traffic budgets never trip (a pool measures no interconnect). An
-/// [`Alloc::OsAll`] tenant runs unmanaged and unarbitrated. Arbitration
-/// cost is the wall-clock duration of each executed control step.
-/// `door`, when given, drives the first tenant admitted (a serving run's
-/// lone tenant) as on sim.
-pub(crate) fn run_tenants_threads(
-    config: MultiTenantConfig,
-    data: &TpchData,
-    mut door: Option<&mut FrontDoor>,
-) -> MultiTenantOutput {
-    let width = capacity();
-    let ntotal = width as u32;
-    let n = config.tenants.len();
-    let base = Arc::new(BaseData::from_tpch(data));
-    let arbiter = TenantArbiter::shared(config.arbiter, ntotal);
-    let mut admissions = Admissions::new(&config, width);
-    let churn = admissions.churn;
-    let mut errors: Vec<String> = Vec::new();
-
-    // The installed tenants in ascending tenant index, as on sim.
-    let mut lives: Vec<PoolSlot> = Vec::new();
-    let mut outputs: Vec<Option<TenantOutput>> = (0..n).map(|_| None).collect();
-    let mut arbiter_ticks = 0u64;
-    let mut arbiter_ns = 0u64;
-
-    let deadline = wall_deadline(config.base.deadline);
-    let mut tracer = config.base.trace_sched.then(ProcTracer::new);
-    let mut next_sample = SimTime::ZERO;
-    let mut drain_until: Option<SimTime> = None;
-    let t0 = Instant::now();
-    // The first admission pass runs before the first poll sleep, so
-    // the tenants due at t=0 start their pools and clients at once.
-    let mut now = SimTime::ZERO;
-    loop {
-        // Departures (churn only): all clients done → close the record
-        // and free the slot.
-        let mut k = 0;
-        while k < lives.len() {
-            if churn && lives[k].sinks.done() {
-                let l = lives.remove(k);
-                admissions.depart(l.slot);
-                let i = l.tenant;
-                outputs[i] = Some(l.retire(&arbiter, &mut errors));
-            } else {
-                k += 1;
-            }
-        }
-
-        // Admissions, while the residency rules allow the next in line
-        // (the `free_cores` borrow ends before the body registers).
-        let free_cores = |arbiter: &SharedArbiter| arbiter.borrow().free_cores();
-        while let Some((i, slot)) = admissions.admit(now.since(SimTime::ZERO), free_cores(&arbiter))
-        {
-            let tcfg = &config.tenants[i];
-            let instance = config.instance(tcfg);
-            let started_at = now.max(SimTime::ZERO + tcfg.start_after);
-            // The OS baseline hands every client a worker
-            // (thread-per-client, no elasticity); a static slot runs a
-            // machine-width pool with only its slice active.
-            let os_baseline = instance.alloc == Alloc::OsAll && !config.static_partition;
-            let elastic = !os_baseline && !config.static_partition;
-            let n_workers = width.max(if os_baseline { tcfg.clients } else { 0 });
-            let tid = elastic.then(|| {
-                arbiter
-                    .borrow_mut()
-                    .register(tcfg.name.clone(), tcfg.weight, tcfg.sla.max_cores)
-            });
-            let pool = Pool::start(
-                n_workers,
-                Arc::clone(&base),
-                &instance,
-                started_at,
-                tid.map(|tid| (tcfg, TenantBinding::new(Rc::clone(&arbiter), tid))),
-            );
-            if config.static_partition {
-                pool.engine.set_active(admissions.static_slice(slot).len());
-            }
-            let door = door.take();
-            let sinks = Arc::new(ClientSinks {
-                remaining: AtomicUsize::new(tcfg.clients + usize::from(door.is_some())),
-                ..ClientSinks::default()
-            });
-            // A resident tenant's `start_after` delays only its clients.
-            let handles = spawn_client_threads(
-                &pool.engine,
-                &tcfg.workload,
-                tcfg.clients,
-                std::time::Duration::from_nanos(started_at.since(now).as_nanos()),
-                &sinks,
-                t0,
-            );
-            let at = lives.partition_point(|l| l.tenant < i);
-            lives.insert(
-                at,
-                PoolSlot {
-                    tenant: i,
-                    pool,
-                    tid,
-                    slot,
-                    sinks,
-                    handles,
-                    door,
-                    out: TenantOutput::begin(tcfg, started_at),
-                    sample_completed: 0,
-                },
-            );
-        }
-
-        // Exit before sleeping once nothing is left to run; the
-        // mechanisms keep running through the drain.
-        let unfinished = admissions.pending() || lives.iter().any(|l| !l.sinks.done());
-        if !unfinished && now >= *drain_until.get_or_insert(now + config.drain) {
-            break;
-        }
-        std::thread::sleep(POLL);
-        now = wall_now(t0);
-        assert!(
-            !unfinished || now.since(SimTime::ZERO) <= deadline,
-            "{}",
-            crate::timing::RunAborted {
-                label: "run".to_string(),
-                deadline_s: deadline.as_secs_f64(),
-                hint: "RunConfig::deadline or EMCA_RUN_DEADLINE_S",
-            }
-        );
-
-        // A serving tenant's requests arrive, dispatch and resolve
-        // first. Control steps are timed per executed step: the measured
-        // span is the full arbitration path (observe + claim/release/
-        // yield). The clock is read only around a poll with a step due.
-        for l in &mut lives {
-            l.tick_door(now);
-            if l.pool.control_due(now) {
-                let t_tick = Instant::now();
-                l.pool.control(now, l.queue_depth());
-                arbiter_ns += t_tick.elapsed().as_nanos() as u64;
-                arbiter_ticks += 1;
-                l.out.control_steps += 1;
-            }
-        }
-
-        if now >= next_sample {
-            for l in &mut lives {
-                l.sample(now);
-            }
-            next_sample = now + config.base.sample_every;
-        }
-        if let Some(tr) = tracer.as_mut() {
-            if now >= tr.next {
-                tr.sample(now);
-                tr.next = now + TRACE_EVERY;
-            }
-        }
-    }
-    // Final sample so even a run shorter than the first poll leaves
-    // non-empty series; resident tenants then close their records, in
-    // configuration order.
-    let end = wall_now(t0);
-    for mut l in lives {
-        l.sample(end);
-        let i = l.tenant;
-        outputs[i] = Some(l.retire(&arbiter, &mut errors));
+        out.results = std::mem::take(&mut *lock(&t.sinks.results));
+        out.engine = t.pool.engine.stats();
+        out.tomograph = t.pool.engine.tomograph();
+        std::mem::take(&mut *lock(&t.sinks.errors))
     }
 
-    let errors = take_client_errors(errors, config.base.faults.is_some());
-    let tenants: Vec<TenantOutput> = outputs.into_iter().flatten().collect();
-    let wall = tenants
-        .iter()
-        .map(|t| t.finished_at)
-        .max()
-        .unwrap_or(SimTime::ZERO)
-        .since(SimTime::ZERO);
-    let (denials, yields) = {
-        let arb = arbiter.borrow();
-        (arb.denials, arb.yields)
-    };
-    let no_counters = HwCounters::new(0, 0, 0).snapshot();
-    MultiTenantOutput {
-        tenants,
-        wall,
-        ntotal,
-        arbiter_denials: denials,
-        arbiter_yields: yields,
-        arbiter_ticks,
-        arbiter_ns,
-        errors,
-        hw_before: no_counters.clone(),
-        hw_after: no_counters,
-        sched: SchedStats::default(),
-        imc_series: socket_series(MachineConfig::opteron_4x4().topology.n_nodes()),
-        ht_series: TimeSeries::new("HT"),
-        trace: tracer.map(|t| t.finish(wall_now(t0))),
+    /// No hardware counters or scheduler: zero snapshots, empty series,
+    /// and the host CPUs the workers were seen on when tracing.
+    fn finish(self) -> MachineRecord {
+        let no_counters = HwCounters::new(0, 0, 0).snapshot();
+        MachineRecord {
+            hw_before: no_counters.clone(),
+            hw_after: no_counters,
+            sched: SchedStats::default(),
+            imc_series: socket_series(MachineConfig::opteron_4x4().topology.n_nodes()),
+            ht_series: TimeSeries::new("HT"),
+            trace: self.tracer.map(|t| t.finish(wall_now(self.t0))),
+        }
     }
 }
 
@@ -772,7 +625,7 @@ mod tests {
         .with_scale(data.scale)
         .with_sample_every(SimDuration::from_micros(500))
         .with_backend(Backend::Threads);
-        let out = super::run_tenants_threads(cfg, &data, None);
+        let out = crate::run_tenants(cfg, &data);
         let capped = out.tenant("capped").unwrap();
         assert_eq!(capped.results.len(), 12 * 8, "the cap must not starve it");
         assert!(capped.control_steps > 0);
@@ -785,6 +638,27 @@ mod tests {
             "capped tenant ran {} workers",
             capped.cores_max()
         );
+    }
+
+    #[test]
+    #[should_panic(expected = "run hit the deadline")]
+    fn a_threads_run_past_its_deadline_aborts() {
+        // The wall-clock deadline (no `EMCA_RUN_DEADLINE_S` set) stops
+        // the lifecycle as the simulated one does.
+        use crate::{run, Alloc, Backend, RunConfig};
+        use emca_metrics::SimDuration;
+        use volcano_db::client::Workload;
+        use volcano_db::tpch::{QuerySpec, TpchData, TpchScale};
+        let data = TpchData::generate(TpchScale::test_tiny());
+        let q6 = Workload::Repeat {
+            spec: QuerySpec::Q6 { variant: 0 },
+            iterations: 50,
+        };
+        let mut cfg = RunConfig::new(Alloc::Adaptive, 4, q6)
+            .with_scale(data.scale)
+            .with_backend(Backend::Threads);
+        cfg.deadline = SimDuration::from_millis(1);
+        run(cfg, &data);
     }
 
     #[test]

@@ -17,8 +17,8 @@
 //! one-tenant run of the tenant lifecycle ([`crate::churn`]) whose
 //! tenant is driven open-loop by its door instead of by closed-loop
 //! clients, so the clock, the engine, the control tick and the samples
-//! are the lifecycle's own on either backend. The elastic mechanism
-//! sees the admission backlog as demand
+//! are the lifecycle's own — one loop over either backend. The elastic
+//! mechanism sees the admission backlog as demand
 //! ([`ElasticMechanism::note_queue_depth`](elastic_core::ElasticMechanism::note_queue_depth) /
 //! [`PoolController::note_queue_depth`](elastic_core::PoolController::note_queue_depth)),
 //! so cores move between keeping the queue drained and executing

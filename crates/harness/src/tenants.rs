@@ -3,7 +3,8 @@
 //! machine, arbitrated by a shared
 //! [`TenantArbiter`](elastic_core::TenantArbiter). This module holds
 //! the configuration and the per-tenant output; the lifecycle that runs
-//! them (resident or churned, sim or threads) lives in [`crate::churn`].
+//! them (resident or churned) is one loop over both backends, in
+//! [`crate::churn`].
 //! A single-instance [`run`](crate::run) is that lifecycle's one-tenant
 //! case: each tenant is a [`RunConfig`] (the run's
 //! [`MultiTenantConfig::base`] with the tenant's allocation, clients and
@@ -512,6 +513,34 @@ mod tests {
             spec: QuerySpec::Q6 { variant: 0 },
             iterations: iters,
         }
+    }
+
+    #[test]
+    fn an_os_baseline_tenant_runs_no_custom_mechanism() {
+        // Every tenant's instance carries the base's custom policy; the
+        // OS baseline must still run unmanaged, as on threads.
+        use crate::config::PolicyFactory;
+        let data = tiny_data();
+        let os = TenantRunConfig {
+            policy: Alloc::OsAll,
+            ..TenantRunConfig::new("os", q6(2), 2)
+        };
+        let mut cfg = MultiTenantConfig::new(
+            ArbiterMode::FairShare,
+            vec![TenantRunConfig::new("managed", q6(2), 2), os],
+        )
+        .with_scale(data.scale)
+        .with_mech_interval(SimDuration::from_millis(1));
+        let dense = PolicyFactory::new("dense", || PolicyId::Dense.build());
+        cfg.base = cfg.base.with_custom_policy(dense);
+        let out = run_tenants(cfg, &data);
+        let os = out.tenant("os").unwrap();
+        assert!(
+            os.transitions.is_empty(),
+            "the OS baseline has no mechanism"
+        );
+        assert_eq!(os.control_steps, 0);
+        assert!(out.tenant("managed").unwrap().control_steps > 0);
     }
 
     #[test]
