@@ -20,8 +20,8 @@
 //!    page-hottest node is full is damped to Stable. Inert wherever the
 //!    sample carries no memory traffic (`mc_pressure` = 0);
 //! 4. **release hysteresis** (LONC damping) — a below-`thmin` reading
-//!    only reaches the net once it has held for `release_hysteresis`
-//!    consecutive steps; until then a mid-band value is substituted;
+//!    only reaches the net once it has held for `RELEASE_HYSTERESIS`
+//!    (2) consecutive steps; until then a mid-band value is substituted;
 //! 5. **shape** — [`Policy::shape`] (SLA damping, hill-climb probe
 //!    holds); runs after the hysteresis so a policy-forced release is
 //!    not re-damped;
@@ -58,6 +58,12 @@ fn barred(tenancy: &Option<TenantBinding>) -> CoreMask {
     })
 }
 
+/// Consecutive Idle classifications required before a release fires
+/// (LONC damping): a single below-`thmin` window — one drained runqueue
+/// between query waves — must not shed a core that the next wave
+/// immediately re-allocates.
+const RELEASE_HYSTERESIS: u32 = 2;
+
 /// The decision state of one mechanism instance.
 pub struct ControlCore {
     net: ElasticNet,
@@ -65,7 +71,6 @@ pub struct ControlCore {
     /// Multi-tenant arbitration handle; `None` in single-tenant runs.
     tenancy: Option<TenantBinding>,
     saturation_guard: Option<f64>,
-    release_hysteresis: u32,
     /// AIMD ceiling (the configured base interval).
     max_interval: SimDuration,
     /// Consecutive under-`thmin` steps.
@@ -126,7 +131,6 @@ impl ControlCore {
             policy,
             tenancy,
             saturation_guard: cfg.saturation_guard,
-            release_hysteresis: cfg.release_hysteresis,
             max_interval: cfg.interval,
             idle_streak: 0,
             queue_depth: 0,
@@ -257,7 +261,7 @@ impl ControlCore {
         }
         if u <= th.thmin {
             self.idle_streak += 1;
-            if self.idle_streak < self.release_hysteresis {
+            if self.idle_streak < RELEASE_HYSTERESIS {
                 u = mid;
             }
         } else {
@@ -373,8 +377,6 @@ mod tests {
             ht_imc_ratio: 0.0,
             pages_per_node: vec![0; 4],
             mc_util_per_node: vec![0.0; 4],
-            max_mc_util: 0.0,
-            mean_mc_util: 0.0,
             mc_pressure: 0.0,
         }
     }

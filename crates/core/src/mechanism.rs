@@ -68,11 +68,6 @@ pub struct MechanismConfig {
     /// while the page-hottest node still has free cores (cores *on* the
     /// data cannot scatter it). `None` disables the guard (ablation).
     pub saturation_guard: Option<f64>,
-    /// Consecutive Idle classifications required before a release fires
-    /// (LONC damping): a single below-`thmin` window — one drained
-    /// runqueue between query waves — must not shed a core that the next
-    /// wave immediately re-allocates.
-    pub release_hysteresis: u32,
 }
 
 impl MechanismConfig {
@@ -86,7 +81,6 @@ impl MechanismConfig {
             actuation_latency: SimDuration::from_millis(31),
             initial_cores: 1,
             saturation_guard: Some(0.9),
-            release_hysteresis: 2,
         }
     }
 
@@ -338,8 +332,10 @@ impl ElasticMechanism {
         self.events.push(event);
     }
 
-    /// Runs the kernel to `deadline`, polling the mechanism every tick —
-    /// the main driver loop of every mechanism experiment.
+    /// Runs the kernel to `deadline`, polling the mechanism every tick.
+    /// Only this crate's tests and its doc example drive a mechanism
+    /// this way; the harness polls its mechanisms from the tenant
+    /// lifecycle.
     pub fn run_with(&mut self, kernel: &mut Kernel, deadline: SimTime) {
         while kernel.now() < deadline {
             kernel.run_tick();

@@ -52,10 +52,6 @@ pub struct MonitorSample {
     /// Smoothed memory-controller utilisation per node (the adaptive
     /// mode's headroom signal).
     pub mc_util_per_node: Vec<f64>,
-    /// Peak memory-controller utilisation across nodes (smoothed).
-    pub max_mc_util: f64,
-    /// Mean memory-controller utilisation across nodes (smoothed).
-    pub mean_mc_util: f64,
     /// Traffic-weighted memory-controller utilisation: the utilisation
     /// experienced by the workload's own accesses (each node's smoothed
     /// utilisation weighted by its share of the window's IMC bytes).
@@ -162,8 +158,6 @@ impl Monitor {
         };
         self.prev_demand_ns = demand_ns;
         self.prev_at = kernel.now();
-        let max_mc_util = utils.iter().copied().fold(0.0f64, f64::max);
-        let mean_mc_util = utils.iter().sum::<f64>() / utils.len().max(1) as f64;
         let mc_pressure = if imc_delta == 0 {
             0.0
         } else {
@@ -176,8 +170,6 @@ impl Monitor {
             ht_imc_ratio,
             pages_per_node: kernel.machine().mem().pages_per_node(self.space).to_vec(),
             mc_util_per_node: utils,
-            max_mc_util,
-            mean_mc_util,
             mc_pressure,
         }
     }

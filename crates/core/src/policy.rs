@@ -638,8 +638,6 @@ mod tests {
             ht_imc_ratio: 0.0,
             pages_per_node: vec![0; 4],
             mc_util_per_node: vec![0.0; 4],
-            max_mc_util: 0.0,
-            mean_mc_util: 0.0,
             mc_pressure: 0.0,
         }
     }

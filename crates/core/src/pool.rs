@@ -125,8 +125,6 @@ impl PoolController {
                 ht_imc_ratio: 0.0,
                 pages_per_node: pages,
                 mc_util_per_node: vec![0.0; nodes],
-                max_mc_util: 0.0,
-                mean_mc_util: 0.0,
                 mc_pressure: 0.0,
             },
             min_interval: cfg.min_interval.min(cfg.interval),

@@ -91,8 +91,6 @@ pub struct EngineConfig {
     pub flavor: Flavor,
     /// Worker threads (0 = one per hardware core, the MonetDB default).
     pub n_workers: usize,
-    /// Memo cache entries before an epoch flush.
-    pub memo_capacity: usize,
     /// Deterministic fault plan (`faults=` spec field); `None` (or an
     /// empty plan) keeps the fault plane fully inert.
     pub faults: Option<FaultPlan>,
@@ -105,7 +103,6 @@ impl Default for EngineConfig {
         EngineConfig {
             flavor: Flavor::MonetDb,
             n_workers: 0,
-            memo_capacity: 512,
             faults: None,
             fault_seed: 0,
         }
@@ -285,6 +282,9 @@ pub struct EngineCore {
     /// touches (the rest gather no positions or reused a record).
     position_scans: u64,
 }
+
+/// Memo entries before an epoch flush.
+const MEMO_CAPACITY: usize = 4096;
 
 /// Upper bound on pooled charge-item vectors (one per in-flight task is
 /// plenty; the cap keeps a queue burst from pinning memory).
@@ -494,11 +494,6 @@ impl Engine {
     /// Engine statistics snapshot.
     pub fn stats(&self) -> EngineStats {
         self.core_ref().stats
-    }
-
-    /// Outstanding (queued) task count.
-    pub fn queued_tasks(&self) -> usize {
-        self.core_ref().queues.len()
     }
 
     /// Number of in-flight queries.
@@ -909,7 +904,7 @@ impl EngineCore {
         };
         // Fill the memo (bounded by epoch flush).
         if !self.memo.contains_key(&fp) {
-            if self.memo.len() >= self.cfg.memo_capacity {
+            if self.memo.len() >= MEMO_CAPACITY {
                 self.memo.clear();
             }
             let entry = MemoEntry {

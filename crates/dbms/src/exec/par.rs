@@ -576,11 +576,6 @@ impl ParEngine {
         self.shared.work.notify_all();
     }
 
-    /// Outstanding (queued) task count.
-    pub fn queued_tasks(&self) -> usize {
-        self.shared.lock_state().deques.len()
-    }
-
     /// Number of in-flight queries.
     pub fn active_queries(&self) -> usize {
         self.shared.lock_state().queries.len()

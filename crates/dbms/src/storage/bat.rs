@@ -159,16 +159,6 @@ impl Bat {
         out.extend((first..=last).map(|i| self.region.segment(i)));
     }
 
-    /// Distinct segments touched by a sorted position list (sparse access
-    /// pattern of `algebra.projection` over a candidate list).
-    pub fn segments_for_positions(&self, positions: &[u32]) -> Vec<SegId> {
-        let mut indices = Vec::new();
-        segment_indices_sorted_into(positions, &mut indices);
-        let mut segs = Vec::new();
-        self.segments_at_into(&indices, &mut segs);
-        segs
-    }
-
     /// Appends the segments at `indices` (relative to this column's
     /// region, as the `segment_indices_*` gatherers produce them). All
     /// columns of a table share one row-to-segment layout, so one index
@@ -299,11 +289,6 @@ impl BatStore {
             .map(|bat| bat.region)
     }
 
-    /// Number of live BATs.
-    pub fn n_live(&self) -> usize {
-        self.bats.iter().filter(|b| b.is_some()).count()
-    }
-
     /// Iterates over live BATs.
     pub fn iter(&self) -> impl Iterator<Item = &Bat> {
         self.bats.iter().filter_map(|b| b.as_ref())
@@ -349,15 +334,6 @@ mod tests {
     }
 
     #[test]
-    fn positions_dedupe_segments() {
-        let mut m = machine();
-        let sp = m.create_space();
-        let b = Bat::new(&mut m, sp, "x", i64s(30_000));
-        let segs = b.segments_for_positions(&[1, 2, 3, 8192, 8193, 20_000]);
-        assert_eq!(segs.len(), 3);
-    }
-
-    #[test]
     fn unsorted_gather_matches_the_sorted_one() {
         let mut m = machine();
         let sp = m.create_space();
@@ -377,7 +353,6 @@ mod tests {
         assert_eq!(got, [1]);
         let mut segs = Vec::new();
         b.segments_at_into(&want, &mut segs);
-        assert_eq!(segs, b.segments_for_positions(&sorted));
         assert_eq!(segs[2], b.segment_of_row(520_000));
     }
 
@@ -408,7 +383,6 @@ mod tests {
         let id = store.insert(Bat::new(&mut m, sp, "x", i64s(10)));
         assert!(store.contains(id));
         assert_eq!(store.get(id).name, "x");
-        assert_eq!(store.n_live(), 1);
         let region = store.remove(id).expect("live bat");
         m.free(&region);
         assert!(!store.contains(id));

@@ -67,18 +67,6 @@ impl Catalog {
             .get(table)
             .unwrap_or_else(|| panic!("unknown table {table}"))
     }
-
-    /// Whether a table exists.
-    pub fn has_table(&self, table: &str) -> bool {
-        self.tables.contains_key(table)
-    }
-
-    /// Table names, sorted (deterministic iteration).
-    pub fn table_names(&self) -> Vec<&'static str> {
-        let mut names: Vec<_> = self.tables.keys().copied().collect();
-        names.sort_unstable();
-        names
-    }
 }
 
 /// The TPC-H-style schema used by the 22 query plans. Strings are
@@ -207,9 +195,6 @@ mod tests {
         cat.register("lineitem", "l_quantity", id, &store);
         assert_eq!(cat.column("lineitem", "l_quantity"), id);
         assert_eq!(cat.rows("lineitem"), 2);
-        assert!(cat.has_table("lineitem"));
-        assert!(!cat.has_table("orders"));
-        assert_eq!(cat.table_names(), vec!["lineitem"]);
     }
 
     #[test]

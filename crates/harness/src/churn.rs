@@ -61,7 +61,7 @@
 
 use crate::backend::Backend;
 use crate::config::RunConfig;
-use crate::runner::{mechanism_parts, sim_kernel, start_engine};
+use crate::runner::{mechanism_parts, start_engine};
 use crate::runner_threads::PoolSubstrate;
 use crate::serve::{FrontDoor, SimSessions};
 use crate::spec::SpecError;
@@ -746,7 +746,7 @@ struct SimTenant {
 
 impl<'a> SimSubstrate<'a> {
     fn new(base: &'a RunConfig, data: &'a TpchData) -> Self {
-        let mut kernel = sim_kernel();
+        let mut kernel = Kernel::opteron_4x4();
         if base.trace_sched {
             kernel.enable_trace();
         }

@@ -2,7 +2,7 @@
 
 use emca_metrics::SimDuration;
 use numa_sim::{CoreId, HwSnapshot};
-use os_sim::{CoreMask, ThreadState, Tid};
+use os_sim::{CoreMask, Kernel, ThreadState, Tid};
 use std::rc::Rc;
 use volcano_db::handcoded::{CAffinity, HandcodedClient, HandcodedData};
 use volcano_db::tpch::TpchData;
@@ -31,7 +31,7 @@ pub fn run_handcoded(
     iterations: u32,
     deadline: SimDuration,
 ) -> HandcodedOutput {
-    let mut kernel = crate::runner::sim_kernel();
+    let mut kernel = Kernel::opteron_4x4();
     let group = kernel.create_group(CoreMask::all(kernel.machine().topology()));
 
     let hc_data = Rc::new(HandcodedData::load(kernel.machine_mut(), data, CoreId(0)));
@@ -55,19 +55,12 @@ pub fn run_handcoded(
         .map(Tid)
         .filter(|&t| kernel.thread_name(t).starts_with("hc-client"))
         .collect();
-    let hard_deadline = start + deadline;
-    let mut end = None;
-    while kernel.now() < hard_deadline {
-        if coordinators
+    let finished = kernel.run_until_cond(start + deadline, |k| {
+        coordinators
             .iter()
-            .all(|&t| kernel.thread_state(t) == ThreadState::Finished)
-        {
-            end = Some(kernel.now());
-            break;
-        }
-        kernel.run_tick();
-    }
-    let Some(end) = end else {
+            .all(|&t| k.thread_state(t) == ThreadState::Finished)
+    });
+    if !finished {
         panic!(
             "{}",
             crate::timing::RunAborted {
@@ -76,14 +69,14 @@ pub fn run_handcoded(
                 hint: "run_handcoded's deadline argument",
             }
         );
-    };
+    }
 
     let runs = logs.iter().flat_map(|l| l.borrow().runs.clone()).collect();
     HandcodedOutput {
         affinity,
         clients,
         runs,
-        wall: end.since(start),
+        wall: kernel.now().since(start),
         hw: kernel.machine().counters().snapshot().since(&hw_before),
     }
 }

@@ -8,8 +8,8 @@ use crate::config::{Alloc, RunConfig};
 use crate::tenants::{MultiTenantConfig, MultiTenantOutput};
 use elastic_core::{MechanismConfig, Policy, PolicyId, TransitionEvent};
 use emca_metrics::{SimDuration, TimeSeries};
-use numa_sim::{HwSnapshot, Machine, MachineConfig};
-use os_sim::{CoreMask, Kernel, KernelConfig, SchedStats, SchedTrace};
+use numa_sim::HwSnapshot;
+use os_sim::{CoreMask, Kernel, SchedStats, SchedTrace};
 use volcano_db::exec::engine::{Engine, EngineConfig, EngineStats, QueryResult};
 use volcano_db::exec::tomograph::Tomograph;
 use volcano_db::tpch::TpchData;
@@ -108,13 +108,6 @@ impl RunOutput {
     }
 }
 
-/// The simulated Opteron under a fresh kernel.
-pub(crate) fn sim_kernel() -> Kernel {
-    let kernel_cfg = KernelConfig::default();
-    let machine = Machine::new(MachineConfig::opteron_4x4(), kernel_cfg.tick);
-    Kernel::new(machine, kernel_cfg)
-}
-
 /// Adds one DBMS instance to `kernel`: a thread group over every core
 /// and an engine with `data` loaded into its own address space and its
 /// workers started.
@@ -127,7 +120,6 @@ pub(crate) fn start_engine(
     let engine = Engine::new(
         EngineConfig {
             flavor: config.flavor,
-            memo_capacity: 4096,
             faults: config.faults.clone(),
             fault_seed: config.scale.seed,
             ..EngineConfig::default()

@@ -453,6 +453,9 @@ impl PoolSubstrate {
 /// One tenant on the thread pools: its pool and its client threads.
 pub(crate) struct PoolTenant {
     pool: Pool,
+    /// Where the pool's clock read zero on the lifecycle's: its
+    /// [`QueryResult`] stamps are shifted by this at retirement.
+    clock_offset: SimDuration,
     sinks: Arc<ClientSinks>,
     handles: Vec<std::thread::JoinHandle<()>>,
     sample_completed: u64,
@@ -491,6 +494,7 @@ impl Substrate for PoolSubstrate {
         let n_workers = self.width.max(if os_baseline { tcfg.clients } else { 0 });
         let (base, tenancy) = (Arc::clone(&self.base), control.map(|c| (tcfg, c)));
         let pool = Pool::start(n_workers, base, instance, arrives, tenancy);
+        let clock_offset = self.now().since(pool.engine.now());
         if let Some(slice) = slice {
             pool.engine.set_active(slice.len());
         }
@@ -509,6 +513,7 @@ impl Substrate for PoolSubstrate {
         );
         PoolTenant {
             pool,
+            clock_offset,
             sinks,
             handles,
             sample_completed: 0,
@@ -564,8 +569,9 @@ impl Substrate for PoolSubstrate {
     }
 
     /// Clients joined (a panicked client is a driver-thread tripwire),
-    /// engine counters and transition log taken, and — with the tenant's
-    /// last pool `Arc` going out of scope — its workers shut down.
+    /// results moved onto the lifecycle's clock, engine counters and
+    /// transition log taken, and — with the tenant's last pool `Arc`
+    /// going out of scope — its workers shut down.
     fn retire(&mut self, t: PoolTenant, out: &mut TenantOutput) -> Vec<String> {
         let joined = t.handles.into_iter().map(|h| h.join());
         let panicked = joined.filter(Result::is_err).count();
@@ -575,6 +581,10 @@ impl Substrate for PoolSubstrate {
             out.transitions = c.events;
         }
         out.results = std::mem::take(&mut *lock(&t.sinks.results));
+        for r in &mut out.results {
+            r.submitted += t.clock_offset;
+            r.finished += t.clock_offset;
+        }
         out.engine = t.pool.engine.stats();
         out.tomograph = t.pool.engine.tomograph();
         std::mem::take(&mut *lock(&t.sinks.errors))
@@ -692,6 +702,41 @@ mod tests {
                 e.starts_with("a: client ") || e.starts_with("b: client "),
                 "an error must name its tenant and client: {e:?}"
             );
+        }
+    }
+
+    #[test]
+    fn threads_churn_stamps_results_on_the_run_clock() {
+        // One resident slot: each tenant's pool is built when the one
+        // before it departs, so a stamp on that pool's own clock would
+        // land before its tenant started.
+        use crate::{Backend, ChurnSpec, MultiTenantConfig};
+        use elastic_core::ArbiterMode;
+        use emca_metrics::SimDuration;
+        use volcano_db::tpch::{TpchData, TpchScale};
+        let data = TpchData::generate(TpchScale::test_tiny());
+        let plan = ChurnSpec::parse("3:resident=1:spread=0")
+            .unwrap()
+            .plan(42, 2, 12);
+        let cfg = MultiTenantConfig::new(ArbiterMode::FairShare, plan.tenant_configs())
+            .with_scale(data.scale)
+            .with_resident_cap(plan.resident)
+            .with_backend(Backend::Threads);
+        let out = crate::run_tenants(cfg, &data);
+        let slack = SimDuration::from_millis(1);
+        for t in &out.tenants {
+            assert!(!t.results.is_empty(), "{} ran no query", t.config.name);
+            for r in &t.results {
+                assert!(
+                    r.submitted + slack >= t.started_at && r.finished <= t.finished_at + slack,
+                    "{}: result [{:?}, {:?}] outside its tenant's [{:?}, {:?}]",
+                    t.config.name,
+                    r.submitted,
+                    r.finished,
+                    t.started_at,
+                    t.finished_at
+                );
+            }
         }
     }
 

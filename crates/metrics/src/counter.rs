@@ -35,13 +35,6 @@ impl Counter {
     pub const fn get(self) -> u64 {
         self.0
     }
-
-    /// Events accumulated since `earlier` (saturating, so a reset or stale
-    /// snapshot yields 0 rather than a huge bogus delta).
-    #[inline]
-    pub fn delta_since(self, earlier: Counter) -> u64 {
-        self.0.saturating_sub(earlier.0)
-    }
 }
 
 impl fmt::Debug for Counter {
@@ -103,23 +96,6 @@ impl CounterVec {
     pub fn snapshot(&self) -> Vec<u64> {
         self.counters.iter().map(|c| c.get()).collect()
     }
-
-    /// Per-index deltas against a previous [`CounterVec::snapshot`].
-    ///
-    /// Panics if the snapshot length does not match (a programming error:
-    /// counter families never change size at runtime).
-    pub fn delta_since(&self, snapshot: &[u64]) -> Vec<u64> {
-        assert_eq!(
-            snapshot.len(),
-            self.counters.len(),
-            "snapshot arity mismatch"
-        );
-        self.counters
-            .iter()
-            .zip(snapshot)
-            .map(|(c, &s)| c.get().saturating_sub(s))
-            .collect()
-    }
 }
 
 #[cfg(test)]
@@ -135,16 +111,6 @@ mod tests {
     }
 
     #[test]
-    fn counter_delta_saturates() {
-        let mut a = Counter::new();
-        a.add(10);
-        let snap = a;
-        a.add(5);
-        assert_eq!(a.delta_since(snap), 5);
-        assert_eq!(snap.delta_since(a), 0);
-    }
-
-    #[test]
     fn countervec_snapshot_delta() {
         let mut v = CounterVec::new(3);
         v.add(0, 7);
@@ -153,14 +119,7 @@ mod tests {
         assert_eq!(snap, vec![7, 0, 1]);
         v.add(0, 3);
         v.add(1, 2);
-        assert_eq!(v.delta_since(&snap), vec![3, 2, 0]);
+        assert_eq!(v.snapshot(), vec![10, 2, 1]);
         assert_eq!(v.total(), 13);
-    }
-
-    #[test]
-    #[should_panic(expected = "arity mismatch")]
-    fn countervec_bad_snapshot_panics() {
-        let v = CounterVec::new(2);
-        let _ = v.delta_since(&[0]);
     }
 }

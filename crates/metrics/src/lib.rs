@@ -5,8 +5,8 @@
 //! - [`SimTime`] / [`SimDuration`]: the nanosecond-resolution simulated clock
 //!   used by every other crate in the workspace;
 //! - [`Counter`] and [`CounterVec`]: monotonically increasing hardware/OS
-//!   counters with window-delta support (the building block of the
-//!   mpstat/likwid analogues);
+//!   counters whose snapshots monitors take window deltas of (the
+//!   building block of the mpstat/likwid analogues);
 //! - [`TimeSeries`]: sampled `(time, value)` traces used to render the
 //!   paper's timeline figures;
 //! - [`stats`]: summary statistics (mean, geometric mean, percentiles) used

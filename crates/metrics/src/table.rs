@@ -139,21 +139,6 @@ pub fn fnum(v: f64, prec: usize) -> String {
     format!("{v:.prec$}")
 }
 
-/// Formats a value in engineering units (K/M/G) with 2 decimals, e.g. for
-/// bytes/s or events/s axes matching the paper's `10^x` scaled plots.
-pub fn eng(v: f64) -> String {
-    let a = v.abs();
-    if a >= 1e9 {
-        format!("{:.2}G", v / 1e9)
-    } else if a >= 1e6 {
-        format!("{:.2}M", v / 1e6)
-    } else if a >= 1e3 {
-        format!("{:.2}K", v / 1e3)
-    } else {
-        format!("{v:.2}")
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -216,9 +201,5 @@ mod tests {
     #[test]
     fn number_formatting() {
         assert_eq!(fnum(1.23456, 2), "1.23");
-        assert_eq!(eng(1234.0), "1.23K");
-        assert_eq!(eng(12_345_678.0), "12.35M");
-        assert_eq!(eng(9.87e9), "9.87G");
-        assert_eq!(eng(42.0), "42.00");
     }
 }

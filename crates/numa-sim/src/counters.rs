@@ -259,8 +259,8 @@ mod tests {
         let snap = c.snapshot();
         c.l3_misses.add(0, 3);
         c.l3_misses.add(1, 2);
-        let d = c.l3_misses.delta_since(&snap.l3_misses);
-        assert_eq!(d, vec![3, 2]);
+        assert_eq!(snap.l3_misses, vec![5, 0]);
+        assert_eq!(c.l3_misses.snapshot(), vec![8, 2]);
     }
 
     #[test]

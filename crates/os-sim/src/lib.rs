@@ -33,7 +33,7 @@ pub mod trace;
 pub mod work;
 
 pub use cpuset::{CoreMask, GroupId};
-pub use procfs::{pages_per_node, LoadSample, LoadSampler};
+pub use procfs::{LoadSample, LoadSampler};
 pub use sched::{Kernel, KernelConfig, SchedStats};
 pub use thread::{ThreadState, ThreadStats, Tid};
 pub use trace::{SchedTrace, Span};

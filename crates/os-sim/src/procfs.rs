@@ -1,31 +1,22 @@
-//! `/proc`-style sampling: the mpstat / numa_maps analogues.
+//! `/proc`-style sampling: the mpstat analogue.
 //!
 //! The elastic mechanism monitors the DBMS through exactly the interfaces
 //! the paper lists (§IV-A): *mpstat* for CPU load, *cgroups* for thread
 //! membership, page placement statistics for the priority queue. This
-//! module turns the kernel's monotonic counters into windowed load
-//! percentages.
+//! module turns the kernel's monotonic group-busy counter into a windowed
+//! load percentage.
 
 use crate::cpuset::GroupId;
 use crate::sched::Kernel;
-use emca_metrics::{SimDuration, SimTime};
-use numa_sim::SpaceId;
+use emca_metrics::SimTime;
 
 /// A windowed load sample.
-#[derive(Clone, Debug)]
+#[derive(Clone, Copy, Debug)]
 pub struct LoadSample {
-    /// Window start.
-    pub from: SimTime,
-    /// Window end.
-    pub to: SimTime,
-    /// Per-core busy fraction in `[0, 1]` (all activity).
-    pub per_core: Vec<f64>,
     /// Busy fraction of the observed group across the cores its mask
     /// allows, in `[0, 1]` — the paper's `u` predicate variable
     /// (multiplied by 100 for percent).
     pub group_load: f64,
-    /// Group busy time within the window.
-    pub group_busy: SimDuration,
 }
 
 impl LoadSample {
@@ -35,12 +26,11 @@ impl LoadSample {
     }
 }
 
-/// Samples per-core and per-group CPU load over successive windows
-/// (mpstat with a configurable interval).
+/// Samples a group's CPU load over successive windows (mpstat with a
+/// configurable interval).
 #[derive(Clone, Debug)]
 pub struct LoadSampler {
     group: GroupId,
-    prev_busy: Vec<u64>,
     prev_group_busy: u64,
     prev_time: SimTime,
 }
@@ -50,7 +40,6 @@ impl LoadSampler {
     pub fn new(kernel: &Kernel, group: GroupId) -> Self {
         LoadSampler {
             group,
-            prev_busy: kernel.machine().counters().busy_ns.snapshot(),
             prev_group_busy: kernel.group_busy_ns(group),
             prev_time: kernel.now(),
         }
@@ -59,36 +48,15 @@ impl LoadSampler {
     /// Takes a sample over the window since the previous call.
     pub fn sample(&mut self, kernel: &Kernel) -> LoadSample {
         let now = kernel.now();
-        let wall = now.since(self.prev_time);
-        let busy = kernel.machine().counters().busy_ns.snapshot();
+        let wall_ns = now.since(self.prev_time).as_nanos().max(1);
         let group_busy_total = kernel.group_busy_ns(self.group);
-        let wall_ns = wall.as_nanos().max(1);
-        let per_core: Vec<f64> = busy
-            .iter()
-            .zip(&self.prev_busy)
-            .map(|(&b, &p)| (b.saturating_sub(p) as f64 / wall_ns as f64).min(1.0))
-            .collect();
         let group_busy_ns = group_busy_total.saturating_sub(self.prev_group_busy);
         let n_allowed = kernel.group_mask(self.group).count().max(1);
         let group_load = (group_busy_ns as f64 / (wall_ns as f64 * n_allowed as f64)).min(1.0);
-        let sample = LoadSample {
-            from: self.prev_time,
-            to: now,
-            per_core,
-            group_load,
-            group_busy: SimDuration::from_nanos(group_busy_ns),
-        };
-        self.prev_busy = busy;
         self.prev_group_busy = group_busy_total;
         self.prev_time = now;
-        sample
+        LoadSample { group_load }
     }
-}
-
-/// `numa_maps` analogue: resident pages per NUMA node for an address
-/// space (feeds the adaptive mode's priority queue).
-pub fn pages_per_node(kernel: &Kernel, space: SpaceId) -> Vec<u64> {
-    kernel.machine().mem().pages_per_node(space).to_vec()
 }
 
 #[cfg(test)]
@@ -96,6 +64,7 @@ mod tests {
     use super::*;
     use crate::cpuset::CoreMask;
     use crate::work::SpinWork;
+    use emca_metrics::SimDuration;
     use numa_sim::CoreId;
 
     #[test]
@@ -113,9 +82,6 @@ mod tests {
         k.run_until(SimTime::from_millis(10));
         let s = sampler.sample(&k);
         assert!(s.group_load_pct() > 95.0, "got {}", s.group_load_pct());
-        assert!(s.per_core[0] > 0.95);
-        assert!(s.per_core[1] < 0.05);
-        assert_eq!(s.group_busy, SimDuration::from_millis(10));
     }
 
     #[test]
@@ -168,23 +134,5 @@ mod tests {
         let s2 = sampler.sample(&k);
         assert!(s1.group_load_pct() > 90.0);
         assert!(s2.group_load_pct() < 10.0);
-        assert_eq!(s2.from, SimTime::from_millis(5));
-    }
-
-    #[test]
-    fn pages_per_node_passthrough() {
-        let mut k = Kernel::opteron_4x4();
-        let space = k.machine_mut().create_space();
-        let region = k.machine_mut().alloc(space, numa_sim::SEG_BYTES);
-        k.machine_mut().access_segment(
-            CoreId(5),
-            region.segment(0),
-            numa_sim::AccessKind::Read,
-            numa_sim::StreamId(0),
-        );
-        let pages = pages_per_node(&k, space);
-        // Core 5 is on node 1 of the opteron topology.
-        assert_eq!(pages[1], numa_sim::PAGES_PER_SEG);
-        assert_eq!(pages[0] + pages[2] + pages[3], 0);
     }
 }

@@ -52,15 +52,6 @@ impl RunQueue {
         self.queue.remove(&(vruntime, tid))
     }
 
-    /// Pops the *maximum*-vruntime thread (load balancing pulls the tail
-    /// task: it has waited relative-longest and is the cheapest to move —
-    /// mirroring Linux's preference for moving non-cache-hot tasks).
-    pub fn pop_max(&mut self) -> Option<(u64, Tid)> {
-        let last = *self.queue.iter().next_back()?;
-        self.queue.remove(&last);
-        Some(last)
-    }
-
     /// Iterates queued threads in vruntime order (reversible: balancing
     /// scans from the tail).
     pub fn iter(&self) -> impl DoubleEndedIterator<Item = (u64, Tid)> + '_ {
@@ -99,15 +90,6 @@ mod tests {
         q.push(20, Tid(2));
         assert!(q.remove(20, Tid(2)));
         assert!(!q.remove(20, Tid(2)));
-        assert_eq!(q.len(), 1);
-    }
-
-    #[test]
-    fn pop_max_takes_tail() {
-        let mut q = RunQueue::new();
-        q.push(10, Tid(1));
-        q.push(99, Tid(2));
-        assert_eq!(q.pop_max(), Some((99, Tid(2))));
         assert_eq!(q.len(), 1);
     }
 

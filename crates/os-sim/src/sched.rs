@@ -23,33 +23,30 @@ use crate::work::{SimWork, SpawnReq, StepOutcome, WorkCtx};
 use emca_metrics::{SimDuration, SimTime};
 use numa_sim::{CoreId, Machine};
 
-/// Scheduler tuning knobs.
+/// Scheduler configuration.
 #[derive(Clone, Copy, Debug)]
 pub struct KernelConfig {
     /// Simulation tick: the granularity at which cores execute work.
     pub tick: SimDuration,
-    /// Timeslice after which a running thread is preempted if others wait.
-    pub timeslice: SimDuration,
-    /// A running thread is preempted once its vruntime exceeds the
-    /// queue minimum by this many nanoseconds.
-    pub preempt_granularity_ns: u64,
-    /// Period of the load balancer.
-    pub balance_interval: SimDuration,
-    /// Minimum load difference (in runnable threads) to trigger a pull.
-    pub imbalance_threshold: usize,
 }
 
 impl Default for KernelConfig {
     fn default() -> Self {
         KernelConfig {
             tick: SimDuration::from_micros(100),
-            timeslice: SimDuration::from_millis(6),
-            preempt_granularity_ns: 3_000_000,
-            balance_interval: SimDuration::from_millis(4),
-            imbalance_threshold: 2,
         }
     }
 }
+
+/// Timeslice after which a running thread is preempted if others wait.
+const TIMESLICE: SimDuration = SimDuration::from_millis(6);
+/// A running thread is preempted once its vruntime exceeds the queue
+/// minimum by this many nanoseconds.
+const PREEMPT_GRANULARITY_NS: u64 = 3_000_000;
+/// Period of the load balancer.
+const BALANCE_INTERVAL: SimDuration = SimDuration::from_millis(4);
+/// Minimum load difference (in runnable threads) to trigger a pull.
+const IMBALANCE_THRESHOLD: usize = 2;
 
 /// Kernel-wide scheduling statistics.
 #[derive(Clone, Copy, Debug, Default)]
@@ -137,7 +134,7 @@ impl Kernel {
             groups: Vec::new(),
             ticks: 0,
             group_union: CoreMask::EMPTY,
-            next_balance: SimTime::ZERO + cfg.balance_interval,
+            next_balance: SimTime::ZERO + BALANCE_INTERVAL,
             stats: SchedStats::default(),
             trace: SchedTrace::disabled(),
             wake_buf: Vec::new(),
@@ -457,10 +454,10 @@ impl Kernel {
             match outcome {
                 StepOutcome::Ran(_) => {
                     let slot = &self.threads[tid.idx()];
-                    let over_slice = slot.slice_used >= self.cfg.timeslice;
+                    let over_slice = slot.slice_used >= TIMESLICE;
                     let over_granularity = self.runqueues[core_idx]
                         .min_vruntime()
-                        .is_some_and(|mv| slot.vruntime > mv + self.cfg.preempt_granularity_ns);
+                        .is_some_and(|mv| slot.vruntime > mv + PREEMPT_GRANULARITY_NS);
                     if over_slice || over_granularity {
                         self.stats.preemptions += 1;
                         self.trace.on_stop(tid, end);
@@ -511,7 +508,7 @@ impl Kernel {
         self.now += tick;
         if self.now >= self.next_balance {
             self.load_balance();
-            self.next_balance = self.now + self.cfg.balance_interval;
+            self.next_balance = self.now + BALANCE_INTERVAL;
         }
         if !self.spawn_buf.is_empty() {
             let mut spawns = std::mem::take(&mut self.spawn_buf);
@@ -619,7 +616,7 @@ impl Kernel {
         slot.core = Some(target);
         // Normalise vruntime so migrated/woken threads neither starve the
         // queue nor get starved (CFS's min_vruntime placement).
-        let floor = self.min_vruntime[target.idx()].saturating_sub(self.cfg.timeslice.as_nanos());
+        let floor = self.min_vruntime[target.idx()].saturating_sub(TIMESLICE.as_nanos());
         if slot.vruntime < floor {
             slot.vruntime = floor;
         }
@@ -710,7 +707,7 @@ impl Kernel {
             else {
                 continue;
             };
-            if self.runqueues[busiest].len() < my_load + self.cfg.imbalance_threshold {
+            if self.runqueues[busiest].len() < my_load + IMBALANCE_THRESHOLD {
                 continue;
             }
             let core = CoreId(core_idx as u16);
@@ -721,8 +718,7 @@ impl Kernel {
                 self.stats.migrations += 1;
                 self.threads[tid.idx()].stats.migrations += 1;
                 self.threads[tid.idx()].core = Some(core);
-                let floor =
-                    self.min_vruntime[core_idx].saturating_sub(self.cfg.timeslice.as_nanos());
+                let floor = self.min_vruntime[core_idx].saturating_sub(TIMESLICE.as_nanos());
                 let vr = vr.max(floor);
                 self.threads[tid.idx()].vruntime = vr;
                 self.runqueues[core_idx].push(vr, tid);
